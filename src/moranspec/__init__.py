@@ -10,10 +10,9 @@ from .hadamard import (TripleCheckReport, canonical_dual_digits, is_admissible,
                        is_compatible_pair, parseval_sum, triple_report,
                        unitarity_residual)
 from .measure import (DEFAULT_ATOM_CAP, AtomCapExceeded, DiscreteMeasure,
-                      ScaledStage, ScaledSystem, StagePair, SymbolicWord,
-                      SystemConfig, mask_zero_contains, measures_equal,
-                      mu_hat_eval, normalize_signs, scale_digits, support_hull,
-                      truncate, zero_set_contains)
+                      StagePair, SymbolicWord, SystemConfig, mask_zero_contains,
+                      measures_equal, mu_hat_eval, normalize_signs, scale_digits,
+                      support_hull, truncate, zero_set_contains)
 from .oracle import (RigidityReport, search_compatible_partners, search_spectra,
                      weighted_mean_rigidity)
 from .spectra import (Decomposition, SpectrumCandidate, SpectrumVerification,
@@ -27,7 +26,7 @@ from .tiling import (IntervalUnion, TileDecision, TilingCertificate, tile_decide
 __all__ = [
     "AtomCapExceeded", "DEFAULT_ATOM_CAP", "Decomposition", "DiscreteMeasure",
     "IntervalUnion", "NecessityViolation", "Rational", "RigidityReport",
-    "RootSum", "ScaledStage", "ScaledSystem", "SpectralVerdict",
+    "RootSum", "SpectralVerdict",
     "SpectrumCandidate", "SpectrumVerification", "StagePair", "SymbolicWord",
     "SystemConfig", "TileDecision", "TilingCertificate", "TowerDegenerateError",
     "TripleCheckReport", "TwoStageDecision", "ZeroSetProbe", "ZeroSetStatus",

@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
+from .exactmath import RationalLike
 from .hadamard import is_admissible
 from .measure import StagePair, SymbolicWord, SystemConfig, zero_set_contains
 from .tiling import TileDecision, tile_decide
@@ -33,8 +34,6 @@ OUT_OF_SCOPE = "OutOfScope"
 CLAUSE_DIVISIBILITY = "divisibility"
 CLAUSE_TAIL_EXCEPTION = "Pi_l"
 CLAUSE_HYPOTHESIS = "hypothesis"
-
-RationalLike = Union[int, Fraction]
 
 
 @dataclass(frozen=True)

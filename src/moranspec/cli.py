@@ -367,10 +367,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.word is not None:
             word = parse_word_text(args.word)
         return handler(config, word, rewrite, args)
-    except (ConfigError, measure.AtomCapExceeded) as exc:
-        print(f"error={exc}", file=sys.stderr)
-        return EXIT_OUT_OF_SCOPE
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and AtomCapExceeded included
         print(f"error={exc}", file=sys.stderr)
         return EXIT_OUT_OF_SCOPE
     except Exception as exc:  # pragma: no cover - internal failure path

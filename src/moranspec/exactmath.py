@@ -20,8 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import Sequence, Union
 
 Rational = Fraction
+RationalLike = Union[int, Fraction]
 
 
 def divisors(n: int) -> list[int]:
@@ -121,6 +123,20 @@ def root_sum_is_zero(s: RootSum) -> bool:
         coeffs[e] += 1
     _, rem = _poly_divmod_monic(_poly_trim(coeffs), list(cyclotomic_polynomial(n)))
     return rem == [0]
+
+
+def digit_sum_vanishes(n: int, digits: Sequence[int], ell: int) -> bool:
+    """Exact test of sum_{d in D} zeta_n^(d*ell) == 0 for n >= 1.
+
+    The exponents are divided by their common gcd with n, so the cyclotomic
+    test runs at the least order that carries the sum; when every term is 1
+    the sum is #D != 0.
+    """
+    exps = [(d * ell) % n for d in digits]
+    g = gcd(n, *exps)
+    if g == n:
+        return False
+    return root_sum_is_zero(RootSum(n // g, tuple(e // g for e in exps)))
 
 
 def root_sum_value(s: RootSum) -> complex:

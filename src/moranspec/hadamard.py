@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exactmath import RootSum, root_sum_is_zero
+from .exactmath import digit_sum_vanishes
 
 
 def is_admissible(b: int, p: int, t: int) -> bool:
@@ -64,20 +64,9 @@ def is_compatible_pair(b: int, digits: Sequence[int], freqs: Sequence[int]) -> b
         raise ValueError(f"size mismatch: #D={len(digits)} vs #L={len(freqs)}")
     if len(set(digits)) != len(digits) or len(set(freqs)) != len(freqs):
         return False
-    n = abs(b)
     fr = sorted(freqs)
-    for i in range(len(fr)):
-        for j in range(i + 1, len(fr)):
-            delta = fr[j] - fr[i]
-            exps = [(d * delta) % n for d in digits]
-            g = n
-            for e in exps:
-                g = gcd(g, e)
-            if g == n:
-                return False  # all terms equal 1; sum is #D != 0
-            if not root_sum_is_zero(RootSum(n // g, tuple(e // g for e in exps))):
-                return False
-    return True
+    return all(digit_sum_vanishes(abs(b), digits, fr[j] - fr[i])
+               for i in range(len(fr)) for j in range(i + 1, len(fr)))
 
 
 def unitarity_residual(b: int, digits: Sequence[int], freqs: Sequence[int]) -> float:

@@ -14,19 +14,17 @@ zero-set membership tests.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from itertools import count
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .exactmath import divisors
+from .exactmath import RationalLike, divisors
 
 DEFAULT_ATOM_CAP = 10**6
-
-RationalLike = Union[int, Fraction]
 
 
 class AtomCapExceeded(ValueError):
@@ -83,10 +81,6 @@ class SystemConfig:
         if not 1 <= letter <= self.m:
             raise ValueError(f"letter {letter} outside alphabet 1..{self.m}")
         return self.pairs[letter - 1]
-
-    def min_zero_magnitude(self) -> Fraction:
-        """Smallest nonzero |x| in any stage mask zero set: min 1/(p|t|)."""
-        return min(Fraction(1, pr.p * abs(pr.t)) for pr in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -203,15 +197,24 @@ class DiscreteMeasure:
     def weights(self) -> tuple[Fraction, ...]:
         return tuple(w for _, w in self.atoms)
 
-    def fourier(self, x: float) -> complex:
-        """sum_i w_i exp(2*pi*i*x*a_i) in double precision."""
-        return complex(self.fourier_many(np.array([x]))[0])
-
     def fourier_many(self, xs: np.ndarray) -> np.ndarray:
         pts = np.array([float(p) for p in self.points])
         wts = np.array([float(w) for w in self.weights])
         xs = np.asarray(xs, dtype=float)
         return np.exp(2j * np.pi * np.outer(xs, pts)) @ wts
+
+
+def stage_walk(config: SystemConfig, word: SymbolicWord,
+               k: Optional[int] = None) -> Iterator[tuple[StagePair, int]]:
+    """Yield (pair, b_1...b_n) for n = 1..k, or without end when k is None.
+
+    The only place the running base product is formed.
+    """
+    base = 1
+    for n in count(1) if k is None else range(1, k + 1):
+        pr = config.pair(word.letter(n))
+        base *= pr.b
+        yield pr, base
 
 
 def truncate(config: SystemConfig, word: SymbolicWord, k: int,
@@ -223,17 +226,14 @@ def truncate(config: SystemConfig, word: SymbolicWord, k: int,
     """
     if k < 0:
         raise ValueError("depth k must be >= 0")
-    count = 1
-    for n in range(1, k + 1):
-        count *= config.pair(word.letter(n)).p
-        if count > cap:
+    atom_count = 1
+    for pr, _ in stage_walk(config, word, k):
+        atom_count *= pr.p
+        if atom_count > cap:
             raise AtomCapExceeded(
-                f"truncation to depth {k} needs {count}+ atoms; cap is {cap}")
+                f"truncation to depth {k} needs {atom_count}+ atoms; cap is {cap}")
     atoms: dict[Fraction, Fraction] = {Fraction(0): Fraction(1)}
-    base = 1
-    for n in range(1, k + 1):
-        pr = config.pair(word.letter(n))
-        base *= pr.b
+    for pr, base in stage_walk(config, word, k):
         w = Fraction(1, pr.p)
         nxt: dict[Fraction, Fraction] = {}
         for x, wx in atoms.items():
@@ -249,14 +249,21 @@ def measures_equal(a: DiscreteMeasure, b: DiscreteMeasure) -> bool:
     return a.atoms == b.atoms
 
 
-def mask_zero_contains(p: int, t: RationalLike, x: RationalLike) -> bool:
-    """Exact membership of x in the mask zero set (Z \\ pZ)/(p*t).
+def mask_zero_hit(p: int, t: int, num: int, den: int) -> bool:
+    """Exact membership of num/den in the mask zero set (Z \\ pZ)/(p*t).
 
-    Holds iff x*p*t is an integer not divisible by p.  Accepts a rational
-    stride t so that scaled digit systems stay testable.
+    Holds iff den divides num*p*t with a quotient not divisible by p; pure
+    integer arithmetic, so a scan can pass x/(b_1...b_n) as x's numerator
+    over x's denominator times the base product.
     """
-    y = Fraction(x) * p * Fraction(t)
-    return y.denominator == 1 and y.numerator % p != 0
+    q, r = divmod(num * p * t, den)
+    return r == 0 and q % p != 0
+
+
+def mask_zero_contains(p: int, t: int, x: RationalLike) -> bool:
+    """Exact membership of x in the mask zero set (Z \\ pZ)/(p*t)."""
+    x = Fraction(x)
+    return mask_zero_hit(p, t, x.numerator, x.denominator)
 
 
 def zero_set_contains(config: SystemConfig, word: SymbolicWord,
@@ -270,24 +277,13 @@ def zero_set_contains(config: SystemConfig, word: SymbolicWord,
     x = Fraction(x)
     if x == 0:
         return False
-    threshold = config.min_zero_magnitude()
-    base = 1
-    n = 0
-    while True:
-        n += 1
-        pr = config.pair(word.letter(n))
-        base *= pr.b
-        y = x / base
-        if abs(y) < threshold:
+    num, den = x.numerator, x.denominator
+    reach = max(pr.p * abs(pr.t) for pr in config.pairs)
+    for pr, base in stage_walk(config, word):
+        if abs(num) * reach < den * abs(base):
             return False
-        if mask_zero_contains(pr.p, pr.t, y):
+        if mask_zero_hit(pr.p, pr.t, num, den * base):
             return True
-
-
-def mask_value(p: int, t: RationalLike, y: float) -> complex:
-    """Double-precision mask value (1/p) sum_{j<p} exp(2*pi*i*j*t*y)."""
-    tf = float(t)
-    return sum(cmath.exp(2j * math.pi * j * tf * y) for j in range(p)) / p
 
 
 def _mask_many(p: int, t: int, ys: np.ndarray) -> np.ndarray:
@@ -304,12 +300,10 @@ def mu_hat_many(config: SystemConfig, word: SymbolicWord, xs: np.ndarray,
         raise ValueError("depth must be >= 0")
     xs = np.asarray(xs, dtype=float)
     out = np.ones_like(xs, dtype=complex)
-    base = 1
-    for n in range(1, depth + 1):
-        pr = config.pair(word.letter(n))
-        base *= pr.b
-        bf = float(base)
-        if not math.isfinite(bf):
+    for pr, base in stage_walk(config, word, depth):
+        try:
+            bf = float(base)
+        except OverflowError:  # |b_1...b_n| is past the float range
             break
         out *= _mask_many(pr.p, pr.t, xs / bf)
     return out
@@ -326,9 +320,7 @@ def mu_hat_eval(config: SystemConfig, word: SymbolicWord, x: float,
     if depth < 1:
         raise ValueError("depth must be >= 1")
     val = complex(mu_hat_many(config, word, np.array([x]), depth)[0])
-    base = 1
-    for n in range(1, depth + 1):
-        base *= config.pair(word.letter(n)).b
+    *_, (_, base) = stage_walk(config, word, depth)
     m_max = max((pr.p - 1) * abs(pr.t) for pr in config.pairs)
     try:
         err = math.pi * m_max * abs(x) / abs(float(base))
@@ -345,6 +337,19 @@ def _require_positive_signs(config: SystemConfig, word: SymbolicWord) -> None:
                 f"letter {letter} has negative b or t; apply normalize_signs first")
 
 
+def _eventually_periodic_sum(walk: list[tuple[StagePair, int]], terms: list[Fraction],
+                             r: int, block: int) -> Fraction:
+    """Closed-form sum of an eventually periodic series.
+
+    terms[n-1] is the n-th term for n <= r + block.  After the r head terms
+    the block repeats forever, each repeat scaled by 1/q with
+    q = (b_1...b_{r+block}) / (b_1...b_r), so it contributes its sum times
+    q / (q - 1).
+    """
+    q = walk[r + block - 1][1] // (walk[r - 1][1] if r else 1)
+    return sum(terms[:r], Fraction(0)) + sum(terms[r:r + block], Fraction(0)) * Fraction(q, q - 1)
+
+
 def support_hull(config: SystemConfig, word: SymbolicWord) -> tuple[Fraction, Fraction]:
     """Exact convex hull [0, sum_k (p_k - 1) t_k / (b_1...b_k)] of the support.
 
@@ -352,23 +357,10 @@ def support_hull(config: SystemConfig, word: SymbolicWord) -> tuple[Fraction, Fr
     periodic tail is summed in closed form as a geometric series.
     """
     _require_positive_signs(config, word)
-    r = len(word.preperiod)
-    total = Fraction(0)
-    base = 1
-    for n in range(1, r + 1):
-        pr = config.pair(word.letter(n))
-        base *= pr.b
-        total += Fraction((pr.p - 1) * pr.t, base)
-    period_sum = Fraction(0)
-    pbase = base
-    pprod = 1
-    for n in range(r + 1, r + len(word.period) + 1):
-        pr = config.pair(word.letter(n))
-        pbase *= pr.b
-        pprod *= pr.b
-        period_sum += Fraction((pr.p - 1) * pr.t, pbase)
-    total += period_sum * Fraction(pprod, pprod - 1)
-    return Fraction(0), total
+    r, s = len(word.preperiod), len(word.period)
+    walk = list(stage_walk(config, word, r + s))
+    terms = [Fraction((pr.p - 1) * pr.t, base) for pr, base in walk]
+    return Fraction(0), _eventually_periodic_sum(walk, terms, r, s)
 
 
 def normalize_signs(config: SystemConfig, word: SymbolicWord) -> tuple[SystemConfig, Fraction]:
@@ -384,55 +376,15 @@ def normalize_signs(config: SystemConfig, word: SymbolicWord) -> tuple[SystemCon
     normalized = SystemConfig(tuple(StagePair(abs(pr.b), pr.p, abs(pr.t))
                                     for pr in config.pairs))
     r, s = len(word.preperiod), len(word.period)
-    gamma = Fraction(0)
-    base = 1
-    for n in range(1, r + 1):
-        pr = config.pair(word.letter(n))
-        base *= pr.b
-        if base * pr.t < 0:
-            gamma += Fraction(-(pr.p - 1) * pr.t, base)
-    pprod = 1
-    for letter in word.period:
-        pprod *= config.pair(letter).b
-    s_eff = s if pprod > 0 else 2 * s
-    block = Fraction(0)
-    tbase = base
-    for n in range(r + 1, r + s_eff + 1):
-        pr = config.pair(word.letter(n))
-        tbase *= pr.b
-        if tbase * pr.t < 0:
-            block += Fraction(-(pr.p - 1) * pr.t, tbase)
-    q = pprod if pprod > 0 else pprod * pprod
-    gamma += block * Fraction(q, q - 1)
-    return normalized, gamma
+    walk = list(stage_walk(config, word, r + 2 * s))
+    period_product = walk[r + s - 1][1] // (walk[r - 1][1] if r else 1)
+    terms = [Fraction(-(pr.p - 1) * pr.t, base) if base * pr.t < 0 else Fraction(0)
+             for pr, base in walk]
+    return normalized, _eventually_periodic_sum(walk, terms, r, s if period_product > 0 else 2 * s)
 
 
-@dataclass(frozen=True)
-class ScaledStage:
-    """Stage whose digits were multiplied by a rational factor: D = {0,t,...,(p-1)t}."""
-
-    b: int
-    p: int
-    t: Fraction
-
-
-@dataclass(frozen=True)
-class ScaledSystem:
-    """Digit-scaled alphabet; any spectrum of the original transforms by 1/scale."""
-
-    stages: tuple[ScaledStage, ...]
-    scale: Fraction
-
-    def as_config(self) -> SystemConfig:
-        """Integer-stride view; required for exact zero-set tests downstream."""
-        for st in self.stages:
-            if st.t.denominator != 1:
-                raise ValueError(f"scaled stride {st.t} is not an integer")
-        return SystemConfig(tuple(StagePair(st.b, st.p, int(st.t)) for st in self.stages))
-
-
-def scale_digits(config: SystemConfig, q: RationalLike) -> ScaledSystem:
-    """Multiply every digit set by q != 0.
+def scale_digits(config: SystemConfig, q: RationalLike) -> SystemConfig:
+    """Multiply every digit set by q != 0; every scaled stride must be an integer.
 
     Spectra transform covariantly: if L is a spectrum for the original
     truncation then {l / q} is one for the scaled truncation.
@@ -440,5 +392,10 @@ def scale_digits(config: SystemConfig, q: RationalLike) -> ScaledSystem:
     q = Fraction(q)
     if q == 0:
         raise ValueError("scale factor must be nonzero")
-    stages = tuple(ScaledStage(pr.b, pr.p, q * pr.t) for pr in config.pairs)
-    return ScaledSystem(stages, q)
+    pairs = []
+    for pr in config.pairs:
+        t = q * pr.t
+        if t.denominator != 1:
+            raise ValueError(f"scaled stride {t} is not an integer")
+        pairs.append(StagePair(pr.b, pr.p, int(t)))
+    return SystemConfig(tuple(pairs))

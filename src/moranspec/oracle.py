@@ -12,26 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .exactmath import RootSum, root_sum_is_zero
-from .measure import DiscreteMeasure, SymbolicWord, SystemConfig, mask_zero_contains
+from .exactmath import RationalLike, digit_sum_vanishes
+from .measure import DiscreteMeasure, SymbolicWord, SystemConfig, stage_walk
 from .spectra import weighted_matrix_residual
-
-RationalLike = Union[int, Fraction]
-
-
-def _digit_sum_vanishes(b: int, digits: Sequence[int], ell: int) -> bool:
-    """Exact test of sum_{d in D} exp(2 pi i d ell / b) == 0."""
-    n = abs(b)
-    exps = [(d * ell) % n for d in digits]
-    g = n
-    for e in exps:
-        g = gcd(g, e)
-    if g == n:
-        return False
-    return root_sum_is_zero(RootSum(n // g, tuple(e // g for e in exps)))
 
 
 def search_compatible_partners(b: int, p: int, t: int, window: Optional[int] = None,
@@ -52,7 +37,7 @@ def search_compatible_partners(b: int, p: int, t: int, window: Optional[int] = N
     if window < abs(b):
         raise ValueError(f"window must be >= |b| = {abs(b)}")
     digits = tuple(j * t for j in range(p))
-    singles = [l for l in range(1, window) if _digit_sum_vanishes(b, digits, l)]
+    singles = [l for l in range(1, window) if digit_sum_vanishes(abs(b), digits, l)]
     single_set = set(singles)
     results: list[tuple[int, ...]] = []
 
@@ -73,12 +58,17 @@ def search_compatible_partners(b: int, p: int, t: int, window: Optional[int] = N
 
 def _truncation_zero(config: SystemConfig, word: SymbolicWord, depth: int,
                      delta: Fraction) -> bool:
-    """Whether delta is an exact zero of the depth-truncated transform."""
-    base = 1
-    for n in range(1, depth + 1):
-        pr = config.pair(word.letter(n))
-        base *= pr.b
-        if mask_zero_contains(pr.p, pr.t, delta / base):
+    """Whether delta is an exact zero of the depth-truncated transform.
+
+    Stage n vanishes at delta iff sum_{j<p} zeta_q^(j*a) = 0, where
+    a/q = t*delta/(b_1...b_n) in lowest terms: p times the stage mask at
+    delta/(b_1...b_n) is that sum.  It is decided as a vanishing root sum,
+    not by the closed form it cross-checks.  The cost grows with q, so
+    callers screen candidates numerically first.
+    """
+    for pr, base in stage_walk(config, word, depth):
+        y = Fraction(pr.t * delta, base)
+        if digit_sum_vanishes(y.denominator, range(pr.p), y.numerator):
             return True
     return False
 
@@ -104,7 +94,7 @@ def search_spectra(measure: DiscreteMeasure, pool: Sequence[RationalLike],
         raise ValueError("config, word and depth must be given together")
 
     def pair_ok(delta: Fraction) -> bool:
-        if abs(measure.fourier(float(delta))) > tol:
+        if abs(measure.fourier_many([float(delta)])[0]) > tol:
             return False
         if config is not None and not _truncation_zero(config, word, depth, delta):
             return False

@@ -20,16 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .exactmath import lcm_all
 from .hadamard import canonical_dual_digits, is_admissible
-from .measure import (DiscreteMeasure, SymbolicWord, SystemConfig,
-                      mask_zero_contains, mu_hat_many)
-
-RationalLike = Union[int, Fraction]
+from .measure import (DiscreteMeasure, SymbolicWord, SystemConfig, mask_zero_hit,
+                      mu_hat_many, stage_walk)
 
 
 class TowerDegenerateError(RuntimeError):
@@ -110,16 +108,14 @@ def build_tower_spectrum(config: SystemConfig, word: SymbolicWord, k: int) -> Sp
     if k < 0:
         raise ValueError("depth k must be >= 0")
     pts = [0]
-    base = 1
     expected = 1
-    for n in range(1, k + 1):
-        pr = config.pair(word.letter(n))
+    for n, (pr, base) in enumerate(stage_walk(config, word, k), start=1):
         if not is_admissible(pr.b, pr.p, pr.t):
             raise ValueError(
                 f"stage {n} = (b={pr.b}, p={pr.p}, t={pr.t}) is not admissible")
         partner = canonical_dual_digits(pr.b, pr.p, pr.t)
-        pts = [x + base * l for x in pts for l in partner]
-        base *= pr.b
+        lead = base // pr.b  # b_1...b_{n-1}
+        pts = [x + lead * l for x in pts for l in partner]
         expected *= pr.p
     if len(set(pts)) != expected:
         raise TowerDegenerateError(
@@ -135,14 +131,6 @@ class SpectrumVerification:
     reason: Optional[str]
     offending: Optional[Fraction]
     unitarity_residual: float
-
-
-def _stage_hits_zero(p: int, t: int, delta: Fraction, base: int) -> bool:
-    # delta/base in (Z \ pZ)/(p t), done in integers when delta is integral
-    if delta.denominator == 1:
-        num = delta.numerator * p * t
-        return num % base == 0 and (num // base) % p != 0
-    return mask_zero_contains(p, t, delta / base)
 
 
 def weighted_matrix_residual(measure: DiscreteMeasure, points: Sequence[Fraction]) -> float:
@@ -171,14 +159,11 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
     resid = weighted_matrix_residual(measure, pts)
     if len(pts) != len(measure.atoms):
         return SpectrumVerification(False, "cardinality", None, resid)
-    bases = []
-    b = 1
-    for n in range(1, k + 1):
-        b *= config.pair(word.letter(n)).b
-        bases.append((config.pair(word.letter(n)), b))
+    walk = list(stage_walk(config, word, k))
     diffs = {abs(p1 - p2) for i, p1 in enumerate(pts) for p2 in pts[i + 1:]}
     for delta in diffs:
-        if not any(_stage_hits_zero(pr.p, pr.t, delta, base) for pr, base in bases):
+        num, den = delta.numerator, delta.denominator
+        if not any(mask_zero_hit(pr.p, pr.t, num, den * base) for pr, base in walk):
             return SpectrumVerification(False, "orthogonality", delta, resid)
     return SpectrumVerification(True, None, None, resid)
 

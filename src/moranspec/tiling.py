@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-RationalLike = Union[int, Fraction]
+from .exactmath import RationalLike
 
 
 @dataclass(frozen=True)

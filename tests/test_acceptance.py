@@ -338,7 +338,7 @@ def test_acceptance_9_invariance_suite():
         cand = build_tower_spectrum(cfg, word, k)
         assert verify_spectrum_finite(truncate(cfg, word, k), cand, cfg, word, k).ok
         q = rng.choice((2, 3, 5))
-        scaled_cfg = scale_digits(cfg, q).as_config()
+        scaled_cfg = scale_digits(cfg, q)
         scaled_cand = SpectrumCandidate.finite([x / q for x in cand.points])
         ver = verify_spectrum_finite(truncate(scaled_cfg, word, k), scaled_cand,
                                      scaled_cfg, word, k)

@@ -185,7 +185,7 @@ def test_alternating_family_rewrite_cross_check():
     p1, p2, t = 2, 3, 2
     cfg = SystemConfig.of((2, p1, 1), (p2 * t, p2, t))
     word = SymbolicWord((), (1, 2))
-    scaled = scale_digits(cfg, p2).as_config()
+    scaled = scale_digits(cfg, p2)
     merged = SystemConfig.of((2, p1 * p2, 1), (p2 * t * 2, p1 * p2, 1))
     merged_word = SymbolicWord((1,), (2,))
     for k in (1, 2):

@@ -190,3 +190,22 @@ def test_round_trip_preserves_decisions(mixed_config, tmp_path, capsys):
     _, first = run(capsys, ["classify", "--config", mixed_config])
     _, second = run(capsys, ["classify", "--config", dumped])
     assert first == second
+
+
+def test_sample_ft_past_the_float_range(tmp_path, quarter_config, capsys):
+    # 4**512 = 2**1024 overflows a double: the product stops before that
+    # stage, so depth 600 samples exactly what depth 511 does
+    csv = {}
+    for depth in (511, 600):
+        out_path = tmp_path / f"ft{depth}.csv"
+        code, out = run(capsys, ["sample-ft", "--config", quarter_config,
+                                 "--depth", str(depth), "--grid", "16", "--window", "1",
+                                 "--out", str(out_path)])
+        assert code == 0 and "rows=17" in out
+        csv[depth] = out_path.read_text()
+    assert csv[600] == csv[511]
+    halves = write_config(tmp_path, "halves.json", {
+        "pairs": [{"b": 2, "p": 2, "t": 1}], "word": {"period": [1]}})
+    code, out = run(capsys, ["sample-ft", "--config", halves, "--depth", "1100",
+                             "--grid", "4", "--window", "1", "--out", str(tmp_path / "h.csv")])
+    assert code == 0 and "rows=5" in out

@@ -305,23 +305,19 @@ def test_normalized_truncations_have_equal_fourier_moduli():
 
 
 def test_scale_digits():
-    scaled = scale_digits(QUARTER, 1)
-    assert scaled.as_config() == QUARTER
-    tripled = scale_digits(SystemConfig.of((2, 2, 1)), 3)
-    assert tripled.stages[0].t == 3
-    assert tripled.as_config() == SystemConfig.of((2, 2, 3))
+    assert scale_digits(QUARTER, 1) == QUARTER
+    assert scale_digits(SystemConfig.of((2, 2, 1)), 3) == SystemConfig.of((2, 2, 3))
     with pytest.raises(ValueError):
         scale_digits(QUARTER, 0)
-    rational = scale_digits(QUARTER, F(1, 2))
-    with pytest.raises(ValueError):
-        rational.as_config()
-    assert rational.stages[0].t == F(1, 2)
+    with pytest.raises(ValueError, match="scaled stride 1/2 is not an integer"):
+        scale_digits(QUARTER, F(1, 2))
+    assert scale_digits(SystemConfig.of((4, 2, 6)), F(1, 2)) == SystemConfig.of((4, 2, 3))
 
 
 def test_scaling_by_base_ratio_replaces_the_first_base():
     # scaling all digits by b1/b gives the system whose first base is b:
     # [(4,2,1)] scaled by 2 matches [(2,2,1),(4,2,1)] with word 1 2^inf
-    scaled = scale_digits(QUARTER, 2).as_config()
+    scaled = scale_digits(QUARTER, 2)
     left = truncate(scaled, ONES, 3)
     right = truncate(SystemConfig.of((2, 2, 1), (4, 2, 1)), SymbolicWord((1,), (2,)), 3)
     assert measures_equal(left, right)
