@@ -200,7 +200,8 @@ def cmd_spectrum(config, word, rewrite, args) -> int:
 
 def cmd_verify(config, word, rewrite, args) -> int:
     word = _need_word(word)
-    meas = measure.truncate(config, word, args.depth, cap=args.cap)
+    meas = measure.truncate(config, word, args.depth,
+                            cap=min(args.cap, spectra.VERIFY_ATOM_BOUND))
     cand = spectra.build_tower_spectrum(config, word, args.depth)
     ver = spectra.verify_spectrum_finite(meas, cand, config, word, args.depth)
     emit("ok", ver.ok)

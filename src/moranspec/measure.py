@@ -28,7 +28,7 @@ DEFAULT_ATOM_CAP = 10**6
 
 
 class AtomCapExceeded(ValueError):
-    """Raised when a truncation would materialize more atoms than the cap."""
+    """Raised when a truncation or a verification would exceed its atom cap."""
 
 
 @dataclass(frozen=True)
@@ -222,26 +222,27 @@ def truncate(config: SystemConfig, word: SymbolicWord, k: int,
     """Exact convolution of the first k stages; k = 0 is the point mass at 0.
 
     Coinciding atom positions are merged with summed weights, which is what
-    makes exact measure rewrites checkable by equality.
+    makes exact measure rewrites checkable by equality.  Atoms merge as
+    integer numerators over b_1...b_k with integer path counts.
     """
     if k < 0:
         raise ValueError("depth k must be >= 0")
-    atom_count = 1
-    for pr, _ in stage_walk(config, word, k):
-        atom_count *= pr.p
-        if atom_count > cap:
+    paths, final = 1, 1
+    for pr, final in stage_walk(config, word, k):
+        paths *= pr.p
+        if paths > cap:
             raise AtomCapExceeded(
-                f"truncation to depth {k} needs {atom_count}+ atoms; cap is {cap}")
-    atoms: dict[Fraction, Fraction] = {Fraction(0): Fraction(1)}
+                f"truncation to depth {k} needs {paths}+ atoms; cap is {cap}")
+    counts = {0: 1}
     for pr, base in stage_walk(config, word, k):
-        w = Fraction(1, pr.p)
-        nxt: dict[Fraction, Fraction] = {}
-        for x, wx in atoms.items():
-            for j in range(pr.p):
-                pt = x + Fraction(j * pr.t, base)
-                nxt[pt] = nxt.get(pt, Fraction(0)) + wx * w
-        atoms = nxt
-    return DiscreteMeasure.from_dict(atoms)
+        offsets = [j * pr.t * (final // base) for j in range(pr.p)]
+        nxt: dict[int, int] = {}
+        for x, c in counts.items():
+            for off in offsets:
+                nxt[x + off] = nxt.get(x + off, 0) + c
+        counts = nxt
+    return DiscreteMeasure.from_dict(
+        {Fraction(x, final): Fraction(c, paths) for x, c in counts.items()})
 
 
 def measures_equal(a: DiscreteMeasure, b: DiscreteMeasure) -> bool:

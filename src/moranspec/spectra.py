@@ -26,8 +26,8 @@ import numpy as np
 
 from .exactmath import lcm_all
 from .hadamard import canonical_dual_digits, is_admissible
-from .measure import (DiscreteMeasure, SymbolicWord, SystemConfig, mask_zero_hit,
-                      mu_hat_many, stage_walk)
+from .measure import (AtomCapExceeded, DiscreteMeasure, SymbolicWord, SystemConfig,
+                      mask_zero_hit, mu_hat_many, stage_walk)
 
 
 class TowerDegenerateError(RuntimeError):
@@ -125,12 +125,20 @@ def build_tower_spectrum(config: SystemConfig, word: SymbolicWord, k: int) -> Sp
 
 @dataclass(frozen=True)
 class SpectrumVerification:
-    """Exact verdict plus the numeric unitarity residual of the weighted matrix."""
+    """Exact verdict plus the numeric unitarity residual of the weighted matrix.
+
+    offending is the least positive difference that hits no stage zero set.
+    """
 
     ok: bool
     reason: Optional[str]
     offending: Optional[Fraction]
     unitarity_residual: float
+
+
+# The residual holds a few dense N x N complex matrices (16 N^2 bytes each,
+# 256 MiB at N = 4096) and does N^3 work.
+VERIFY_ATOM_BOUND = 4096
 
 
 def weighted_matrix_residual(measure: DiscreteMeasure, points: Sequence[Fraction]) -> float:
@@ -149,22 +157,32 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
     """Exact check that a finite candidate is a spectrum of the depth-k truncation.
 
     Orthogonality: every nonzero difference must land in some stage zero set
-    (a factor of the truncated transform vanishes).  Completeness: the
-    candidate size must equal the atom count.  The numeric residual of the
-    weighted exponential matrix is reported alongside.
+    (a factor of the truncated transform vanishes); scaled to integers by the
+    lcm L of the denominators, each distinct difference D is tested once, in
+    increasing order, as D/(L*b_1...b_n).  Completeness: the candidate size
+    must equal the atom count.  The numeric residual of the weighted
+    exponential matrix is reported alongside.  Past VERIFY_ATOM_BOUND points
+    or atoms, raises AtomCapExceeded before allocating anything.
     """
     if not candidate.is_finite:
         raise ValueError("finite verification needs a finite candidate")
     pts = candidate.points
+    size = max(len(pts), len(measure.atoms))
+    if size > VERIFY_ATOM_BOUND:
+        raise AtomCapExceeded(f"{size} atoms exceed the verify atom bound {VERIFY_ATOM_BOUND}")
     resid = weighted_matrix_residual(measure, pts)
     if len(pts) != len(measure.atoms):
         return SpectrumVerification(False, "cardinality", None, resid)
-    walk = list(stage_walk(config, word, k))
-    diffs = {abs(p1 - p2) for i, p1 in enumerate(pts) for p2 in pts[i + 1:]}
-    for delta in diffs:
-        num, den = delta.numerator, delta.denominator
-        if not any(mask_zero_hit(pr.p, pr.t, num, den * base) for pr, base in walk):
-            return SpectrumVerification(False, "orthogonality", delta, resid)
+    scale = lcm_all(x.denominator for x in pts)
+    ints = [x.numerator * (scale // x.denominator) for x in pts]
+    # Sorted points give positive row differences; int64 holds a span below 2**62.
+    ints = [v - ints[0] for v in ints]
+    arr = np.array(ints, dtype=np.int64 if ints[-1] < 2**62 else object)
+    diffs = np.unique(np.concatenate([arr[i + 1:] - arr[i] for i in range(len(arr))]))
+    walk = [(pr, scale * base) for pr, base in stage_walk(config, word, k)]
+    for d in diffs.tolist():
+        if not any(mask_zero_hit(pr.p, pr.t, d, den) for pr, den in walk):
+            return SpectrumVerification(False, "orthogonality", Fraction(d, scale), resid)
     return SpectrumVerification(True, None, None, resid)
 
 

@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from moranspec.cli import main, parse_word_text
 from moranspec.measure import SymbolicWord
+from moranspec.spectra import VERIFY_ATOM_BOUND
 
 
 def write_config(tmp_path, name, data):
@@ -99,6 +101,16 @@ def test_spectrum_and_verify(quarter_config, capsys):
     assert "count=4" in out and "points=0/1 2/1 8/1 10/1" in out
     code2, out2 = run(capsys, ["verify", "--config", quarter_config, "--depth", "3"])
     assert code2 == 0 and "ok=true" in out2
+
+
+def test_verify_past_the_atom_bound_exits_2_quickly(quarter_config, capsys):
+    # 2**19 atoms are under the default 10**6 atom cap, but their residual
+    # would be a 2**19 x 2**19 complex matrix (4 TiB)
+    started = time.perf_counter()
+    code = main(["verify", "--config", quarter_config, "--depth", "19"])
+    assert time.perf_counter() - started < 2.0
+    assert code == 2
+    assert f"cap is {VERIFY_ATOM_BOUND}" in capsys.readouterr().err
 
 
 def test_qcheck(quarter_config, capsys):

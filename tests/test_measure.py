@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -76,6 +77,10 @@ def test_truncate_merges_rewritten_stages():
     left = truncate(SystemConfig.of((12, 2, 1), (2, 3, 4)), SymbolicWord((1,), (2,)), 2)
     right = truncate(SystemConfig.of((12, 6, 1)), ONES, 1)
     assert measures_equal(left, right)
+    # digits {0, 1, 2} over base 2: 3**4 digit strings land on 2**5 - 1 atoms
+    merged = truncate(SystemConfig.of((2, 3, 1)), ONES, 4)
+    assert len(merged.atoms) == 2**5 - 1
+    assert dict(merged.atoms)[F(1, 2)] == F(4, 81)   # four digit strings meet at 1/2
 
 
 def test_truncate_four_stage_rewrite():
@@ -96,6 +101,43 @@ def test_measures_equal_rejects_different_measures():
 def test_truncate_cap():
     with pytest.raises(AtomCapExceeded):
         truncate(QUARTER, ONES, 10, cap=100)
+    # the cap is checked stage by stage, before any atom or walk is stored
+    tracemalloc.start()
+    try:
+        with pytest.raises(AtomCapExceeded, match="cap is 100"):
+            truncate(QUARTER, ONES, 10**9, cap=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def reference_truncate(config, word, k):
+    """Stage-by-stage convolution with a Fraction per atom and per weight."""
+    atoms, base = {F(0): F(1)}, 1
+    for n in range(1, k + 1):
+        pr = config.pair(word.letter(n))
+        base *= pr.b
+        nxt = {}
+        for x, w in atoms.items():
+            for j in range(pr.p):
+                y = x + F(j * pr.t, base)
+                nxt[y] = nxt.get(y, F(0)) + w / pr.p
+        atoms = nxt
+    return DiscreteMeasure.from_dict(atoms)
+
+
+@pytest.mark.parametrize("cfg, word, depth", [
+    (QUARTER, ONES, 5),
+    # the negative-b/t config of the golden CLI tests
+    (SystemConfig.of((-4, 2, -1), (-6, 3, 5)), SymbolicWord((1,), (2, 1)), 6),
+    # digits {0, 1, 2} over base 2: atoms coincide and merge at every stage
+    (SystemConfig.of((2, 3, 1)), ONES, 6),
+    (SystemConfig.of((12, 2, 1), (-2, 3, 4), (3, 2, -5)), SymbolicWord((1, 2), (3, 2)), 5),
+])
+def test_truncate_matches_a_reference_fraction_convolution(cfg, word, depth):
+    for k in range(depth + 1):
+        assert truncate(cfg, word, k).atoms == reference_truncate(cfg, word, k).atoms, k
 
 
 def test_factor_order_does_not_change_the_measure():

@@ -1,13 +1,14 @@
 import math
+import random
 from fractions import Fraction as F
 from itertools import product
 
 import numpy as np
 import pytest
 
-from moranspec.measure import (DiscreteMeasure, SymbolicWord, SystemConfig,
-                               support_hull, truncate)
-from moranspec.spectra import (Decomposition, SpectrumCandidate,
+from moranspec.measure import (AtomCapExceeded, DiscreteMeasure, SymbolicWord,
+                               SystemConfig, support_hull, truncate)
+from moranspec.spectra import (VERIFY_ATOM_BOUND, Decomposition, SpectrumCandidate,
                                TowerDegenerateError, build_tower_spectrum,
                                decompose_spectrum, default_lattice_modulus,
                                extract_tail_spectrum, q_function,
@@ -93,6 +94,99 @@ def test_verify_matches_oracle_on_three_letter_towers():
         ver = verify_spectrum_finite(m, cand, cfg, word, 3)
         assert ver.ok and ver.unitarity_residual < 1e-9
         assert unitary_residual_oracle(m, cand.points) < 1e-9
+
+
+def reference_verdict(measure, candidate, config, word, k):
+    """(ok, reason, least offender) from every pair, as Fractions, stage by stage."""
+    pts = candidate.points
+    if len(pts) != len(measure.atoms):
+        return False, "cardinality", None
+    offenders = set()
+    for i, a in enumerate(pts):
+        for b in pts[i + 1:]:
+            base, hit = 1, False
+            for n in range(1, k + 1):
+                pr = config.pair(word.letter(n))
+                base *= pr.b
+                y = (b - a) * pr.p * pr.t / base   # (b - a)/base in (Z \ pZ)/(pt)
+                hit = hit or (y.denominator == 1 and y.numerator % pr.p != 0)
+            if not hit:
+                offenders.add(b - a)
+    if offenders:
+        return False, "orthogonality", min(offenders)
+    return True, None, None
+
+
+def moved(cand, rng, count):
+    """Candidates with one point replaced by a nearby rational not already in it."""
+    pts, out = list(cand.points), []
+    while len(out) < count:
+        i = rng.randrange(len(pts))
+        new = pts[i] + F(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 6)))
+        if new not in pts:
+            out.append(SpectrumCandidate.finite(pts[:i] + [new] + pts[i + 1:]))
+    return out
+
+
+def assert_matches_reference(measure, cand, cfg, word, k):
+    ver = verify_spectrum_finite(measure, cand, cfg, word, k)
+    assert (ver.ok, ver.reason, ver.offending) == reference_verdict(measure, cand, cfg, word, k)
+    return ver
+
+
+def test_verify_matches_a_pairwise_reference():
+    rng = random.Random(2002)
+    outcomes = set()
+    three = SystemConfig.of((4, 2, 1), (6, 3, 1), (2, 2, 3))
+    signed = SystemConfig.of((-4, 2, -1), (-6, 3, 5), (4, 2, -3))
+    for cfg, depth in ((three, 3), (signed, 3)):
+        for prefix in product(range(1, cfg.m + 1), repeat=depth):
+            word = SymbolicWord(prefix[:-1], (prefix[-1],))
+            cand = build_tower_spectrum(cfg, word, depth)
+            m = truncate(cfg, word, depth)
+            for c in [cand] + moved(cand, rng, 3):
+                outcomes.add(assert_matches_reference(m, c, cfg, word, depth).ok)
+    # rational tail spectra, as extracted from tower decompositions
+    cfg = SystemConfig.of((12, 2, 1), (12, 3, 4))
+    for prefix in product((1, 2), repeat=3):
+        word = SymbolicWord(prefix[:-1], (prefix[-1],))
+        first = cfg.pair(word.letter(1))
+        dec = decompose_spectrum(build_tower_spectrum(cfg, word, 3), first.b,
+                                 default_lattice_modulus(cfg))
+        tail = truncate(cfg, word.shift(1), 2)
+        for choice in product(range(first.p), repeat=dec.q // (first.p * first.t)):
+            gamma = extract_tail_spectrum(dec, choice, first.p, first.t)
+            if gamma.points:
+                for c in [gamma] + moved(gamma, rng, 1):
+                    assert_matches_reference(tail, c, cfg, word.shift(1), 2)
+    assert outcomes == {True, False}
+
+
+def test_verify_past_the_int64_span():
+    # L_1 + 4 L_2 = {0, 2, 8, 10} shifted by 16 * 2**62 keeps every difference
+    # in 2 + 4Z or 8 + 16Z; the span passes 2**62, so object integers are used.
+    m = truncate(QUARTER, ONES, 2)
+    far = 2**66
+    for pts in ((0, 2, 8 + far, 10 + far), (0, 2, 8 + far, 11 + far),
+                (F(1, 3), F(7, 3), F(1, 3) + 8 + far, F(1, 3) + 11 + far)):
+        cand = SpectrumCandidate.finite(pts)
+        assert cand.points[-1] - cand.points[0] > 2**62
+        assert_matches_reference(m, cand, QUARTER, ONES, 2)
+    assert verify_spectrum_finite(m, SpectrumCandidate.finite((0, 2, 8 + far, 10 + far)),
+                                  QUARTER, ONES, 2).ok
+
+
+def test_verify_reports_the_least_offending_difference():
+    # differences 3, 7 and 13 hit no zero set of (4, 2, 1) at depth 2; 10 does
+    m = truncate(QUARTER, ONES, 2)
+    ver = verify_spectrum_finite(m, SpectrumCandidate.finite((0, 3, 10, 13)), QUARTER, ONES, 2)
+    assert (ver.ok, ver.reason, ver.offending) == (False, "orthogonality", 3)
+
+
+def test_verify_refuses_past_the_atom_bound():
+    cand = SpectrumCandidate.finite(range(VERIFY_ATOM_BOUND + 1))
+    with pytest.raises(AtomCapExceeded, match=f"verify atom bound {VERIFY_ATOM_BOUND}"):
+        verify_spectrum_finite(DiscreteMeasure.point_mass(), cand, QUARTER, ONES, 0)
 
 
 def test_q_function_examples():
