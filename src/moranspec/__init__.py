@@ -5,7 +5,7 @@ from .classifier import (NecessityViolation, SpectralVerdict, TwoStageDecision,
                          decide_spectrality, integral_zero_set_probe,
                          integral_zero_set_status, necessity_violations,
                          two_stage_decide, validate_config)
-from .exactmath import Rational, RootSum, cyclotomic_polynomial, root_sum_is_zero
+from .exactmath import RootSum, cyclotomic_polynomial, root_sum_is_zero
 from .hadamard import (TripleCheckReport, canonical_dual_digits, is_admissible,
                        is_compatible_pair, parseval_sum, triple_report,
                        unitarity_residual)
@@ -25,7 +25,7 @@ from .tiling import (IntervalUnion, TileDecision, TilingCertificate, tile_decide
 
 __all__ = [
     "AtomCapExceeded", "DEFAULT_ATOM_CAP", "Decomposition", "DiscreteMeasure",
-    "IntervalUnion", "NecessityViolation", "Rational", "RigidityReport",
+    "IntervalUnion", "NecessityViolation", "RigidityReport",
     "RootSum", "SpectralVerdict",
     "SpectrumCandidate", "SpectrumVerification", "StagePair", "SymbolicWord",
     "SystemConfig", "TileDecision", "TilingCertificate", "TowerDegenerateError",

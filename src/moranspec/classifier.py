@@ -48,41 +48,8 @@ class SpectralVerdict:
     clause: Optional[str] = None
     detail: tuple[tuple[str, object], ...] = ()
 
-    @property
-    def is_spectral(self) -> bool:
-        return self.kind == SPECTRAL
-
     def detail_dict(self) -> dict:
         return dict(self.detail)
-
-
-@dataclass(frozen=True)
-class WordClassification:
-    """Alphabet split by stride and the word's tail structure.
-
-    unit_stride collects letters with |t| = 1, nonunit_stride the rest.
-    eventually_constant is (tail letter j, last differing letter or None,
-    preperiod length) when the canonical period has length 1.
-    """
-
-    unit_stride: frozenset[int]
-    nonunit_stride: frozenset[int]
-    eventually_constant: Optional[tuple[int, Optional[int], int]]
-    tail_letters: frozenset[int]
-    letters_from_second: frozenset[int]
-
-
-def classify_word(config: SystemConfig, word: SymbolicWord) -> WordClassification:
-    unit = frozenset(k for k in range(1, config.m + 1)
-                     if abs(config.pair(k).t) == 1)
-    nonunit = frozenset(range(1, config.m + 1)) - unit
-    eventually = None
-    if word.is_eventually_constant:
-        j = word.period[0]
-        last = word.preperiod[-1] if word.preperiod else None
-        eventually = (j, last, len(word.preperiod))
-    return WordClassification(unit, nonunit, eventually,
-                              word.tail_letters, word.letters_from(2))
 
 
 def validate_config(config: SystemConfig) -> list[str]:
@@ -135,14 +102,13 @@ def decide_spectrality(config: SystemConfig, word: SymbolicWord) -> SpectralVerd
             return SpectralVerdict(
                 NOT_SPECTRAL, CLAUSE_DIVISIBILITY,
                 (("letter", letter), ("p", pr.p), ("b", pr.b), ("position", pos)))
-    wc = classify_word(config, word)
-    if wc.eventually_constant is not None:
-        j, last, l = wc.eventually_constant
+    if word.is_eventually_constant and word.preperiod:
+        j, l = word.period[0], len(word.preperiod)
         pr = config.pair(j)
-        if l >= 1 and abs(pr.b) == pr.p and abs(pr.t) != 1:
+        if abs(pr.b) == pr.p and abs(pr.t) != 1:
             return SpectralVerdict(
                 NOT_SPECTRAL, CLAUSE_TAIL_EXCEPTION,
-                (("l", l), ("j", j), ("last_other", last)))
+                (("l", l), ("j", j), ("last_other", word.preperiod[-1])))
     return SpectralVerdict(SPECTRAL)
 
 
@@ -216,10 +182,6 @@ class ZeroSetStatus:
     status: str
     reason: str
 
-    @property
-    def known(self) -> bool:
-        return self.status != "unknown"
-
 
 def integral_zero_set_status(config: SystemConfig, word: SymbolicWord) -> ZeroSetStatus:
     """Sufficient criteria for the integral periodic zero set to be empty or not.
@@ -239,26 +201,23 @@ def integral_zero_set_status(config: SystemConfig, word: SymbolicWord) -> ZeroSe
         raise ValueError("config violates the coprime-alphabet hypothesis")
     letters = word.letters()
     pairs = {l: config.pair(l) for l in letters}
-    constant = not word.preperiod and len(word.period) == 1
-    if constant:
-        j = word.period[0]
-        pj = pairs[j]
-        if abs(pj.b) == pj.p and abs(pj.t) != 1:
-            return ZeroSetStatus("nonempty",
-                                 f"constant word, |b|=p={pj.p}, stride {pj.t}: "
-                                 f"1/{abs(pj.t)} + Z consists of zeros")
     if all(is_admissible(pr.b, pr.p, pr.t) for pr in pairs.values()):
         g = 0
         for l in word.tail_letters:
             g = gcd(g, abs(pairs[l].t))
         if g == 1:
             return ZeroSetStatus("empty", "tail stride gcd is 1 over admissible letters")
-    divisible = all(abs(pr.b) % pr.p == 0 for pr in pairs.values())
-    if constant:
-        j = word.period[0]
-        pj = pairs[j]
+    if not word.preperiod and len(word.period) == 1:
+        # a nonempty constant word has tail stride gcd |t_j| != 1, so the
+        # admissible-gcd criterion above never preempts it
+        pj = pairs[word.period[0]]
+        if abs(pj.b) == pj.p and abs(pj.t) != 1:
+            return ZeroSetStatus("nonempty",
+                                 f"constant word, |b|=p={pj.p}, stride {pj.t}: "
+                                 f"1/{abs(pj.t)} + Z consists of zeros")
         if abs(pj.b) % pj.p == 0 and abs(pj.b) != pj.p:
             return ZeroSetStatus("empty", "constant word with p | b and p != |b|")
+    divisible = all(abs(pr.b) % pr.p == 0 for pr in pairs.values())
     first = pairs[word.letter(1)]
     if divisible and abs(first.t) == 1:
         return ZeroSetStatus("empty", "unit-stride head with p | b throughout")

@@ -22,12 +22,18 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import classifier, measure, oracle, spectra, tiling
 from .measure import StagePair, SymbolicWord, SystemConfig
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_OUT_OF_SCOPE = 2
+
+# grid points x spectrum points per q_function call in qcheck; bounds the
+# size of its temporaries at any depth
+QCHECK_BLOCK = 4096
 
 
 class ConfigError(ValueError):
@@ -216,10 +222,12 @@ def cmd_verify(config, word, rewrite, args) -> int:
 def cmd_qcheck(config, word, rewrite, args) -> int:
     word = _need_word(word)
     cand = spectra.build_tower_spectrum(config, word, args.depth)
+    xs = np.arange(args.grid) / args.grid
+    rows = max(1, QCHECK_BLOCK // len(cand.points))
     worst = 0.0
-    for i in range(args.grid):
-        q = spectra.q_function(config, word, args.depth, cand, i / args.grid)
-        worst = max(worst, abs(q - 1.0))
+    for i in range(0, args.grid, rows):
+        qs = spectra.q_function(config, word, args.depth, cand, xs[i:i + rows])
+        worst = max(worst, float(np.max(np.abs(qs - 1.0))))
     emit("depth", args.depth)
     emit("grid", args.grid)
     emit("max_deviation", worst)
@@ -268,17 +276,17 @@ def cmd_sample_ft(config, word, rewrite, args) -> int:
     word = _need_word(word)
     if args.out is None:
         raise ConfigError("sample-ft needs --out PATH for the CSV")
-    step = Fraction(1, args.grid)
-    rows = 0
+    rows = max(0, args.window * args.grid + 1)
+    if rows > measure.DEFAULT_ATOM_CAP:
+        raise measure.AtomCapExceeded(
+            f"sample-ft needs {rows} rows; cap is {measure.DEFAULT_ATOM_CAP}")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("x,re,im,abs\n")
-        x = Fraction(0)
-        while x <= args.window:
-            val, _ = measure.mu_hat_eval(config, word, float(x), args.depth)
-            fh.write(f"{fmt_float(float(x))},{fmt_float(val.real)},"
+        for i in range(rows):
+            x = i / args.grid
+            val, _ = measure.mu_hat_eval(config, word, x, args.depth)
+            fh.write(f"{fmt_float(x)},{fmt_float(val.real)},"
                      f"{fmt_float(val.imag)},{fmt_float(abs(val))}\n")
-            rows += 1
-            x += step
     emit("rows", rows)
     emit("out", args.out)
     return EXIT_OK
@@ -321,19 +329,29 @@ def cmd_necessity(config, word, rewrite, args) -> int:
     return EXIT_OK
 
 
+# command -> (handler, {option: default} for the options the handler reads);
+# every command also takes --config and --word
 _COMMANDS = {
-    "validate": cmd_validate,
-    "classify": cmd_classify,
-    "two-stage": cmd_two_stage,
-    "spectrum": cmd_spectrum,
-    "verify": cmd_verify,
-    "qcheck": cmd_qcheck,
-    "zeros": cmd_zeros,
-    "tile": cmd_tile,
-    "sample-ft": cmd_sample_ft,
-    "rewrite-check": cmd_rewrite_check,
-    "oracle-search": cmd_oracle_search,
-    "necessity": cmd_necessity,
+    "validate": (cmd_validate, {}),
+    "classify": (cmd_classify, {}),
+    "two-stage": (cmd_two_stage, {}),
+    "spectrum": (cmd_spectrum, {"depth": 8}),
+    "verify": (cmd_verify, {"depth": 8, "cap": measure.DEFAULT_ATOM_CAP}),
+    "qcheck": (cmd_qcheck, {"depth": 8, "grid": 256}),
+    "zeros": (cmd_zeros, {"window": 200}),
+    "tile": (cmd_tile, {}),
+    "sample-ft": (cmd_sample_ft, {"depth": 8, "grid": 256, "window": 4, "out": None}),
+    "rewrite-check": (cmd_rewrite_check, {"depth": 8, "cap": measure.DEFAULT_ATOM_CAP}),
+    "oracle-search": (cmd_oracle_search, {"window": None, "cap": None}),
+    "necessity": (cmd_necessity, {"depth": 8}),
+}
+
+_OPTIONS = {
+    "depth": (int, "truncation depth"),
+    "grid": (int, "samples per unit / grid size"),
+    "window": (int, "search or sampling window"),
+    "cap": (int, "atom / result cap"),
+    "out": (str, "output path for data files"),
 }
 
 
@@ -342,28 +360,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="moranspec",
         description="Exact spectrality decisions for stage-alphabet infinite convolutions")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, options) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--word", default=None, help="word override, 'pre;per'")
-        sp.add_argument("--depth", type=int, default=8, help="truncation depth")
-        sp.add_argument("--grid", type=int, default=256, help="samples per unit / grid size")
-        sp.add_argument("--window", type=int, default=None, help="search or sampling window")
-        sp.add_argument("--out", default=None, help="output path for data files")
-        sp.add_argument("--cap", type=int, default=None, help="atom / result cap")
+        for option, default in options.items():
+            kind, text = _OPTIONS[option]
+            sp.add_argument(f"--{option}", type=kind, default=default, help=text)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.cap is None and args.command in ("verify", "rewrite-check"):
-        args.cap = measure.DEFAULT_ATOM_CAP
-    if args.window is None and args.command in ("zeros",):
-        args.window = 200
-    if args.window is None and args.command == "sample-ft":
-        args.window = 4
-    handler = _COMMANDS[args.command]
+    handler, _ = _COMMANDS[args.command]
     try:
+        if getattr(args, "grid", 1) < 1:
+            raise ConfigError(f"--grid must be >= 1, got {args.grid}")
         config, word, rewrite = load_config(args.config)
         if args.word is not None:
             word = parse_word_text(args.word)

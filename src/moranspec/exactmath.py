@@ -22,7 +22,6 @@ from functools import lru_cache
 from math import gcd
 from typing import Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 

@@ -12,11 +12,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Optional, Sequence
 
 from .exactmath import RationalLike, digit_sum_vanishes
 from .measure import DiscreteMeasure, SymbolicWord, SystemConfig, stage_walk
 from .spectra import weighted_matrix_residual
+
+
+def _cliques(zero, singles: Sequence, size: int,
+             compatible: Callable[[object], bool]) -> Iterator[tuple]:
+    """Depth-first {zero} plus size - 1 increasing singles, pairwise compatible.
+
+    Every single is taken to be compatible with zero already; compatible(d)
+    decides the positive difference d of two chosen singles.  Sets come out
+    in lexicographic order.
+    """
+    def extend(chosen: list, start: int) -> Iterator[tuple]:
+        if len(chosen) == size:
+            yield tuple(chosen)
+            return
+        for idx in range(start, len(singles)):
+            s = singles[idx]
+            if all(compatible(s - c) for c in chosen[1:]):
+                yield from extend(chosen + [s], idx + 1)
+
+    return extend([zero], 0)
 
 
 def search_compatible_partners(b: int, p: int, t: int, window: Optional[int] = None,
@@ -26,9 +47,9 @@ def search_compatible_partners(b: int, p: int, t: int, window: Optional[int] = N
     Candidates are pruned by requiring every pairwise difference to be an
     exact zero of the digit mask (scaled by b), which is the compatibility
     condition itself, so every emitted set is exactly compatible.  The
-    default window is |b|*p*|t|.  ``limit`` truncates the enumeration for
-    the parameter corners where the number of compatible sets explodes
-    combinatorially; an unlimited call materializes everything.
+    default window is |b|*p*|t|.  ``limit`` keeps the lexicographically
+    first sets for the parameter corners where the number of compatible sets
+    explodes combinatorially; an unlimited call materializes everything.
     """
     if abs(b) < 2 or p < 2 or t == 0:
         raise ValueError("need |b| >= 2, p >= 2, t != 0")
@@ -36,24 +57,11 @@ def search_compatible_partners(b: int, p: int, t: int, window: Optional[int] = N
         window = abs(b) * p * abs(t)
     if window < abs(b):
         raise ValueError(f"window must be >= |b| = {abs(b)}")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
     digits = tuple(j * t for j in range(p))
     singles = [l for l in range(1, window) if digit_sum_vanishes(abs(b), digits, l)]
-    single_set = set(singles)
-    results: list[tuple[int, ...]] = []
-
-    def extend(chosen: list[int], start: int) -> bool:
-        if len(chosen) == p:
-            results.append(tuple(chosen))
-            return limit is not None and len(results) >= limit
-        for idx in range(start, len(singles)):
-            l = singles[idx]
-            if all((l - c) in single_set for c in chosen[1:]):
-                if extend(chosen + [l], idx + 1):
-                    return True
-        return False
-
-    extend([0], 0)
-    return sorted(results)
+    return list(islice(_cliques(0, singles, p, set(singles).__contains__), limit))
 
 
 def _truncation_zero(config: SystemConfig, word: SymbolicWord, depth: int,
@@ -102,22 +110,9 @@ def search_spectra(measure: DiscreteMeasure, pool: Sequence[RationalLike],
 
     singles = [x for x in pool_f if x != 0 and pair_ok(x)]
     single_set = set(singles)
-    results: list[tuple[Fraction, ...]] = []
-
-    def extend(chosen: list[Fraction], start: int) -> None:
-        if len(chosen) == n_atoms:
-            if weighted_matrix_residual(measure, chosen) < tol:
-                results.append(tuple(chosen))
-            return
-        for idx in range(start, len(singles)):
-            lam = singles[idx]
-            if all((lam - c) in single_set or pair_ok(lam - c) for c in chosen[1:]):
-                extend(chosen + [lam], idx + 1)
-
-    if n_atoms == 1:
-        return [(Fraction(0),)]
-    extend([Fraction(0)], 0)
-    return sorted(results)
+    cliques = _cliques(Fraction(0), singles, n_atoms,
+                       lambda delta: delta in single_set or pair_ok(delta))
+    return [c for c in cliques if weighted_matrix_residual(measure, c) < tol]
 
 
 @dataclass(frozen=True)

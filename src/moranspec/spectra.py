@@ -26,8 +26,8 @@ import numpy as np
 
 from .exactmath import lcm_all
 from .hadamard import canonical_dual_digits, is_admissible
-from .measure import (AtomCapExceeded, DiscreteMeasure, SymbolicWord, SystemConfig,
-                      mask_zero_hit, mu_hat_many, stage_walk)
+from .measure import (DEFAULT_ATOM_CAP, AtomCapExceeded, DiscreteMeasure, SymbolicWord,
+                      SystemConfig, mask_zero_hit, mu_hat_many, stage_walk)
 
 
 class TowerDegenerateError(RuntimeError):
@@ -104,6 +104,8 @@ def build_tower_spectrum(config: SystemConfig, word: SymbolicWord, k: int) -> Sp
 
     Every letter used in positions 1..k must be admissible.  Duplicate points
     would mean a degenerate tower and abort loudly; they are never deduped.
+    Raises AtomCapExceeded before a stage would take the point count past
+    DEFAULT_ATOM_CAP.
     """
     if k < 0:
         raise ValueError("depth k must be >= 0")
@@ -113,10 +115,13 @@ def build_tower_spectrum(config: SystemConfig, word: SymbolicWord, k: int) -> Sp
         if not is_admissible(pr.b, pr.p, pr.t):
             raise ValueError(
                 f"stage {n} = (b={pr.b}, p={pr.p}, t={pr.t}) is not admissible")
+        expected *= pr.p
+        if expected > DEFAULT_ATOM_CAP:
+            raise AtomCapExceeded(
+                f"tower to depth {k} needs {expected}+ points; cap is {DEFAULT_ATOM_CAP}")
         partner = canonical_dual_digits(pr.b, pr.p, pr.t)
         lead = base // pr.b  # b_1...b_{n-1}
         pts = [x + lead * l for x in pts for l in partner]
-        expected *= pr.p
     if len(set(pts)) != expected:
         raise TowerDegenerateError(
             f"tower produced {len(set(pts))} distinct points, expected {expected}")
@@ -187,18 +192,19 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
 
 
 def q_function(config: SystemConfig, word: SymbolicWord, depth: int,
-               candidate: SpectrumCandidate, x: float,
-               lattice_window: int = 0) -> float:
+               candidate: SpectrumCandidate, x: float | np.ndarray,
+               lattice_window: int = 0) -> float | np.ndarray:
     """Jorgensen-Pedersen sum over the (windowed) candidate at the depth-truncation.
 
+    x is a scalar or an array of points; Q is returned with x's shape.
     At most 1 plus the truncation tail tolerance when the candidate is an
     orthonormal family for the measure, identically 1 when it is a spectrum
     of it; non-orthogonal candidates can exceed 1.
     """
-    lams = candidate.enumerate(lattice_window)
-    xs = np.array([x + float(l) for l in lams])
-    vals = mu_hat_many(config, word, xs, depth)
-    return float(np.sum(np.abs(vals) ** 2))
+    lams = np.array([float(l) for l in candidate.enumerate(lattice_window)])
+    vals = mu_hat_many(config, word, np.add.outer(x, lams), depth)
+    q = np.sum(np.abs(vals) ** 2, axis=-1)
+    return float(q) if np.ndim(q) == 0 else q
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,13 @@ from moranspec.classifier import (CLAUSE_TAIL_EXCEPTION, NOT_SPECTRAL, SPECTRAL,
 from moranspec.hadamard import (canonical_dual_digits, is_admissible,
                                 is_compatible_pair)
 from moranspec.measure import (StagePair, SymbolicWord, SystemConfig,
-                               measures_equal, mu_hat_many, scale_digits,
+                               measures_equal, scale_digits,
                                truncate, zero_set_contains)
 from moranspec.oracle import search_compatible_partners, weighted_mean_rigidity
 from moranspec.spectra import (SpectrumCandidate, build_tower_spectrum,
                                decompose_spectrum, default_lattice_modulus,
-                               extract_tail_spectrum, verify_spectrum_finite)
+                               extract_tail_spectrum, q_function,
+                               verify_spectrum_finite)
 
 ONES = SymbolicWord.constant(1)
 
@@ -119,10 +120,7 @@ def test_acceptance_3_tower_spectrum_validity():
                     ver = verify_spectrum_finite(meas, cand, cfg, word, k)
                     assert ver.ok, (la, lb, prefix, ver.reason)
                     assert ver.unitarity_residual < 1e-9
-                    lams = np.array([float(x) for x in cand.points])
-                    xs = (grid[:, None] + lams[None, :]).ravel()
-                    vals = mu_hat_many(cfg, word, xs, k).reshape(len(grid), -1)
-                    qs = np.sum(np.abs(vals) ** 2, axis=1)
+                    qs = q_function(cfg, word, k, cand, grid)
                     assert float(np.max(np.abs(qs - 1.0))) < 1e-9, (la, lb, prefix)
                     towers += 1
     _report(3, started, 120.0,

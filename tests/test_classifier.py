@@ -6,8 +6,8 @@ import pytest
 
 from moranspec.classifier import (CLAUSE_DIVISIBILITY, CLAUSE_TAIL_EXCEPTION,
                                   NOT_SPECTRAL, OUT_OF_SCOPE, SPECTRAL,
-                                  alternating_family_decide, classify_word,
-                                  decide_spectrality, integral_zero_set_probe,
+                                  alternating_family_decide, decide_spectrality,
+                                  integral_zero_set_probe,
                                   integral_zero_set_status,
                                   necessity_violations, two_stage_decide,
                                   validate_config)
@@ -23,17 +23,6 @@ def test_validate_examples():
     assert any("p_1=2" in v and "t_1=2" in v for v in bad)
     bad2 = validate_config(SystemConfig.of((4, 2, 3), (2, 2, 6)))
     assert any("t_1=3" in v and "t_2=6" in v for v in bad2)
-
-
-def test_word_classification():
-    wc = classify_word(MIXED, SymbolicWord((1,), (2,)))
-    assert wc.unit_stride == frozenset({1})
-    assert wc.nonunit_stride == frozenset({2})
-    assert wc.eventually_constant == (2, 1, 1)
-    assert wc.letters_from_second == frozenset({2})
-    wc2 = classify_word(MIXED, SymbolicWord((), (1, 2)))
-    assert wc2.eventually_constant is None
-    assert wc2.tail_letters == frozenset({1, 2})
 
 
 def test_decide_examples():

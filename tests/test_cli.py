@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from moranspec.cli import main, parse_word_text
-from moranspec.measure import SymbolicWord
+from moranspec.measure import DEFAULT_ATOM_CAP, SymbolicWord
 from moranspec.spectra import VERIFY_ATOM_BOUND
 
 
@@ -221,3 +225,72 @@ def test_sample_ft_past_the_float_range(tmp_path, quarter_config, capsys):
     code, out = run(capsys, ["sample-ft", "--config", halves, "--depth", "1100",
                              "--grid", "4", "--window", "1", "--out", str(tmp_path / "h.csv")])
     assert code == 0 and "rows=5" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--depth", "5"],
+    ["validate", "--grid", "4"],
+    ["two-stage", "--cap", "3"],
+    ["tile", "--out", "x.csv"],
+    ["spectrum", "--grid", "4"],
+    ["verify", "--window", "3"],
+    ["qcheck", "--cap", "3"],
+    ["zeros", "--depth", "3"],
+    ["rewrite-check", "--grid", "4"],
+    ["oracle-search", "--depth", "3"],
+    ["necessity", "--out", "x.csv"],
+])
+def test_flags_a_command_does_not_read_are_rejected(quarter_config, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", quarter_config])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["qcheck", "sample-ft"])
+def test_grid_below_one_exits_2(quarter_config, tmp_path, command, capsys):
+    out_path = tmp_path / "ft.csv"
+    extra = ["--out", str(out_path)] if command == "sample-ft" else []
+    code = main([command, "--config", quarter_config, "--grid", "0", *extra])
+    assert code == 2
+    assert "--grid" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_sample_ft_negative_grid_exits_2(quarter_config, tmp_path):
+    # a negative step used to sample without end; a subprocess with a timeout
+    # turns a hang into a failure
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "moranspec.cli", "sample-ft", "--config", quarter_config,
+         "--grid", "-1", "--out", str(tmp_path / "ft.csv")],
+        capture_output=True, text=True, timeout=20, env=env)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error=") and "--grid" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--depth", "30"],
+                                  ["qcheck", "--depth", "1100"]])
+def test_tower_past_the_atom_cap_exits_2_quickly(quarter_config, argv, capsys):
+    # 2**30 and 2**1100 tower points; the tower stops before 2**20
+    started = time.perf_counter()
+    code = main([*argv, "--config", quarter_config])
+    assert time.perf_counter() - started < 5.0
+    assert code == 2
+    assert f"cap is {DEFAULT_ATOM_CAP}" in capsys.readouterr().err
+
+
+def test_sample_ft_past_the_row_cap_exits_2(quarter_config, tmp_path, capsys):
+    out_path = tmp_path / "ft.csv"
+    started = time.perf_counter()
+    code = main(["sample-ft", "--config", quarter_config, "--window", "1000000",
+                 "--out", str(out_path)])
+    assert time.perf_counter() - started < 5.0
+    assert code == 2
+    assert f"cap is {DEFAULT_ATOM_CAP}" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_oracle_search_cap_zero_reports_no_sets(quarter_config, capsys):
+    code, out = run(capsys, ["oracle-search", "--config", quarter_config, "--cap", "0"])
+    assert code == 0 and "count=0" in out and "set.0" not in out

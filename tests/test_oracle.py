@@ -35,6 +35,15 @@ def test_search_limit_truncates():
     assert len(limited) == 1 and set(limited) <= set(full)
 
 
+def test_search_limit_keeps_the_first_sets_in_order():
+    for b, p, t, window in ((12, 2, 1, 96), (8, 4, 1, None)):
+        full = search_compatible_partners(b, p, t, window)
+        assert full == sorted(full) and len(full) > 3
+        assert search_compatible_partners(b, p, t, window, limit=0) == []
+        for k in (1, 2, 3, len(full), len(full) + 5):
+            assert search_compatible_partners(b, p, t, window, limit=k) == full[:k]
+
+
 def test_search_window_validation():
     with pytest.raises(ValueError):
         search_compatible_partners(4, 2, 1, window=2)

@@ -1,13 +1,14 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 from itertools import product
 
 import numpy as np
 import pytest
 
-from moranspec.measure import (AtomCapExceeded, DiscreteMeasure, SymbolicWord,
-                               SystemConfig, support_hull, truncate)
+from moranspec.measure import (DEFAULT_ATOM_CAP, AtomCapExceeded, DiscreteMeasure,
+                               SymbolicWord, SystemConfig, support_hull, truncate)
 from moranspec.spectra import (VERIFY_ATOM_BOUND, Decomposition, SpectrumCandidate,
                                TowerDegenerateError, build_tower_spectrum,
                                decompose_spectrum, default_lattice_modulus,
@@ -203,6 +204,28 @@ def test_q_identity_on_a_grid_for_a_verified_tower():
     worst = max(abs(q_function(QUARTER, ONES, 3, cand, i / 64) - 1)
                 for i in range(64))
     assert worst < 1e-9
+
+
+def test_q_function_on_an_array_matches_the_scalar_calls_bitwise():
+    mixed = SystemConfig.of((4, 2, 1), (2, 2, 3))
+    xs = np.arange(64) / 64
+    for cfg, word in ((QUARTER, ONES), (mixed, SymbolicWord((1,), (2,)))):
+        for depth in range(1, 7):
+            cand = build_tower_spectrum(cfg, word, depth)
+            many = q_function(cfg, word, depth, cand, xs)
+            assert many.shape == xs.shape
+            single = [q_function(cfg, word, depth, cand, x) for x in xs]
+            assert all(isinstance(q, float) for q in single)
+            assert many.tolist() == single, (word, depth)
+
+
+def test_tower_refuses_past_the_atom_cap():
+    # 2**20 points would pass the cap; stage 20 is refused before it is built
+    started = time.perf_counter()
+    with pytest.raises(AtomCapExceeded, match=f"cap is {DEFAULT_ATOM_CAP}"):
+        build_tower_spectrum(QUARTER, ONES, 10**9)
+    assert time.perf_counter() - started < 5.0
+    assert len(build_tower_spectrum(QUARTER, ONES, 12).points) == 4096
 
 
 def test_decompose_examples():
