@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -31,9 +32,9 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_OUT_OF_SCOPE = 2
 
-# grid points x spectrum points per q_function call in qcheck; bounds the
-# size of its temporaries at any depth
-QCHECK_BLOCK = 4096
+# grid x tower points x depth stage evaluations allowed in qcheck; measured
+# at 3 (p = 5) to 8 (p = 2) million per second, this is about 13-35 s of work
+QCHECK_WORK_BOUND = 10**8
 
 
 class ConfigError(ValueError):
@@ -221,9 +222,20 @@ def cmd_verify(config, word, rewrite, args) -> int:
 
 def cmd_qcheck(config, word, rewrite, args) -> int:
     word = _need_word(word)
+    points = 1
+    for pr, _ in measure.stage_walk(config, word, args.depth):
+        points *= pr.p
+        if points > measure.DEFAULT_ATOM_CAP:
+            break  # build_tower_spectrum refuses this tower
+    else:
+        work = args.grid * points * args.depth
+        if work > QCHECK_WORK_BOUND:
+            raise measure.AtomCapExceeded(
+                f"qcheck needs {work} stage evaluations (grid x points x depth); "
+                f"bound is {QCHECK_WORK_BOUND}")
     cand = spectra.build_tower_spectrum(config, word, args.depth)
     xs = np.arange(args.grid) / args.grid
-    rows = max(1, QCHECK_BLOCK // len(cand.points))
+    rows = max(1, measure.MU_HAT_BLOCK // len(cand.points))
     worst = 0.0
     for i in range(0, args.grid, rows):
         qs = spectra.q_function(config, word, args.depth, cand, xs[i:i + rows])
@@ -280,13 +292,18 @@ def cmd_sample_ft(config, word, rewrite, args) -> int:
     if rows > measure.DEFAULT_ATOM_CAP:
         raise measure.AtomCapExceeded(
             f"sample-ft needs {rows} rows; cap is {measure.DEFAULT_ATOM_CAP}")
+    if args.depth < 1:
+        raise ConfigError(f"--depth must be >= 1, got {args.depth}")
+    xs = np.arange(rows) / args.grid
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("x,re,im,abs\n")
-        for i in range(rows):
-            x = i / args.grid
-            val, _ = measure.mu_hat_eval(config, word, x, args.depth)
-            fh.write(f"{fmt_float(x)},{fmt_float(val.real)},"
-                     f"{fmt_float(val.imag)},{fmt_float(abs(val))}\n")
+        # near-equal blocks, none of one row unless rows is 1: numpy multiplies
+        # a one-element array on its scalar path, which rounds differently
+        for block in np.array_split(xs, max(1, math.ceil(rows / measure.MU_HAT_BLOCK))):
+            vals = measure.mu_hat_many(config, word, block, args.depth)
+            for x, val in zip(block.tolist(), vals.tolist()):
+                fh.write(f"{fmt_float(x)},{fmt_float(val.real)},"
+                         f"{fmt_float(val.imag)},{fmt_float(abs(val))}\n")
     emit("rows", rows)
     emit("out", args.out)
     return EXIT_OK

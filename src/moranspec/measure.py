@@ -26,6 +26,10 @@ from .exactmath import RationalLike, divisors
 
 DEFAULT_ATOM_CAP = 10**6
 
+# mu_hat arguments per mu_hat_many call where callers evaluate in blocks;
+# bounds the size of its temporaries at any depth
+MU_HAT_BLOCK = 4096
+
 
 class AtomCapExceeded(ValueError):
     """Raised when a truncation or a verification would exceed its atom cap."""

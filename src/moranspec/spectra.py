@@ -18,6 +18,7 @@ reassembles tail spectra from one partner-slot choice per residue block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -26,8 +27,8 @@ import numpy as np
 
 from .exactmath import lcm_all
 from .hadamard import canonical_dual_digits, is_admissible
-from .measure import (DEFAULT_ATOM_CAP, AtomCapExceeded, DiscreteMeasure, SymbolicWord,
-                      SystemConfig, mask_zero_hit, mu_hat_many, stage_walk)
+from .measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, AtomCapExceeded, DiscreteMeasure,
+                      SymbolicWord, SystemConfig, mask_zero_hit, mu_hat_many, stage_walk)
 
 
 class TowerDegenerateError(RuntimeError):
@@ -130,9 +131,14 @@ def build_tower_spectrum(config: SystemConfig, word: SymbolicWord, k: int) -> Sp
 
 @dataclass(frozen=True)
 class SpectrumVerification:
-    """Exact verdict plus the numeric unitarity residual of the weighted matrix.
+    """Exact verdict plus a numeric unitarity residual.
 
     offending is the least positive difference that hits no stage zero set.
+    unitarity_residual is computed from config, word and k over the
+    candidate's distinct differences d: sqrt(2 sum_d count(d) |mu_hat_k(d)|^2),
+    where mu_hat_k is the depth-k transform of config/word.  For the depth-k
+    truncation in exact arithmetic it equals the Frobenius norm of M*M - I
+    for M = [sqrt(w_i) exp(2 pi i lambda_j x_i)] (see weighted_matrix_residual).
     """
 
     ok: bool
@@ -141,8 +147,8 @@ class SpectrumVerification:
     unitarity_residual: float
 
 
-# The residual holds a few dense N x N complex matrices (16 N^2 bytes each,
-# 256 MiB at N = 4096) and does N^3 work.
+# Verification holds all N(N-1)/2 differences before np.unique (8.4 million
+# integers at N = 4096); a larger bound needs its own memory measurement.
 VERIFY_ATOM_BOUND = 4096
 
 
@@ -165,9 +171,11 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
     (a factor of the truncated transform vanishes); scaled to integers by the
     lcm L of the denominators, each distinct difference D is tested once, in
     increasing order, as D/(L*b_1...b_n).  Completeness: the candidate size
-    must equal the atom count.  The numeric residual of the weighted
-    exponential matrix is reported alongside.  Past VERIFY_ATOM_BOUND points
-    or atoms, raises AtomCapExceeded before allocating anything.
+    must equal the atom count.  The numeric residual is reported alongside:
+    mu_hat_many over the distinct differences D/L in blocks of MU_HAT_BLOCK,
+    weighted by how often each occurs (see SpectrumVerification).  Past
+    VERIFY_ATOM_BOUND points or atoms, raises AtomCapExceeded before
+    allocating anything.
     """
     if not candidate.is_finite:
         raise ValueError("finite verification needs a finite candidate")
@@ -175,15 +183,27 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
     size = max(len(pts), len(measure.atoms))
     if size > VERIFY_ATOM_BOUND:
         raise AtomCapExceeded(f"{size} atoms exceed the verify atom bound {VERIFY_ATOM_BOUND}")
-    resid = weighted_matrix_residual(measure, pts)
-    if len(pts) != len(measure.atoms):
-        return SpectrumVerification(False, "cardinality", None, resid)
     scale = lcm_all(x.denominator for x in pts)
     ints = [x.numerator * (scale // x.denominator) for x in pts]
     # Sorted points give positive row differences; int64 holds a span below 2**62.
     ints = [v - ints[0] for v in ints]
-    arr = np.array(ints, dtype=np.int64 if ints[-1] < 2**62 else object)
-    diffs = np.unique(np.concatenate([arr[i + 1:] - arr[i] for i in range(len(arr))]))
+    arr = np.array(ints, dtype=np.int64 if not ints or ints[-1] < 2**62 else object)
+    diffs, counts = np.unique(
+        np.concatenate([arr[i + 1:] - arr[i] for i in range(len(arr))] or [arr]),
+        return_counts=True)
+    # d/L rounded once: exact float operands below 2**53, else Python's
+    # int / int, which takes any quotient a float can hold
+    if not ints or max(ints[-1], scale) < 2**53:
+        xs = diffs / scale
+    else:
+        xs = np.array([d / scale for d in diffs.tolist()], dtype=float)
+    total = 0.0
+    for i in range(0, len(xs), MU_HAT_BLOCK):
+        vals = mu_hat_many(config, word, xs[i:i + MU_HAT_BLOCK], k)
+        total += float(np.sum(counts[i:i + MU_HAT_BLOCK] * np.abs(vals) ** 2))
+    resid = math.sqrt(2 * total)
+    if len(pts) != len(measure.atoms):
+        return SpectrumVerification(False, "cardinality", None, resid)
     walk = [(pr, scale * base) for pr, base in stage_walk(config, word, k)]
     for d in diffs.tolist():
         if not any(mask_zero_hit(pr.p, pr.t, d, den) for pr, den in walk):

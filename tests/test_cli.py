@@ -5,11 +5,19 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from moranspec.cli import main, parse_word_text
-from moranspec.measure import DEFAULT_ATOM_CAP, SymbolicWord
+from moranspec.cli import QCHECK_WORK_BOUND, main, parse_word_text
+from moranspec.measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, SymbolicWord, SystemConfig,
+                               mu_hat_eval, mu_hat_many)
 from moranspec.spectra import VERIFY_ATOM_BOUND
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# the golden "neg" config: negative bases and strides
+NEG = {"pairs": [{"b": -4, "p": 2, "t": -1}, {"b": -6, "p": 3, "t": 5}],
+       "word": {"preperiod": [1], "period": [2, 1]}}
 
 
 def write_config(tmp_path, name, data):
@@ -260,7 +268,7 @@ def test_grid_below_one_exits_2(quarter_config, tmp_path, command, capsys):
 def test_sample_ft_negative_grid_exits_2(quarter_config, tmp_path):
     # a negative step used to sample without end; a subprocess with a timeout
     # turns a hang into a failure
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env = {**os.environ, "PYTHONPATH": SRC}
     done = subprocess.run(
         [sys.executable, "-m", "moranspec.cli", "sample-ft", "--config", quarter_config,
          "--grid", "-1", "--out", str(tmp_path / "ft.csv")],
@@ -294,3 +302,83 @@ def test_sample_ft_past_the_row_cap_exits_2(quarter_config, tmp_path, capsys):
 def test_oracle_search_cap_zero_reports_no_sets(quarter_config, capsys):
     code, out = run(capsys, ["oracle-search", "--config", quarter_config, "--cap", "0"])
     assert code == 0 and "count=0" in out and "set.0" not in out
+
+
+def read_rows(path):
+    return [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("data,depth,grid,window", [
+    ({"pairs": [{"b": 4, "p": 2, "t": 1}], "word": {"period": [1]}}, 20, 64, 4),
+    (NEG, 12, 16, 3),
+    (NEG, 40, 4, 3),
+    ({"pairs": [{"b": 4, "p": 2, "t": 1}], "word": {"period": [1]}}, 600, 16, 1),
+])
+def test_sample_ft_matches_a_per_row_reference(tmp_path, capsys, data, depth, grid, window):
+    # rows are evaluated in batches, which may round differently from one
+    # mu_hat_eval call per row in the last bits; 64 eps bounds the difference
+    cfg = write_config(tmp_path, "c.json", data)
+    out_path = tmp_path / "ft.csv"
+    code, out = run(capsys, ["sample-ft", "--config", cfg, "--depth", str(depth),
+                             "--grid", str(grid), "--window", str(window),
+                             "--out", str(out_path)])
+    rows = read_rows(out_path)
+    assert code == 0 and len(rows) == window * grid + 1
+    config = SystemConfig.of(*[(p["b"], p["p"], p["t"]) for p in data["pairs"]])
+    word = SymbolicWord(tuple(data["word"].get("preperiod", ())), tuple(data["word"]["period"]))
+    tol = 64 * np.finfo(float).eps
+    for i, (x, re, im, mag) in enumerate(rows):
+        assert x == i / grid
+        val, _ = mu_hat_eval(config, word, x, depth)
+        assert abs(re - val.real) <= tol and abs(im - val.imag) <= tol, (i, x)
+        assert abs(mag - abs(val)) <= tol, (i, x)
+
+
+def test_sample_ft_one_row_past_the_block_matches_one_call_bitwise(tmp_path, quarter_config, capsys):
+    # MU_HAT_BLOCK + 1 rows split into two blocks, neither of one row, and
+    # print exactly what one unblocked call gives
+    grid = MU_HAT_BLOCK
+    out_path = tmp_path / "ft.csv"
+    code, out = run(capsys, ["sample-ft", "--config", quarter_config, "--depth", "8",
+                             "--grid", str(grid), "--window", "1", "--out", str(out_path)])
+    assert code == 0 and f"rows={MU_HAT_BLOCK + 1}" in out
+    xs = np.arange(MU_HAT_BLOCK + 1) / grid
+    vals = mu_hat_many(SystemConfig.of((4, 2, 1)), SymbolicWord.constant(1), xs, 8)
+    assert read_rows(out_path) == [[x, v.real, v.imag, abs(v)]
+                                   for x, v in zip(xs.tolist(), vals.tolist())]
+
+
+def test_sample_ft_depth_below_one_exits_2(quarter_config, tmp_path, capsys):
+    out_path = tmp_path / "ft.csv"
+    code = main(["sample-ft", "--config", quarter_config, "--depth", "0",
+                 "--out", str(out_path)])
+    assert code == 2
+    assert "--depth" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_verify_output_does_not_depend_on_blas_threads(tmp_path):
+    cfg = write_config(tmp_path, "neg.json", NEG)
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run(
+            [sys.executable, "-m", "moranspec.cli", "verify", "--config", cfg, "--depth", "6"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert "ok=true" in outs[0]
+    assert outs[0] == outs[1]
+
+
+def test_qcheck_past_the_work_bound_exits_2_quickly(quarter_config):
+    # 256 x 2**19 x 19 stage evaluations: about 7.5 minutes of work
+    env = {**os.environ, "PYTHONPATH": SRC}
+    started = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "moranspec.cli", "qcheck", "--config", quarter_config,
+         "--depth", "19"],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert time.perf_counter() - started < 10.0
+    assert done.returncode == 2
+    assert f"bound is {QCHECK_WORK_BOUND}" in done.stderr

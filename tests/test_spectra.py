@@ -135,6 +135,16 @@ def assert_matches_reference(measure, cand, cfg, word, k):
     return ver
 
 
+def assert_residual_matches_the_dense_one(ver, measure, cand, tower):
+    # the residual now comes from mu_hat over the distinct differences;
+    # weighted_matrix_residual builds the N x N matrix from the atoms
+    dense = weighted_matrix_residual(measure, cand.points)
+    if tower:
+        assert ver.unitarity_residual < 1e-9 and dense < 1e-9
+    else:
+        assert abs(ver.unitarity_residual - dense) <= 1e-9 * dense
+
+
 def test_verify_matches_a_pairwise_reference():
     rng = random.Random(2002)
     outcomes = set()
@@ -146,7 +156,9 @@ def test_verify_matches_a_pairwise_reference():
             cand = build_tower_spectrum(cfg, word, depth)
             m = truncate(cfg, word, depth)
             for c in [cand] + moved(cand, rng, 3):
-                outcomes.add(assert_matches_reference(m, c, cfg, word, depth).ok)
+                ver = assert_matches_reference(m, c, cfg, word, depth)
+                outcomes.add(ver.ok)
+                assert_residual_matches_the_dense_one(ver, m, c, tower=c is cand)
     # rational tail spectra, as extracted from tower decompositions
     cfg = SystemConfig.of((12, 2, 1), (12, 3, 4))
     for prefix in product((1, 2), repeat=3):
@@ -159,7 +171,8 @@ def test_verify_matches_a_pairwise_reference():
             gamma = extract_tail_spectrum(dec, choice, first.p, first.t)
             if gamma.points:
                 for c in [gamma] + moved(gamma, rng, 1):
-                    assert_matches_reference(tail, c, cfg, word.shift(1), 2)
+                    ver = assert_matches_reference(tail, c, cfg, word.shift(1), 2)
+                    assert_residual_matches_the_dense_one(ver, tail, c, tower=c is gamma)
     assert outcomes == {True, False}
 
 
