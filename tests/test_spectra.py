@@ -136,7 +136,7 @@ def assert_matches_reference(measure, cand, cfg, word, k):
 
 
 def assert_residual_matches_the_dense_one(ver, measure, cand, tower):
-    # the residual now comes from mu_hat over the distinct differences;
+    # verify's residual comes from mu_hat over the distinct differences;
     # weighted_matrix_residual builds the N x N matrix from the atoms
     dense = weighted_matrix_residual(measure, cand.points)
     if tower:
