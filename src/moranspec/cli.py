@@ -36,6 +36,10 @@ EXIT_OUT_OF_SCOPE = 2
 # at 3 (p = 5) to 8 (p = 2) million per second, this is about 13-35 s of work
 QCHECK_WORK_BOUND = 10**8
 
+# partner sets oracle-search may hold when --cap is not given; (6,6,5) has
+# more, and stopping one past the bound takes about 1 s and 10 MB
+ORACLE_SET_BOUND = 100_000
+
 
 class ConfigError(ValueError):
     """Malformed config file or request; reported with the offending field."""
@@ -327,8 +331,11 @@ def cmd_rewrite_check(config, word, rewrite, args) -> int:
 def cmd_oracle_search(config, word, rewrite, args) -> int:
     pr = config.pairs[0]
     window = args.window if args.window is not None else abs(pr.b) * pr.p * abs(pr.t)
-    results = oracle.search_compatible_partners(pr.b, pr.p, pr.t, window=window,
-                                                limit=args.cap)
+    limit = args.cap if args.cap is not None else ORACLE_SET_BOUND + 1
+    results = oracle.search_compatible_partners(pr.b, pr.p, pr.t, window=window, limit=limit)
+    if args.cap is None and len(results) > ORACLE_SET_BOUND:
+        raise ConfigError(f"oracle-search found more than {ORACLE_SET_BOUND} partner sets "
+                          f"in window {window}; bound is {ORACLE_SET_BOUND}, pass --cap")
     emit("window", window)
     emit("count", len(results))
     for i, res in enumerate(results[:64]):

@@ -4,10 +4,12 @@ A sum of n-th roots of unity with integer exponents,
 
     S = sum_a zeta_n^a,   zeta_n = exp(2*pi*i/n),
 
-vanishes exactly when the n-th cyclotomic polynomial divides the exponent
-polynomial P(x) = sum_a x^(a mod n).  That divisibility is decided with
-integer polynomial arithmetic, so every zero/nonzero verdict in this module
-is tolerance-free.
+vanishes exactly when P(x) * prod_{prime r | n} (1 - x^(n/r)) is zero modulo
+x^n - 1, where P(x) = sum_a x^(a mod n) (the Redei-de Bruijn-Schoenberg
+description; Lam-Leung 2000).  That product is formed on the exponent
+multiset with integer coefficients, so every zero/nonzero verdict in this
+module is tolerance-free and no cyclotomic polynomial is needed.  The
+cyclotomic polynomials themselves are built as integer power series.
 
 Rational quantities throughout the package are plain ``fractions.Fraction``
 values (gcd-reduced, positive denominator, canonical zero 0/1).
@@ -40,54 +42,50 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of integer polynomials; den must be monic.
-
-    Coefficients are listed lowest degree first.  Monic divisor keeps the
-    whole computation in integers.
-    """
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    rem = list(num)
-    dn = len(den) - 1
-    if len(rem) - 1 < dn:
-        return [0], _poly_trim(rem)
-    quot = [0] * (len(rem) - dn)
-    for k in range(len(rem) - 1, dn - 1, -1):
-        c = rem[k]
-        if c == 0:
-            continue
-        quot[k - dn] = c
-        for i, dc in enumerate(den):
-            rem[k - dn + i] -= c * dc
-    return _poly_trim(quot), _poly_trim(rem)
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending (trial division)."""
+    if n < 1:
+        raise ValueError(f"prime_factors requires n >= 1, got {n}")
+    primes = []
+    r = 2
+    while r * r <= n:
+        if n % r == 0:
+            primes.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    return primes + [n] if n > 1 else primes
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, low degree first.
 
-    Computed by dividing x^n - 1 by the cyclotomic polynomials of all proper
-    divisors of n; exact at every step.
+    For n > 1, Phi_n is the power series of prod_{d | n} (1 - x^d)^mu(n/d),
+    cut at its degree phi(n): one pass per squarefree m = n/d multiplies by
+    1 - x^d (mu(m) = 1) or divides by it (mu(m) = -1, adding the series
+    sum_j x^(jd)).  Exact in integers, and no polynomial is divided.
     """
     if n < 1:
         raise ValueError(f"cyclotomic_polynomial requires n >= 1, got {n}")
     if n == 1:
         return (-1, 1)
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    for d in divisors(n)[:-1]:
-        quot, rem = _poly_divmod_monic(num, list(cyclotomic_polynomial(d)))
-        if rem != [0]:
-            raise AssertionError(f"cyclotomic division left a remainder at n={n}, d={d}")
-        num = quot
-    return tuple(num)
+    primes = prime_factors(n)
+    deg = n
+    squarefree = [(1, 1)]  # (m, mu(m)) for the squarefree m | n
+    for r in primes:
+        deg = deg // r * (r - 1)
+        squarefree += [(m * r, -mu) for m, mu in squarefree]
+    c = [1] + [0] * deg
+    for m, mu in squarefree:
+        d = n // m
+        if mu == 1:
+            for k in range(deg, d - 1, -1):
+                c[k] -= c[k - d]
+        else:
+            for k in range(d, deg + 1):
+                c[k] += c[k - d]
+    return tuple(c)
 
 
 @dataclass(frozen=True)
@@ -115,19 +113,38 @@ class RootSum:
 
 
 def root_sum_is_zero(s: RootSum) -> bool:
-    """Exact test of sum_a zeta_n^a == 0 via divisibility by the cyclotomic polynomial."""
+    """Exact test of sum_a zeta_n^a == 0.
+
+    With P(x) = sum_a x^a, the sum vanishes iff
+    P(x) * prod_{prime r | n} (1 - x^(n/r)) == 0 mod x^n - 1: the product
+    carries every Phi_d with d | n, d < n, and never Phi_n.  P is kept as a
+    map from exponent to coefficient, and each factor subtracts a copy
+    rotated by n/r, so the work is #terms * 2^omega(n) integer steps.
+    """
     n = s.order
-    coeffs = [0] * n
+    coeffs: dict[int, int] = {}
     for e in s.exponents:
-        coeffs[e] += 1
-    _, rem = _poly_divmod_monic(_poly_trim(coeffs), list(cyclotomic_polynomial(n)))
-    return rem == [0]
+        coeffs[e] = coeffs.get(e, 0) + 1
+    for r in prime_factors(n):
+        step = n // r
+        rotated = coeffs.copy()
+        for e, c in coeffs.items():
+            k = (e + step) % n
+            c = rotated.get(k, 0) - c
+            if c:
+                rotated[k] = c
+            else:
+                del rotated[k]
+        if not rotated:
+            return True  # further factors keep it zero
+        coeffs = rotated
+    return False
 
 
 def digit_sum_vanishes(n: int, digits: Sequence[int], ell: int) -> bool:
     """Exact test of sum_{d in D} zeta_n^(d*ell) == 0 for n >= 1.
 
-    The exponents are divided by their common gcd with n, so the cyclotomic
+    The exponents are divided by their common gcd with n, so the root-sum
     test runs at the least order that carries the sum; when every term is 1
     the sum is #D != 0.
     """

@@ -55,7 +55,7 @@ def is_compatible_pair(b: int, digits: Sequence[int], freqs: Sequence[int]) -> b
 
     For every l1 != l2 in L the sum over d in D of exp(2*pi*i*d*(l1-l2)/b)
     must vanish; each sum is reduced (order |b|/gcd, reduced exponents) and
-    decided by cyclotomic divisibility.  Arbitrary integer digit sets are
+    decided exactly as a vanishing root sum.  Arbitrary integer digit sets are
     accepted, not only arithmetic progressions.
     """
     if abs(b) < 2:

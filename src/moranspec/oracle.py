@@ -71,8 +71,8 @@ def _truncation_zero(config: SystemConfig, word: SymbolicWord, depth: int,
     Stage n vanishes at delta iff sum_{j<p} zeta_q^(j*a) = 0, where
     a/q = t*delta/(b_1...b_n) in lowest terms: p times the stage mask at
     delta/(b_1...b_n) is that sum.  It is decided as a vanishing root sum,
-    not by the closed form it cross-checks.  The cost grows with q, so
-    callers screen candidates numerically first.
+    not by the closed form it cross-checks: trial division factors q, then
+    the test takes at most p * 2^omega(q) integer steps.
     """
     for pr, base in stage_walk(config, word, depth):
         y = Fraction(pr.t * delta, base)

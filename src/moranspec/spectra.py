@@ -205,9 +205,10 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
     if len(pts) != len(measure.atoms):
         return SpectrumVerification(False, "cardinality", None, resid)
     walk = [(pr, scale * base) for pr, base in stage_walk(config, word, k)]
-    for d in diffs.tolist():
-        if not any(mask_zero_hit(pr.p, pr.t, d, den) for pr, den in walk):
-            return SpectrumVerification(False, "orthogonality", Fraction(d, scale), resid)
+    for i in range(0, len(diffs), MU_HAT_BLOCK):  # Python ints one block at a time
+        for d in diffs[i:i + MU_HAT_BLOCK].tolist():
+            if not any(mask_zero_hit(pr.p, pr.t, d, den) for pr, den in walk):
+                return SpectrumVerification(False, "orthogonality", Fraction(d, scale), resid)
     return SpectrumVerification(True, None, None, resid)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moranspec.cli import QCHECK_WORK_BOUND, main, parse_word_text
+from moranspec.cli import ORACLE_SET_BOUND, QCHECK_WORK_BOUND, main, parse_word_text
 from moranspec.measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, SymbolicWord, SystemConfig,
                                mu_hat_eval, mu_hat_many)
 from moranspec.spectra import VERIFY_ATOM_BOUND
@@ -302,6 +302,35 @@ def test_sample_ft_past_the_row_cap_exits_2(quarter_config, tmp_path, capsys):
 def test_oracle_search_cap_zero_reports_no_sets(quarter_config, capsys):
     code, out = run(capsys, ["oracle-search", "--config", quarter_config, "--cap", "0"])
     assert code == 0 and "count=0" in out and "set.0" not in out
+
+
+def run_cli(argv, timeout):
+    # a subprocess with a timeout turns a hang into a failure
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, "-m", "moranspec.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+
+
+def test_oracle_search_past_the_set_bound_exits_2(tmp_path):
+    # (6,6,5) has more than 10^6 partner sets in its default window 180
+    cfg = write_config(tmp_path, "six.json", {"pairs": [{"b": 6, "p": 6, "t": 5}],
+                                              "word": {"period": [1]}})
+    done = run_cli(["oracle-search", "--config", cfg], timeout=30)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error=") and f"bound is {ORACLE_SET_BOUND}" in done.stderr
+    capped = run_cli(["oracle-search", "--config", cfg, "--cap", "3"], timeout=30)
+    assert capped.returncode == 0 and "count=3" in capped.stdout
+
+
+def test_oracle_search_on_a_base_with_six_primes_is_quick(tmp_path):
+    # 30030 = 2*3*5*7*11*13: every one of the 30,029 singles is a root sum
+    # of order up to 30030, which cyclotomic division made take minutes
+    cfg = write_config(tmp_path, "primorial.json", {"pairs": [{"b": 30030, "p": 2, "t": 1}],
+                                                    "word": {"period": [1]}})
+    done = run_cli(["oracle-search", "--config", cfg, "--window", "30030", "--cap", "4"],
+                   timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert "count=1" in done.stdout and "set.0=0 15015" in done.stdout
 
 
 def read_rows(path):

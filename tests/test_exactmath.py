@@ -1,13 +1,51 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moranspec.exactmath import (RootSum, cyclotomic_polynomial, divisors,
-                                 root_sum_is_zero, root_sum_value)
+                                 prime_factors, root_sum_is_zero, root_sum_value)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def divmod_monic(num, den):
+    """Quotient and remainder of integer polynomials, low degree first, den monic."""
+    rem = list(num)
+    dn = len(den) - 1
+    quot = [0] * max(1, len(rem) - dn)
+    for k in range(len(rem) - 1, dn - 1, -1):
+        c = rem[k]
+        quot[k - dn] = c
+        for i, dc in enumerate(den):
+            rem[k - dn + i] -= c * dc
+    return quot, rem[:dn]
+
+
+@lru_cache(maxsize=None)
+def reference_cyclotomic(n):
+    """Phi_n by dividing x^n - 1 by Phi_d for every proper divisor d of n."""
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in divisors(n)[:-1]:
+        num, rem = divmod_monic(num, reference_cyclotomic(d))
+        assert not any(rem)
+    return tuple(num)
+
+
+def reference_is_zero(s):
+    """Whether the reference Phi_n divides the exponent polynomial of s."""
+    coeffs = [0] * s.order
+    for e in s.exponents:
+        coeffs[e] += 1
+    return not any(divmod_monic(coeffs, reference_cyclotomic(s.order))[1])
 
 
 def test_divisors():
@@ -16,6 +54,16 @@ def test_divisors():
     assert divisors(360) == sorted(d for d in range(1, 361) if 360 % d == 0)
     with pytest.raises(ValueError):
         divisors(0)
+
+
+def test_prime_factors():
+    assert prime_factors(1) == []
+    assert prime_factors(2) == [2]
+    assert prime_factors(360) == [2, 3, 5]
+    assert prime_factors(30030) == [2, 3, 5, 7, 11, 13]
+    assert prime_factors(2 * 10007**2) == [2, 10007]
+    with pytest.raises(ValueError):
+        prime_factors(0)
 
 
 def test_cyclotomic_small_literals():
@@ -97,3 +145,52 @@ def test_root_sum_zero_invariant_under_rotation(n, exps, shift):
     # adding a constant to every exponent multiplies the sum by a unit
     s = RootSum(n, tuple(exps))
     assert root_sum_is_zero(s) == root_sum_is_zero(s.shifted(shift))
+
+
+def test_cyclotomic_matches_the_divide_out_reference():
+    for n in range(1, 601):
+        assert cyclotomic_polynomial(n) == reference_cyclotomic(n), n
+
+
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 301):
+        expected = sympy.cyclotomic_poly(n, x, polys=True).all_coeffs()[::-1]
+        assert list(cyclotomic_polynomial(n)) == [int(c) for c in expected], n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=120),
+       st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=24))
+def test_root_sum_agrees_with_the_reference_on_multisets(n, exps):
+    s = RootSum(n, tuple(exps))
+    assert root_sum_is_zero(s) == reference_is_zero(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=180), st.data())
+def test_root_sum_agrees_with_the_reference_on_coset_unions(n, data):
+    # a rotated coset of the order-d subgroup sums to zero for d > 1; unions
+    # of them vanish, and an extra term or a dropped one usually breaks that
+    cosets = data.draw(st.lists(st.tuples(st.sampled_from(divisors(n)[1:]),
+                                          st.integers(min_value=0, max_value=n - 1)),
+                                min_size=1, max_size=4))
+    exps = [c + j * (n // d) for d, c in cosets for j in range(d)]
+    s = RootSum(n, tuple(exps))
+    assert root_sum_is_zero(s) and reference_is_zero(s)
+    extra = data.draw(st.integers(min_value=0, max_value=n - 1))
+    for changed in (exps + [extra], exps[1:] or [extra]):
+        t = RootSum(n, tuple(changed))
+        assert root_sum_is_zero(t) == reference_is_zero(t)
+
+
+def test_order_103680_is_decided_quickly():
+    # 1 + zeta^7 at order 103,680 = 2^8 3^4 5: dividing by Phi_103680 took
+    # over a minute; the subprocess timeout turns a stall into a failure
+    code = ("from moranspec.exactmath import digit_sum_vanishes as v; "
+            "print(v(103680, range(2), 7), v(103680, range(2), 51840))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=20, env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]

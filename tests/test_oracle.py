@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from moranspec.spectra import (SpectrumCandidate, build_tower_spectrum,
 
 QUARTER = SystemConfig.of((4, 2, 1))
 ONES = SymbolicWord.constant(1)
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_search_partner_examples():
@@ -77,6 +82,20 @@ def test_every_tower_spectrum_in_the_pool_is_found():
     for res in found:
         ver = verify_spectrum_finite(mu, SpectrumCandidate.finite(res), QUARTER, ONES, 2)
         assert ver.ok
+
+
+def test_truncation_zero_at_a_large_order_is_quick():
+    # delta = 7/5 on (12,2,1)^oo at depth 4 reaches order 5 * 12^4 = 103,680,
+    # where dividing by Phi_103680 took over a minute; delta = 6 is a zero
+    code = ("from fractions import Fraction; "
+            "from moranspec.measure import SymbolicWord, SystemConfig; "
+            "from moranspec.oracle import _truncation_zero as z; "
+            "c, w = SystemConfig.of((12, 2, 1)), SymbolicWord.constant(1); "
+            "print(z(c, w, 4, Fraction(7, 5)), z(c, w, 4, Fraction(6)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=20, env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
 
 
 def test_search_spectra_caps_atom_count():

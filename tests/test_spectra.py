@@ -7,6 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from moranspec import spectra
 from moranspec.measure import (DEFAULT_ATOM_CAP, AtomCapExceeded, DiscreteMeasure,
                                SymbolicWord, SystemConfig, support_hull, truncate)
 from moranspec.spectra import (VERIFY_ATOM_BOUND, Decomposition, SpectrumCandidate,
@@ -174,6 +175,26 @@ def test_verify_matches_a_pairwise_reference():
                     ver = assert_matches_reference(tail, c, cfg, word.shift(1), 2)
                     assert_residual_matches_the_dense_one(ver, tail, c, tower=c is gamma)
     assert outcomes == {True, False}
+
+
+def test_verify_verdicts_do_not_depend_on_the_block_size(monkeypatch):
+    # orthogonality converts the distinct differences to Python ints one
+    # MU_HAT_BLOCK at a time; blocks of 3 must find the same least offender
+    rng = random.Random(77)
+    cfg = SystemConfig.of((4, 2, 1), (6, 3, 1), (2, 2, 3))
+    cases = []
+    for prefix in ((1, 2, 3), (3, 1, 2), (2, 2, 1)):
+        word = SymbolicWord(prefix[:-1], (prefix[-1],))
+        cand = build_tower_spectrum(cfg, word, 3)
+        cases += [(truncate(cfg, word, 3), c, word) for c in [cand] + moved(cand, rng, 4)]
+    wide = [verify_spectrum_finite(m, c, cfg, w, 3) for m, c, w in cases]
+    monkeypatch.setattr(spectra, "MU_HAT_BLOCK", 3)
+    for (m, c, w), before in zip(cases, wide):
+        ver = assert_matches_reference(m, c, cfg, w, 3)
+        assert (ver.ok, ver.reason, ver.offending) == (before.ok, before.reason, before.offending)
+        assert math.isclose(ver.unitarity_residual, before.unitarity_residual,
+                            rel_tol=1e-9, abs_tol=1e-12)
+    assert {v.ok for v in wide} == {True, False}
 
 
 def test_verify_past_the_int64_span():
