@@ -204,7 +204,7 @@ def cmd_two_stage(config, word, rewrite, args) -> int:
 def cmd_spectrum(config, word, rewrite, args) -> int:
     cand = spectra.build_tower_spectrum(config, _need_word(word), args.depth)
     emit("depth", args.depth)
-    emit("count", len(cand.points))
+    emit("count", len(cand))
     emit("points", [Fraction(p) for p in cand.points])
     return EXIT_OK
 
@@ -239,7 +239,7 @@ def cmd_qcheck(config, word, rewrite, args) -> int:
                 f"bound is {QCHECK_WORK_BOUND}")
     cand = spectra.build_tower_spectrum(config, word, args.depth)
     xs = np.arange(args.grid) / args.grid
-    rows = max(1, measure.MU_HAT_BLOCK // len(cand.points))
+    rows = max(1, measure.MU_HAT_BLOCK // len(cand))
     worst = 0.0
     for i in range(0, args.grid, rows):
         qs = spectra.q_function(config, word, args.depth, cand, xs[i:i + rows])
@@ -324,7 +324,7 @@ def cmd_rewrite_check(config, word, rewrite, args) -> int:
     emit("equal", equal)
     emit("left_depth", args.depth)
     emit("right_depth", rewrite["depth"])
-    emit("atoms", len(left.atoms))
+    emit("atoms", len(left.nums))
     return EXIT_OK
 
 

@@ -169,3 +169,10 @@ def lcm_all(values) -> int:
             raise ValueError("lcm of zero requested")
         out = out * v // gcd(out, v)
     return out
+
+
+def over_common_denominator(values) -> tuple[list[int], int]:
+    """The rationals as integer numerators over their least common denominator."""
+    fracs = [Fraction(v) for v in values]
+    den = lcm_all(f.denominator for f in fracs)
+    return [f.numerator * (den // f.denominator) for f in fracs], den

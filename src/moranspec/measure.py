@@ -14,7 +14,9 @@ zero-set membership tests.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -22,7 +24,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .exactmath import RationalLike, divisors
+from .exactmath import RationalLike, divisors, over_common_denominator
 
 DEFAULT_ATOM_CAP = 10**6
 
@@ -166,40 +168,83 @@ class SymbolicWord:
         return ",".join(map(str, self.preperiod)) + ";" + ",".join(map(str, self.period))
 
 
+def canonical_ratios(nums, den, what: str) -> tuple[tuple[int, ...], int]:
+    """Canonical form of the sorted rationals nums[i]/den: (nums, den) reduced by their gcd.
+
+    Checks in O(N) integer work that den > 0 and that nums are strictly
+    increasing integers, so equal sets of rationals give equal pairs;
+    errors name the `what` points.
+    """
+    nums, den = tuple(map(operator.index, nums)), operator.index(den)
+    if den <= 0:
+        raise ValueError(f"the {what} denominator must be positive")
+    if not all(map(operator.lt, nums, nums[1:])):
+        raise ValueError(f"{what} points must be pairwise distinct and sorted")
+    g = math.gcd(den, *nums)
+    return (nums, den) if g == 1 else (tuple(x // g for x in nums), den // g)
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Finite rational-atom probability measure; atoms sorted by position."""
+    """Finite rational-atom probability measure: atom nums[i]/den has weight counts[i]/total.
 
-    atoms: tuple[tuple[Fraction, Fraction], ...]
+    Stored in canonical form: den > 0, nums strictly increasing, counts
+    positive and summing to total, and each of (nums, den) and
+    (counts, total) reduced by its gcd, so two measures are equal as
+    rational maps exactly when their fields are equal.  Construction checks
+    this in O(N) integer work; ``from_dict`` and ``point_mass`` take
+    rationals.  ``atoms``, ``points`` and ``weights`` are Fraction views
+    built on first use.
+    """
+
+    nums: tuple[int, ...]
+    den: int
+    counts: tuple[int, ...]
+    total: int
 
     def __post_init__(self) -> None:
-        atoms = tuple(sorted((Fraction(x), Fraction(w)) for x, w in self.atoms))
-        if len(atoms) == 0:
+        nums, den = canonical_ratios(self.nums, self.den, "atom")
+        counts = tuple(map(operator.index, self.counts))
+        total = operator.index(self.total)
+        if len(nums) == 0:
             raise ValueError("measure needs at least one atom")
-        pts = [x for x, _ in atoms]
-        if len(set(pts)) != len(pts):
-            raise ValueError("atom points must be pairwise distinct")
-        if any(w <= 0 for _, w in atoms):
+        if len(counts) != len(nums):
+            raise ValueError(f"{len(counts)} weights for {len(nums)} atoms")
+        if min(counts) <= 0:
             raise ValueError("weights must be positive")
-        if sum(w for _, w in atoms) != 1:
+        if sum(counts) != total:
             raise ValueError("weights must sum to exactly 1")
-        object.__setattr__(self, "atoms", atoms)
+        g = math.gcd(total, *counts)
+        if g > 1:
+            counts, total = tuple(c // g for c in counts), total // g
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", total)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiscreteMeasure":
-        return cls(tuple(d.items()))
+        """Measure from a map point -> weight of rationals."""
+        items = sorted((Fraction(x), Fraction(w)) for x, w in d.items())
+        nums, den = over_common_denominator(x for x, _ in items)
+        counts, total = over_common_denominator(w for _, w in items)
+        return cls(tuple(nums), den, tuple(counts), total)
 
     @classmethod
     def point_mass(cls, x: RationalLike = 0) -> "DiscreteMeasure":
-        return cls(((Fraction(x), Fraction(1)),))
+        return cls.from_dict({x: 1})
 
-    @property
+    @functools.cached_property
     def points(self) -> tuple[Fraction, ...]:
-        return tuple(x for x, _ in self.atoms)
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
-    @property
+    @functools.cached_property
     def weights(self) -> tuple[Fraction, ...]:
-        return tuple(w for _, w in self.atoms)
+        return tuple(Fraction(c, self.total) for c in self.counts)
+
+    @functools.cached_property
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple(zip(self.points, self.weights))
 
     def fourier_many(self, xs: np.ndarray) -> np.ndarray:
         pts = np.array([float(p) for p in self.points])
@@ -245,24 +290,32 @@ def truncate(config: SystemConfig, word: SymbolicWord, k: int,
             for off in offsets:
                 nxt[x + off] = nxt.get(x + off, 0) + c
         counts = nxt
-    return DiscreteMeasure.from_dict(
-        {Fraction(x, final): Fraction(c, paths) for x, c in counts.items()})
+    # x/final as a numerator over a positive denominator: negate both when final < 0
+    sign = -1 if final < 0 else 1
+    keys = sorted(counts, reverse=final < 0)
+    return DiscreteMeasure(tuple(sign * x for x in keys), sign * final,
+                           tuple(counts[x] for x in keys), paths)
 
 
 def measures_equal(a: DiscreteMeasure, b: DiscreteMeasure) -> bool:
-    """True iff the atom maps are identical as exact rational maps."""
-    return a.atoms == b.atoms
+    """True iff the atom maps are identical as exact rational maps.
+
+    Both measures are in canonical form, so this compares their fields.
+    """
+    return a == b
 
 
-def mask_zero_hit(p: int, t: int, num: int, den: int) -> bool:
+def mask_zero_hit(p: int, t: int, num: int | np.ndarray, den: int) -> bool | np.ndarray:
     """Exact membership of num/den in the mask zero set (Z \\ pZ)/(p*t).
 
     Holds iff den divides num*p*t with a quotient not divisible by p; pure
     integer arithmetic, so a scan can pass x/(b_1...b_n) as x's numerator
-    over x's denominator times the base product.
+    over x's denominator times the base product.  num is a Python int
+    (a bool comes back) or an integer array (a boolean array comes back);
+    an int64 array must keep |num*p*t| and |den| below 2**62.
     """
-    q, r = divmod(num * p * t, den)
-    return r == 0 and q % p != 0
+    x = num * p * t
+    return (x % den == 0) & (x // den % p != 0)
 
 
 def mask_zero_contains(p: int, t: int, x: RationalLike) -> bool:

@@ -18,6 +18,7 @@ reassembles tail spectra from one partner-slot choice per residue block.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,10 +26,11 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .exactmath import lcm_all
+from .exactmath import lcm_all, over_common_denominator
 from .hadamard import canonical_dual_digits, is_admissible
 from .measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, AtomCapExceeded, DiscreteMeasure,
-                      SymbolicWord, SystemConfig, mask_zero_hit, mu_hat_many, stage_walk)
+                      SymbolicWord, SystemConfig, canonical_ratios, mask_zero_hit, mu_hat_many,
+                      stage_walk)
 
 
 class TowerDegenerateError(RuntimeError):
@@ -37,25 +39,28 @@ class TowerDegenerateError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectrumCandidate:
-    """A finite exponent set, or a structured set digits + period*Z.
+    """A finite exponent set nums[i]/den, or a structured set digits + period*Z.
 
-    Exactly one representation is populated.  Structured candidates are
+    Exactly one representation is populated.  A finite candidate is stored
+    in canonical form: den > 0 and strictly increasing integer numerators,
+    reduced by their gcd with den; ``finite`` takes rationals and ``points``
+    is the Fraction view, built on first use.  Structured candidates are
     enumerated through symmetric lattice windows and never materialized in
     full.
     """
 
-    points: Optional[tuple[Fraction, ...]] = None
+    nums: Optional[tuple[int, ...]] = None
+    den: int = 1
     digits: Optional[tuple[Fraction, ...]] = None
     lattice_period: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        if (self.points is None) == (self.digits is None):
-            raise ValueError("exactly one of points / digits must be given")
-        if self.points is not None:
-            pts = tuple(sorted(Fraction(x) for x in self.points))
-            if len(set(pts)) != len(pts):
-                raise ValueError("spectrum points must be pairwise distinct")
-            object.__setattr__(self, "points", pts)
+        if (self.nums is None) == (self.digits is None):
+            raise ValueError("exactly one of nums / digits must be given")
+        if self.nums is not None:
+            nums, den = canonical_ratios(self.nums, self.den, "spectrum")
+            object.__setattr__(self, "nums", nums)
+            object.__setattr__(self, "den", den)
         else:
             if self.lattice_period is None or Fraction(self.lattice_period) <= 0:
                 raise ValueError("structured form needs a positive lattice period")
@@ -68,7 +73,8 @@ class SpectrumCandidate:
 
     @classmethod
     def finite(cls, points) -> "SpectrumCandidate":
-        return cls(points=tuple(Fraction(x) for x in points))
+        nums, den = over_common_denominator(points)
+        return cls(nums=tuple(sorted(nums)), den=den)
 
     @classmethod
     def structured(cls, digits, lattice_period) -> "SpectrumCandidate":
@@ -77,12 +83,19 @@ class SpectrumCandidate:
 
     @property
     def is_finite(self) -> bool:
-        return self.points is not None
+        return self.nums is not None
+
+    @functools.cached_property
+    def points(self) -> Optional[tuple[Fraction, ...]]:
+        """The finite points as Fractions; None for a structured candidate."""
+        if not self.is_finite:
+            return None
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __len__(self) -> int:
         if not self.is_finite:
             raise ValueError("structured candidates are infinite")
-        return len(self.points)
+        return len(self.nums)
 
     def enumerate(self, lattice_window: int = 0) -> tuple[Fraction, ...]:
         """Concrete exponents: all points, or digits + period*{-W..W}."""
@@ -105,12 +118,12 @@ def build_tower_spectrum(config: SystemConfig, word: SymbolicWord, k: int) -> Sp
 
     Every letter used in positions 1..k must be admissible.  Duplicate points
     would mean a degenerate tower and abort loudly; they are never deduped.
-    Raises AtomCapExceeded before a stage would take the point count past
-    DEFAULT_ATOM_CAP.
+    Raises AtomCapExceeded, before any point is built, when the point count
+    would pass DEFAULT_ATOM_CAP.
     """
     if k < 0:
         raise ValueError("depth k must be >= 0")
-    pts = [0]
+    stages = []
     expected = 1
     for n, (pr, base) in enumerate(stage_walk(config, word, k), start=1):
         if not is_admissible(pr.b, pr.p, pr.t):
@@ -120,13 +133,15 @@ def build_tower_spectrum(config: SystemConfig, word: SymbolicWord, k: int) -> Sp
         if expected > DEFAULT_ATOM_CAP:
             raise AtomCapExceeded(
                 f"tower to depth {k} needs {expected}+ points; cap is {DEFAULT_ATOM_CAP}")
-        partner = canonical_dual_digits(pr.b, pr.p, pr.t)
-        lead = base // pr.b  # b_1...b_{n-1}
+        stages.append((canonical_dual_digits(pr.b, pr.p, pr.t), base // pr.b))
+    pts = [0]
+    for partner, lead in stages:  # lead = b_1...b_{n-1}
         pts = [x + lead * l for x in pts for l in partner]
-    if len(set(pts)) != expected:
+    distinct = len(set(pts))
+    if distinct != expected:
         raise TowerDegenerateError(
-            f"tower produced {len(set(pts))} distinct points, expected {expected}")
-    return SpectrumCandidate.finite(sorted(pts))
+            f"tower produced {distinct} distinct points, expected {expected}")
+    return SpectrumCandidate(nums=tuple(sorted(pts)))
 
 
 @dataclass(frozen=True)
@@ -151,6 +166,10 @@ class SpectrumVerification:
 # integers at N = 4096); a larger bound needs its own memory measurement.
 VERIFY_ATOM_BOUND = 4096
 
+# int64 arithmetic in verification stays below this magnitude; past it the
+# differences and the mask-zero test use Python integers (object arrays)
+INT64_SPAN = 2**62
+
 
 def weighted_matrix_residual(measure: DiscreteMeasure, points: Sequence[Fraction]) -> float:
     """Frobenius norm of M*M - I for M = [sqrt(w_i) exp(2 pi i lambda_j x_i)]."""
@@ -162,53 +181,71 @@ def weighted_matrix_residual(measure: DiscreteMeasure, points: Sequence[Fraction
     return float(np.linalg.norm(r))
 
 
+def float_quotients(nums, den: int) -> np.ndarray:
+    """Each nums[i]/den correctly rounded to a float, for sorted integers nums and den > 0.
+
+    nums is a sorted sequence or integer array.  One float division while
+    every operand is below 2**53, where floats hold it exactly; otherwise
+    Python's int / int, which rounds any quotient a float can hold.
+    """
+    if len(nums) == 0 or max(-nums[0], nums[-1], den) < 2**53:
+        return np.asarray(nums, dtype=float) / den
+    exact = nums.tolist() if isinstance(nums, np.ndarray) else nums
+    return np.array([n / den for n in exact], dtype=float)
+
+
 def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidate,
                            config: SystemConfig, word: SymbolicWord,
                            k: int) -> SpectrumVerification:
     """Exact check that a finite candidate is a spectrum of the depth-k truncation.
 
     Orthogonality: every nonzero difference must land in some stage zero set
-    (a factor of the truncated transform vanishes); scaled to integers by the
-    lcm L of the denominators, each distinct difference D is tested once, in
-    increasing order, as D/(L*b_1...b_n).  Completeness: the candidate size
-    must equal the atom count.  The numeric residual is reported alongside:
-    mu_hat_many over the distinct differences D/L in blocks of MU_HAT_BLOCK,
-    weighted by how often each occurs (see SpectrumVerification).  Past
-    VERIFY_ATOM_BOUND points or atoms, raises AtomCapExceeded before
-    allocating anything.
+    (a factor of the truncated transform vanishes).  With the candidate's
+    points as integers over its denominator L, the distinct differences D
+    are tested in increasing order, one MU_HAT_BLOCK at a time, as
+    D/(L*b_1...b_n) by mask_zero_hit on the whole block per stage; the
+    first block holding a difference no stage hits gives the least
+    offender.  Completeness: the candidate size must equal the atom count.
+    The numeric residual is reported alongside: mu_hat_many over the
+    distinct differences D/L in blocks of MU_HAT_BLOCK, weighted by how
+    often each occurs (see SpectrumVerification).  Past VERIFY_ATOM_BOUND
+    points or atoms, raises AtomCapExceeded before allocating anything.
     """
     if not candidate.is_finite:
         raise ValueError("finite verification needs a finite candidate")
-    pts = candidate.points
-    size = max(len(pts), len(measure.atoms))
+    nums, scale = candidate.nums, candidate.den
+    size = max(len(nums), len(measure.nums))
     if size > VERIFY_ATOM_BOUND:
         raise AtomCapExceeded(f"{size} atoms exceed the verify atom bound {VERIFY_ATOM_BOUND}")
-    scale = lcm_all(x.denominator for x in pts)
-    ints = [x.numerator * (scale // x.denominator) for x in pts]
-    # Sorted points give positive row differences; int64 holds a span below 2**62.
-    ints = [v - ints[0] for v in ints]
-    arr = np.array(ints, dtype=np.int64 if not ints or ints[-1] < 2**62 else object)
+    # Sorted points give positive row differences; int64 holds a span below INT64_SPAN.
+    ints = [v - nums[0] for v in nums]
+    arr = np.array(ints, dtype=np.int64 if not ints or ints[-1] < INT64_SPAN else object)
     diffs, counts = np.unique(
         np.concatenate([arr[i + 1:] - arr[i] for i in range(len(arr))] or [arr]),
         return_counts=True)
-    # d/L rounded once: exact float operands below 2**53, else Python's
-    # int / int, which takes any quotient a float can hold
-    if not ints or max(ints[-1], scale) < 2**53:
-        xs = diffs / scale
-    else:
-        xs = np.array([d / scale for d in diffs.tolist()], dtype=float)
+    xs = float_quotients(diffs, scale)
     total = 0.0
     for i in range(0, len(xs), MU_HAT_BLOCK):
         vals = mu_hat_many(config, word, xs[i:i + MU_HAT_BLOCK], k)
         total += float(np.sum(counts[i:i + MU_HAT_BLOCK] * np.abs(vals) ** 2))
     resid = math.sqrt(2 * total)
-    if len(pts) != len(measure.atoms):
+    if len(nums) != len(measure.nums):
         return SpectrumVerification(False, "cardinality", None, resid)
     walk = [(pr, scale * base) for pr, base in stage_walk(config, word, k)]
-    for i in range(0, len(diffs), MU_HAT_BLOCK):  # Python ints one block at a time
-        for d in diffs[i:i + MU_HAT_BLOCK].tolist():
-            if not any(mask_zero_hit(pr.p, pr.t, d, den) for pr, den in walk):
-                return SpectrumVerification(False, "orthogonality", Fraction(d, scale), resid)
+    reach = max((pr.p * abs(pr.t) for pr, _ in walk), default=1)
+    narrow = (diffs.dtype == np.int64
+              and (not len(diffs) or int(diffs[-1]) * reach < INT64_SPAN)
+              and all(abs(den) < INT64_SPAN for _, den in walk))
+    for i in range(0, len(diffs), MU_HAT_BLOCK):
+        block = diffs[i:i + MU_HAT_BLOCK]
+        if not narrow:
+            block = block.astype(object)
+        missed = np.ones(len(block), dtype=bool)
+        for pr, den in walk:
+            missed &= ~mask_zero_hit(pr.p, pr.t, block, den)
+        if missed.any():
+            least = int(block[missed.argmax()])
+            return SpectrumVerification(False, "orthogonality", Fraction(least, scale), resid)
     return SpectrumVerification(True, None, None, resid)
 
 
@@ -222,7 +259,10 @@ def q_function(config: SystemConfig, word: SymbolicWord, depth: int,
     orthonormal family for the measure, identically 1 when it is a spectrum
     of it; non-orthogonal candidates can exceed 1.
     """
-    lams = np.array([float(l) for l in candidate.enumerate(lattice_window)])
+    if candidate.is_finite:
+        lams = float_quotients(candidate.nums, candidate.den)
+    else:
+        lams = np.array([float(l) for l in candidate.enumerate(lattice_window)])
     vals = mu_hat_many(config, word, np.add.outer(x, lams), depth)
     q = np.sum(np.abs(vals) ** 2, axis=-1)
     return float(q) if np.ndim(q) == 0 else q

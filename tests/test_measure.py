@@ -1,14 +1,18 @@
 import cmath
+import json
 import math
 import random
+import tempfile
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moranspec.cli import load_config
 from moranspec.measure import (AtomCapExceeded, DiscreteMeasure, StagePair,
                                SymbolicWord, SystemConfig, mask_zero_contains,
                                measures_equal, mu_hat_eval, normalize_signs,
@@ -93,9 +97,52 @@ def test_truncate_four_stage_rewrite():
 
 def test_measures_equal_rejects_different_measures():
     a = DiscreteMeasure.point_mass(0)
-    b = DiscreteMeasure(((F(0), F(1, 2)), (F(1), F(1, 2))))
+    b = DiscreteMeasure((0, 1), 1, (1, 1), 2)
     assert not measures_equal(a, b)
     assert measures_equal(a, DiscreteMeasure.point_mass(0))
+
+
+def test_measures_equal_across_base_products():
+    # the rewrite of the golden "rw" config: b_1...b_4 = 288 against b_1 b_2 = 144
+    rw = SystemConfig.of((12, 2, 1), (2, 3, 4), (6, 2, 1))
+    word = SymbolicWord((1, 2), (3, 2))
+    right = truncate(SystemConfig.of((12, 6, 1)), ONES, 2)
+    left = truncate(rw, word, 4)
+    assert measures_equal(left, right)
+    assert (left.den, left.total) == (right.den, right.total) == (144, 36)
+    assert not measures_equal(truncate(rw, word, 3), right)
+    # b_1 b_2 = -24 against 12 and -12: (j_1 + 2 j_2)/12 = j/12 for j < 6
+    neg = truncate(SystemConfig.of((12, 2, 1), (-2, 3, -4)), SymbolicWord((1,), (2,)), 2)
+    assert (neg.nums, neg.den, neg.counts, neg.total) == (tuple(range(6)), 12, (1,) * 6, 6)
+    for other in (SystemConfig.of((12, 6, 1)), SystemConfig.of((-12, 6, -1))):
+        assert measures_equal(neg, truncate(other, ONES, 1))
+    flipped = truncate(SystemConfig.of((12, 2, 1), (-2, 3, 4)), SymbolicWord((1,), (2,)), 2)
+    assert not measures_equal(neg, flipped)
+    # the constructor reduces the points and the weights by their gcds
+    assert DiscreteMeasure((0, 4), 8, (3, 3), 6) == DiscreteMeasure((0, 1), 2, (1, 1), 2)
+
+
+def test_measure_constructor_checks_its_invariants():
+    with pytest.raises(ValueError, match="at least one atom"):
+        DiscreteMeasure((), 1, (), 0)
+    with pytest.raises(ValueError, match="pairwise distinct and sorted"):
+        DiscreteMeasure((1, 0), 2, (1, 1), 2)
+    with pytest.raises(ValueError, match="pairwise distinct and sorted"):
+        DiscreteMeasure.from_dict({0: F(1, 2), "0": F(1, 2)})
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        DiscreteMeasure((0, 1), -2, (1, 1), 2)
+    with pytest.raises(ValueError, match="positive"):
+        DiscreteMeasure((0, 1), 2, (0, 2), 2)
+    with pytest.raises(ValueError, match="sum to exactly 1"):
+        DiscreteMeasure.from_dict({0: F(1, 2), 1: F(1, 3)})
+    with pytest.raises(ValueError, match="1 weights for 2 atoms"):
+        DiscreteMeasure((0, 1), 2, (1,), 1)
+    with pytest.raises(TypeError):
+        DiscreteMeasure((F(1, 2),), 1, (1,), 1)
+    m = DiscreteMeasure.from_dict({F(1, 3): F(1, 4), -1: F(3, 4)})
+    assert (m.nums, m.den, m.counts, m.total) == ((-3, 1), 3, (3, 1), 4)
+    assert m.atoms == ((F(-1), F(3, 4)), (F(1, 3), F(1, 4)))
+    assert DiscreteMeasure.point_mass(F(-2, 6)).atoms == ((F(-1, 3), F(1)),)
 
 
 def test_truncate_cap():
@@ -138,6 +185,53 @@ def reference_truncate(config, word, k):
 def test_truncate_matches_a_reference_fraction_convolution(cfg, word, depth):
     for k in range(depth + 1):
         assert truncate(cfg, word, k).atoms == reference_truncate(cfg, word, k).atoms, k
+
+
+SIGNED_B = st.integers(-12, 12).filter(lambda b: abs(b) >= 2)
+SIGNED_T = st.integers(-7, 7).filter(bool)
+
+
+def words_over(m: int):
+    letters = st.integers(1, m)
+    return st.builds(SymbolicWord, st.lists(letters, max_size=2).map(tuple),
+                     st.lists(letters, min_size=1, max_size=2).map(tuple))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_signed_truncations_match_the_reference(data):
+    pairs = data.draw(st.lists(st.tuples(SIGNED_B, st.sampled_from((2, 3)), SIGNED_T),
+                               min_size=1, max_size=3))
+    word = data.draw(words_over(len(pairs)))
+    depth = data.draw(st.integers(0, 6))
+    cfg = SystemConfig.of(*pairs)
+    assert truncate(cfg, word, depth).atoms == reference_truncate(cfg, word, depth).atoms
+
+
+def load_pairs(pairs, period):
+    """A config with every field a decimal string, read back through cli.load_config."""
+    doc = {"pairs": [{"b": str(b), "p": str(p), "t": str(t)} for b, p, t in pairs],
+           "word": {"period": [str(x) for x in period]}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        config, word, _ = load_config(str(path))
+    return config, word
+
+
+FIFTY_DIGITS = st.integers(10**49, 10**50 - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(FIFTY_DIGITS, st.sampled_from((2, 3)), FIFTY_DIGITS,
+                          st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+                min_size=1, max_size=2),
+       st.integers(0, 4))
+def test_fifty_digit_decimal_strings_truncate_like_the_reference(letters, depth):
+    pairs = [(sign_b * b, p, sign_t * t) for b, p, t, sign_b, sign_t in letters]
+    cfg, word = load_pairs(pairs, range(1, len(pairs) + 1))
+    assert cfg == SystemConfig.of(*pairs)
+    assert truncate(cfg, word, depth).atoms == reference_truncate(cfg, word, depth).atoms
 
 
 def test_factor_order_does_not_change_the_measure():

@@ -101,7 +101,7 @@ def test_truncation_zero_at_a_large_order_is_quick():
 def test_search_spectra_caps_atom_count():
     atoms = tuple((F(i), F(1, 100)) for i in range(100))
     with pytest.raises(ValueError):
-        search_spectra(DiscreteMeasure(atoms), range(4))
+        search_spectra(DiscreteMeasure.from_dict(dict(atoms)), range(4))
 
 
 def test_rigidity_examples():

@@ -1,21 +1,26 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from moranspec import spectra
-from moranspec.measure import (DEFAULT_ATOM_CAP, AtomCapExceeded, DiscreteMeasure,
-                               SymbolicWord, SystemConfig, support_hull, truncate)
+from moranspec.measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, AtomCapExceeded,
+                               DiscreteMeasure, SymbolicWord, SystemConfig, mask_zero_hit,
+                               support_hull, truncate)
 from moranspec.spectra import (VERIFY_ATOM_BOUND, Decomposition, SpectrumCandidate,
                                TowerDegenerateError, build_tower_spectrum,
                                decompose_spectrum, default_lattice_modulus,
-                               extract_tail_spectrum, q_function,
+                               extract_tail_spectrum, float_quotients, q_function,
                                structure_witnesses, verify_spectrum_finite,
                                weighted_matrix_residual)
+from test_measure import FIFTY_DIGITS, load_pairs, words_over
 
 QUARTER = SystemConfig.of((4, 2, 1))
 ONES = SymbolicWord.constant(1)
@@ -62,7 +67,7 @@ def test_towers_handle_negative_bases_and_strides():
 
 def test_spectrum_candidate_forms():
     with pytest.raises(ValueError):
-        SpectrumCandidate(points=(F(1), F(1)))
+        SpectrumCandidate(nums=(1, 1))
     with pytest.raises(ValueError):
         SpectrumCandidate()
     structured = SpectrumCandidate.structured((0, F(5, 2)), 2)
@@ -195,6 +200,130 @@ def test_verify_verdicts_do_not_depend_on_the_block_size(monkeypatch):
         assert math.isclose(ver.unitarity_residual, before.unitarity_residual,
                             rel_tol=1e-9, abs_tol=1e-12)
     assert {v.ok for v in wide} == {True, False}
+
+
+def admissible_letters(multiplier, stride):
+    """Signed letters (+-p*m, p, +-t) with t coprime to p, so every stage is admissible."""
+    signs = st.sampled_from((1, -1))
+    return st.tuples(st.sampled_from((2, 3)), multiplier, stride, signs, signs).filter(
+        lambda v: math.gcd(v[0], v[2]) == 1).map(
+        lambda v: (v[3] * v[0] * v[1], v[0], v[4] * v[2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_verify_on_signed_towers_matches_the_reference(data):
+    pairs = data.draw(st.lists(admissible_letters(st.integers(1, 4), st.integers(1, 7)),
+                               min_size=1, max_size=3))
+    cfg = SystemConfig.of(*pairs)
+    word = data.draw(words_over(cfg.m))
+    depth = data.draw(st.integers(1, 4))
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    cand = build_tower_spectrum(cfg, word, depth)
+    meas = truncate(cfg, word, depth)
+    assert assert_matches_reference(meas, cand, cfg, word, depth).ok
+    for c in moved(cand, rng, 2):
+        assert_matches_reference(meas, c, cfg, word, depth)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_verify_with_fifty_digit_decimal_strings_matches_the_reference(data):
+    # products of 50-digit bases pass 2**62, so verification runs on object arrays
+    big = admissible_letters(st.integers(10**49, 2 * 10**49), st.one_of(st.integers(1, 7),
+                                                                        FIFTY_DIGITS))
+    small = admissible_letters(st.integers(1, 4), st.integers(1, 7))
+    pairs = data.draw(st.lists(st.one_of(big, small), min_size=1, max_size=3))
+    assume(any(len(str(abs(b))) == 50 for b, _, _ in pairs))
+    cfg, word = load_pairs(pairs, data.draw(st.lists(st.integers(1, len(pairs)),
+                                                     min_size=1, max_size=3)))
+    depth = data.draw(st.integers(1, 3))
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    cand = build_tower_spectrum(cfg, word, depth)
+    meas = truncate(cfg, word, depth)
+    for c in [cand] + moved(cand, rng, 2):
+        assert_matches_reference(meas, c, cfg, word, depth)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.one_of(admissible_letters(st.integers(1, 4), st.integers(1, 7)),
+                          admissible_letters(st.integers(10**49, 2 * 10**49), FIFTY_DIGITS)),
+                min_size=1, max_size=3), st.data())
+def test_depth_5000_is_refused_before_anything_is_built(pairs, data):
+    cfg = SystemConfig.of(*pairs)
+    word = data.draw(words_over(cfg.m))
+    tracemalloc.start()
+    try:
+        with pytest.raises(AtomCapExceeded, match=f"cap is {DEFAULT_ATOM_CAP}"):
+            truncate(cfg, word, 5000)
+        with pytest.raises(AtomCapExceeded, match=f"cap is {DEFAULT_ATOM_CAP}"):
+            build_tower_spectrum(cfg, word, 5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_verify_verdicts_do_not_depend_on_the_integer_width(monkeypatch):
+    # mask_zero_hit takes int64 blocks below INT64_SPAN and object blocks past
+    # it; forcing object blocks must give the same verdicts and residuals
+    rng = random.Random(404)
+    cases = []
+    signed = SystemConfig.of((-4, 2, -1), (-6, 3, 5), (4, 2, -3))
+    for prefix in ((1, 2, 3), (3, 1, 2), (2, 2, 1)):
+        word = SymbolicWord(prefix[:-1], (prefix[-1],))
+        cand = build_tower_spectrum(signed, word, 3)
+        cases += [(truncate(signed, word, 3), c, signed, word, 3)
+                  for c in [cand] + moved(cand, rng, 3)]
+    tails = SystemConfig.of((12, 2, 1), (12, 3, 4))
+    word = SymbolicWord((1,), (2,))
+    dec = decompose_spectrum(build_tower_spectrum(tails, word, 3), 12,
+                             default_lattice_modulus(tails))
+    for choice in product(range(2), repeat=dec.q // 2):
+        gamma = extract_tail_spectrum(dec, choice, 2, 1)
+        if gamma.points:
+            cases += [(truncate(tails, word.shift(1), 2), c, tails, word.shift(1), 2)
+                      for c in [gamma] + moved(gamma, rng, 1)]
+    # distinct differences 2, 6, 8, 10, 12, ...: the least offender 12 is in the
+    # second block of 3
+    late = SpectrumCandidate.finite((-4, 2, 8, 10, 32, 34, 40, 42))
+    cases.append((truncate(QUARTER, ONES, 3), late, QUARTER, ONES, 3))
+    widths = set()
+
+    def spy(p, t, num, den):
+        widths.add(num.dtype)
+        return mask_zero_hit(p, t, num, den)
+
+    def verdicts():
+        return [verify_spectrum_finite(*case) for case in cases]
+
+    monkeypatch.setattr(spectra, "mask_zero_hit", spy)
+    narrow = verdicts()
+    assert widths == {np.dtype(np.int64)}
+    assert {v.ok for v in narrow} == {True, False}
+    assert (narrow[-1].reason, narrow[-1].offending) == ("orthogonality", 12)
+    monkeypatch.setattr(spectra, "INT64_SPAN", 0)
+    widths.clear()
+    for block in (MU_HAT_BLOCK, 3):
+        monkeypatch.setattr(spectra, "MU_HAT_BLOCK", block)
+        wide = verdicts()
+        for before, after in zip(narrow, wide):
+            assert (after.ok, after.reason, after.offending) == (before.ok, before.reason,
+                                                                before.offending)
+            if block == MU_HAT_BLOCK:
+                assert after.unitarity_residual == before.unitarity_residual
+    assert widths == {np.dtype(object)}
+
+
+def test_float_quotients_round_like_fractions():
+    for nums, den in (((-7, 0, 3, 2**52), 3),
+                      ((-(2**60) - 1, 5, 2**70 + 3), 7),
+                      ((1, 2, 3), 3 * 2**60),
+                      ((), 5)):
+        expected = [float(F(n, den)) for n in nums]
+        assert float_quotients(nums, den).tolist() == expected
+        arr = np.array(nums, dtype=np.int64 if all(abs(n) < 2**62 for n in nums) else object)
+        assert float_quotients(arr, den).tolist() == expected
 
 
 def test_verify_past_the_int64_span():
