@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
 from .exactmath import RationalLike
 from .hadamard import is_admissible
-from .measure import StagePair, SymbolicWord, SystemConfig, zero_set_contains
+from .measure import StagePair, SymbolicWord, SystemConfig, first_nonzero
 from .tiling import TileDecision, tile_decide
 
 SPECTRAL = "Spectral"
@@ -57,8 +58,15 @@ def validate_config(config: SystemConfig) -> list[str]:
 
     The reading: for each k, gcd(p_k, t_j) = 1 for every j, and the strides
     are pairwise coprime.  Digit counts are not required to be mutually
-    coprime.  Violations are data, not errors.
+    coprime.  Violations are data, not errors.  Both conditions hold
+    exactly when gcd(prod p, prod |t|) = 1 and lcm(|t|, ...) = prod |t|,
+    so the pairs are listed only when that test fails.
     """
+    strides = [abs(pr.t) for pr in config.pairs]
+    stride_product = prod(strides)
+    if (gcd(prod([pr.p for pr in config.pairs]), stride_product) == 1
+            and lcm(*strides) == stride_product):
+        return []
     violations: list[str] = []
     for k, pk in enumerate(config.pairs, start=1):
         for j, pj in enumerate(config.pairs, start=1):
@@ -93,10 +101,10 @@ def decide_spectrality(config: SystemConfig, word: SymbolicWord) -> SpectralVerd
     if violations:
         return SpectralVerdict(OUT_OF_SCOPE, CLAUSE_HYPOTHESIS,
                                (("violations", tuple(violations)),))
-    if any(not 1 <= l <= config.m for l in word.letters()):
+    if max(word.preperiod + word.period) > config.m:  # SymbolicWord letters are >= 1
         raise ValueError("word letters outside the alphabet")
     for letter in sorted(word.letters_from(2)):
-        pr = config.pair(letter)
+        pr = config.pairs[letter - 1]
         if abs(pr.b) % pr.p != 0:
             pos = _first_position_from_second(word, letter)
             return SpectralVerdict(
@@ -245,16 +253,20 @@ def integral_zero_set_probe(config: SystemConfig, word: SymbolicWord,
 
     A witness certifies xi is outside the integral periodic zero set; an
     exhausted window is inconclusive (every scanned translate was an exact
-    zero).  Scans outward from k = 0 so the smallest witness is returned.
+    zero).  Scans outward from k = 0 (in the order 0, 1, -1, 2, -2, ...)
+    so the smallest witness is returned; the translates go to one
+    first_nonzero scan as numerators over xi's denominator, built as the
+    scan asks for them.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     xi = Fraction(xi)
-    for k in range(0, window + 1):
-        for cand in ((k,) if k == 0 else (k, -k)):
-            if not zero_set_contains(config, word, xi + cand):
-                return ZeroSetProbe(xi, window, cand)
-    return ZeroSetProbe(xi, window, None)
+    num, den = xi.numerator, xi.denominator
+    ks = chain((0,), chain.from_iterable((k, -k) for k in range(1, window + 1)))
+    hit = first_nonzero(config, word, (num + k * den for k in ks), den)
+    if hit is None:
+        return ZeroSetProbe(xi, window, None)
+    return ZeroSetProbe(xi, window, (hit + 1) // 2 if hit % 2 else -(hit // 2))
 
 
 def alternating_family_decide(p1: int, p2: int, odd_b: Sequence[int],

@@ -40,6 +40,11 @@ QCHECK_WORK_BOUND = 10**8
 # more, and stopping one past the bound takes about 1 s and 10 MB
 ORACLE_SET_BOUND = 100_000
 
+# largest search window zeros and oracle-search accept: a zeros probe tests
+# at most 2 * WINDOW_BOUND + 1 translates, oracle-search scans WINDOW_BOUND
+# candidate differences
+WINDOW_BOUND = 10**6
+
 
 class ConfigError(ValueError):
     """Malformed config file or request; reported with the offending field."""
@@ -250,8 +255,14 @@ def cmd_qcheck(config, word, rewrite, args) -> int:
     return EXIT_OK
 
 
+def _check_window(window: int) -> None:
+    if window > WINDOW_BOUND:
+        raise ConfigError(f"window {window} is past the window bound; bound is {WINDOW_BOUND}")
+
+
 def cmd_zeros(config, word, rewrite, args) -> int:
     word = _need_word(word)
+    _check_window(args.window)
     violations = classifier.validate_config(config)
     if violations:
         emit("ok", False)
@@ -331,6 +342,7 @@ def cmd_rewrite_check(config, word, rewrite, args) -> int:
 def cmd_oracle_search(config, word, rewrite, args) -> int:
     pr = config.pairs[0]
     window = args.window if args.window is not None else abs(pr.b) * pr.p * abs(pr.t)
+    _check_window(window)
     limit = args.cap if args.cap is not None else ORACLE_SET_BOUND + 1
     results = oracle.search_compatible_partners(pr.b, pr.p, pr.t, window=window, limit=limit)
     if args.cap is None and len(results) > ORACLE_SET_BOUND:

@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -324,24 +324,42 @@ def mask_zero_contains(p: int, t: int, x: RationalLike) -> bool:
     return mask_zero_hit(p, t, x.numerator, x.denominator)
 
 
+def first_nonzero(config: SystemConfig, word: SymbolicWord, nums: Iterable[int],
+                  den: int) -> Optional[int]:
+    """Position in nums of the first num/den that is not a zero of the full transform.
+
+    None when every num/den is a zero (nums must then be finite).  x is a
+    zero iff x/(b_1...b_k) hits some stage mask zero set; the scan of one x
+    stops once |x/(b_1...b_k)| drops below the smallest nonzero magnitude
+    min 1/(p|t|) over the whole alphabet, so 0 is never a zero.  The stages
+    are walked once: (p, t, den*b_1...b_k, den*|b_1...b_k|) is kept for
+    every stage reached so far and shared by all later numerators, which
+    nums may yield lazily.  den > 0.
+    """
+    reach = max(pr.p * abs(pr.t) for pr in config.pairs)
+    stages = stage_walk(config, word)
+    walk: list[tuple[int, int, int, int]] = []
+    for i, num in enumerate(nums):
+        size = abs(num) * reach
+        n = 0
+        while True:
+            if n == len(walk):
+                pr, base = next(stages)
+                walk.append((pr.p, pr.t, den * base, den * abs(base)))
+            p, t, scaled, mag = walk[n]
+            if size < mag:
+                return i
+            if mask_zero_hit(p, t, num, scaled):
+                break
+            n += 1
+    return None
+
+
 def zero_set_contains(config: SystemConfig, word: SymbolicWord,
                       x: RationalLike) -> bool:
-    """Exact membership of x in the zero set of the full Fourier transform.
-
-    x is a zero iff x/(b_1...b_k) hits some stage mask zero set; the scan
-    terminates once |x/(b_1...b_k)| drops below the smallest nonzero
-    magnitude min 1/(p|t|) over the whole alphabet.
-    """
+    """Exact membership of x in the zero set of the full Fourier transform."""
     x = Fraction(x)
-    if x == 0:
-        return False
-    num, den = x.numerator, x.denominator
-    reach = max(pr.p * abs(pr.t) for pr in config.pairs)
-    for pr, base in stage_walk(config, word):
-        if abs(num) * reach < den * abs(base):
-            return False
-        if mask_zero_hit(pr.p, pr.t, num, den * base):
-            return True
+    return first_nonzero(config, word, (x.numerator,), x.denominator) is None
 
 
 def _mask_many(p: int, t: int, ys: np.ndarray) -> np.ndarray:

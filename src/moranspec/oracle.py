@@ -46,10 +46,12 @@ def search_compatible_partners(b: int, p: int, t: int, window: Optional[int] = N
 
     Candidates are pruned by requiring every pairwise difference to be an
     exact zero of the digit mask (scaled by b), which is the compatibility
-    condition itself, so every emitted set is exactly compatible.  The
-    default window is |b|*p*|t|.  ``limit`` keeps the lexicographically
-    first sets for the parameter corners where the number of compatible sets
-    explodes combinatorially; an unlimited call materializes everything.
+    condition itself, so every emitted set is exactly compatible.  The root
+    sum of a difference l depends only on l mod |b|, so each residue is
+    decided once.  The default window is |b|*p*|t|.  ``limit`` keeps the
+    lexicographically first sets for the parameter corners where the number
+    of compatible sets explodes combinatorially; an unlimited call
+    materializes everything.
     """
     if abs(b) < 2 or p < 2 or t == 0:
         raise ValueError("need |b| >= 2, p >= 2, t != 0")
@@ -60,7 +62,8 @@ def search_compatible_partners(b: int, p: int, t: int, window: Optional[int] = N
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     digits = tuple(j * t for j in range(p))
-    singles = [l for l in range(1, window) if digit_sum_vanishes(abs(b), digits, l)]
+    vanishes = [digit_sum_vanishes(abs(b), digits, r) for r in range(abs(b))]
+    singles = [l for l in range(1, window) if vanishes[l % abs(b)]]
     return list(islice(_cliques(0, singles, p, set(singles).__contains__), limit))
 
 

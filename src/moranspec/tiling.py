@@ -5,7 +5,8 @@ disjointness and every endpoint question disappears.  Tiling of the real
 line by a period-P translate set reduces to tiling the circle of
 circumference P: the translates of the tile by the digit representatives,
 taken mod P, must cover [0, P) with multiplicity exactly one; that is
-decided by a sweep over all fragment endpoints in rational arithmetic.
+decided by a sweep over all fragment endpoints, in integers over one common
+denominator.
 
 The two-stage support is the union over k < p1 of blocks
 [k*t*c, (k*t+1)*c) with c = t2/b1 and t = t1/t2, which tiles by
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactmath import RationalLike
+from .exactmath import RationalLike, over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -85,31 +86,36 @@ def tiles_by_periodic_set(tile: IntervalUnion, digits: Sequence[RationalLike],
     Reduces every translated interval mod the period and sweeps the fragment
     endpoints: each elementary segment of [0, period) must be covered exactly
     once.  The first under- or over-covered segment yields the certificate.
+    All quantities are integers over one common denominator; each fragment
+    adds +1 at its start and -1 at its end to a coverage-change map, and the
+    running sum over its sorted endpoints is the multiplicity of each
+    segment.
     """
-    period = Fraction(period)
+    ends = [x for iv in tile.intervals for x in iv]
+    scaled, den = over_common_denominator([period, *digits, *ends])
+    period, shifts, ends = scaled[0], scaled[1:len(digits) + 1], scaled[len(digits) + 1:]
     if period <= 0:
         raise ValueError("period must be positive")
-    reps = [Fraction(d) % period for d in digits]
+    reps = [d % period for d in shifts]
     if len(set(reps)) != len(reps):
         raise ValueError("digits must be distinct mod the period")
-    fragments: list[tuple[Fraction, Fraction]] = []
+    change = {0: 0, period: 0}
     for d in reps:
-        for a, b in tile.intervals:
-            lo = a + d
-            while b - a > 0:
+        for a, b in zip(ends[::2], ends[1::2]):
+            lo, length = a + d, b - a
+            while length > 0:
                 start = lo % period
-                span = min(b - a, period - start)
-                fragments.append((start, start + span))
+                span = min(length, period - start)
+                change[start] = change.get(start, 0) + 1
+                change[start + span] = change.get(start + span, 0) - 1
                 lo += span
-                a += span
-    points = sorted({Fraction(0), period}
-                    | {x for fr in fragments for x in fr})
+                length -= span
+    points = sorted(change)
+    mult = 0
     for left, right in zip(points, points[1:]):
-        if right <= 0 or left >= period:
-            continue
-        mult = sum(1 for a, b in fragments if a <= left and right <= b)
+        mult += change[left]
         if mult != 1:
-            return TilingCertificate(False, (left + right) / 2, mult)
+            return TilingCertificate(False, Fraction(left + right, 2 * den), mult)
     return TilingCertificate(True)
 
 

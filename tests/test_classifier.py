@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moranspec.classifier import (CLAUSE_DIVISIBILITY, CLAUSE_TAIL_EXCEPTION,
                                   NOT_SPECTRAL, OUT_OF_SCOPE, SPECTRAL,
@@ -14,6 +17,8 @@ from moranspec.classifier import (CLAUSE_DIVISIBILITY, CLAUSE_TAIL_EXCEPTION,
 from moranspec.measure import (StagePair, SymbolicWord, SystemConfig,
                                measures_equal, scale_digits, truncate)
 
+from test_measure import fraction_zero, words_over
+
 MIXED = SystemConfig.of((4, 2, 1), (2, 2, 3))
 
 
@@ -23,6 +28,56 @@ def test_validate_examples():
     assert any("p_1=2" in v and "t_1=2" in v for v in bad)
     bad2 = validate_config(SystemConfig.of((4, 2, 3), (2, 2, 6)))
     assert any("t_1=3" in v and "t_2=6" in v for v in bad2)
+
+
+def listed_violations(config):
+    """Every violation, listed pair by pair, whatever the alphabet."""
+    violations = []
+    for k, pk in enumerate(config.pairs, start=1):
+        for j, pj in enumerate(config.pairs, start=1):
+            if gcd(pk.p, abs(pj.t)) != 1:
+                violations.append(f"gcd(p_{k}={pk.p}, t_{j}={pj.t}) != 1")
+    for i, pi in enumerate(config.pairs, start=1):
+        for j in range(i + 1, config.m + 1):
+            pj = config.pair(j)
+            if gcd(abs(pi.t), abs(pj.t)) != 1:
+                violations.append(f"gcd(t_{i}={pi.t}, t_{j}={pj.t}) != 1")
+    return violations
+
+
+SIGNS = st.sampled_from((1, -1))
+SIGNED_LETTERS = st.builds(lambda b, p, t, b_sign, t_sign: (b_sign * b, p, t_sign * t),
+                           st.integers(2, 30), st.integers(2, 12), st.integers(1, 35),
+                           SIGNS, SIGNS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SIGNED_LETTERS, min_size=1, max_size=5))
+def test_validate_matches_the_pairwise_listing(letters):
+    cfg = SystemConfig.of(*letters)
+    assert validate_config(cfg) == listed_violations(cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from((1, 2, 3, 4, 5, 6, 7, 9, 11, 13, 25)), min_size=1, max_size=5),
+       st.data())
+def test_validate_matches_the_listing_on_clean_alphabets(strides, data):
+    # digit counts drawn coprime to every stride: only stride pairs can clash
+    cfg = SystemConfig.of(*[(data.draw(st.integers(2, 40)),
+                             data.draw(st.integers(2, 40).filter(
+                                 lambda p: all(gcd(p, t) == 1 for t in strides))),
+                             t * data.draw(SIGNS)) for t in strides])
+    listed = listed_violations(cfg)
+    assert validate_config(cfg) == listed
+    assert (listed == []) == all(gcd(a, b) == 1 for i, a in enumerate(strides)
+                                 for b in strides[i + 1:])
+
+
+def test_word_letters_past_the_alphabet_are_rejected():
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        decide_spectrality(MIXED, SymbolicWord((3,), (1,)))
+    with pytest.raises(ValueError, match="outside the alphabet"):
+        decide_spectrality(MIXED, SymbolicWord((), (1, 2, 3)))
 
 
 def test_decide_examples():
@@ -157,6 +212,56 @@ def test_nonempty_status_implies_probe_exhaustion():
     assert status.status == "nonempty"
     for window in (10, 50):
         assert integral_zero_set_probe(narrow, ones, F(1, 3), window).witness is None
+
+
+def per_translate_probe(config, word, xi, window):
+    """The probe that builds a Fraction and walks the stages per translate."""
+    for k in range(window + 1):
+        for cand in ((k,) if k == 0 else (k, -k)):
+            if not fraction_zero(config, word, xi + cand):
+                return cand
+    return None
+
+
+def probe_letter(p, mult, b_sign, t, t_sign):
+    """(b, p, t) with b = p * mult, or b = p + 1 (not a multiple of p) when mult is 0."""
+    return b_sign * (p * mult if mult else p + 1), p, t_sign * t
+
+
+PROBE_LETTERS = st.builds(probe_letter, st.integers(2, 5), st.sampled_from((0, 1, 1, 2, 3)),
+                          SIGNS, st.integers(1, 7), SIGNS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(PROBE_LETTERS, min_size=1, max_size=3), st.data())
+def test_probe_matches_the_per_translate_walk(letters, data):
+    cfg = SystemConfig.of(*letters)
+    word = data.draw(words_over(cfg.m))
+    strides = [abs(pr.t) for pr in cfg.pairs]
+    xi = data.draw(st.one_of(
+        st.builds(F, st.integers(-50, 50), st.sampled_from(strides)),
+        st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**30)),
+        st.builds(lambda a, t, p, e: F(a, t * p * 2 ** e), st.integers(-99, 99),
+                  st.sampled_from(strides), st.integers(2, 5), st.integers(0, 6))))
+    window = data.draw(st.integers(0, 300))
+    if window == 0:
+        with pytest.raises(ValueError):
+            integral_zero_set_probe(cfg, word, xi, window)
+        return
+    probe = integral_zero_set_probe(cfg, word, xi, window)
+    assert (probe.xi, probe.window) == (xi, window)
+    assert probe.witness == per_translate_probe(cfg, word, xi, window)
+
+
+def test_probe_witnesses_on_the_unit_interval():
+    # (2,2,1)^oo is Lebesgue measure on [0, 1]: its transform vanishes at every
+    # nonzero integer, so the first non-zero translate of an integer xi is -xi
+    lebesgue = SystemConfig.of((2, 2, 1))
+    ones = SymbolicWord.constant(1)
+    for xi in range(-12, 13):
+        for window in (1, 5, 12):
+            expected = -xi if abs(xi) <= window else None
+            assert integral_zero_set_probe(lebesgue, ones, xi, window).witness == expected
 
 
 def test_alternating_family_examples():

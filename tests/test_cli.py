@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moranspec.cli import ORACLE_SET_BOUND, QCHECK_WORK_BOUND, main, parse_word_text
+from moranspec.cli import (ORACLE_SET_BOUND, QCHECK_WORK_BOUND, WINDOW_BOUND, main,
+                           parse_word_text)
 from moranspec.measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, SymbolicWord, SystemConfig,
                                mu_hat_eval, mu_hat_many)
 from moranspec.spectra import VERIFY_ATOM_BOUND
@@ -201,6 +202,27 @@ def test_zeros(tmp_path, capsys):
     assert code == 0
     assert "status=nonempty" in out
     assert "probe.0.xi=1/3" in out and "probe.0.witness=none" in out
+
+
+@pytest.mark.parametrize("command,extra", [("zeros", []), ("oracle-search", ["--cap", "4"])])
+def test_window_past_the_bound_exits_2(mixed_config, command, extra, capsys):
+    code = main([command, "--config", mixed_config, "--window", str(WINDOW_BOUND + 1), *extra])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error=window {WINDOW_BOUND + 1} ") and f"bound is {WINDOW_BOUND}" in err
+    # the bound itself is accepted: one witness at k = 0, four sets
+    code, out = run(capsys, [command, "--config", mixed_config, "--window", str(WINDOW_BOUND),
+                             *extra])
+    assert code == 0
+    assert ("probe.0.witness=0" if command == "zeros" else "count=4") in out
+
+
+def test_oracle_search_default_window_past_the_bound_exits_2(tmp_path, capsys):
+    # the default window |b|*p*|t| = 1,000,002 is bounded too
+    cfg = write_config(tmp_path, "wide.json", {"pairs": [{"b": 500001, "p": 2, "t": 1}]})
+    code = main(["oracle-search", "--config", cfg, "--cap", "1"])
+    assert code == 2
+    assert f"bound is {WINDOW_BOUND}" in capsys.readouterr().err
 
 
 def test_round_trip_preserves_decisions(mixed_config, tmp_path, capsys):

@@ -5,6 +5,7 @@ import random
 import tempfile
 import tracemalloc
 from fractions import Fraction as F
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from moranspec.cli import load_config
 from moranspec.measure import (AtomCapExceeded, DiscreteMeasure, StagePair,
-                               SymbolicWord, SystemConfig, mask_zero_contains,
+                               SymbolicWord, SystemConfig, first_nonzero, mask_zero_contains,
                                measures_equal, mu_hat_eval, normalize_signs,
                                scale_digits, support_hull, truncate,
                                zero_set_contains)
@@ -316,6 +317,58 @@ def test_zero_set_verdicts_match_magnitudes_on_a_range():
         else:
             tail = math.pi * 1 * abs(float(x)) / 4 ** 25
             assert mag > tail
+
+
+def fraction_zero(config, word, x):
+    """Zero-set membership walked in Fractions, one stage at a time."""
+    if x == 0:
+        return False
+    reach = max(pr.p * abs(pr.t) for pr in config.pairs)
+    base = 1
+    for n in count(1):
+        pr = config.pair(word.letter(n))
+        base *= pr.b
+        y = x / base
+        if abs(y) * reach < 1:
+            return False
+        z = y * pr.p * pr.t          # y in (Z \ pZ)/(pt)
+        if z.denominator == 1 and z.numerator % pr.p:
+            return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(2, 12), st.integers(2, 5), st.integers(1, 7),
+                          st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+                min_size=1, max_size=3),
+       st.data())
+def test_zero_scan_matches_the_fraction_walk(letters, data):
+    cfg = SystemConfig.of(*[(sb * b, p, st_ * t) for b, p, t, sb, st_ in letters])
+    word = data.draw(words_over(cfg.m))
+    den = data.draw(st.one_of(st.integers(1, 60), st.integers(1, 10**30)))
+    nums = data.draw(st.lists(st.integers(-400, 400), min_size=1, max_size=30))
+    zeros = [fraction_zero(cfg, word, F(n, den)) for n in nums]
+    assert [zero_set_contains(cfg, word, F(n, den)) for n in nums] == zeros
+    # numerators need not be in lowest terms over den
+    first = zeros.index(False) if False in zeros else None
+    assert first_nonzero(cfg, word, nums, den) == first
+    assert first_nonzero(cfg, word, iter(nums), den) == first
+
+
+def test_first_nonzero_reads_only_as_far_as_it_needs():
+    # 2/3 + Z are zeros of (2,2,3)^oo and 0 is not: a lazy, endless source
+    # of numerators over 3 is read up to the first non-zero
+    narrow = SystemConfig.of((2, 2, 3))
+    read = []
+
+    def numerators():
+        for k in count():
+            read.append(k)
+            yield 2 + 3 * k if k < 5 else 0
+
+    assert first_nonzero(narrow, ONES, numerators(), 3) == 5
+    assert read == [0, 1, 2, 3, 4, 5]
+    assert first_nonzero(narrow, ONES, [], 3) is None
+    assert first_nonzero(narrow, ONES, [2, -1, 5], 3) is None
 
 
 def test_mu_hat_examples():

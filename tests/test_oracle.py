@@ -2,13 +2,17 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from moranspec.exactmath import digit_sum_vanishes
 from moranspec.hadamard import canonical_dual_digits, is_compatible_pair
 from moranspec.measure import DiscreteMeasure, SymbolicWord, SystemConfig, truncate
-from moranspec.oracle import (search_compatible_partners, search_spectra,
+from moranspec.oracle import (_cliques, search_compatible_partners, search_spectra,
                               weighted_mean_rigidity)
 from moranspec.spectra import (SpectrumCandidate, build_tower_spectrum,
                                verify_spectrum_finite)
@@ -47,6 +51,34 @@ def test_search_limit_keeps_the_first_sets_in_order():
         assert search_compatible_partners(b, p, t, window, limit=0) == []
         for k in (1, 2, 3, len(full), len(full) + 5):
             assert search_compatible_partners(b, p, t, window, limit=k) == full[:k]
+
+
+def per_difference_partners(b, p, t, window=None, limit=None):
+    """The partner scan that decides one root sum per difference l in [1, window)."""
+    if window is None:
+        window = abs(b) * p * abs(t)
+    digits = tuple(j * t for j in range(p))
+    singles = [l for l in range(1, window) if digit_sum_vanishes(abs(b), digits, l)]
+    return list(islice(_cliques(0, singles, p, set(singles).__contains__), limit))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 16), st.integers(2, 4), st.integers(1, 6),
+       st.sampled_from((1, -1)), st.sampled_from((1, -1)), st.data())
+def test_partner_scan_by_residue_matches_the_per_difference_scan(b, p, t, sb, st_, data):
+    b, t = sb * b, st_ * t
+    window = data.draw(st.one_of(st.none(), st.integers(abs(b), 3 * abs(b) * p)))
+    limit = data.draw(st.integers(0, 200))
+    assert (search_compatible_partners(b, p, t, window, limit)
+            == per_difference_partners(b, p, t, window, limit))
+
+
+@pytest.mark.parametrize("b,p,t,window", [
+    (4, 2, 1, None), (-12, 2, 3, None), (12, 3, 4, 100), (8, 4, -1, None), (6, 3, 1, 6)])
+def test_unlimited_partner_scan_matches_the_per_difference_scan(b, p, t, window):
+    full = search_compatible_partners(b, p, t, window)
+    assert full == per_difference_partners(b, p, t, window)
+    assert full  # every one of these letters is admissible
 
 
 def test_search_window_validation():

@@ -340,6 +340,23 @@ def test_verify_past_the_int64_span():
                                   QUARTER, ONES, 2).ok
 
 
+@pytest.mark.parametrize("depth,nums,expected", [
+    (0, (), (False, "cardinality", None)),
+    (0, (0,), (True, None, None)),
+    (0, (5,), (True, None, None)),
+    (1, (0, 2), (True, None, None)),
+    (1, (0, 1), (False, "orthogonality", F(1))),
+    (1, (0, 2, 6), (False, "cardinality", None)),
+])
+def test_verify_with_no_or_one_difference(depth, nums, expected):
+    # the difference table holds N(N-1)/2 = 0, 0, 0, 1, 1 and 3 entries
+    meas = truncate(QUARTER, ONES, depth)
+    ver = verify_spectrum_finite(meas, SpectrumCandidate(nums=nums), QUARTER, ONES, depth)
+    assert (ver.ok, ver.reason, ver.offending) == expected
+    if len(nums) < 2:
+        assert ver.unitarity_residual == 0.0
+
+
 def test_verify_reports_the_least_offending_difference():
     # differences 3, 7 and 13 hit no zero set of (4, 2, 1) at depth 2; 10 does
     m = truncate(QUARTER, ONES, 2)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moranspec.tiling import (IntervalUnion, tile_decide, tiles_by_periodic_set,
-                              two_stage_support)
+from moranspec.tiling import (IntervalUnion, TilingCertificate, tile_decide,
+                              tiles_by_periodic_set, two_stage_support)
 
 
 def test_interval_union_normalization():
@@ -90,3 +90,67 @@ def test_interval_union_contains():
     u = IntervalUnion(((F(0), F(1)), (F(2), F(3))))
     assert u.contains(F(1, 2)) and u.contains(2)
     assert not u.contains(1) and not u.contains(F(3))
+
+
+def fragment_count_tiling(tile, digits, period):
+    """The Fraction sweep that counts every fragment against every segment."""
+    period = F(period)
+    if period <= 0:
+        raise ValueError("period must be positive")
+    reps = [F(d) % period for d in digits]
+    if len(set(reps)) != len(reps):
+        raise ValueError("digits must be distinct mod the period")
+    fragments = []
+    for d in reps:
+        for a, b in tile.intervals:
+            lo = a + d
+            while b - a > 0:
+                start = lo % period
+                span = min(b - a, period - start)
+                fragments.append((start, start + span))
+                lo += span
+                a += span
+    points = sorted({F(0), period} | {x for fr in fragments for x in fr})
+    for left, right in zip(points, points[1:]):
+        mult = sum(1 for a, b in fragments if a <= left and right <= b)
+        if mult != 1:
+            return TilingCertificate(False, (left + right) / 2, mult)
+    return TilingCertificate(True)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+SMALL_FRACTIONS = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(SMALL_FRACTIONS, min_size=0, max_size=8, unique=True),
+       st.lists(SMALL_FRACTIONS, min_size=0, max_size=4, unique=True),
+       st.one_of(st.fractions(min_value=F(1, 12), max_value=8, max_denominator=12),
+                 st.sampled_from((0, -1, F(-1, 2)))))
+def test_sweep_matches_the_fragment_count_on_random_unions(ends, digits, period):
+    ends = sorted(ends)[:len(ends) // 2 * 2]
+    tile = IntervalUnion(tuple(zip(ends[::2], ends[1::2])))
+    assert outcome(tiles_by_periodic_set, tile, digits, period) == outcome(
+        fragment_count_tiling, tile, digits, period)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 6), st.integers(1, 6), st.integers(2, 8),
+       st.fractions(min_value=-3, max_value=3, max_denominator=7), st.integers(-2, 2),
+       st.integers(0, 2))
+def test_sweep_matches_the_fragment_count_near_tilings(p1, t, t2, b1, shift, skew, drop):
+    # the two-stage tiling, moved, with its period or digit count perturbed
+    c = F(t2, b1)
+    tile = two_stage_support(p1, t * t2, t2, b1).translate(shift)
+    digits = [c * i + shift for i in range(t)][:max(t - drop, 0)]
+    period = c * t * p1 + F(skew, b1 * 2)
+    got = outcome(tiles_by_periodic_set, tile, digits, period)
+    assert got == outcome(fragment_count_tiling, tile, digits, period)
+    if skew == drop == 0:
+        assert got == TilingCertificate(True)
