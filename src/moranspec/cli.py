@@ -17,6 +17,7 @@ verdict, 2 out-of-scope or validation failure, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -180,6 +181,11 @@ def _two_stage_params(config: SystemConfig):
             f"(tail bases equal the tail digit count), got b={second.b}, p={second.p}")
     if first.b < 2 or first.t < 1 or second.t < 1:
         raise ConfigError("two-stage commands need positive b1, t1, t2")
+    # when t2 | t1 the tiling check sweeps p1 * t1/t2 support fragments
+    fragments = first.p * (first.t // second.t)
+    if first.t % second.t == 0 and fragments > measure.DEFAULT_ATOM_CAP:
+        raise ConfigError(f"two-stage tiling needs {fragments} fragments (p1*t1/t2); "
+                          f"cap is {measure.DEFAULT_ATOM_CAP}")
     return first.p, second.p, first.b, first.t, second.t
 
 
@@ -263,12 +269,8 @@ def _check_window(window: int) -> None:
 def cmd_zeros(config, word, rewrite, args) -> int:
     word = _need_word(word)
     _check_window(args.window)
-    violations = classifier.validate_config(config)
-    if violations:
-        emit("ok", False)
-        for i, v in enumerate(violations):
-            emit(f"violation.{i}", v)
-        return EXIT_OUT_OF_SCOPE
+    if classifier.validate_config(config):
+        return cmd_validate(config, word, rewrite, args)
     status = classifier.integral_zero_set_status(config, word)
     emit("status", status.status)
     emit("reason", status.reason)
@@ -357,6 +359,8 @@ def cmd_oracle_search(config, word, rewrite, args) -> int:
 
 def cmd_necessity(config, word, rewrite, args) -> int:
     word = _need_word(word)
+    if args.depth > measure.DEFAULT_ATOM_CAP:
+        raise ConfigError(f"necessity needs {args.depth} stages; cap is {measure.DEFAULT_ATOM_CAP}")
     stages = [config.pair(word.letter(n)) for n in range(1, args.depth + 1)]
     violations = classifier.necessity_violations(stages, args.depth - 1)
     emit("violations", len(violations))
@@ -391,6 +395,7 @@ _OPTIONS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="moranspec",

@@ -21,7 +21,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence, Union
 
 RationalLike = Union[int, Fraction]
@@ -161,18 +161,8 @@ def root_sum_value(s: RootSum) -> complex:
     return sum(cmath.exp(2j * cmath.pi * e / n) for e in s.exponents)
 
 
-def lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        v = abs(int(v))
-        if v == 0:
-            raise ValueError("lcm of zero requested")
-        out = out * v // gcd(out, v)
-    return out
-
-
 def over_common_denominator(values) -> tuple[list[int], int]:
     """The rationals as integer numerators over their least common denominator."""
     fracs = [Fraction(v) for v in values]
-    den = lcm_all(f.denominator for f in fracs)
+    den = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (den // f.denominator) for f in fracs], den

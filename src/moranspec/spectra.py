@@ -26,7 +26,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .exactmath import lcm_all, over_common_denominator
+from .exactmath import over_common_denominator
 from .hadamard import canonical_dual_digits, is_admissible
 from .measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, AtomCapExceeded, DiscreteMeasure,
                       SymbolicWord, SystemConfig, canonical_ratios, mask_zero_hit, mu_hat_many,
@@ -39,37 +39,21 @@ class TowerDegenerateError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectrumCandidate:
-    """A finite exponent set nums[i]/den, or a structured set digits + period*Z.
+    """A finite exponent set nums[i]/den.
 
-    Exactly one representation is populated.  A finite candidate is stored
-    in canonical form: den > 0 and strictly increasing integer numerators,
-    reduced by their gcd with den; ``finite`` takes rationals and ``points``
-    is the Fraction view, built on first use.  Structured candidates are
-    enumerated through symmetric lattice windows and never materialized in
-    full.
+    Stored in canonical form: den > 0 and strictly increasing integer
+    numerators, reduced by their gcd with den; ``finite`` takes rationals,
+    ``lattice`` a symmetric window of digits + period*Z, and ``points`` is
+    the Fraction view, built on first use.
     """
 
-    nums: Optional[tuple[int, ...]] = None
+    nums: tuple[int, ...]
     den: int = 1
-    digits: Optional[tuple[Fraction, ...]] = None
-    lattice_period: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        if (self.nums is None) == (self.digits is None):
-            raise ValueError("exactly one of nums / digits must be given")
-        if self.nums is not None:
-            nums, den = canonical_ratios(self.nums, self.den, "spectrum")
-            object.__setattr__(self, "nums", nums)
-            object.__setattr__(self, "den", den)
-        else:
-            if self.lattice_period is None or Fraction(self.lattice_period) <= 0:
-                raise ValueError("structured form needs a positive lattice period")
-            period = Fraction(self.lattice_period)
-            digs = tuple(sorted(Fraction(d) % period for d in self.digits))
-            if len(set(digs)) != len(digs):
-                raise ValueError("digits must be distinct mod the lattice period")
-            object.__setattr__(self, "digits", digs)
-            object.__setattr__(self, "lattice_period", period)
+        nums, den = canonical_ratios(self.nums, self.den, "spectrum")
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def finite(cls, points) -> "SpectrumCandidate":
@@ -77,40 +61,28 @@ class SpectrumCandidate:
         return cls(nums=tuple(sorted(nums)), den=den)
 
     @classmethod
-    def structured(cls, digits, lattice_period) -> "SpectrumCandidate":
-        return cls(digits=tuple(Fraction(d) for d in digits),
-                   lattice_period=Fraction(lattice_period))
+    def lattice(cls, digits, period, window: int) -> "SpectrumCandidate":
+        """The window digits + period*{-window..window} of digits + period*Z.
 
-    @property
-    def is_finite(self) -> bool:
-        return self.nums is not None
+        Digits are reduced mod period; two that agree mod period raise ValueError.
+        """
+        period = Fraction(period)
+        if period <= 0 or window < 0:
+            raise ValueError("a lattice needs a positive period and a window >= 0")
+        return cls.finite(Fraction(d) % period + period * w for d in digits
+                          for w in range(-window, window + 1))
 
     @functools.cached_property
-    def points(self) -> Optional[tuple[Fraction, ...]]:
-        """The finite points as Fractions; None for a structured candidate."""
-        if not self.is_finite:
-            return None
+    def points(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __len__(self) -> int:
-        if not self.is_finite:
-            raise ValueError("structured candidates are infinite")
         return len(self.nums)
-
-    def enumerate(self, lattice_window: int = 0) -> tuple[Fraction, ...]:
-        """Concrete exponents: all points, or digits + period*{-W..W}."""
-        if self.is_finite:
-            return self.points
-        if lattice_window < 0:
-            raise ValueError("lattice window must be >= 0")
-        out = [d + self.lattice_period * w for d in self.digits
-               for w in range(-lattice_window, lattice_window + 1)]
-        return tuple(sorted(out))
 
 
 def default_lattice_modulus(config: SystemConfig) -> int:
     """Least common multiple of p*|t| over the alphabet; the canonical q."""
-    return lcm_all(pr.p * abs(pr.t) for pr in config.pairs)
+    return math.lcm(*(pr.p * abs(pr.t) for pr in config.pairs))
 
 
 def build_tower_spectrum(config: SystemConfig, word: SymbolicWord, k: int) -> SpectrumCandidate:
@@ -200,28 +172,31 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
     """Exact check that a finite candidate is a spectrum of the depth-k truncation.
 
     Orthogonality: every nonzero difference must land in some stage zero set
-    (a factor of the truncated transform vanishes).  With the candidate's
-    points as integers over its denominator L, the distinct differences D
-    are tested in increasing order, one MU_HAT_BLOCK at a time, as
-    D/(L*b_1...b_n) by mask_zero_hit on the whole block per stage; the
-    first block holding a difference no stage hits gives the least
-    offender.  Completeness: the candidate size must equal the atom count.
-    The numeric residual is reported alongside: mu_hat_many over the
-    distinct differences D/L in blocks of MU_HAT_BLOCK, weighted by how
-    often each occurs (see SpectrumVerification).  Past VERIFY_ATOM_BOUND
-    points or atoms, raises AtomCapExceeded before allocating anything.
+    (a factor of the truncated transform vanishes).  Completeness: the
+    candidate size must equal the atom count.  With the candidate's points
+    as integers over its denominator L, the distinct differences D are
+    walked in increasing order, one MU_HAT_BLOCK at a time.  Each block adds
+    its share of the numeric residual, mu_hat_many at D/L weighted by how
+    often each difference occurs (see SpectrumVerification), and is then
+    tested as D/(L*b_1...b_n) by mask_zero_hit per stage; the first block
+    holding a difference no stage hits gives the least offender and ends
+    the testing, not the residual.  Every |D*p*t| is at most the span
+    times max p|t|, so stages with a larger |L*b_1...b_n| are skipped, and
+    the integer width is decided once: int64 while that bound is below
+    INT64_SPAN, Python integers otherwise.  Past VERIFY_ATOM_BOUND points
+    or atoms, raises AtomCapExceeded before allocating anything.
     """
-    if not candidate.is_finite:
-        raise ValueError("finite verification needs a finite candidate")
     nums, scale = candidate.nums, candidate.den
     size = max(len(nums), len(measure.nums))
     if size > VERIFY_ATOM_BOUND:
         raise AtomCapExceeded(f"{size} atoms exceed the verify atom bound {VERIFY_ATOM_BOUND}")
-    # Sorted points give positive row differences; int64 holds a span below INT64_SPAN.
-    ints = [v - nums[0] for v in nums]
-    arr = np.array(ints, dtype=np.int64 if not ints or ints[-1] < INT64_SPAN else object)
-    # all N(N-1)/2 differences in one array, sorted in place; a value starts
-    # wherever it differs from its predecessor
+    stages = [(pr, scale * base) for pr, base in stage_walk(config, word, k)]
+    reach = max((pr.p * abs(pr.t) for pr, _ in stages), default=1)
+    bound = (nums[-1] - nums[0] if nums else 0) * reach
+    walk = [(pr, den) for pr, den in stages if abs(den) <= bound]
+    # sorted points give positive row differences: all N(N-1)/2 of them in one
+    # array, sorted in place; a value starts wherever it differs from its predecessor
+    arr = np.array([v - nums[0] for v in nums], dtype=np.int64 if bound < INT64_SPAN else object)
     n = len(arr)
     size, pos = n * (n - 1) // 2, 0
     table = np.empty(size, dtype=arr.dtype)
@@ -234,45 +209,36 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
     starts = np.flatnonzero(first)
     diffs, counts = table[starts], np.diff(starts, append=size)
     xs = float_quotients(diffs, scale)
-    total = 0.0
-    for i in range(0, len(xs), MU_HAT_BLOCK):
+    complete = len(nums) == len(measure.nums)
+    total, offending = 0.0, None
+    for i in range(0, len(diffs), MU_HAT_BLOCK):
         vals = mu_hat_many(config, word, xs[i:i + MU_HAT_BLOCK], k)
         total += float(np.sum(counts[i:i + MU_HAT_BLOCK] * np.abs(vals) ** 2))
+        if complete and offending is None:
+            block = diffs[i:i + MU_HAT_BLOCK]
+            missed = np.ones(len(block), dtype=bool)
+            for pr, den in walk:
+                missed &= ~mask_zero_hit(pr.p, pr.t, block, den)
+            if missed.any():
+                offending = Fraction(int(block[missed.argmax()]), scale)
     resid = math.sqrt(2 * total)
-    if len(nums) != len(measure.nums):
+    if not complete:
         return SpectrumVerification(False, "cardinality", None, resid)
-    walk = [(pr, scale * base) for pr, base in stage_walk(config, word, k)]
-    reach = max((pr.p * abs(pr.t) for pr, _ in walk), default=1)
-    narrow = (diffs.dtype == np.int64
-              and (not len(diffs) or int(diffs[-1]) * reach < INT64_SPAN)
-              and all(abs(den) < INT64_SPAN for _, den in walk))
-    for i in range(0, len(diffs), MU_HAT_BLOCK):
-        block = diffs[i:i + MU_HAT_BLOCK]
-        if not narrow:
-            block = block.astype(object)
-        missed = np.ones(len(block), dtype=bool)
-        for pr, den in walk:
-            missed &= ~mask_zero_hit(pr.p, pr.t, block, den)
-        if missed.any():
-            least = int(block[missed.argmax()])
-            return SpectrumVerification(False, "orthogonality", Fraction(least, scale), resid)
+    if offending is not None:
+        return SpectrumVerification(False, "orthogonality", offending, resid)
     return SpectrumVerification(True, None, None, resid)
 
 
 def q_function(config: SystemConfig, word: SymbolicWord, depth: int,
-               candidate: SpectrumCandidate, x: float | np.ndarray,
-               lattice_window: int = 0) -> float | np.ndarray:
-    """Jorgensen-Pedersen sum over the (windowed) candidate at the depth-truncation.
+               candidate: SpectrumCandidate, x: float | np.ndarray) -> float | np.ndarray:
+    """Jorgensen-Pedersen sum over the candidate at the depth-truncation.
 
     x is a scalar or an array of points; Q is returned with x's shape.
     At most 1 plus the truncation tail tolerance when the candidate is an
     orthonormal family for the measure, identically 1 when it is a spectrum
     of it; non-orthogonal candidates can exceed 1.
     """
-    if candidate.is_finite:
-        lams = float_quotients(candidate.nums, candidate.den)
-    else:
-        lams = np.array([float(l) for l in candidate.enumerate(lattice_window)])
+    lams = float_quotients(candidate.nums, candidate.den)
     vals = mu_hat_many(config, word, np.add.outer(x, lams), depth)
     q = np.sum(np.abs(vals) ** 2, axis=-1)
     return float(q) if np.ndim(q) == 0 else q
@@ -292,8 +258,6 @@ class Decomposition:
 
 def decompose_spectrum(candidate: SpectrumCandidate, b1: int, q: int) -> Decomposition:
     """Split a finite spectrum by residues n/q; requires (q/b1)*Lambda integral."""
-    if not candidate.is_finite:
-        raise ValueError("decomposition needs a finite candidate")
     if q < 1:
         raise ValueError("q must be a positive integer")
     classes: dict[int, set[int]] = {}
@@ -342,8 +306,6 @@ def structure_witnesses(candidate: SpectrumCandidate, b1: int, p1: int,
     at truncated level this only reports presence or absence, with a witness
     element when present.
     """
-    if not candidate.is_finite:
-        raise ValueError("structure search needs a finite candidate")
     found: dict[int, Optional[Fraction]] = {j: None for j in range(1, p1)}
     for lam in candidate.points:
         y = Fraction(lam) * p1 * t1 / b1

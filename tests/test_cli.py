@@ -321,6 +321,36 @@ def test_sample_ft_past_the_row_cap_exits_2(quarter_config, tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_necessity_past_the_stage_cap_exits_2_quickly(tmp_path, capsys):
+    # one stage past the cap; each stage is a list entry and up to one report line
+    cfg = write_config(tmp_path, "nec.json", {
+        "pairs": [{"b": 4, "p": 2, "t": 1}], "word": {"period": [1]}})
+    started = time.perf_counter()
+    code = main(["necessity", "--config", cfg, "--depth", str(DEFAULT_ATOM_CAP + 1)])
+    assert time.perf_counter() - started < 5.0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and f"cap is {DEFAULT_ATOM_CAP}" in captured.err
+
+
+@pytest.mark.parametrize("command", ["tile", "two-stage"])
+def test_two_stage_tiling_past_the_fragment_cap_exits_2_quickly(tmp_path, command, capsys):
+    # t2 | t1 with p1 * t1/t2 one and two past the cap; t2 not dividing t1 is
+    # decided by its residue whatever p1 is
+    big = {"b": 5, "p": DEFAULT_ATOM_CAP + 1, "t": 1}
+    wide = {"b": 5, "p": 2, "t": DEFAULT_ATOM_CAP + 1}
+    for first, second in ((big, {"b": 3, "p": 3, "t": 1}), (wide, {"b": 2, "p": 2, "t": 1})):
+        cfg = write_config(tmp_path, "two.json", {"pairs": [first, second]})
+        started = time.perf_counter()
+        code = main([command, "--config", cfg])
+        assert time.perf_counter() - started < 5.0
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and f"cap is {DEFAULT_ATOM_CAP}" in captured.err
+    cfg = write_config(tmp_path, "two.json", {"pairs": [{"b": 5, "p": 10**7, "t": 3},
+                                                        {"b": 2, "p": 2, "t": 2}]})
+    code, out = run(capsys, [command, "--config", cfg])
+    assert code == 0 and "tiles=false" in out and "residue=1" in out
+
+
 def test_oracle_search_cap_zero_reports_no_sets(quarter_config, capsys):
     code, out = run(capsys, ["oracle-search", "--config", quarter_config, "--cap", "0"])
     assert code == 0 and "count=0" in out and "set.0" not in out

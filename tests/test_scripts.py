@@ -1,0 +1,32 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script,argv,closing", [
+    ("two_stage_sweep.py", ["--pmax", "3", "--bmax", "3", "--tmax", "3", "--out", "out.csv"],
+     "flag disagreements: 0"),
+    ("admissibility_sweep.py", ["--bmax", "4", "--pmax", "3", "--tmax", "3", "--out", "out.csv"],
+     "agree everywhere"),
+    ("classify_family.py", ["--max-pre", "1", "--max-per", "1"], "-- spectral:"),
+])
+def test_script_runs_to_its_closing_line(tmp_path, script, argv, closing):
+    # run in tmp_path, so the CSVs land there
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *argv],
+                          capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert closing in done.stdout.splitlines()[-1]
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    assert "NotSpectral" in capsys.readouterr().out

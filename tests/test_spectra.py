@@ -68,13 +68,13 @@ def test_towers_handle_negative_bases_and_strides():
 def test_spectrum_candidate_forms():
     with pytest.raises(ValueError):
         SpectrumCandidate(nums=(1, 1))
+    window = SpectrumCandidate.lattice((0, F(5, 2)), 2, 1)
+    assert window.points == (F(-2), F(-3, 2), F(0), F(1, 2), F(2), F(5, 2))
+    assert SpectrumCandidate.lattice((0, F(5, 2)), 2, 0).points == (F(0), F(1, 2))
     with pytest.raises(ValueError):
-        SpectrumCandidate()
-    structured = SpectrumCandidate.structured((0, F(5, 2)), 2)
-    assert structured.digits == (F(0), F(1, 2))
-    assert structured.enumerate(1) == (F(-2), F(-3, 2), F(0), F(1, 2), F(2), F(5, 2))
+        SpectrumCandidate.lattice((0, 2), 2, 1)   # collide mod the period
     with pytest.raises(ValueError):
-        SpectrumCandidate.structured((0, 2), 2)   # collide mod the period
+        SpectrumCandidate.lattice((0,), 0, 1)
     assert len(SpectrumCandidate.finite(())) == 0
 
 
@@ -183,8 +183,8 @@ def test_verify_matches_a_pairwise_reference():
 
 
 def test_verify_verdicts_do_not_depend_on_the_block_size(monkeypatch):
-    # orthogonality converts the distinct differences to Python ints one
-    # MU_HAT_BLOCK at a time; blocks of 3 must find the same least offender
+    # orthogonality tests the distinct differences one MU_HAT_BLOCK at a
+    # time; blocks of 3 must find the same least offender
     rng = random.Random(77)
     cfg = SystemConfig.of((4, 2, 1), (6, 3, 1), (2, 2, 3))
     cases = []
@@ -340,6 +340,33 @@ def test_verify_past_the_int64_span():
                                   QUARTER, ONES, 2).ok
 
 
+def test_verify_at_the_width_boundary(monkeypatch):
+    # spans 2**61 + 2 and 2**61 + 1 are below INT64_SPAN, but times p|t| = 2 they
+    # are not, so the differences are Python integers from the start
+    m = truncate(QUARTER, ONES, 1)
+    widths = set()
+
+    def spy(p, t, num, den):
+        widths.add(num.dtype)
+        return mask_zero_hit(p, t, num, den)
+
+    monkeypatch.setattr(spectra, "mask_zero_hit", spy)
+    verdicts = []
+    for top in (2**61 + 2, 2**61 + 1):
+        assert top < spectra.INT64_SPAN <= 2 * top
+        ver = assert_matches_reference(m, SpectrumCandidate.finite((0, top)), QUARTER, ONES, 1)
+        verdicts.append((ver.ok, ver.offending))
+    assert verdicts == [(True, None), (False, 2**61 + 1)]
+    assert widths == {np.dtype(object)}
+    # every |D*p*t| is at most 3 * 2 here, so the 4 * 2**66 stage can hit no
+    # difference: it is skipped and the small span stays on int64
+    huge, word = SystemConfig.of((4, 2, 1), (2**66, 2, 1)), SymbolicWord((1,), (2,))
+    widths.clear()
+    ver = assert_matches_reference(truncate(huge, word, 2), SpectrumCandidate.finite((0, 1, 2, 3)),
+                                   huge, word, 2)
+    assert (ver.ok, ver.offending) == (False, 1) and widths == {np.dtype(np.int64)}
+
+
 @pytest.mark.parametrize("depth,nums,expected", [
     (0, (), (False, "cardinality", None)),
     (0, (0,), (True, None, None)),
@@ -462,12 +489,11 @@ def test_structured_candidate_q_approaches_one():
     # then doubled binary digits forever (tail is Lebesgue on [0, 2]).
     cfg = SystemConfig.of((2, 2, 1), (6, 3, 10), (2, 2, 2))
     word = SymbolicWord((1, 2), (3,))
-    cand = SpectrumCandidate.structured((0, 1), 2)
     depth = 45
     x = 0.37
     values = []
     for window in (25, 100, 200):
-        q = q_function(cfg, word, depth, cand, x, lattice_window=window)
+        q = q_function(cfg, word, depth, SpectrumCandidate.lattice((0, 1), 2, window), x)
         # Lebesgue tail factor gives |mu_hat(y)| <= 6/(pi |y|); summing the
         # missed lattice points bounds the deficit by 2*(6/pi)^2/(2W - 2)
         tail = 2 * (6 / math.pi) ** 2 / (2 * window - 2)
