@@ -6,10 +6,12 @@ infinite convolution after k stages gives a discrete probability measure
 with exact rational atoms.  The Fourier transform factors through the
 per-stage mask
 
-    m(x) = (1/p) * sum_{j<p} exp(2*pi*i*j*t*x),
+    m(x) = (1/p) * sum_{j<p} exp(2*pi*i*j*t*x) = exp(pi*i*(p-1)*t*x) * D_p(t*x),
 
-whose zero set is (Z \\ pZ) / (p*t); that closed form powers all exact
-zero-set membership tests.
+with the real Dirichlet amplitude D_p(v) = sin(pi*p*v) / (p*sin(pi*v)).
+Its zero set is (Z \\ pZ) / (p*t); that closed form powers all exact
+zero-set membership tests, and D_p is how the transform is evaluated in
+floats.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ DEFAULT_ATOM_CAP = 10**6
 # mu_hat arguments per mu_hat_many call where callers evaluate in blocks;
 # bounds the size of its temporaries at any depth
 MU_HAT_BLOCK = 4096
+
+# largest p whose stage amplitude runs the recurrence (error growing as p**2); on
+# 4,096 arguments the quotient costs as much at about this p (two-core Xeon)
+RECURRENCE_MAX_P = 32
 
 
 class AtomCapExceeded(ValueError):
@@ -184,6 +190,19 @@ def canonical_ratios(nums, den, what: str) -> tuple[tuple[int, ...], int]:
     return (nums, den) if g == 1 else (tuple(x // g for x in nums), den // g)
 
 
+def float_quotients(nums, den: int) -> np.ndarray:
+    """Each nums[i]/den correctly rounded to a float, for sorted integers nums and den > 0.
+
+    nums is a sorted sequence or integer array.  One float division while
+    every operand is below 2**53, where floats hold it exactly; otherwise
+    Python's int / int, which rounds any quotient a float can hold.
+    """
+    if len(nums) == 0 or max(-nums[0], nums[-1], den) < 2**53:
+        return np.asarray(nums, dtype=float) / den
+    exact = nums.tolist() if isinstance(nums, np.ndarray) else nums
+    return np.array([n / den for n in exact], dtype=float)
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Finite rational-atom probability measure: atom nums[i]/den has weight counts[i]/total.
@@ -247,8 +266,8 @@ class DiscreteMeasure:
         return tuple(zip(self.points, self.weights))
 
     def fourier_many(self, xs: np.ndarray) -> np.ndarray:
-        pts = np.array([float(p) for p in self.points])
-        wts = np.array([float(w) for w in self.weights])
+        pts = float_quotients(self.nums, self.den)
+        wts = np.array([c / self.total for c in self.counts])
         xs = np.asarray(xs, dtype=float)
         return np.exp(2j * np.pi * np.outer(xs, pts)) @ wts
 
@@ -362,27 +381,62 @@ def zero_set_contains(config: SystemConfig, word: SymbolicWord,
     return first_nonzero(config, word, (x.numerator,), x.denominator) is None
 
 
-def _mask_many(p: int, t: int, ys: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(ys, dtype=complex)
-    for j in range(p):
-        acc += np.exp(2j * np.pi * j * float(t) * ys)
-    return acc / p
+def dirichlet_amplitude(p: int, v: np.ndarray) -> np.ndarray:
+    """Real stage amplitude D_p(v) = sin(pi p v) / (p sin(pi v)), 1 at v = 0.
+
+    The stage mask is m(y) = exp(pi i (p-1) t y) * D_p(t y).  Up to
+    RECURRENCE_MAX_P digits D_p is U_{p-1}(c)/p with c = cos(pi v), by the
+    Chebyshev recurrence U_{j+1} = 2c U_j - U_{j-1}; c carries the sign, so
+    v needs no reduction.  Past it, with k = rint(v) and u = v - k, D_p is
+    (-1)^{k(p-1)} sin(p pi u) / (p sin(pi u)), the quotient being 1 at u = 0.
+    Rounding bound against D_p at the float v, with 2**-53 the unit
+    roundoff: (p**2 + pi p |v|) 2**-53 for the recurrence and 2**-50 for the
+    quotient, whatever p is (against mpmath, at most half and three eighths
+    of these).
+    """
+    if p <= RECURRENCE_MAX_P:
+        two_c = 2 * np.cos(np.pi * v)
+        prev, cur = 1.0, two_c
+        for _ in range(p - 2):
+            prev, cur = cur, two_c * cur - prev
+        return cur / p
+    k = np.rint(v)
+    u = v - k
+    out = np.divide(np.sin((np.pi * p) * u), p * np.sin(np.pi * u),
+                    out=np.ones_like(u), where=u != 0)
+    # (-1)^{k(p-1)}: for even p, k is odd where k/2 is not an integer
+    return np.negative(out, out=out, where=(p % 2 == 0) & (np.rint(0.5 * k) != 0.5 * k))
 
 
-def mu_hat_many(config: SystemConfig, word: SymbolicWord, xs: np.ndarray,
-                depth: int) -> np.ndarray:
-    """Vectorized finite product prod_{k<=depth} m_k(x / (b_1...b_k))."""
+def mu_hat_amplitude(config: SystemConfig, word: SymbolicWord, xs: np.ndarray,
+                     depth: int) -> tuple[np.ndarray, float]:
+    """Real A(x) = prod_{n<=depth} D_{p_n}(t_n x / B_n) and H = sum_n (p_n - 1) t_n / B_n.
+
+    B_n = b_1...b_n; the transform is exp(pi i H x) A(x), so |mu_hat|**2 is
+    A**2.  The stages from the first B_n past the float range are left out.
+    """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     xs = np.asarray(xs, dtype=float)
-    out = np.ones_like(xs, dtype=complex)
+    amp, slope = np.ones_like(xs), 0.0
     for pr, base in stage_walk(config, word, depth):
         try:
             bf = float(base)
         except OverflowError:  # |b_1...b_n| is past the float range
             break
-        out *= _mask_many(pr.p, pr.t, xs / bf)
-    return out
+        amp *= dirichlet_amplitude(pr.p, xs * (pr.t / bf))
+        slope += (pr.p - 1) * pr.t / bf
+    return amp, slope
+
+
+def mu_hat_many(config: SystemConfig, word: SymbolicWord, xs: np.ndarray,
+                depth: int) -> np.ndarray:
+    """Vectorized finite product prod_{k<=depth} m_k(x / (b_1...b_k)) as exp(pi i H x) A(x).
+
+    x = 0 gives exactly 1+0j; the rounding bound is mu_hat_eval's.
+    """
+    amp, slope = mu_hat_amplitude(config, word, xs, depth)
+    return amp * np.exp((1j * np.pi * slope) * np.asarray(xs, dtype=float))
 
 
 def mu_hat_eval(config: SystemConfig, word: SymbolicWord, x: float,
@@ -391,7 +445,11 @@ def mu_hat_eval(config: SystemConfig, word: SymbolicWord, x: float,
 
     Each omitted factor satisfies |m(y) - 1| <= pi*(p-1)*|t|*|y| and the base
     products at least double per stage, so the tail is bounded by the
-    geometric sum pi * max((p-1)|t|) * |x| / |b_1...b_depth|.
+    geometric sum pi * max((p-1)|t|) * |x| / |b_1...b_depth|.  Rounding:
+    the amplitude is within sum_n (e_n + 2**-53) of the product of D_{p_n} at
+    the float stage arguments (each within 3 ulp of t_n x / B_n), e_n being
+    dirichlet_amplitude's bound, and the phase angle pi H x is within
+    (depth + 3) 2**-53 pi |x| sum_n (p_n - 1)|t_n| / |B_n| of the exact one.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")

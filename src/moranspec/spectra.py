@@ -29,8 +29,8 @@ import numpy as np
 from .exactmath import over_common_denominator
 from .hadamard import canonical_dual_digits, is_admissible
 from .measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, AtomCapExceeded, DiscreteMeasure,
-                      SymbolicWord, SystemConfig, canonical_ratios, mask_zero_hit, mu_hat_many,
-                      stage_walk)
+                      SymbolicWord, SystemConfig, canonical_ratios, float_quotients,
+                      mask_zero_hit, mu_hat_amplitude, stage_walk)
 
 
 class TowerDegenerateError(RuntimeError):
@@ -153,19 +153,6 @@ def weighted_matrix_residual(measure: DiscreteMeasure, points: Sequence[Fraction
     return float(np.linalg.norm(r))
 
 
-def float_quotients(nums, den: int) -> np.ndarray:
-    """Each nums[i]/den correctly rounded to a float, for sorted integers nums and den > 0.
-
-    nums is a sorted sequence or integer array.  One float division while
-    every operand is below 2**53, where floats hold it exactly; otherwise
-    Python's int / int, which rounds any quotient a float can hold.
-    """
-    if len(nums) == 0 or max(-nums[0], nums[-1], den) < 2**53:
-        return np.asarray(nums, dtype=float) / den
-    exact = nums.tolist() if isinstance(nums, np.ndarray) else nums
-    return np.array([n / den for n in exact], dtype=float)
-
-
 def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidate,
                            config: SystemConfig, word: SymbolicWord,
                            k: int) -> SpectrumVerification:
@@ -176,9 +163,9 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
     candidate size must equal the atom count.  With the candidate's points
     as integers over its denominator L, the distinct differences D are
     walked in increasing order, one MU_HAT_BLOCK at a time.  Each block adds
-    its share of the numeric residual, mu_hat_many at D/L weighted by how
-    often each difference occurs (see SpectrumVerification), and is then
-    tested as D/(L*b_1...b_n) by mask_zero_hit per stage; the first block
+    its share of the numeric residual, the squared mu_hat_amplitude at D/L
+    weighted by how often each difference occurs (see SpectrumVerification),
+    and is then tested as D/(L*b_1...b_n) by mask_zero_hit per stage; the first block
     holding a difference no stage hits gives the least offender and ends
     the testing, not the residual.  Every |D*p*t| is at most the span
     times max p|t|, so stages with a larger |L*b_1...b_n| are skipped, and
@@ -212,8 +199,8 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
     complete = len(nums) == len(measure.nums)
     total, offending = 0.0, None
     for i in range(0, len(diffs), MU_HAT_BLOCK):
-        vals = mu_hat_many(config, word, xs[i:i + MU_HAT_BLOCK], k)
-        total += float(np.sum(counts[i:i + MU_HAT_BLOCK] * np.abs(vals) ** 2))
+        amp, _ = mu_hat_amplitude(config, word, xs[i:i + MU_HAT_BLOCK], k)
+        total += float(np.sum(counts[i:i + MU_HAT_BLOCK] * (amp * amp)))
         if complete and offending is None:
             block = diffs[i:i + MU_HAT_BLOCK]
             missed = np.ones(len(block), dtype=bool)
@@ -239,8 +226,8 @@ def q_function(config: SystemConfig, word: SymbolicWord, depth: int,
     of it; non-orthogonal candidates can exceed 1.
     """
     lams = float_quotients(candidate.nums, candidate.den)
-    vals = mu_hat_many(config, word, np.add.outer(x, lams), depth)
-    q = np.sum(np.abs(vals) ** 2, axis=-1)
+    amp, _ = mu_hat_amplitude(config, word, np.add.outer(x, lams), depth)
+    q = np.sum(amp * amp, axis=-1)
     return float(q) if np.ndim(q) == 0 else q
 
 

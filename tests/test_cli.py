@@ -429,6 +429,24 @@ def test_sample_ft_one_row_past_the_block_matches_one_call_bitwise(tmp_path, qua
                                    for x, v in zip(xs.tolist(), vals.tolist())]
 
 
+def test_sample_ft_with_a_million_digits_finishes_quickly(tmp_path):
+    # 65 rows of (10**6, 10**6, 1) at depth 1: about 7 s as 10**6 exponentials
+    # per row, a fraction of a second with the Dirichlet quotient
+    cfg = write_config(tmp_path, "wide.json", {"pairs": [{"b": 10**6, "p": 10**6, "t": 1}],
+                                               "word": {"period": [1]}})
+    out_path = tmp_path / "ft.csv"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-m", "moranspec.cli", "sample-ft", "--config", cfg, "--depth", "1",
+         "--grid", "64", "--window", "1", "--out", str(out_path)],
+        capture_output=True, text=True, timeout=3, env=env)
+    assert done.returncode == 0, done.stderr
+    assert "rows=65" in done.stdout
+    rows = read_rows(out_path)
+    assert len(rows) == 65 and rows[0][1:] == [1.0, 0.0, 1.0]
+    assert max(mag for *_, mag in rows) <= 1 + 1e-12
+
+
 def test_sample_ft_depth_below_one_exits_2(quarter_config, tmp_path, capsys):
     out_path = tmp_path / "ft.csv"
     code = main(["sample-ft", "--config", quarter_config, "--depth", "0",

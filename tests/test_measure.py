@@ -8,17 +8,20 @@ from fractions import Fraction as F
 from itertools import count
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moranspec.cli import load_config
-from moranspec.measure import (AtomCapExceeded, DiscreteMeasure, StagePair,
-                               SymbolicWord, SystemConfig, first_nonzero, mask_zero_contains,
-                               measures_equal, mu_hat_eval, normalize_signs,
-                               scale_digits, support_hull, truncate,
-                               zero_set_contains)
+from moranspec.measure import (RECURRENCE_MAX_P, AtomCapExceeded, DiscreteMeasure, StagePair,
+                               SymbolicWord, SystemConfig, dirichlet_amplitude, first_nonzero,
+                               mask_zero_contains, measures_equal, mu_hat_amplitude, mu_hat_eval,
+                               mu_hat_many, normalize_signs, scale_digits, stage_walk,
+                               support_hull, truncate, zero_set_contains)
+from moranspec.spectra import (SpectrumCandidate, build_tower_spectrum, float_quotients,
+                               q_function, verify_spectrum_finite)
 
 QUARTER = SystemConfig.of((4, 2, 1))
 ONES = SymbolicWord.constant(1)
@@ -387,6 +390,159 @@ def test_mu_hat_tail_bound_dominates_truncation_error():
     for depth in range(1, 10):
         val, err = mu_hat_eval(QUARTER, ONES, x, depth)
         assert abs(val - deep) <= err + 1e-12
+
+
+UNIT = 2.0 ** -53  # unit roundoff of a float
+P = RECURRENCE_MAX_P
+# both sides of the recurrence/quotient branch, odd and even p
+BRANCH_PS = (2, 3, 5, P - 1, P, P + 1, 1000, 10**6)
+
+
+def summed_mask(p, t, ys):
+    """The stage mask as the mean of p complex exponentials exp(2 pi i j t y).
+
+    The form the package evaluated before the Dirichlet amplitude, kept as
+    the reference; j runs in chunks of 2**14 so that p = 10**6 stays quick.
+    """
+    acc = np.zeros(len(ys), dtype=complex)
+    for j0 in range(0, p, 1 << 14):
+        js = np.arange(j0, min(p, j0 + (1 << 14)))
+        acc += np.exp(2j * np.pi * float(t) * np.multiply.outer(ys, js)).sum(axis=-1)
+    return acc / p
+
+
+def summed_mu_hat(config, word, xs, depth):
+    out = np.ones(len(xs), dtype=complex)
+    for pr, base in stage_walk(config, word, depth):
+        out *= summed_mask(pr.p, pr.t, xs / float(base))
+    return out
+
+
+def mp_dirichlet(p, v):
+    """D_p at v (a float or an mpf), in the working precision."""
+    v = mpmath.mpf(v)
+    s = mpmath.sinpi(v)
+    return (-1) ** (int(v) * (p - 1)) if s == 0 else mpmath.sinpi(p * v) / (p * s)
+
+
+def mp_mu_hat(config, word, x, depth):
+    """Product of the stage masks at the float x, to 200 bits."""
+    with mpmath.workprec(200):
+        val = mpmath.mpc(1)
+        for pr, base in stage_walk(config, word, depth):
+            v = pr.t * mpmath.mpf(float(x)) / base
+            val *= mpmath.expjpi((pr.p - 1) * v) * mp_dirichlet(pr.p, v)
+        return complex(val)
+
+
+def stage_bound(p, v):
+    """The rounding bound dirichlet_amplitude states, at the float argument v."""
+    return (p * p + np.pi * p * np.abs(v)) * UNIT if p <= P else 2.0 ** -50
+
+
+def stated_bound(config, word, xs, depth):
+    """mu_hat_many's stated bound: amplitude plus phase angle, per x."""
+    amp, slope_sum = np.zeros_like(xs), 0.0
+    for pr, base in stage_walk(config, word, depth):
+        amp += stage_bound(pr.p, xs * pr.t / base) + UNIT
+        slope_sum += (pr.p - 1) * abs(pr.t) / abs(base)
+    return amp + (depth + 3) * UNIT * np.pi * np.abs(xs) * slope_sum
+
+
+def branch_arguments(p, rng):
+    """Stage arguments v: spread, near integers, exact zeros j/p and far out."""
+    near = rng.integers(-6, 7, 40) + rng.uniform(-1, 1, 40) * 10.0 ** -rng.integers(1, 12, 40)
+    zeros = rng.integers(-3 * p, 3 * p, 40) / p
+    return np.concatenate([rng.uniform(-4, 4, 80), near, zeros, rng.uniform(-300, 300, 20)])
+
+
+@pytest.mark.parametrize("p", BRANCH_PS)
+def test_dirichlet_amplitude_is_within_its_bound_on_both_sides_of_the_branch(p):
+    rng = np.random.default_rng(p)
+    vs = branch_arguments(p, rng)
+    got = dirichlet_amplitude(p, vs)
+    with mpmath.workprec(200):
+        exact = [float(mp_dirichlet(p, v)) for v in vs.tolist()]
+    for v, d, e in zip(vs.tolist(), got.tolist(), exact):
+        assert abs(d - e) <= stage_bound(p, v), (p, v)
+    # the sign (-1)^{k(p-1)} of the reduced quotient, at and next to integers
+    ks = np.arange(-5.0, 6.0)
+    assert dirichlet_amplitude(p, ks).tolist() == [(-1.0) ** (k * (p - 1)) for k in range(-5, 6)]
+    assert np.all(np.abs(dirichlet_amplitude(p, ks + 0.25 / p) - (-1.0) ** (ks * (p - 1))) < 0.6)
+
+
+@pytest.mark.parametrize("p", BRANCH_PS)
+@pytest.mark.parametrize("b,t", [(2, 1), (-2, -1), (4, -2), (-8, 1)])
+def test_mu_hat_many_matches_the_summed_mask_and_mpmath(p, b, t):
+    # bases are powers of two and strides +-1 or +-2, so every stage
+    # argument x t / b_1...b_n is exact in floats and mpmath sees the
+    # argument the kernel sees
+    depth = 1 if p > 1000 else 3
+    config, word = SystemConfig.of((b, p, t)), ONES
+    rng = np.random.default_rng(p + abs(b))
+    xs = np.concatenate([[0.0], rng.uniform(-3, 3, 12) * abs(b), np.arange(-4, 5) * b / (2 * p)])
+    vals = mu_hat_many(config, word, xs, depth)
+    bound = stated_bound(config, word, xs, depth)
+    exact = np.array([mp_mu_hat(config, word, x, depth) for x in xs])
+    assert np.all(np.abs(vals - exact) <= bound)
+    # the summed form is itself off by up to 3 pi p |v| + log2 chunk + p / chunk units per stage
+    summed_err = sum(3 * np.pi * pr.p * np.abs(xs * pr.t / base) + 16 + pr.p / 2**14
+                     for pr, base in stage_walk(config, word, depth)) * UNIT
+    assert np.all(np.abs(vals - summed_mu_hat(config, word, xs, depth)) <= bound + summed_err)
+
+
+@pytest.mark.parametrize("p", (3, 5, P + 1, 1000))
+def test_mu_hat_many_is_zero_to_its_bound_at_the_mask_zeros(p):
+    # x = B j / (p t) with p not dividing j is a zero of the depth-1 product;
+    # the float x is within |x| 2**-53 of it and |D_p'| <= pi (p - 1) / 2
+    for b, t in ((1 << 10, 1), (-(1 << 10), -1)):
+        config = SystemConfig.of((b, p, t))
+        xs = np.array([b * j / (p * t) for j in range(-2 * p - 1, 2 * p + 2) if j % p])
+        vals = mu_hat_many(config, ONES, xs, 1)
+        exact = np.array([mp_mu_hat(config, ONES, x, 1) for x in xs])
+        bound = stated_bound(config, ONES, xs, 1)
+        assert np.all(np.abs(vals - exact) <= bound)
+        assert np.all(np.abs(vals) <= bound + np.pi * (p - 1) / 2 * np.abs(xs * t / b) * UNIT)
+
+
+def test_mu_hat_many_at_zero_is_exactly_one():
+    for config, word, depth in ((QUARTER, ONES, 5), (SystemConfig.of((-4, 2, -1), (-6, 3, 5)),
+                                                     SymbolicWord((1,), (2, 1)), 40),
+                                (SystemConfig.of((10**6, 10**6, 1)), ONES, 1),
+                                (SystemConfig.of((-3, 33, -7)), ONES, 600)):
+        val = mu_hat_many(config, word, np.array([0.0, 0.5]), depth)[0]
+        assert val == 1 + 0j and not math.copysign(1, val.imag) < 0
+        amp, _ = mu_hat_amplitude(config, word, np.zeros(3), depth)
+        assert amp.tolist() == [1.0] * 3
+
+
+def test_mu_hat_many_stops_at_the_float_overflow_of_the_base_product():
+    # 4**511 = 2**1022 is the last base product a float holds
+    xs = np.linspace(-50, 50, 101)
+    deep = mu_hat_many(QUARTER, ONES, xs, 600)
+    assert np.array_equal(deep, mu_hat_many(QUARTER, ONES, xs, 511))
+    assert np.all(np.isfinite(deep))
+    with pytest.raises(OverflowError):
+        float(4**512)
+
+
+def test_q_and_the_residual_are_the_squared_modulus_of_mu_hat_many():
+    # |mu_hat_many|**2 = A**2 |exp(i theta)|**2 with each of the phase, the
+    # product, abs and the square rounding by a few units: the squares agree
+    # to 16 units each, and sums of N terms at most 1 to 16 N units
+    cfg, word, depth = SystemConfig.of((-4, 2, -1), (-6, 3, 5)), SymbolicWord((1,), (2, 1)), 4
+    tower = build_tower_spectrum(cfg, word, depth)
+    moved = SpectrumCandidate(tower.nums[:-1] + (tower.nums[-1] + 1,), tower.den)
+    xs = np.linspace(-2, 2, 17)
+    for cand in (tower, moved):
+        lams = float_quotients(cand.nums, cand.den)
+        ref = np.sum(np.abs(mu_hat_many(cfg, word, np.add.outer(xs, lams), depth)) ** 2, axis=-1)
+        assert np.all(np.abs(q_function(cfg, word, depth, cand, xs) - ref) <= 16 * UNIT * len(cand))
+        ver = verify_spectrum_finite(truncate(cfg, word, depth), cand, cfg, word, depth)
+        diffs = [b - a for i, a in enumerate(cand.nums) for b in cand.nums[i + 1:]]
+        vals = mu_hat_many(cfg, word, np.array([d / cand.den for d in diffs]), depth)
+        total = float(np.sum(np.abs(vals) ** 2))
+        assert abs(ver.unitarity_residual ** 2 - 2 * total) <= 32 * UNIT * (2 * total + 1e-300)
 
 
 def test_support_hull_examples():

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from moranspec import spectra
 from moranspec.measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, AtomCapExceeded,
-                               DiscreteMeasure, SymbolicWord, SystemConfig, mask_zero_hit,
-                               support_hull, truncate)
+                               DiscreteMeasure, SymbolicWord, SystemConfig, float_quotients,
+                               mask_zero_hit, support_hull, truncate)
 from moranspec.spectra import (VERIFY_ATOM_BOUND, Decomposition, SpectrumCandidate,
                                TowerDegenerateError, build_tower_spectrum,
                                decompose_spectrum, default_lattice_modulus,
-                               extract_tail_spectrum, float_quotients, q_function,
+                               extract_tail_spectrum, q_function,
                                structure_witnesses, verify_spectrum_finite,
                                weighted_matrix_residual)
 from test_measure import FIFTY_DIGITS, load_pairs, words_over
