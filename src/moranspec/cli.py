@@ -34,7 +34,7 @@ EXIT_INTERNAL = 1
 EXIT_OUT_OF_SCOPE = 2
 
 # grid x tower points x depth stage evaluations allowed in qcheck; measured
-# at 3 (p = 5) to 8 (p = 2) million per second, this is about 13-35 s of work
+# at 30 (p = 5) to 68 (p = 2) million per second, this is about 1.5-3.5 s of work
 QCHECK_WORK_BOUND = 10**8
 
 # partner sets oracle-search may hold when --cap is not given; (6,6,5) has

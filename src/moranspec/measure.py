@@ -391,7 +391,7 @@ def dirichlet_amplitude(p: int, v: np.ndarray) -> np.ndarray:
     (-1)^{k(p-1)} sin(p pi u) / (p sin(pi u)), the quotient being 1 at u = 0.
     Rounding bound against D_p at the float v, with 2**-53 the unit
     roundoff: (p**2 + pi p |v|) 2**-53 for the recurrence and 2**-50 for the
-    quotient, whatever p is (against mpmath, at most half and three eighths
+    quotient, whatever p is (against mpmath, measured up to 0.51 and 0.38
     of these).
     """
     if p <= RECURRENCE_MAX_P:

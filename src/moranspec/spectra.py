@@ -165,9 +165,9 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
     walked in increasing order, one MU_HAT_BLOCK at a time.  Each block adds
     its share of the numeric residual, the squared mu_hat_amplitude at D/L
     weighted by how often each difference occurs (see SpectrumVerification),
-    and is then tested as D/(L*b_1...b_n) by mask_zero_hit per stage; the first block
-    holding a difference no stage hits gives the least offender and ends
-    the testing, not the residual.  Every |D*p*t| is at most the span
+    and is then tested as D/(L*b_1...b_n) by mask_zero_hit per stage; the
+    first block holding a difference no stage hits gives the least offender
+    and ends the testing, not the residual.  Every |D*p*t| is at most the span
     times max p|t|, so stages with a larger |L*b_1...b_n| are skipped, and
     the integer width is decided once: int64 while that bound is below
     INT64_SPAN, Python integers otherwise.  Past VERIFY_ATOM_BOUND points

@@ -471,7 +471,7 @@ def test_verify_output_does_not_depend_on_blas_threads(tmp_path):
 
 
 def test_qcheck_past_the_work_bound_exits_2_quickly(quarter_config):
-    # 256 x 2**19 x 19 stage evaluations: about 7.5 minutes of work
+    # 256 x 2**19 x 19 stage evaluations: about 1.8 minutes of work
     env = {**os.environ, "PYTHONPATH": SRC}
     started = time.perf_counter()
     done = subprocess.run(
