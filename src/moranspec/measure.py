@@ -34,8 +34,8 @@ DEFAULT_ATOM_CAP = 10**6
 # bounds the size of its temporaries at any depth
 MU_HAT_BLOCK = 4096
 
-# largest p whose stage amplitude runs the recurrence (error growing as p**2); on
-# 4,096 arguments the quotient costs as much at about this p (two-core Xeon)
+# largest p whose stage amplitude runs the recurrence, cheaper at small p but with
+# error growing as p**2; both forms cost the same here on 4,096 arguments (two-core Xeon)
 RECURRENCE_MAX_P = 32
 
 
@@ -385,10 +385,10 @@ def dirichlet_amplitude(p: int, v: np.ndarray) -> np.ndarray:
     """Real stage amplitude D_p(v) = sin(pi p v) / (p sin(pi v)), 1 at v = 0.
 
     The stage mask is m(y) = exp(pi i (p-1) t y) * D_p(t y).  Up to
-    RECURRENCE_MAX_P digits D_p is U_{p-1}(c)/p with c = cos(pi v), by the
-    Chebyshev recurrence U_{j+1} = 2c U_j - U_{j-1}; c carries the sign, so
-    v needs no reduction.  Past it, with k = rint(v) and u = v - k, D_p is
-    (-1)^{k(p-1)} sin(p pi u) / (p sin(pi u)), the quotient being 1 at u = 0.
+    RECURRENCE_MAX_P digits, the cheaper form there, D_p is U_{p-1}(c)/p with
+    c = cos(pi v), by the recurrence U_{j+1} = 2c U_j - U_{j-1}; c carries
+    the sign, so v needs no reduction.  Past it, with k = rint(v), u = v - k,
+    D_p is (-1)^{k(p-1)} sin(p pi u) / (p sin(pi u)), 1 at u = 0.
     Rounding bound against D_p at the float v, with 2**-53 the unit
     roundoff: (p**2 + pi p |v|) 2**-53 for the recurrence and 2**-50 for the
     quotient, whatever p is (against mpmath, measured up to 0.51 and 0.38

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 from moranspec.cli import load_config
 from moranspec.measure import (RECURRENCE_MAX_P, AtomCapExceeded, DiscreteMeasure, StagePair,
                                SymbolicWord, SystemConfig, dirichlet_amplitude, first_nonzero,
-                               mask_zero_contains, measures_equal, mu_hat_amplitude, mu_hat_eval,
-                               mu_hat_many, normalize_signs, scale_digits, stage_walk,
-                               support_hull, truncate, zero_set_contains)
-from moranspec.spectra import (SpectrumCandidate, build_tower_spectrum, float_quotients,
-                               q_function, verify_spectrum_finite)
+                               float_quotients, mask_zero_contains, measures_equal,
+                               mu_hat_amplitude, mu_hat_eval, mu_hat_many, normalize_signs,
+                               scale_digits, stage_walk, support_hull, truncate,
+                               zero_set_contains)
+from moranspec.spectra import (SpectrumCandidate, build_tower_spectrum, q_function,
+                               verify_spectrum_finite)
 
 QUARTER = SystemConfig.of((4, 2, 1))
 ONES = SymbolicWord.constant(1)
