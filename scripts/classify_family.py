@@ -4,8 +4,10 @@
 Letter 1 carries unit-stride digits {0..p-1}, letter 2 the same digits
 scaled by a stride t coprime to p.  For k = 1 the spectral words are exactly
 the constant tail-letter word and the words using letter 1 infinitely often;
-for k >= 2 every word is spectral.  Prints the verdict for every word with
-preperiod and period up to the requested lengths.
+for k >= 2 every word is spectral.  So for k = 1 the words that are not
+spectral are the 2^R - 1 words u 2^infinity with u a nonempty preperiod of
+length <= R = --max-pre ending in letter 1.  Prints the verdict for every
+word with preperiod and period up to the requested lengths.
 
 Usage:
     python3 scripts/classify_family.py --p 2 --t 3 --k 1

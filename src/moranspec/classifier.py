@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm, prod
+from math import gcd
 from typing import Optional, Sequence
 
 from .exactmath import RationalLike
@@ -56,28 +56,10 @@ class SpectralVerdict:
 def validate_config(config: SystemConfig) -> list[str]:
     """Every violation of the coprime-alphabet hypothesis, as report strings.
 
-    The reading: for each k, gcd(p_k, t_j) = 1 for every j, and the strides
-    are pairwise coprime.  Digit counts are not required to be mutually
-    coprime.  Violations are data, not errors.  Both conditions hold
-    exactly when gcd(prod p, prod |t|) = 1 and lcm(|t|, ...) = prod |t|,
-    so the pairs are listed only when that test fails.
+    Violations are data, not errors; they are computed once per alphabet
+    (``SystemConfig.facts``, where the reading of the hypothesis is stated).
     """
-    strides = [abs(pr.t) for pr in config.pairs]
-    stride_product = prod(strides)
-    if (gcd(prod([pr.p for pr in config.pairs]), stride_product) == 1
-            and lcm(*strides) == stride_product):
-        return []
-    violations: list[str] = []
-    for k, pk in enumerate(config.pairs, start=1):
-        for j, pj in enumerate(config.pairs, start=1):
-            if gcd(pk.p, abs(pj.t)) != 1:
-                violations.append(f"gcd(p_{k}={pk.p}, t_{j}={pj.t}) != 1")
-    for i, pi in enumerate(config.pairs, start=1):
-        for j in range(i + 1, config.m + 1):
-            pj = config.pair(j)
-            if gcd(abs(pi.t), abs(pj.t)) != 1:
-                violations.append(f"gcd(t_{i}={pi.t}, t_{j}={pj.t}) != 1")
-    return violations
+    return list(config.facts.violations)
 
 
 def _first_position_from_second(word: SymbolicWord, letter: int) -> int:
@@ -88,6 +70,9 @@ def _first_position_from_second(word: SymbolicWord, letter: int) -> int:
     raise AssertionError(f"letter {letter} does not occur at positions >= 2")
 
 
+_SPECTRAL = SpectralVerdict(SPECTRAL)
+
+
 def decide_spectrality(config: SystemConfig, word: SymbolicWord) -> SpectralVerdict:
     """Main classification for a coprime alphabet and eventually periodic word.
 
@@ -95,29 +80,31 @@ def decide_spectrality(config: SystemConfig, word: SymbolicWord) -> SpectralVerd
     word is not an exceptional eventually-constant word (tail letter j with
     |b_j| = p_j, |t_j| != 1, entered from a different letter).  The verdict
     is invariant under sign flips of any b or t and under replacing the base
-    at position 1.
+    at position 1.  The alphabet's side of every test is read from
+    ``config.facts``, so deciding many words over one config costs one
+    set intersection per word.
     """
-    violations = validate_config(config)
-    if violations:
+    facts = config.facts
+    if facts.violations:
         return SpectralVerdict(OUT_OF_SCOPE, CLAUSE_HYPOTHESIS,
-                               (("violations", tuple(violations)),))
+                               (("violations", facts.violations),))
     if max(word.preperiod + word.period) > config.m:  # SymbolicWord letters are >= 1
         raise ValueError("word letters outside the alphabet")
-    for letter in sorted(word.letters_from(2)):
+    # the letters at positions >= 2
+    failing = facts.nondividing.intersection(word.preperiod[1:] + word.period)
+    if failing:
+        letter = min(failing)
         pr = config.pairs[letter - 1]
-        if abs(pr.b) % pr.p != 0:
-            pos = _first_position_from_second(word, letter)
-            return SpectralVerdict(
-                NOT_SPECTRAL, CLAUSE_DIVISIBILITY,
-                (("letter", letter), ("p", pr.p), ("b", pr.b), ("position", pos)))
-    if word.is_eventually_constant and word.preperiod:
-        j, l = word.period[0], len(word.preperiod)
-        pr = config.pair(j)
-        if abs(pr.b) == pr.p and abs(pr.t) != 1:
-            return SpectralVerdict(
-                NOT_SPECTRAL, CLAUSE_TAIL_EXCEPTION,
-                (("l", l), ("j", j), ("last_other", word.preperiod[-1])))
-    return SpectralVerdict(SPECTRAL)
+        pos = _first_position_from_second(word, letter)
+        return SpectralVerdict(
+            NOT_SPECTRAL, CLAUSE_DIVISIBILITY,
+            (("letter", letter), ("p", pr.p), ("b", pr.b), ("position", pos)))
+    if word.preperiod and word.is_eventually_constant and word.period[0] in facts.pi_tails:
+        return SpectralVerdict(
+            NOT_SPECTRAL, CLAUSE_TAIL_EXCEPTION,
+            (("l", len(word.preperiod)), ("j", word.period[0]),
+             ("last_other", word.preperiod[-1])))
+    return _SPECTRAL
 
 
 @dataclass(frozen=True)
@@ -205,7 +192,7 @@ def integral_zero_set_status(config: SystemConfig, word: SymbolicWord) -> ZeroSe
     (the shifted integer lattice 1/t_j + Z consists of transform zeros).
     Anything else is unknown.
     """
-    if validate_config(config):
+    if config.facts.violations:
         raise ValueError("config violates the coprime-alphabet hypothesis")
     letters = word.letters()
     pairs = {l: config.pair(l) for l in letters}

@@ -269,7 +269,7 @@ def _check_window(window: int) -> None:
 def cmd_zeros(config, word, rewrite, args) -> int:
     word = _need_word(word)
     _check_window(args.window)
-    if classifier.validate_config(config):
+    if config.facts.violations:
         return cmd_validate(config, word, rewrite, args)
     status = classifier.integral_zero_set_status(config, word)
     emit("status", status.status)

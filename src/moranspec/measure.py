@@ -68,9 +68,9 @@ class SystemConfig:
     """An ordered finite alphabet of stage pairs, indexed 1..m.
 
     Only the structural bounds (|b| >= 2, p >= 2, t != 0) are enforced here;
-    the coprimality hypothesis of the classification theorems is checked by
-    ``classifier.validate_config`` and reported as data, because several
-    exact measure rewrites are computed on alphabets that violate it.
+    the coprimality hypothesis of the classification theorems is reported as
+    data by ``facts``, because several exact measure rewrites are computed on
+    alphabets that violate it.
     """
 
     pairs: tuple[StagePair, ...]
@@ -93,6 +93,50 @@ class SystemConfig:
         if not 1 <= letter <= self.m:
             raise ValueError(f"letter {letter} outside alphabet 1..{self.m}")
         return self.pairs[letter - 1]
+
+    @functools.cached_property
+    def facts(self) -> "AlphabetFacts":
+        """The per-letter facts the classification reads, computed once per alphabet.
+
+        The hypothesis reading: for each k, gcd(p_k, t_j) = 1 for every j,
+        and the strides are pairwise coprime; digit counts need not be
+        mutually coprime.  Both hold exactly when gcd(prod p, prod |t|) = 1
+        and lcm(|t|, ...) = prod |t|, so the offending pairs are listed only
+        when that test fails.
+        """
+        strides = [abs(pr.t) for pr in self.pairs]
+        stride_product = math.prod(strides)
+        violations: list[str] = []
+        if (math.gcd(math.prod([pr.p for pr in self.pairs]), stride_product) != 1
+                or math.lcm(*strides) != stride_product):
+            for k, pk in enumerate(self.pairs, start=1):
+                for j, pj in enumerate(self.pairs, start=1):
+                    if math.gcd(pk.p, abs(pj.t)) != 1:
+                        violations.append(f"gcd(p_{k}={pk.p}, t_{j}={pj.t}) != 1")
+            for i, pi in enumerate(self.pairs, start=1):
+                for j, pj in enumerate(self.pairs[i:], start=i + 1):
+                    if math.gcd(abs(pi.t), abs(pj.t)) != 1:
+                        violations.append(f"gcd(t_{i}={pi.t}, t_{j}={pj.t}) != 1")
+        letters = list(enumerate(self.pairs, start=1))
+        return AlphabetFacts(
+            tuple(violations),
+            frozenset(l for l, pr in letters if abs(pr.b) % pr.p),
+            frozenset(l for l, pr in letters if abs(pr.b) == pr.p and abs(pr.t) != 1))
+
+
+@dataclass(frozen=True)
+class AlphabetFacts:
+    """What the classification asks of an alphabet, per letter.
+
+    violations: every failure of the coprime-alphabet hypothesis, as report
+    strings (empty for a coprime alphabet); nondividing: the letters with
+    p not dividing b; pi_tails: the letters with |b| = p and |t| != 1, whose
+    constant tail entered from another letter is the Pi_l exception.
+    """
+
+    violations: tuple[str, ...]
+    nondividing: frozenset[int]
+    pi_tails: frozenset[int]
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,13 @@ denominator.
 
 The two-stage support is the union over k < p1 of blocks
 [k*t*c, (k*t+1)*c) with c = t2/b1 and t = t1/t2, which tiles by
-J = c * ({0,...,t-1} + t*p1*Z) exactly when t2 | t1.
+J = c * ({0,...,t-1} + t*p1*Z) exactly when t2 | t1; ``tile_decide``
+builds and sweeps it in units of c, so all of it is integers.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -83,17 +85,27 @@ def tiles_by_periodic_set(tile: IntervalUnion, digits: Sequence[RationalLike],
                           period: RationalLike) -> TilingCertificate:
     """Exact check that {tile + d + period*Z : d in digits} partitions the line.
 
-    Reduces every translated interval mod the period and sweeps the fragment
-    endpoints: each elementary segment of [0, period) must be covered exactly
-    once.  The first under- or over-covered segment yields the certificate.
-    All quantities are integers over one common denominator; each fragment
-    adds +1 at its start and -1 at its end to a coverage-change map, and the
-    running sum over its sorted endpoints is the multiplicity of each
-    segment.
+    Puts the period, the digits and the interval endpoints over one common
+    denominator and hands the integers to the coverage sweep (``_sweep``).
     """
     ends = [x for iv in tile.intervals for x in iv]
     scaled, den = over_common_denominator([period, *digits, *ends])
-    period, shifts, ends = scaled[0], scaled[1:len(digits) + 1], scaled[len(digits) + 1:]
+    ends = scaled[len(digits) + 1:]
+    return _sweep(list(zip(ends[::2], ends[1::2])), scaled[1:len(digits) + 1], scaled[0],
+                  Fraction(1, den))
+
+
+def _sweep(blocks: Sequence[tuple[int, int]], shifts: Sequence[int], period: int,
+           unit: Fraction) -> TilingCertificate:
+    """Whether the integer blocks [a, b), moved by each shift, cover the circle of
+    circumference period exactly once; unit scales the failure point.
+
+    Reduces every translated block mod the period into fragments; each
+    fragment adds +1 at its start and -1 at its end to a coverage-change
+    map, and the running sum over its sorted points is the multiplicity of
+    each segment of [0, period).  The first under- or over-covered segment
+    yields the certificate, with its midpoint as the failure point.
+    """
     if period <= 0:
         raise ValueError("period must be positive")
     reps = [d % period for d in shifts]
@@ -101,7 +113,7 @@ def tiles_by_periodic_set(tile: IntervalUnion, digits: Sequence[RationalLike],
         raise ValueError("digits must be distinct mod the period")
     change = {0: 0, period: 0}
     for d in reps:
-        for a, b in zip(ends[::2], ends[1::2]):
+        for a, b in blocks:
             lo, length = a + d, b - a
             while length > 0:
                 start = lo % period
@@ -115,38 +127,62 @@ def tiles_by_periodic_set(tile: IntervalUnion, digits: Sequence[RationalLike],
     for left, right in zip(points, points[1:]):
         mult += change[left]
         if mult != 1:
-            return TilingCertificate(False, Fraction(left + right, 2 * den), mult)
+            return TilingCertificate(False, unit * Fraction(left + right, 2), mult)
     return TilingCertificate(True)
 
 
 @dataclass(frozen=True)
 class TileDecision:
-    """Two-stage tiling decision with the constructed tile and translate lattice."""
+    """Two-stage tiling decision with the constructed tile and translate lattice.
+
+    When t2 | t1 the tile is kept in integers, in units of c = t2/b1: the
+    merged blocks of the support, the digits 0..t-1 and the period t*p1.
+    support, digits and period are their Fraction views, built on request
+    (None when t2 does not divide t1).
+    """
 
     tiles: bool
-    support: Optional[IntervalUnion]
-    digits: Optional[tuple[Fraction, ...]]
-    period: Optional[Fraction]
     certificate: Optional[TilingCertificate]
     residue: Optional[int]
+    unit: Optional[Fraction] = None
+    blocks: tuple[tuple[int, int], ...] = ()
+    digit_count: int = 0
+    period_units: int = 0
+
+    @functools.cached_property
+    def support(self) -> Optional[IntervalUnion]:
+        if self.unit is None:
+            return None
+        c = self.unit
+        return IntervalUnion(tuple((a * c, b * c) for a, b in self.blocks))
+
+    @functools.cached_property
+    def digits(self) -> Optional[tuple[Fraction, ...]]:
+        if self.unit is None:
+            return None
+        return tuple(self.unit * i for i in range(self.digit_count))
+
+    @functools.cached_property
+    def period(self) -> Optional[Fraction]:
+        return None if self.unit is None else self.unit * self.period_units
 
 
 def tile_decide(p1: int, p2: int, b1: int, t1: int, t2: int) -> TileDecision:
     """Decide whether the two-stage support tiles the line by translations.
 
     When t2 | t1 the explicit lattice c*({0,...,t-1} + t*p1*Z) with
-    c = t2/b1 and t = t1/t2 is constructed and verified exactly; otherwise
-    the residue t1 mod t2 is the certificate (a width-(t2/b1) block can
-    never exactly fill the gap between consecutive digit blocks).
+    c = t2/b1 and t = t1/t2 is constructed and verified exactly, in units
+    of c: the support blocks [k*t, k*t + 1) for k < p1 merge into the one
+    block [0, p1) when t = 1, so the sweep then has a single fragment.
+    Otherwise the residue t1 mod t2 is the certificate (a width-(t2/b1)
+    block can never exactly fill the gap between consecutive digit blocks).
     """
     if p1 < 2 or p2 < 2 or b1 < 2 or t1 < 1 or t2 < 1:
         raise ValueError("need p1, p2, b1 >= 2 and t1, t2 >= 1")
     if t1 % t2 != 0:
-        return TileDecision(False, None, None, None, None, t1 % t2)
-    support = two_stage_support(p1, t1, t2, b1)
-    c = Fraction(t2, b1)
+        return TileDecision(False, None, t1 % t2)
     t = t1 // t2
-    digits = tuple(c * i for i in range(t))
-    period = c * t * p1
-    cert = tiles_by_periodic_set(support, digits, period)
-    return TileDecision(cert.ok, support, digits, period, cert, None)
+    blocks = ((0, p1),) if t == 1 else tuple((k * t, k * t + 1) for k in range(p1))
+    unit = Fraction(t2, b1)
+    cert = _sweep(blocks, range(t), t * p1, unit)
+    return TileDecision(cert.ok, cert, None, unit, blocks, t, t * p1)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moranspec.classifier import (CLAUSE_DIVISIBILITY, CLAUSE_TAIL_EXCEPTION,
-                                  NOT_SPECTRAL, OUT_OF_SCOPE, SPECTRAL,
+                                  CLAUSE_HYPOTHESIS, NOT_SPECTRAL, OUT_OF_SCOPE,
+                                  SPECTRAL, SpectralVerdict,
                                   alternating_family_decide, decide_spectrality,
                                   integral_zero_set_probe,
                                   integral_zero_set_status,
@@ -307,3 +308,76 @@ def test_eventually_constant_verdicts_align_with_two_stage_divisibility():
         if verdict.kind == NOT_SPECTRAL and verdict.clause == CLAUSE_TAIL_EXCEPTION:
             two = two_stage_decide(cfg.pair(1).p, p2, 5, abs(cfg.pair(1).t), abs(t2))
             assert not two.divides
+
+
+def reference_decide(config, word):
+    """The per-word classification that re-derives every alphabet fact."""
+    violations = listed_violations(config)
+    if violations:
+        return SpectralVerdict(OUT_OF_SCOPE, CLAUSE_HYPOTHESIS, (("violations", tuple(violations)),))
+    if max(word.preperiod + word.period) > config.m:
+        raise ValueError("word letters outside the alphabet")
+    for letter in sorted(word.letters_from(2)):
+        pr = config.pairs[letter - 1]
+        if abs(pr.b) % pr.p != 0:
+            pos = next(n for n in range(2, len(word.preperiod) + 2 * len(word.period) + 1)
+                       if word.letter(n) == letter)
+            return SpectralVerdict(
+                NOT_SPECTRAL, CLAUSE_DIVISIBILITY,
+                (("letter", letter), ("p", pr.p), ("b", pr.b), ("position", pos)))
+    if word.is_eventually_constant and word.preperiod:
+        j, l = word.period[0], len(word.preperiod)
+        pr = config.pair(j)
+        if abs(pr.b) == pr.p and abs(pr.t) != 1:
+            return SpectralVerdict(
+                NOT_SPECTRAL, CLAUSE_TAIL_EXCEPTION,
+                (("l", l), ("j", j), ("last_other", word.preperiod[-1])))
+    return SpectralVerdict(SPECTRAL)
+
+
+@st.composite
+def coprime_alphabets(draw):
+    """Up to four letters with pairwise coprime strides and digit counts coprime to them."""
+    strides = draw(st.lists(st.sampled_from((1, 1, 3, 5, 7, 11)), min_size=1, max_size=4)
+                   .filter(lambda ts: all(gcd(a, b) == 1 for i, a in enumerate(ts)
+                                          for b in ts[i + 1:])))
+    p_values = st.integers(2, 9).filter(lambda p: all(gcd(p, t) == 1 for t in strides))
+    return [probe_letter(draw(p_values), draw(st.sampled_from((0, 1, 1, 2, 3))),
+                         draw(SIGNS), t, draw(SIGNS)) for t in strides]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def short_words(letter):
+    return st.builds(SymbolicWord, st.lists(letter, max_size=3).map(tuple),
+                     st.lists(letter, min_size=1, max_size=3).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(coprime_alphabets(), st.lists(PROBE_LETTERS, min_size=1, max_size=4)),
+       st.data())
+def test_decide_matches_the_per_word_reference(letters, data):
+    # one config object decides every word, as a caller sweeping words does;
+    # a fresh equal config per word must agree with it.  Letter m + 1 is
+    # drawn in about half the examples.
+    cfg = SystemConfig.of(*letters)
+    top = cfg.m + data.draw(st.sampled_from((0, 1)))
+    for word in data.draw(st.lists(short_words(st.integers(1, top)), min_size=1, max_size=12)):
+        expected = outcome(reference_decide, SystemConfig.of(*letters), word)
+        assert outcome(decide_spectrality, cfg, word) == expected, word
+        assert outcome(decide_spectrality, SystemConfig.of(*letters), word) == expected
+
+
+def test_cached_facts_leave_equality_hash_and_repr_alone():
+    used, fresh = SystemConfig.of((4, 2, 1), (2, 2, 3)), SystemConfig.of((4, 2, 1), (2, 2, 3))
+    before = repr(used), hash(used)
+    decide_spectrality(used, SymbolicWord((1,), (2,)))
+    assert "facts" in vars(used) and "facts" not in vars(fresh)
+    assert (repr(used), hash(used)) == before == (repr(fresh), hash(fresh))
+    assert used == fresh and len({used, fresh}) == 1
+    assert validate_config(used) == [] and used.facts.pi_tails == frozenset({2})

@@ -351,6 +351,17 @@ def test_two_stage_tiling_past_the_fragment_cap_exits_2_quickly(tmp_path, comman
     assert code == 0 and "tiles=false" in out and "residue=1" in out
 
 
+def test_tile_at_the_fragment_cap_finishes_quickly(tmp_path):
+    # p1 = 10**6 blocks with t1 = t2 merge into one: about 18 s and 413 MB
+    # when every block and fragment was a Fraction
+    cfg = write_config(tmp_path, "cap.json", {"pairs": [{"b": 5, "p": DEFAULT_ATOM_CAP, "t": 1},
+                                                        {"b": 3, "p": 3, "t": 1}]})
+    done = run_cli(["tile", "--config", cfg], timeout=5)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["tiles=true", "support=0/1 200000/1", "digits=0/1",
+                                        "period=200000/1"]
+
+
 def test_oracle_search_cap_zero_reports_no_sets(quarter_config, capsys):
     code, out = run(capsys, ["oracle-search", "--config", quarter_config, "--cap", "0"])
     assert code == 0 and "count=0" in out and "set.0" not in out

@@ -25,6 +25,21 @@ def test_script_runs_to_its_closing_line(tmp_path, script, argv, closing):
     assert closing in done.stdout.splitlines()[-1]
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_classify_family_count_matches_its_closed_form(k):
+    # the docstring: for k = 1 all words but the 2^R - 1 words u 2^oo, u a
+    # nonempty preperiod ending in 1, are spectral; for k >= 2 every word is
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "classify_family.py"),
+                           "--max-pre", "3", "--max-per", "3", "--k", str(k)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    *rows, closing = done.stdout.splitlines()
+    not_spectral = 2**3 - 1 if k == 1 else 0
+    assert closing == f"-- spectral: {len(rows) - not_spectral}"
+    assert sum(row.endswith("NotSpectral [Pi_l]") for row in rows) == not_spectral
+
+
 def test_readme_library_example_runs(capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S)

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -154,3 +155,38 @@ def test_sweep_matches_the_fragment_count_near_tilings(p1, t, t2, b1, shift, ske
     assert got == outcome(fragment_count_tiling, tile, digits, period)
     if skew == drop == 0:
         assert got == TilingCertificate(True)
+
+
+def fraction_tile_decide(p1, p2, b1, t1, t2):
+    """The two-stage decision composed in Fractions: support, lattice, then the sweep."""
+    if t1 % t2:
+        return False, None, None, None, None, t1 % t2
+    c, t = F(t2, b1), t1 // t2
+    support = two_stage_support(p1, t1, t2, b1)
+    digits = tuple(c * i for i in range(t))
+    period = c * t * p1
+    cert = tiles_by_periodic_set(support, digits, period)
+    return cert.ok, support, digits, period, cert, None
+
+
+def decision_fields(dec):
+    return dec.tiles, dec.support, dec.digits, dec.period, dec.certificate, dec.residue
+
+
+def test_tile_decide_matches_the_fraction_composition_on_the_acceptance_grid():
+    for p1, p2, b1, t1, t2 in product(range(2, 6), range(2, 6), range(2, 9),
+                                      range(1, 7), range(1, 7)):
+        assert decision_fields(tile_decide(p1, p2, b1, t1, t2)) == fraction_tile_decide(
+            p1, p2, b1, t1, t2), (p1, p2, b1, t1, t2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40), st.integers(2, 9), st.integers(2, 60), st.integers(1, 12),
+       st.one_of(st.builds(lambda k: ("mult", k), st.integers(1, 8)),
+                 st.builds(lambda t1: ("t1", t1), st.integers(1, 60))))
+def test_tile_decide_matches_the_fraction_composition(p1, p2, b1, t2, draw):
+    # t1 a multiple of t2, or drawn freely (mostly not a multiple)
+    kind, value = draw
+    t1 = t2 * value if kind == "mult" else value
+    assert decision_fields(tile_decide(p1, p2, b1, t1, t2)) == fraction_tile_decide(
+        p1, p2, b1, t1, t2)
