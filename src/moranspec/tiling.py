@@ -90,9 +90,8 @@ def tiles_by_periodic_set(tile: IntervalUnion, digits: Sequence[RationalLike],
     """
     ends = [x for iv in tile.intervals for x in iv]
     scaled, den = over_common_denominator([period, *digits, *ends])
-    ends = scaled[len(digits) + 1:]
-    return _sweep(list(zip(ends[::2], ends[1::2])), scaled[1:len(digits) + 1], scaled[0],
-                  Fraction(1, den))
+    period, shifts, ends = scaled[0], scaled[1:len(digits) + 1], scaled[len(digits) + 1:]
+    return _sweep(list(zip(ends[::2], ends[1::2])), shifts, period, Fraction(1, den))
 
 
 def _sweep(blocks: Sequence[tuple[int, int]], shifts: Sequence[int], period: int,
@@ -131,40 +130,45 @@ def _sweep(blocks: Sequence[tuple[int, int]], shifts: Sequence[int], period: int
     return TilingCertificate(True)
 
 
+def _two_stage_blocks(p1: int, t: int) -> list[tuple[int, int]]:
+    """The two-stage support in units of c: [k*t, k*t + 1) for k < p1, merged
+    into the one block [0, p1) when t = 1."""
+    return [(0, p1)] if t == 1 else [(k * t, k * t + 1) for k in range(p1)]
+
+
 @dataclass(frozen=True)
 class TileDecision:
     """Two-stage tiling decision with the constructed tile and translate lattice.
 
-    When t2 | t1 the tile is kept in integers, in units of c = t2/b1: the
-    merged blocks of the support, the digits 0..t-1 and the period t*p1.
-    support, digits and period are their Fraction views, built on request
-    (None when t2 does not divide t1).
+    When t2 | t1 the tile is kept in integers, in units of c = t2/b1 (unit):
+    the support blocks of ``_two_stage_blocks(p1, t)``, the digits 0..t-1 and
+    the period t*p1.  support, digits and period are their Fraction views,
+    built on request (None when t2 does not divide t1).
     """
 
     tiles: bool
     certificate: Optional[TilingCertificate]
     residue: Optional[int]
     unit: Optional[Fraction] = None
-    blocks: tuple[tuple[int, int], ...] = ()
-    digit_count: int = 0
-    period_units: int = 0
+    p1: int = 0
+    t: int = 0
 
     @functools.cached_property
     def support(self) -> Optional[IntervalUnion]:
         if self.unit is None:
             return None
         c = self.unit
-        return IntervalUnion(tuple((a * c, b * c) for a, b in self.blocks))
+        return IntervalUnion(tuple((a * c, b * c) for a, b in _two_stage_blocks(self.p1, self.t)))
 
     @functools.cached_property
     def digits(self) -> Optional[tuple[Fraction, ...]]:
         if self.unit is None:
             return None
-        return tuple(self.unit * i for i in range(self.digit_count))
+        return tuple(self.unit * i for i in range(self.t))
 
     @functools.cached_property
     def period(self) -> Optional[Fraction]:
-        return None if self.unit is None else self.unit * self.period_units
+        return None if self.unit is None else self.unit * (self.t * self.p1)
 
 
 def tile_decide(p1: int, p2: int, b1: int, t1: int, t2: int) -> TileDecision:
@@ -182,7 +186,6 @@ def tile_decide(p1: int, p2: int, b1: int, t1: int, t2: int) -> TileDecision:
     if t1 % t2 != 0:
         return TileDecision(False, None, t1 % t2)
     t = t1 // t2
-    blocks = ((0, p1),) if t == 1 else tuple((k * t, k * t + 1) for k in range(p1))
     unit = Fraction(t2, b1)
-    cert = _sweep(blocks, range(t), t * p1, unit)
-    return TileDecision(cert.ok, cert, None, unit, blocks, t, t * p1)
+    cert = _sweep(_two_stage_blocks(p1, t), range(t), t * p1, unit)
+    return TileDecision(cert.ok, cert, None, unit, p1, t)
