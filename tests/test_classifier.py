@@ -19,6 +19,7 @@ from moranspec.measure import (StagePair, SymbolicWord, SystemConfig,
                                measures_equal, scale_digits, truncate)
 
 from test_measure import fraction_zero, words_over
+from test_tiling import outcome
 
 MIXED = SystemConfig.of((4, 2, 1), (2, 2, 3))
 
@@ -346,18 +347,6 @@ def coprime_alphabets(draw):
                          draw(SIGNS), t, draw(SIGNS)) for t in strides]
 
 
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return str(exc)
-
-
-def short_words(letter):
-    return st.builds(SymbolicWord, st.lists(letter, max_size=3).map(tuple),
-                     st.lists(letter, min_size=1, max_size=3).map(tuple))
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(coprime_alphabets(), st.lists(PROBE_LETTERS, min_size=1, max_size=4)),
        st.data())
@@ -367,7 +356,7 @@ def test_decide_matches_the_per_word_reference(letters, data):
     # drawn in about half the examples.
     cfg = SystemConfig.of(*letters)
     top = cfg.m + data.draw(st.sampled_from((0, 1)))
-    for word in data.draw(st.lists(short_words(st.integers(1, top)), min_size=1, max_size=12)):
+    for word in data.draw(st.lists(words_over(top, 3), min_size=1, max_size=12)):
         expected = outcome(reference_decide, SystemConfig.of(*letters), word)
         assert outcome(decide_spectrality, cfg, word) == expected, word
         assert outcome(decide_spectrality, SystemConfig.of(*letters), word) == expected

@@ -196,10 +196,10 @@ SIGNED_B = st.integers(-12, 12).filter(lambda b: abs(b) >= 2)
 SIGNED_T = st.integers(-7, 7).filter(bool)
 
 
-def words_over(m: int):
+def words_over(m: int, length: int = 2):
     letters = st.integers(1, m)
-    return st.builds(SymbolicWord, st.lists(letters, max_size=2).map(tuple),
-                     st.lists(letters, min_size=1, max_size=2).map(tuple))
+    return st.builds(SymbolicWord, st.lists(letters, max_size=length).map(tuple),
+                     st.lists(letters, min_size=1, max_size=length).map(tuple))
 
 
 @settings(max_examples=60, deadline=None)
