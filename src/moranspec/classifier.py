@@ -24,7 +24,6 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .exactmath import RationalLike
-from .hadamard import is_admissible
 from .measure import StagePair, SymbolicWord, SystemConfig, first_nonzero
 from .tiling import TileDecision, tile_decide
 
@@ -62,14 +61,6 @@ def validate_config(config: SystemConfig) -> list[str]:
     return list(config.facts.violations)
 
 
-def _first_position_from_second(word: SymbolicWord, letter: int) -> int:
-    r, s = len(word.preperiod), len(word.period)
-    for n in range(2, r + 2 * s + 1):
-        if word.letter(n) == letter:
-            return n
-    raise AssertionError(f"letter {letter} does not occur at positions >= 2")
-
-
 _SPECTRAL = SpectralVerdict(SPECTRAL)
 
 
@@ -90,15 +81,17 @@ def decide_spectrality(config: SystemConfig, word: SymbolicWord) -> SpectralVerd
                                (("violations", facts.violations),))
     if max(word.preperiod + word.period) > config.m:  # SymbolicWord letters are >= 1
         raise ValueError("word letters outside the alphabet")
-    # the letters at positions >= 2
-    failing = facts.nondividing.intersection(word.preperiod[1:] + word.period)
+    # the letters at positions >= 2, as positions 2, 3, ... when the preperiod is nonempty
+    rest = word.preperiod[1:] + word.period
+    failing = facts.nondividing.intersection(rest)
     if failing:
         letter = min(failing)
         pr = config.pairs[letter - 1]
-        pos = _first_position_from_second(word, letter)
+        if not word.preperiod:
+            rest = rest[1:] + rest[:1]
         return SpectralVerdict(
             NOT_SPECTRAL, CLAUSE_DIVISIBILITY,
-            (("letter", letter), ("p", pr.p), ("b", pr.b), ("position", pos)))
+            (("letter", letter), ("p", pr.p), ("b", pr.b), ("position", rest.index(letter) + 2)))
     if word.preperiod and word.is_eventually_constant and word.period[0] in facts.pi_tails:
         return SpectralVerdict(
             NOT_SPECTRAL, CLAUSE_TAIL_EXCEPTION,
@@ -182,7 +175,7 @@ def integral_zero_set_status(config: SystemConfig, word: SymbolicWord) -> ZeroSe
     """Sufficient criteria for the integral periodic zero set to be empty or not.
 
     Empty when any of the following holds:
-      - every word letter is admissible and the strides of the letters
+      - p | b for every word letter and the strides of the letters
         occurring infinitely often have gcd 1;
       - the word is constant j^inf with p_j | b_j and p_j != |b_j|;
       - the first letter has unit stride and p | b holds for every word letter;
@@ -192,32 +185,36 @@ def integral_zero_set_status(config: SystemConfig, word: SymbolicWord) -> ZeroSe
     (the shifted integer lattice 1/t_j + Z consists of transform zeros).
     Anything else is unknown.
     """
-    if config.facts.violations:
+    facts = config.facts
+    if facts.violations:
         raise ValueError("config violates the coprime-alphabet hypothesis")
     letters = word.letters()
     pairs = {l: config.pair(l) for l in letters}
-    if all(is_admissible(pr.b, pr.p, pr.t) for pr in pairs.values()):
+    # gcd(p, t) = 1 under the hypothesis, so p | b/gcd(b, t) (admissible) iff p | b
+    divisible = facts.nondividing.isdisjoint(letters)
+    if divisible:
         g = 0
         for l in word.tail_letters:
             g = gcd(g, abs(pairs[l].t))
         if g == 1:
             return ZeroSetStatus("empty", "tail stride gcd is 1 over admissible letters")
     if not word.preperiod and len(word.period) == 1:
-        # a nonempty constant word has tail stride gcd |t_j| != 1, so the
-        # admissible-gcd criterion above never preempts it
-        pj = pairs[word.period[0]]
-        if abs(pj.b) == pj.p and abs(pj.t) != 1:
+        # the gcd criterion above returned when |t_j| = 1, so here p_j | b_j
+        # means p_j != |b_j| unless j is a Pi_l tail letter
+        j = word.period[0]
+        if j in facts.pi_tails:
+            pj = pairs[j]
             return ZeroSetStatus("nonempty",
                                  f"constant word, |b|=p={pj.p}, stride {pj.t}: "
                                  f"1/{abs(pj.t)} + Z consists of zeros")
-        if abs(pj.b) % pj.p == 0 and abs(pj.b) != pj.p:
+        if divisible:
             return ZeroSetStatus("empty", "constant word with p | b and p != |b|")
-    divisible = all(abs(pr.b) % pr.p == 0 for pr in pairs.values())
-    first = pairs[word.letter(1)]
-    if divisible and abs(first.t) == 1:
-        return ZeroSetStatus("empty", "unit-stride head with p | b throughout")
-    if divisible and abs(first.t) != 1 and word.letter(1) not in word.letters_from(2):
-        return ZeroSetStatus("empty", "nonunit-stride head never recurs, p | b throughout")
+    if divisible:
+        head = word.letter(1)
+        if abs(pairs[head].t) == 1:
+            return ZeroSetStatus("empty", "unit-stride head with p | b throughout")
+        if head not in word.preperiod[1:] + word.period:
+            return ZeroSetStatus("empty", "nonunit-stride head never recurs, p | b throughout")
     return ZeroSetStatus("unknown", "no criterion applies")
 
 

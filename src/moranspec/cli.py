@@ -46,6 +46,10 @@ ORACLE_SET_BOUND = 100_000
 # candidate differences
 WINDOW_BOUND = 10**6
 
+# most stage pairs a config (or its rewrite block) may list; an alphabet of m
+# non-coprime pairs has about 1.5 * m**2 hypothesis violations to report
+ALPHABET_BOUND = 512
+
 
 class ConfigError(ValueError):
     """Malformed config file or request; reported with the offending field."""
@@ -79,6 +83,9 @@ def parse_word_text(text: str) -> SymbolicWord:
 def _parse_pairs(items, field: str) -> SystemConfig:
     if not isinstance(items, list) or not items:
         raise ConfigError(f"field {field}: expected a nonempty list of pairs")
+    if len(items) > ALPHABET_BOUND:
+        raise ConfigError(f"field {field}: {len(items)} pairs is past the alphabet bound; "
+                          f"bound is {ALPHABET_BOUND}")
     pairs = []
     for i, it in enumerate(items):
         if not isinstance(it, dict):
@@ -131,6 +138,16 @@ def load_config(path: str):
 def fmt_rational(x) -> str:
     f = Fraction(x)
     return f"{f.numerator}/{f.denominator}"
+
+
+def fmt_multiples(unit: Fraction, ks) -> str:
+    """fmt_rational of k * unit for each integer k, space-separated, in integers."""
+    n, d = unit.numerator, unit.denominator
+    parts = []
+    for k in ks:
+        g = math.gcd(k, d)
+        parts.append(f"{k * n // g}/{d // g}")
+    return " ".join(parts)
 
 
 def fmt_float(x: float) -> str:
@@ -268,6 +285,8 @@ def _check_window(window: int) -> None:
 
 def cmd_zeros(config, word, rewrite, args) -> int:
     word = _need_word(word)
+    if args.window < 1:
+        raise ConfigError(f"--window must be >= 1, got {args.window}")
     _check_window(args.window)
     if config.facts.violations:
         return cmd_validate(config, word, rewrite, args)
@@ -294,9 +313,9 @@ def cmd_tile(config, word, rewrite, args) -> int:
     emit("tiles", dec.tiles)
     if dec.residue is not None:
         emit("residue", dec.residue)
-    if dec.support is not None:
-        emit("support", [a for iv in dec.support.intervals for a in iv])
-        emit("digits", list(dec.digits))
+    if dec.unit is not None:
+        emit("support", fmt_multiples(dec.unit, (x for block in dec.blocks for x in block)))
+        emit("digits", fmt_multiples(dec.unit, range(dec.t)))
         emit("period", dec.period)
     return EXIT_OK
 
@@ -359,6 +378,8 @@ def cmd_oracle_search(config, word, rewrite, args) -> int:
 
 def cmd_necessity(config, word, rewrite, args) -> int:
     word = _need_word(word)
+    if args.depth < 0:
+        raise ConfigError(f"--depth must be >= 0, got {args.depth}")
     if args.depth > measure.DEFAULT_ATOM_CAP:
         raise ConfigError(f"necessity needs {args.depth} stages; cap is {measure.DEFAULT_ATOM_CAP}")
     stages = [config.pair(word.letter(n)) for n in range(1, args.depth + 1)]

@@ -141,9 +141,9 @@ class TileDecision:
     """Two-stage tiling decision with the constructed tile and translate lattice.
 
     When t2 | t1 the tile is kept in integers, in units of c = t2/b1 (unit):
-    the support blocks of ``_two_stage_blocks(p1, t)``, the digits 0..t-1 and
-    the period t*p1.  support, digits and period are their Fraction views,
-    built on request (None when t2 does not divide t1).
+    the swept support ``blocks``, the digits 0..t-1 and the period t*p1.
+    support, digits and period are their Fraction views, built on request
+    (None when t2 does not divide t1).
     """
 
     tiles: bool
@@ -153,12 +153,18 @@ class TileDecision:
     p1: int = 0
     t: int = 0
 
+    @property
+    def blocks(self) -> list[tuple[int, int]]:
+        """The support blocks the sweep checked, in units of c, sorted and
+        pairwise apart (empty when t2 does not divide t1)."""
+        return [] if self.unit is None else _two_stage_blocks(self.p1, self.t)
+
     @functools.cached_property
     def support(self) -> Optional[IntervalUnion]:
         if self.unit is None:
             return None
         c = self.unit
-        return IntervalUnion(tuple((a * c, b * c) for a, b in _two_stage_blocks(self.p1, self.t)))
+        return IntervalUnion(tuple((a * c, b * c) for a, b in self.blocks))
 
     @functools.cached_property
     def digits(self) -> Optional[tuple[Fraction, ...]]:

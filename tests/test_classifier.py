@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from moranspec.classifier import (CLAUSE_DIVISIBILITY, CLAUSE_TAIL_EXCEPTION,
                                   CLAUSE_HYPOTHESIS, NOT_SPECTRAL, OUT_OF_SCOPE,
-                                  SPECTRAL, SpectralVerdict,
+                                  SPECTRAL, SpectralVerdict, ZeroSetStatus,
                                   alternating_family_decide, decide_spectrality,
                                   integral_zero_set_probe,
                                   integral_zero_set_status,
                                   necessity_violations, two_stage_decide,
                                   validate_config)
+from moranspec.hadamard import is_admissible
 from moranspec.measure import (StagePair, SymbolicWord, SystemConfig,
                                measures_equal, scale_digits, truncate)
 
@@ -336,6 +337,36 @@ def reference_decide(config, word):
     return SpectralVerdict(SPECTRAL)
 
 
+def reference_zero_set_status(config, word):
+    """The zero-set criteria as first written: admissibility and p | b tested
+    letter by letter, and recurrence of the head read from letters_from(2)."""
+    if listed_violations(config):
+        raise ValueError("config violates the coprime-alphabet hypothesis")
+    letters = word.letters()
+    pairs = {l: config.pair(l) for l in letters}
+    if all(is_admissible(pr.b, pr.p, pr.t) for pr in pairs.values()):
+        g = 0
+        for l in word.tail_letters:
+            g = gcd(g, abs(pairs[l].t))
+        if g == 1:
+            return ZeroSetStatus("empty", "tail stride gcd is 1 over admissible letters")
+    if not word.preperiod and len(word.period) == 1:
+        pj = pairs[word.period[0]]
+        if abs(pj.b) == pj.p and abs(pj.t) != 1:
+            return ZeroSetStatus("nonempty",
+                                 f"constant word, |b|=p={pj.p}, stride {pj.t}: "
+                                 f"1/{abs(pj.t)} + Z consists of zeros")
+        if abs(pj.b) % pj.p == 0 and abs(pj.b) != pj.p:
+            return ZeroSetStatus("empty", "constant word with p | b and p != |b|")
+    divisible = all(abs(pr.b) % pr.p == 0 for pr in pairs.values())
+    first = pairs[word.letter(1)]
+    if divisible and abs(first.t) == 1:
+        return ZeroSetStatus("empty", "unit-stride head with p | b throughout")
+    if divisible and abs(first.t) != 1 and word.letter(1) not in word.letters_from(2):
+        return ZeroSetStatus("empty", "nonunit-stride head never recurs, p | b throughout")
+    return ZeroSetStatus("unknown", "no criterion applies")
+
+
 @st.composite
 def coprime_alphabets(draw):
     """Up to four letters with pairwise coprime strides and digit counts coprime to them."""
@@ -353,13 +384,16 @@ def coprime_alphabets(draw):
 def test_decide_matches_the_per_word_reference(letters, data):
     # one config object decides every word, as a caller sweeping words does;
     # a fresh equal config per word must agree with it.  Letter m + 1 is
-    # drawn in about half the examples.
+    # drawn in about half the examples.  The zero-set criteria, which read the
+    # same alphabet facts, must agree with their letter-by-letter reference.
     cfg = SystemConfig.of(*letters)
     top = cfg.m + data.draw(st.sampled_from((0, 1)))
     for word in data.draw(st.lists(words_over(top, 3), min_size=1, max_size=12)):
         expected = outcome(reference_decide, SystemConfig.of(*letters), word)
         assert outcome(decide_spectrality, cfg, word) == expected, word
         assert outcome(decide_spectrality, SystemConfig.of(*letters), word) == expected
+        status = outcome(reference_zero_set_status, SystemConfig.of(*letters), word)
+        assert outcome(integral_zero_set_status, cfg, word) == status, word
 
 
 def test_cached_facts_leave_equality_hash_and_repr_alone():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moranspec.cli import (ORACLE_SET_BOUND, QCHECK_WORK_BOUND, WINDOW_BOUND, main,
+from moranspec.cli import (ALPHABET_BOUND, ORACLE_SET_BOUND, QCHECK_WORK_BOUND, WINDOW_BOUND, main,
                            parse_word_text)
 from moranspec.measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, SymbolicWord, SystemConfig,
                                mu_hat_eval, mu_hat_many)
@@ -217,6 +217,47 @@ def test_window_past_the_bound_exits_2(mixed_config, command, extra, capsys):
     assert ("probe.0.witness=0" if command == "zeros" else "count=4") in out
 
 
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_zeros_window_below_one_exits_2_before_any_output(mixed_config, quarter_config, window,
+                                                          capsys):
+    # mixed has a stride-3 letter to probe, quarter none
+    for cfg in (mixed_config, quarter_config):
+        code = main(["zeros", "--config", cfg, "--window", window])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error=--window must be >= 1")
+
+
+def test_necessity_depth_below_zero_exits_2(mixed_config, capsys):
+    code = main(["necessity", "--config", mixed_config, "--depth", "-4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error=--depth must be >= 0")
+    code, out = run(capsys, ["necessity", "--config", mixed_config, "--depth", "0"])
+    assert code == 0 and out == "violations=0\n"
+
+
+def test_alphabet_past_the_bound_exits_2(tmp_path, capsys):
+    # one pair past the bound, in the main alphabet and in a rewrite block;
+    # m identical non-coprime pairs would list about 1.5 * m**2 violations
+    clash = [{"b": 4, "p": 2, "t": 2}] * (ALPHABET_BOUND + 1)
+    word = {"period": [1]}
+    for data, command in (({"pairs": clash}, "validate"),
+                          ({"pairs": [{"b": 4, "p": 2, "t": 1}], "word": word,
+                            "rewrite": {"pairs": clash, "word": word, "depth": 1}},
+                           "rewrite-check")):
+        cfg = write_config(tmp_path, "wide.json", data)
+        code = main([command, "--config", cfg])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error=field ") and f"bound is {ALPHABET_BOUND}" in err
+    # the bound itself is accepted
+    full = {"pairs": [{"b": 4, "p": 2, "t": 1}] * ALPHABET_BOUND, "word": word}
+    cfg = write_config(tmp_path, "full.json", full)
+    code, out = run(capsys, ["validate", "--config", cfg])
+    assert code == 0 and out == "ok=true\n"
+
+
 def test_oracle_search_default_window_past_the_bound_exits_2(tmp_path, capsys):
     # the default window |b|*p*|t| = 1,000,002 is bounded too
     cfg = write_config(tmp_path, "wide.json", {"pairs": [{"b": 500001, "p": 2, "t": 1}]})
@@ -360,6 +401,21 @@ def test_tile_at_the_fragment_cap_finishes_quickly(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["tiles=true", "support=0/1 200000/1", "digits=0/1",
                                         "period=200000/1"]
+
+
+def test_tile_with_blocks_apart_at_the_fragment_cap_finishes_quickly(tmp_path):
+    # p1 = 5*10**5 blocks two units apart stay apart: 9-13 s when the support
+    # was printed through an IntervalUnion of 10**6 Fraction endpoints
+    cfg = write_config(tmp_path, "apart.json", {"pairs": [{"b": 5, "p": 5 * 10**5, "t": 2},
+                                                          {"b": 3, "p": 3, "t": 1}]})
+    done = run_cli(["tile", "--config", cfg], timeout=6)
+    assert done.returncode == 0, done.stderr
+    tiles, support, digits, period = done.stdout.splitlines()
+    assert (tiles, digits, period) == ("tiles=true", "digits=0/1 1/5", "period=200000/1")
+    ends = support.removeprefix("support=").split()
+    assert len(ends) == DEFAULT_ATOM_CAP
+    assert ends[:6] == ["0/1", "1/5", "2/5", "3/5", "4/5", "1/1"]
+    assert ends[-2:] == ["999998/5", "999999/5"]
 
 
 def test_oracle_search_cap_zero_reports_no_sets(quarter_config, capsys):
