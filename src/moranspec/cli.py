@@ -38,7 +38,7 @@ EXIT_OUT_OF_SCOPE = 2
 QCHECK_WORK_BOUND = 10**8
 
 # partner sets oracle-search may hold when --cap is not given; (6,6,5) has
-# more, and stopping one past the bound takes about 1 s and 10 MB
+# more, and stopping one past the bound takes about 0.2 s and 10 MB
 ORACLE_SET_BOUND = 100_000
 
 # largest search window zeros and oracle-search accept: a zeros probe tests

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 from typing import Callable, Iterator, Optional, Sequence
 
 from .exactmath import RationalLike, digit_sum_vanishes
@@ -44,27 +45,97 @@ def search_compatible_partners(b: int, p: int, t: int, window: Optional[int] = N
                                limit: Optional[int] = None) -> list[tuple[int, ...]]:
     """All partner sets L in [0, window) with 0 in L, #L = p, exactly compatible.
 
-    Candidates are pruned by requiring every pairwise difference to be an
-    exact zero of the digit mask (scaled by b), which is the compatibility
-    condition itself, so every emitted set is exactly compatible.  The root
-    sum of a difference l depends only on l mod |b|, so each residue is
-    decided once.  The default window is |b|*p*|t|.  ``limit`` keeps the
-    lexicographically first sets for the parameter corners where the number
-    of compatible sets explodes combinatorially; an unlimited call
+    Two elements are compatible when their difference is an exact zero of
+    the digit mask (scaled by b), which is the compatibility condition
+    itself, so every emitted set is exactly compatible.  The root sum of a
+    difference l depends only on its residue r = l mod m, m = |b|: it is
+    sum_j w^j with w = zeta_m^(t*r), a root of order m/g for
+    g = gcd(m, t*r).  Residues with the same g give Galois-conjugate sums,
+    which vanish together, so one root sum per class g (at most d(m) of
+    them) decides the set V of vanishing residues, kept as a bitmask.
+
+    The depth-first search carries the mask of residues compatible with
+    every element chosen so far; adding s ands it with V rotated by
+    s mod m.  Elements still to choose have distinct residues in that mask,
+    pairwise compatible, so a branch is cut when the mask holds no such
+    residue set of the needed size.  That search over residues is memoized
+    per call on (mask, need), and it first colors the mask greedily into
+    sets of pairwise incompatible residues: a compatible set takes at most
+    one residue from each, so fewer colors than needed settle it at once.
+
+    The default window is |b|*p*|t|.  Sets come out in lexicographic order,
+    and ``limit`` keeps the first ones for the parameter corners where the
+    number of compatible sets explodes combinatorially; an unlimited call
     materializes everything.
     """
     if abs(b) < 2 or p < 2 or t == 0:
         raise ValueError("need |b| >= 2, p >= 2, t != 0")
+    m = abs(b)
     if window is None:
-        window = abs(b) * p * abs(t)
-    if window < abs(b):
-        raise ValueError(f"window must be >= |b| = {abs(b)}")
+        window = m * p * abs(t)
+    if window < m:
+        raise ValueError(f"window must be >= |b| = {m}")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     digits = tuple(j * t for j in range(p))
-    vanishes = [digit_sum_vanishes(abs(b), digits, r) for r in range(abs(b))]
-    singles = [l for l in range(1, window) if vanishes[l % abs(b)]]
-    return list(islice(_cliques(0, singles, p, set(singles).__contains__), limit))
+    by_class: dict[int, bool] = {}
+    vanishes = []
+    for r in range(m):
+        g = gcd(m, t * r)
+        if g not in by_class:
+            by_class[g] = digit_sum_vanishes(m, digits, r)
+        vanishes.append(by_class[g])
+    residues = [r for r in range(m) if vanishes[r]]
+    # bit r of V is set when residue r vanishes; one int() parse stays linear in m
+    vanishing = int("".join("1" if v else "0" for v in reversed(vanishes)), 2)
+    full = (1 << m) - 1
+
+    def rotated(r: int) -> int:
+        """The residues x with x - r mod m in V: those compatible with r."""
+        return ((vanishing << r) | (vanishing >> (m - r))) & full
+
+    def colors(mask: int, need: int) -> int:
+        """Independent sets a greedy coloring of the mask uses, counted up to need."""
+        count, left = 0, mask
+        while left and count < need:
+            count, free = count + 1, left
+            while free:
+                low = free & -free
+                left ^= low
+                free &= ~(low | rotated(low.bit_length() - 1))
+        return count
+
+    memo: dict[tuple[int, int], bool] = {}
+
+    def has_clique(mask: int, need: int) -> bool:
+        """Whether need residues of the mask are pairwise compatible."""
+        if need <= 1:
+            return need == 0 or mask != 0
+        key = (mask, need)
+        if key not in memo:
+            found = False
+            rest = mask if colors(mask, need) == need else 0
+            while not found and rest.bit_count() >= need:
+                low = rest & -rest
+                rest ^= low
+                found = has_clique(rest & rotated(low.bit_length() - 1), need - 1)
+            memo[key] = found
+        return memo[key]
+
+    singles = [q + r for q in range(0, window, m) for r in residues if q + r < window]
+
+    def extend(chosen: list, start: int, mask: int) -> Iterator[tuple]:
+        if len(chosen) == p:
+            yield tuple(chosen)
+            return
+        if not has_clique(mask, p - len(chosen)):
+            return
+        for idx in range(start, len(singles)):
+            s = singles[idx]
+            if mask >> (s % m) & 1:
+                yield from extend(chosen + [s], idx + 1, mask & rotated(s % m))
+
+    return list(islice(extend([0], 0, vanishing), limit))
 
 
 def _truncation_zero(config: SystemConfig, word: SymbolicWord, depth: int,

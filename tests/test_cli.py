@@ -452,6 +452,47 @@ def test_oracle_search_on_a_base_with_six_primes_is_quick(tmp_path):
     assert "count=1" in done.stdout and "set.0=0 15015" in done.stdout
 
 
+def test_oracle_search_on_dead_letters_is_quick(tmp_path):
+    # p = 6 does not divide 21/gcd(21, 7): the default window 882 holds 588
+    # singles and no partner set, which a search without residue pruning
+    # took about 19 s to rule out; (32, 8, 8) and (24, 8, 6) keep more
+    # residues in the mask than the digits they need, so a popcount bound
+    # alone does not cut them; (2048, 16, 256) keeps 1,792 residues in 7
+    # classes mod 8, no two residues of one class compatible, so no 15 are
+    # pairwise compatible, which the residue search without its greedy
+    # coloring took 79 s to establish
+    cfg = write_config(tmp_path, "dead.json", {"pairs": [{"b": 21, "p": 6, "t": 7}],
+                                               "word": {"period": [1]}})
+    code = ("import sys; from moranspec.cli import main; "
+            "from moranspec.oracle import search_compatible_partners as s; "
+            f"code = main(['oracle-search', '--config', {cfg!r}]); "
+            "print('library', s(32, 8, 8, limit=64), s(24, 8, 6, limit=64), "
+            "s(2048, 16, 256, window=2048, limit=64)); sys.exit(code)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10, env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["window=882", "count=0", "library [] [] []"]
+
+
+def peak_rss_kb(code):
+    done = subprocess.run([sys.executable, "-c", code + "; import resource; "
+                           "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"],
+                          capture_output=True, text=True, timeout=30,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout.splitlines()[-1])
+
+
+def test_oracle_search_on_a_base_with_six_primes_stays_small(tmp_path):
+    # one rotated residue mask per residue would hold 30030^2 bits (about 113 MB)
+    cfg = write_config(tmp_path, "primorial.json", {"pairs": [{"b": 30030, "p": 2, "t": 1}],
+                                                    "word": {"period": [1]}})
+    search = peak_rss_kb("from moranspec.cli import main; "
+                         f"main(['oracle-search', '--config', {cfg!r}, "
+                         "'--window', '30030', '--cap', '4'])")
+    assert search - peak_rss_kb("import moranspec") < 20 * 1024
+
+
 def read_rows(path):
     return [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
 

@@ -1,16 +1,21 @@
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
-from itertools import islice
+from itertools import cycle, islice, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moranspec.cli import main
 from moranspec.exactmath import digit_sum_vanishes
-from moranspec.hadamard import canonical_dual_digits, is_compatible_pair
+from moranspec.hadamard import canonical_dual_digits, is_admissible, is_compatible_pair
 from moranspec.measure import DiscreteMeasure, SymbolicWord, SystemConfig, truncate
 from moranspec.oracle import (_cliques, search_compatible_partners, search_spectra,
                               weighted_mean_rigidity)
@@ -79,6 +84,51 @@ def test_unlimited_partner_scan_matches_the_per_difference_scan(b, p, t, window)
     full = search_compatible_partners(b, p, t, window)
     assert full == per_difference_partners(b, p, t, window)
     assert full  # every one of these letters is admissible
+
+
+@pytest.mark.parametrize("b,p,t", [
+    (9, 6, 3), (-9, 6, 3), (15, 6, 7), (15, 6, -7), (6, 6, 4), (-12, 6, -4)])
+def test_dead_six_digit_letters_match_the_per_difference_scan(b, p, t):
+    # p | b/gcd(b, t) fails, so the search cuts every branch on residues alone
+    assert not is_admissible(b, p, t)
+    assert search_compatible_partners(b, p, t) == per_difference_partners(b, p, t) == []
+
+
+@pytest.mark.parametrize("b,p,t,window,limit", [
+    (6, 3, 1, 17, None), (-12, 3, 4, 50, None), (8, 4, -1, 29, None), (6, 6, 5, 13, None),
+    (-6, 6, 1, 23, None), (12, 6, 1, 31, None), (18, 6, 1, 40, 500), (10, 5, 1, 23, None)])
+def test_windows_that_cut_the_last_residues_match_the_per_difference_scan(b, p, t, window, limit):
+    assert window % abs(b) != 0
+    found = search_compatible_partners(b, p, t, window, limit)
+    assert found and found == per_difference_partners(b, p, t, window, limit)
+
+
+def test_search_and_criterion_agree_on_every_small_letter():
+    # the four sign pairs in turn; 7 strides per (b, p) give each pair every sign
+    letters = product(range(2, 25), range(2, 7), range(1, 8))
+    for (b, p, t), (sb, st_) in zip(letters, cycle(product((1, -1), repeat=2))):
+        found = search_compatible_partners(sb * b, p, st_ * t, limit=64)
+        assert bool(found) == is_admissible(sb * b, p, st_ * t), (sb * b, p, st_ * t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), st.integers(2, 4), st.integers(1, 5),
+       st.sampled_from((1, -1)), st.sampled_from((1, -1)), st.data())
+def test_oracle_search_prints_the_per_difference_partners(b, p, t, sb, st_, data):
+    b, t = sb * b, st_ * t
+    window = data.draw(st.one_of(st.none(), st.integers(abs(b), 3 * abs(b) * p)))
+    cap = data.draw(st.one_of(st.none(), st.integers(0, 80)))
+    flags = [] if window is None else ["--window", str(window)]
+    flags += [] if cap is None else ["--cap", str(cap)]
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        cfg = Path(tmp) / "pair.json"
+        cfg.write_text(json.dumps({"pairs": [{"b": b, "p": p, "t": t}], "word": {"period": [1]}}))
+        code = main(["oracle-search", "--config", str(cfg), *flags])
+    sets = per_difference_partners(b, p, t, window, cap)
+    expected = [f"window={window or abs(b) * p * abs(t)}", f"count={len(sets)}"]
+    expected += [f"set.{i}=" + " ".join(map(str, s)) for i, s in enumerate(sets[:64])]
+    assert code == 0 and out.getvalue().splitlines() == expected
 
 
 def test_search_window_validation():
