@@ -109,8 +109,8 @@ def search_compatible_partners(b: int, p: int, t: int, window: Optional[int] = N
 
     def has_clique(mask: int, need: int) -> bool:
         """Whether need residues of the mask are pairwise compatible."""
-        if need <= 1:
-            return need == 0 or mask != 0
+        if need == 1:
+            return mask != 0
         key = (mask, need)
         if key not in memo:
             found = False
@@ -125,15 +125,14 @@ def search_compatible_partners(b: int, p: int, t: int, window: Optional[int] = N
     singles = [q + r for q in range(0, window, m) for r in residues if q + r < window]
 
     def extend(chosen: list, start: int, mask: int) -> Iterator[tuple]:
-        if len(chosen) == p:
+        need = p - len(chosen)
+        if need == 0:
             yield tuple(chosen)
-            return
-        if not has_clique(mask, p - len(chosen)):
-            return
-        for idx in range(start, len(singles)):
-            s = singles[idx]
-            if mask >> (s % m) & 1:
-                yield from extend(chosen + [s], idx + 1, mask & rotated(s % m))
+        elif has_clique(mask, need):
+            for idx in range(start, len(singles)):
+                s = singles[idx]
+                if mask >> (s % m) & 1:
+                    yield from extend(chosen + [s], idx + 1, mask & rotated(s % m))
 
     return list(islice(extend([0], 0, vanishing), limit))
 
