@@ -33,8 +33,9 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_OUT_OF_SCOPE = 2
 
-# grid x tower points x depth stage evaluations allowed in qcheck; measured
-# at 30 (p = 5) to 68 (p = 2) million per second, this is about 1.5-3.5 s of work
+# grid x tower points x depth stage evaluations allowed in qcheck, depth
+# counted as at least one; measured at 30 (p = 5) to 68 (p = 2) million per
+# second, this is about 1.5-3.5 s of work
 QCHECK_WORK_BOUND = 10**8
 
 # partner sets oracle-search may hold when --cap is not given; (6,6,5) has
@@ -45,6 +46,11 @@ ORACLE_SET_BOUND = 100_000
 # at most 2 * WINDOW_BOUND + 1 translates, oracle-search scans WINDOW_BOUND
 # candidate differences
 WINDOW_BOUND = 10**6
+
+# most digits oracle-search takes when p <= |b|: its partner search nests one
+# Python frame per digit, and 100 of the default 1,000 are left to the caller;
+# a p past |b| has no partner set, which the search finds before it nests
+ORACLE_DIGIT_BOUND = 900
 
 # most stage pairs a config (or its rewrite block) may list; an alphabet of m
 # non-coprime pairs has about 1.5 * m**2 hypothesis violations to report
@@ -150,8 +156,15 @@ def fmt_multiples(unit: Fraction, ks) -> str:
     return " ".join(parts)
 
 
+# one float field, 17 significant digits; '%.17g' % x is format(x, '.17g')
+FLOAT_SPEC = "%.17g"
+
+# a sample-ft CSV row: x, re, im, abs
+CSV_ROW = ",".join([FLOAT_SPEC] * 4) + "\n"
+
+
 def fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+    return FLOAT_SPEC % float(x)
 
 
 def emit(key: str, value) -> None:
@@ -260,17 +273,17 @@ def cmd_qcheck(config, word, rewrite, args) -> int:
         if points > measure.DEFAULT_ATOM_CAP:
             break  # build_tower_spectrum refuses this tower
     else:
-        work = args.grid * points * args.depth
+        work = args.grid * points * max(1, args.depth)
         if work > QCHECK_WORK_BOUND:
             raise measure.AtomCapExceeded(
-                f"qcheck needs {work} stage evaluations (grid x points x depth); "
-                f"bound is {QCHECK_WORK_BOUND}")
+                f"qcheck needs {work} stage evaluations (grid x points x depth, "
+                f"depth at least 1); bound is {QCHECK_WORK_BOUND}")
     cand = spectra.build_tower_spectrum(config, word, args.depth)
-    xs = np.arange(args.grid) / args.grid
     rows = max(1, measure.MU_HAT_BLOCK // len(cand))
     worst = 0.0
     for i in range(0, args.grid, rows):
-        qs = spectra.q_function(config, word, args.depth, cand, xs[i:i + rows])
+        xs = np.arange(i, min(i + rows, args.grid)) / args.grid
+        qs = spectra.q_function(config, word, args.depth, cand, xs)
         worst = max(worst, float(np.max(np.abs(qs - 1.0))))
     emit("depth", args.depth)
     emit("grid", args.grid)
@@ -324,7 +337,9 @@ def cmd_sample_ft(config, word, rewrite, args) -> int:
     word = _need_word(word)
     if args.out is None:
         raise ConfigError("sample-ft needs --out PATH for the CSV")
-    rows = max(0, args.window * args.grid + 1)
+    if args.window < 0:
+        raise ConfigError(f"--window must be >= 0, got {args.window}")
+    rows = args.window * args.grid + 1
     if rows > measure.DEFAULT_ATOM_CAP:
         raise measure.AtomCapExceeded(
             f"sample-ft needs {rows} rows; cap is {measure.DEFAULT_ATOM_CAP}")
@@ -337,9 +352,10 @@ def cmd_sample_ft(config, word, rewrite, args) -> int:
         # a one-element array on its scalar path, which rounds differently
         for block in np.array_split(xs, max(1, math.ceil(rows / measure.MU_HAT_BLOCK))):
             vals = measure.mu_hat_many(config, word, block, args.depth)
-            for x, val in zip(block.tolist(), vals.tolist()):
-                fh.write(f"{fmt_float(x)},{fmt_float(val.real)},"
-                         f"{fmt_float(val.imag)},{fmt_float(abs(val))}\n")
+            # Python's abs(complex): np.abs can differ from it in the last bit
+            cells = tuple(c for x, v in zip(block.tolist(), vals.tolist())
+                          for c in (x, v.real, v.imag, abs(v)))
+            fh.write(CSV_ROW * len(block) % cells)
     emit("rows", rows)
     emit("out", args.out)
     return EXIT_OK
@@ -362,6 +378,9 @@ def cmd_rewrite_check(config, word, rewrite, args) -> int:
 
 def cmd_oracle_search(config, word, rewrite, args) -> int:
     pr = config.pairs[0]
+    if ORACLE_DIGIT_BOUND < pr.p <= abs(pr.b):
+        raise ConfigError(f"oracle-search on p = {pr.p} digits is past the digit bound; "
+                          f"bound is {ORACLE_DIGIT_BOUND}")
     window = args.window if args.window is not None else abs(pr.b) * pr.p * abs(pr.t)
     _check_window(window)
     limit = args.cap if args.cap is not None else ORACLE_SET_BOUND + 1

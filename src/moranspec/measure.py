@@ -436,8 +436,11 @@ def dirichlet_amplitude(p: int, v: np.ndarray) -> np.ndarray:
     Rounding bound against D_p at the float v, with 2**-53 the unit
     roundoff: (p**2 + pi p |v|) 2**-53 for the recurrence and 2**-50 for the
     quotient, whatever p is (against mpmath, measured up to 0.51 and 0.38
-    of these).
+    of these).  At p = 2 the recurrence gives (2c)/2, which is c exactly in
+    floats, so c is returned as it is.
     """
+    if p == 2:
+        return np.cos(np.pi * v)
     if p <= RECURRENCE_MAX_P:
         two_c = 2 * np.cos(np.pi * v)
         prev, cur = 1.0, two_c

@@ -1,15 +1,20 @@
 import json
+import math
 import os
+import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from moranspec.cli import (ALPHABET_BOUND, ORACLE_SET_BOUND, QCHECK_WORK_BOUND, WINDOW_BOUND, main,
-                           parse_word_text)
+from moranspec.cli import (ALPHABET_BOUND, CSV_ROW, ORACLE_DIGIT_BOUND, ORACLE_SET_BOUND,
+                           QCHECK_WORK_BOUND, WINDOW_BOUND, fmt_float, main, parse_word_text)
 from moranspec.measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, SymbolicWord, SystemConfig,
                                mu_hat_eval, mu_hat_many)
 from moranspec.spectra import VERIFY_ATOM_BOUND
@@ -589,3 +594,121 @@ def test_qcheck_past_the_work_bound_exits_2_quickly(quarter_config):
     assert time.perf_counter() - started < 10.0
     assert done.returncode == 2
     assert f"bound is {QCHECK_WORK_BOUND}" in done.stderr
+
+
+def limit_address_space():
+    # a failed allocation then raises MemoryError instead of touching memory
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_qcheck_at_depth_zero_counts_one_stage_in_the_work_bound(quarter_config):
+    # grid x points x depth was 0 at depth 0, so any grid passed the bound
+    # and 10**12 grid points failed to allocate 7.28 TiB (exit 1)
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-m", "moranspec.cli", "qcheck", "--config", quarter_config,
+         "--depth", "0", "--grid", str(10**12)],
+        capture_output=True, text=True, timeout=30, env=env, preexec_fn=limit_address_space)
+    assert done.returncode == 2, done.stderr
+    assert f"bound is {QCHECK_WORK_BOUND}" in done.stderr
+    small = run_cli(["qcheck", "--config", quarter_config, "--depth", "0", "--grid", "4"],
+                    timeout=30)
+    assert small.returncode == 0 and "max_deviation=0" in small.stdout
+
+
+def test_qcheck_builds_its_grid_one_block_at_a_time(quarter_config):
+    # the whole grid of 10**7 points as one array held about 150 MB
+    search = peak_rss_kb("from moranspec.cli import main; "
+                         f"main(['qcheck', '--config', {quarter_config!r}, "
+                         "'--depth', '1', '--grid', '10000000'])")
+    assert search - peak_rss_kb("import moranspec.cli") < 40 * 1024
+
+
+@pytest.mark.parametrize("window", [-1, -3])
+def test_sample_ft_negative_window_exits_2(quarter_config, tmp_path, window, capsys):
+    out_path = tmp_path / "ft.csv"
+    code = main(["sample-ft", "--config", quarter_config, "--window", str(window),
+                 "--out", str(out_path)])
+    assert code == 2
+    assert "--window" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_oracle_search_past_the_digit_bound_exits_2(tmp_path):
+    # the partner search nests one frame per digit: p = 1,000 used to exit 1
+    # with a RecursionError, and the bound itself finishes in about a second
+    def pair(b, p):
+        return write_config(tmp_path, f"o{b}-{p}.json", {"pairs": [{"b": b, "p": p, "t": 1}],
+                                                       "word": {"period": [1]}})
+    bound = ORACLE_DIGIT_BOUND
+    past = run_cli(["oracle-search", "--config", pair(1000, 1000), "--window", "1000",
+                    "--cap", "1"], timeout=30)
+    assert past.returncode == 2
+    assert past.stderr.startswith("error=") and f"bound is {bound}" in past.stderr
+    at = run_cli(["oracle-search", "--config", pair(bound, bound), "--window", str(bound),
+                  "--cap", "1"], timeout=10)
+    assert at.returncode == 0, at.stderr
+    assert "count=1" in at.stdout
+    # more digits than |b| leave no partner set and no nesting
+    wide = run_cli(["oracle-search", "--config", pair(4, 10**6), "--window", "4"], timeout=30)
+    assert wide.returncode == 0, wide.stderr
+    assert wide.stdout.splitlines() == ["window=4", "count=0"]
+
+
+def reference_fmt(x):
+    return format(float(x), ".17g")
+
+
+def reference_row(x, val):
+    """A sample-ft row as one f-string per row wrote it."""
+    return (f"{reference_fmt(x)},{reference_fmt(val.real)},"
+            f"{reference_fmt(val.imag)},{reference_fmt(abs(val))}\n")
+
+
+def reference_csv(config, word, depth, grid, window):
+    rows = window * grid + 1
+    xs = np.arange(rows) / grid
+    text = ["x,re,im,abs\n"]
+    for block in np.array_split(xs, max(1, math.ceil(rows / MU_HAT_BLOCK))):
+        vals = mu_hat_many(config, word, block, depth)
+        text += [reference_row(x, v) for x, v in zip(block.tolist(), vals.tolist())]
+    return "".join(text)
+
+
+stage_pairs = st.tuples(st.integers(2, 40).flatmap(lambda m: st.sampled_from([m, -m])),
+                        st.integers(2, 40),
+                        st.integers(1, 9).flatmap(lambda m: st.sampled_from([m, -m])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(stages=st.lists(stage_pairs, min_size=1, max_size=3),
+       period=st.integers(1, 3),
+       depth=st.one_of(st.integers(1, 40), st.just(600)),
+       size=st.one_of(st.tuples(st.integers(1, 64), st.integers(0, 4)),
+                      st.tuples(st.integers(MU_HAT_BLOCK - 2, MU_HAT_BLOCK + 8), st.just(1))))
+@example(stages=[(4, 2, 1)], period=1, depth=8, size=(256, 0))  # --window 0: the row at x = 0
+def test_sample_ft_csv_matches_the_per_row_writer_byte_for_byte(stages, period, depth, size):
+    grid, window = size
+    letters = [1 + i % len(stages) for i in range(period)]
+    data = {"pairs": [{"b": b, "p": p, "t": t} for b, p, t in stages],
+            "word": {"period": letters}}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), "c.json", data)
+        out_path = Path(tmp) / "ft.csv"
+        code = main(["sample-ft", "--config", cfg, "--depth", str(depth), "--grid", str(grid),
+                     "--window", str(window), "--out", str(out_path)])
+        assert code == 0
+        got = out_path.read_text()
+    assert got == reference_csv(SystemConfig.of(*stages), SymbolicWord((), tuple(letters)),
+                                depth, grid, window)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.complex_numbers(allow_nan=True, allow_infinity=True)),
+                min_size=1, max_size=8))
+@example([(0.0, complex(-0.0, 5e-324)), (-0.0, complex(1e-17, -1.2345678901234567e300))])
+def test_the_csv_row_template_is_the_per_row_writer(rows):
+    # -0, subnormals, exponents, inf and nan format as one f-string per row did
+    cells = tuple(c for x, v in rows for c in (x, v.real, v.imag, abs(v)))
+    assert CSV_ROW * len(rows) % cells == "".join(reference_row(x, v) for x, v in rows)
+    assert [fmt_float(c) for c in cells] == [reference_fmt(c) for c in cells]

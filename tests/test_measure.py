@@ -11,7 +11,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moranspec.cli import load_config
@@ -469,6 +469,23 @@ def test_dirichlet_amplitude_is_within_its_bound_on_both_sides_of_the_branch(p):
     # the sign (-1)^{k(p-1)} at the integers
     ks = np.arange(-5.0, 6.0)
     assert dirichlet_amplitude(p, ks).tolist() == [(-1.0) ** (k * (p - 1)) for k in range(-5, 6)]
+
+
+def two_digit_recurrence(v):
+    """What the recurrence returns at p = 2: U_1(c)/2 = (2c)/2."""
+    return (2 * np.cos(np.pi * v)) / 2
+
+
+TINY = float(np.finfo(float).smallest_subnormal)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e15, 1e15), min_size=1, max_size=40))
+@example([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, -2.5, TINY, -TINY, 1000 * TINY,
+          float(np.finfo(float).smallest_normal), 1e15, -1e15, 1e15 - 0.5, 2.0 ** 49 + 0.5])
+def test_dirichlet_amplitude_at_two_digits_is_the_recurrence_bitwise(vs):
+    vs = np.array(vs)
+    assert dirichlet_amplitude(2, vs).tobytes() == two_digit_recurrence(vs).tobytes()
 
 
 @pytest.mark.parametrize("p", BRANCH_PS)
