@@ -48,9 +48,6 @@ class SpectralVerdict:
     clause: Optional[str] = None
     detail: tuple[tuple[str, object], ...] = ()
 
-    def detail_dict(self) -> dict:
-        return dict(self.detail)
-
 
 def validate_config(config: SystemConfig) -> list[str]:
     """Every violation of the coprime-alphabet hypothesis, as report strings.

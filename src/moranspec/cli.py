@@ -346,12 +346,15 @@ def cmd_sample_ft(config, word, rewrite, args) -> int:
     if args.depth < 1:
         raise ConfigError(f"--depth must be >= 1, got {args.depth}")
     xs = np.arange(rows) / args.grid
+    # near-equal blocks, none of one row unless rows is 1: numpy multiplies
+    # a one-element array on its scalar path, which rounds differently
+    blocks = np.array_split(xs, max(1, math.ceil(rows / measure.MU_HAT_BLOCK)))
+    # evaluated before --out is created: a ratio past the float range leaves no file
+    first = measure.mu_hat_many(config, word, blocks[0], args.depth)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("x,re,im,abs\n")
-        # near-equal blocks, none of one row unless rows is 1: numpy multiplies
-        # a one-element array on its scalar path, which rounds differently
-        for block in np.array_split(xs, max(1, math.ceil(rows / measure.MU_HAT_BLOCK))):
-            vals = measure.mu_hat_many(config, word, block, args.depth)
+        for i, block in enumerate(blocks):
+            vals = measure.mu_hat_many(config, word, block, args.depth) if i else first
             # Python's abs(complex): np.abs can differ from it in the last bit
             cells = tuple(c for x, v in zip(block.tolist(), vals.tolist())
                           for c in (x, v.real, v.imag, abs(v)))
@@ -368,8 +371,7 @@ def cmd_rewrite_check(config, word, rewrite, args) -> int:
     left = measure.truncate(config, word, args.depth, cap=args.cap)
     right = measure.truncate(rewrite["config"], rewrite["word"], rewrite["depth"],
                              cap=args.cap)
-    equal = measure.measures_equal(left, right)
-    emit("equal", equal)
+    emit("equal", left == right)  # canonical measures: equal fields, equal maps
     emit("left_depth", args.depth)
     emit("right_depth", rewrite["depth"])
     emit("atoms", len(left.nums))

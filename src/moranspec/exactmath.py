@@ -9,7 +9,8 @@ x^n - 1, where P(x) = sum_a x^(a mod n) (the Redei-de Bruijn-Schoenberg
 description; Lam-Leung 2000).  That product is formed on the exponent
 multiset with integer coefficients, so every zero/nonzero verdict in this
 module is tolerance-free and no cyclotomic polynomial is needed.  The
-cyclotomic polynomials themselves are built as integer power series.
+cyclotomic polynomials themselves are built as integer power series.  No
+value here is a float; tests/test_exactmath.py sums the roots in floats.
 
 Rational quantities throughout the package are plain ``fractions.Fraction``
 values (gcd-reduced, positive denominator, canonical zero 0/1).
@@ -17,7 +18,6 @@ values (gcd-reduced, positive denominator, canonical zero 0/1).
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -153,12 +153,6 @@ def digit_sum_vanishes(n: int, digits: Sequence[int], ell: int) -> bool:
     if g == n:
         return False
     return root_sum_is_zero(RootSum(n // g, tuple(e // g for e in exps)))
-
-
-def root_sum_value(s: RootSum) -> complex:
-    """Double-precision value of the sum; numeric cross-check only."""
-    n = s.order
-    return sum(cmath.exp(2j * cmath.pi * e / n) for e in s.exponents)
 
 
 def over_common_denominator(values) -> tuple[list[int], int]:

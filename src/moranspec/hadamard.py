@@ -10,17 +10,14 @@ digit sets D = {0, t, ..., (p-1)t} an admissible partner exists iff
 and the canonical partner is (b*t'/(t*p)) * {0, ..., p-1} with t' = t/gcd(b,t).
 
 The exact verdict reduces each difference to a vanishing sum of |b|-th roots
-of unity; the numeric unitarity residual is a cross-check, never the judge.
+of unity; no value here is a float.  The float cross-checks of a stage are
+``spectra.weighted_matrix_residual`` and ``DiscreteMeasure.fourier_many``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .exactmath import digit_sum_vanishes
 
@@ -67,50 +64,3 @@ def is_compatible_pair(b: int, digits: Sequence[int], freqs: Sequence[int]) -> b
     fr = sorted(freqs)
     return all(digit_sum_vanishes(abs(b), digits, fr[j] - fr[i])
                for i in range(len(fr)) for j in range(i + 1, len(fr)))
-
-
-def unitarity_residual(b: int, digits: Sequence[int], freqs: Sequence[int]) -> float:
-    """Frobenius norm of H*H - I for the normalized exponential matrix."""
-    if len(digits) != len(freqs):
-        raise ValueError(f"size mismatch: #D={len(digits)} vs #L={len(freqs)}")
-    d = np.array(digits, dtype=float)
-    l = np.array(freqs, dtype=float)
-    h = np.exp(2j * np.pi * np.outer(d, l) / b) / math.sqrt(len(digits))
-    r = h.conj().T @ h - np.eye(len(freqs))
-    return float(np.linalg.norm(r))
-
-
-def parseval_sum(b: int, digits: Sequence[int], freqs: Sequence[int], x: float) -> float:
-    """sum_{l in L} |m_D(l/b + x)|^2; identically 1 exactly for compatible pairs."""
-    if len(digits) != len(freqs):
-        raise ValueError(f"size mismatch: #D={len(digits)} vs #L={len(freqs)}")
-    d = np.array(digits, dtype=float)
-    total = 0.0
-    for l in freqs:
-        vals = np.exp(2j * np.pi * d * (l / b + x))
-        total += abs(np.sum(vals) / len(digits)) ** 2
-    return float(total)
-
-
-@dataclass(frozen=True)
-class TripleCheckReport:
-    """Outcome of checking a stage: exact verdict, numeric residual, canonical partner."""
-
-    exact_compatible: bool
-    unitarity_residual: float
-    canonical: Optional[tuple[int, ...]]
-
-
-def triple_report(b: int, p: int, t: int) -> TripleCheckReport:
-    """Check admissibility of (b, p, t) both exactly and numerically.
-
-    Non-admissible stages have no unitary witness at all; the residual is
-    reported as +inf in that case.
-    """
-    digits = tuple(j * t for j in range(p))
-    if not is_admissible(b, p, t):
-        return TripleCheckReport(False, math.inf, None)
-    canonical = canonical_dual_digits(b, p, t)
-    exact = is_compatible_pair(b, digits, canonical)
-    resid = unitarity_residual(b, digits, canonical)
-    return TripleCheckReport(exact, resid, canonical)

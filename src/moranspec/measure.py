@@ -38,6 +38,9 @@ MU_HAT_BLOCK = 4096
 # error growing as p**2; both forms cost the same here on 4,096 arguments (two-core Xeon)
 RECURRENCE_MAX_P = 32
 
+# largest finite float: a stage ratio or a point past it has no float value
+FLOAT_BOUND = float(np.finfo(float).max)
+
 
 class AtomCapExceeded(ValueError):
     """Raised when a truncation or a verification would exceed its atom cap."""
@@ -239,12 +242,16 @@ def float_quotients(nums, den: int) -> np.ndarray:
 
     nums is a sorted sequence or integer array.  One float division while
     every operand is below 2**53, where floats hold it exactly; otherwise
-    Python's int / int, which rounds any quotient a float can hold.
+    Python's int / int, which rounds any quotient a float can hold.  A
+    quotient past FLOAT_BOUND raises ValueError naming the bound.
     """
     if len(nums) == 0 or max(-nums[0], nums[-1], den) < 2**53:
         return np.asarray(nums, dtype=float) / den
     exact = nums.tolist() if isinstance(nums, np.ndarray) else nums
-    return np.array([n / den for n in exact], dtype=float)
+    try:
+        return np.array([n / den for n in exact], dtype=float)
+    except OverflowError:
+        raise ValueError(f"a point is past the float range; bound is {FLOAT_BOUND!r}") from None
 
 
 @dataclass(frozen=True)
@@ -360,14 +367,6 @@ def truncate(config: SystemConfig, word: SymbolicWord, k: int,
                            tuple(counts[x] for x in keys), paths)
 
 
-def measures_equal(a: DiscreteMeasure, b: DiscreteMeasure) -> bool:
-    """True iff the atom maps are identical as exact rational maps.
-
-    Both measures are in canonical form, so this compares their fields.
-    """
-    return a == b
-
-
 def mask_zero_hit(p: int, t: int, num: int | np.ndarray, den: int) -> bool | np.ndarray:
     """Exact membership of num/den in the mask zero set (Z \\ pZ)/(p*t).
 
@@ -460,19 +459,25 @@ def mu_hat_amplitude(config: SystemConfig, word: SymbolicWord, xs: np.ndarray,
     """Real A(x) = prod_{n<=depth} D_{p_n}(t_n x / B_n) and H = sum_n (p_n - 1) t_n / B_n.
 
     B_n = b_1...b_n; the transform is exp(pi i H x) A(x), so |mu_hat|**2 is
-    A**2.  The stages from the first B_n past the float range are left out.
+    A**2.  Each quotient by B_n is one correctly rounded int / int division,
+    and one past FLOAT_BOUND raises ValueError.  Past |B_n| = 2**1075 max
+    (p - 1)|t| every quotient rounds to 0, a factor D_p(0) = 1: the walk stops.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     xs = np.asarray(xs, dtype=float)
     amp, slope = np.ones_like(xs), 0.0
-    for pr, base in stage_walk(config, word, depth):
-        try:
-            bf = float(base)
-        except OverflowError:  # |b_1...b_n| is past the float range
+    underflow = max((pr.p - 1) * abs(pr.t) for pr in config.pairs) << 1075
+    for n, (pr, base) in enumerate(stage_walk(config, word, depth), start=1):
+        if abs(base) > underflow:
             break
-        amp *= dirichlet_amplitude(pr.p, xs * (pr.t / bf))
-        slope += (pr.p - 1) * pr.t / bf
+        try:
+            ratio, drift = pr.t / base, (pr.p - 1) * pr.t / base
+        except OverflowError:
+            raise ValueError(f"stage {n}: t_{n}/(b_1...b_{n}) is past the float range; "
+                             f"bound is {FLOAT_BOUND!r}") from None
+        amp *= dirichlet_amplitude(pr.p, xs * ratio)
+        slope += drift
     return amp, slope
 
 

@@ -45,17 +45,9 @@ class IntervalUnion:
                 merged.append((a, b))
         object.__setattr__(self, "intervals", tuple(merged))
 
-    @property
-    def total_length(self) -> Fraction:
-        return sum((b - a for a, b in self.intervals), Fraction(0))
-
     def translate(self, shift: RationalLike) -> "IntervalUnion":
         s = Fraction(shift)
         return IntervalUnion(tuple((a + s, b + s) for a, b in self.intervals))
-
-    def contains(self, x: RationalLike) -> bool:
-        x = Fraction(x)
-        return any(a <= x < b for a, b in self.intervals)
 
 
 def two_stage_support(p1: int, t1: int, t2: int, b1: int) -> IntervalUnion:

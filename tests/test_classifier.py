@@ -16,8 +16,7 @@ from moranspec.classifier import (CLAUSE_DIVISIBILITY, CLAUSE_TAIL_EXCEPTION,
                                   necessity_violations, two_stage_decide,
                                   validate_config)
 from moranspec.hadamard import is_admissible
-from moranspec.measure import (StagePair, SymbolicWord, SystemConfig,
-                               measures_equal, scale_digits, truncate)
+from moranspec.measure import StagePair, SymbolicWord, SystemConfig, scale_digits, truncate
 
 from test_measure import fraction_zero, words_over
 from test_tiling import outcome
@@ -86,12 +85,12 @@ def test_word_letters_past_the_alphabet_are_rejected():
 def test_decide_examples():
     tail = decide_spectrality(MIXED, SymbolicWord((1,), (2,)))
     assert tail.kind == NOT_SPECTRAL and tail.clause == CLAUSE_TAIL_EXCEPTION
-    assert tail.detail_dict()["l"] == 1 and tail.detail_dict()["j"] == 2
+    assert dict(tail.detail)["l"] == 1 and dict(tail.detail)["j"] == 2
     assert decide_spectrality(MIXED, SymbolicWord.constant(2)).kind == SPECTRAL
     div = decide_spectrality(SystemConfig.of((4, 2, 1), (9, 2, 3)),
                              SymbolicWord((), (1, 2)))
     assert div.kind == NOT_SPECTRAL and div.clause == CLAUSE_DIVISIBILITY
-    assert div.detail_dict()["letter"] == 2
+    assert dict(div.detail)["letter"] == 2
     scope = decide_spectrality(SystemConfig.of((4, 2, 2), (2, 2, 3)),
                                SymbolicWord.constant(1))
     assert scope.kind == OUT_OF_SCOPE
@@ -273,7 +272,7 @@ def test_alternating_family_examples():
     assert neg.kind == NOT_SPECTRAL
     assert alternating_family_decide(2, 3, [2], [2]).kind == SPECTRAL
     mixed = alternating_family_decide(2, 3, [4, 3], [1])
-    assert mixed.kind == NOT_SPECTRAL and mixed.detail_dict()["b_odd"] == 3
+    assert mixed.kind == NOT_SPECTRAL and dict(mixed.detail)["b_odd"] == 3
 
 
 def test_alternating_family_rewrite_cross_check():
@@ -288,7 +287,7 @@ def test_alternating_family_rewrite_cross_check():
     for k in (1, 2):
         left = truncate(scaled, word, 2 * k)
         right = truncate(merged, merged_word, k)
-        assert measures_equal(left, right)
+        assert left == right
 
 
 def test_eventually_constant_verdicts_align_with_two_stage_divisibility():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -15,8 +17,8 @@ from hypothesis import strategies as st
 
 from moranspec.cli import (ALPHABET_BOUND, CSV_ROW, ORACLE_DIGIT_BOUND, ORACLE_SET_BOUND,
                            QCHECK_WORK_BOUND, WINDOW_BOUND, fmt_float, main, parse_word_text)
-from moranspec.measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, SymbolicWord, SystemConfig,
-                               mu_hat_eval, mu_hat_many)
+from moranspec.measure import (DEFAULT_ATOM_CAP, FLOAT_BOUND, MU_HAT_BLOCK, SymbolicWord,
+                               SystemConfig, mu_hat_eval, mu_hat_many, truncate)
 from moranspec.spectra import VERIFY_ATOM_BOUND
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -179,6 +181,43 @@ def test_rewrite_check(tmp_path, capsys):
     })
     code, out = run(capsys, ["rewrite-check", "--config", cfg, "--depth", "4"])
     assert code == 0 and "equal=true" in out
+
+
+def rewrite_systems():
+    """A small signed alphabet of one to three letters, a word over it and a depth."""
+    signed = st.integers(1, 6).flatmap(lambda m: st.sampled_from([m, -m]))
+    pair = st.tuples(signed.filter(lambda b: abs(b) >= 2), st.integers(2, 3), signed)
+
+    @st.composite
+    def system(draw):
+        pairs = draw(st.lists(pair, min_size=1, max_size=3))
+        letter = st.integers(1, len(pairs))
+        return (pairs, draw(st.lists(letter, max_size=2)),
+                draw(st.lists(letter, min_size=1, max_size=2)), draw(st.integers(0, 4)))
+
+    return system()
+
+
+@settings(max_examples=60, deadline=None)
+@given(left=rewrite_systems(), right=st.one_of(st.none(), rewrite_systems()))
+def test_rewrite_check_reports_the_library_comparison(left, right):
+    # right is None in about half the examples: the rewrite is the main system itself
+    right = left if right is None else right
+    blocks = [{"pairs": [{"b": b, "p": p, "t": t} for b, p, t in pairs],
+               "word": {"preperiod": pre, "period": per}} for pairs, pre, per, _ in (left, right)]
+    data = {**blocks[0], "rewrite": {**blocks[1], "depth": right[3]}}
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        code = main(["rewrite-check", "--config", write_config(Path(tmp), "rw.json", data),
+                     "--depth", str(left[3])])
+    assert code == 0
+    lhs, rhs = (truncate(SystemConfig.of(*pairs), SymbolicWord(tuple(pre), tuple(per)), depth)
+                for pairs, pre, per, depth in (left, right))
+    # canonical measures: equal fields exactly when the atom maps are equal
+    assert (lhs == rhs) == (dict(lhs.atoms) == dict(rhs.atoms))
+    assert out.getvalue().splitlines() == [f"equal={str(lhs == rhs).lower()}",
+                                           f"left_depth={left[3]}", f"right_depth={right[3]}",
+                                           f"atoms={len(lhs.nums)}"]
 
 
 def test_oracle_search(quarter_config, capsys):
@@ -659,10 +698,9 @@ def reference_fmt(x):
     return format(float(x), ".17g")
 
 
-def reference_row(x, val):
+def reference_row(x, re, im, mod):
     """A sample-ft row as one f-string per row wrote it."""
-    return (f"{reference_fmt(x)},{reference_fmt(val.real)},"
-            f"{reference_fmt(val.imag)},{reference_fmt(abs(val))}\n")
+    return f"{reference_fmt(x)},{reference_fmt(re)},{reference_fmt(im)},{reference_fmt(mod)}\n"
 
 
 def reference_csv(config, word, depth, grid, window):
@@ -671,7 +709,8 @@ def reference_csv(config, word, depth, grid, window):
     text = ["x,re,im,abs\n"]
     for block in np.array_split(xs, max(1, math.ceil(rows / MU_HAT_BLOCK))):
         vals = mu_hat_many(config, word, block, depth)
-        text += [reference_row(x, v) for x, v in zip(block.tolist(), vals.tolist())]
+        text += [reference_row(x, v.real, v.imag, abs(v))
+                 for x, v in zip(block.tolist(), vals.tolist())]
     return "".join(text)
 
 
@@ -704,11 +743,63 @@ def test_sample_ft_csv_matches_the_per_row_writer_byte_for_byte(stages, period, 
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.floats(), st.complex_numbers(allow_nan=True, allow_infinity=True)),
+@given(st.lists(st.tuples(st.floats(), st.floats(), st.floats(), st.floats()),
                 min_size=1, max_size=8))
-@example([(0.0, complex(-0.0, 5e-324)), (-0.0, complex(1e-17, -1.2345678901234567e300))])
+@example([(0.0, -0.0, 5e-324, 5e-324), (-0.0, 1e-17, -1.2345678901234567e300,
+                                        1.2345678901234567e300)])
 def test_the_csv_row_template_is_the_per_row_writer(rows):
-    # -0, subnormals, exponents, inf and nan format as one f-string per row did
-    cells = tuple(c for x, v in rows for c in (x, v.real, v.imag, abs(v)))
-    assert CSV_ROW * len(rows) % cells == "".join(reference_row(x, v) for x, v in rows)
+    # -0, subnormals, exponents, inf and nan format as one f-string per row did;
+    # the four cells of a row are drawn apart, so abs covers every float it can hold
+    cells = tuple(c for row in rows for c in row)
+    assert CSV_ROW * len(rows) % cells == "".join(reference_row(*row) for row in rows)
     assert [fmt_float(c) for c in cells] == [reference_fmt(c) for c in cells]
+
+
+# 10**400 + 1 is past the float range, as is 10**400
+HUGE = 10**400 + 1
+
+
+def float_range_config(tmp_path, b, t):
+    return write_config(tmp_path, "huge.json", {"pairs": [{"b": str(b), "p": 2, "t": str(t)}],
+                                                "word": {"period": [1]}})
+
+
+@pytest.mark.parametrize("command", ["qcheck", "verify", "sample-ft"])
+def test_a_stage_ratio_past_the_float_range_exits_2_before_any_output(tmp_path, capsys, command):
+    # t_1/b_1 = (10**400 + 1)/4 has no float value
+    out_path = tmp_path / "ft.csv"
+    extra = ["--out", str(out_path)] if command == "sample-ft" else []
+    code = main([command, "--config", float_range_config(tmp_path, 4, HUGE), "--depth", "1",
+                 *extra])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error=stage 1:") and f"bound is {FLOAT_BOUND!r}" in captured.err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["qcheck", "verify"])
+def test_a_point_past_the_float_range_exits_2_before_any_output(tmp_path, capsys, command):
+    # the canonical partner of (10**400, 2, 1) is {0, 5 * 10**399}
+    code = main([command, "--config", float_range_config(tmp_path, 10**400, 1), "--depth", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error=a point") and f"bound is {FLOAT_BOUND!r}" in captured.err
+
+
+def test_a_base_past_the_float_range_keeps_its_stage(tmp_path, capsys):
+    # b = 6 (10**400 + 1) and t = 10**400 + 1: t/b = 1/6, the tower is {0, 3}, and
+    # the stage mask at 3 is cos(pi/2), so Q is 1 and the residual is a rounding
+    cfg = float_range_config(tmp_path, 6 * HUGE, HUGE)
+    code, out = run(capsys, ["verify", "--config", cfg, "--depth", "1"])
+    report = dict(line.split("=", 1) for line in out.splitlines())
+    assert code == 0 and report["ok"] == "true"
+    assert float(report["unitarity_residual"]) < 1e-15
+    code, out = run(capsys, ["qcheck", "--config", cfg, "--depth", "1"])
+    assert code == 0 and float(dict(line.split("=", 1) for line in out.splitlines())
+                               ["max_deviation"]) < 1e-15
+    csv_path = tmp_path / "ft.csv"
+    code, _ = run(capsys, ["sample-ft", "--config", cfg, "--depth", "1", "--grid", "1",
+                           "--window", "3", "--out", str(csv_path)])
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert code == 0 and [float(r[0]) for r in rows] == [0, 1, 2, 3]
+    assert float(rows[3][3]) < 1e-15

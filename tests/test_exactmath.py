@@ -1,3 +1,4 @@
+import ast
 import cmath
 import math
 import os
@@ -7,12 +8,13 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moranspec.exactmath import (RootSum, cyclotomic_polynomial, divisors,
-                                 prime_factors, root_sum_is_zero, root_sum_value)
+                                 prime_factors, root_sum_is_zero)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -130,7 +132,8 @@ def test_root_sum_agrees_with_numeric_evaluation():
         n = rng.randint(1, 360)
         size = rng.randint(1, 64)
         s = RootSum(n, tuple(rng.randrange(n) for _ in range(size)))
-        numeric = abs(root_sum_value(s))
+        # the sum of the roots in floats, a cross-check the exact test never reads
+        numeric = abs(np.sum(np.exp(2j * np.pi * np.array(s.exponents) / n)))
         if root_sum_is_zero(s):
             assert numeric < 1e-9
         else:
@@ -194,3 +197,14 @@ def test_order_103680_is_decided_quickly():
                           timeout=20, env={**os.environ, "PYTHONPATH": SRC})
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "True"]
+
+
+def test_the_exact_layers_import_no_float_library():
+    # every verdict of these modules is computed in integers or rationals
+    for name in ("exactmath", "hadamard", "classifier", "tiling"):
+        tree = ast.parse((Path(SRC) / "moranspec" / f"{name}.py").read_text(encoding="utf-8"))
+        imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+        assert not imported & {"numpy", "cmath"}, (name, sorted(imported))

@@ -1,14 +1,31 @@
-import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moranspec.exactmath import RootSum, root_sum_is_zero
-from moranspec.hadamard import (canonical_dual_digits, is_admissible,
-                                is_compatible_pair, parseval_sum, triple_report,
-                                unitarity_residual)
+from moranspec.hadamard import canonical_dual_digits, is_admissible, is_compatible_pair
+from moranspec.measure import DiscreteMeasure
+from moranspec.spectra import weighted_matrix_residual
+
+
+def stage_measure(b, digits):
+    """Uniform measure on D/b; its transform at l + x*b is the mask m_D(l/b + x)."""
+    return DiscreteMeasure.from_dict({Fraction(d, b): Fraction(1, len(digits)) for d in digits})
+
+
+def unitarity_residual(b, digits, freqs):
+    """Frobenius norm of H*H - I for H = [exp(2 pi i d l / b)] / sqrt(#D)."""
+    return weighted_matrix_residual(stage_measure(b, digits), freqs)
+
+
+def parseval_sum(b, digits, freqs, x):
+    """sum_{l in L} |m_D(l/b + x)|^2, identically 1 exactly for compatible pairs."""
+    vals = stage_measure(b, digits).fourier_many(np.array(freqs, dtype=float) + x * b)
+    return float(np.sum(np.abs(vals) ** 2))
 
 
 def test_admissibility_examples():
@@ -59,30 +76,16 @@ def test_compatibility_accepts_arbitrary_digit_sets():
     assert not is_compatible_pair(16, digits, (0, 2, 4, 6))
 
 
-def test_unitarity_residual_examples():
+def test_exact_numeric_and_parseval_verdicts_agree_at_desk_scale():
+    # three equivalent characterizations of compatibility, swept over the
+    # canonical partner and over perturbed partners that break it; the float
+    # two are spectra's residual and the transform of the stage measure
     assert unitarity_residual(4, (0, 1), (0, 2)) < 1e-12
     assert unitarity_residual(4, (0, 1), (0, 1)) == pytest.approx(1.0, abs=1e-9)
     assert unitarity_residual(7, (0,), (3,)) < 1e-15   # 1x1 of modulus 1
-
-
-def test_parseval_examples():
     assert parseval_sum(4, (0, 1), (0, 2), 0.3) == pytest.approx(1.0, abs=1e-10)
     assert parseval_sum(4, (0, 1), (0, 2), 0.0) == pytest.approx(1.0, abs=1e-10)
     assert parseval_sum(4, (0, 1), (0, 1), 0.0) == pytest.approx(1.5, abs=1e-10)
-
-
-def test_triple_report():
-    rep = triple_report(12, 2, 1)
-    assert rep.exact_compatible and rep.canonical == (0, 6)
-    assert rep.unitarity_residual < 1e-9
-    bad = triple_report(6, 4, 2)
-    assert not bad.exact_compatible and bad.canonical is None
-    assert bad.unitarity_residual == math.inf
-
-
-def test_exact_numeric_and_parseval_verdicts_agree_at_desk_scale():
-    # three equivalent characterizations of compatibility, swept over the
-    # canonical partner and over perturbed partners that break it
     rng = random.Random(5)
     for b in range(2, 13):
         for p in range(2, 7):

@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 from moranspec.cli import load_config
 from moranspec.measure import (RECURRENCE_MAX_P, AtomCapExceeded, DiscreteMeasure, StagePair,
                                SymbolicWord, SystemConfig, dirichlet_amplitude, first_nonzero,
-                               float_quotients, mask_zero_contains, measures_equal,
-                               mu_hat_amplitude, mu_hat_eval, mu_hat_many, normalize_signs,
-                               scale_digits, stage_walk, support_hull, truncate,
-                               zero_set_contains)
+                               float_quotients, mask_zero_contains, mu_hat_amplitude,
+                               mu_hat_eval, mu_hat_many, normalize_signs, scale_digits,
+                               stage_walk, support_hull, truncate, zero_set_contains)
 from moranspec.spectra import (SpectrumCandidate, build_tower_spectrum, q_function,
                                verify_spectrum_finite)
 
@@ -85,7 +84,7 @@ def test_truncate_merges_rewritten_stages():
     # two mixed stages collapse to one six-digit stage
     left = truncate(SystemConfig.of((12, 2, 1), (2, 3, 4)), SymbolicWord((1,), (2,)), 2)
     right = truncate(SystemConfig.of((12, 6, 1)), ONES, 1)
-    assert measures_equal(left, right)
+    assert left == right
     # digits {0, 1, 2} over base 2: 3**4 digit strings land on 2**5 - 1 atoms
     merged = truncate(SystemConfig.of((2, 3, 1)), ONES, 4)
     assert len(merged.atoms) == 2**5 - 1
@@ -97,14 +96,14 @@ def test_truncate_four_stage_rewrite():
     word = SymbolicWord((1, 2), (3, 2))
     left = truncate(cfg, word, 4)
     right = truncate(SystemConfig.of((12, 12, 1)), ONES, 2)
-    assert measures_equal(left, right)
+    assert left == right
 
 
 def test_measures_equal_rejects_different_measures():
     a = DiscreteMeasure.point_mass(0)
     b = DiscreteMeasure((0, 1), 1, (1, 1), 2)
-    assert not measures_equal(a, b)
-    assert measures_equal(a, DiscreteMeasure.point_mass(0))
+    assert a != b
+    assert a == DiscreteMeasure.point_mass(0)
 
 
 def test_measures_equal_across_base_products():
@@ -113,16 +112,16 @@ def test_measures_equal_across_base_products():
     word = SymbolicWord((1, 2), (3, 2))
     right = truncate(SystemConfig.of((12, 6, 1)), ONES, 2)
     left = truncate(rw, word, 4)
-    assert measures_equal(left, right)
+    assert left == right
     assert (left.den, left.total) == (right.den, right.total) == (144, 36)
-    assert not measures_equal(truncate(rw, word, 3), right)
+    assert truncate(rw, word, 3) != right
     # b_1 b_2 = -24 against 12 and -12: (j_1 + 2 j_2)/12 = j/12 for j < 6
     neg = truncate(SystemConfig.of((12, 2, 1), (-2, 3, -4)), SymbolicWord((1,), (2,)), 2)
     assert (neg.nums, neg.den, neg.counts, neg.total) == (tuple(range(6)), 12, (1,) * 6, 6)
     for other in (SystemConfig.of((12, 6, 1)), SystemConfig.of((-12, 6, -1))):
-        assert measures_equal(neg, truncate(other, ONES, 1))
+        assert neg == truncate(other, ONES, 1)
     flipped = truncate(SystemConfig.of((12, 2, 1), (-2, 3, 4)), SymbolicWord((1,), (2,)), 2)
-    assert not measures_equal(neg, flipped)
+    assert neg != flipped
     # the constructor reduces the points and the weights by their gcds
     assert DiscreteMeasure((0, 4), 8, (3, 3), 6) == DiscreteMeasure((0, 1), 2, (1, 1), 2)
 
@@ -259,7 +258,7 @@ def test_factor_order_does_not_change_the_measure():
     for _ in range(5):
         shuffled = factors[:]
         rng.shuffle(shuffled)
-        assert measures_equal(base, convolve(shuffled))
+        assert base == convolve(shuffled)
 
 
 def test_atom_count_can_drop_below_the_stage_product():
@@ -682,4 +681,4 @@ def test_scaling_by_base_ratio_replaces_the_first_base():
     scaled = scale_digits(QUARTER, 2)
     left = truncate(scaled, ONES, 3)
     right = truncate(SystemConfig.of((2, 2, 1), (4, 2, 1)), SymbolicWord((1,), (2,)), 3)
-    assert measures_equal(left, right)
+    assert left == right

@@ -12,7 +12,7 @@ from moranspec.tiling import (IntervalUnion, TilingCertificate, tile_decide,
 def test_interval_union_normalization():
     u = IntervalUnion(((F(1), F(2)), (F(0), F(1))))
     assert u.intervals == ((F(0), F(2)),)       # touching intervals merge
-    assert u.total_length == 2
+    assert sum(b - a for a, b in u.intervals) == 2
     with pytest.raises(ValueError):
         IntervalUnion(((F(0), F(2)), (F(1), F(3))))
     with pytest.raises(ValueError):
@@ -84,13 +84,7 @@ def test_length_conservation_when_tiling():
         period = c * t * p1
         cert = tiles_by_periodic_set(k, digits, period)
         assert cert.ok
-        assert k.total_length * len(digits) == period
-
-
-def test_interval_union_contains():
-    u = IntervalUnion(((F(0), F(1)), (F(2), F(3))))
-    assert u.contains(F(1, 2)) and u.contains(2)
-    assert not u.contains(1) and not u.contains(F(3))
+        assert sum(b - a for a, b in k.intervals) * len(digits) == period
 
 
 def fragment_count_tiling(tile, digits, period):
