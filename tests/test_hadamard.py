@@ -76,16 +76,22 @@ def test_compatibility_accepts_arbitrary_digit_sets():
     assert not is_compatible_pair(16, digits, (0, 2, 4, 6))
 
 
+def test_unitarity_residual_examples():
+    assert unitarity_residual(4, (0, 1), (0, 2)) < 1e-12
+    assert unitarity_residual(4, (0, 1), (0, 1)) == pytest.approx(1.0, abs=1e-9)
+    assert unitarity_residual(7, (0,), (3,)) < 1e-15   # 1x1 of modulus 1
+
+
+def test_parseval_examples():
+    assert parseval_sum(4, (0, 1), (0, 2), 0.3) == pytest.approx(1.0, abs=1e-10)
+    assert parseval_sum(4, (0, 1), (0, 2), 0.0) == pytest.approx(1.0, abs=1e-10)
+    assert parseval_sum(4, (0, 1), (0, 1), 0.0) == pytest.approx(1.5, abs=1e-10)
+
+
 def test_exact_numeric_and_parseval_verdicts_agree_at_desk_scale():
     # three equivalent characterizations of compatibility, swept over the
     # canonical partner and over perturbed partners that break it; the float
     # two are spectra's residual and the transform of the stage measure
-    assert unitarity_residual(4, (0, 1), (0, 2)) < 1e-12
-    assert unitarity_residual(4, (0, 1), (0, 1)) == pytest.approx(1.0, abs=1e-9)
-    assert unitarity_residual(7, (0,), (3,)) < 1e-15   # 1x1 of modulus 1
-    assert parseval_sum(4, (0, 1), (0, 2), 0.3) == pytest.approx(1.0, abs=1e-10)
-    assert parseval_sum(4, (0, 1), (0, 2), 0.0) == pytest.approx(1.0, abs=1e-10)
-    assert parseval_sum(4, (0, 1), (0, 1), 0.0) == pytest.approx(1.5, abs=1e-10)
     rng = random.Random(5)
     for b in range(2, 13):
         for p in range(2, 7):
