@@ -349,12 +349,14 @@ def cmd_sample_ft(config, word, rewrite, args) -> int:
     # near-equal blocks, none of one row unless rows is 1: numpy multiplies
     # a one-element array on its scalar path, which rounds differently
     blocks = np.array_split(xs, max(1, math.ceil(rows / measure.MU_HAT_BLOCK)))
-    # evaluated before --out is created: a ratio past the float range leaves no file
-    first = measure.mu_hat_many(config, word, blocks[0], args.depth)
+    # evaluated before --out is created, and holding the largest x: a stage
+    # ratio or argument past the float range leaves no file
+    last = measure.mu_hat_many(config, word, blocks[-1], args.depth)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("x,re,im,abs\n")
         for i, block in enumerate(blocks):
-            vals = measure.mu_hat_many(config, word, block, args.depth) if i else first
+            vals = (last if i == len(blocks) - 1
+                    else measure.mu_hat_many(config, word, block, args.depth))
             # Python's abs(complex): np.abs can differ from it in the last bit
             cells = tuple(c for x, v in zip(block.tolist(), vals.tolist())
                           for c in (x, v.real, v.imag, abs(v)))

@@ -373,8 +373,9 @@ def mask_zero_hit(p: int, t: int, num: int | np.ndarray, den: int) -> bool | np.
     Holds iff den divides num*p*t with a quotient not divisible by p; pure
     integer arithmetic, so a scan can pass x/(b_1...b_n) as x's numerator
     over x's denominator times the base product.  num is a Python int
-    (a bool comes back) or an integer array (a boolean array comes back);
-    an int64 array must keep |num*p*t| and |den| below 2**62.
+    (a bool comes back) or an integer array (a boolean array comes back),
+    and p, t and den may be arrays of num's shape, one stage per entry;
+    int64 arrays must keep |num*p*t| and |den| below 2**62.
     """
     x = num * p * t
     return (x % den == 0) & (x // den % p != 0)
@@ -460,13 +461,17 @@ def mu_hat_amplitude(config: SystemConfig, word: SymbolicWord, xs: np.ndarray,
 
     B_n = b_1...b_n; the transform is exp(pi i H x) A(x), so |mu_hat|**2 is
     A**2.  Each quotient by B_n is one correctly rounded int / int division,
-    and one past FLOAT_BOUND raises ValueError.  Past |B_n| = 2**1075 max
-    (p - 1)|t| every quotient rounds to 0, a factor D_p(0) = 1: the walk stops.
+    and one past FLOAT_BOUND raises ValueError, as does a stage whose
+    pi p_n max|x| |t_n / B_n| passes it, where the amplitude's sine or cosine
+    argument would leave the float range and give nan.  Past |B_n| = 2**1075
+    max (p - 1)|t| every quotient rounds to 0, a factor D_p(0) = 1: the walk
+    stops.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     xs = np.asarray(xs, dtype=float)
     amp, slope = np.ones_like(xs), 0.0
+    pi_x = math.pi * float(np.max(np.abs(xs), initial=0.0))
     underflow = max((pr.p - 1) * abs(pr.t) for pr in config.pairs) << 1075
     for n, (pr, base) in enumerate(stage_walk(config, word, depth), start=1):
         if abs(base) > underflow:
@@ -476,6 +481,9 @@ def mu_hat_amplitude(config: SystemConfig, word: SymbolicWord, xs: np.ndarray,
         except OverflowError:
             raise ValueError(f"stage {n}: t_{n}/(b_1...b_{n}) is past the float range; "
                              f"bound is {FLOAT_BOUND!r}") from None
+        if pi_x * abs(ratio) * pr.p > FLOAT_BOUND:
+            raise ValueError(f"stage {n}: pi p_{n} max|x| |t_{n}/(b_1...b_{n})| is past the "
+                             f"float range; bound is {FLOAT_BOUND!r}")
         amp *= dirichlet_amplitude(pr.p, xs * ratio)
         slope += drift
     return amp, slope

@@ -29,8 +29,8 @@ import numpy as np
 from .exactmath import over_common_denominator
 from .hadamard import canonical_dual_digits, is_admissible
 from .measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, AtomCapExceeded, DiscreteMeasure,
-                      SymbolicWord, SystemConfig, canonical_ratios, float_quotients,
-                      mask_zero_hit, mu_hat_amplitude, stage_walk)
+                      StagePair, SymbolicWord, SystemConfig, canonical_ratios,
+                      float_quotients, mask_zero_hit, mu_hat_amplitude, stage_walk)
 
 
 class TowerDegenerateError(RuntimeError):
@@ -85,6 +85,27 @@ def default_lattice_modulus(config: SystemConfig) -> int:
     return math.lcm(*(pr.p * abs(pr.t) for pr in config.pairs))
 
 
+def _tower_stages(config: SystemConfig, word: SymbolicWord, k: int,
+                  cap: int) -> list[tuple[StagePair, tuple[int, ...], int]]:
+    """(pair, canonical partner, b_1...b_{n-1}) for the stages n = 1..k of the depth-k tower.
+
+    The tower is the sumset of lead * partner over the stages.  Raises
+    ValueError naming the first stage that is not admissible, and
+    AtomCapExceeded once the point count would pass cap, before that
+    stage's partner is built.
+    """
+    stages, points = [], 1
+    for n, (pr, base) in enumerate(stage_walk(config, word, k), start=1):
+        if not is_admissible(pr.b, pr.p, pr.t):
+            raise ValueError(
+                f"stage {n} = (b={pr.b}, p={pr.p}, t={pr.t}) is not admissible")
+        points *= pr.p
+        if points > cap:
+            raise AtomCapExceeded(f"tower to depth {k} needs {points}+ points; cap is {cap}")
+        stages.append((pr, canonical_dual_digits(pr.b, pr.p, pr.t), base // pr.b))
+    return stages
+
+
 def build_tower_spectrum(config: SystemConfig, word: SymbolicWord, k: int) -> SpectrumCandidate:
     """Finite spectrum of the depth-k truncation from per-stage canonical partners.
 
@@ -95,24 +116,13 @@ def build_tower_spectrum(config: SystemConfig, word: SymbolicWord, k: int) -> Sp
     """
     if k < 0:
         raise ValueError("depth k must be >= 0")
-    stages = []
-    expected = 1
-    for n, (pr, base) in enumerate(stage_walk(config, word, k), start=1):
-        if not is_admissible(pr.b, pr.p, pr.t):
-            raise ValueError(
-                f"stage {n} = (b={pr.b}, p={pr.p}, t={pr.t}) is not admissible")
-        expected *= pr.p
-        if expected > DEFAULT_ATOM_CAP:
-            raise AtomCapExceeded(
-                f"tower to depth {k} needs {expected}+ points; cap is {DEFAULT_ATOM_CAP}")
-        stages.append((canonical_dual_digits(pr.b, pr.p, pr.t), base // pr.b))
     pts = [0]
-    for partner, lead in stages:  # lead = b_1...b_{n-1}
+    for _, partner, lead in _tower_stages(config, word, k, DEFAULT_ATOM_CAP):
         pts = [x + lead * l for x in pts for l in partner]
     distinct = len(set(pts))
-    if distinct != expected:
+    if distinct != len(pts):
         raise TowerDegenerateError(
-            f"tower produced {distinct} distinct points, expected {expected}")
+            f"tower produced {distinct} distinct points, expected {len(pts)}")
     return SpectrumCandidate(nums=tuple(sorted(pts)))
 
 
@@ -134,8 +144,12 @@ class SpectrumVerification:
     unitarity_residual: float
 
 
-# Verification holds all N(N-1)/2 differences in one sorted array (8.4 million
-# integers at N = 4096); a larger bound needs its own memory measurement.
+# Past this many points or atoms verification refuses before allocating.  A
+# tower is checked stage by stage from prod (2p - 1) difference sums (531,441
+# at N = 4096), but any other candidate through all N(N-1)/2 differences in
+# one sorted array (8.4 million integers at N = 4096), and the residual of
+# either needs every distinct difference; a larger bound needs its own
+# memory measurement of both.
 VERIFY_ATOM_BOUND = 4096
 
 # int64 arithmetic in verification stays below this magnitude; past it the
@@ -153,37 +167,112 @@ def weighted_matrix_residual(measure: DiscreteMeasure, points: Sequence[Fraction
     return float(np.linalg.norm(r))
 
 
-def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidate,
-                           config: SystemConfig, word: SymbolicWord,
-                           k: int) -> SpectrumVerification:
-    """Exact check that a finite candidate is a spectrum of the depth-k truncation.
+def _offsets(nums: Sequence[int], pairs: Sequence[StagePair]) -> tuple[int, np.ndarray]:
+    """A bound on every |D*p*t|, D a difference of nums and (p, t) from pairs, and nums - nums[0].
 
-    Orthogonality: every nonzero difference must land in some stage zero set
-    (a factor of the truncated transform vanishes).  Completeness: the
-    candidate size must equal the atom count.  With the candidate's points
-    as integers over its denominator L, the distinct differences D are
-    walked in increasing order, one MU_HAT_BLOCK at a time.  Each block adds
-    its share of the numeric residual, the squared mu_hat_amplitude at D/L
-    weighted by how often each difference occurs (see SpectrumVerification),
-    and is then tested as D/(L*b_1...b_n) by mask_zero_hit per stage; the
-    first block holding a difference no stage hits gives the least offender
-    and ends the testing, not the residual.  Every |D*p*t| is at most the span
-    times max p|t|, so stages with a larger |L*b_1...b_n| are skipped, and
-    the integer width is decided once: int64 while that bound is below
-    INT64_SPAN, Python integers otherwise.  Past VERIFY_ATOM_BOUND points
-    or atoms, raises AtomCapExceeded before allocating anything.
+    The bound is the span of nums times the largest p|t|; it decides the
+    integer width once: int64 while it is below INT64_SPAN, Python integers
+    (an object array) otherwise.
+    """
+    reach = max((pr.p * abs(pr.t) for pr in pairs), default=1)
+    bound = (nums[-1] - nums[0] if nums else 0) * reach
+    dtype = np.int64 if bound < INT64_SPAN else object
+    return bound, np.array([v - nums[0] for v in nums], dtype=dtype)
+
+
+def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word: SymbolicWord,
+                       k: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Distinct positive differences and pair counts of a compatible depth-k tower translate.
+
+    None unless the candidate is an integer translate of the depth-k tower
+    (the sumset of lead * partner over _tower_stages) and mask_zero_hit
+    finds every stage's partner differences lead*step*j, j = 1..p-1, in the
+    stage's zero set.  Then every difference of the candidate is orthogonal:
+    one whose digits first differ at stage n is lead*step*j plus a multiple
+    of b_1...b_n, which leaves stage n's zero test unchanged.  The ordered
+    differences are the sums over the stages of lead*step*j, each counted
+    prod (p - |j|) times for |j| < p, so sorting and merging those sums gives
+    the distinct differences with their pair counts, as the difference table
+    does, without the N(N-1)/2 table.
+    """
+    nums = candidate.nums
+    if candidate.den != 1 or not nums:
+        return None
+    try:
+        stages = _tower_stages(config, word, k, len(nums))
+    except ValueError:  # a stage with no partner, or more tower points than the candidate's
+        return None
+    if sum(abs(lead) * partner[-1] for _, partner, lead in stages) != nums[-1] - nums[0]:
+        return None  # an equal span also keeps every sum below within the _offsets width
+    _, arr = _offsets(nums, [pr for pr, _, _ in stages])
+    pts = np.zeros(1, dtype=arr.dtype)
+    for _, partner, lead in stages:
+        pts = np.add.outer(pts, np.array([lead * l for l in partner], dtype=arr.dtype)).ravel()
+    pts.sort()
+    if not np.array_equal(pts - pts[0], arr):
+        return None
+    # stage n's partner differences lead*step*j, j = 1..p-1, over b_1...b_n, in one call
+    p, t, steps, dens = np.array([(pr.p, pr.t, lead * l, lead * pr.b)
+                                  for pr, partner, lead in stages for l in partner[1:]],
+                                 dtype=arr.dtype).reshape(-1, 4).T
+    if not mask_zero_hit(p, t, steps, dens).all():
+        return None
+    diffs, counts = np.zeros(1, dtype=arr.dtype), np.ones(1, dtype=np.int64)
+    for pr, partner, lead in stages:
+        j = np.arange(1 - pr.p, pr.p)
+        diffs = np.add.outer(diffs, j.astype(arr.dtype) * (lead * partner[1])).ravel()
+        counts = np.multiply.outer(counts, pr.p - np.abs(j)).ravel()
+    keep = diffs > 0
+    diffs, counts = diffs[keep], counts[keep]
+    order = np.argsort(diffs)
+    diffs, counts = diffs[order], counts[order]
+    first = np.ones(len(diffs), dtype=bool)
+    np.not_equal(diffs[1:], diffs[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return diffs[starts], np.add.reduceat(counts, starts)
+
+
+def _difference_scan(config: SystemConfig, word: SymbolicWord, k: int, diffs: np.ndarray,
+                     counts: np.ndarray, scale: int,
+                     walk: Optional[list]) -> tuple[float, Optional[Fraction]]:
+    """The unitarity residual over increasing distinct differences, and the least offender.
+
+    diffs/scale occur counts times each.  One MU_HAT_BLOCK at a time, a block
+    adds its share of sqrt(2 sum count |mu_hat_k|^2) (see
+    SpectrumVerification) and is then tested by mask_zero_hit against each
+    (pair, scale*b_1...b_n) of walk; the first block holding a difference no
+    stage hits gives the least offender and ends the testing, not the
+    residual.  walk None tests nothing.
+    """
+    xs = float_quotients(diffs, scale)
+    total, offending = 0.0, None
+    for i in range(0, len(diffs), MU_HAT_BLOCK):
+        amp, _ = mu_hat_amplitude(config, word, xs[i:i + MU_HAT_BLOCK], k)
+        total += float(np.sum(counts[i:i + MU_HAT_BLOCK] * (amp * amp)))
+        if walk is not None and offending is None:
+            block = diffs[i:i + MU_HAT_BLOCK]
+            missed = np.ones(len(block), dtype=bool)
+            for pr, den in walk:
+                missed &= ~mask_zero_hit(pr.p, pr.t, block, den)
+            if missed.any():
+                offending = Fraction(int(block[missed.argmax()]), scale)
+    return math.sqrt(2 * total), offending
+
+
+def _verify_pairwise(measure: DiscreteMeasure, candidate: SpectrumCandidate,
+                     config: SystemConfig, word: SymbolicWord, k: int) -> SpectrumVerification:
+    """verify_spectrum_finite through every difference, for any candidate.
+
+    With the points as integers over L = candidate.den, stages with
+    |L*b_1...b_n| past the _offsets bound can hit no difference and are
+    skipped.  The N(N-1)/2 positive differences of the sorted points are
+    written row by row into one array of the _offsets width and sorted in
+    place; a value starts wherever it differs from its predecessor.
     """
     nums, scale = candidate.nums, candidate.den
-    size = max(len(nums), len(measure.nums))
-    if size > VERIFY_ATOM_BOUND:
-        raise AtomCapExceeded(f"{size} atoms exceed the verify atom bound {VERIFY_ATOM_BOUND}")
     stages = [(pr, scale * base) for pr, base in stage_walk(config, word, k)]
-    reach = max((pr.p * abs(pr.t) for pr, _ in stages), default=1)
-    bound = (nums[-1] - nums[0] if nums else 0) * reach
+    bound, arr = _offsets(nums, [pr for pr, _ in stages])
     walk = [(pr, den) for pr, den in stages if abs(den) <= bound]
-    # sorted points give positive row differences: all N(N-1)/2 of them in one
-    # array, sorted in place; a value starts wherever it differs from its predecessor
-    arr = np.array([v - nums[0] for v in nums], dtype=np.int64 if bound < INT64_SPAN else object)
     n = len(arr)
     size, pos = n * (n - 1) // 2, 0
     table = np.empty(size, dtype=arr.dtype)
@@ -194,25 +283,46 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
     first = np.ones(size, dtype=bool)
     np.not_equal(table[1:], table[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    diffs, counts = table[starts], np.diff(starts, append=size)
-    xs = float_quotients(diffs, scale)
     complete = len(nums) == len(measure.nums)
-    total, offending = 0.0, None
-    for i in range(0, len(diffs), MU_HAT_BLOCK):
-        amp, _ = mu_hat_amplitude(config, word, xs[i:i + MU_HAT_BLOCK], k)
-        total += float(np.sum(counts[i:i + MU_HAT_BLOCK] * (amp * amp)))
-        if complete and offending is None:
-            block = diffs[i:i + MU_HAT_BLOCK]
-            missed = np.ones(len(block), dtype=bool)
-            for pr, den in walk:
-                missed &= ~mask_zero_hit(pr.p, pr.t, block, den)
-            if missed.any():
-                offending = Fraction(int(block[missed.argmax()]), scale)
-    resid = math.sqrt(2 * total)
+    resid, offending = _difference_scan(config, word, k, table[starts],
+                                        np.diff(starts, append=size), scale,
+                                        walk if complete else None)
     if not complete:
         return SpectrumVerification(False, "cardinality", None, resid)
     if offending is not None:
         return SpectrumVerification(False, "orthogonality", offending, resid)
+    return SpectrumVerification(True, None, None, resid)
+
+
+def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidate,
+                           config: SystemConfig, word: SymbolicWord,
+                           k: int) -> SpectrumVerification:
+    """Exact check that a finite candidate is a spectrum of the depth-k truncation.
+
+    Orthogonality: every nonzero difference must land in some stage zero set
+    (a factor of the truncated transform vanishes); D/L, D an integer over
+    the candidate's denominator L, lands in stage n's when mask_zero_hit
+    holds for D over L*b_1...b_n.  Completeness: the candidate size must
+    equal the atom count.  An integer translate of the depth-k tower is
+    checked stage by stage (_tower_differences): p - 1 partner differences
+    per stage prove orthogonality, and the distinct differences with their
+    pair counts come from the stages, not from the points.  Every other
+    candidate, and a tower with an incompatible stage, goes through every
+    difference (_verify_pairwise), which gives the least positive offender.
+    Either way one loop (_difference_scan) sums the numeric residual over
+    the same distinct differences in the same blocks, so both paths give
+    the same bits.  Past VERIFY_ATOM_BOUND points or atoms, raises
+    AtomCapExceeded before allocating anything.
+    """
+    size = max(len(candidate.nums), len(measure.nums))
+    if size > VERIFY_ATOM_BOUND:
+        raise AtomCapExceeded(f"{size} atoms exceed the verify atom bound {VERIFY_ATOM_BOUND}")
+    found = _tower_differences(candidate, config, word, k)
+    if found is None:
+        return _verify_pairwise(measure, candidate, config, word, k)
+    resid, _ = _difference_scan(config, word, k, *found, 1, None)
+    if len(candidate.nums) != len(measure.nums):
+        return SpectrumVerification(False, "cardinality", None, resid)
     return SpectrumVerification(True, None, None, resid)
 
 

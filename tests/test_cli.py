@@ -519,22 +519,28 @@ def test_oracle_search_on_dead_letters_is_quick(tmp_path):
 
 
 def peak_rss_kb(code):
-    done = subprocess.run([sys.executable, "-c", code + "; import resource; "
-                           "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"],
-                          capture_output=True, text=True, timeout=30,
+    """The output lines of python -c code and its peak RSS in KiB from process start.
+
+    VmHWM starts with the new program; ru_maxrss also counts the forking
+    test process's own peak, which exec carries over.
+    """
+    done = subprocess.run([sys.executable, "-c", code + "; import re; print(re.search("
+                           "r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])"],
+                          capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": SRC})
     assert done.returncode == 0, done.stderr
-    return int(done.stdout.splitlines()[-1])
+    *lines, peak = done.stdout.splitlines()
+    return lines, int(peak)
 
 
 def test_oracle_search_on_a_base_with_six_primes_stays_small(tmp_path):
     # one rotated residue mask per residue would hold 30030^2 bits (about 113 MB)
     cfg = write_config(tmp_path, "primorial.json", {"pairs": [{"b": 30030, "p": 2, "t": 1}],
                                                     "word": {"period": [1]}})
-    search = peak_rss_kb("from moranspec.cli import main; "
-                         f"main(['oracle-search', '--config', {cfg!r}, "
-                         "'--window', '30030', '--cap', '4'])")
-    assert search - peak_rss_kb("import moranspec") < 20 * 1024
+    _, search = peak_rss_kb("from moranspec.cli import main; "
+                            f"main(['oracle-search', '--config', {cfg!r}, "
+                            "'--window', '30030', '--cap', '4'])")
+    assert search - peak_rss_kb("import moranspec")[1] < 20 * 1024
 
 
 def read_rows(path):
@@ -608,6 +614,15 @@ def test_sample_ft_depth_below_one_exits_2(quarter_config, tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_verify_at_the_atom_bound_stays_small(quarter_config):
+    # the depth-12 tower of (4, 2, 1) has 4,096 points; its 8.4 million
+    # pairwise differences held in one array peaked at about 110 MB
+    report, peak = peak_rss_kb("from moranspec.cli import main; "
+                               f"main(['verify', '--config', {quarter_config!r}, '--depth', '12'])")
+    assert report == ["ok=true", "unitarity_residual=5.8698555113523209e-12"]
+    assert peak < 80 * 1024
+
+
 def test_verify_output_does_not_depend_on_blas_threads(tmp_path):
     cfg = write_config(tmp_path, "neg.json", NEG)
     outs = []
@@ -657,10 +672,10 @@ def test_qcheck_at_depth_zero_counts_one_stage_in_the_work_bound(quarter_config)
 
 def test_qcheck_builds_its_grid_one_block_at_a_time(quarter_config):
     # the whole grid of 10**7 points as one array held about 150 MB
-    search = peak_rss_kb("from moranspec.cli import main; "
-                         f"main(['qcheck', '--config', {quarter_config!r}, "
-                         "'--depth', '1', '--grid', '10000000'])")
-    assert search - peak_rss_kb("import moranspec.cli") < 40 * 1024
+    _, search = peak_rss_kb("from moranspec.cli import main; "
+                            f"main(['qcheck', '--config', {quarter_config!r}, "
+                            "'--depth', '1', '--grid', '10000000'])")
+    assert search - peak_rss_kb("import moranspec.cli")[1] < 40 * 1024
 
 
 @pytest.mark.parametrize("window", [-1, -3])
@@ -784,6 +799,33 @@ def test_a_point_past_the_float_range_exits_2_before_any_output(tmp_path, capsys
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error=a point") and f"bound is {FLOAT_BOUND!r}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--depth", "2"],
+                                  ["qcheck", "--depth", "2", "--grid", "4"]])
+def test_a_stage_argument_past_the_float_range_exits_2_before_any_output(tmp_path, argv):
+    # t_1/b_1 = 5 * 10**307 is a float, but pi * p * 3 * t_1/b_1 is not: the
+    # stage cosine was nan, so verify printed unitarity_residual=nan and qcheck
+    # max_deviation=0, both with exit 0 and numpy warnings on stderr
+    done = run_cli([argv[0], "--config", float_range_config(tmp_path, 2, 10**308 + 1),
+                    *argv[1:]], timeout=30)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "error=stage 1: pi p_1 max|x| |t_1/(b_1...b_1)| is past the float range; "
+        f"bound is {FLOAT_BOUND!r}"]
+
+
+def test_sample_ft_refuses_a_stage_argument_past_the_float_range_before_its_file(tmp_path):
+    # t_1/b_1 = 4 * 10**307: pi * 2 * x * t_1/b_1 passes the float range from
+    # x = 0.72 on, and the stage cosine was nan from x = 1.43 on; the first of
+    # the three blocks of x = 0..2 reaches neither
+    out_path = tmp_path / "ft.csv"
+    done = run_cli(["sample-ft", "--config", float_range_config(tmp_path, 2, 8 * 10**307 + 1),
+                    "--depth", "1", "--grid", "4096", "--window", "2", "--out", str(out_path)],
+                   timeout=30)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error=stage 1: pi p_1 max|x|")
+    assert not out_path.exists()
 
 
 def test_a_base_past_the_float_range_keeps_its_stage(tmp_path, capsys):

@@ -11,9 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moranspec import spectra
+from moranspec.hadamard import canonical_dual_digits
 from moranspec.measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, AtomCapExceeded,
                                DiscreteMeasure, SymbolicWord, SystemConfig, float_quotients,
-                               mask_zero_hit, support_hull, truncate)
+                               mask_zero_hit, stage_walk, support_hull, truncate)
 from moranspec.spectra import (VERIFY_ATOM_BOUND, Decomposition, SpectrumCandidate,
                                TowerDegenerateError, build_tower_spectrum,
                                decompose_spectrum, default_lattice_modulus,
@@ -108,16 +109,19 @@ def reference_verdict(measure, candidate, config, word, k):
     pts = candidate.points
     if len(pts) != len(measure.atoms):
         return False, "cardinality", None
+    stages, base = [], 1
+    for n in range(1, k + 1):
+        pr = config.pair(word.letter(n))
+        base *= pr.b
+        stages.append((pr.p, pr.t, base))
     offenders = set()
     for i, a in enumerate(pts):
         for b in pts[i + 1:]:
-            base, hit = 1, False
-            for n in range(1, k + 1):
-                pr = config.pair(word.letter(n))
-                base *= pr.b
-                y = (b - a) * pr.p * pr.t / base   # (b - a)/base in (Z \ pZ)/(pt)
-                hit = hit or (y.denominator == 1 and y.numerator % pr.p != 0)
-            if not hit:
+            for p, t, base in stages:
+                y = (b - a) * p * t / base   # (b - a)/base in (Z \ pZ)/(pt)
+                if y.denominator == 1 and y.numerator % p != 0:
+                    break
+            else:
                 offenders.add(b - a)
     if offenders:
         return False, "orthogonality", min(offenders)
@@ -224,6 +228,86 @@ def test_verify_on_signed_towers_matches_the_reference(data):
     assert assert_matches_reference(meas, cand, cfg, word, depth).ok
     for c in moved(cand, rng, 2):
         assert_matches_reference(meas, c, cfg, word, depth)
+
+
+def shifted_partner_tower(cfg, word, depth, stage, digit, by):
+    """The depth tower with one digit of one stage's canonical partner moved by by*|b|.
+
+    Every difference keeps its residue mod b_1...b_n at the stage where its
+    digits first differ, so this is still a spectrum, but in general not a
+    translate of the canonical tower.
+    """
+    pts, lead = [0], 1
+    for n, (pr, base) in enumerate(stage_walk(cfg, word, depth), start=1):
+        partner = list(canonical_dual_digits(pr.b, pr.p, pr.t))
+        if n == stage:
+            partner[digit % pr.p] += by * abs(pr.b)
+        pts = [x + lead * l for x in pts for l in partner]
+        lead = base
+    return SpectrumCandidate.finite(pts)
+
+
+def tower_size(cfg, word, depth):
+    return math.prod(pr.p for pr, _ in stage_walk(cfg, word, depth))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_the_tower_path_and_the_pairwise_path_agree(data):
+    # towers and their integer translates take the tower path; rational
+    # translates, moved towers and non-canonical towers fall back to every pair
+    pairs = data.draw(st.lists(admissible_letters(st.integers(1, 3), st.integers(1, 7)),
+                               min_size=1, max_size=3))
+    cfg = SystemConfig.of(*pairs)
+    word = data.draw(words_over(cfg.m))
+    depth = data.draw(st.integers(0, 6))
+    assume(tower_size(cfg, word, depth) <= 300)
+    rng = random.Random(data.draw(st.integers(0, 2**16)))
+    cand = build_tower_spectrum(cfg, word, depth)
+    meas = truncate(cfg, word, depth)
+    shift = F(rng.randint(-10**6, 10**6), rng.choice((1, 1, 2, 5)))
+    cases = [cand, SpectrumCandidate.finite(x + shift for x in cand.points)] + moved(cand, rng, 1)
+    if depth:
+        cases.append(shifted_partner_tower(cfg, word, depth, rng.randint(1, depth),
+                                           rng.randrange(6), rng.choice((-1, 1, 2))))
+    for c in cases:
+        ver = assert_matches_reference(meas, c, cfg, word, depth)
+        pairwise = spectra._verify_pairwise(meas, c, cfg, word, depth)
+        assert (ver.ok, ver.reason, ver.offending) == (pairwise.ok, pairwise.reason,
+                                                      pairwise.offending)
+        assert ver.unitarity_residual.hex() == pairwise.unitarity_residual.hex()
+    assert verify_spectrum_finite(meas, cand, cfg, word, depth).ok
+
+
+def test_verify_checks_a_tower_stage_by_stage(monkeypatch):
+    # on a tower, mask_zero_hit sees only each stage's p - 1 partner
+    # differences; falling back to every distinct difference would pass it
+    # thousands of them (about 265,000 for the depth-12 tower of (4, 2, 1))
+    seen = []
+
+    def spy(p, t, num, den):
+        seen.append(len(num))
+        return mask_zero_hit(p, t, num, den)
+
+    monkeypatch.setattr(spectra, "mask_zero_hit", spy)
+    three = SystemConfig.of((4, 2, 1), (6, 3, 1), (2, 2, 3))
+    signed = SystemConfig.of((-4, 2, -1), (-6, 3, 5), (4, 2, -3))
+    cases = [(QUARTER, ONES, 12), (three, SymbolicWord((1, 2), (3, 2)), 5),
+             (signed, SymbolicWord((3,), (2, 1)), 5)]
+    for cfg, word, depth in cases:
+        cand = build_tower_spectrum(cfg, word, depth)
+        meas = truncate(cfg, word, depth)
+        far = SpectrumCandidate(nums=tuple(x - 3 * 10**9 for x in cand.nums))
+        for c in (cand, far):
+            seen.clear()
+            assert verify_spectrum_finite(meas, c, cfg, word, depth).ok
+            assert 0 < sum(seen) <= sum(pr.p - 1 for pr, _ in stage_walk(cfg, word, depth))
+    # a moved point leaves the tower path: every distinct difference is tested
+    seen.clear()
+    cfg, word, depth = cases[1]
+    moved_tower = moved(build_tower_spectrum(cfg, word, depth), random.Random(5), 1)[0]
+    verify_spectrum_finite(truncate(cfg, word, depth), moved_tower, cfg, word, depth)
+    assert sum(seen) > 100
 
 
 @settings(max_examples=20, deadline=None)
