@@ -217,14 +217,17 @@ def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word:
                                  dtype=arr.dtype).reshape(-1, 4).T
     if not mask_zero_hit(p, t, steps, dens).all():
         return None
+    # the multiset of j*step is symmetric, so |lead*step| serves; with each new
+    # stage outermost, stages whose sums do not overlap leave the array sorted,
+    # and the stable sort (a merge of sorted runs) then takes one pass
     diffs, counts = np.zeros(1, dtype=arr.dtype), np.ones(1, dtype=np.int64)
     for pr, partner, lead in stages:
         j = np.arange(1 - pr.p, pr.p)
-        diffs = np.add.outer(diffs, j.astype(arr.dtype) * (lead * partner[1])).ravel()
-        counts = np.multiply.outer(counts, pr.p - np.abs(j)).ravel()
+        diffs = np.add.outer(j.astype(arr.dtype) * abs(lead * partner[1]), diffs).ravel()
+        counts = np.multiply.outer(pr.p - np.abs(j), counts).ravel()
     keep = diffs > 0
     diffs, counts = diffs[keep], counts[keep]
-    order = np.argsort(diffs)
+    order = np.argsort(diffs, kind="stable")
     diffs, counts = diffs[order], counts[order]
     first = np.ones(len(diffs), dtype=bool)
     np.not_equal(diffs[1:], diffs[:-1], out=first[1:])
