@@ -255,7 +255,8 @@ def tower_size(cfg, word, depth):
 @given(st.data())
 def test_the_tower_path_and_the_pairwise_path_agree(data):
     # towers and their integer translates take the tower path; rational
-    # translates, moved towers and non-canonical towers fall back to every pair
+    # translates, other denominators, moved towers and non-canonical towers
+    # fall back to every pair
     pairs = data.draw(st.lists(admissible_letters(st.integers(1, 3), st.integers(1, 7)),
                                min_size=1, max_size=3))
     cfg = SystemConfig.of(*pairs)
@@ -266,7 +267,9 @@ def test_the_tower_path_and_the_pairwise_path_agree(data):
     cand = build_tower_spectrum(cfg, word, depth)
     meas = truncate(cfg, word, depth)
     shift = F(rng.randint(-10**6, 10**6), rng.choice((1, 1, 2, 5)))
-    cases = [cand, SpectrumCandidate.finite(x + shift for x in cand.points)] + moved(cand, rng, 1)
+    cases = [cand, SpectrumCandidate.finite(x + shift for x in cand.points),
+             # the numerators of a tower translate, but over 3: (lambda + 1)/3
+             SpectrumCandidate(nums=tuple(x + 1 for x in cand.nums), den=3)] + moved(cand, rng, 1)
     if depth:
         cases.append(shifted_partner_tower(cfg, word, depth, rng.randint(1, depth),
                                            rng.randrange(6), rng.choice((-1, 1, 2))))
