@@ -49,7 +49,7 @@ WINDOW_BOUND = 10**6
 
 # most digits oracle-search takes when p <= |b|: its partner search nests one
 # Python frame per digit, and 100 of the default 1,000 are left to the caller;
-# a p past |b| has no partner set, which the search finds before it nests
+# a p past |b| has no partner set, and the search returns before any root sum
 ORACLE_DIGIT_BOUND = 900
 
 # most stage pairs a config (or its rewrite block) may list; an alphabet of m
@@ -246,7 +246,7 @@ def cmd_spectrum(config, word, rewrite, args) -> int:
     cand = spectra.build_tower_spectrum(config, _need_word(word), args.depth)
     emit("depth", args.depth)
     emit("count", len(cand))
-    emit("points", [Fraction(p) for p in cand.points])
+    emit("points", fmt_multiples(Fraction(1, cand.den), cand.nums))
     return EXIT_OK
 
 
@@ -267,17 +267,12 @@ def cmd_verify(config, word, rewrite, args) -> int:
 
 def cmd_qcheck(config, word, rewrite, args) -> int:
     word = _need_word(word)
-    points = 1
-    for pr, _ in measure.stage_walk(config, word, args.depth):
-        points *= pr.p
-        if points > measure.DEFAULT_ATOM_CAP:
-            break  # build_tower_spectrum refuses this tower
-    else:
-        work = args.grid * points * max(1, args.depth)
-        if work > QCHECK_WORK_BOUND:
-            raise measure.AtomCapExceeded(
-                f"qcheck needs {work} stage evaluations (grid x points x depth, "
-                f"depth at least 1); bound is {QCHECK_WORK_BOUND}")
+    stages = spectra.tower_stages(config, word, args.depth, measure.DEFAULT_ATOM_CAP)
+    work = args.grid * math.prod(pr.p for pr, _, _ in stages) * max(1, args.depth)
+    if work > QCHECK_WORK_BOUND:
+        raise measure.AtomCapExceeded(
+            f"qcheck needs {work} stage evaluations (grid x points x depth, "
+            f"depth at least 1); bound is {QCHECK_WORK_BOUND}")
     cand = spectra.build_tower_spectrum(config, word, args.depth)
     rows = max(1, measure.MU_HAT_BLOCK // len(cand))
     worst = 0.0

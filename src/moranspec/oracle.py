@@ -77,6 +77,8 @@ def search_compatible_partners(b: int, p: int, t: int, window: Optional[int] = N
         raise ValueError(f"window must be >= |b| = {m}")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
+    if p > m:  # two of p elements agree mod m, and their root sum is p ones
+        return []
     digits = tuple(j * t for j in range(p))
     by_class: dict[int, bool] = {}
     vanishes = []
@@ -165,7 +167,7 @@ def search_spectra(measure: DiscreteMeasure, pool: Sequence[RationalLike],
     measure came from stages (config/word/depth given), candidate
     differences must additionally pass the exact truncation zero test.
     """
-    n_atoms = len(measure.atoms)
+    n_atoms = len(measure.nums)
     if n_atoms > 64:
         raise ValueError(f"atom count {n_atoms} exceeds the oracle cap of 64")
     pool_f = sorted({Fraction(x) for x in pool})

@@ -33,10 +33,6 @@ from .measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, AtomCapExceeded, DiscreteM
                       float_quotients, mask_zero_hit, mu_hat_amplitude, stage_walk)
 
 
-class TowerDegenerateError(RuntimeError):
-    """Raised when tower construction produces duplicate spectrum points."""
-
-
 @dataclass(frozen=True)
 class SpectrumCandidate:
     """A finite exponent set nums[i]/den.
@@ -85,8 +81,8 @@ def default_lattice_modulus(config: SystemConfig) -> int:
     return math.lcm(*(pr.p * abs(pr.t) for pr in config.pairs))
 
 
-def _tower_stages(config: SystemConfig, word: SymbolicWord, k: int,
-                  cap: int) -> list[tuple[StagePair, tuple[int, ...], int]]:
+def tower_stages(config: SystemConfig, word: SymbolicWord, k: int,
+                 cap: int) -> list[tuple[StagePair, tuple[int, ...], int]]:
     """(pair, canonical partner, b_1...b_{n-1}) for the stages n = 1..k of the depth-k tower.
 
     The tower is the sumset of lead * partner over the stages.  Raises
@@ -106,24 +102,31 @@ def _tower_stages(config: SystemConfig, word: SymbolicWord, k: int,
     return stages
 
 
+def _tower_points(stages: Sequence[tuple[StagePair, tuple[int, ...], int]],
+                  dtype) -> np.ndarray:
+    """The sorted sumset of lead * partner over tower_stages, one numpy broadcast per stage."""
+    pts = np.zeros(1, dtype=dtype)
+    for _, partner, lead in stages:
+        pts = np.add.outer(pts, np.array([lead * l for l in partner], dtype=dtype)).ravel()
+    pts.sort()
+    return pts
+
+
 def build_tower_spectrum(config: SystemConfig, word: SymbolicWord, k: int) -> SpectrumCandidate:
     """Finite spectrum of the depth-k truncation from per-stage canonical partners.
 
-    Every letter used in positions 1..k must be admissible.  Duplicate points
-    would mean a degenerate tower and abort loudly; they are never deduped.
-    Raises AtomCapExceeded, before any point is built, when the point count
-    would pass DEFAULT_ATOM_CAP.
+    Every letter used in positions 1..k must be admissible.  Raises
+    AtomCapExceeded, before any point is built, when the point count would
+    pass DEFAULT_ATOM_CAP.  No point repeats: digit choices that first differ
+    at stage n differ by lead*step*j plus a multiple of b_1...b_n, 0 < |j| < p,
+    and |b| = step*p*gcd(b, t) does not divide step*j.
     """
     if k < 0:
         raise ValueError("depth k must be >= 0")
-    pts = [0]
-    for _, partner, lead in _tower_stages(config, word, k, DEFAULT_ATOM_CAP):
-        pts = [x + lead * l for x in pts for l in partner]
-    distinct = len(set(pts))
-    if distinct != len(pts):
-        raise TowerDegenerateError(
-            f"tower produced {distinct} distinct points, expected {len(pts)}")
-    return SpectrumCandidate(nums=tuple(sorted(pts)))
+    stages = tower_stages(config, word, k, DEFAULT_ATOM_CAP)
+    span = sum(abs(lead) * partner[-1] for _, partner, lead in stages)
+    pts = _tower_points(stages, np.int64 if span < INT64_SPAN else object)
+    return SpectrumCandidate(nums=tuple(pts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,7 @@ def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word:
     """Distinct positive differences and pair counts of a compatible depth-k tower translate.
 
     None unless the candidate is an integer translate of the depth-k tower
-    (the sumset of lead * partner over _tower_stages) and mask_zero_hit
+    (the sumset of lead * partner over tower_stages) and mask_zero_hit
     finds every stage's partner differences lead*step*j, j = 1..p-1, in the
     stage's zero set.  Then every difference of the candidate is orthogonal:
     one whose digits first differ at stage n is lead*step*j plus a multiple
@@ -199,16 +202,13 @@ def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word:
     if candidate.den != 1 or not nums:
         return None
     try:
-        stages = _tower_stages(config, word, k, len(nums))
+        stages = tower_stages(config, word, k, len(nums))
     except ValueError:  # a stage with no partner, or more tower points than the candidate's
         return None
     if sum(abs(lead) * partner[-1] for _, partner, lead in stages) != nums[-1] - nums[0]:
         return None  # an equal span also keeps every sum below within the _offsets width
     _, arr = _offsets(nums, [pr for pr, _, _ in stages])
-    pts = np.zeros(1, dtype=arr.dtype)
-    for _, partner, lead in stages:
-        pts = np.add.outer(pts, np.array([lead * l for l in partner], dtype=arr.dtype)).ravel()
-    pts.sort()
+    pts = _tower_points(stages, arr.dtype)
     if not np.array_equal(pts - pts[0], arr):
         return None
     # stage n's partner differences lead*step*j, j = 1..p-1, over b_1...b_n, in one call

@@ -20,6 +20,8 @@ from moranspec.cli import (ALPHABET_BOUND, CSV_ROW, ORACLE_DIGIT_BOUND, ORACLE_S
 from moranspec.measure import (DEFAULT_ATOM_CAP, FLOAT_BOUND, MU_HAT_BLOCK, SymbolicWord,
                                SystemConfig, mu_hat_eval, mu_hat_many, truncate)
 from moranspec.spectra import VERIFY_ATOM_BOUND
+from test_measure import words_over
+from test_spectra import admissible_letters, shifted_partner_tower, tower_size
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -384,6 +386,27 @@ def test_sample_ft_negative_grid_exits_2(quarter_config, tmp_path):
     assert done.stderr.startswith("error=") and "--grid" in done.stderr
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_spectrum_prints_the_reference_sumset(data):
+    pairs = data.draw(st.lists(admissible_letters(st.integers(1, 4), st.integers(1, 7)),
+                               min_size=1, max_size=3))
+    cfg = SystemConfig.of(*pairs)
+    word = data.draw(words_over(cfg.m))
+    depth = data.draw(st.integers(0, 6))
+    doc = {"pairs": [{"b": b, "p": p, "t": t} for b, p, t in pairs],
+           "word": {"preperiod": list(word.preperiod), "period": list(word.period)}}
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        code = main(["spectrum", "--config", write_config(Path(tmp), "s.json", doc),
+                     "--depth", str(depth)])
+    reference = shifted_partner_tower(cfg, word, depth, 0, 0, by=0)
+    assert code == 0
+    assert out.getvalue().splitlines() == [
+        f"depth={depth}", f"count={tower_size(cfg, word, depth)}",
+        "points=" + " ".join(f"{x}/1" for x in reference.nums)]
+
+
 @pytest.mark.parametrize("argv", [["spectrum", "--depth", "30"],
                                   ["qcheck", "--depth", "1100"]])
 def test_tower_past_the_atom_cap_exits_2_quickly(quarter_config, argv, capsys):
@@ -621,6 +644,16 @@ def test_verify_at_the_atom_bound_stays_small(quarter_config):
                                f"main(['verify', '--config', {quarter_config!r}, '--depth', '12'])")
     assert report == ["ok=true", "unitarity_residual=5.8698555113523209e-12"]
     assert peak < 80 * 1024
+
+
+def test_spectrum_at_depth_19_stays_small(quarter_config):
+    # the 2**19-point tower built as a list of Python integers and printed
+    # through Fraction views peaked at 177 MB and took about 5 s
+    report, peak = peak_rss_kb("from moranspec.cli import main; "
+                               f"main(['spectrum', '--config', {quarter_config!r}, '--depth', '19'])")
+    assert report[:2] == ["depth=19", "count=524288"]
+    assert report[2].startswith("points=0/1 2/1 8/1 10/1 ")
+    assert peak < 130 * 1024
 
 
 def test_verify_output_does_not_depend_on_blas_threads(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moranspec import oracle
 from moranspec.cli import main
 from moranspec.exactmath import digit_sum_vanishes
 from moranspec.hadamard import canonical_dual_digits, is_admissible, is_compatible_pair
@@ -134,6 +135,19 @@ def test_oracle_search_prints_the_per_difference_partners(b, p, t, sb, st_, data
 def test_search_window_validation():
     with pytest.raises(ValueError):
         search_compatible_partners(4, 2, 1, window=2)
+
+
+def test_more_digits_than_the_base_leave_no_set_without_a_root_sum(monkeypatch):
+    # two of p > |b| elements agree mod |b|, and their root sum is p ones;
+    # (4, 10**6, 1) decided d(4) root sums of 10**6 terms in about a second
+    def refuse(*args):
+        raise AssertionError("a root sum was decided")
+
+    monkeypatch.setattr(oracle, "digit_sum_vanishes", refuse)
+    assert search_compatible_partners(4, 10**6, 1, window=4) == []
+    assert search_compatible_partners(-3, 4, 2) == []
+    with pytest.raises(ValueError):
+        search_compatible_partners(4, 10**6, 1, window=2)
 
 
 def test_search_spectra_examples():

@@ -16,8 +16,7 @@ from moranspec.measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, AtomCapExceeded,
                                DiscreteMeasure, SymbolicWord, SystemConfig, float_quotients,
                                mask_zero_hit, stage_walk, support_hull, truncate)
 from moranspec.spectra import (VERIFY_ATOM_BOUND, Decomposition, SpectrumCandidate,
-                               TowerDegenerateError, build_tower_spectrum,
-                               decompose_spectrum, default_lattice_modulus,
+                               build_tower_spectrum, decompose_spectrum, default_lattice_modulus,
                                extract_tail_spectrum, q_function,
                                structure_witnesses, verify_spectrum_finite,
                                weighted_matrix_residual)
@@ -242,13 +241,43 @@ def shifted_partner_tower(cfg, word, depth, stage, digit, by):
         partner = list(canonical_dual_digits(pr.b, pr.p, pr.t))
         if n == stage:
             partner[digit % pr.p] += by * abs(pr.b)
-        pts = [x + lead * l for x in pts for l in partner]
+        pts = [x + lead * l for x, l in product(pts, partner)]
         lead = base
     return SpectrumCandidate.finite(pts)
 
 
 def tower_size(cfg, word, depth):
     return math.prod(pr.p for pr, _ in stage_walk(cfg, word, depth))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_the_tower_is_the_reference_sumset_at_either_width(data):
+    # towers whose span passes INT64_SPAN (50-digit bases) are built on Python
+    # integers, and INT64_SPAN = 0 sends every tower there
+    small = admissible_letters(st.integers(1, 4), st.integers(1, 7))
+    big = admissible_letters(st.integers(10**49, 2 * 10**49), FIFTY_DIGITS)
+    pairs = data.draw(st.lists(st.one_of(small, big), min_size=1, max_size=3))
+    cfg, _ = load_pairs(pairs, [1])
+    word = data.draw(words_over(cfg.m))
+    depth = data.draw(st.integers(0, 6))
+    forced = data.draw(st.booleans())
+    reference = shifted_partner_tower(cfg, word, depth, 0, 0, by=0)
+    wide = forced or reference.nums[-1] - reference.nums[0] >= spectra.INT64_SPAN
+    widths, tower_points = [], spectra._tower_points
+
+    def spy(stages, dtype):
+        widths.append(np.dtype(dtype))
+        return tower_points(stages, dtype)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_tower_points", spy)
+        if forced:
+            mp.setattr(spectra, "INT64_SPAN", 0)
+        cand = build_tower_spectrum(cfg, word, depth)
+    assert cand == reference and len(cand) == tower_size(cfg, word, depth)
+    assert all(type(x) is int for x in cand.nums)
+    assert widths == [np.dtype(object if wide else np.int64)]
 
 
 @settings(max_examples=25, deadline=None)
