@@ -149,11 +149,9 @@ def fmt_rational(x) -> str:
 def fmt_multiples(unit: Fraction, ks) -> str:
     """fmt_rational of k * unit for each integer k, space-separated, in integers."""
     n, d = unit.numerator, unit.denominator
-    parts = []
-    for k in ks:
-        g = math.gcd(k, d)
-        parts.append(f"{k * n // g}/{d // g}")
-    return " ".join(parts)
+    if d == 1:  # every k * n over 1 is in lowest terms
+        return " ".join([f"{k * n}/1" for k in ks])
+    return " ".join([f"{k * n // (g := math.gcd(k, d))}/{d // g}" for k in ks])
 
 
 # one float field, 17 significant digits; '%.17g' % x is format(x, '.17g')

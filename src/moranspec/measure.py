@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +40,10 @@ RECURRENCE_MAX_P = 32
 
 # largest finite float: a stage ratio or a point past it has no float value
 FLOAT_BOUND = float(np.finfo(float).max)
+
+# integer arrays stay int64 while every sum, difference or mask-zero product
+# is below this magnitude; past it they hold Python integers (object arrays)
+INT64_SPAN = 2**62
 
 
 class AtomCapExceeded(ValueError):
@@ -336,13 +340,39 @@ def stage_walk(config: SystemConfig, word: SymbolicWord,
         yield pr, base
 
 
+def int_width(bound: int) -> type:
+    """The integer array width for magnitudes up to bound: int64 below INT64_SPAN, else object."""
+    return np.int64 if bound < INT64_SPAN else object
+
+
+def sumset(stages: Sequence[Sequence[int]]) -> np.ndarray:
+    """The sorted sums of one value per stage, with multiplicity, of int_width(sum max|value|)."""
+    dtype = int_width(sum(max(map(abs, values)) for values in stages))
+    sums = np.zeros(1, dtype=dtype)
+    for values in stages:
+        sums = np.add.outer(sums, np.array(values, dtype=dtype)).ravel()
+    sums.sort()
+    return sums
+
+
+def runs(values: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted array and each run's length, or its weights' sum."""
+    edges = np.ones(len(values) + 1, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=edges[1:-1])
+    bounds = np.flatnonzero(edges)
+    starts = bounds[:-1]
+    counts = bounds[1:] - starts if weights is None else np.add.reduceat(weights, starts)
+    return values[starts], counts
+
+
 def truncate(config: SystemConfig, word: SymbolicWord, k: int,
              cap: int = DEFAULT_ATOM_CAP) -> DiscreteMeasure:
     """Exact convolution of the first k stages; k = 0 is the point mass at 0.
 
     Coinciding atom positions are merged with summed weights, which is what
-    makes exact measure rewrites checkable by equality.  Atoms merge as
-    integer numerators over b_1...b_k with integer path counts.
+    makes exact measure rewrites checkable by equality.  The atoms are the
+    distinct values of the sumset of j*t*(b_1...b_k)/(b_1...b_n), j < p, as
+    numerators over b_1...b_k, and their path counts are the run lengths.
     """
     if k < 0:
         raise ValueError("depth k must be >= 0")
@@ -352,19 +382,11 @@ def truncate(config: SystemConfig, word: SymbolicWord, k: int,
         if paths > cap:
             raise AtomCapExceeded(
                 f"truncation to depth {k} needs {paths}+ atoms; cap is {cap}")
-    counts = {0: 1}
-    for pr, base in stage_walk(config, word, k):
-        offsets = [j * pr.t * (final // base) for j in range(pr.p)]
-        nxt: dict[int, int] = {}
-        for x, c in counts.items():
-            for off in offsets:
-                nxt[x + off] = nxt.get(x + off, 0) + c
-        counts = nxt
     # x/final as a numerator over a positive denominator: negate both when final < 0
     sign = -1 if final < 0 else 1
-    keys = sorted(counts, reverse=final < 0)
-    return DiscreteMeasure(tuple(sign * x for x in keys), sign * final,
-                           tuple(counts[x] for x in keys), paths)
+    steps = [(pr.p, sign * pr.t * (final // base)) for pr, base in stage_walk(config, word, k)]
+    nums, counts = runs(sumset([range(0, p * step, step) for p, step in steps]))
+    return DiscreteMeasure(nums.tolist(), sign * final, counts.tolist(), paths)
 
 
 def mask_zero_hit(p: int, t: int, num: int | np.ndarray, den: int) -> bool | np.ndarray:

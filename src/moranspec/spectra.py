@@ -30,7 +30,8 @@ from .exactmath import over_common_denominator
 from .hadamard import canonical_dual_digits, is_admissible
 from .measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, AtomCapExceeded, DiscreteMeasure,
                       StagePair, SymbolicWord, SystemConfig, canonical_ratios,
-                      float_quotients, mask_zero_hit, mu_hat_amplitude, stage_walk)
+                      float_quotients, int_width, mask_zero_hit, mu_hat_amplitude, runs,
+                      stage_walk, sumset)
 
 
 @dataclass(frozen=True)
@@ -102,16 +103,6 @@ def tower_stages(config: SystemConfig, word: SymbolicWord, k: int,
     return stages
 
 
-def _tower_points(stages: Sequence[tuple[StagePair, tuple[int, ...], int]],
-                  dtype) -> np.ndarray:
-    """The sorted sumset of lead * partner over tower_stages, one numpy broadcast per stage."""
-    pts = np.zeros(1, dtype=dtype)
-    for _, partner, lead in stages:
-        pts = np.add.outer(pts, np.array([lead * l for l in partner], dtype=dtype)).ravel()
-    pts.sort()
-    return pts
-
-
 def build_tower_spectrum(config: SystemConfig, word: SymbolicWord, k: int) -> SpectrumCandidate:
     """Finite spectrum of the depth-k truncation from per-stage canonical partners.
 
@@ -124,8 +115,7 @@ def build_tower_spectrum(config: SystemConfig, word: SymbolicWord, k: int) -> Sp
     if k < 0:
         raise ValueError("depth k must be >= 0")
     stages = tower_stages(config, word, k, DEFAULT_ATOM_CAP)
-    span = sum(abs(lead) * partner[-1] for _, partner, lead in stages)
-    pts = _tower_points(stages, np.int64 if span < INT64_SPAN else object)
+    pts = sumset([[lead * l for l in partner] for _, partner, lead in stages])
     return SpectrumCandidate(nums=tuple(pts.tolist()))
 
 
@@ -155,10 +145,6 @@ class SpectrumVerification:
 # memory measurement of both.
 VERIFY_ATOM_BOUND = 4096
 
-# int64 arithmetic in verification stays below this magnitude; past it the
-# differences and the mask-zero test use Python integers (object arrays)
-INT64_SPAN = 2**62
-
 
 def weighted_matrix_residual(measure: DiscreteMeasure, points: Sequence[Fraction]) -> float:
     """Frobenius norm of M*M - I for M = [sqrt(w_i) exp(2 pi i lambda_j x_i)]."""
@@ -174,13 +160,11 @@ def _offsets(nums: Sequence[int], pairs: Sequence[StagePair]) -> tuple[int, np.n
     """A bound on every |D*p*t|, D a difference of nums and (p, t) from pairs, and nums - nums[0].
 
     The bound is the span of nums times the largest p|t|; it decides the
-    integer width once: int64 while it is below INT64_SPAN, Python integers
-    (an object array) otherwise.
+    integer width once, by int_width.
     """
     reach = max((pr.p * abs(pr.t) for pr in pairs), default=1)
     bound = (nums[-1] - nums[0] if nums else 0) * reach
-    dtype = np.int64 if bound < INT64_SPAN else object
-    return bound, np.array([v - nums[0] for v in nums], dtype=dtype)
+    return bound, np.array([v - nums[0] for v in nums], dtype=int_width(bound))
 
 
 def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word: SymbolicWord,
@@ -208,7 +192,7 @@ def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word:
     if sum(abs(lead) * partner[-1] for _, partner, lead in stages) != nums[-1] - nums[0]:
         return None  # an equal span also keeps every sum below within the _offsets width
     _, arr = _offsets(nums, [pr for pr, _, _ in stages])
-    pts = _tower_points(stages, arr.dtype)
+    pts = sumset([[lead * l for l in partner] for _, partner, lead in stages])
     if not np.array_equal(pts - pts[0], arr):
         return None
     # stage n's partner differences lead*step*j, j = 1..p-1, over b_1...b_n, in one call
@@ -228,11 +212,7 @@ def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word:
     keep = diffs > 0
     diffs, counts = diffs[keep], counts[keep]
     order = np.argsort(diffs, kind="stable")
-    diffs, counts = diffs[order], counts[order]
-    first = np.ones(len(diffs), dtype=bool)
-    np.not_equal(diffs[1:], diffs[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return diffs[starts], np.add.reduceat(counts, starts)
+    return runs(diffs[order], counts[order])
 
 
 def _difference_scan(config: SystemConfig, word: SymbolicWord, k: int, diffs: np.ndarray,
@@ -269,8 +249,8 @@ def _verify_pairwise(measure: DiscreteMeasure, candidate: SpectrumCandidate,
     With the points as integers over L = candidate.den, stages with
     |L*b_1...b_n| past the _offsets bound can hit no difference and are
     skipped.  The N(N-1)/2 positive differences of the sorted points are
-    written row by row into one array of the _offsets width and sorted in
-    place; a value starts wherever it differs from its predecessor.
+    written row by row into one array of the _offsets width, sorted in
+    place and merged into runs.
     """
     nums, scale = candidate.nums, candidate.den
     stages = [(pr, scale * base) for pr, base in stage_walk(config, word, k)]
@@ -283,12 +263,8 @@ def _verify_pairwise(measure: DiscreteMeasure, candidate: SpectrumCandidate,
         np.subtract(arr[i + 1:], arr[i], out=table[pos:pos + n - 1 - i])
         pos += n - 1 - i
     table.sort()
-    first = np.ones(size, dtype=bool)
-    np.not_equal(table[1:], table[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
     complete = len(nums) == len(measure.nums)
-    resid, offending = _difference_scan(config, word, k, table[starts],
-                                        np.diff(starts, append=size), scale,
+    resid, offending = _difference_scan(config, word, k, *runs(table), scale,
                                         walk if complete else None)
     if not complete:
         return SpectrumVerification(False, "cardinality", None, resid)

@@ -8,20 +8,23 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from moranspec.cli import (ALPHABET_BOUND, CSV_ROW, ORACLE_DIGIT_BOUND, ORACLE_SET_BOUND,
-                           QCHECK_WORK_BOUND, WINDOW_BOUND, fmt_float, main, parse_word_text)
+                           QCHECK_WORK_BOUND, WINDOW_BOUND, fmt_float, fmt_multiples,
+                           fmt_rational, main, parse_word_text)
+from moranspec.hadamard import is_admissible
 from moranspec.measure import (DEFAULT_ATOM_CAP, FLOAT_BOUND, MU_HAT_BLOCK, SymbolicWord,
                                SystemConfig, mu_hat_eval, mu_hat_many, truncate)
 from moranspec.spectra import VERIFY_ATOM_BOUND
-from test_measure import words_over
-from test_spectra import admissible_letters, shifted_partner_tower, tower_size
+from test_measure import SIGNED_B, SIGNED_T, reference_truncate, words_over
+from test_spectra import admissible_letters, reference_verdict, shifted_partner_tower, tower_size
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -407,6 +410,47 @@ def test_spectrum_prints_the_reference_sumset(data):
         "points=" + " ".join(f"{x}/1" for x in reference.nums)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_verify_prints_the_reference_verdict(data):
+    # a stage that is not admissible exits 2 by name; otherwise the verdict
+    # lines are the pairwise reference's on the reference truncation, and
+    # merged atoms would read reason=cardinality there
+    letter = st.one_of(admissible_letters(st.integers(1, 3), st.integers(1, 5)),
+                       st.tuples(SIGNED_B, st.sampled_from((2, 3)), SIGNED_T))
+    pairs = data.draw(st.lists(letter, min_size=1, max_size=3))
+    cfg = SystemConfig.of(*pairs)
+    word = data.draw(words_over(cfg.m))
+    depth = data.draw(st.integers(0, 5))
+    assume(tower_size(cfg, word, depth) <= 64)
+    doc = {"pairs": [{"b": b, "p": p, "t": t} for b, p, t in pairs],
+           "word": {"preperiod": list(word.preperiod), "period": list(word.period)}}
+    out, err = io.StringIO(), io.StringIO()
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        code = main(["verify", "--config", write_config(Path(tmp), "v.json", doc),
+                     "--depth", str(depth)])
+    stages = [cfg.pair(word.letter(n)) for n in range(1, depth + 1)]
+    bad = [n for n, pr in enumerate(stages, start=1) if not is_admissible(pr.b, pr.p, pr.t)]
+    if bad:
+        pr = stages[bad[0] - 1]
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue() == (f"error=stage {bad[0]} = (b={pr.b}, p={pr.p}, t={pr.t}) "
+                                  "is not admissible\n")
+        return
+    meas = reference_truncate(cfg, word, depth)
+    ok, reason, offending = reference_verdict(
+        meas, shifted_partner_tower(cfg, word, depth, 0, 0, by=0), cfg, word, depth)
+    expected = [f"ok={str(ok).lower()}"] + [f"reason={reason}"] * (reason is not None)
+    if offending is not None:
+        expected.append(f"offending={fmt_rational(offending)}")
+    lines = out.getvalue().splitlines()
+    assert code == 0 and lines[:-1] == expected
+    assert lines[-1].startswith("unitarity_residual=")
+    if len(meas.nums) < tower_size(cfg, word, depth):
+        assert reason == "cardinality"
+
+
 @pytest.mark.parametrize("argv", [["spectrum", "--depth", "30"],
                                   ["qcheck", "--depth", "1100"]])
 def test_tower_past_the_atom_cap_exits_2_quickly(quarter_config, argv, capsys):
@@ -656,6 +700,19 @@ def test_spectrum_at_depth_19_stays_small(quarter_config):
     assert peak < 130 * 1024
 
 
+def test_rewrite_check_at_depth_15_stays_small(tmp_path):
+    # 559,872 atoms merged through a dict of Python integers peaked at 125 MB
+    # from process start; their integer sumset merged into runs takes about 82 MB
+    cfg = write_config(tmp_path, "rw.json", {
+        "pairs": [{"b": 4, "p": 2, "t": 1}, {"b": 6, "p": 3, "t": 1}],
+        "rewrite": {"pairs": [{"b": 4, "p": 2, "t": 1}], "word": {"period": [1]}, "depth": 1}})
+    report, peak = peak_rss_kb("from moranspec.cli import main; "
+                               f"main(['rewrite-check', '--config', {cfg!r}, "
+                               "'--word', ';1,2', '--depth', '15'])")
+    assert report == ["equal=false", "left_depth=15", "right_depth=1", "atoms=559872"]
+    assert peak < 105 * 1024
+
+
 def test_verify_output_does_not_depend_on_blas_threads(tmp_path):
     cfg = write_config(tmp_path, "neg.json", NEG)
     outs = []
@@ -740,6 +797,14 @@ def test_oracle_search_past_the_digit_bound_exits_2(tmp_path):
     wide = run_cli(["oracle-search", "--config", pair(4, 10**6), "--window", "4"], timeout=30)
     assert wide.returncode == 0, wide.stderr
     assert wide.stdout.splitlines() == ["window=4", "count=0"]
+
+
+@given(st.one_of(st.integers(-10**30, 10**30).map(Fraction),
+                 st.fractions(max_denominator=10**30)),
+       st.lists(st.integers(-10**40, 10**40)))
+def test_fmt_multiples_is_fmt_rational_of_each_multiple(unit, ks):
+    # denominator 1 (spectrum's towers) skips the gcd; above 1 (tile) does not
+    assert fmt_multiples(unit, ks) == " ".join(fmt_rational(k * unit) for k in ks)
 
 
 def reference_fmt(x):

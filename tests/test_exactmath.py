@@ -208,3 +208,27 @@ def test_the_exact_layers_import_no_float_library():
         imported |= {node.module.split(".")[0] for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) and node.module and not node.level}
         assert not imported & {"numpy", "cmath"}, (name, sorted(imported))
+
+
+def branch_names(branch):
+    """Every Name id and Attribute attr in an expression or a list of statements."""
+    return {getattr(node, "id", getattr(node, "attr", None))
+            for part in (branch if isinstance(branch, list) else [branch])
+            for node in ast.walk(part)}
+
+
+def test_only_measure_decides_the_integer_width():
+    # INT64_SPAN is assigned once, in measure, and measure.int_width is the one
+    # conditional that picks int64 or Python integers (object arrays)
+    assigned, choosers = [], []
+    for path in sorted((Path(SRC) / "moranspec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assigned += [path.stem for target in targets
+                             if "INT64_SPAN" in branch_names(target)]
+            if (isinstance(node, (ast.If, ast.IfExp))
+                    and {"int64", "object"} <= branch_names(node.body) | branch_names(node.orelse)):
+                choosers.append(path.stem)
+    assert assigned == ["measure"]
+    assert choosers == ["measure"]

@@ -15,11 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moranspec.cli import load_config
-from moranspec.measure import (RECURRENCE_MAX_P, AtomCapExceeded, DiscreteMeasure, StagePair,
-                               SymbolicWord, SystemConfig, dirichlet_amplitude, first_nonzero,
-                               float_quotients, mask_zero_contains, mu_hat_amplitude,
-                               mu_hat_eval, mu_hat_many, normalize_signs, scale_digits,
-                               stage_walk, support_hull, truncate, zero_set_contains)
+from moranspec.measure import (INT64_SPAN, RECURRENCE_MAX_P, AtomCapExceeded, DiscreteMeasure,
+                               StagePair, SymbolicWord, SystemConfig, dirichlet_amplitude,
+                               first_nonzero, float_quotients, mask_zero_contains,
+                               mu_hat_amplitude, mu_hat_eval, mu_hat_many, normalize_signs,
+                               scale_digits, stage_walk, sumset, support_hull, truncate,
+                               zero_set_contains)
 from moranspec.spectra import (SpectrumCandidate, build_tower_spectrum, q_function,
                                verify_spectrum_finite)
 
@@ -236,6 +237,42 @@ def test_fifty_digit_decimal_strings_truncate_like_the_reference(letters, depth)
     cfg, word = load_pairs(pairs, range(1, len(pairs) + 1))
     assert cfg == SystemConfig.of(*pairs)
     assert truncate(cfg, word, depth).atoms == reference_truncate(cfg, word, depth).atoms
+
+
+SIGNED_FIFTY = FIFTY_DIGITS.flatmap(lambda v: st.sampled_from((v, -v)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.one_of(SIGNED_B, SIGNED_FIFTY), st.sampled_from((2, 3)),
+                          st.one_of(SIGNED_T, SIGNED_FIFTY)), min_size=1, max_size=3),
+       st.data())
+def test_truncate_is_the_reference_at_either_width(pairs, data):
+    # the sumset of j*t*(b_1...b_k)/(b_1...b_n) is built on Python integers once
+    # the sum of its stages' max|j*t*(b_1...b_k)/(b_1...b_n)| reaches INT64_SPAN
+    # (50-digit letters), and INT64_SPAN = 0 sends every truncation there
+    cfg = SystemConfig.of(*pairs)
+    word = data.draw(words_over(cfg.m))
+    depth = data.draw(st.integers(0, 4))
+    forced = data.draw(st.booleans())
+    letters = [cfg.pair(word.letter(n)) for n in range(1, depth + 1)]
+    final = math.prod(pr.b for pr in letters)
+    span = sum((pr.p - 1) * abs(pr.t * final // math.prod(q.b for q in letters[:n]))
+               for n, pr in enumerate(letters, start=1))
+    widths = []
+
+    def spy(stages):
+        sums = sumset(stages)
+        widths.append(sums.dtype)
+        return sums
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("moranspec.measure.sumset", spy)
+        if forced:
+            mp.setattr("moranspec.measure.INT64_SPAN", 0)
+        meas = truncate(cfg, word, depth)
+    assert meas == reference_truncate(cfg, word, depth)
+    assert all(type(x) is int for x in meas.nums + meas.counts)
+    assert widths == [np.dtype(object if forced or span >= INT64_SPAN else np.int64)]
 
 
 def test_factor_order_does_not_change_the_measure():

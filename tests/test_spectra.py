@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from moranspec import spectra
 from moranspec.hadamard import canonical_dual_digits
-from moranspec.measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, AtomCapExceeded,
+from moranspec.measure import (DEFAULT_ATOM_CAP, INT64_SPAN, MU_HAT_BLOCK, AtomCapExceeded,
                                DiscreteMeasure, SymbolicWord, SystemConfig, float_quotients,
-                               mask_zero_hit, stage_walk, support_hull, truncate)
+                               mask_zero_hit, stage_walk, sumset, support_hull, truncate)
 from moranspec.spectra import (VERIFY_ATOM_BOUND, Decomposition, SpectrumCandidate,
                                build_tower_spectrum, decompose_spectrum, default_lattice_modulus,
                                extract_tail_spectrum, q_function,
@@ -263,17 +263,18 @@ def test_the_tower_is_the_reference_sumset_at_either_width(data):
     depth = data.draw(st.integers(0, 6))
     forced = data.draw(st.booleans())
     reference = shifted_partner_tower(cfg, word, depth, 0, 0, by=0)
-    wide = forced or reference.nums[-1] - reference.nums[0] >= spectra.INT64_SPAN
-    widths, tower_points = [], spectra._tower_points
+    wide = forced or reference.nums[-1] - reference.nums[0] >= INT64_SPAN
+    widths = []
 
-    def spy(stages, dtype):
-        widths.append(np.dtype(dtype))
-        return tower_points(stages, dtype)
+    def spy(stages):
+        sums = sumset(stages)
+        widths.append(sums.dtype)
+        return sums
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectra, "_tower_points", spy)
+        mp.setattr(spectra, "sumset", spy)
         if forced:
-            mp.setattr(spectra, "INT64_SPAN", 0)
+            mp.setattr("moranspec.measure.INT64_SPAN", 0)
         cand = build_tower_spectrum(cfg, word, depth)
     assert cand == reference and len(cand) == tower_size(cfg, word, depth)
     assert all(type(x) is int for x in cand.nums)
@@ -418,7 +419,7 @@ def test_verify_verdicts_do_not_depend_on_the_integer_width(monkeypatch):
     assert widths == {np.dtype(np.int64)}
     assert {v.ok for v in narrow} == {True, False}
     assert (narrow[-1].reason, narrow[-1].offending) == ("orthogonality", 12)
-    monkeypatch.setattr(spectra, "INT64_SPAN", 0)
+    monkeypatch.setattr("moranspec.measure.INT64_SPAN", 0)
     widths.clear()
     for block in (MU_HAT_BLOCK, 3):
         monkeypatch.setattr(spectra, "MU_HAT_BLOCK", block)
@@ -469,7 +470,7 @@ def test_verify_at_the_width_boundary(monkeypatch):
     monkeypatch.setattr(spectra, "mask_zero_hit", spy)
     verdicts = []
     for top in (2**61 + 2, 2**61 + 1):
-        assert top < spectra.INT64_SPAN <= 2 * top
+        assert top < INT64_SPAN <= 2 * top
         ver = assert_matches_reference(m, SpectrumCandidate.finite((0, top)), QUARTER, ONES, 1)
         verdicts.append((ver.ok, ver.offending))
     assert verdicts == [(True, None), (False, 2**61 + 1)]
