@@ -447,8 +447,6 @@ def test_verify_prints_the_reference_verdict(data):
     lines = out.getvalue().splitlines()
     assert code == 0 and lines[:-1] == expected
     assert lines[-1].startswith("unitarity_residual=")
-    if len(meas.nums) < tower_size(cfg, word, depth):
-        assert reason == "cardinality"
 
 
 @pytest.mark.parametrize("argv", [["spectrum", "--depth", "30"],
