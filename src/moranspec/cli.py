@@ -172,9 +172,8 @@ def emit(key: str, value) -> None:
         text = fmt_rational(value)
     elif isinstance(value, float):
         text = fmt_float(value)
-    elif isinstance(value, (list, tuple)):
-        text = " ".join(fmt_rational(v) if isinstance(v, Fraction) else str(v)
-                        for v in value)
+    elif isinstance(value, list):
+        text = " ".join(map(str, value))
     else:
         text = str(value)
     print(f"{key}={text}")
@@ -258,7 +257,7 @@ def cmd_verify(config, word, rewrite, args) -> int:
     if ver.reason is not None:
         emit("reason", ver.reason)
     if ver.offending is not None:
-        emit("offending", Fraction(ver.offending))
+        emit("offending", ver.offending)
     emit("unitarity_residual", ver.unitarity_residual)
     return EXIT_OK
 

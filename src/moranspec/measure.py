@@ -45,9 +45,14 @@ FLOAT_BOUND = float(np.finfo(float).max)
 # is below this magnitude; past it they hold Python integers (object arrays)
 INT64_SPAN = 2**62
 
+# most bits a sumset's values may hold together, the value count times the
+# bit length of the span; int64 values at DEFAULT_ATOM_CAP hold as many, and
+# 4,096 values of 4,200 digits, just under it, build and print in about 1.3 s
+SUMSET_BIT_BOUND = 64 * DEFAULT_ATOM_CAP
+
 
 class AtomCapExceeded(ValueError):
-    """Raised when a truncation or a verification would exceed its atom cap."""
+    """Raised when a truncation, tower, sumset or verification would pass its cap or bound."""
 
 
 @dataclass(frozen=True)
@@ -345,12 +350,23 @@ def int_width(bound: int) -> type:
     return np.int64 if bound < INT64_SPAN else object
 
 
-def sumset(stages: Sequence[Sequence[int]]) -> np.ndarray:
-    """The sorted sums of one value per stage, with multiplicity, of int_width(sum max|value|)."""
-    dtype = int_width(sum(max(map(abs, values)) for values in stages))
+def sumset(stages: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The sorted sums of one j*step, j < count, per (count, step) stage, with multiplicity.
+
+    Every |sum| is at most span = sum (count - 1)|step|, which gives the
+    width, int_width(span).  Raises AtomCapExceeded, before any value is
+    built, when prod count values of span.bit_length() bits pass
+    SUMSET_BIT_BOUND.
+    """
+    span = sum((count - 1) * abs(step) for count, step in stages)
+    size = math.prod(count for count, _ in stages)
+    if size * span.bit_length() > SUMSET_BIT_BOUND:
+        raise AtomCapExceeded(f"sumset needs {size} values of {span.bit_length()} bits; "
+                              f"bound is {SUMSET_BIT_BOUND} bits")
+    dtype = int_width(span)
     sums = np.zeros(1, dtype=dtype)
-    for values in stages:
-        sums = np.add.outer(sums, np.array(values, dtype=dtype)).ravel()
+    for count, step in stages:
+        sums = np.add.outer(sums, np.arange(count, dtype=dtype) * step).ravel()
     sums.sort()
     return sums
 
@@ -376,16 +392,16 @@ def truncate(config: SystemConfig, word: SymbolicWord, k: int,
     """
     if k < 0:
         raise ValueError("depth k must be >= 0")
-    paths, final = 1, 1
+    walk, paths, final = [], 1, 1
     for pr, final in stage_walk(config, word, k):
         paths *= pr.p
         if paths > cap:
             raise AtomCapExceeded(
                 f"truncation to depth {k} needs {paths}+ atoms; cap is {cap}")
+        walk.append((pr, final))
     # x/final as a numerator over a positive denominator: negate both when final < 0
     sign = -1 if final < 0 else 1
-    steps = [(pr.p, sign * pr.t * (final // base)) for pr, base in stage_walk(config, word, k)]
-    nums, counts = runs(sumset([range(0, p * step, step) for p, step in steps]))
+    nums, counts = runs(sumset([(pr.p, sign * pr.t * (final // base)) for pr, base in walk]))
     return DiscreteMeasure(nums.tolist(), sign * final, counts.tolist(), paths)
 
 

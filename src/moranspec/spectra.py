@@ -83,10 +83,11 @@ def default_lattice_modulus(config: SystemConfig) -> int:
 
 
 def tower_stages(config: SystemConfig, word: SymbolicWord, k: int,
-                 cap: int) -> list[tuple[StagePair, tuple[int, ...], int]]:
-    """(pair, canonical partner, b_1...b_{n-1}) for the stages n = 1..k of the depth-k tower.
+                 cap: int) -> list[tuple[StagePair, int, int]]:
+    """(pair, step, b_1...b_n) for the stages n = 1..k of the depth-k tower.
 
-    The tower is the sumset of lead * partner over the stages.  Raises
+    step is b_1...b_{n-1} times the step of the stage's canonical partner, so
+    the tower is the sumset of the progressions step*{0, ..., p-1}.  Raises
     ValueError naming the first stage that is not admissible, and
     AtomCapExceeded once the point count would pass cap, before that
     stage's partner is built.
@@ -99,7 +100,7 @@ def tower_stages(config: SystemConfig, word: SymbolicWord, k: int,
         points *= pr.p
         if points > cap:
             raise AtomCapExceeded(f"tower to depth {k} needs {points}+ points; cap is {cap}")
-        stages.append((pr, canonical_dual_digits(pr.b, pr.p, pr.t), base // pr.b))
+        stages.append((pr, base // pr.b * canonical_dual_digits(pr.b, pr.p, pr.t)[1], base))
     return stages
 
 
@@ -109,13 +110,13 @@ def build_tower_spectrum(config: SystemConfig, word: SymbolicWord, k: int) -> Sp
     Every letter used in positions 1..k must be admissible.  Raises
     AtomCapExceeded, before any point is built, when the point count would
     pass DEFAULT_ATOM_CAP.  No point repeats: digit choices that first differ
-    at stage n differ by lead*step*j plus a multiple of b_1...b_n, 0 < |j| < p,
-    and |b| = step*p*gcd(b, t) does not divide step*j.
+    at stage n differ by step*j plus a multiple of b_1...b_n, 0 < |j| < p, and
+    |b| = s*p*gcd(b, t), s the canonical partner step, does not divide s*j.
     """
     if k < 0:
         raise ValueError("depth k must be >= 0")
     stages = tower_stages(config, word, k, DEFAULT_ATOM_CAP)
-    pts = sumset([[lead * l for l in partner] for _, partner, lead in stages])
+    pts = sumset([(pr.p, step) for pr, step, _ in stages])
     return SpectrumCandidate(nums=tuple(pts.tolist()))
 
 
@@ -168,19 +169,20 @@ def _offsets(nums: Sequence[int], pairs: Sequence[StagePair]) -> tuple[int, np.n
 
 
 def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word: SymbolicWord,
-                       k: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+                       k: int) -> Optional[tuple[np.ndarray, np.ndarray, None]]:
     """Distinct positive differences and pair counts of a compatible depth-k tower translate.
 
     None unless the candidate is an integer translate of the depth-k tower
-    (the sumset of lead * partner over tower_stages) and mask_zero_hit
-    finds every stage's partner differences lead*step*j, j = 1..p-1, in the
-    stage's zero set.  Then every difference of the candidate is orthogonal:
-    one whose digits first differ at stage n is lead*step*j plus a multiple
-    of b_1...b_n, which leaves stage n's zero test unchanged.  The ordered
-    differences are the sums over the stages of lead*step*j, each counted
-    prod (p - |j|) times for |j| < p, so sorting and merging those sums gives
-    the distinct differences with their pair counts, as the difference table
-    does, without the N(N-1)/2 table.
+    (the sumset of tower_stages' progressions) and mask_zero_hit finds every
+    stage's differences step*j, j = 1..p-1, over b_1...b_n in the stage's
+    zero set.  Then every difference of the candidate is orthogonal: one
+    whose digits first differ at stage n is step*j plus a multiple of
+    b_1...b_n, which leaves stage n's zero test unchanged, so no walk is left
+    to test (the third entry is None).  The ordered differences are the sums
+    over the stages of step*j, each counted prod (p - |j|) times for
+    |j| < p, so sorting and merging those sums gives the distinct
+    differences with their pair counts, as the difference table does,
+    without the N(N-1)/2 table.
     """
     nums = candidate.nums
     if candidate.den != 1 or not nums:
@@ -189,30 +191,30 @@ def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word:
         stages = tower_stages(config, word, k, len(nums))
     except ValueError:  # a stage with no partner, or more tower points than the candidate's
         return None
-    if sum(abs(lead) * partner[-1] for _, partner, lead in stages) != nums[-1] - nums[0]:
+    if sum((pr.p - 1) * abs(step) for pr, step, _ in stages) != nums[-1] - nums[0]:
         return None  # an equal span also keeps every sum below within the _offsets width
     _, arr = _offsets(nums, [pr for pr, _, _ in stages])
-    pts = sumset([[lead * l for l in partner] for _, partner, lead in stages])
+    pts = sumset([(pr.p, step) for pr, step, _ in stages])
     if not np.array_equal(pts - pts[0], arr):
         return None
-    # stage n's partner differences lead*step*j, j = 1..p-1, over b_1...b_n, in one call
-    p, t, steps, dens = np.array([(pr.p, pr.t, lead * l, lead * pr.b)
-                                  for pr, partner, lead in stages for l in partner[1:]],
+    # every stage's differences step*j, j = 1..p-1, over b_1...b_n, in one call
+    p, t, steps, dens = np.array([(pr.p, pr.t, step * j, base)
+                                  for pr, step, base in stages for j in range(1, pr.p)],
                                  dtype=arr.dtype).reshape(-1, 4).T
     if not mask_zero_hit(p, t, steps, dens).all():
         return None
-    # the multiset of j*step is symmetric, so |lead*step| serves; with each new
+    # the multiset of j*step is symmetric, so |step| serves; with each new
     # stage outermost, stages whose sums do not overlap leave the array sorted,
     # and the stable sort (a merge of sorted runs) then takes one pass
     diffs, counts = np.zeros(1, dtype=arr.dtype), np.ones(1, dtype=np.int64)
-    for pr, partner, lead in stages:
+    for pr, step, _ in stages:
         j = np.arange(1 - pr.p, pr.p)
-        diffs = np.add.outer(j.astype(arr.dtype) * abs(lead * partner[1]), diffs).ravel()
+        diffs = np.add.outer(j.astype(arr.dtype) * abs(step), diffs).ravel()
         counts = np.multiply.outer(pr.p - np.abs(j), counts).ravel()
     keep = diffs > 0
     diffs, counts = diffs[keep], counts[keep]
     order = np.argsort(diffs, kind="stable")
-    return runs(diffs[order], counts[order])
+    return (*runs(diffs[order], counts[order]), None)
 
 
 def _difference_scan(config: SystemConfig, word: SymbolicWord, k: int, diffs: np.ndarray,
@@ -242,20 +244,19 @@ def _difference_scan(config: SystemConfig, word: SymbolicWord, k: int, diffs: np
     return math.sqrt(2 * total), offending
 
 
-def _verify_pairwise(measure: DiscreteMeasure, candidate: SpectrumCandidate,
-                     config: SystemConfig, word: SymbolicWord, k: int) -> SpectrumVerification:
-    """verify_spectrum_finite through every difference, for any candidate.
+def _pairwise_differences(candidate: SpectrumCandidate, config: SystemConfig,
+                          word: SymbolicWord, k: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Distinct positive differences, pair counts and the stage walk to test, for any candidate.
 
-    With the points as integers over L = candidate.den, stages with
-    |L*b_1...b_n| past the _offsets bound can hit no difference and are
-    skipped.  The N(N-1)/2 positive differences of the sorted points are
-    written row by row into one array of the _offsets width, sorted in
-    place and merged into runs.
+    With the points as integers over L = candidate.den, the walk is
+    (pair, L*b_1...b_n) per stage, less the stages past the _offsets bound,
+    which can hit no difference.  The N(N-1)/2 positive differences of the
+    sorted points are written row by row into one array of the _offsets
+    width, sorted in place and merged into runs.
     """
     nums, scale = candidate.nums, candidate.den
     stages = [(pr, scale * base) for pr, base in stage_walk(config, word, k)]
     bound, arr = _offsets(nums, [pr for pr, _ in stages])
-    walk = [(pr, den) for pr, den in stages if abs(den) <= bound]
     n = len(arr)
     size, pos = n * (n - 1) // 2, 0
     table = np.empty(size, dtype=arr.dtype)
@@ -263,14 +264,7 @@ def _verify_pairwise(measure: DiscreteMeasure, candidate: SpectrumCandidate,
         np.subtract(arr[i + 1:], arr[i], out=table[pos:pos + n - 1 - i])
         pos += n - 1 - i
     table.sort()
-    complete = len(nums) == len(measure.nums)
-    resid, offending = _difference_scan(config, word, k, *runs(table), scale,
-                                        walk if complete else None)
-    if not complete:
-        return SpectrumVerification(False, "cardinality", None, resid)
-    if offending is not None:
-        return SpectrumVerification(False, "orthogonality", offending, resid)
-    return SpectrumVerification(True, None, None, resid)
+    return (*runs(table), [(pr, den) for pr, den in stages if abs(den) <= bound])
 
 
 def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidate,
@@ -283,26 +277,27 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
     the candidate's denominator L, lands in stage n's when mask_zero_hit
     holds for D over L*b_1...b_n.  Completeness: the candidate size must
     equal the atom count.  An integer translate of the depth-k tower is
-    checked stage by stage (_tower_differences): p - 1 partner differences
-    per stage prove orthogonality, and the distinct differences with their
-    pair counts come from the stages, not from the points.  Every other
+    checked stage by stage (_tower_differences): p - 1 differences per
+    stage prove orthogonality, and the distinct differences with their pair
+    counts come from the stages, not from the points.  Every other
     candidate, and a tower with an incompatible stage, goes through every
-    difference (_verify_pairwise), which gives the least positive offender.
-    Either way one loop (_difference_scan) sums the numeric residual over
-    the same distinct differences in the same blocks, so both paths give
-    the same bits.  Past VERIFY_ATOM_BOUND points or atoms, raises
-    AtomCapExceeded before allocating anything.
+    difference (_pairwise_differences), whose stage walk the scan tests for
+    the least positive offender.  Either way one loop (_difference_scan)
+    sums the numeric residual over the same distinct differences in the
+    same blocks, so both paths give the same bits.  Past VERIFY_ATOM_BOUND
+    points or atoms, raises AtomCapExceeded before allocating anything.
     """
     size = max(len(candidate.nums), len(measure.nums))
     if size > VERIFY_ATOM_BOUND:
         raise AtomCapExceeded(f"{size} atoms exceed the verify atom bound {VERIFY_ATOM_BOUND}")
-    found = _tower_differences(candidate, config, word, k)
-    if found is None:
-        return _verify_pairwise(measure, candidate, config, word, k)
-    resid, _ = _difference_scan(config, word, k, *found, 1, None)
-    if len(candidate.nums) != len(measure.nums):
-        return SpectrumVerification(False, "cardinality", None, resid)
-    return SpectrumVerification(True, None, None, resid)
+    diffs, counts, walk = (_tower_differences(candidate, config, word, k)
+                           or _pairwise_differences(candidate, config, word, k))
+    complete = len(candidate.nums) == len(measure.nums)
+    resid, offending = _difference_scan(config, word, k, diffs, counts, candidate.den,
+                                        walk if complete else None)
+    reason = ("cardinality" if not complete
+              else "orthogonality" if offending is not None else None)
+    return SpectrumVerification(reason is None, reason, offending, resid)
 
 
 def q_function(config: SystemConfig, word: SymbolicWord, depth: int,

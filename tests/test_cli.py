@@ -20,9 +20,11 @@ from moranspec.cli import (ALPHABET_BOUND, CSV_ROW, ORACLE_DIGIT_BOUND, ORACLE_S
                            QCHECK_WORK_BOUND, WINDOW_BOUND, fmt_float, fmt_multiples,
                            fmt_rational, main, parse_word_text)
 from moranspec.hadamard import is_admissible
-from moranspec.measure import (DEFAULT_ATOM_CAP, FLOAT_BOUND, MU_HAT_BLOCK, SymbolicWord,
-                               SystemConfig, mu_hat_eval, mu_hat_many, truncate)
+from moranspec.measure import (DEFAULT_ATOM_CAP, FLOAT_BOUND, MU_HAT_BLOCK, SUMSET_BIT_BOUND,
+                               SymbolicWord, SystemConfig, mu_hat_eval, mu_hat_many, truncate)
 from moranspec.spectra import VERIFY_ATOM_BOUND
+from test_classifier import (PROBE_LETTERS, SIGNED_LETTERS, coprime_alphabets,
+                             listed_violations, per_translate_probe, reference_zero_set_status)
 from test_measure import SIGNED_B, SIGNED_T, reference_truncate, words_over
 from test_spectra import admissible_letters, reference_verdict, shifted_partner_tower, tower_size
 
@@ -389,6 +391,21 @@ def test_sample_ft_negative_grid_exits_2(quarter_config, tmp_path):
     assert done.stderr.startswith("error=") and "--grid" in done.stderr
 
 
+def cli_lines(argv, doc):
+    """Exit code, stdout lines and stderr of main on argv with doc as its config."""
+    out, err = io.StringIO(), io.StringIO()
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        code = main([*argv, "--config", write_config(Path(tmp), "c.json", doc)])
+    return code, out.getvalue().splitlines(), err.getvalue()
+
+
+def pairs_doc(pairs, word):
+    """The config document of (b, p, t) triples and a word."""
+    return {"pairs": [{"b": b, "p": p, "t": t} for b, p, t in pairs],
+            "word": {"preperiod": list(word.preperiod), "period": list(word.period)}}
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_spectrum_prints_the_reference_sumset(data):
@@ -397,15 +414,10 @@ def test_spectrum_prints_the_reference_sumset(data):
     cfg = SystemConfig.of(*pairs)
     word = data.draw(words_over(cfg.m))
     depth = data.draw(st.integers(0, 6))
-    doc = {"pairs": [{"b": b, "p": p, "t": t} for b, p, t in pairs],
-           "word": {"preperiod": list(word.preperiod), "period": list(word.period)}}
-    out = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
-        code = main(["spectrum", "--config", write_config(Path(tmp), "s.json", doc),
-                     "--depth", str(depth)])
+    code, lines, _ = cli_lines(["spectrum", "--depth", str(depth)], pairs_doc(pairs, word))
     reference = shifted_partner_tower(cfg, word, depth, 0, 0, by=0)
     assert code == 0
-    assert out.getvalue().splitlines() == [
+    assert lines == [
         f"depth={depth}", f"count={tower_size(cfg, word, depth)}",
         "points=" + " ".join(f"{x}/1" for x in reference.nums)]
 
@@ -423,20 +435,14 @@ def test_verify_prints_the_reference_verdict(data):
     word = data.draw(words_over(cfg.m))
     depth = data.draw(st.integers(0, 5))
     assume(tower_size(cfg, word, depth) <= 64)
-    doc = {"pairs": [{"b": b, "p": p, "t": t} for b, p, t in pairs],
-           "word": {"preperiod": list(word.preperiod), "period": list(word.period)}}
-    out, err = io.StringIO(), io.StringIO()
-    with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out),
-          contextlib.redirect_stderr(err)):
-        code = main(["verify", "--config", write_config(Path(tmp), "v.json", doc),
-                     "--depth", str(depth)])
+    code, lines, err = cli_lines(["verify", "--depth", str(depth)], pairs_doc(pairs, word))
     stages = [cfg.pair(word.letter(n)) for n in range(1, depth + 1)]
     bad = [n for n, pr in enumerate(stages, start=1) if not is_admissible(pr.b, pr.p, pr.t)]
     if bad:
         pr = stages[bad[0] - 1]
-        assert code == 2 and out.getvalue() == ""
-        assert err.getvalue() == (f"error=stage {bad[0]} = (b={pr.b}, p={pr.p}, t={pr.t}) "
-                                  "is not admissible\n")
+        assert code == 2 and lines == []
+        assert err == (f"error=stage {bad[0]} = (b={pr.b}, p={pr.p}, t={pr.t}) "
+                       "is not admissible\n")
         return
     meas = reference_truncate(cfg, word, depth)
     ok, reason, offending = reference_verdict(
@@ -444,9 +450,72 @@ def test_verify_prints_the_reference_verdict(data):
     expected = [f"ok={str(ok).lower()}"] + [f"reason={reason}"] * (reason is not None)
     if offending is not None:
         expected.append(f"offending={fmt_rational(offending)}")
-    lines = out.getvalue().splitlines()
     assert code == 0 and lines[:-1] == expected
     assert lines[-1].startswith("unitarity_residual=")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(coprime_alphabets(), st.lists(PROBE_LETTERS, min_size=1, max_size=3)),
+       st.data())
+def test_zeros_prints_the_reference_status_and_probes(letters, data):
+    # a violating alphabet prints validate's report; a coprime one prints the
+    # letter-by-letter status and, per letter with |t| != 1, the witness of
+    # the per-translate walk at 1/|t|
+    cfg = SystemConfig.of(*letters)
+    word = data.draw(words_over(cfg.m))
+    window = data.draw(st.integers(1, 40))
+    code, lines, _ = cli_lines(["zeros", "--window", str(window)], pairs_doc(letters, word))
+    violations = listed_violations(cfg)
+    if violations:
+        assert code == 2
+        assert lines == ["ok=false"] + [f"violation.{i}={v}" for i, v in enumerate(violations)]
+        return
+    status = reference_zero_set_status(cfg, word)
+    expected = [f"status={status.status}", f"reason={status.reason}"]
+    strides = [abs(cfg.pair(l).t) for l in sorted(word.letters()) if abs(cfg.pair(l).t) != 1]
+    for i, t in enumerate(strides):
+        witness = per_translate_probe(cfg, word, Fraction(1, t), window)
+        expected += [f"probe.{i}.xi=1/{t}",
+                     f"probe.{i}.witness={'none' if witness is None else witness}"]
+    assert code == 0 and lines == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(SIGNED_LETTERS, min_size=1, max_size=4), st.data())
+def test_necessity_prints_the_restated_condition(letters, data):
+    # k < depth is listed when p_k does not divide t_{k+1} and p_{k+1} does
+    # not divide b_{k+1} t_k
+    cfg = SystemConfig.of(*letters)
+    word = data.draw(words_over(cfg.m))
+    depth = data.draw(st.integers(0, 12))
+    code, lines, _ = cli_lines(["necessity", "--depth", str(depth)], pairs_doc(letters, word))
+    stages = [cfg.pair(word.letter(n)) for n in range(1, depth + 1)]
+    listed = [(k, nxt) for k, (here, nxt) in enumerate(zip(stages, stages[1:]), start=1)
+              if nxt.t % here.p and nxt.b * here.t % nxt.p]
+    assert code == 0 and lines == [f"violations={len(listed)}"] + [
+        f"violation.{i}=k={k}: p_{{k+1}}={nxt.p} does not divide "
+        f"b_{{k+1}}*t_k = {nxt.b}*{stages[k - 1].t}" for i, (k, nxt) in enumerate(listed)]
+
+
+# (-10**400, 5, 4)^oo: at depth 6 its 15,625 tower points have spans of
+# 7,971 bits and its atoms 6,648, past the sumset bit bound; at depth 5 the
+# 3,125 values of 6,642 and 5,320 bits are not
+WIDE = {"pairs": [{"b": str(-10**400), "p": 5, "t": 4}], "word": {"period": [1]},
+        "rewrite": {"pairs": [{"b": str(-10**400), "p": 5, "t": 4}], "word": {"period": [1]},
+                    "depth": 1}}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "rewrite-check"])
+def test_sums_past_the_bit_bound_exit_2(command):
+    # spectrum --depth 6 built and printed 36 MB of points (about 2 s and
+    # 160 MB); both now stop before any point or atom is built
+    code, lines, err = cli_lines([command, "--depth", "6"], WIDE)
+    assert code == 2 and lines == []
+    assert err.startswith("error=sumset needs 15625 values of ")
+    assert err.endswith(f"bound is {SUMSET_BIT_BOUND} bits\n")
+    code, lines, _ = cli_lines([command, "--depth", "5"], WIDE)
+    assert code == 0
+    assert ("count=3125" if command == "spectrum" else "atoms=3125") in lines
 
 
 @pytest.mark.parametrize("argv", [["spectrum", "--depth", "30"],

@@ -232,3 +232,15 @@ def test_only_measure_decides_the_integer_width():
                 choosers.append(path.stem)
     assert assigned == ["measure"]
     assert choosers == ["measure"]
+
+
+def test_only_verify_builds_a_verdict():
+    # both verification paths hand their differences to one place, which
+    # builds the SpectrumVerification
+    builders = []
+    for path in sorted((Path(SRC) / "moranspec").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            builders += [(path.stem, getattr(top, "name", None)) for node in ast.walk(top)
+                         if isinstance(node, ast.Call)
+                         and "SpectrumVerification" in branch_names(node.func)]
+    assert builders == [("spectra", "verify_spectrum_finite")]

@@ -15,12 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moranspec.cli import load_config
-from moranspec.measure import (INT64_SPAN, RECURRENCE_MAX_P, AtomCapExceeded, DiscreteMeasure,
-                               StagePair, SymbolicWord, SystemConfig, dirichlet_amplitude,
-                               first_nonzero, float_quotients, mask_zero_contains,
-                               mu_hat_amplitude, mu_hat_eval, mu_hat_many, normalize_signs,
-                               scale_digits, stage_walk, sumset, support_hull, truncate,
-                               zero_set_contains)
+from moranspec.measure import (INT64_SPAN, RECURRENCE_MAX_P, SUMSET_BIT_BOUND, AtomCapExceeded,
+                               DiscreteMeasure, StagePair, SymbolicWord, SystemConfig,
+                               dirichlet_amplitude, first_nonzero, float_quotients,
+                               mask_zero_contains, mu_hat_amplitude, mu_hat_eval, mu_hat_many,
+                               normalize_signs, scale_digits, stage_walk, sumset, support_hull,
+                               truncate, zero_set_contains)
 from moranspec.spectra import (SpectrumCandidate, build_tower_spectrum, q_function,
                                verify_spectrum_finite)
 
@@ -153,11 +153,32 @@ def test_measure_constructor_checks_its_invariants():
 def test_truncate_cap():
     with pytest.raises(AtomCapExceeded):
         truncate(QUARTER, ONES, 10, cap=100)
-    # the cap is checked stage by stage, before any atom or walk is stored
+    # the cap is checked stage by stage, before any atom is built or the rest of the walk stored
     tracemalloc.start()
     try:
         with pytest.raises(AtomCapExceeded, match="cap is 100"):
             truncate(QUARTER, ONES, 10**9, cap=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_sumset_one_bit_either_side_of_the_bit_bound():
+    # 4,096 sums whose largest has SUMSET_BIT_BOUND / 4,096 bits are at the
+    # bound and build; one bit more is past it and is refused before any sum
+    bits = SUMSET_BIT_BOUND // 4096
+    assert bits * 4096 == SUMSET_BIT_BOUND
+    step = 2 ** (bits - 12)  # 4,095 * step has exactly `bits` bits
+    for s, width in ((step // 2, bits - 1), (step, bits)):
+        sums = sumset([(64, s), (64, 64 * s)])
+        assert sums.tolist() == [j * s for j in range(4096)]
+        assert int(sums[-1]).bit_length() == width
+    tracemalloc.start()
+    try:
+        with pytest.raises(AtomCapExceeded, match=f"sumset needs 4096 values of {bits + 1} "
+                                                  f"bits; bound is {SUMSET_BIT_BOUND} bits"):
+            sumset([(64, 2 * step), (64, 128 * step)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
