@@ -148,7 +148,8 @@ def two_stage_decide(p1: int, p2: int, b1: int, t1: int, t2: int) -> TwoStageDec
     Stride divisibility t2 | t1, spectrality, and translation tiling of the
     support are equivalent; the tiling flag is cross-verified constructively,
     and the failing case carries the residue t1 mod t2 as certificate.
-    Arbitrary positive strides are accepted; no coprimality is assumed.
+    No coprimality is assumed.  Raises AtomCapExceeded from ``tile_decide``
+    when t2 | t1 and p1*t1/t2 passes DEFAULT_ATOM_CAP.
     """
     divides = (t1 % t2 == 0)
     decision = tile_decide(p1, p2, b1, t1, t2)

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import classifier, measure, oracle, spectra, tiling
-from .measure import StagePair, SymbolicWord, SystemConfig
+from .measure import DEFAULT_ATOM_CAP, StagePair, SymbolicWord, SystemConfig
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -47,11 +47,6 @@ ORACLE_SET_BOUND = 100_000
 # candidate differences
 WINDOW_BOUND = 10**6
 
-# most digits oracle-search takes when p <= |b|: its partner search nests one
-# Python frame per digit, and 100 of the default 1,000 are left to the caller;
-# a p past |b| has no partner set, and the search returns before any root sum
-ORACLE_DIGIT_BOUND = 900
-
 # most stage pairs a config (or its rewrite block) may list; an alphabet of m
 # non-coprime pairs has about 1.5 * m**2 hypothesis violations to report
 ALPHABET_BOUND = 512
@@ -64,12 +59,14 @@ class ConfigError(ValueError):
 def _as_int(value, field: str) -> int:
     if isinstance(value, bool):
         raise ConfigError(f"field {field}: expected integer, got boolean")
-    if isinstance(value, int):
-        return value
     if isinstance(value, str):
         try:
             return int(value, 10)
         except ValueError:
+            digits, limit = sum(map(str.isdecimal, value)), sys.get_int_max_str_digits()
+            if limit and digits > limit:
+                raise ConfigError(f"field {field}: {digits} digits is past Python's int-str "
+                                  f"limit; bound is {limit} digits")
             raise ConfigError(f"field {field}: not a decimal integer: {value!r}")
     raise ConfigError(f"field {field}: expected integer or decimal string")
 
@@ -96,10 +93,9 @@ def _parse_pairs(items, field: str) -> SystemConfig:
     for i, it in enumerate(items):
         if not isinstance(it, dict):
             raise ConfigError(f"field {field}[{i}]: expected an object with b,p,t")
+        b, p, t = (_as_int(it.get(key), f"{field}[{i}].{key}") for key in "bpt")
         try:
-            pairs.append(StagePair(_as_int(it.get("b"), f"{field}[{i}].b"),
-                                   _as_int(it.get("p"), f"{field}[{i}].p"),
-                                   _as_int(it.get("t"), f"{field}[{i}].t")))
+            pairs.append(StagePair(b, p, t))
         except ValueError as exc:
             raise ConfigError(f"field {field}[{i}]: {exc}")
     return SystemConfig(tuple(pairs))
@@ -119,7 +115,8 @@ def load_config(path: str):
     """Returns (config, word or None, rewrite block or None)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            # integers stay decimal text, so _as_int reads each one under its field
+            data = json.load(fh, parse_int=str)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     except json.JSONDecodeError as exc:
@@ -147,11 +144,19 @@ def fmt_rational(x) -> str:
 
 
 def fmt_multiples(unit: Fraction, ks) -> str:
-    """fmt_rational of k * unit for each integer k, space-separated, in integers."""
+    """fmt_rational of k * unit for each integer k, space-separated, in integers.
+
+    Raises AtomCapExceeded naming Python's int-str limit when an integer to
+    print is past it, so a caller that formats first prints nothing.
+    """
     n, d = unit.numerator, unit.denominator
-    if d == 1:  # every k * n over 1 is in lowest terms
-        return " ".join([f"{k * n}/1" for k in ks])
-    return " ".join([f"{k * n // (g := math.gcd(k, d))}/{d // g}" for k in ks])
+    try:
+        if d == 1:  # every k * n over 1 is in lowest terms
+            return " ".join([f"{k * n}/1" for k in ks])
+        return " ".join([f"{k * n // (g := math.gcd(k, d))}/{d // g}" for k in ks])
+    except ValueError:  # the one error formatting an int raises
+        raise measure.AtomCapExceeded(f"an integer to print is past Python's int-str limit; "
+                                      f"bound is {sys.get_int_max_str_digits()} digits") from None
 
 
 # one float field, 17 significant digits; '%.17g' % x is format(x, '.17g')
@@ -172,8 +177,6 @@ def emit(key: str, value) -> None:
         text = fmt_rational(value)
     elif isinstance(value, float):
         text = fmt_float(value)
-    elif isinstance(value, list):
-        text = " ".join(map(str, value))
     else:
         text = str(value)
     print(f"{key}={text}")
@@ -208,11 +211,6 @@ def _two_stage_params(config: SystemConfig):
             f"(tail bases equal the tail digit count), got b={second.b}, p={second.p}")
     if first.b < 2 or first.t < 1 or second.t < 1:
         raise ConfigError("two-stage commands need positive b1, t1, t2")
-    # when t2 | t1 the tiling check sweeps p1 * t1/t2 support fragments
-    fragments = first.p * (first.t // second.t)
-    if first.t % second.t == 0 and fragments > measure.DEFAULT_ATOM_CAP:
-        raise ConfigError(f"two-stage tiling needs {fragments} fragments (p1*t1/t2); "
-                          f"cap is {measure.DEFAULT_ATOM_CAP}")
     return first.p, second.p, first.b, first.t, second.t
 
 
@@ -225,12 +223,11 @@ def cmd_validate(config, word, rewrite, args) -> int:
 
 
 def cmd_classify(config, word, rewrite, args) -> int:
-    return _emit_verdict(classifier.decide_spectrality(config, _need_word(word)))
+    return _emit_verdict(classifier.decide_spectrality(config, word))
 
 
 def cmd_two_stage(config, word, rewrite, args) -> int:
-    p1, p2, b1, t1, t2 = _two_stage_params(config)
-    dec = classifier.two_stage_decide(p1, p2, b1, t1, t2)
+    dec = classifier.two_stage_decide(*_two_stage_params(config))
     emit("divides", dec.divides)
     emit("spectral", dec.spectral)
     emit("tiles", dec.tiles)
@@ -240,15 +237,15 @@ def cmd_two_stage(config, word, rewrite, args) -> int:
 
 
 def cmd_spectrum(config, word, rewrite, args) -> int:
-    cand = spectra.build_tower_spectrum(config, _need_word(word), args.depth)
+    cand = spectra.build_tower_spectrum(config, word, args.depth)
+    points = fmt_multiples(Fraction(1, cand.den), cand.nums)  # before the first line
     emit("depth", args.depth)
     emit("count", len(cand))
-    emit("points", fmt_multiples(Fraction(1, cand.den), cand.nums))
+    emit("points", points)
     return EXIT_OK
 
 
 def cmd_verify(config, word, rewrite, args) -> int:
-    word = _need_word(word)
     meas = measure.truncate(config, word, args.depth,
                             cap=min(args.cap, spectra.VERIFY_ATOM_BOUND))
     cand = spectra.build_tower_spectrum(config, word, args.depth)
@@ -263,8 +260,7 @@ def cmd_verify(config, word, rewrite, args) -> int:
 
 
 def cmd_qcheck(config, word, rewrite, args) -> int:
-    word = _need_word(word)
-    stages = spectra.tower_stages(config, word, args.depth, measure.DEFAULT_ATOM_CAP)
+    stages = spectra.tower_stages(config, word, args.depth, DEFAULT_ATOM_CAP)
     work = args.grid * math.prod(pr.p for pr, _, _ in stages) * max(1, args.depth)
     if work > QCHECK_WORK_BOUND:
         raise measure.AtomCapExceeded(
@@ -289,7 +285,6 @@ def _check_window(window: int) -> None:
 
 
 def cmd_zeros(config, word, rewrite, args) -> int:
-    word = _need_word(word)
     if args.window < 1:
         raise ConfigError(f"--window must be >= 1, got {args.window}")
     _check_window(args.window)
@@ -313,28 +308,28 @@ def cmd_zeros(config, word, rewrite, args) -> int:
 
 
 def cmd_tile(config, word, rewrite, args) -> int:
-    p1, p2, b1, t1, t2 = _two_stage_params(config)
-    dec = tiling.tile_decide(p1, p2, b1, t1, t2)
+    dec = tiling.tile_decide(*_two_stage_params(config))
+    if dec.unit is None:
+        lines = {"residue": dec.residue}
+    else:  # all formatted before the first line
+        lines = {"support": fmt_multiples(dec.unit, (x for block in dec.blocks for x in block)),
+                 "digits": fmt_multiples(dec.unit, range(dec.t)),
+                 "period": fmt_multiples(dec.unit, (dec.t * dec.p1,))}
     emit("tiles", dec.tiles)
-    if dec.residue is not None:
-        emit("residue", dec.residue)
-    if dec.unit is not None:
-        emit("support", fmt_multiples(dec.unit, (x for block in dec.blocks for x in block)))
-        emit("digits", fmt_multiples(dec.unit, range(dec.t)))
-        emit("period", dec.period)
+    for key, text in lines.items():
+        emit(key, text)
     return EXIT_OK
 
 
 def cmd_sample_ft(config, word, rewrite, args) -> int:
-    word = _need_word(word)
     if args.out is None:
         raise ConfigError("sample-ft needs --out PATH for the CSV")
     if args.window < 0:
         raise ConfigError(f"--window must be >= 0, got {args.window}")
     rows = args.window * args.grid + 1
-    if rows > measure.DEFAULT_ATOM_CAP:
+    if rows > DEFAULT_ATOM_CAP:
         raise measure.AtomCapExceeded(
-            f"sample-ft needs {rows} rows; cap is {measure.DEFAULT_ATOM_CAP}")
+            f"sample-ft needs {rows} rows; cap is {DEFAULT_ATOM_CAP}")
     if args.depth < 1:
         raise ConfigError(f"--depth must be >= 1, got {args.depth}")
     xs = np.arange(rows) / args.grid
@@ -359,7 +354,6 @@ def cmd_sample_ft(config, word, rewrite, args) -> int:
 
 
 def cmd_rewrite_check(config, word, rewrite, args) -> int:
-    word = _need_word(word)
     if rewrite is None:
         raise ConfigError("rewrite-check needs a 'rewrite' block in the config")
     left = measure.truncate(config, word, args.depth, cap=args.cap)
@@ -374,9 +368,6 @@ def cmd_rewrite_check(config, word, rewrite, args) -> int:
 
 def cmd_oracle_search(config, word, rewrite, args) -> int:
     pr = config.pairs[0]
-    if ORACLE_DIGIT_BOUND < pr.p <= abs(pr.b):
-        raise ConfigError(f"oracle-search on p = {pr.p} digits is past the digit bound; "
-                          f"bound is {ORACLE_DIGIT_BOUND}")
     window = args.window if args.window is not None else abs(pr.b) * pr.p * abs(pr.t)
     _check_window(window)
     limit = args.cap if args.cap is not None else ORACLE_SET_BOUND + 1
@@ -387,16 +378,15 @@ def cmd_oracle_search(config, word, rewrite, args) -> int:
     emit("window", window)
     emit("count", len(results))
     for i, res in enumerate(results[:64]):
-        emit(f"set.{i}", list(res))
+        emit(f"set.{i}", " ".join(map(str, res)))
     return EXIT_OK
 
 
 def cmd_necessity(config, word, rewrite, args) -> int:
-    word = _need_word(word)
     if args.depth < 0:
         raise ConfigError(f"--depth must be >= 0, got {args.depth}")
-    if args.depth > measure.DEFAULT_ATOM_CAP:
-        raise ConfigError(f"necessity needs {args.depth} stages; cap is {measure.DEFAULT_ATOM_CAP}")
+    if args.depth > DEFAULT_ATOM_CAP:
+        raise ConfigError(f"necessity needs {args.depth} stages; cap is {DEFAULT_ATOM_CAP}")
     stages = [config.pair(word.letter(n)) for n in range(1, args.depth + 1)]
     violations = classifier.necessity_violations(stages, args.depth - 1)
     emit("violations", len(violations))
@@ -406,23 +396,25 @@ def cmd_necessity(config, word, rewrite, args) -> int:
 
 
 # command -> (handler, {option: default} for the options the handler reads);
-# every command also takes --config and --word
+# every command also takes --config, and main hands a command that reads
+# "word" the --word override or the config word, refusing when there is none
 _COMMANDS = {
     "validate": (cmd_validate, {}),
-    "classify": (cmd_classify, {}),
+    "classify": (cmd_classify, {"word": None}),
     "two-stage": (cmd_two_stage, {}),
-    "spectrum": (cmd_spectrum, {"depth": 8}),
-    "verify": (cmd_verify, {"depth": 8, "cap": measure.DEFAULT_ATOM_CAP}),
-    "qcheck": (cmd_qcheck, {"depth": 8, "grid": 256}),
-    "zeros": (cmd_zeros, {"window": 200}),
+    "spectrum": (cmd_spectrum, {"word": None, "depth": 8}),
+    "verify": (cmd_verify, {"word": None, "depth": 8, "cap": DEFAULT_ATOM_CAP}),
+    "qcheck": (cmd_qcheck, {"word": None, "depth": 8, "grid": 256}),
+    "zeros": (cmd_zeros, {"word": None, "window": 200}),
     "tile": (cmd_tile, {}),
-    "sample-ft": (cmd_sample_ft, {"depth": 8, "grid": 256, "window": 4, "out": None}),
-    "rewrite-check": (cmd_rewrite_check, {"depth": 8, "cap": measure.DEFAULT_ATOM_CAP}),
+    "sample-ft": (cmd_sample_ft, {"word": None, "depth": 8, "grid": 256, "window": 4, "out": None}),
+    "rewrite-check": (cmd_rewrite_check, {"word": None, "depth": 8, "cap": DEFAULT_ATOM_CAP}),
     "oracle-search": (cmd_oracle_search, {"window": None, "cap": None}),
-    "necessity": (cmd_necessity, {"depth": 8}),
+    "necessity": (cmd_necessity, {"word": None, "depth": 8}),
 }
 
 _OPTIONS = {
+    "word": (str, "word override, 'pre;per'"),
     "depth": (int, "truncation depth"),
     "grid": (int, "samples per unit / grid size"),
     "window": (int, "search or sampling window"),
@@ -440,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, options) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON config path")
-        sp.add_argument("--word", default=None, help="word override, 'pre;per'")
         for option, default in options.items():
             kind, text = _OPTIONS[option]
             sp.add_argument(f"--{option}", type=kind, default=default, help=text)
@@ -449,13 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handler, _ = _COMMANDS[args.command]
+    handler, options = _COMMANDS[args.command]
     try:
         if getattr(args, "grid", 1) < 1:
             raise ConfigError(f"--grid must be >= 1, got {args.grid}")
         config, word, rewrite = load_config(args.config)
-        if args.word is not None:
-            word = parse_word_text(args.word)
+        if "word" in options:
+            word = _need_word(word if args.word is None else parse_word_text(args.word))
         return handler(config, word, rewrite, args)
     except ValueError as exc:  # ConfigError and AtomCapExceeded included
         print(f"error={exc}", file=sys.stderr)

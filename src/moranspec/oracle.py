@@ -17,8 +17,12 @@ from math import gcd
 from typing import Callable, Iterator, Optional, Sequence
 
 from .exactmath import RationalLike, digit_sum_vanishes
-from .measure import DiscreteMeasure, SymbolicWord, SystemConfig, stage_walk
+from .measure import AtomCapExceeded, DiscreteMeasure, SymbolicWord, SystemConfig, stage_walk
 from .spectra import weighted_matrix_residual
+
+# most digits the partner search takes when p <= |b|: it nests one Python
+# frame per digit, and 100 of the default 1,000 are left to the caller
+ORACLE_DIGIT_BOUND = 900
 
 
 def _cliques(zero, singles: Sequence, size: int,
@@ -66,7 +70,8 @@ def search_compatible_partners(b: int, p: int, t: int, window: Optional[int] = N
     The default window is |b|*p*|t|.  Sets come out in lexicographic order,
     and ``limit`` keeps the first ones for the parameter corners where the
     number of compatible sets explodes combinatorially; an unlimited call
-    materializes everything.
+    materializes everything.  A p past |b| returns [] before any root sum;
+    a p <= |b| past ORACLE_DIGIT_BOUND raises AtomCapExceeded.
     """
     if abs(b) < 2 or p < 2 or t == 0:
         raise ValueError("need |b| >= 2, p >= 2, t != 0")
@@ -79,6 +84,9 @@ def search_compatible_partners(b: int, p: int, t: int, window: Optional[int] = N
         raise ValueError(f"limit must be >= 0, got {limit}")
     if p > m:  # two of p elements agree mod m, and their root sum is p ones
         return []
+    if p > ORACLE_DIGIT_BOUND:
+        raise AtomCapExceeded(f"partner search on p = {p} digits is past the digit bound; "
+                              f"bound is {ORACLE_DIGIT_BOUND}")
     digits = tuple(j * t for j in range(p))
     by_class: dict[int, bool] = {}
     vanishes = []

@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactmath import RationalLike, over_common_denominator
+from .measure import DEFAULT_ATOM_CAP, AtomCapExceeded
 
 
 @dataclass(frozen=True)
@@ -178,12 +179,17 @@ def tile_decide(p1: int, p2: int, b1: int, t1: int, t2: int) -> TileDecision:
     block [0, p1) when t = 1, so the sweep then has a single fragment.
     Otherwise the residue t1 mod t2 is the certificate (a width-(t2/b1)
     block can never exactly fill the gap between consecutive digit blocks).
+    Raises AtomCapExceeded, before any sweep, when t2 | t1 and p1*t1/t2
+    passes DEFAULT_ATOM_CAP.
     """
     if p1 < 2 or p2 < 2 or b1 < 2 or t1 < 1 or t2 < 1:
         raise ValueError("need p1, p2, b1 >= 2 and t1, t2 >= 1")
     if t1 % t2 != 0:
         return TileDecision(False, None, t1 % t2)
     t = t1 // t2
+    if p1 * t > DEFAULT_ATOM_CAP:
+        raise AtomCapExceeded(f"two-stage tiling needs {p1 * t} fragments (p1*t1/t2); "
+                              f"cap is {DEFAULT_ATOM_CAP}")
     unit = Fraction(t2, b1)
     cert = _sweep(_two_stage_blocks(p1, t), range(t), t * p1, unit)
     return TileDecision(cert.ok, cert, None, unit, p1, t)

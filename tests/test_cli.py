@@ -16,10 +16,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from moranspec.cli import (ALPHABET_BOUND, CSV_ROW, ORACLE_DIGIT_BOUND, ORACLE_SET_BOUND,
-                           QCHECK_WORK_BOUND, WINDOW_BOUND, fmt_float, fmt_multiples,
-                           fmt_rational, main, parse_word_text)
+from moranspec.cli import (ALPHABET_BOUND, CSV_ROW, ORACLE_SET_BOUND, QCHECK_WORK_BOUND,
+                           WINDOW_BOUND, build_parser, fmt_float, fmt_multiples, fmt_rational,
+                           main, parse_word_text)
 from moranspec.hadamard import is_admissible
+from moranspec.oracle import ORACLE_DIGIT_BOUND
 from moranspec.measure import (DEFAULT_ATOM_CAP, FLOAT_BOUND, MU_HAT_BLOCK, SUMSET_BIT_BOUND,
                                SymbolicWord, SystemConfig, mu_hat_eval, mu_hat_many, truncate)
 from moranspec.spectra import VERIFY_ATOM_BOUND
@@ -108,6 +109,32 @@ def test_validate_exit_codes(tmp_path, capsys):
     })
     code2, out2 = run(capsys, ["validate", "--config", good])
     assert code2 == 0 and "ok=true" in out2
+
+
+def test_a_malformed_field_is_named_once(tmp_path, capsys):
+    # the pair's own error gets the pair prefix; a field error already names
+    # its field, and was reported as 'field pairs[0]: field pairs[0].b: ...'
+    for pair, expected in (({"b": "x"}, "field pairs[0].b: not a decimal integer: 'x'"),
+                           ({"b": 4, "p": 2, "t": 0},
+                            "field pairs[0]: t must be nonzero")):
+        cfg = write_config(tmp_path, "bad.json", {"pairs": [pair]})
+        code = main(["validate", "--config", cfg])
+        assert (code, capsys.readouterr().err) == (2, f"error={expected}\n")
+
+
+@pytest.mark.parametrize("as_text", [True, False])
+def test_a_config_integer_past_the_int_str_limit_is_named(tmp_path, capsys, as_text):
+    # a decimal string was reported as not a decimal integer, and a JSON
+    # number stopped json.load with Python's own message
+    limit = sys.get_int_max_str_digits()
+    digits = "1" * (limit + 701)
+    value = f'"{digits}"' if as_text else digits
+    path = tmp_path / "long.json"
+    path.write_text(f'{{"pairs": [{{"b": {value}, "p": 2, "t": 1}}]}}', encoding="utf-8")
+    code = main(["validate", "--config", str(path)])
+    assert (code, capsys.readouterr().err) == (
+        2, f"error=field pairs[0].b: {limit + 701} digits is past Python's int-str limit; "
+           f"bound is {limit} digits\n")
 
 
 def test_malformed_config_is_a_validation_failure(tmp_path, capsys):
@@ -361,12 +388,26 @@ def test_sample_ft_past_the_float_range(tmp_path, quarter_config, capsys):
     ["rewrite-check", "--grid", "4"],
     ["oracle-search", "--depth", "3"],
     ["necessity", "--out", "x.csv"],
+    ["validate", "--word", ";1"],
+    ["two-stage", "--word", ";1"],
+    ["tile", "--word", ";1"],
+    ["oracle-search", "--word", ";1"],
 ])
 def test_flags_a_command_does_not_read_are_rejected(quarter_config, argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--config", quarter_config])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify", "spectrum", "verify", "qcheck", "zeros",
+                                     "sample-ft", "rewrite-check", "necessity"])
+def test_a_command_that_reads_a_word_takes_word_and_needs_one(tmp_path, command, capsys):
+    assert build_parser().parse_args([command, "--config", "c.json", "--word", ";1"]).word == ";1"
+    wordless = write_config(tmp_path, "wordless.json", {"pairs": [{"b": 4, "p": 2, "t": 1}]})
+    assert main([command, "--config", wordless]) == 2
+    assert capsys.readouterr() == ("", "error=this command needs a word (config 'word' or "
+                                       "--word)\n")
 
 
 @pytest.mark.parametrize("command", ["qcheck", "sample-ft"])
@@ -594,6 +635,34 @@ def test_tile_with_blocks_apart_at_the_fragment_cap_finishes_quickly(tmp_path):
     assert len(ends) == DEFAULT_ATOM_CAP
     assert ends[:6] == ["0/1", "1/5", "2/5", "3/5", "4/5", "1/1"]
     assert ends[-2:] == ["999998/5", "999999/5"]
+
+
+def int_str_refusal():
+    return f"error=an integer to print is past Python's int-str limit; " \
+           f"bound is {sys.get_int_max_str_digits()} digits\n"
+
+
+def test_spectrum_past_the_int_str_limit_prints_nothing(tmp_path, capsys):
+    # the point 10**5000 + 10**2500 has 5,001 digits: depth= and count= were
+    # printed before Python's own int-to-str error
+    cfg = write_config(tmp_path, "wide.json", {"pairs": [{"b": 10**2500, "p": 2, "t": 1}],
+                                               "word": {"period": [1]}})
+    assert main(["spectrum", "--config", cfg, "--depth", "2"]) == 2
+    assert capsys.readouterr() == ("", int_str_refusal())
+    code, out = run(capsys, ["spectrum", "--config", cfg, "--depth", "1"])
+    assert code == 0 and out.startswith("depth=1\ncount=2\n")
+
+
+def test_tile_past_the_int_str_limit_prints_nothing(tmp_path, capsys):
+    # the support end and the period are 10**6 * 10**4299/3: tiles=true was
+    # printed before Python's own int-to-str error
+    wide = 10**4299
+    cfg = write_config(tmp_path, "wide.json", {"pairs": [{"b": 3, "p": 10**6, "t": wide},
+                                                         {"b": 2, "p": 2, "t": wide}]})
+    assert main(["tile", "--config", cfg]) == 2
+    assert capsys.readouterr() == ("", int_str_refusal())
+    code, out = run(capsys, ["two-stage", "--config", cfg])
+    assert code == 0 and "tiles=true" in out
 
 
 def test_oracle_search_cap_zero_reports_no_sets(quarter_config, capsys):

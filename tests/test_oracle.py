@@ -17,9 +17,10 @@ from moranspec import oracle
 from moranspec.cli import main
 from moranspec.exactmath import digit_sum_vanishes
 from moranspec.hadamard import canonical_dual_digits, is_admissible, is_compatible_pair
-from moranspec.measure import DiscreteMeasure, SymbolicWord, SystemConfig, truncate
-from moranspec.oracle import (_cliques, search_compatible_partners, search_spectra,
-                              weighted_mean_rigidity)
+from moranspec.measure import (AtomCapExceeded, DiscreteMeasure, SymbolicWord, SystemConfig,
+                               truncate)
+from moranspec.oracle import (ORACLE_DIGIT_BOUND, _cliques, search_compatible_partners,
+                              search_spectra, weighted_mean_rigidity)
 from moranspec.spectra import (SpectrumCandidate, build_tower_spectrum,
                                verify_spectrum_finite)
 
@@ -148,6 +149,16 @@ def test_more_digits_than_the_base_leave_no_set_without_a_root_sum(monkeypatch):
     assert search_compatible_partners(-3, 4, 2) == []
     with pytest.raises(ValueError):
         search_compatible_partners(4, 10**6, 1, window=2)
+
+
+def test_more_digits_than_the_digit_bound_raise_by_name():
+    # the search nests one frame per digit: from p = 1,000 it raised a
+    # RecursionError; at the bound it still finds its set
+    bound = ORACLE_DIGIT_BOUND
+    with pytest.raises(AtomCapExceeded, match=f"bound is {bound}$"):
+        search_compatible_partners(1000, 1000, 1, window=1000, limit=1)
+    assert search_compatible_partners(bound, bound, 1, window=bound, limit=1) == [
+        tuple(range(bound))]
 
 
 def test_search_spectra_examples():

@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 import subprocess
@@ -7,6 +8,19 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_module_name_the_readme_cites_exists():
+    # `module.NAME` or `module.NAME(...)` for a moranspec module; a constant
+    # moved to another module must take its README reference along
+    modules = {path.stem for path in (ROOT / "src" / "moranspec").glob("*.py")}
+    cited = {(module, name) for module, name in re.findall(
+        r"`(\w+)\.(\w+)[`(]", (ROOT / "README.md").read_text(encoding="utf-8"))
+        if module in modules}
+    assert cited
+    missing = [f"{module}.{name}" for module, name in sorted(cited)
+               if not hasattr(importlib.import_module(f"moranspec.{module}"), name)]
+    assert missing == []
 
 
 @pytest.mark.parametrize("script,argv,closing", [

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 from itertools import product
 
@@ -5,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moranspec import tiling
+from moranspec.classifier import two_stage_decide
+from moranspec.measure import DEFAULT_ATOM_CAP, AtomCapExceeded
 from moranspec.tiling import (IntervalUnion, TilingCertificate, tile_decide,
                               tiles_by_periodic_set, two_stage_support)
 
@@ -63,6 +67,21 @@ def test_tile_decide_examples():
     assert not no.tiles and no.residue == 1
     trivial = tile_decide(3, 2, 4, 5, 5)
     assert trivial.tiles and trivial.support.intervals == ((F(0), F(15, 4)),)
+
+
+def test_tile_decide_past_the_fragment_cap_raises_before_any_sweep(monkeypatch):
+    # p1 * t1/t2 = 3 * 10**6 fragments swept for 3-4 s at a 412 MB peak;
+    # a residue needs no sweep whatever p1 is
+    def refuse(*args):
+        raise AssertionError("the support was swept")
+
+    monkeypatch.setattr(tiling, "_sweep", refuse)
+    message = re.escape(f"needs {3 * 10**6} fragments (p1*t1/t2); cap is {DEFAULT_ATOM_CAP}")
+    with pytest.raises(AtomCapExceeded, match=message):
+        tile_decide(3, 2, 5, 3 * 10**6, 3)
+    with pytest.raises(AtomCapExceeded, match=message):
+        two_stage_decide(3, 2, 5, 3 * 10**6, 3)
+    assert tile_decide(10**7, 2, 5, 3, 2).residue == 1
 
 
 @settings(max_examples=50, deadline=None)
