@@ -68,32 +68,28 @@ def decide_spectrality(config: SystemConfig, word: SymbolicWord) -> SpectralVerd
     word is not an exceptional eventually-constant word (tail letter j with
     |b_j| = p_j, |t_j| != 1, entered from a different letter).  The verdict
     is invariant under sign flips of any b or t and under replacing the base
-    at position 1.  The alphabet's side of every test is read from
-    ``config.facts``, so deciding many words over one config costs one
-    set intersection per word.
+    at position 1.  Each test reads the alphabet's side from ``config.facts``
+    and the word's side from ``word.facts``, each computed once per object,
+    so a Spectral word costs one disjointness test.
     """
-    facts = config.facts
+    facts, word_facts = config.facts, word.facts
     if facts.violations:
         return SpectralVerdict(OUT_OF_SCOPE, CLAUSE_HYPOTHESIS,
                                (("violations", facts.violations),))
-    if max(word.preperiod + word.period) > config.m:  # SymbolicWord letters are >= 1
+    if word_facts.top > config.m:  # SymbolicWord letters are >= 1
         raise ValueError("word letters outside the alphabet")
-    # the letters at positions >= 2, as positions 2, 3, ... when the preperiod is nonempty
-    rest = word.preperiod[1:] + word.period
-    failing = facts.nondividing.intersection(rest)
-    if failing:
-        letter = min(failing)
+    if not facts.nondividing.isdisjoint(word_facts.later):
+        letter = min(facts.nondividing.intersection(word_facts.later))
         pr = config.pairs[letter - 1]
-        if not word.preperiod:
-            rest = rest[1:] + rest[:1]
         return SpectralVerdict(
             NOT_SPECTRAL, CLAUSE_DIVISIBILITY,
-            (("letter", letter), ("p", pr.p), ("b", pr.b), ("position", rest.index(letter) + 2)))
-    if word.preperiod and word.is_eventually_constant and word.period[0] in facts.pi_tails:
-        return SpectralVerdict(
-            NOT_SPECTRAL, CLAUSE_TAIL_EXCEPTION,
-            (("l", len(word.preperiod)), ("j", word.period[0]),
-             ("last_other", word.preperiod[-1])))
+            (("letter", letter), ("p", pr.p), ("b", pr.b),
+             ("position", word_facts.first_position[letter])))
+    entry = word_facts.tail_entry
+    if entry is not None and entry[1] in facts.pi_tails:
+        l, j, last_other = entry
+        return SpectralVerdict(NOT_SPECTRAL, CLAUSE_TAIL_EXCEPTION,
+                               (("l", l), ("j", j), ("last_other", last_other)))
     return _SPECTRAL
 
 
@@ -183,23 +179,24 @@ def integral_zero_set_status(config: SystemConfig, word: SymbolicWord) -> ZeroSe
     (the shifted integer lattice 1/t_j + Z consists of transform zeros).
     Anything else is unknown.
     """
-    facts = config.facts
+    facts, word_facts = config.facts, word.facts
     if facts.violations:
         raise ValueError("config violates the coprime-alphabet hypothesis")
-    letters = word.letters()
+    letters = word_facts.letters
     pairs = {l: config.pair(l) for l in letters}
     # gcd(p, t) = 1 under the hypothesis, so p | b/gcd(b, t) (admissible) iff p | b
     divisible = facts.nondividing.isdisjoint(letters)
     if divisible:
         g = 0
-        for l in word.tail_letters:
+        for l in word_facts.tail:
             g = gcd(g, abs(pairs[l].t))
         if g == 1:
             return ZeroSetStatus("empty", "tail stride gcd is 1 over admissible letters")
-    if not word.preperiod and len(word.period) == 1:
-        # the gcd criterion above returned when |t_j| = 1, so here p_j | b_j
-        # means p_j != |b_j| unless j is a Pi_l tail letter
-        j = word.period[0]
+    if len(letters) == 1:
+        # a constant word j^inf; the gcd criterion above returned when
+        # |t_j| = 1, so here p_j | b_j means p_j != |b_j| unless j is a Pi_l
+        # tail letter
+        (j,) = letters
         if j in facts.pi_tails:
             pj = pairs[j]
             return ZeroSetStatus("nonempty",
@@ -208,10 +205,10 @@ def integral_zero_set_status(config: SystemConfig, word: SymbolicWord) -> ZeroSe
         if divisible:
             return ZeroSetStatus("empty", "constant word with p | b and p != |b|")
     if divisible:
-        head = word.letter(1)
+        head = word_facts.head
         if abs(pairs[head].t) == 1:
             return ZeroSetStatus("empty", "unit-stride head with p | b throughout")
-        if head not in word.preperiod[1:] + word.period:
+        if head not in word_facts.later:
             return ZeroSetStatus("empty", "nonunit-stride head never recurs, p | b throughout")
     return ZeroSetStatus("unknown", "no criterion applies")
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 from typing import Iterable, Iterator, Optional, Sequence
@@ -195,9 +195,6 @@ class SymbolicWord:
             return self.preperiod[n - 1]
         return self.period[(n - r - 1) % len(self.period)]
 
-    def prefix(self, k: int) -> tuple[int, ...]:
-        return tuple(self.letter(n) for n in range(1, k + 1))
-
     def shift(self, n: int = 1) -> "SymbolicWord":
         """Drop the first n letters."""
         if n < 0:
@@ -213,21 +210,54 @@ class SymbolicWord:
     def letters(self) -> frozenset[int]:
         return frozenset(self.preperiod) | frozenset(self.period)
 
-    def letters_from(self, pos: int) -> frozenset[int]:
-        """Letters occurring at some position >= pos (pos is 1-based)."""
-        return frozenset(self.preperiod[max(pos - 1, 0):]) | frozenset(self.period)
+    @functools.cached_property
+    def facts(self) -> "WordFacts":
+        """The letter facts the classification reads, computed once per word.
 
-    @property
-    def tail_letters(self) -> frozenset[int]:
-        """Letters occurring infinitely often."""
-        return frozenset(self.period)
-
-    @property
-    def is_eventually_constant(self) -> bool:
-        return len(self.period) == 1
+        The letters at positions 2, 3, ... are the preperiod after its first
+        letter, then the period; with an empty preperiod they are the period
+        rotated by one.  Each such letter keeps its first position there.
+        The tail and the letters at positions >= 2 are subsets of the letter
+        set, so either one with as many letters is that set and shares its
+        object: a constant word keeps one set, not three.
+        """
+        pre, per = self.preperiod, self.period
+        first_position: dict[int, int] = {}
+        for n, letter in enumerate(pre[1:] + per if pre else per[1:] + per[:1], start=2):
+            first_position.setdefault(letter, n)
+        letters = self.letters()
+        tail, later = (letters if len(part) == len(letters) else part
+                       for part in (frozenset(per), frozenset(first_position)))
+        return WordFacts(max(letters), self.letter(1), letters, tail, later,
+                         first_position,
+                         (len(pre), per[0], pre[-1]) if pre and len(per) == 1 else None)
 
     def __str__(self) -> str:
         return ",".join(map(str, self.preperiod)) + ";" + ",".join(map(str, self.period))
+
+
+@dataclass(frozen=True, slots=True)
+class WordFacts:
+    """What the classification asks of a word, with no alphabet data.
+
+    top: the largest letter; head: the letter at position 1; letters: every
+    letter; tail: the letters occurring infinitely often (the period's);
+    later: the letters at positions >= 2, as a set, so a disjointness test
+    with another set probes each letter once; first_position: each of them
+    with its first position >= 2; tail_entry: (l, j, last_other) for a word
+    i_1...i_l j^infinity with l >= 1 (last_other = i_l != j by the
+    canonical form), else None.  A word uses one letter exactly when it is
+    constant, since a canonical preperiod never ends with the period's last
+    letter.
+    """
+
+    top: int
+    head: int
+    letters: frozenset[int]
+    tail: frozenset[int]
+    later: frozenset[int]
+    first_position: dict[int, int] = field(hash=False)
+    tail_entry: Optional[tuple[int, int, int]]
 
 
 def canonical_ratios(nums, den, what: str) -> tuple[tuple[int, ...], int]:
@@ -435,8 +465,11 @@ def first_nonzero(config: SystemConfig, word: SymbolicWord, nums: Iterable[int],
     min 1/(p|t|) over the whole alphabet, so 0 is never a zero.  The stages
     are walked once: (p, t, den*b_1...b_k, den*|b_1...b_k|) is kept for
     every stage reached so far and shared by all later numerators, which
-    nums may yield lazily.  den > 0.
+    nums may yield lazily.  den must be positive: scaled by den <= 0, the
+    reach bound is never passed and the scan would not end.
     """
+    if den <= 0:
+        raise ValueError(f"den must be positive, got den={den}")
     reach = max(pr.p * abs(pr.t) for pr in config.pairs)
     stages = stage_walk(config, word)
     walk: list[tuple[int, int, int, int]] = []

@@ -312,7 +312,7 @@ def test_acceptance_9_invariance_suite():
         # the last alphabet letter heads the word and never recurs
         tail_word = _random_word(rng, cfg.m - 1)
         word = SymbolicWord((cfg.m,) + tail_word.preperiod, tail_word.period)
-        assert cfg.m not in word.letters_from(2)
+        assert cfg.m not in word.shift(1).letters()
         verdicts = set()
         for b_new in replacements:
             pairs = list(cfg.pairs)

@@ -1,7 +1,9 @@
+import ast
 import random
 from fractions import Fraction as F
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from moranspec.classifier import (CLAUSE_DIVISIBILITY, CLAUSE_TAIL_EXCEPTION,
 from moranspec.hadamard import is_admissible
 from moranspec.measure import StagePair, SymbolicWord, SystemConfig, scale_digits, truncate
 
-from test_measure import fraction_zero, words_over
+from test_exactmath import SRC
+from test_measure import fraction_zero, word_positions, words_over
 from test_tiling import outcome
 
 MIXED = SystemConfig.of((4, 2, 1), (2, 2, 3))
@@ -316,41 +319,41 @@ def reference_decide(config, word):
     violations = listed_violations(config)
     if violations:
         return SpectralVerdict(OUT_OF_SCOPE, CLAUSE_HYPOTHESIS, (("violations", tuple(violations)),))
-    if max(word.preperiod + word.period) > config.m:
+    r, s, seq = word_positions(word)
+    if max(seq) > config.m:
         raise ValueError("word letters outside the alphabet")
-    for letter in sorted(word.letters_from(2)):
+    for letter in sorted(set(seq[1:])):
         pr = config.pairs[letter - 1]
         if abs(pr.b) % pr.p != 0:
-            pos = next(n for n in range(2, len(word.preperiod) + 2 * len(word.period) + 1)
-                       if word.letter(n) == letter)
+            pos = seq.index(letter, 1) + 1
             return SpectralVerdict(
                 NOT_SPECTRAL, CLAUSE_DIVISIBILITY,
                 (("letter", letter), ("p", pr.p), ("b", pr.b), ("position", pos)))
-    if word.is_eventually_constant and word.preperiod:
-        j, l = word.period[0], len(word.preperiod)
+    if s == 1 and r:
+        j = seq[r]
         pr = config.pair(j)
         if abs(pr.b) == pr.p and abs(pr.t) != 1:
             return SpectralVerdict(
                 NOT_SPECTRAL, CLAUSE_TAIL_EXCEPTION,
-                (("l", l), ("j", j), ("last_other", word.preperiod[-1])))
+                (("l", r), ("j", j), ("last_other", seq[r - 1])))
     return SpectralVerdict(SPECTRAL)
 
 
 def reference_zero_set_status(config, word):
     """The zero-set criteria as first written: admissibility and p | b tested
-    letter by letter, and recurrence of the head read from letters_from(2)."""
+    letter by letter, and recurrence of the head read from positions >= 2."""
     if listed_violations(config):
         raise ValueError("config violates the coprime-alphabet hypothesis")
-    letters = word.letters()
-    pairs = {l: config.pair(l) for l in letters}
+    r, s, seq = word_positions(word)
+    pairs = {l: config.pair(l) for l in sorted(set(seq))}
     if all(is_admissible(pr.b, pr.p, pr.t) for pr in pairs.values()):
         g = 0
-        for l in word.tail_letters:
+        for l in set(seq[r:]):
             g = gcd(g, abs(pairs[l].t))
         if g == 1:
             return ZeroSetStatus("empty", "tail stride gcd is 1 over admissible letters")
-    if not word.preperiod and len(word.period) == 1:
-        pj = pairs[word.period[0]]
+    if r == 0 and s == 1:
+        pj = pairs[seq[0]]
         if abs(pj.b) == pj.p and abs(pj.t) != 1:
             return ZeroSetStatus("nonempty",
                                  f"constant word, |b|=p={pj.p}, stride {pj.t}: "
@@ -358,10 +361,10 @@ def reference_zero_set_status(config, word):
         if abs(pj.b) % pj.p == 0 and abs(pj.b) != pj.p:
             return ZeroSetStatus("empty", "constant word with p | b and p != |b|")
     divisible = all(abs(pr.b) % pr.p == 0 for pr in pairs.values())
-    first = pairs[word.letter(1)]
+    first = pairs[seq[0]]
     if divisible and abs(first.t) == 1:
         return ZeroSetStatus("empty", "unit-stride head with p | b throughout")
-    if divisible and abs(first.t) != 1 and word.letter(1) not in word.letters_from(2):
+    if divisible and abs(first.t) != 1 and seq[0] not in seq[1:]:
         return ZeroSetStatus("empty", "nonunit-stride head never recurs, p | b throughout")
     return ZeroSetStatus("unknown", "no criterion applies")
 
@@ -377,22 +380,32 @@ def coprime_alphabets(draw):
                          draw(SIGNS), t, draw(SIGNS)) for t in strides]
 
 
+ALPHABETS = st.one_of(coprime_alphabets(), st.lists(PROBE_LETTERS, min_size=1, max_size=4))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(coprime_alphabets(), st.lists(PROBE_LETTERS, min_size=1, max_size=4)),
-       st.data())
-def test_decide_matches_the_per_word_reference(letters, data):
+@given(ALPHABETS, ALPHABETS, st.data())
+def test_decide_matches_the_per_word_reference(letters, other_letters, data):
     # one config object decides every word, as a caller sweeping words does;
     # a fresh equal config per word must agree with it.  Letter m + 1 is
     # drawn in about half the examples.  The zero-set criteria, which read the
     # same alphabet facts, must agree with their letter-by-letter reference.
-    cfg = SystemConfig.of(*letters)
+    # Each word object is also decided over a second alphabet, before the
+    # first on an equal fresh word, so its cached facts carry no verdict.
+    cfg, other = SystemConfig.of(*letters), SystemConfig.of(*other_letters)
     top = cfg.m + data.draw(st.sampled_from((0, 1)))
+    def references(alphabet, word):
+        return (outcome(reference_decide, SystemConfig.of(*alphabet), word),
+                outcome(reference_zero_set_status, SystemConfig.of(*alphabet), word))
+
     for word in data.draw(st.lists(words_over(top, 3), min_size=1, max_size=12)):
-        expected = outcome(reference_decide, SystemConfig.of(*letters), word)
-        assert outcome(decide_spectrality, cfg, word) == expected, word
-        assert outcome(decide_spectrality, SystemConfig.of(*letters), word) == expected
-        status = outcome(reference_zero_set_status, SystemConfig.of(*letters), word)
-        assert outcome(integral_zero_set_status, cfg, word) == status, word
+        answers = [(cfg, *references(letters, word)), (other, *references(other_letters, word))]
+        assert outcome(decide_spectrality, SystemConfig.of(*letters), word) == answers[0][1]
+        twin = SymbolicWord(word.preperiod, word.period)
+        for w, order in ((word, answers), (twin, answers[::-1])):
+            for config, verdict, status in order:
+                assert outcome(decide_spectrality, config, w) == verdict, (w, config)
+                assert outcome(integral_zero_set_status, config, w) == status, (w, config)
 
 
 def test_cached_facts_leave_equality_hash_and_repr_alone():
@@ -403,3 +416,28 @@ def test_cached_facts_leave_equality_hash_and_repr_alone():
     assert (repr(used), hash(used)) == before == (repr(fresh), hash(fresh))
     assert used == fresh and len({used, fresh}) == 1
     assert validate_config(used) == [] and used.facts.pi_tails == frozenset({2})
+
+
+def test_cached_word_facts_leave_equality_hash_and_repr_alone():
+    used, fresh = SymbolicWord((1,), (2,)), SymbolicWord((1,), (2,))
+    before = repr(used), hash(used), str(used)
+    decide_spectrality(MIXED, used)
+    integral_zero_set_status(MIXED, used)
+    assert "facts" in vars(used) and "facts" not in vars(fresh)
+    assert (repr(used), hash(used), str(used)) == before == (repr(fresh), hash(fresh), str(fresh))
+    assert used == fresh and len({used, fresh}) == 1
+    assert used.facts.tail_entry == (1, 2, 1)
+
+
+def test_decisions_read_the_word_only_through_its_facts():
+    # the word's side of every test is computed once, in SymbolicWord.facts;
+    # neither decision rebuilds it from the preperiod and period per call
+    tree = ast.parse((Path(SRC) / "moranspec" / "classifier.py").read_text(encoding="utf-8"))
+    read = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in (
+                "decide_spectrality", "integral_zero_set_status"):
+            read[node.name] = {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+    assert sorted(read) == ["decide_spectrality", "integral_zero_set_status"]
+    for name, attrs in read.items():
+        assert "facts" in attrs and not attrs & {"preperiod", "period"}, name

@@ -1,7 +1,10 @@
 import cmath
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from fractions import Fraction as F
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 from moranspec.cli import load_config
 from moranspec.measure import (INT64_SPAN, RECURRENCE_MAX_P, SUMSET_BIT_BOUND, AtomCapExceeded,
-                               DiscreteMeasure, StagePair, SymbolicWord, SystemConfig,
+                               DiscreteMeasure, StagePair, SymbolicWord, SystemConfig, WordFacts,
                                dirichlet_amplitude, first_nonzero, float_quotients,
                                mask_zero_contains, mu_hat_amplitude, mu_hat_eval, mu_hat_many,
                                normalize_signs, scale_digits, stage_walk, sumset, support_hull,
@@ -42,7 +45,7 @@ def test_word_canonicalization():
     # trailing preperiod letters absorb into a rotated period
     w = SymbolicWord((1, 2), (3, 2))
     assert w.preperiod == (1,) and w.period == (2, 3)
-    assert w.prefix(6) == (1, 2, 3, 2, 3, 2)
+    assert [w.letter(n) for n in range(1, 7)] == [1, 2, 3, 2, 3, 2]
     # a power of a shorter word collapses
     assert SymbolicWord((), (2, 1, 2, 1)).period == (2, 1)
     # fully absorbable preperiod
@@ -60,18 +63,56 @@ def test_word_canonicalization_preserves_the_sequence(pre, per):
     w = SymbolicWord(tuple(pre), tuple(per))
     n = len(pre) + 3 * len(per)
     naive = (pre + per * 3)[:n]
-    assert list(w.prefix(n)) == naive
+    assert [w.letter(k) for k in range(1, n + 1)] == naive
 
 
 def test_word_shift_and_letter_queries():
     w = SymbolicWord((1,), (2, 3))
     assert w.shift(1) == SymbolicWord((), (2, 3))
     assert w.shift(2) == SymbolicWord((), (3, 2))
-    assert w.letters_from(2) == frozenset({2, 3})
-    assert SymbolicWord((1, 3), (2,)).letters_from(2) == frozenset({2, 3})
-    assert w.tail_letters == frozenset({2, 3})
-    assert not w.is_eventually_constant
-    assert SymbolicWord((1,), (2,)).is_eventually_constant
+    assert w.facts == WordFacts(3, 1, frozenset({1, 2, 3}), frozenset({2, 3}),
+                                frozenset({2, 3}), {2: 2, 3: 3}, None)
+    assert SymbolicWord((1, 3), (2,)).facts.first_position == {3: 2, 2: 3}
+    assert SymbolicWord((1, 3), (2,)).facts.tail_entry == (2, 2, 3)
+    # with an empty preperiod, positions 2, 3, ... read the period rotated by one
+    assert SymbolicWord((), (2, 3, 1)).facts.first_position == {3: 2, 1: 3, 2: 4}
+    assert SymbolicWord.constant(2).facts.tail_entry is None
+
+
+def word_positions(word):
+    """(r, s, the letters at positions 1..r + 2s), read with word.letter(n) alone.
+
+    Every letter of the word occurs among them, every letter at a position
+    >= 2 occurs at one of the positions 2..r + 2s, and positions r + 1..r + 2s
+    run the period twice.
+    """
+    r, s = len(word.preperiod), len(word.period)
+    return r, s, [word.letter(n) for n in range(1, r + 2 * s + 1)]
+
+
+def facts_letter_by_letter(word):
+    """WordFacts read off word.letter(n) for n <= r + 2s, position by position."""
+    r, s, seq = word_positions(word)
+    first_position = {}
+    for n in range(2, r + 2 * s + 1):
+        first_position.setdefault(seq[n - 1], n)
+    eventually_constant = len(set(seq[r:])) == 1
+    return WordFacts(max(seq), seq[0], frozenset(seq), frozenset(seq[r:]),
+                     frozenset(first_position), first_position,
+                     (r, seq[r], seq[r - 1]) if r and eventually_constant else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=4), st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       st.integers(0, 6))
+@example([], [1, 2, 3], 0)
+@example([2, 3], [1, 2, 3], 0)
+@example([1, 3], [2], 0)
+@example([], [1, 2, 3], 4)
+def test_word_facts_match_the_letters(pre, per, shift):
+    # shifting past the preperiod rotates the period
+    word = SymbolicWord(tuple(pre), tuple(per)).shift(shift)
+    assert word.facts == facts_letter_by_letter(word)
 
 
 def test_truncate_depth_one_and_zero():
@@ -430,6 +471,28 @@ def test_first_nonzero_reads_only_as_far_as_it_needs():
     assert read == [0, 1, 2, 3, 4, 5]
     assert first_nonzero(narrow, ONES, [], 3) is None
     assert first_nonzero(narrow, ONES, [2, -1, 5], 3) is None
+
+
+def test_first_nonzero_refuses_a_denominator_below_one():
+    # scaled by den <= 0 the reach bound is never passed, and den < 0 once
+    # scanned forever, its stage list growing by hundreds of MB a second; the
+    # child runs under a timeout and a 1 GiB address-space limit, so a hang
+    # fails here instead of stalling the suite or exhausting memory
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from moranspec.measure import SymbolicWord, SystemConfig, first_nonzero\n"
+            "cfg, word = SystemConfig.of((4, 2, 1)), SymbolicWord.constant(1)\n"
+            "for nums, den in (([0], -1), ([3], -1), ([1], 0)):\n"
+            "    try:\n"
+            "        first_nonzero(cfg, word, nums, den)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=10, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["den must be positive, got den=-1"] * 2 + [
+        "den must be positive, got den=0"]
 
 
 def test_mu_hat_examples():
