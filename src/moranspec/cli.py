@@ -261,17 +261,19 @@ def cmd_verify(config, word, rewrite, args) -> int:
 
 def cmd_qcheck(config, word, rewrite, args) -> int:
     stages = spectra.tower_stages(config, word, args.depth, DEFAULT_ATOM_CAP)
-    work = args.grid * math.prod(pr.p for pr, _, _ in stages) * max(1, args.depth)
+    points = math.prod(pr.p for pr, _, _ in stages)
+    work = args.grid * points * max(1, args.depth)
     if work > QCHECK_WORK_BOUND:
         raise measure.AtomCapExceeded(
             f"qcheck needs {work} stage evaluations (grid x points x depth, "
             f"depth at least 1); bound is {QCHECK_WORK_BOUND}")
-    cand = spectra.build_tower_spectrum(config, word, args.depth)
-    rows = max(1, measure.MU_HAT_BLOCK // len(cand))
+    if args.depth < 0:  # build_tower_spectrum's refusal, after the work bound
+        raise ValueError("depth k must be >= 0")
+    rows = max(1, measure.MU_HAT_BLOCK // points)
     worst = 0.0
     for i in range(0, args.grid, rows):
         xs = np.arange(i, min(i + rows, args.grid)) / args.grid
-        qs = spectra.q_function(config, word, args.depth, cand, xs)
+        qs = spectra.tower_q(config, word, stages, xs)
         worst = max(worst, float(np.max(np.abs(qs - 1.0))))
     emit("depth", args.depth)
     emit("grid", args.grid)

@@ -380,20 +380,27 @@ def int_width(bound: int) -> type:
     return np.int64 if bound < INT64_SPAN else object
 
 
-def sumset(stages: Sequence[tuple[int, int]]) -> np.ndarray:
-    """The sorted sums of one j*step, j < count, per (count, step) stage, with multiplicity.
+def sumset_span(stages: Sequence[tuple[int, int]]) -> int:
+    """The span sum (count - 1)|step| of the sumset of (count, step) stages, within its bound.
 
-    Every |sum| is at most span = sum (count - 1)|step|, which gives the
-    width, int_width(span).  Raises AtomCapExceeded, before any value is
-    built, when prod count values of span.bit_length() bits pass
-    SUMSET_BIT_BOUND.
+    Every |sum| is at most the span.  Raises AtomCapExceeded when prod count
+    values of span.bit_length() bits pass SUMSET_BIT_BOUND.
     """
     span = sum((count - 1) * abs(step) for count, step in stages)
     size = math.prod(count for count, _ in stages)
     if size * span.bit_length() > SUMSET_BIT_BOUND:
         raise AtomCapExceeded(f"sumset needs {size} values of {span.bit_length()} bits; "
                               f"bound is {SUMSET_BIT_BOUND} bits")
-    dtype = int_width(span)
+    return span
+
+
+def sumset(stages: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The sorted sums of one j*step, j < count, per (count, step) stage, with multiplicity.
+
+    The width is int_width of sumset_span, which refuses, before any value
+    is built, a sumset past SUMSET_BIT_BOUND.
+    """
+    dtype = int_width(sumset_span(stages))
     sums = np.zeros(1, dtype=dtype)
     for count, step in stages:
         sums = np.add.outer(sums, np.arange(count, dtype=dtype) * step).ravel()
@@ -526,27 +533,22 @@ def dirichlet_amplitude(p: int, v: np.ndarray) -> np.ndarray:
     return np.negative(out, out=out, where=(p % 2 == 0) & (np.rint(0.5 * k) != 0.5 * k))
 
 
-def mu_hat_amplitude(config: SystemConfig, word: SymbolicWord, xs: np.ndarray,
-                     depth: int) -> tuple[np.ndarray, float]:
-    """Real A(x) = prod_{n<=depth} D_{p_n}(t_n x / B_n) and H = sum_n (p_n - 1) t_n / B_n.
+def stage_ratios(config: SystemConfig, word: SymbolicWord, depth: int,
+                 reach: float) -> Iterator[tuple[StagePair, float, float]]:
+    """Yield (pair, t_n/B_n, (p_n - 1) t_n/B_n) per stage n = 1..depth, for arguments |x| <= reach.
 
-    B_n = b_1...b_n; the transform is exp(pi i H x) A(x), so |mu_hat|**2 is
-    A**2.  Each quotient by B_n is one correctly rounded int / int division,
-    and one past FLOAT_BOUND raises ValueError, as does a stage whose
-    pi p_n max|x| |t_n / B_n| passes it, where the amplitude's sine or cosine
-    argument would leave the float range and give nan.  Past |B_n| = 2**1075
-    max (p - 1)|t| every quotient rounds to 0, a factor D_p(0) = 1: the walk
-    stops.
+    B_n = b_1...b_n.  Each quotient is one correctly rounded int / int
+    division, and one past FLOAT_BOUND raises ValueError, as does a stage
+    whose pi p_n reach |t_n / B_n| passes it, where a stage argument's sine
+    or cosine would leave the float range and give nan.  Past
+    |B_n| = 2**1075 max (p - 1)|t| every quotient rounds to 0, a factor
+    D_p(0) = 1: the walk stops.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    xs = np.asarray(xs, dtype=float)
-    amp, slope = np.ones_like(xs), 0.0
-    pi_x = math.pi * float(np.max(np.abs(xs), initial=0.0))
+    pi_x = math.pi * reach
     underflow = max((pr.p - 1) * abs(pr.t) for pr in config.pairs) << 1075
     for n, (pr, base) in enumerate(stage_walk(config, word, depth), start=1):
         if abs(base) > underflow:
-            break
+            return
         try:
             ratio, drift = pr.t / base, (pr.p - 1) * pr.t / base
         except OverflowError:
@@ -555,6 +557,23 @@ def mu_hat_amplitude(config: SystemConfig, word: SymbolicWord, xs: np.ndarray,
         if pi_x * abs(ratio) * pr.p > FLOAT_BOUND:
             raise ValueError(f"stage {n}: pi p_{n} max|x| |t_{n}/(b_1...b_{n})| is past the "
                              f"float range; bound is {FLOAT_BOUND!r}")
+        yield pr, ratio, drift
+
+
+def mu_hat_amplitude(config: SystemConfig, word: SymbolicWord, xs: np.ndarray,
+                     depth: int) -> tuple[np.ndarray, float]:
+    """Real A(x) = prod_{n<=depth} D_{p_n}(t_n x / B_n) and H = sum_n (p_n - 1) t_n / B_n.
+
+    B_n = b_1...b_n; the transform is exp(pi i H x) A(x), so |mu_hat|**2 is
+    A**2.  The stages and their refusals are stage_ratios' with reach
+    max|x|.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    xs = np.asarray(xs, dtype=float)
+    amp, slope = np.ones_like(xs), 0.0
+    reach = float(np.max(np.abs(xs), initial=0.0))
+    for pr, ratio, drift in stage_ratios(config, word, depth, reach):
         amp *= dirichlet_amplitude(pr.p, xs * ratio)
         slope += drift
     return amp, slope

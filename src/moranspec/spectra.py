@@ -11,6 +11,11 @@ completeness by counting, and the Jorgensen-Pedersen function
     Q(x) = sum_lambda |mu_hat(x + lambda)|^2
 
 is evaluated numerically; for a finite orthonormal basis it is identically 1.
+q_function sums it point by point over any candidate.  tower_q sums it
+over the canonical tower's digit tree: stage n's factor depends only on a
+point's first n digits, since every later digit moves its argument by an
+integer, so each factor is evaluated once per digit prefix, at an argument
+of order p|t| rather than of the tower's span.
 
 The residue decomposition splits Lambda/b_1 into classes n/q + Z and
 reassembles tail spectra from one partner-slot choice per residue block.
@@ -30,8 +35,8 @@ from .exactmath import over_common_denominator
 from .hadamard import canonical_dual_digits, is_admissible
 from .measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, AtomCapExceeded, DiscreteMeasure,
                       StagePair, SymbolicWord, SystemConfig, canonical_ratios,
-                      float_quotients, int_width, mask_zero_hit, mu_hat_amplitude, runs,
-                      stage_walk, sumset)
+                      dirichlet_amplitude, float_quotients, int_width, mask_zero_hit,
+                      mu_hat_amplitude, runs, stage_ratios, stage_walk, sumset, sumset_span)
 
 
 @dataclass(frozen=True)
@@ -313,6 +318,57 @@ def q_function(config: SystemConfig, word: SymbolicWord, depth: int,
     amp, _ = mu_hat_amplitude(config, word, np.add.outer(x, lams), depth)
     q = np.sum(amp * amp, axis=-1)
     return float(q) if np.ndim(q) == 0 else q
+
+
+def tower_q(config: SystemConfig, word: SymbolicWord, stages: Sequence[tuple[StagePair, int, int]],
+            xs: np.ndarray) -> np.ndarray:
+    """Q of the tower at each x of xs, over its digit tree; stages is tower_stages' list.
+
+    Stage n's squared factor D_{p_n}(t_n (x + lambda) / B_n)**2 depends only
+    on lambda's first n digits: a later digit step B_{j-1} s_j, j > n, times
+    t_n / B_n is an integer, which leaves D_p**2 unchanged.  So the prefixes
+    x + sum_{j<=n} d_j step_j, d_j < p_j, are extended stage by stage, each
+    prefix's running weight is multiplied by D_{p_n}(prefix t_n / B_n)**2,
+    and Q(x) is the sum of x's leaves, taken back up the tree (the p_n
+    children of each prefix into it, deepest stage first): sum_n
+    prod_{j<=n} p_j factors per x, not depth prod p_j.
+
+    Refuses as building the points and q_function over them would, in that
+    order, without building a point: the sumset bit bound (sumset_span), a
+    tower point past the float range (float_quotients of the least and the
+    largest point) and stage_ratios' refusals with reach max|x + lambda|,
+    the larger of |min x + min lambda| and |max x + max lambda|.
+
+    Rounding: with u = 2**-53 and, at stage n,
+    c_n = |t_n / B_n| (|x| + sum_{j<=n} (p_j - 1)|step_j|), which bounds
+    every argument, and e_n dirichlet_amplitude's bound at |v| = c_n,
+    |Q(x) - 1| <= sum_n p_n (2 e_n + pi p_n (n + 4) c_n u + 3 u) to first
+    order in u.  The p_n children of a prefix carry weights summing to the
+    prefix's own, since D_p**2 sums to 1 over v + j/p, so each stage's
+    rounding, its sum included, adds to the total at most p_n times its
+    per-factor error.
+    """
+    xs = np.asarray(xs, dtype=float)
+    steps = [(pr.p, step) for pr, step, _ in stages]
+    sumset_span(steps)
+    low, high = float_quotients([sum((p - 1) * step for p, step in steps if step < 0),
+                                 sum((p - 1) * step for p, step in steps if step > 0)], 1)
+    reach = max(abs(np.min(xs) + low), abs(np.max(xs) + high))
+    prefix, weight = xs, np.ones(len(xs))
+    # a stage past stage_ratios' stop has a point past the float range, refused above
+    for (pr, step, _), (_, ratio, _) in zip(stages, stage_ratios(config, word, len(stages),
+                                                                 float(reach))):
+        # the new digit is the leading axis and x the last, so every numpy
+        # inner loop runs over all the earlier prefixes of the block at once
+        digits = np.array([j * step for j in range(pr.p)], dtype=float)
+        prefix = np.add.outer(digits, prefix)
+        amp = dirichlet_amplitude(pr.p, prefix * ratio)
+        amp *= amp
+        amp *= weight
+        weight = amp
+    for _ in stages:  # the p_n children of each prefix into it, deepest stage first
+        weight = weight.sum(axis=0)
+    return weight
 
 
 @dataclass(frozen=True)

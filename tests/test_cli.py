@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from moranspec import measure, spectra
 from moranspec.cli import (ALPHABET_BOUND, CSV_ROW, ORACLE_SET_BOUND, QCHECK_WORK_BOUND,
                            WINDOW_BOUND, build_parser, fmt_float, fmt_multiples, fmt_rational,
                            main, parse_word_text)
@@ -23,11 +24,13 @@ from moranspec.hadamard import is_admissible
 from moranspec.oracle import ORACLE_DIGIT_BOUND
 from moranspec.measure import (DEFAULT_ATOM_CAP, FLOAT_BOUND, MU_HAT_BLOCK, SUMSET_BIT_BOUND,
                                SymbolicWord, SystemConfig, mu_hat_eval, mu_hat_many, truncate)
-from moranspec.spectra import VERIFY_ATOM_BOUND
+from moranspec.spectra import (VERIFY_ATOM_BOUND, build_tower_spectrum, q_function,
+                               tower_stages)
 from test_classifier import (PROBE_LETTERS, SIGNED_LETTERS, coprime_alphabets,
                              listed_violations, per_translate_probe, reference_zero_set_status)
 from test_measure import SIGNED_B, SIGNED_T, reference_truncate, words_over
-from test_spectra import admissible_letters, reference_verdict, shifted_partner_tower, tower_size
+from test_spectra import (admissible_letters, reference_verdict, shifted_partner_tower,
+                          tower_q_bound, tower_size)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -173,6 +176,19 @@ def test_qcheck(quarter_config, capsys):
     assert code == 0
     deviation = float(out.split("max_deviation=")[1].strip())
     assert deviation < 1e-9
+
+
+def test_qcheck_builds_no_tower_point(quarter_config, monkeypatch, capsys):
+    # Q is summed over the digit tree from the stage list; the point set is never built
+    def refuse(*args, **kwargs):
+        raise AssertionError("qcheck built the tower's points")
+
+    for module, name in ((spectra, "build_tower_spectrum"), (spectra, "sumset"),
+                         (measure, "sumset")):
+        monkeypatch.setattr(module, name, refuse)
+    code, out = run(capsys, ["qcheck", "--config", quarter_config, "--depth", "5",
+                             "--grid", "8"])
+    assert code == 0 and "max_deviation=" in out
 
 
 def test_two_stage_and_tile(tmp_path, capsys):
@@ -1079,3 +1095,61 @@ def test_a_base_past_the_float_range_keeps_its_stage(tmp_path, capsys):
     rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
     assert code == 0 and [float(r[0]) for r in rows] == [0, 1, 2, 3]
     assert float(rows[3][3]) < 1e-15
+
+
+def per_point_qcheck_error(cfg, word, depth, grid):
+    """The error text of qcheck's per-point path, or None when it completes.
+
+    The path checks the stage list, then the work bound, builds the tower's
+    points and sums q_function over them, MU_HAT_BLOCK grid x points at a time.
+    """
+    try:
+        stages = tower_stages(cfg, word, depth, DEFAULT_ATOM_CAP)
+        work = grid * math.prod(pr.p for pr, _, _ in stages) * max(1, depth)
+        if work > QCHECK_WORK_BOUND:
+            return (f"qcheck needs {work} stage evaluations (grid x points x depth, "
+                    f"depth at least 1); bound is {QCHECK_WORK_BOUND}")
+        cand = build_tower_spectrum(cfg, word, depth)
+        rows = max(1, MU_HAT_BLOCK // len(cand))
+        for i in range(0, grid, rows):
+            q_function(cfg, word, depth, cand, np.arange(i, min(i + rows, grid)) / grid)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# the letters of the float-range tests above and WIDE's, past the sumset bit bound from depth 6
+WIDE_LETTER, ONE = (-10**400, 5, 4), SymbolicWord.constant(1)
+FLOAT_RANGE_LETTERS = st.sampled_from([(4, 2, HUGE), (10**400, 2, 1), (2, 2, 10**308 + 1),
+                                       (6 * HUGE, 2, HUGE), (2, 2, 8 * 10**307 + 1),
+                                       WIDE_LETTER])
+
+
+def letters_and_words(letter):
+    """Alphabets of one to three letters with a word over each."""
+    return st.lists(letter, min_size=1, max_size=3).flatmap(
+        lambda letters: st.tuples(st.just(letters), words_over(len(letters))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(letters_and_words(st.one_of(st.tuples(SIGNED_B, st.sampled_from((2, 3)), SIGNED_T),
+                                   admissible_letters(st.integers(1, 3), st.integers(1, 5)),
+                                   FLOAT_RANGE_LETTERS)),
+       st.integers(0, 8), st.integers(1, 64))
+@example(([WIDE_LETTER], ONE), 8, 64)  # the work bound
+@example(([WIDE_LETTER], ONE), 8, 1)  # the sumset bit bound
+@example(([(4, 2, HUGE)], ONE), 1, 4)  # a stage ratio past the float range
+def test_qcheck_refuses_as_the_per_point_path_or_prints_q_within_its_bound(system, depth, grid):
+    letters, word = system
+    cfg = SystemConfig.of(*letters)
+    code, lines, err = cli_lines(["qcheck", "--depth", str(depth), "--grid", str(grid)],
+                                 pairs_doc(letters, word))
+    error = per_point_qcheck_error(cfg, word, depth, grid)
+    if error is not None:
+        assert (code, lines, err) == (2, [], f"error={error}\n")
+        return
+    assert code == 0 and err == ""
+    assert lines[:2] == [f"depth={depth}", f"grid={grid}"] and len(lines) == 3
+    key, value = lines[2].split("=")
+    stages = tower_stages(cfg, word, depth, DEFAULT_ATOM_CAP)
+    assert key == "max_deviation" and float(value) <= tower_q_bound(stages, 1.0)

@@ -6,13 +6,20 @@ with the files under ``tests/golden/``.  Paths in argv are relative so the
 recorded output does not depend on where the test runs.
 
 To re-record after an intended output change: ``python tests/test_golden_cli.py``.
+It prints every golden line it changes as ``file: old -> new`` (``(none)``
+for a line added or removed) and rewrites only those files.  With
+``--check`` it prints the same list, writes nothing, and exits 1 when the
+list is not empty.
 """
 
 import contextlib
+import difflib
 import io
 import json
 import os
 import sys
+import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -114,14 +121,52 @@ def test_golden_cli(tmp_path, name, command, config, extra):
         assert text == (GOLDEN / f"{name}.{suffix}").read_text(encoding="utf-8"), suffix
 
 
-if __name__ == "__main__":
-    import tempfile
-
-    GOLDEN.mkdir(exist_ok=True)
-    for old in GOLDEN.iterdir():
-        old.unlink()
+def recorded_files() -> dict[str, str]:
+    """Every golden file name and text that the cases produce now."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, command, config, extra in CASES:
-            for suffix, text in run_case(Path(tmp), command, config, extra).items():
-                (GOLDEN / f"{name}.{suffix}").write_text(text, encoding="utf-8")
-    sys.exit(0)
+        return {f"{name}.{suffix}": text for name, command, config, extra in CASES
+                for suffix, text in run_case(Path(tmp), command, config, extra).items()}
+
+
+def changed_lines(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """'file: old -> new' for each line that differs between two sets of golden files."""
+    def shown(line):
+        return "(none)" if line is None else line.rstrip("\n")
+
+    changes = []
+    for name in sorted(old.keys() | new.keys()):
+        before = old.get(name, "").splitlines(keepends=True)
+        after = new.get(name, "").splitlines(keepends=True)
+        matcher = difflib.SequenceMatcher(a=before, b=after, autojunk=False)
+        for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+            if tag != "equal":
+                changes += [f"{name}: {shown(a)} -> {shown(b)}"
+                            for a, b in zip_longest(before[i1:i2], after[j1:j2])]
+    return changes
+
+
+def test_changed_lines_names_each_moved_added_and_removed_line():
+    old = {"a-qcheck.txt": "exit=0\nmax_deviation=1\n", "gone.txt": "z\n"}
+    new = {"a-qcheck.txt": "exit=0\nmax_deviation=2\n", "new.csv": "x\n"}
+    assert changed_lines(old, new) == ["a-qcheck.txt: max_deviation=1 -> max_deviation=2",
+                                       "gone.txt: z -> (none)", "new.csv: (none) -> x"]
+    assert changed_lines(new, new) == []
+
+
+if __name__ == "__main__":
+    check = sys.argv[1:] == ["--check"]
+    if sys.argv[1:] and not check:
+        sys.exit("usage: python tests/test_golden_cli.py [--check]")
+    old = {p.name: p.read_text(encoding="utf-8") for p in GOLDEN.glob("*")}
+    new = recorded_files()
+    changes = changed_lines(old, new)
+    for line in changes:
+        print(line)
+    if check:
+        sys.exit(1 if changes else 0)
+    GOLDEN.mkdir(exist_ok=True)
+    for name in old.keys() - new.keys():
+        (GOLDEN / name).unlink()
+    for name, text in new.items():
+        if old.get(name) != text:
+            (GOLDEN / name).write_text(text, encoding="utf-8")

@@ -18,9 +18,9 @@ from moranspec.measure import (DEFAULT_ATOM_CAP, INT64_SPAN, MU_HAT_BLOCK, AtomC
 from moranspec.spectra import (VERIFY_ATOM_BOUND, Decomposition, SpectrumCandidate,
                                build_tower_spectrum, decompose_spectrum, default_lattice_modulus,
                                extract_tail_spectrum, q_function,
-                               structure_witnesses, verify_spectrum_finite,
-                               weighted_matrix_residual)
-from test_measure import FIFTY_DIGITS, load_pairs, words_over
+                               structure_witnesses, tower_q, tower_stages,
+                               verify_spectrum_finite, weighted_matrix_residual)
+from test_measure import UNIT, FIFTY_DIGITS, load_pairs, stage_bound, words_over
 
 QUARTER = SystemConfig.of((4, 2, 1))
 ONES = SymbolicWord.constant(1)
@@ -543,6 +543,61 @@ def test_q_function_on_an_array_matches_the_scalar_calls_bitwise():
             single = [q_function(cfg, word, depth, cand, x) for x in xs]
             assert all(isinstance(q, float) for q in single)
             assert many.tolist() == single, (word, depth)
+
+
+def tower_q_bound(stages, x):
+    """tower_q's stated rounding bound on |Q(x) - 1|."""
+    total, span = 0.0, F(abs(x))
+    for n, (pr, step, base) in enumerate(stages, start=1):
+        span += (pr.p - 1) * abs(step)
+        c = float(abs(F(pr.t, base)) * span)
+        total += pr.p * (2 * stage_bound(pr.p, c) + math.pi * pr.p * (n + 4) * c * UNIT + 3 * UNIT)
+    return total
+
+
+def q_function_bound(cfg, word, depth, cand, x):
+    """A rounding bound on q_function(x): per point, mu_hat_amplitude's stated bound, the
+    argument errors of x + lambda and t_n (x + lambda)/B_n through |D_p'| <= pi p/2, then
+    the square and the sum."""
+    total = 0.0
+    for lam in cand.nums:
+        y = F(x) + F(lam, cand.den)
+        amp = sum(stage_bound(pr.p, float(abs(y * pr.t / base))) + UNIT
+                  + math.pi * pr.p / 2 * 5 * UNIT * float(abs(y * pr.t / base))
+                  for pr, base in stage_walk(cfg, word, depth))
+        total += 2 * amp + amp * amp + UNIT
+    return total + len(cand) * UNIT
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tower_q_is_one_within_its_stated_bound(data):
+    # the tree's Q is within its docstring bound of 1; where the tower's
+    # span is small enough for q_function to be accurate, the two agree to
+    # the sum of their bounds
+    pairs = data.draw(st.lists(admissible_letters(st.integers(1, 4), st.integers(1, 7)),
+                               min_size=1, max_size=3))
+    cfg = SystemConfig.of(*pairs)
+    word = data.draw(words_over(cfg.m))
+    depth = data.draw(st.integers(0, 6))
+    assume(tower_size(cfg, word, depth) <= 4096)
+    stages = tower_stages(cfg, word, depth, 4096)
+    xs = np.array(data.draw(st.lists(st.floats(-4, 4), min_size=1, max_size=8)))
+    qs = tower_q(cfg, word, stages, xs)
+    assert qs.shape == xs.shape
+    for x, q in zip(xs.tolist(), qs.tolist()):
+        assert abs(q - 1) <= tower_q_bound(stages, x), (x, q)
+    cand = build_tower_spectrum(cfg, word, depth)
+    if len(cand) <= 512 and cand.nums[-1] - cand.nums[0] < 2**12:
+        for x, q, ref in zip(xs.tolist(), qs.tolist(),
+                             q_function(cfg, word, depth, cand, xs).tolist()):
+            assert abs(q - ref) <= (tower_q_bound(stages, x)
+                                    + q_function_bound(cfg, word, depth, cand, x)), (x, q, ref)
+
+
+def test_tower_q_at_depth_zero_is_exactly_one():
+    # the point mass has one leaf of weight 1
+    assert tower_q(QUARTER, ONES, [], np.arange(8) / 8).tolist() == [1.0] * 8
 
 
 def test_tower_refuses_past_the_atom_cap():
