@@ -20,7 +20,7 @@ from moranspec.spectra import (VERIFY_ATOM_BOUND, Decomposition, SpectrumCandida
                                extract_tail_spectrum, q_function,
                                structure_witnesses, tower_q, tower_stages,
                                verify_spectrum_finite, weighted_matrix_residual)
-from test_measure import UNIT, FIFTY_DIGITS, load_pairs, stage_bound, words_over
+from test_measure import FIFTY_DIGITS, UNIT, load_pairs, stage_bound, words_over
 
 QUARTER = SystemConfig.of((4, 2, 1))
 ONES = SymbolicWord.constant(1)
@@ -556,9 +556,12 @@ def tower_q_bound(stages, x):
 
 
 def q_function_bound(cfg, word, depth, cand, x):
-    """A rounding bound on q_function(x): per point, mu_hat_amplitude's stated bound, the
-    argument errors of x + lambda and t_n (x + lambda)/B_n through |D_p'| <= pi p/2, then
-    the square and the sum."""
+    """A rounding bound on q_function(x), point by point.
+
+    Per point, mu_hat_amplitude's stated bound plus the error of the float
+    stage argument (x + lambda) t_n / B_n, within 5 units of it, through
+    |D_p'| <= pi p / 2; then the square and the sum.
+    """
     total = 0.0
     for lam in cand.nums:
         y = F(x) + F(lam, cand.den)
@@ -579,9 +582,8 @@ def test_tower_q_is_one_within_its_stated_bound(data):
                                min_size=1, max_size=3))
     cfg = SystemConfig.of(*pairs)
     word = data.draw(words_over(cfg.m))
-    depth = data.draw(st.integers(0, 6))
-    assume(tower_size(cfg, word, depth) <= 4096)
-    stages = tower_stages(cfg, word, depth, 4096)
+    depth = data.draw(st.integers(0, 6))  # at most 3**6 points
+    stages = tower_stages(cfg, word, depth, DEFAULT_ATOM_CAP)
     xs = np.array(data.draw(st.lists(st.floats(-4, 4), min_size=1, max_size=8)))
     qs = tower_q(cfg, word, stages, xs)
     assert qs.shape == xs.shape
