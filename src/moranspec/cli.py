@@ -34,9 +34,12 @@ EXIT_INTERNAL = 1
 EXIT_OUT_OF_SCOPE = 2
 
 # grid x tower points x depth stage evaluations allowed in qcheck, depth
-# counted as at least one, as a sum point by point would do them; the digit
-# tree covers 58-215 million of them per second on towers of depth 5-12 and
-# 27-35 million at depth 1, so this is about 0.5-3.7 s of work
+# counted as at least one, as a sum point by point would do them.  Timed in
+# process on a two-core Xeon, the digit tree covers 51-217 million a second on
+# towers of depth 3-12, 0.5-2 s at the bound.  At depth 1, where the tree
+# saves nothing, it covers 18-29 million with p past RECURRENCE_MAX_P (the
+# sine quotient), 3.5-5.6 s, and 12-58 million with p <= 32, whose
+# recurrence takes p - 2 steps per factor: 1.7 s at p = 2, 8.6 s at p = 32
 QCHECK_WORK_BOUND = 10**8
 
 # partner sets oracle-search may hold when --cap is not given; (6,6,5) has
@@ -268,13 +271,11 @@ def cmd_qcheck(config, word, rewrite, args) -> int:
         raise measure.AtomCapExceeded(
             f"qcheck needs {work} stage evaluations (grid x points x depth, "
             f"depth at least 1); bound is {QCHECK_WORK_BOUND}")
-    if args.depth < 0:  # build_tower_spectrum's refusal, after the work bound
-        raise ValueError("depth k must be >= 0")
     rows = max(1, measure.MU_HAT_BLOCK // points)
     worst = 0.0
     for i in range(0, args.grid, rows):
         xs = np.arange(i, min(i + rows, args.grid)) / args.grid
-        qs = spectra.tower_q(config, word, stages, xs)
+        qs = spectra.tower_q(config, stages, xs)
         worst = max(worst, float(np.max(np.abs(qs - 1.0))))
     emit("depth", args.depth)
     emit("grid", args.grid)

@@ -366,8 +366,11 @@ def stage_walk(config: SystemConfig, word: SymbolicWord,
                k: Optional[int] = None) -> Iterator[tuple[StagePair, int]]:
     """Yield (pair, b_1...b_n) for n = 1..k, or without end when k is None.
 
-    The only place the running base product is formed.
+    The only place the running base product is formed, and the only place a
+    depth is checked: k < 0 raises ValueError when the walk starts.
     """
+    if k is not None and k < 0:
+        raise ValueError("depth k must be >= 0")
     base = 1
     for n in count(1) if k is None else range(1, k + 1):
         pr = config.pair(word.letter(n))
@@ -427,8 +430,6 @@ def truncate(config: SystemConfig, word: SymbolicWord, k: int,
     distinct values of the sumset of j*t*(b_1...b_k)/(b_1...b_n), j < p, as
     numerators over b_1...b_k, and their path counts are the run lengths.
     """
-    if k < 0:
-        raise ValueError("depth k must be >= 0")
     walk, paths, final = [], 1, 1
     for pr, final in stage_walk(config, word, k):
         paths *= pr.p
@@ -533,11 +534,12 @@ def dirichlet_amplitude(p: int, v: np.ndarray) -> np.ndarray:
     return np.negative(out, out=out, where=(p % 2 == 0) & (np.rint(0.5 * k) != 0.5 * k))
 
 
-def stage_ratios(config: SystemConfig, word: SymbolicWord, depth: int,
+def stage_ratios(config: SystemConfig, walk: Iterable[tuple[StagePair, int]],
                  reach: float) -> Iterator[tuple[StagePair, float, float]]:
-    """Yield (pair, t_n/B_n, (p_n - 1) t_n/B_n) per stage n = 1..depth, for arguments |x| <= reach.
+    """Yield (pair, t_n/B_n, (p_n - 1) t_n/B_n) per (pair, B_n) of walk, for arguments |x| <= reach.
 
-    B_n = b_1...b_n.  Each quotient is one correctly rounded int / int
+    walk is stage_walk's (pair, B_n), B_n = b_1...b_n, or a list of them,
+    with pairs of config's alphabet.  Each quotient is one correctly rounded int / int
     division, and one past FLOAT_BOUND raises ValueError, as does a stage
     whose pi p_n reach |t_n / B_n| passes it, where a stage argument's sine
     or cosine would leave the float range and give nan.  Past
@@ -546,7 +548,7 @@ def stage_ratios(config: SystemConfig, word: SymbolicWord, depth: int,
     """
     pi_x = math.pi * reach
     underflow = max((pr.p - 1) * abs(pr.t) for pr in config.pairs) << 1075
-    for n, (pr, base) in enumerate(stage_walk(config, word, depth), start=1):
+    for n, (pr, base) in enumerate(walk, start=1):
         if abs(base) > underflow:
             return
         try:
@@ -565,15 +567,13 @@ def mu_hat_amplitude(config: SystemConfig, word: SymbolicWord, xs: np.ndarray,
     """Real A(x) = prod_{n<=depth} D_{p_n}(t_n x / B_n) and H = sum_n (p_n - 1) t_n / B_n.
 
     B_n = b_1...b_n; the transform is exp(pi i H x) A(x), so |mu_hat|**2 is
-    A**2.  The stages and their refusals are stage_ratios' with reach
-    max|x|.
+    A**2.  The stages and their refusals are stage_ratios' over stage_walk
+    to depth, with reach max|x|.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     xs = np.asarray(xs, dtype=float)
     amp, slope = np.ones_like(xs), 0.0
     reach = float(np.max(np.abs(xs), initial=0.0))
-    for pr, ratio, drift in stage_ratios(config, word, depth, reach):
+    for pr, ratio, drift in stage_ratios(config, stage_walk(config, word, depth), reach):
         amp *= dirichlet_amplitude(pr.p, xs * ratio)
         slope += drift
     return amp, slope

@@ -12,10 +12,11 @@ completeness by counting, and the Jorgensen-Pedersen function
 
 is evaluated numerically; for a finite orthonormal basis it is identically 1.
 q_function sums it point by point over any candidate.  tower_q sums it
-over the canonical tower's digit tree: stage n's factor depends only on a
-point's first n digits, since every later digit moves its argument by an
-integer, so each factor is evaluated once per digit prefix, at an argument
-of order p|t| rather than of the tower's span.
+over the canonical tower's digit tree, from tower_stages' list and no word:
+stage n's factor depends only on a point's first n digits, since every
+later digit moves its argument by an integer, so each factor is evaluated
+once per digit prefix, at an argument of order p|t| rather than of the
+tower's span.
 
 The residue decomposition splits Lambda/b_1 into classes n/q + Z and
 reassembles tail spectra from one partner-slot choice per residue block.
@@ -118,8 +119,6 @@ def build_tower_spectrum(config: SystemConfig, word: SymbolicWord, k: int) -> Sp
     at stage n differ by step*j plus a multiple of b_1...b_n, 0 < |j| < p, and
     |b| = s*p*gcd(b, t), s the canonical partner step, does not divide s*j.
     """
-    if k < 0:
-        raise ValueError("depth k must be >= 0")
     stages = tower_stages(config, word, k, DEFAULT_ATOM_CAP)
     pts = sumset([(pr.p, step) for pr, step, _ in stages])
     return SpectrumCandidate(nums=tuple(pts.tolist()))
@@ -320,9 +319,13 @@ def q_function(config: SystemConfig, word: SymbolicWord, depth: int,
     return float(q) if np.ndim(q) == 0 else q
 
 
-def tower_q(config: SystemConfig, word: SymbolicWord, stages: Sequence[tuple[StagePair, int, int]],
+def tower_q(config: SystemConfig, stages: Sequence[tuple[StagePair, int, int]],
             xs: np.ndarray) -> np.ndarray:
     """Q of the tower at each x of xs, over its digit tree; stages is tower_stages' list.
+
+    It reads no word: stage_ratios walks the list's (pair, B_n), and stage
+    n's digit offsets j step_n, j < p_n, are one integer progression of
+    sumset's width (int_width), cast once to correctly rounded floats.
 
     Stage n's squared factor D_{p_n}(t_n (x + lambda) / B_n)**2 depends only
     on lambda's first n digits: a later digit step B_{j-1} s_j, j > n, times
@@ -355,14 +358,14 @@ def tower_q(config: SystemConfig, word: SymbolicWord, stages: Sequence[tuple[Sta
                                  sum((p - 1) * step for p, step in steps if step > 0)], 1)
     reach = max(abs(np.min(xs) + low), abs(np.max(xs) + high))
     prefix, weight = xs, np.ones(len(xs))
+    walk = [(pr, base) for pr, _, base in stages]
     # a stage past stage_ratios' stop has a point past the float range, refused above
-    for (pr, step, _), (_, ratio, _) in zip(stages, stage_ratios(config, word, len(stages),
-                                                                 float(reach))):
+    for (p, step), (_, ratio, _) in zip(steps, stage_ratios(config, walk, float(reach))):
         # the new digit is the leading axis and x the last, so every numpy
         # inner loop runs over all the earlier prefixes of the block at once
-        digits = np.array([j * step for j in range(pr.p)], dtype=float)
-        prefix = np.add.outer(digits, prefix)
-        amp = dirichlet_amplitude(pr.p, prefix * ratio)
+        digits = np.arange(p, dtype=int_width((p - 1) * abs(step))) * step
+        prefix = np.add.outer(digits.astype(float), prefix)
+        amp = dirichlet_amplitude(p, prefix * ratio)
         amp *= amp
         amp *= weight
         weight = amp

@@ -191,6 +191,22 @@ def test_qcheck_builds_no_tower_point(quarter_config, monkeypatch, capsys):
     assert code == 0 and "max_deviation=" in out
 
 
+def test_qcheck_walks_the_word_once(quarter_config, monkeypatch, capsys):
+    # tower_stages walks the word; tower_q reads only the stage list it is handed
+    walk, walks = measure.stage_walk, []
+
+    def spy(*args):
+        walks.append(args)
+        return walk(*args)
+
+    for module in (measure, spectra):
+        monkeypatch.setattr(module, "stage_walk", spy)
+    code, out = run(capsys, ["qcheck", "--config", quarter_config, "--depth", "6",
+                             "--grid", "256"])
+    assert code == 0 and "max_deviation=" in out
+    assert len(walks) == 1
+
+
 def test_two_stage_and_tile(tmp_path, capsys):
     cfg = write_config(tmp_path, "two.json", {
         "pairs": [{"b": 5, "p": 2, "t": 6}, {"b": 3, "p": 3, "t": 2}],

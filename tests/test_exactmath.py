@@ -244,3 +244,15 @@ def test_only_verify_builds_a_verdict():
                          if isinstance(node, ast.Call)
                          and "SpectrumVerification" in branch_names(node.func)]
     assert builders == [("spectra", "verify_spectrum_finite")]
+
+
+def test_only_stage_walk_refuses_a_negative_depth():
+    # every depth reaches the stages through measure.stage_walk, which alone
+    # holds the refusal's text
+    holders = []
+    for path in sorted((Path(SRC) / "moranspec").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            holders += [(path.stem, getattr(top, "name", None)) for node in ast.walk(top)
+                        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                        and "depth k must be >= 0" in node.value]
+    assert holders == [("measure", "stage_walk")]

@@ -54,6 +54,17 @@ def test_classify_family_count_matches_its_closed_form(k):
     assert sum(row.endswith("NotSpectral [Pi_l]") for row in rows) == not_spectral
 
 
+def test_code_lines_lists_every_module_and_sums_them():
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "code_lines.py")],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    *rows, closing = [line.split() for line in done.stdout.splitlines()]
+    assert [name for name, _ in rows] == sorted(
+        path.name for path in (ROOT / "src" / "moranspec").glob("*.py"))
+    assert all(int(count) > 0 for _, count in rows)
+    assert closing == ["total", str(sum(int(count) for _, count in rows))]
+
+
 def test_readme_library_example_runs(capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S)

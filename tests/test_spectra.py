@@ -14,7 +14,9 @@ from moranspec import spectra
 from moranspec.hadamard import canonical_dual_digits
 from moranspec.measure import (DEFAULT_ATOM_CAP, INT64_SPAN, MU_HAT_BLOCK, AtomCapExceeded,
                                DiscreteMeasure, SymbolicWord, SystemConfig, float_quotients,
-                               mask_zero_hit, stage_walk, sumset, support_hull, truncate)
+                               int_width, mask_zero_hit, mu_hat_many, stage_walk, sumset,
+                               support_hull, truncate)
+from moranspec.oracle import search_spectra
 from moranspec.spectra import (VERIFY_ATOM_BOUND, Decomposition, SpectrumCandidate,
                                build_tower_spectrum, decompose_spectrum, default_lattice_modulus,
                                extract_tail_spectrum, q_function,
@@ -585,7 +587,7 @@ def test_tower_q_is_one_within_its_stated_bound(data):
     depth = data.draw(st.integers(0, 6))  # at most 3**6 points
     stages = tower_stages(cfg, word, depth, DEFAULT_ATOM_CAP)
     xs = np.array(data.draw(st.lists(st.floats(-4, 4), min_size=1, max_size=8)))
-    qs = tower_q(cfg, word, stages, xs)
+    qs = tower_q(cfg, stages, xs)
     assert qs.shape == xs.shape
     for x, q in zip(xs.tolist(), qs.tolist()):
         assert abs(q - 1) <= tower_q_bound(stages, x), (x, q)
@@ -599,7 +601,51 @@ def test_tower_q_is_one_within_its_stated_bound(data):
 
 def test_tower_q_at_depth_zero_is_exactly_one():
     # the point mass has one leaf of weight 1
-    assert tower_q(QUARTER, ONES, [], np.arange(8) / 8).tolist() == [1.0] * 8
+    assert tower_q(QUARTER, [], np.arange(8) / 8).tolist() == [1.0] * 8
+
+
+def test_tower_q_does_not_depend_on_the_integer_width(monkeypatch):
+    # stage n's digit offsets j*step_n are an int64 progression below
+    # INT64_SPAN and Python integers (object arrays) past it; odd steps past
+    # 2**53, of either sign, round to the same floats either way
+    cfg = SystemConfig.of((-3 * (2**54 + 1), 3, -2), (-9, 3, 1), (4, 2, -1))
+    towers = [tower_stages(cfg, word, depth, DEFAULT_ATOM_CAP)
+              for word, depth in ((SymbolicWord((1,), (2,)), 5),
+                                  (SymbolicWord((3, 1), (2, 3)), 5),
+                                  (SymbolicWord((), (3, 2)), 6))]
+    steps = [step for stages in towers for _, step, _ in stages]
+    assert any(step > 2**53 and step % 2 for step in steps)
+    assert any(step < -(2**53) and step % 2 for step in steps)
+    xs = np.arange(-8, 8) / 5
+    widths = []
+
+    def spy(bound):
+        widths.append(int_width(bound))
+        return widths[-1]
+
+    monkeypatch.setattr(spectra, "int_width", spy)
+    narrow = [tower_q(cfg, stages, xs).tolist() for stages in towers]
+    assert set(widths) == {np.int64, object}
+    monkeypatch.setattr("moranspec.measure.INT64_SPAN", 1)
+    widths.clear()
+    assert [tower_q(cfg, stages, xs).tolist() for stages in towers] == narrow
+    assert set(widths) == {object}
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda: truncate(QUARTER, ONES, -1),
+    lambda: tower_stages(QUARTER, ONES, -1, DEFAULT_ATOM_CAP),
+    lambda: build_tower_spectrum(QUARTER, ONES, -1),
+    lambda: mu_hat_many(QUARTER, ONES, np.zeros(4), -1),
+    lambda: verify_spectrum_finite(DiscreteMeasure.point_mass(), SpectrumCandidate.finite([0]),
+                                   QUARTER, ONES, -1),
+    lambda: search_spectra(truncate(QUARTER, ONES, 1), [0, 2], config=QUARTER, word=ONES,
+                           depth=-1),
+], ids=["truncate", "tower_stages", "build_tower_spectrum", "mu_hat_many",
+        "verify_spectrum_finite", "search_spectra"])
+def test_a_negative_depth_is_refused_by_the_stage_walk(refuse):
+    with pytest.raises(ValueError, match="^depth k must be >= 0$"):
+        refuse()
 
 
 def test_tower_refuses_past_the_atom_cap():
