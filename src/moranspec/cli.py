@@ -271,11 +271,8 @@ def cmd_qcheck(config, word, rewrite, args) -> int:
         raise measure.AtomCapExceeded(
             f"qcheck needs {work} stage evaluations (grid x points x depth, "
             f"depth at least 1); bound is {QCHECK_WORK_BOUND}")
-    rows = max(1, measure.MU_HAT_BLOCK // points)
     worst = 0.0
-    for i in range(0, args.grid, rows):
-        xs = np.arange(i, min(i + rows, args.grid)) / args.grid
-        qs = spectra.tower_q(config, stages, xs)
+    for qs in spectra.tower_q(config, stages, range(args.grid), args.grid):
         worst = max(worst, float(np.max(np.abs(qs - 1.0))))
     emit("depth", args.depth)
     emit("grid", args.grid)

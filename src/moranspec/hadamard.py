@@ -33,17 +33,21 @@ def is_admissible(b: int, p: int, t: int) -> bool:
     return (bb // gcd(bb, tt)) % p == 0
 
 
+def dual_step(b: int, p: int, t: int) -> int:
+    """The canonical partner's step (|b| / gcd(|b|, |t|)) / p, for an admissible stage."""
+    bb = abs(b)
+    return bb // gcd(bb, abs(t)) // p
+
+
 def canonical_dual_digits(b: int, p: int, t: int) -> tuple[int, ...]:
     """The canonical partner set (b*t'/(t*p)) * {0, ..., p-1}, all entries integers.
 
     Only defined for admissible stages; works with |b|, |t| so the result is
-    a set of nonnegative integers below |b|.
+    a set of nonnegative integers below |b|, the multiples of dual_step.
     """
     if not is_admissible(b, p, t):
         raise ValueError(f"stage (b={b}, p={p}, t={t}) is not admissible")
-    bb, tt = abs(b), abs(t)
-    s = gcd(bb, tt)
-    step = (bb // s) // p
+    step = dual_step(b, p, t)
     return tuple(step * j for j in range(p))
 
 

@@ -279,12 +279,14 @@ def canonical_ratios(nums, den, what: str) -> tuple[tuple[int, ...], int]:
 def float_quotients(nums, den: int) -> np.ndarray:
     """Each nums[i]/den correctly rounded to a float, for sorted integers nums and den > 0.
 
-    nums is a sorted sequence or integer array.  One float division while
-    every operand is below 2**53, where floats hold it exactly; otherwise
-    Python's int / int, which rounds any quotient a float can hold.  A
-    quotient past FLOAT_BOUND raises ValueError naming the bound.
+    nums is a sorted sequence (a range too) or integer array.  One float
+    division while every operand is below 2**53, where floats hold it
+    exactly; otherwise Python's int / int, which rounds any quotient a float
+    can hold.  A quotient past FLOAT_BOUND raises ValueError naming the bound.
     """
     if len(nums) == 0 or max(-nums[0], nums[-1], den) < 2**53:
+        if isinstance(nums, range):  # np.asarray would step through it in Python
+            nums = np.arange(nums.start, nums.stop, nums.step)
         return np.asarray(nums, dtype=float) / den
     exact = nums.tolist() if isinstance(nums, np.ndarray) else nums
     try:
@@ -504,32 +506,43 @@ def zero_set_contains(config: SystemConfig, word: SymbolicWord,
     return first_nonzero(config, word, (x.numerator,), x.denominator) is None
 
 
+def chebyshev_amplitude(p: int, c: np.ndarray) -> np.ndarray:
+    """D_p(v) = U_{p-1}(c)/p from c = cos(pi v), for p <= RECURRENCE_MAX_P.
+
+    U_{p-1} comes from the recurrence U_{j+1} = 2c U_j - U_{j-1}.  At p = 2
+    it gives (2c)/2, which is c exactly in floats, so c is returned as it is.
+    """
+    if p == 2:
+        return c
+    two_c = 2 * c
+    prev, cur = 1.0, two_c
+    for _ in range(p - 2):
+        prev, cur = cur, two_c * cur - prev
+    return cur / p
+
+
 def dirichlet_amplitude(p: int, v: np.ndarray) -> np.ndarray:
     """Real stage amplitude D_p(v) = sin(pi p v) / (p sin(pi v)), 1 at v = 0.
 
     The stage mask is m(y) = exp(pi i (p-1) t y) * D_p(t y).  Up to
-    RECURRENCE_MAX_P digits, the cheaper form there, D_p is U_{p-1}(c)/p with
-    c = cos(pi v), by the recurrence U_{j+1} = 2c U_j - U_{j-1}; c carries
-    the sign, so v needs no reduction.  Past it, with k = rint(v), u = v - k,
-    D_p is (-1)^{k(p-1)} sin(p pi u) / (p sin(pi u)), 1 at u = 0.
+    RECURRENCE_MAX_P digits, the cheaper form there, D_p is
+    chebyshev_amplitude at c = cos(pi v); c carries the sign, so v needs no
+    reduction.  Past it, with k = rint(v), u = v - k,
+    D_p is (-1)^{k(p-1)} sin(p pi u) / (p sin(pi u)), 1 where u is 0 or
+    subnormal.
     Rounding bound against D_p at the float v, with 2**-53 the unit
     roundoff: (p**2 + pi p |v|) 2**-53 for the recurrence and 2**-50 for the
     quotient, whatever p is (against mpmath, measured up to 0.51 and 0.38
-    of these).  At p = 2 the recurrence gives (2c)/2, which is c exactly in
-    floats, so c is returned as it is.
+    of these).
     """
-    if p == 2:
-        return np.cos(np.pi * v)
     if p <= RECURRENCE_MAX_P:
-        two_c = 2 * np.cos(np.pi * v)
-        prev, cur = 1.0, two_c
-        for _ in range(p - 2):
-            prev, cur = cur, two_c * cur - prev
-        return cur / p
+        return chebyshev_amplitude(p, np.cos(np.pi * v))
     k = np.rint(v)
     u = v - k
+    # a subnormal pi u keeps too few bits for the quotient (D_33 read 1.05 at
+    # u = 5e-324), while D_p(u) = 1 - O(p**2 u**2) rounds to 1 there
     out = np.divide(np.sin((np.pi * p) * u), p * np.sin(np.pi * u),
-                    out=np.ones_like(u), where=u != 0)
+                    out=np.ones_like(u), where=np.abs(u) >= np.finfo(float).smallest_normal)
     # (-1)^{k(p-1)}: for even p, k is odd where k/2 is not an integer
     return np.negative(out, out=out, where=(p % 2 == 0) & (np.rint(0.5 * k) != 0.5 * k))
 

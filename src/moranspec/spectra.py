@@ -16,7 +16,8 @@ over the canonical tower's digit tree, from tower_stages' list and no word:
 stage n's factor depends only on a point's first n digits, since every
 later digit moves its argument by an integer, so each factor is evaluated
 once per digit prefix, at an argument of order p|t| rather than of the
-tower's span.
+tower's span; up to RECURRENCE_MAX_P digits its cosine comes by angle
+addition from the prefix's cosine and sine, taken once, and x's.
 
 The residue decomposition splits Lambda/b_1 into classes n/q + Z and
 reassembles tail spectra from one partner-slot choice per residue block.
@@ -28,16 +29,17 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .exactmath import over_common_denominator
-from .hadamard import canonical_dual_digits, is_admissible
-from .measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, AtomCapExceeded, DiscreteMeasure,
-                      StagePair, SymbolicWord, SystemConfig, canonical_ratios,
-                      dirichlet_amplitude, float_quotients, int_width, mask_zero_hit,
-                      mu_hat_amplitude, runs, stage_ratios, stage_walk, sumset, sumset_span)
+from .hadamard import dual_step, is_admissible
+from .measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, RECURRENCE_MAX_P, AtomCapExceeded,
+                      DiscreteMeasure, StagePair, SymbolicWord, SystemConfig, canonical_ratios,
+                      chebyshev_amplitude, dirichlet_amplitude, float_quotients, int_width,
+                      mask_zero_hit, mu_hat_amplitude, runs, stage_ratios, stage_walk, sumset,
+                      sumset_span)
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ def tower_stages(config: SystemConfig, word: SymbolicWord, k: int,
                  cap: int) -> list[tuple[StagePair, int, int]]:
     """(pair, step, b_1...b_n) for the stages n = 1..k of the depth-k tower.
 
-    step is b_1...b_{n-1} times the step of the stage's canonical partner, so
+    step is b_1...b_{n-1} times the stage's canonical partner step (dual_step), so
     the tower is the sumset of the progressions step*{0, ..., p-1}.  Raises
     ValueError naming the first stage that is not admissible, and
     AtomCapExceeded once the point count would pass cap, before that
@@ -106,7 +108,7 @@ def tower_stages(config: SystemConfig, word: SymbolicWord, k: int,
         points *= pr.p
         if points > cap:
             raise AtomCapExceeded(f"tower to depth {k} needs {points}+ points; cap is {cap}")
-        stages.append((pr, base // pr.b * canonical_dual_digits(pr.b, pr.p, pr.t)[1], base))
+        stages.append((pr, base // pr.b * dual_step(pr.b, pr.p, pr.t), base))
     return stages
 
 
@@ -319,59 +321,114 @@ def q_function(config: SystemConfig, word: SymbolicWord, depth: int,
     return float(q) if np.ndim(q) == 0 else q
 
 
-def tower_q(config: SystemConfig, stages: Sequence[tuple[StagePair, int, int]],
-            xs: np.ndarray) -> np.ndarray:
-    """Q of the tower at each x of xs, over its digit tree; stages is tower_stages' list.
+def _prefix_tables(steps: Sequence[tuple[int, int]], ratios: Sequence[float],
+                   width: type) -> list[tuple[int, float, np.ndarray, Optional[np.ndarray]]]:
+    """Each (p, step) stage's tables over its digit prefixes lambda, given its ratio r.
 
-    It reads no word: stage_ratios walks the list's (pair, B_n), and stage
-    n's digit offsets j step_n, j < p_n, are one integer progression of
-    sumset's width (int_width), cast once to correctly rounded floats.
+    (p, pi r, cos(pi r lambda), sin(pi r lambda)) up to RECURRENCE_MAX_P,
+    (p, r, lambda, None) past it.  The prefixes are exact integers of width,
+    cast once to floats; the new digit leads, so each prefix's p children
+    are p equal slices.
+    """
+    tables, offsets = [], np.zeros(1, dtype=width)
+    for (p, step), ratio in zip(steps, ratios):
+        offsets = np.add.outer(np.arange(p, dtype=width) * step, offsets).ravel()
+        lams = offsets.astype(float)
+        if p > RECURRENCE_MAX_P:
+            tables.append((p, ratio, lams, None))
+        else:
+            lams *= math.pi * ratio
+            tables.append((p, math.pi * ratio, np.cos(lams), np.sin(lams)))
+    return tables
+
+
+def tower_q(config: SystemConfig, stages: Sequence[tuple[StagePair, int, int]],
+            nums, den: int = 1) -> Iterator[np.ndarray]:
+    """Q of the tower over its digit tree at each x = nums[i]/den, one block at a time.
+
+    stages is tower_stages' list and nums is sorted: integers (an array or a
+    range) over den, or floats over 1, rounded as float_quotients does.  The
+    blocks hold consecutive x's, in order, at most MU_HAT_BLOCK grid x tower
+    points each (one x once the tower has more), and each x's Q does not
+    depend on the split.  It reads no word: stage_ratios walks the list's
+    (pair, B_n).
 
     Stage n's squared factor D_{p_n}(t_n (x + lambda) / B_n)**2 depends only
     on lambda's first n digits: a later digit step B_{j-1} s_j, j > n, times
-    t_n / B_n is an integer, which leaves D_p**2 unchanged.  So the prefixes
-    x + sum_{j<=n} d_j step_j, d_j < p_j, are extended stage by stage, each
-    prefix's running weight is multiplied by D_{p_n}(prefix t_n / B_n)**2,
-    and Q(x) is the sum of x's leaves, taken back up the tree (the p_n
-    children of each prefix into it, deepest stage first): sum_n
-    prod_{j<=n} p_j factors per x, not depth prod p_j.
+    t_n / B_n is an integer, which leaves D_p**2 unchanged.  So each prefix
+    lambda = sum_{j<=n} d_j step_j, d_j < p_j, is built once per call as an
+    exact integer of sumset's width (int_width), cast once to a float, and
+    Q(x) is the sum of x's leaves, taken back up the tree (the p_n children
+    of each prefix into it, deepest stage first, in digit order): sum_n
+    prod_{j<=n} p_j factors per x, not depth prod p_j.  A stage with
+    p_n <= RECURRENCE_MAX_P needs only c = cos(pi r (x + lambda)),
+    r = t_n / B_n, which angle addition splits into
+    cos(pi r lambda) cos(pi r x) - sin(pi r lambda) sin(pi r x): the
+    prefixes' cosines and sines are taken once per call, x's once per block,
+    and a block costs two outer products and a subtraction, then
+    chebyshev_amplitude.  A larger p_n takes the sine quotient at the summed
+    argument, since sin(pi v) from angle addition loses its relative
+    accuracy near the integers.
 
     Refuses as building the points and q_function over them would, in that
-    order, without building a point: the sumset bit bound (sumset_span), a
-    tower point past the float range (float_quotients of the least and the
+    order, before any table: the sumset bit bound (sumset_span), a tower
+    point past the float range (float_quotients of the least and the
     largest point) and stage_ratios' refusals with reach max|x + lambda|,
-    the larger of |min x + min lambda| and |max x + max lambda|.
+    the larger of |first x + min lambda| and |last x + max lambda|.
 
     Rounding: with u = 2**-53 and, at stage n,
-    c_n = |t_n / B_n| (|x| + sum_{j<=n} (p_j - 1)|step_j|), which bounds
-    every argument, and e_n dirichlet_amplitude's bound at |v| = c_n,
+    c_n = |t_n / B_n| (|x| + sum_{j<=n} (p_j - 1)|step_j|) >= (p_n - 1)/p_n,
+    which bounds every argument |v| = |r (x + lambda)|, and e_n
+    dirichlet_amplitude's bound at |v| = c_n,
     |Q(x) - 1| <= sum_n p_n (2 e_n + pi p_n (n + 4) c_n u + 3 u) to first
-    order in u.  The p_n children of a prefix carry weights summing to the
-    prefix's own, since D_p**2 sums to 1 over v + j/p, so each stage's
-    rounding, its sum included, adds to the total at most p_n times its
-    per-factor error.
+    order in u.  The bound allots each factor an error e_n plus pi p_n / 2
+    (|D_p'| at most) times an argument error (n + 4) c_n u, and each
+    prefix's p_n children p_n times that, plus 3 u each for the square, the
+    weight and the sum.  A sine-quotient factor is within e_n of D_p at
+    (x + fl(lambda)) fl(r), which is within 4 c_n u of v.  A recurrence
+    factor's two angles, fl(lambda) and x times fl(pi fl(r)), are within
+    5 pi c_n u of pi v together; the angle addition is within
+    (2 + 2 sqrt 2) u of the cosine of their sum, (1 + 2 sqrt 2) u more than
+    one cos call, which moves U_{p-1}(c)/p by at most (p**2 - 1)/3 times
+    that: at most 1.3 (p**2 - 1) u past e_n plus the 5 c_n u argument
+    error.  That fits: as D_p**2 sums to 1 over a prefix's children, the
+    children's 2 D_p delta sum to at most 2 sqrt(p_n) max delta
+    (Cauchy-Schwarz), not p_n times it, and with e_n >= p_n**2 u and
+    c_n >= (p_n - 1)/p_n the factor sqrt(p_n) covers the excess for every
+    p_n >= 2.
     """
-    xs = np.asarray(xs, dtype=float)
     steps = [(pr.p, step) for pr, step, _ in stages]
-    sumset_span(steps)
+    width = int_width(sumset_span(steps))
     low, high = float_quotients([sum((p - 1) * step for p, step in steps if step < 0),
                                  sum((p - 1) * step for p, step in steps if step > 0)], 1)
-    reach = max(abs(np.min(xs) + low), abs(np.max(xs) + high))
-    prefix, weight = xs, np.ones(len(xs))
-    walk = [(pr, base) for pr, _, base in stages]
+    first, last = float_quotients([nums[0], nums[-1]], den) if len(nums) else (0.0, 0.0)
+    reach = max(abs(first + low), abs(last + high))
     # a stage past stage_ratios' stop has a point past the float range, refused above
-    for (p, step), (_, ratio, _) in zip(steps, stage_ratios(config, walk, float(reach))):
-        # the new digit is the leading axis and x the last, so every numpy
-        # inner loop runs over all the earlier prefixes of the block at once
-        digits = np.arange(p, dtype=int_width((p - 1) * abs(step))) * step
-        prefix = np.add.outer(digits.astype(float), prefix)
-        amp = dirichlet_amplitude(p, prefix * ratio)
-        amp *= amp
-        amp *= weight
-        weight = amp
-    for _ in stages:  # the p_n children of each prefix into it, deepest stage first
-        weight = weight.sum(axis=0)
-    return weight
+    walk = [(pr, base) for pr, _, base in stages]
+    ratios = [ratio for _, ratio, _ in stage_ratios(config, walk, float(reach))]
+    tables = _prefix_tables(steps, ratios, width)
+    scales = np.array([scale for _, scale, _, _ in tables])
+    rows = max(1, MU_HAT_BLOCK // math.prod(p for p, _ in steps))
+    for i in range(0, len(nums), rows):
+        xs = float_quotients(nums[i:i + rows], den)
+        angles = np.multiply.outer(scales, xs)  # every stage's x angle, unused past the branch
+        weight = np.ones(len(xs))
+        for (p, scale, lo, hi), cos_x, sin_x in zip(tables, np.cos(angles), np.sin(angles)):
+            if hi is None:
+                amp = dirichlet_amplitude(p, np.add.outer(lo, xs) * scale)
+            else:
+                amp = np.multiply.outer(lo, cos_x)
+                amp -= np.multiply.outer(hi, sin_x)
+                amp = chebyshev_amplitude(p, amp)
+            amp *= amp
+            children = amp.reshape(p, -1)
+            children *= weight.reshape(-1)
+            weight = amp
+        for p, *_ in reversed(tables):
+            weight = weight.reshape(p, -1)
+            # numpy sums one column pairwise and more than one in order; in order always
+            weight = weight.sum(axis=0) if weight.shape[1] > 1 else np.add.accumulate(weight)[-1]
+        yield weight
 
 
 @dataclass(frozen=True)

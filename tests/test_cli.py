@@ -207,6 +207,34 @@ def test_qcheck_walks_the_word_once(quarter_config, monkeypatch, capsys):
     assert len(walks) == 1
 
 
+@pytest.mark.parametrize("block", [1, 64])
+@pytest.mark.parametrize("word,depth", [("1;1", 1), ("1;2", 2)])
+def test_qcheck_max_deviation_does_not_depend_on_the_block(tmp_path, monkeypatch, capsys,
+                                                           block, word, depth):
+    # p = 8 sums a block of one grid point pairwise unless told otherwise,
+    # and p = 33 takes the sine quotient; 97 grid points leave a short last block
+    cfg = write_config(tmp_path, "branch.json", {
+        "pairs": [{"b": 8, "p": 8, "t": 1}, {"b": 66, "p": 33, "t": 1}],
+        "word": {"period": [1]}})
+    argv = ["qcheck", "--config", cfg, "--word", word, "--depth", str(depth), "--grid", "97"]
+    code, before = run(capsys, argv)
+    tower_q, sizes = spectra.tower_q, []
+
+    def spy(*args):
+        for qs in tower_q(*args):
+            sizes.append(len(qs))
+            yield qs
+
+    monkeypatch.setattr(spectra, "tower_q", spy)
+    for module in (measure, spectra):
+        monkeypatch.setattr(module, "MU_HAT_BLOCK", block)
+    code_after, after = run(capsys, argv)
+    assert (code, code_after) == (0, 0) and "max_deviation=" in before
+    assert after == before
+    rows = max(1, block // {1: 8, 2: 8 * 33}[depth])  # grid points a block, as tower_q takes them
+    assert sizes == [rows] * (97 // rows) + [97 % rows] * (97 % rows > 0)
+
+
 def test_two_stage_and_tile(tmp_path, capsys):
     cfg = write_config(tmp_path, "two.json", {
         "pairs": [{"b": 5, "p": 2, "t": 6}, {"b": 3, "p": 3, "t": 2}],

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moranspec.exactmath import RootSum, root_sum_is_zero
-from moranspec.hadamard import canonical_dual_digits, is_admissible, is_compatible_pair
+from moranspec.hadamard import (canonical_dual_digits, dual_step, is_admissible,
+                                is_compatible_pair)
 from moranspec.measure import DiscreteMeasure
 from moranspec.spectra import weighted_matrix_residual
 
@@ -49,6 +50,17 @@ def test_canonical_partner_examples():
         assert max(partner) < abs(b)
     with pytest.raises(ValueError):
         canonical_dual_digits(6, 4, 2)
+
+
+def test_the_canonical_partner_is_the_multiples_of_dual_step():
+    # one step formula, (|b| / gcd(|b|, |t|)) / p, read alone by tower_stages
+    for b in (-12, -9, -6, -4, -2, 2, 3, 4, 6, 8, 9, 12, 10**6):
+        for p in (2, 3, 4, 6):
+            for t in (-7, -3, -2, -1, 1, 2, 3, 4, 7):
+                if is_admissible(b, p, t):
+                    step = dual_step(b, p, t)
+                    assert step >= 1 and canonical_dual_digits(b, p, t) == tuple(
+                        step * j for j in range(p))
 
 
 def test_canonical_partner_for_two_two_three_is_an_exact_zero():

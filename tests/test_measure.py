@@ -599,6 +599,21 @@ def two_digit_recurrence(v):
 TINY = float(np.finfo(float).smallest_subnormal)
 
 
+@pytest.mark.parametrize("p", BRANCH_PS)
+def test_dirichlet_amplitude_is_one_to_its_bound_at_subnormal_arguments(p):
+    # sin(pi u) of a subnormal u keeps too few bits for the sine quotient,
+    # which read D_33(5e-324) = 1.05; D_p(v) = 1 - O(p**2 v**2) here
+    normal = float(np.finfo(float).smallest_normal)
+    vs = np.array([TINY, -TINY, 1000 * TINY, 2.2250738585e-313 / 74, normal / 2, normal, 1e-300])
+    assert np.all(np.abs(dirichlet_amplitude(p, vs) - 1) <= stage_bound(p, vs))
+
+
+@pytest.mark.parametrize("nums,den", [(range(0), 3), (range(97), 97), (range(-5, 40, 3), 7),
+                                      (range(2**53 - 2, 2**53 + 3), 3)])
+def test_float_quotients_of_a_range_are_those_of_its_list(nums, den):
+    assert float_quotients(nums, den).tobytes() == float_quotients(list(nums), den).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-1e15, 1e15), min_size=1, max_size=40))
 @example([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, -2.5, TINY, -TINY, 1000 * TINY,

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from moranspec import spectra
 from moranspec.hadamard import canonical_dual_digits
-from moranspec.measure import (DEFAULT_ATOM_CAP, INT64_SPAN, MU_HAT_BLOCK, AtomCapExceeded,
-                               DiscreteMeasure, SymbolicWord, SystemConfig, float_quotients,
-                               int_width, mask_zero_hit, mu_hat_many, stage_walk, sumset,
-                               support_hull, truncate)
+from moranspec.measure import (DEFAULT_ATOM_CAP, INT64_SPAN, MU_HAT_BLOCK, RECURRENCE_MAX_P,
+                               AtomCapExceeded, DiscreteMeasure, SymbolicWord, SystemConfig,
+                               float_quotients, int_width, mask_zero_hit, mu_hat_many, stage_walk,
+                               sumset, support_hull, truncate)
 from moranspec.oracle import search_spectra
 from moranspec.spectra import (VERIFY_ATOM_BOUND, Decomposition, SpectrumCandidate,
                                build_tower_spectrum, decompose_spectrum, default_lattice_modulus,
@@ -207,10 +207,10 @@ def test_verify_verdicts_do_not_depend_on_the_block_size(monkeypatch):
     assert {v.ok for v in wide} == {True, False}
 
 
-def admissible_letters(multiplier, stride):
-    """Signed letters (+-p*m, p, +-t) with t coprime to p, so every stage is admissible."""
+def admissible_letters(multiplier, stride, ps=(2, 3)):
+    """Signed letters (+-p*m, p, +-t), p from ps and t coprime to p: every stage is admissible."""
     signs = st.sampled_from((1, -1))
-    return st.tuples(st.sampled_from((2, 3)), multiplier, stride, signs, signs).filter(
+    return st.tuples(st.sampled_from(ps), multiplier, stride, signs, signs).filter(
         lambda v: math.gcd(v[0], v[2]) == 1).map(
         lambda v: (v[3] * v[0] * v[1], v[0], v[4] * v[2]))
 
@@ -586,8 +586,8 @@ def test_tower_q_is_one_within_its_stated_bound(data):
     word = data.draw(words_over(cfg.m))
     depth = data.draw(st.integers(0, 6))  # at most 3**6 points
     stages = tower_stages(cfg, word, depth, DEFAULT_ATOM_CAP)
-    xs = np.array(data.draw(st.lists(st.floats(-4, 4), min_size=1, max_size=8)))
-    qs = tower_q(cfg, stages, xs)
+    xs = np.sort(data.draw(st.lists(st.floats(-4, 4), min_size=1, max_size=8)))
+    qs = tower_q_over(cfg, stages, xs)
     assert qs.shape == xs.shape
     for x, q in zip(xs.tolist(), qs.tolist()):
         assert abs(q - 1) <= tower_q_bound(stages, x), (x, q)
@@ -599,9 +599,67 @@ def test_tower_q_is_one_within_its_stated_bound(data):
                                     + q_function_bound(cfg, word, depth, cand, x)), (x, q, ref)
 
 
+# digit counts on both sides of RECURRENCE_MAX_P: angle addition below, the sine quotient past it
+BRANCH_PS = (2, 3, 5, 8, 16, 31, 32, 33, 37)
+
+
+def tower_q_over(cfg, stages, nums, den=1):
+    """tower_q's blocks joined into one array."""
+    return np.concatenate([np.empty(0), *tower_q(cfg, stages, nums, den)])
+
+
+def branch_tower(data, points):
+    """A signed tower whose first two stages take p on each side of RECURRENCE_MAX_P.
+
+    The alphabet's first letter has p <= RECURRENCE_MAX_P, its second p past
+    it; the word starts with both, in a drawn order, and the depth is the
+    deepest of at most six whose tower has at most points points.
+    """
+    low = [p for p in BRANCH_PS if p <= RECURRENCE_MAX_P]
+    high = [p for p in BRANCH_PS if p > RECURRENCE_MAX_P]
+    pairs = [data.draw(admissible_letters(st.integers(1, 3), st.integers(1, 7), ps))
+             for ps in (low, high)]
+    pairs += data.draw(st.lists(admissible_letters(st.integers(1, 3), st.integers(1, 7),
+                                                   BRANCH_PS), max_size=2))
+    cfg = SystemConfig.of(*pairs)
+    rest = data.draw(words_over(cfg.m))
+    word = SymbolicWord(tuple(data.draw(st.permutations((1, 2)))) + rest.preperiod, rest.period)
+    depth = 6
+    while math.prod(pr.p for pr, _ in stage_walk(cfg, word, depth)) > points:
+        depth -= 1
+    return cfg, tower_stages(cfg, word, depth, points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tower_q_is_within_its_stated_bound_on_both_sides_of_the_branch(data):
+    # a recurrence stage takes angle addition and a larger p the sine
+    # quotient at the summed argument; either way the stated bound holds
+    cfg, stages = branch_tower(data, 2**14)
+    assert {pr.p <= RECURRENCE_MAX_P for pr, _, _ in stages} == {True, False}
+    xs = np.sort(data.draw(st.lists(st.floats(-4, 4), min_size=1, max_size=8)))
+    for x, q in zip(xs.tolist(), tower_q_over(cfg, stages, xs).tolist()):
+        assert abs(q - 1) <= tower_q_bound(stages, x), (x, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_tower_q_does_not_depend_on_the_block_split(data):
+    # every x's Q is the same bits over the whole grid and over any split
+    # of it, blocks of one x included (numpy sums a single column pairwise)
+    cfg, stages = branch_tower(data, 2**12)
+    nums = np.unique(data.draw(st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=200)))
+    den = data.draw(st.integers(1, 1000))
+    cuts = sorted(data.draw(st.lists(st.integers(1, len(nums)), max_size=6)))
+    whole = tower_q_over(cfg, stages, nums, den)
+    pieces = [tower_q_over(cfg, stages, nums[a:b], den)
+              for a, b in zip([0, *cuts], [*cuts, len(nums)])]
+    assert np.concatenate(pieces).tobytes() == whole.tobytes()
+
+
 def test_tower_q_at_depth_zero_is_exactly_one():
     # the point mass has one leaf of weight 1
-    assert tower_q(QUARTER, [], np.arange(8) / 8).tolist() == [1.0] * 8
+    assert tower_q_over(QUARTER, [], range(8), 8).tolist() == [1.0] * 8
 
 
 def test_tower_q_does_not_depend_on_the_integer_width(monkeypatch):
@@ -616,7 +674,7 @@ def test_tower_q_does_not_depend_on_the_integer_width(monkeypatch):
     steps = [step for stages in towers for _, step, _ in stages]
     assert any(step > 2**53 and step % 2 for step in steps)
     assert any(step < -(2**53) and step % 2 for step in steps)
-    xs = np.arange(-8, 8) / 5
+    nums = np.arange(-8, 8)
     widths = []
 
     def spy(bound):
@@ -624,11 +682,11 @@ def test_tower_q_does_not_depend_on_the_integer_width(monkeypatch):
         return widths[-1]
 
     monkeypatch.setattr(spectra, "int_width", spy)
-    narrow = [tower_q(cfg, stages, xs).tolist() for stages in towers]
+    narrow = [tower_q_over(cfg, stages, nums, 5).tolist() for stages in towers]
     assert set(widths) == {np.int64, object}
     monkeypatch.setattr("moranspec.measure.INT64_SPAN", 1)
     widths.clear()
-    assert [tower_q(cfg, stages, xs).tolist() for stages in towers] == narrow
+    assert [tower_q_over(cfg, stages, nums, 5).tolist() for stages in towers] == narrow
     assert set(widths) == {object}
 
 
