@@ -35,11 +35,12 @@ EXIT_OUT_OF_SCOPE = 2
 
 # grid x tower points x depth stage evaluations allowed in qcheck, depth
 # counted as at least one, as a sum point by point would do them.  Timed in
-# process on a two-core Xeon, the digit tree covers 51-217 million a second on
-# towers of depth 3-12, 0.5-2 s at the bound.  At depth 1, where the tree
-# saves nothing, it covers 18-29 million with p past RECURRENCE_MAX_P (the
-# sine quotient), 3.5-5.6 s, and 12-58 million with p <= 32, whose
-# recurrence takes p - 2 steps per factor: 1.7 s at p = 2, 8.6 s at p = 32
+# process at the bound on a two-core Xeon (scripts/qcheck_rates.py), the
+# digit tree covers 33-446 million a second on towers of depth 2-12,
+# 0.2-3.1 s.  At depth 1, where the tree saves nothing, it covers 16-32
+# million with p past RECURRENCE_MAX_P (the sine quotient), 3.1-6.2 s, and
+# 21-51 million with p <= 32, whose recurrence takes p - 2 steps per factor:
+# 2-2.3 s at p = 2, 4.7 s at p = 32
 QCHECK_WORK_BOUND = 10**8
 
 # partner sets oracle-search may hold when --cap is not given; (6,6,5) has

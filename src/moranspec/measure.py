@@ -539,8 +539,8 @@ def dirichlet_amplitude(p: int, v: np.ndarray) -> np.ndarray:
         return chebyshev_amplitude(p, np.cos(np.pi * v))
     k = np.rint(v)
     u = v - k
-    # a subnormal pi u keeps too few bits for the quotient (D_33 read 1.05 at
-    # u = 5e-324), while D_p(u) = 1 - O(p**2 u**2) rounds to 1 there
+    # a subnormal pi u keeps too few bits for the quotient, while
+    # D_p(u) = 1 - O(p**2 u**2) rounds to 1 there
     out = np.divide(np.sin((np.pi * p) * u), p * np.sin(np.pi * u),
                     out=np.ones_like(u), where=np.abs(u) >= np.finfo(float).smallest_normal)
     # (-1)^{k(p-1)}: for even p, k is odd where k/2 is not an integer
