@@ -34,13 +34,10 @@ EXIT_INTERNAL = 1
 EXIT_OUT_OF_SCOPE = 2
 
 # grid x tower points x depth stage evaluations allowed in qcheck, depth
-# counted as at least one, as a sum point by point would do them.  Timed in
-# process at the bound on a two-core Xeon (scripts/qcheck_rates.py), the
-# digit tree covers 33-446 million a second on towers of depth 2-12,
-# 0.2-3.1 s.  At depth 1, where the tree saves nothing, it covers 16-32
-# million with p past RECURRENCE_MAX_P (the sine quotient), 3.1-6.2 s, and
-# 21-51 million with p <= 32, whose recurrence takes p - 2 steps per factor:
-# 2-2.3 s at p = 2, 4.7 s at p = 32
+# counted as at least one, as a sum point by point would do them: the digit
+# tree evaluates fewer, so the bound refuses the same inputs as that sum and
+# caps qcheck's time.  The rates measured at the bound are in the README's
+# resource-bound bullet on qcheck, from scripts/qcheck_rates.py
 QCHECK_WORK_BOUND = 10**8
 
 # partner sets oracle-search may hold when --cap is not given; (6,6,5) has
@@ -332,8 +329,6 @@ def cmd_sample_ft(config, word, rewrite, args) -> int:
     if rows > DEFAULT_ATOM_CAP:
         raise measure.AtomCapExceeded(
             f"sample-ft needs {rows} rows; cap is {DEFAULT_ATOM_CAP}")
-    if args.depth < 1:
-        raise ConfigError(f"--depth must be >= 1, got {args.depth}")
     xs = np.arange(rows) / args.grid
     # near-equal blocks, none of one row unless rows is 1: numpy multiplies
     # a one-element array on its scalar path, which rounds differently
@@ -385,6 +380,8 @@ def cmd_oracle_search(config, word, rewrite, args) -> int:
 
 
 def cmd_necessity(config, word, rewrite, args) -> int:
+    # its own depth check, not stage_walk's: necessity reads letters only, and
+    # at the 10**6-stage cap a stage walk would form 10**6 growing base products
     if args.depth < 0:
         raise ConfigError(f"--depth must be >= 0, got {args.depth}")
     if args.depth > DEFAULT_ATOM_CAP:

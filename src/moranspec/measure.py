@@ -608,16 +608,15 @@ def mu_hat_eval(config: SystemConfig, word: SymbolicWord, x: float,
 
     Each omitted factor satisfies |m(y) - 1| <= pi*(p-1)*|t|*|y| and the base
     products at least double per stage, so the tail is bounded by the
-    geometric sum pi * max((p-1)|t|) * |x| / |b_1...b_depth|.  Rounding:
+    geometric sum pi * max((p-1)|t|) * |x| / |b_1...b_depth|, with
+    b_1...b_0 = 1 at depth 0, where the value is 1.  Rounding:
     the amplitude is within sum_n (e_n + 2**-53) of the product of D_{p_n} at
     the float stage arguments (each within 3 ulp of t_n x / B_n), e_n being
     dirichlet_amplitude's bound, and the phase angle pi H x is within
     (depth + 3) 2**-53 pi |x| sum_n (p_n - 1)|t_n| / |B_n| of the exact one.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     val = complex(mu_hat_many(config, word, np.array([x]), depth)[0])
-    *_, (_, base) = stage_walk(config, word, depth)
+    *_, (_, base) = [(None, 1), *stage_walk(config, word, depth)]
     m_max = max((pr.p - 1) * abs(pr.t) for pr in config.pairs)
     try:
         err = math.pi * m_max * abs(x) / abs(float(base))

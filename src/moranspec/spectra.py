@@ -178,29 +178,31 @@ def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word:
                        k: int) -> Optional[tuple[np.ndarray, np.ndarray, None]]:
     """Distinct positive differences and pair counts of a compatible depth-k tower translate.
 
-    None unless the candidate is an integer translate of the depth-k tower
-    (the sumset of tower_stages' progressions) and mask_zero_hit finds every
-    stage's differences step*j, j = 1..p-1, over b_1...b_n in the stage's
-    zero set.  Then every difference of the candidate is orthogonal: one
-    whose digits first differ at stage n is step*j plus a multiple of
-    b_1...b_n, which leaves stage n's zero test unchanged, so no walk is left
-    to test (the third entry is None).  The ordered differences are the sums
-    over the stages of step*j, each counted prod (p - |j|) times for
-    |j| < p, so sorting and merging those sums gives the distinct
-    differences with their pair counts, as the difference table does,
-    without the N(N-1)/2 table.
+    None unless the candidate is a translate of the depth-k tower (the sumset
+    of tower_stages' progressions) by any rational, that is, its numerators
+    over den are the sumset of the progressions den*step*{0, ..., p-1} plus
+    one integer, and mask_zero_hit finds every stage's differences step*j,
+    j = 1..p-1, over b_1...b_n in the stage's zero set.  Then every
+    difference of the candidate is orthogonal: one whose digits first differ
+    at stage n is step*j plus a multiple of b_1...b_n, which leaves stage
+    n's zero test unchanged, so no walk is left to test (the third entry is
+    None).  The ordered differences are the sums over the stages of
+    den*step*j, each counted prod (p - |j|) times for |j| < p, so sorting
+    and merging those sums gives the distinct differences over den with
+    their pair counts, as the difference table does, without the N(N-1)/2
+    table.
     """
-    nums = candidate.nums
-    if candidate.den != 1 or not nums:
+    nums, den = candidate.nums, candidate.den
+    if not nums:
         return None
     try:
         stages = tower_stages(config, word, k, len(nums))
     except ValueError:  # a stage with no partner, or more tower points than the candidate's
         return None
-    if sum((pr.p - 1) * abs(step) for pr, step, _ in stages) != nums[-1] - nums[0]:
+    if sum((pr.p - 1) * abs(step) * den for pr, step, _ in stages) != nums[-1] - nums[0]:
         return None  # an equal span also keeps every sum below within the _offsets width
     _, arr = _offsets(nums, [pr for pr, _, _ in stages])
-    pts = sumset([(pr.p, step) for pr, step, _ in stages])
+    pts = sumset([(pr.p, step * den) for pr, step, _ in stages])
     if not np.array_equal(pts - pts[0], arr):
         return None
     # every stage's differences step*j, j = 1..p-1, over b_1...b_n, in one call
@@ -215,7 +217,7 @@ def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word:
     diffs, counts = np.zeros(1, dtype=arr.dtype), np.ones(1, dtype=np.int64)
     for pr, step, _ in stages:
         j = np.arange(1 - pr.p, pr.p)
-        diffs = np.add.outer(j.astype(arr.dtype) * abs(step), diffs).ravel()
+        diffs = np.add.outer(j.astype(arr.dtype) * abs(step) * den, diffs).ravel()
         counts = np.multiply.outer(pr.p - np.abs(j), counts).ravel()
     keep = diffs > 0
     diffs, counts = diffs[keep], counts[keep]
@@ -282,16 +284,17 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
     (a factor of the truncated transform vanishes); D/L, D an integer over
     the candidate's denominator L, lands in stage n's when mask_zero_hit
     holds for D over L*b_1...b_n.  Completeness: the candidate size must
-    equal the atom count.  An integer translate of the depth-k tower is
-    checked stage by stage (_tower_differences): p - 1 differences per
-    stage prove orthogonality, and the distinct differences with their pair
-    counts come from the stages, not from the points.  Every other
-    candidate, and a tower with an incompatible stage, goes through every
-    difference (_pairwise_differences), whose stage walk the scan tests for
-    the least positive offender.  Either way one loop (_difference_scan)
-    sums the numeric residual over the same distinct differences in the
-    same blocks, so both paths give the same bits.  Past VERIFY_ATOM_BOUND
-    points or atoms, raises AtomCapExceeded before allocating anything.
+    equal the atom count.  A translate of the depth-k tower, over any
+    denominator, is checked stage by stage (_tower_differences): p - 1
+    differences per stage prove orthogonality, and the distinct differences
+    with their pair counts come from the stages, not from the points.  Every
+    other candidate, and a tower with an incompatible stage, goes through
+    every difference (_pairwise_differences), whose stage walk the scan
+    tests for the least positive offender.  Either way one loop
+    (_difference_scan) sums the numeric residual over the same distinct
+    differences in the same blocks, so both paths give the same bits.  Past
+    VERIFY_ATOM_BOUND points or atoms, raises AtomCapExceeded before
+    allocating anything.
     """
     size = max(len(candidate.nums), len(measure.nums))
     if size > VERIFY_ATOM_BOUND:

@@ -868,13 +868,24 @@ def test_sample_ft_with_a_million_digits_finishes_quickly(tmp_path):
     assert max(mag for *_, mag in rows) <= 1 + 1e-12
 
 
-def test_sample_ft_depth_below_one_exits_2(quarter_config, tmp_path, capsys):
+def test_sample_ft_depth_below_zero_exits_2(quarter_config, tmp_path, capsys):
+    # refused by stage_walk while the largest block is evaluated, before --out opens
     out_path = tmp_path / "ft.csv"
-    code = main(["sample-ft", "--config", quarter_config, "--depth", "0",
+    code = main(["sample-ft", "--config", quarter_config, "--depth", "-1",
                  "--out", str(out_path)])
     assert code == 2
-    assert "--depth" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error=depth k must be >= 0")
     assert not out_path.exists()
+
+
+def test_sample_ft_at_depth_zero_writes_the_empty_product(quarter_config, tmp_path, capsys):
+    out_path = tmp_path / "ft.csv"
+    code, out = run(capsys, ["sample-ft", "--config", quarter_config, "--depth", "0",
+                             "--grid", "4", "--window", "2", "--out", str(out_path)])
+    assert code == 0 and "rows=9" in out
+    # mu_hat at depth 0 is the empty product: every row is x,1,0,1
+    assert [row[0] for row in read_rows(out_path)] == [i / 4 for i in range(9)]
+    assert all(line.endswith(",1,0,1") for line in out_path.read_text().splitlines()[1:])
 
 
 def test_verify_at_the_atom_bound_stays_small(quarter_config):
@@ -883,6 +894,22 @@ def test_verify_at_the_atom_bound_stays_small(quarter_config):
     report, peak = peak_rss_kb("from moranspec.cli import main; "
                                f"main(['verify', '--config', {quarter_config!r}, '--depth', '12'])")
     assert report == ["ok=true", "unitarity_residual=5.8698555113523209e-12"]
+    assert peak < 80 * 1024
+
+
+def test_verify_of_a_tower_translated_by_a_third_stays_small():
+    # the same tower over 3 took the N(N-1)/2 pairwise table, about 108 MB; as a
+    # translate it takes the tower path, with the integer tower's differences
+    report, peak = peak_rss_kb(
+        "from moranspec.measure import SymbolicWord, SystemConfig, truncate; "
+        "from moranspec.spectra import SpectrumCandidate, build_tower_spectrum, "
+        "verify_spectrum_finite; "
+        "cfg, word = SystemConfig.of((4, 2, 1)), SymbolicWord.constant(1); "
+        "cand = build_tower_spectrum(cfg, word, 12); "
+        "third = SpectrumCandidate(nums=tuple(3 * x + 1 for x in cand.nums), den=3); "
+        "ver = verify_spectrum_finite(truncate(cfg, word, 12), third, cfg, word, 12); "
+        "print(len(third), ver.ok, repr(ver.unitarity_residual))")
+    assert report == ["4096 True 5.869855511352321e-12"]
     assert peak < 80 * 1024
 
 

@@ -513,6 +513,17 @@ def test_mu_hat_tail_bound_dominates_truncation_error():
         assert abs(val - deep) <= err + 1e-12
 
 
+def test_mu_hat_eval_at_depth_zero_is_one_with_the_whole_tail_as_its_bound():
+    # B_0 = 1, so the bound is pi * max((p - 1)|t|) * |x|, and it covers every factor
+    x = 0.7
+    val, err = mu_hat_eval(QUARTER, ONES, x, 0)
+    assert (val, err) == (1, math.pi * x)
+    deep, _ = mu_hat_eval(QUARTER, ONES, x, 40)
+    assert abs(val - deep) <= err
+    signed = SystemConfig.of((-6, 3, 5), (4, 2, -3))
+    assert mu_hat_eval(signed, SymbolicWord((1,), (2,)), -1.5, 0) == (1, math.pi * 10 * 1.5)
+
+
 UNIT = 2.0 ** -53  # unit roundoff of a float
 P = RECURRENCE_MAX_P
 # both sides of the recurrence/quotient branch, odd and even p

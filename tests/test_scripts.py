@@ -83,3 +83,18 @@ def test_qcheck_rates_times_one_small_tower():
     # the largest grid within the work: 200,000 // (3**2 * 2)
     assert [row[:4] for row in rows] == [["3", "2", "11111", "199998"]] * 2
     assert all(float(row[4]) < 30 for row in rows)
+
+
+def test_verify_paths_prints_one_row_per_case():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "verify_paths.py"),
+                           "--letter", "4,2,1", "--depth", "4"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    header, *rows = [line.split() for line in done.stdout.splitlines()]
+    assert header == ["case", "points", "path", "ok", "seconds", "peak_rss_mb"]
+    # the translate by 1/3 takes the tower path; the moved point is no tower
+    assert [row[:4] for row in rows] == [["tower", "16", "tower", "true"],
+                                         ["third", "16", "tower", "true"],
+                                         ["moved", "16", "pairwise", "false"]]
+    assert all(float(row[4]) < 30 and 0 < float(row[5]) < 1024 for row in rows)

@@ -286,8 +286,8 @@ def test_the_tower_is_the_reference_sumset_at_either_width(data):
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_the_tower_path_and_the_pairwise_path_agree(data):
-    # towers and their integer translates take the tower path; rational
-    # translates, other denominators, moved towers and non-canonical towers
+    # towers and their translates, integer or rational, take the tower path;
+    # a tower over another denominator, moved towers and non-canonical towers
     # fall back to every pair
     pairs = data.draw(st.lists(admissible_letters(st.integers(1, 3), st.integers(1, 7)),
                                min_size=1, max_size=3))
@@ -300,7 +300,8 @@ def test_the_tower_path_and_the_pairwise_path_agree(data):
     meas = truncate(cfg, word, depth)
     shift = F(rng.randint(-10**6, 10**6), rng.choice((1, 1, 2, 5)))
     cases = [cand, SpectrumCandidate.finite(x + shift for x in cand.points),
-             # the numerators of a tower translate, but over 3: (lambda + 1)/3
+             # the numerators of a tower translate, but over 3: (lambda + 1)/3, the
+             # tower scaled by 1/3 and not a translate of it
              SpectrumCandidate(nums=tuple(x + 1 for x in cand.nums), den=3)] + moved(cand, rng, 1)
     if depth:
         cases.append(shifted_partner_tower(cfg, word, depth, rng.randint(1, depth),
@@ -335,7 +336,9 @@ def test_verify_checks_a_tower_stage_by_stage(monkeypatch):
         cand = build_tower_spectrum(cfg, word, depth)
         meas = truncate(cfg, word, depth)
         far = SpectrumCandidate(nums=tuple(x - 3 * 10**9 for x in cand.nums))
-        for c in (cand, far):
+        # the tower translated by 1/3: its numerators over 3 are 3 lambda + 1
+        third = SpectrumCandidate(nums=tuple(3 * x + 1 for x in cand.nums), den=3)
+        for c in (cand, far, third):
             seen.clear()
             assert verify_spectrum_finite(meas, c, cfg, word, depth).ok
             assert 0 < sum(seen) <= sum(pr.p - 1 for pr, _ in stage_walk(cfg, word, depth))
@@ -394,8 +397,10 @@ def test_verify_verdicts_do_not_depend_on_the_integer_width(monkeypatch):
     for prefix in ((1, 2, 3), (3, 1, 2), (2, 2, 1)):
         word = SymbolicWord(prefix[:-1], (prefix[-1],))
         cand = build_tower_spectrum(signed, word, 3)
+        # a rational translate runs the tower path's steps scaled by its denominator
+        sevenths = SpectrumCandidate.finite(x + F(5, 7) for x in cand.points)
         cases += [(truncate(signed, word, 3), c, signed, word, 3)
-                  for c in [cand] + moved(cand, rng, 3)]
+                  for c in [cand, sevenths] + moved(cand, rng, 3)]
     tails = SystemConfig.of((12, 2, 1), (12, 3, 4))
     word = SymbolicWord((1,), (2,))
     dec = decompose_spectrum(build_tower_spectrum(tails, word, 3), 12,
