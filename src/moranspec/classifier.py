@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 from typing import Optional, Sequence
 
 from .exactmath import RationalLike
-from .measure import StagePair, SymbolicWord, SystemConfig, first_nonzero
+from .measure import MU_HAT_BLOCK, StagePair, SymbolicWord, SystemConfig, zero_flags
 from .tiling import TileDecision, tile_decide
 
 SPECTRAL = "Spectral"
@@ -232,20 +231,27 @@ def integral_zero_set_probe(config: SystemConfig, word: SymbolicWord,
 
     A witness certifies xi is outside the integral periodic zero set; an
     exhausted window is inconclusive (every scanned translate was an exact
-    zero).  Scans outward from k = 0 (in the order 0, 1, -1, 2, -2, ...)
-    so the smallest witness is returned; the translates go to one
-    first_nonzero scan as numerators over xi's denominator, built as the
-    scan asks for them.
+    zero).  The smallest witness is returned, k before -k: k = 0 is sieved
+    alone, then the translates xi + k and xi - k as zero_flags progressions
+    of numerators over xi's denominator, MU_HAT_BLOCK of each at a time,
+    nearest block first (most probes stop at k = 0).
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     xi = Fraction(xi)
     num, den = xi.numerator, xi.denominator
-    ks = chain((0,), chain.from_iterable((k, -k) for k in range(1, window + 1)))
-    hit = first_nonzero(config, word, (num + k * den for k in ks), den)
-    if hit is None:
-        return ZeroSetProbe(xi, window, None)
-    return ZeroSetProbe(xi, window, (hit + 1) // 2 if hit % 2 else -(hit // 2))
+    if not zero_flags(config, word, num, den, 1, den)[0]:
+        return ZeroSetProbe(xi, window, 0)
+    for lo in range(1, window + 1, MU_HAT_BLOCK):
+        size = min(MU_HAT_BLOCK, window + 1 - lo)
+        # interleaved, the flags of lo, -lo, lo + 1, ... read in witness order
+        flags = bytearray(2 * size)
+        flags[::2] = zero_flags(config, word, num + lo * den, den, size, den)
+        flags[1::2] = zero_flags(config, word, num - lo * den, -den, size, den)
+        hit = flags.find(0)
+        if hit >= 0:
+            return ZeroSetProbe(xi, window, -(lo + hit // 2) if hit % 2 else lo + hit // 2)
+    return ZeroSetProbe(xi, window, None)
 
 
 def alternating_family_decide(p1: int, p2: int, odd_b: Sequence[int],

@@ -44,9 +44,10 @@ QCHECK_WORK_BOUND = 10**8
 # more, and stopping one past the bound takes about 0.2 s and 10 MB
 ORACLE_SET_BOUND = 100_000
 
-# largest search window zeros and oracle-search accept: a zeros probe tests
-# at most 2 * WINDOW_BOUND + 1 translates, oracle-search scans WINDOW_BOUND
-# candidate differences
+# largest search window zeros and oracle-search accept: a zeros probe sieves
+# at most 2 * WINDOW_BOUND + 1 translates, MU_HAT_BLOCK a side at a time
+# (about 0.03 s per probe at the bound, two-core Xeon), oracle-search scans
+# WINDOW_BOUND candidate differences
 WINDOW_BOUND = 10**6
 
 # most stage pairs a config (or its rewrite block) may list; an alphabet of m

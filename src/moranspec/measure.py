@@ -459,51 +459,81 @@ def mask_zero_hit(p: int, t: int, num: int | np.ndarray, den: int) -> bool | np.
     return (x % den == 0) & (x // den % p != 0)
 
 
+def mask_zero_moduli(p: int, t: int, den: int) -> tuple[int, int]:
+    """The moduli (Q, P) with num/den in (Z \\ pZ)/(p*t) iff Q | num and P does not divide num.
+
+    num/den hits iff den divides num*p*t with a quotient not divisible by p
+    (mask_zero_hit).  With g = gcd(p*t, |den|), |den|/g and p*t/g are
+    coprime, so den divides num*p*t iff Q = |den|/g divides num.  The
+    quotient is then +-(num/Q)*(p*t/g), divisible by p iff p/gcd(p*t/g, p)
+    divides num/Q, that is iff P = Q*p/gcd(p*t/g, p) divides num.  Q | P,
+    and P = Q means the stage never hits.  den must be nonzero.
+    """
+    g = math.gcd(p * t, den)
+    q = abs(den) // g
+    return q, q * abs(p) // math.gcd(p * t // g, p)
+
+
 def mask_zero_contains(p: int, t: int, x: RationalLike) -> bool:
     """Exact membership of x in the mask zero set (Z \\ pZ)/(p*t)."""
     x = Fraction(x)
     return mask_zero_hit(p, t, x.numerator, x.denominator)
 
 
-def first_nonzero(config: SystemConfig, word: SymbolicWord, nums: Iterable[int],
-                  den: int) -> Optional[int]:
-    """Position in nums of the first num/den that is not a zero of the full transform.
+def progression_class(start: int, step: int, m: int) -> Optional[tuple[int, int]]:
+    """(k0, m') with m | start + k*step iff k = k0 mod m', or None when no k solves it."""
+    g = math.gcd(step, m)
+    if start % g:
+        return None
+    m //= g
+    return -(start // g) * pow(step // g, -1, m) % m, m
 
-    None when every num/den is a zero (nums must then be finite).  x is a
-    zero iff x/(b_1...b_k) hits some stage mask zero set; the scan of one x
-    stops once |x/(b_1...b_k)| drops below the smallest nonzero magnitude
-    min 1/(p|t|) over the whole alphabet, so 0 is never a zero.  The stages
-    are walked once: (p, t, den*b_1...b_k, den*|b_1...b_k|) is kept for
-    every stage reached so far and shared by all later numerators, which
-    nums may yield lazily.  den must be positive: scaled by den <= 0, the
-    reach bound is never passed and the scan would not end.
+
+def zero_flags(config: SystemConfig, word: SymbolicWord, start: int, step: int,
+               count: int, den: int) -> bytearray:
+    """Entry k is 1 iff (start + k*step)/den, k < count, is a zero of the full transform.
+
+    x is a zero iff x/(b_1...b_n) hits some stage n's mask zero set, whose
+    nonzero points have |y| >= 1/(p|t|) >= 1/reach, reach = max p|t| over
+    the alphabet: a hit has den*|b_1...b_n| <= |num|*reach, so 0 is never
+    a zero and the stages are walked only while that bound holds for the
+    largest |num|, or until every entry is a zero.  A sieve, one solve per
+    stage: mask_zero_moduli turns a hit into Q | num and P not dividing
+    num, whose k are one class mod Q/gcd(step, Q) minus a subclass mod
+    P/gcd(step, P), each found by one modular inverse.  The class is marked
+    by one slice assignment and the subclass's earlier flags put back.  den
+    must be positive, as the bound is scaled by it, and step nonzero.
     """
     if den <= 0:
         raise ValueError(f"den must be positive, got den={den}")
+    if step == 0:
+        raise ValueError("step must be nonzero")
+    flags = bytearray(count)
     reach = max(pr.p * abs(pr.t) for pr in config.pairs)
-    stages = stage_walk(config, word)
-    walk: list[tuple[int, int, int, int]] = []
-    for i, num in enumerate(nums):
-        size = abs(num) * reach
-        n = 0
-        while True:
-            if n == len(walk):
-                pr, base = next(stages)
-                walk.append((pr.p, pr.t, den * base, den * abs(base)))
-            p, t, scaled, mag = walk[n]
-            if size < mag:
-                return i
-            if mask_zero_hit(p, t, num, scaled):
-                break
-            n += 1
-    return None
+    top = max(abs(start), abs(start + (count - 1) * step)) * reach
+    for pr, base in stage_walk(config, word):
+        mag = den * abs(base)
+        if mag > top:
+            break
+        q, p = mask_zero_moduli(pr.p, pr.t, mag)
+        hit = progression_class(start, step, q) if p != q else None
+        if hit is None:
+            continue
+        miss = progression_class(start, step, p)
+        kept = slice(miss[0], count, miss[1]) if miss else slice(0)
+        old = flags[kept]
+        flags[hit[0]:count:hit[1]] = b"\x01" * len(range(hit[0], count, hit[1]))
+        flags[kept] = old
+        if 0 not in flags:
+            break
+    return flags
 
 
 def zero_set_contains(config: SystemConfig, word: SymbolicWord,
                       x: RationalLike) -> bool:
     """Exact membership of x in the zero set of the full Fourier transform."""
     x = Fraction(x)
-    return first_nonzero(config, word, (x.numerator,), x.denominator) is None
+    return zero_flags(config, word, x.numerator, x.denominator, 1, x.denominator)[0] == 1
 
 
 def chebyshev_amplitude(p: int, c: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moranspec import classifier
 from moranspec.classifier import (CLAUSE_DIVISIBILITY, CLAUSE_TAIL_EXCEPTION,
                                   CLAUSE_HYPOTHESIS, NOT_SPECTRAL, OUT_OF_SCOPE,
                                   SPECTRAL, SpectralVerdict, ZeroSetStatus,
@@ -18,7 +19,8 @@ from moranspec.classifier import (CLAUSE_DIVISIBILITY, CLAUSE_TAIL_EXCEPTION,
                                   necessity_violations, two_stage_decide,
                                   validate_config)
 from moranspec.hadamard import is_admissible
-from moranspec.measure import StagePair, SymbolicWord, SystemConfig, scale_digits, truncate
+from moranspec.measure import (StagePair, SymbolicWord, SystemConfig, scale_digits, truncate,
+                               zero_flags)
 
 from test_exactmath import SRC
 from test_measure import fraction_zero, word_positions, words_over
@@ -253,9 +255,34 @@ def test_probe_matches_the_per_translate_walk(letters, data):
         with pytest.raises(ValueError):
             integral_zero_set_probe(cfg, word, xi, window)
         return
-    probe = integral_zero_set_probe(cfg, word, xi, window)
-    assert (probe.xi, probe.window) == (xi, window)
-    assert probe.witness == per_translate_probe(cfg, word, xi, window)
+    expected = per_translate_probe(cfg, word, xi, window)
+    # blocks of 1 and 7 translates put witnesses on both sides of a block edge
+    for block in (classifier.MU_HAT_BLOCK, 1, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classifier, "MU_HAT_BLOCK", block)
+            probe = integral_zero_set_probe(cfg, word, xi, window)
+        assert (probe.xi, probe.window) == (xi, window)
+        assert probe.witness == expected, block
+
+
+def test_probe_sieves_past_zero_only_without_a_witness_there(monkeypatch):
+    # the probe sieves k = 0 alone: a witness there ends it after one
+    # single-translate block; 2/3 + Z, all zeros of (2,2,3)^oo, takes the
+    # block on each side as well
+    narrow = SystemConfig.of((2, 2, 3))
+    ones = SymbolicWord.constant(1)
+    calls = []
+
+    def spy(config, word, start, step, count, den):
+        calls.append((start, step, count, den))
+        return zero_flags(config, word, start, step, count, den)
+
+    monkeypatch.setattr(classifier, "zero_flags", spy)
+    assert integral_zero_set_probe(narrow, ones, F(2, 3), 200).witness is None
+    assert calls == [(2, 3, 1, 3), (5, 3, 200, 3), (-1, -3, 200, 3)]
+    calls.clear()
+    assert integral_zero_set_probe(narrow, ones, 0, 200).witness == 0
+    assert calls == [(0, 1, 1, 1)]
 
 
 def test_probe_witnesses_on_the_unit_interval():

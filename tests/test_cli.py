@@ -342,6 +342,17 @@ def test_zeros(tmp_path, capsys):
     assert "probe.0.xi=1/3" in out and "probe.0.witness=none" in out
 
 
+def test_zeros_sieves_the_whole_window_bound_at_once(tmp_path, capsys):
+    # 1/7 + Z is all zeros of (2,2,7)^oo, so the probe exhausts its 2 * 10**6 + 1
+    # translates; a stage walk per translate took about 1.4 s (two-core Xeon)
+    cfg = write_config(tmp_path, "seven.json", {"pairs": [{"b": 2, "p": 2, "t": 7}],
+                                                "word": {"period": [1]}})
+    started = time.perf_counter()
+    code, out = run(capsys, ["zeros", "--config", cfg, "--window", str(WINDOW_BOUND)])
+    assert time.perf_counter() - started < 0.5
+    assert code == 0 and "probe.0.xi=1/7" in out and "probe.0.witness=none" in out
+
+
 @pytest.mark.parametrize("command,extra", [("zeros", []), ("oracle-search", ["--cap", "4"])])
 def test_window_past_the_bound_exits_2(mixed_config, command, extra, capsys):
     code = main([command, "--config", mixed_config, "--window", str(WINDOW_BOUND + 1), *extra])

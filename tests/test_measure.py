@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from moranspec.cli import load_config
 from moranspec.measure import (INT64_SPAN, RECURRENCE_MAX_P, SUMSET_BIT_BOUND, AtomCapExceeded,
                                DiscreteMeasure, StagePair, SymbolicWord, SystemConfig, WordFacts,
-                               dirichlet_amplitude, first_nonzero, float_quotients,
-                               mask_zero_contains, mu_hat_amplitude, mu_hat_eval, mu_hat_many,
-                               normalize_signs, scale_digits, stage_walk, sumset, support_hull,
-                               truncate, zero_set_contains)
+                               dirichlet_amplitude, float_quotients, mask_zero_contains,
+                               mask_zero_hit, mask_zero_moduli, mu_hat_amplitude, mu_hat_eval,
+                               mu_hat_many, normalize_signs, scale_digits, stage_walk, sumset,
+                               support_hull, truncate, zero_flags, zero_set_contains)
 from moranspec.spectra import (SpectrumCandidate, build_tower_spectrum, q_function,
                                verify_spectrum_finite)
 
@@ -438,53 +438,78 @@ def fraction_zero(config, word, x):
             return True
 
 
+SIGNED_LETTERS = st.lists(st.tuples(st.integers(2, 12), st.integers(2, 5), st.integers(1, 7),
+                                     st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+                           min_size=1, max_size=3)
+
+
+def signed_config(letters):
+    return SystemConfig.of(*[(sb * b, p, st_ * t) for b, p, t, sb, st_ in letters])
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.integers(2, 12), st.integers(2, 5), st.integers(1, 7),
-                          st.sampled_from((1, -1)), st.sampled_from((1, -1))),
-                min_size=1, max_size=3),
-       st.data())
+@given(SIGNED_LETTERS, st.data())
 def test_zero_scan_matches_the_fraction_walk(letters, data):
-    cfg = SystemConfig.of(*[(sb * b, p, st_ * t) for b, p, t, sb, st_ in letters])
+    cfg = signed_config(letters)
     word = data.draw(words_over(cfg.m))
     den = data.draw(st.one_of(st.integers(1, 60), st.integers(1, 10**30)))
     nums = data.draw(st.lists(st.integers(-400, 400), min_size=1, max_size=30))
     zeros = [fraction_zero(cfg, word, F(n, den)) for n in nums]
     assert [zero_set_contains(cfg, word, F(n, den)) for n in nums] == zeros
     # numerators need not be in lowest terms over den
-    first = zeros.index(False) if False in zeros else None
-    assert first_nonzero(cfg, word, nums, den) == first
-    assert first_nonzero(cfg, word, iter(nums), den) == first
+    assert [zero_flags(cfg, word, n, 1, 1, den)[0] for n in nums] == zeros
 
 
-def test_first_nonzero_reads_only_as_far_as_it_needs():
-    # 2/3 + Z are zeros of (2,2,3)^oo and 0 is not: a lazy, endless source
-    # of numerators over 3 is read up to the first non-zero
-    narrow = SystemConfig.of((2, 2, 3))
-    read = []
-
-    def numerators():
-        for k in count():
-            read.append(k)
-            yield 2 + 3 * k if k < 5 else 0
-
-    assert first_nonzero(narrow, ONES, numerators(), 3) == 5
-    assert read == [0, 1, 2, 3, 4, 5]
-    assert first_nonzero(narrow, ONES, [], 3) is None
-    assert first_nonzero(narrow, ONES, [2, -1, 5], 3) is None
+# integers small, past 2**63 and far past it
+WIDE_INTS = st.integers(-10**4, 10**4) | st.integers(-2**70, 2**70) | st.integers(-2**200, 2**200)
 
 
-def test_first_nonzero_refuses_a_denominator_below_one():
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 40) | st.integers(-40, -2), WIDE_INTS.filter(bool), WIDE_INTS.filter(bool),
+       st.data())
+def test_mask_zero_moduli_match_the_hit_kernel(p, t, den, data):
+    q, big = mask_zero_moduli(p, t, den)
+    assert q > 0 and big % q == 0
+    # a random numerator, or a multiple of Q, which hits unless P divides it
+    num = data.draw(WIDE_INTS | st.builds(lambda j: j * q, WIDE_INTS))
+    assert (num % q == 0 and num % big != 0) == mask_zero_hit(p, t, num, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SIGNED_LETTERS, st.data())
+def test_zero_flags_match_the_fraction_walk_entry_by_entry(letters, data):
+    cfg = signed_config(letters)
+    word = data.draw(words_over(cfg.m))
+    den = data.draw(st.one_of(st.integers(1, 60), st.integers(1, 10**30)))
+    step = data.draw(st.one_of(st.sampled_from((den, -den)), st.integers(-50, 50).filter(bool),
+                               st.integers(-10**20, 10**20).filter(bool)))
+    size = data.draw(st.integers(0, 300))
+    reach = max(pr.p * abs(pr.t) for pr in cfg.pairs)
+    bases = [abs(base) for _, base in stage_walk(cfg, word, 8)]
+    # a start that crosses 0 at entry j, or whose |num| straddles stage n's reach cutoff there
+    start = data.draw(st.one_of(
+        st.integers(-400, 400),
+        st.integers(-10**32, 10**32),
+        st.builds(lambda j, r: r - j * step, st.integers(0, size), st.integers(-3, 3)),
+        st.builds(lambda base, j, r, s: s * -(-den * base // reach) - j * step + r,
+                  st.sampled_from(bases), st.integers(0, size), st.integers(-3, 3),
+                  st.sampled_from((1, -1)))))
+    flags = zero_flags(cfg, word, start, step, size, den)
+    assert list(flags) == [fraction_zero(cfg, word, F(start + k * step, den)) for k in range(size)]
+
+
+def test_zero_flags_refuse_a_denominator_below_one_and_a_zero_step():
     # scaled by den <= 0 the reach bound is never passed, and den < 0 once
     # scanned forever, its stage list growing by hundreds of MB a second; the
     # child runs under a timeout and a 1 GiB address-space limit, so a hang
     # fails here instead of stalling the suite or exhausting memory
     code = ("import resource\n"
             "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
-            "from moranspec.measure import SymbolicWord, SystemConfig, first_nonzero\n"
+            "from moranspec.measure import SymbolicWord, SystemConfig, zero_flags\n"
             "cfg, word = SystemConfig.of((4, 2, 1)), SymbolicWord.constant(1)\n"
-            "for nums, den in (([0], -1), ([3], -1), ([1], 0)):\n"
+            "for start, step, den in ((0, 1, -1), (3, 1, -1), (1, 1, 0), (1, 0, 1), (3, 0, 2)):\n"
             "    try:\n"
-            "        first_nonzero(cfg, word, nums, den)\n"
+            "        zero_flags(cfg, word, start, step, 4, den)\n"
             "    except ValueError as exc:\n"
             "        print(exc)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -492,7 +517,7 @@ def test_first_nonzero_refuses_a_denominator_below_one():
                           timeout=10, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["den must be positive, got den=-1"] * 2 + [
-        "den must be positive, got den=0"]
+        "den must be positive, got den=0"] + ["step must be nonzero"] * 2
 
 
 def test_mu_hat_examples():

@@ -98,3 +98,16 @@ def test_verify_paths_prints_one_row_per_case():
                                          ["third", "16", "tower", "true"],
                                          ["moved", "16", "pairwise", "false"]]
     assert all(float(row[4]) < 30 and 0 < float(row[5]) < 1024 for row in rows)
+
+
+def test_probe_rates_prints_one_row_per_word_and_window():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "probe_rates.py"),
+                           "--window", "200", "--repeat", "2"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    header, *rows = [line.split() for line in done.stdout.splitlines()]
+    assert header == ["word", "xi", "window", "witness", "seconds", "translates_per_s"]
+    assert [row[:4] for row in rows] == [["witness", "1/3", "200", "0"],
+                                         ["none", "1/3", "200", "none"]]
+    assert all(0 < float(row[4]) < 30 for row in rows)
