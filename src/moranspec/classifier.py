@@ -23,7 +23,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .exactmath import RationalLike
-from .measure import MU_HAT_BLOCK, StagePair, SymbolicWord, SystemConfig, zero_flags
+from .measure import StagePair, SymbolicWord, SystemConfig, zero_flags
 from .tiling import TileDecision, tile_decide
 
 SPECTRAL = "Spectral"
@@ -232,9 +232,9 @@ def integral_zero_set_probe(config: SystemConfig, word: SymbolicWord,
     A witness certifies xi is outside the integral periodic zero set; an
     exhausted window is inconclusive (every scanned translate was an exact
     zero).  The smallest witness is returned, k before -k: k = 0 is sieved
-    alone, then the translates xi + k and xi - k as zero_flags progressions
-    of numerators over xi's denominator, MU_HAT_BLOCK of each at a time,
-    nearest block first (most probes stop at k = 0).
+    alone (most probes stop there), then the numerators of xi - window ...
+    xi + window over xi's denominator in one zero_flags progression, whose
+    nearest 0 on each side of xi is found by bytearray find and rfind.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -242,16 +242,10 @@ def integral_zero_set_probe(config: SystemConfig, word: SymbolicWord,
     num, den = xi.numerator, xi.denominator
     if not zero_flags(config, word, num, den, 1, den)[0]:
         return ZeroSetProbe(xi, window, 0)
-    for lo in range(1, window + 1, MU_HAT_BLOCK):
-        size = min(MU_HAT_BLOCK, window + 1 - lo)
-        # interleaved, the flags of lo, -lo, lo + 1, ... read in witness order
-        flags = bytearray(2 * size)
-        flags[::2] = zero_flags(config, word, num + lo * den, den, size, den)
-        flags[1::2] = zero_flags(config, word, num - lo * den, -den, size, den)
-        hit = flags.find(0)
-        if hit >= 0:
-            return ZeroSetProbe(xi, window, -(lo + hit // 2) if hit % 2 else lo + hit // 2)
-    return ZeroSetProbe(xi, window, None)
+    flags = zero_flags(config, word, num - window * den, den, 2 * window + 1, den)
+    # entry window is xi itself; min keeps the first of equal |k|, so k before -k
+    hits = [i - window for i in (flags.find(0, window + 1), flags.rfind(0, 0, window)) if i >= 0]
+    return ZeroSetProbe(xi, window, min(hits, key=abs, default=None))
 
 
 def alternating_family_decide(p1: int, p2: int, odd_b: Sequence[int],

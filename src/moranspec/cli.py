@@ -45,8 +45,8 @@ QCHECK_WORK_BOUND = 10**8
 ORACLE_SET_BOUND = 100_000
 
 # largest search window zeros and oracle-search accept: a zeros probe sieves
-# at most 2 * WINDOW_BOUND + 1 translates, MU_HAT_BLOCK a side at a time
-# (about 0.03 s per probe at the bound, two-core Xeon), oracle-search scans
+# at most 2 * WINDOW_BOUND + 1 translates, k = 0 and then all in one call
+# (about 0.01 s per probe at the bound, two-core Xeon), oracle-search scans
 # WINDOW_BOUND candidate differences
 WINDOW_BOUND = 10**6
 

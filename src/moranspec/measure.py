@@ -451,9 +451,8 @@ def mask_zero_hit(p: int, t: int, num: int | np.ndarray, den: int) -> bool | np.
     Holds iff den divides num*p*t with a quotient not divisible by p; pure
     integer arithmetic, so a scan can pass x/(b_1...b_n) as x's numerator
     over x's denominator times the base product.  num is a Python int
-    (a bool comes back) or an integer array (a boolean array comes back),
-    and p, t and den may be arrays of num's shape, one stage per entry;
-    int64 arrays must keep |num*p*t| and |den| below 2**62.
+    (a bool comes back) or an integer array (a boolean array comes back);
+    an int64 array must keep |num*p*t| and |den| below 2**62.
     """
     x = num * p * t
     return (x % den == 0) & (x // den % p != 0)

@@ -163,17 +163,6 @@ def weighted_matrix_residual(measure: DiscreteMeasure, points: Sequence[Fraction
     return float(np.linalg.norm(r))
 
 
-def _offsets(nums: Sequence[int], pairs: Sequence[StagePair]) -> tuple[int, np.ndarray]:
-    """A bound on every |D*p*t|, D a difference of nums and (p, t) from pairs, and nums - nums[0].
-
-    The bound is the span of nums times the largest p|t|; it decides the
-    integer width once, by int_width.
-    """
-    reach = max((pr.p * abs(pr.t) for pr in pairs), default=1)
-    bound = (nums[-1] - nums[0] if nums else 0) * reach
-    return bound, np.array([v - nums[0] for v in nums], dtype=int_width(bound))
-
-
 def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word: SymbolicWord,
                        k: int) -> Optional[tuple[np.ndarray, np.ndarray, None]]:
     """Distinct positive differences and pair counts of a compatible depth-k tower translate.
@@ -182,15 +171,16 @@ def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word:
     of tower_stages' progressions) by any rational, that is, its numerators
     over den are the sumset of the progressions den*step*{0, ..., p-1} plus
     one integer, and mask_zero_hit finds every stage's differences step*j,
-    j = 1..p-1, over b_1...b_n in the stage's zero set.  Then every
-    difference of the candidate is orthogonal: one whose digits first differ
-    at stage n is step*j plus a multiple of b_1...b_n, which leaves stage
-    n's zero test unchanged, so no walk is left to test (the third entry is
-    None).  The ordered differences are the sums over the stages of
-    den*step*j, each counted prod (p - |j|) times for |j| < p, so sorting
-    and merging those sums gives the distinct differences over den with
-    their pair counts, as the difference table does, without the N(N-1)/2
-    table.
+    j = 1..p-1, over b_1...b_n in the stage's zero set (one call on Python
+    integers each, exact at any width).  Then every difference of the
+    candidate is orthogonal: one whose digits first differ at stage n is
+    step*j plus a multiple of b_1...b_n, which leaves stage n's zero test
+    unchanged, so no walk is left to test (the third entry is None).  The
+    ordered differences are the sums over the stages of den*step*j, each
+    counted prod (p - |j|) times for |j| < p, so sorting and merging those
+    sums gives the distinct differences over den with their pair counts, as
+    the difference table does, without the N(N-1)/2 table; no sum passes
+    the span, so the sumset's width holds them.
     """
     nums, den = candidate.nums, candidate.den
     if not nums:
@@ -200,24 +190,20 @@ def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word:
     except ValueError:  # a stage with no partner, or more tower points than the candidate's
         return None
     if sum((pr.p - 1) * abs(step) * den for pr, step, _ in stages) != nums[-1] - nums[0]:
-        return None  # an equal span also keeps every sum below within the _offsets width
-    _, arr = _offsets(nums, [pr for pr, _, _ in stages])
-    pts = sumset([(pr.p, step * den) for pr, step, _ in stages])
-    if not np.array_equal(pts - pts[0], arr):
+        return None  # a translate has the tower's span; checked before any point is built
+    if not all(mask_zero_hit(pr.p, pr.t, step * j, base)
+               for pr, step, base in stages for j in range(1, pr.p)):
         return None
-    # every stage's differences step*j, j = 1..p-1, over b_1...b_n, in one call
-    p, t, steps, dens = np.array([(pr.p, pr.t, step * j, base)
-                                  for pr, step, base in stages for j in range(1, pr.p)],
-                                 dtype=arr.dtype).reshape(-1, 4).T
-    if not mask_zero_hit(p, t, steps, dens).all():
+    pts = sumset([(pr.p, step * den) for pr, step, _ in stages])
+    if (pts - pts[0]).tolist() != [v - nums[0] for v in nums]:
         return None
     # the multiset of j*step is symmetric, so |step| serves; with each new
     # stage outermost, stages whose sums do not overlap leave the array sorted,
     # and the stable sort (a merge of sorted runs) then takes one pass
-    diffs, counts = np.zeros(1, dtype=arr.dtype), np.ones(1, dtype=np.int64)
+    diffs, counts = np.zeros(1, dtype=pts.dtype), np.ones(1, dtype=np.int64)
     for pr, step, _ in stages:
         j = np.arange(1 - pr.p, pr.p)
-        diffs = np.add.outer(j.astype(arr.dtype) * abs(step) * den, diffs).ravel()
+        diffs = np.add.outer(j.astype(pts.dtype) * abs(step) * den, diffs).ravel()
         counts = np.multiply.outer(pr.p - np.abs(j), counts).ravel()
     keep = diffs > 0
     diffs, counts = diffs[keep], counts[keep]
@@ -257,14 +243,18 @@ def _pairwise_differences(candidate: SpectrumCandidate, config: SystemConfig,
     """Distinct positive differences, pair counts and the stage walk to test, for any candidate.
 
     With the points as integers over L = candidate.den, the walk is
-    (pair, L*b_1...b_n) per stage, less the stages past the _offsets bound,
-    which can hit no difference.  The N(N-1)/2 positive differences of the
-    sorted points are written row by row into one array of the _offsets
-    width, sorted in place and merged into runs.
+    (pair, L*b_1...b_n) per stage, less the stages past the bound on every
+    |D*p*t|, D a difference and (p, t) a walked pair: the span of the points
+    times the largest p|t|, which also fixes the integer width (int_width)
+    for mask_zero_hit.  The N(N-1)/2 positive differences of the sorted
+    points are written row by row into one array of that width, sorted in
+    place and merged into runs.
     """
     nums, scale = candidate.nums, candidate.den
     stages = [(pr, scale * base) for pr, base in stage_walk(config, word, k)]
-    bound, arr = _offsets(nums, [pr for pr, _ in stages])
+    reach = max((pr.p * abs(pr.t) for pr, _ in stages), default=1)
+    bound = (nums[-1] - nums[0] if nums else 0) * reach
+    arr = np.array([v - nums[0] for v in nums], dtype=int_width(bound))
     n = len(arr)
     size, pos = n * (n - 1) // 2, 0
     table = np.empty(size, dtype=arr.dtype)

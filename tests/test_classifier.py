@@ -210,6 +210,10 @@ def test_probe_examples():
     found = integral_zero_set_probe(SystemConfig.of((4, 2, 3)), ones, F(1, 3), 200)
     assert found.witness is not None
     assert integral_zero_set_probe(narrow, ones, 0, 10).witness == 0
+    # -6 is a zero of (4,2,1)^oo and -5, -7 are not: of equal |k|, k comes first
+    quarter = SystemConfig.of((4, 2, 1))
+    for window in (1, 50):
+        assert integral_zero_set_probe(quarter, ones, -6, window).witness == 1
 
 
 def test_nonempty_status_implies_probe_exhaustion():
@@ -255,20 +259,15 @@ def test_probe_matches_the_per_translate_walk(letters, data):
         with pytest.raises(ValueError):
             integral_zero_set_probe(cfg, word, xi, window)
         return
-    expected = per_translate_probe(cfg, word, xi, window)
-    # blocks of 1 and 7 translates put witnesses on both sides of a block edge
-    for block in (classifier.MU_HAT_BLOCK, 1, 7):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(classifier, "MU_HAT_BLOCK", block)
-            probe = integral_zero_set_probe(cfg, word, xi, window)
-        assert (probe.xi, probe.window) == (xi, window)
-        assert probe.witness == expected, block
+    probe = integral_zero_set_probe(cfg, word, xi, window)
+    assert (probe.xi, probe.window) == (xi, window)
+    assert probe.witness == per_translate_probe(cfg, word, xi, window)
 
 
 def test_probe_sieves_past_zero_only_without_a_witness_there(monkeypatch):
     # the probe sieves k = 0 alone: a witness there ends it after one
-    # single-translate block; 2/3 + Z, all zeros of (2,2,3)^oo, takes the
-    # block on each side as well
+    # single-translate call; 2/3 + Z, all zeros of (2,2,3)^oo, takes one
+    # more call over the whole window, 2/3 - 200 ... 2/3 + 200
     narrow = SystemConfig.of((2, 2, 3))
     ones = SymbolicWord.constant(1)
     calls = []
@@ -279,7 +278,7 @@ def test_probe_sieves_past_zero_only_without_a_witness_there(monkeypatch):
 
     monkeypatch.setattr(classifier, "zero_flags", spy)
     assert integral_zero_set_probe(narrow, ones, F(2, 3), 200).witness is None
-    assert calls == [(2, 3, 1, 3), (5, 3, 200, 3), (-1, -3, 200, 3)]
+    assert calls == [(2, 3, 1, 3), (-598, 3, 401, 3)]
     calls.clear()
     assert integral_zero_set_probe(narrow, ones, 0, 200).witness == 0
     assert calls == [(0, 1, 1, 1)]

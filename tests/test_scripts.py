@@ -109,5 +109,6 @@ def test_probe_rates_prints_one_row_per_word_and_window():
     header, *rows = [line.split() for line in done.stdout.splitlines()]
     assert header == ["word", "xi", "window", "witness", "seconds", "translates_per_s"]
     assert [row[:4] for row in rows] == [["witness", "1/3", "200", "0"],
+                                         ["near", "5", "200", "-5"],
                                          ["none", "1/3", "200", "none"]]
     assert all(0 < float(row[4]) < 30 for row in rows)

@@ -319,12 +319,16 @@ def test_the_tower_path_and_the_pairwise_path_agree(data):
 
 def test_verify_checks_a_tower_stage_by_stage(monkeypatch):
     # on a tower, mask_zero_hit sees only each stage's p - 1 partner
-    # differences; falling back to every distinct difference would pass it
-    # thousands of them (about 265,000 for the depth-12 tower of (4, 2, 1))
-    seen = []
+    # differences, one Python integer a call; falling back to every distinct
+    # difference would pass it thousands of them in arrays (about 265,000 for
+    # the depth-12 tower of (4, 2, 1))
+    scalars, seen = [], []
 
     def spy(p, t, num, den):
-        seen.append(len(num))
+        if isinstance(num, np.ndarray):
+            seen.append(len(num))
+        else:
+            scalars.append(num)
         return mask_zero_hit(p, t, num, den)
 
     monkeypatch.setattr(spectra, "mask_zero_hit", spy)
@@ -339,15 +343,32 @@ def test_verify_checks_a_tower_stage_by_stage(monkeypatch):
         # the tower translated by 1/3: its numerators over 3 are 3 lambda + 1
         third = SpectrumCandidate(nums=tuple(3 * x + 1 for x in cand.nums), den=3)
         for c in (cand, far, third):
+            scalars.clear()
             seen.clear()
             assert verify_spectrum_finite(meas, c, cfg, word, depth).ok
-            assert 0 < sum(seen) <= sum(pr.p - 1 for pr, _ in stage_walk(cfg, word, depth))
+            assert 0 < len(scalars) <= sum(pr.p - 1 for pr, _ in stage_walk(cfg, word, depth))
+            assert not seen
     # a moved point leaves the tower path: every distinct difference is tested
     seen.clear()
     cfg, word, depth = cases[1]
     moved_tower = moved(build_tower_spectrum(cfg, word, depth), random.Random(5), 1)[0]
     verify_spectrum_finite(truncate(cfg, word, depth), moved_tower, cfg, word, depth)
     assert sum(seen) > 100
+
+
+def test_tower_path_keeps_the_sumset_width_past_the_mask_product_bound():
+    # spans about 2**39, below INT64_SPAN, but span * p|t| passes 2**62: the
+    # stage tests take Python integers, so the differences stay int64
+    cfg, word = SystemConfig.of((2**20, 2, 2**25 + 1)), ONES
+    cand = build_tower_spectrum(cfg, word, 2)
+    third = SpectrumCandidate.finite(x + F(1, 3) for x in cand.points)
+    meas = truncate(cfg, word, 2)
+    for c in (cand, third):
+        span = c.nums[-1] - c.nums[0]
+        assert span < INT64_SPAN < span * 2 * (2**25 + 1)
+        assert spectra._tower_differences(c, cfg, word, 2)[0].dtype == np.int64
+        ver = assert_matches_reference(meas, c, cfg, word, 2)
+        assert ver.ok and ver.unitarity_residual.hex() == "0x1.ffe2812edb105p-27"
 
 
 @settings(max_examples=20, deadline=None)
@@ -417,7 +438,8 @@ def test_verify_verdicts_do_not_depend_on_the_integer_width(monkeypatch):
     widths = set()
 
     def spy(p, t, num, den):
-        widths.add(num.dtype)
+        if isinstance(num, np.ndarray):  # the tower path's stage tests take Python integers
+            widths.add(num.dtype)
         return mask_zero_hit(p, t, num, den)
 
     def verdicts():
