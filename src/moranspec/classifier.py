@@ -35,7 +35,7 @@ CLAUSE_TAIL_EXCEPTION = "Pi_l"
 CLAUSE_HYPOTHESIS = "hypothesis"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralVerdict:
     """Spectral / NotSpectral / OutOfScope, with a structured reason.
 
@@ -70,26 +70,45 @@ def decide_spectrality(config: SystemConfig, word: SymbolicWord) -> SpectralVerd
     at position 1.  Each test reads the alphabet's side from ``config.facts``
     and the word's side from ``word.facts``, each computed once per object,
     so a Spectral word costs one disjointness test.
+
+    A failing verdict is fixed by the alphabet and a small key: the clause
+    for the hypothesis, (letter, first position >= 2) for divisibility and
+    (l, j, last_other) for Pi_l.  It is built on the first word with its key
+    and kept in ``config.facts.verdicts``; later words get the same object,
+    as every Spectral word gets one shared verdict.  Over words of at most L
+    letters that memo holds at most m*L divisibility verdicts (positions
+    2 .. L + 1), one Pi_l verdict per key seen, or one OutOfScope verdict.
     """
     facts, word_facts = config.facts, word.facts
     if facts.violations:
-        return SpectralVerdict(OUT_OF_SCOPE, CLAUSE_HYPOTHESIS,
-                               (("violations", facts.violations),))
-    if word_facts.top > config.m:  # SymbolicWord letters are >= 1
+        key = CLAUSE_HYPOTHESIS
+    elif word_facts.top > len(config.pairs):  # SymbolicWord letters are >= 1
         raise ValueError("word letters outside the alphabet")
-    if not facts.nondividing.isdisjoint(word_facts.later):
+    elif not facts.nondividing.isdisjoint(word_facts.later):
         letter = min(facts.nondividing.intersection(word_facts.later))
+        key = (letter, word_facts.first_position[letter])
+    elif (entry := word_facts.tail_entry) is not None and entry[1] in facts.pi_tails:
+        key = entry
+    else:
+        return _SPECTRAL
+    verdict = facts.verdicts.get(key)
+    if verdict is None:
+        verdict = facts.verdicts[key] = _failing_verdict(config, key)
+    return verdict
+
+
+def _failing_verdict(config: SystemConfig, key: str | tuple[int, ...]) -> SpectralVerdict:
+    """The OutOfScope or NotSpectral verdict that ``decide_spectrality`` keeps under key."""
+    if key == CLAUSE_HYPOTHESIS:
+        return SpectralVerdict(OUT_OF_SCOPE, CLAUSE_HYPOTHESIS,
+                               (("violations", config.facts.violations),))
+    if len(key) == 2:
+        letter, position = key
         pr = config.pairs[letter - 1]
-        return SpectralVerdict(
-            NOT_SPECTRAL, CLAUSE_DIVISIBILITY,
-            (("letter", letter), ("p", pr.p), ("b", pr.b),
-             ("position", word_facts.first_position[letter])))
-    entry = word_facts.tail_entry
-    if entry is not None and entry[1] in facts.pi_tails:
-        l, j, last_other = entry
-        return SpectralVerdict(NOT_SPECTRAL, CLAUSE_TAIL_EXCEPTION,
-                               (("l", l), ("j", j), ("last_other", last_other)))
-    return _SPECTRAL
+        return SpectralVerdict(NOT_SPECTRAL, CLAUSE_DIVISIBILITY,
+                               (("letter", letter), ("p", pr.p), ("b", pr.b), ("position", position)))
+    return SpectralVerdict(NOT_SPECTRAL, CLAUSE_TAIL_EXCEPTION,
+                           tuple(zip(("l", "j", "last_other"), key)))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,8 +41,9 @@ EXIT_OUT_OF_SCOPE = 2
 # resource-bound bullet on qcheck, from scripts/qcheck_rates.py
 QCHECK_WORK_BOUND = 10**8
 
-# partner sets oracle-search may hold when --cap is not given; (6,6,5) has
-# more, and stopping one past the bound takes about 0.2 s and 10 MB
+# partner sets oracle-search may count when --cap is not given; (6,6,5) has
+# more, and stopping one past the bound takes about 0.07 s in process.  It
+# holds only the 64 sets it prints, so the count costs time, not memory
 ORACLE_SET_BOUND = 100_000
 
 # largest search window zeros and oracle-search accept: a zeros probe sieves
@@ -369,13 +371,16 @@ def cmd_oracle_search(config, word, rewrite, args) -> int:
     window = args.window if args.window is not None else abs(pr.b) * pr.p * abs(pr.t)
     _check_window(window)
     limit = args.cap if args.cap is not None else ORACLE_SET_BOUND + 1
-    results = oracle.search_compatible_partners(pr.b, pr.p, pr.t, window=window, limit=limit)
-    if args.cap is None and len(results) > ORACLE_SET_BOUND:
+    # counted as they come: only the printed sets are held
+    results = oracle.iter_compatible_partners(pr.b, pr.p, pr.t, window=window, limit=limit)
+    shown = list(islice(results, 64))
+    count = len(shown) + sum(1 for _ in results)
+    if args.cap is None and count > ORACLE_SET_BOUND:
         raise ConfigError(f"oracle-search found more than {ORACLE_SET_BOUND} partner sets "
                           f"in window {window}; bound is {ORACLE_SET_BOUND}, pass --cap")
     emit("window", window)
-    emit("count", len(results))
-    for i, res in enumerate(results[:64]):
+    emit("count", count)
+    for i, res in enumerate(shown):
         emit(f"set.{i}", " ".join(map(str, res)))
     return EXIT_OK
 

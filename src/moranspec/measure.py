@@ -143,12 +143,16 @@ class AlphabetFacts:
     violations: every failure of the coprime-alphabet hypothesis, as report
     strings (empty for a coprime alphabet); nondividing: the letters with
     p not dividing b; pi_tails: the letters with |b| = p and |t| != 1, whose
-    constant tail entered from another letter is the Pi_l exception.
+    constant tail entered from another letter is the Pi_l exception;
+    verdicts: the classifier's NotSpectral and OutOfScope verdicts over this
+    alphabet, each built on first use and then shared (see
+    ``classifier.decide_spectrality``), left out of equality, hash and repr.
     """
 
     violations: tuple[str, ...]
     nondividing: frozenset[int]
     pi_tails: frozenset[int]
+    verdicts: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
 
 @dataclass(frozen=True)

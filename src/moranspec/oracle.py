@@ -47,7 +47,13 @@ def _cliques(zero, singles: Sequence, size: int,
 
 def search_compatible_partners(b: int, p: int, t: int, window: Optional[int] = None,
                                limit: Optional[int] = None) -> list[tuple[int, ...]]:
-    """All partner sets L in [0, window) with 0 in L, #L = p, exactly compatible.
+    """All partner sets of ``iter_compatible_partners``, or its first ``limit``, as a list."""
+    return list(iter_compatible_partners(b, p, t, window, limit))
+
+
+def iter_compatible_partners(b: int, p: int, t: int, window: Optional[int] = None,
+                             limit: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Partner sets L in [0, window) with 0 in L, #L = p, exactly compatible, one at a time.
 
     Two elements are compatible when their difference is an exact zero of
     the digit mask (scaled by b), which is the compatibility condition
@@ -68,10 +74,12 @@ def search_compatible_partners(b: int, p: int, t: int, window: Optional[int] = N
     one residue from each, so fewer colors than needed settle it at once.
 
     The default window is |b|*p*|t|.  Sets come out in lexicographic order,
-    and ``limit`` keeps the first ones for the parameter corners where the
-    number of compatible sets explodes combinatorially; an unlimited call
-    materializes everything.  A p past |b| returns [] before any root sum;
-    a p <= |b| past ORACLE_DIGIT_BOUND raises AtomCapExceeded.
+    and ``limit`` stops after the first ones.  The arguments are checked
+    and the root sums decided when this is called; the search then runs as
+    the sets are taken, holding one partial set, never the sets found, so a
+    caller that counts them needs no memory for the count.  A p past |b|
+    gives no set before any root sum; a p <= |b| past ORACLE_DIGIT_BOUND
+    raises AtomCapExceeded.
     """
     if abs(b) < 2 or p < 2 or t == 0:
         raise ValueError("need |b| >= 2, p >= 2, t != 0")
@@ -83,7 +91,7 @@ def search_compatible_partners(b: int, p: int, t: int, window: Optional[int] = N
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     if p > m:  # two of p elements agree mod m, and their root sum is p ones
-        return []
+        return iter(())
     if p > ORACLE_DIGIT_BOUND:
         raise AtomCapExceeded(f"partner search on p = {p} digits is past the digit bound; "
                               f"bound is {ORACLE_DIGIT_BOUND}")
@@ -136,15 +144,20 @@ def search_compatible_partners(b: int, p: int, t: int, window: Optional[int] = N
 
     def extend(chosen: list, start: int, mask: int) -> Iterator[tuple]:
         need = p - len(chosen)
-        if need == 0:
-            yield tuple(chosen)
-        elif has_clique(mask, need):
+        if not has_clique(mask, need):
+            return
+        if need == 1:  # the last element: one set per single left in the mask
+            for idx in range(start, len(singles)):
+                s = singles[idx]
+                if mask >> (s % m) & 1:
+                    yield (*chosen, s)
+        else:
             for idx in range(start, len(singles)):
                 s = singles[idx]
                 if mask >> (s % m) & 1:
                     yield from extend(chosen + [s], idx + 1, mask & rotated(s % m))
 
-    return list(islice(extend([0], 0, vanishing), limit))
+    return islice(extend([0], 0, vanishing), limit)
 
 
 def _truncation_zero(config: SystemConfig, word: SymbolicWord, depth: int,

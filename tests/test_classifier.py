@@ -437,11 +437,47 @@ def test_decide_matches_the_per_word_reference(letters, other_letters, data):
 def test_cached_facts_leave_equality_hash_and_repr_alone():
     used, fresh = SystemConfig.of((4, 2, 1), (2, 2, 3)), SystemConfig.of((4, 2, 1), (2, 2, 3))
     before = repr(used), hash(used)
-    decide_spectrality(used, SymbolicWord((1,), (2,)))
+    # two Pi_l keys, (1, 2, 1) and (2, 2, 1), fill the shared-verdict memo
+    for word in (SymbolicWord((1,), (2,)), SymbolicWord((2, 1), (2,)), SymbolicWord((1, 1), (2,))):
+        decide_spectrality(used, word)
     assert "facts" in vars(used) and "facts" not in vars(fresh)
     assert (repr(used), hash(used)) == before == (repr(fresh), hash(fresh))
     assert used == fresh and len({used, fresh}) == 1
     assert validate_config(used) == [] and used.facts.pi_tails == frozenset({2})
+    assert len(used.facts.verdicts) == 2 and fresh.facts.verdicts == {}
+    assert (repr(used.facts), hash(used.facts)) == (repr(fresh.facts), hash(fresh.facts))
+    assert used.facts == fresh.facts and len({used.facts, fresh.facts}) == 1
+
+
+def test_failing_verdicts_are_built_once_per_config():
+    # letter 2 fails p | b; both words first use it at position 2
+    config = SystemConfig.of((4, 2, 1), (9, 2, 7))
+    first = decide_spectrality(config, SymbolicWord((1,), (2,)))
+    assert first.clause == CLAUSE_DIVISIBILITY and dict(first.detail)["position"] == 2
+    assert decide_spectrality(config, SymbolicWord((1,), (2, 1))) is first
+    later = decide_spectrality(config, SymbolicWord((1, 1), (2,)))
+    assert dict(later.detail)["position"] == 3 and later is not first
+    # an equal fresh config builds its own, equal verdict
+    again = decide_spectrality(SystemConfig.of((4, 2, 1), (9, 2, 7)), SymbolicWord((1,), (2, 1)))
+    assert again == first and again is not first
+    # Pi_l by (l, j, last_other), and one OutOfScope verdict per alphabet
+    tail = decide_spectrality(MIXED, SymbolicWord((2, 1), (2,)))
+    assert tail.clause == CLAUSE_TAIL_EXCEPTION
+    assert decide_spectrality(MIXED, SymbolicWord((1, 1), (2,))) is tail
+    assert decide_spectrality(MIXED, SymbolicWord((1,), (2,))) is not tail
+    scope = SystemConfig.of((4, 2, 2), (2, 2, 3))
+    out = decide_spectrality(scope, SymbolicWord.constant(1))
+    assert out.kind == OUT_OF_SCOPE and decide_spectrality(scope, SymbolicWord((2,), (1,))) is out
+
+
+def test_one_word_over_two_alphabets_keeps_each_alphabets_detail():
+    # the alphabets differ only in letter 2's b; the word's cached facts
+    # carry no verdict from the first into the second
+    word = SymbolicWord((1,), (2, 1))
+    nine = decide_spectrality(SystemConfig.of((4, 2, 1), (9, 2, 7)), word)
+    fifteen = decide_spectrality(SystemConfig.of((4, 2, 1), (15, 2, 7)), word)
+    assert dict(nine.detail)["b"] == 9 and dict(fifteen.detail)["b"] == 15
+    assert nine.detail[:2] == fifteen.detail[:2] and nine.detail[3:] == fifteen.detail[3:]
 
 
 def test_cached_word_facts_leave_equality_hash_and_repr_alone():

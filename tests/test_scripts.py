@@ -112,3 +112,20 @@ def test_probe_rates_prints_one_row_per_word_and_window():
                                          ["near", "5", "200", "-5"],
                                          ["none", "1/3", "200", "none"]]
     assert all(0 < float(row[4]) < 30 for row in rows)
+
+
+def test_decide_rates_prints_one_row_per_alphabet_and_mode():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "decide_rates.py"),
+                           "--repeat", "2"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    header, *rows = [line.split() for line in done.stdout.splitlines()]
+    assert header == ["alphabet", "mode", "spectral", "divisibility", "pi_l",
+                      "seconds", "us_per_word"]
+    # 297 canonical words each; the counts follow from the alphabets' letters
+    counts = {"spectral": ["297", "0", "0"], "divisibility": ["3", "294", "0"],
+              "pi_l": ["55", "237", "5"]}
+    assert [row[:5] for row in rows] == [[name, mode, *counts[name]]
+                                         for name in counts for mode in ("fresh", "reused")]
+    assert all(0 < float(row[5]) < 30 for row in rows)
