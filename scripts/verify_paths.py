@@ -5,10 +5,10 @@ For the letter (b, p, t) repeated, (b, p, t)^oo, to a depth k, the cases are
 the depth-k tower of canonical partners, the same tower translated by 1/3,
 and the tower with its largest point moved up by 1.  Each case runs in a
 fresh interpreter, so its peak RSS is its own: the row gives the case, the
-point count, the path verify took (tower or pairwise), the verdict, the
-seconds of the one verify_spectrum_finite call and the process's peak RSS
-in MB from its start (VmHWM), which also counts the import, the truncation
-and the candidate.
+point count, the path verify took (tower or pairwise), the verdict, its
+unitarity residual, the seconds of the one verify_spectrum_finite call and
+the process's peak RSS in MB from its start (VmHWM), which also counts the
+import, the truncation and the candidate.
 
 Usage:
     python3 scripts/verify_paths.py --letter B,P,T --depth K [--repeat N]
@@ -54,7 +54,8 @@ def run_case(case: str, pair: tuple[int, int, int], depth: int) -> None:
     peak_kb = int(re.search(r"VmHWM:\s*(\d+) kB", Path("/proc/self/status").read_text())[1])
     # asked only after the peak is read, so it adds nothing to it
     path = "pairwise" if spectra._tower_differences(cand, config, word, depth) is None else "tower"
-    print(f"{case} {len(cand)} {path} {str(ver.ok).lower()} {seconds:.3f} {peak_kb / 1024:.1f}")
+    print(f"{case} {len(cand)} {path} {str(ver.ok).lower()} {ver.unitarity_residual:.3e} "
+          f"{seconds:.3f} {peak_kb / 1024:.1f}")
 
 
 def main() -> None:
@@ -70,7 +71,7 @@ def main() -> None:
         run_case(args.case, args.letter, args.depth)
         return
     env = {**os.environ, "PYTHONPATH": str(Path(moranspec.__file__).resolve().parent.parent)}
-    print("case points path ok seconds peak_rss_mb", flush=True)
+    print("case points path ok residual seconds peak_rss_mb", flush=True)
     for case in CASES:
         for _ in range(args.repeat):
             done = subprocess.run([sys.executable, __file__, "--letter",

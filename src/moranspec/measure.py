@@ -417,14 +417,14 @@ def sumset(stages: Sequence[tuple[int, int]]) -> np.ndarray:
     return sums
 
 
-def runs(values: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a sorted array and each run's length, or its weights' sum."""
+def runs(values: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of a sorted array, each run's length (or weights' sum) and start."""
     edges = np.ones(len(values) + 1, dtype=bool)
     np.not_equal(values[1:], values[:-1], out=edges[1:-1])
     bounds = np.flatnonzero(edges)
     starts = bounds[:-1]
     counts = bounds[1:] - starts if weights is None else np.add.reduceat(weights, starts)
-    return values[starts], counts
+    return values[starts], counts, starts
 
 
 def truncate(config: SystemConfig, word: SymbolicWord, k: int,
@@ -445,7 +445,7 @@ def truncate(config: SystemConfig, word: SymbolicWord, k: int,
         walk.append((pr, final))
     # x/final as a numerator over a positive denominator: negate both when final < 0
     sign = -1 if final < 0 else 1
-    nums, counts = runs(sumset([(pr.p, sign * pr.t * (final // base)) for pr, base in walk]))
+    nums, counts, _ = runs(sumset([(pr.p, sign * pr.t * (final // base)) for pr, base in walk]))
     return DiscreteMeasure(nums.tolist(), sign * final, counts.tolist(), paths)
 
 
@@ -578,6 +578,31 @@ def dirichlet_amplitude(p: int, v: np.ndarray) -> np.ndarray:
                     out=np.ones_like(u), where=np.abs(u) >= np.finfo(float).smallest_normal)
     # (-1)^{k(p-1)}: for even p, k is odd where k/2 is not an integer
     return np.negative(out, out=out, where=(p % 2 == 0) & (np.rint(0.5 * k) != 0.5 * k))
+
+
+def reduced_amplitude(p: int, t: int, nums: np.ndarray, mod: int, reach: int) -> np.ndarray:
+    """D_p(r/mod) for r = t*nums mod mod, the residue taken in integers; mod > 0, reach >= max|num|.
+
+    |D_p| is even and has period 1, so |D_p(t num/mod)| = |D_p(r/mod)| at any
+    size of t num: with mod = L|B_n| this is the stage factor
+    |D_{p_n}(t_n x / B_n)| at x = num/L, whatever the sign of B_n.  Only
+    its square is meant for use, as the sign may differ.  nums is an integer
+    array; an int64 one is taken to Python integers when int_width of
+    |t| reach or mod is.  r/mod is correctly rounded: one float division
+    while r and mod are int64 values below 2**53, Python's int / int
+    otherwise, as float_quotients does.  The argument lies in [0, 1), so
+    dirichlet_amplitude's rounding bound holds at |v| < 1, whatever t and
+    num are.
+    """
+    if nums.dtype != object and int_width(max(abs(t) * reach, mod)) is object:
+        nums = nums.astype(object)
+    v = nums * t
+    v %= mod
+    if v.dtype == object or mod >= 2**53:
+        v = np.array([r / mod for r in v.tolist()], dtype=float)
+    else:
+        v = v / mod
+    return dirichlet_amplitude(p, v)
 
 
 def stage_ratios(config: SystemConfig, walk: Iterable[tuple[StagePair, int]],

@@ -19,6 +19,14 @@ once per digit prefix, at an argument of order p|t| rather than of the
 tower's span; up to RECURRENCE_MAX_P digits its cosine comes by angle
 addition from the prefix's cosine and sine, taken once, and x's.
 
+verify_spectrum_finite's numeric residual takes the same digit tree on a
+tower: stage n's factor at a difference depends only on its first n digits,
+and its argument t_n d / (L B_n) is reduced mod 1 in integers before any
+float is formed (measure.reduced_amplitude), so each factor is taken once
+per digit prefix and exactly where a float point would keep no fractional
+digit; any other candidate takes the same kernel at each distinct
+difference, with the same bits.
+
 The residue decomposition splits Lambda/b_1 into classes n/q + Z and
 reassembles tail spectra from one partner-slot choice per residue block.
 """
@@ -29,7 +37,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -38,8 +46,8 @@ from .hadamard import dual_step, is_admissible
 from .measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, RECURRENCE_MAX_P, AtomCapExceeded,
                       DiscreteMeasure, StagePair, SymbolicWord, SystemConfig, canonical_ratios,
                       chebyshev_amplitude, dirichlet_amplitude, float_quotients, int_width,
-                      mask_zero_hit, mu_hat_amplitude, runs, stage_ratios, stage_walk, sumset,
-                      sumset_span)
+                      mask_zero_hit, mu_hat_amplitude, reduced_amplitude, runs, stage_ratios,
+                      stage_walk, sumset, sumset_span)
 
 
 @dataclass(frozen=True)
@@ -136,6 +144,9 @@ class SpectrumVerification:
     where mu_hat_k is the depth-k transform of config/word.  For the depth-k
     truncation in exact arithmetic it equals the Frobenius norm of M*M - I
     for M = [sqrt(w_i) exp(2 pi i lambda_j x_i)] (see weighted_matrix_residual).
+    Each factor |D_{p_n}(t_n d / B_n)| is taken at its argument reduced mod 1
+    in integers (measure.reduced_amplitude), so the rounding of every factor
+    is that of D_p at a point of [0, 1), however large t_n and d are.
     """
 
     ok: bool
@@ -146,10 +157,11 @@ class SpectrumVerification:
 
 # Past this many points or atoms verification refuses before allocating.  A
 # tower is checked stage by stage from prod (2p - 1) difference sums (531,441
-# at N = 4096), but any other candidate through all N(N-1)/2 differences in
-# one sorted array (8.4 million integers at N = 4096), and the residual of
-# either needs every distinct difference; a larger bound needs its own
-# memory measurement of both.
+# at N = 4096), and its residual takes each stage factor once per digit
+# prefix over them, but any other candidate goes through all N(N-1)/2
+# differences in one sorted array (8.4 million integers at N = 4096), and the
+# residual of either is summed over every distinct difference; a larger bound
+# needs its own memory measurement of both.
 VERIFY_ATOM_BOUND = 4096
 
 
@@ -164,8 +176,8 @@ def weighted_matrix_residual(measure: DiscreteMeasure, points: Sequence[Fraction
 
 
 def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word: SymbolicWord,
-                       k: int) -> Optional[tuple[np.ndarray, np.ndarray, None]]:
-    """Distinct positive differences and pair counts of a compatible depth-k tower translate.
+                       k: int) -> Optional[tuple[np.ndarray, np.ndarray, Callable, None]]:
+    """Distinct positive differences, pair counts and amplitudes of a depth-k tower translate.
 
     None unless the candidate is a translate of the depth-k tower (the sumset
     of tower_stages' progressions) by any rational, that is, its numerators
@@ -175,12 +187,24 @@ def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word:
     integers each, exact at any width).  Then every difference of the
     candidate is orthogonal: one whose digits first differ at stage n is
     step*j plus a multiple of b_1...b_n, which leaves stage n's zero test
-    unchanged, so no walk is left to test (the third entry is None).  The
+    unchanged, so no walk is left to test (the fourth entry is None).  The
     ordered differences are the sums over the stages of den*step*j, each
     counted prod (p - |j|) times for |j| < p, so sorting and merging those
     sums gives the distinct differences over den with their pair counts, as
     the difference table does, without the N(N-1)/2 table; no sum passes
-    the span, so the sumset's width holds them.
+    the span, so the sumset's width holds them.  The sums come in mirrored
+    pairs about the middle one, 0, so when the upper half increases from a
+    positive sum (stages whose sums do not overlap) it is already that
+    sorted, merged list.
+
+    The residual's amplitudes come from the same digit tree.  A later term
+    den*step_m*j, m > n, times t_n is a multiple of den*B_n, so stage n's
+    reduced_amplitude at a difference is its value at the difference's
+    level-n sum, bit for bit.  Each stage n < k is evaluated once on the
+    prod_{m<=n} (2p_m - 1) level-n sums and multiplies its parent's product,
+    and stage k once per distinct positive difference, at most
+    (prod (2p - 1) - 1)/2 of them, instead of k per difference.  The third
+    entry gives the products at a slice of the distinct differences.
     """
     nums, den = candidate.nums, candidate.den
     if not nums:
@@ -197,50 +221,81 @@ def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word:
     pts = sumset([(pr.p, step * den) for pr, step, _ in stages])
     if (pts - pts[0]).tolist() != [v - nums[0] for v in nums]:
         return None
-    # the multiset of j*step is symmetric, so |step| serves; with each new
-    # stage outermost, stages whose sums do not overlap leave the array sorted,
-    # and the stable sort (a merge of sorted runs) then takes one pass
-    diffs, counts = np.zeros(1, dtype=pts.dtype), np.ones(1, dtype=np.int64)
-    for pr, step, _ in stages:
-        j = np.arange(1 - pr.p, pr.p)
-        diffs = np.add.outer(j.astype(pts.dtype) * abs(step) * den, diffs).ravel()
-        counts = np.multiply.outer(pr.p - np.abs(j), counts).ravel()
-    keep = diffs > 0
-    diffs, counts = diffs[keep], counts[keep]
-    order = np.argsort(diffs, kind="stable")
-    return (*runs(diffs[order], counts[order]), None)
+    # the multiset of j*step is symmetric, so |step| serves; each new stage is
+    # the outer index, so stages whose sums do not overlap leave it sorted
+    diffs, counts, amps = np.zeros(1, dtype=pts.dtype), np.ones(1, dtype=np.int64), np.ones(1)
+    reach = 0  # the largest |sum| so far
+    for n, (pr, step, base) in enumerate(stages, start=1):
+        step = abs(step) * den
+        diffs = np.add.outer(np.arange(1 - pr.p, pr.p, dtype=pts.dtype) * step, diffs).ravel()
+        counts = np.multiply.outer(pr.p - np.abs(np.arange(1 - pr.p, pr.p)), counts).ravel()
+        reach += (pr.p - 1) * step
+        if n < len(stages):  # the new digit leads, so each parent's children are a column
+            factors = reduced_amplitude(pr.p, pr.t, diffs, den * abs(base), reach)
+            children = factors.reshape(2 * pr.p - 1, -1)
+            children *= amps
+            amps = factors
+    # sum -1 - i is minus sum i and the middle one is 0: when the upper half
+    # increases from a positive sum it holds every positive sum, distinct and
+    # in order; otherwise the positive sums are sorted and equal ones merged,
+    # each array replaced once read, so the level-k sums are freed first
+    mid = len(diffs) // 2 + 1
+    upper = diffs[mid:]
+    if len(upper) and upper[0] > 0 and np.all(upper[1:] > upper[:-1]):
+        diffs, counts, keep = upper, counts[mid:], np.arange(mid, mid + len(upper))
+    else:
+        keep = np.flatnonzero(diffs > 0)
+        diffs, counts = diffs[keep], counts[keep]
+        order = np.argsort(diffs, kind="stable")
+        keep, diffs, counts = keep[order], diffs[order], counts[order]
+        diffs, counts, starts = runs(diffs, counts)
+        keep = keep[starts]
+    if stages:  # a distinct difference's parent is its first sum's level k - 1 sum
+        pr, _, base = stages[-1]
+        factors = reduced_amplitude(pr.p, pr.t, diffs, den * abs(base), reach)
+        factors *= amps[keep % len(amps)]
+        amps = factors
+    return diffs, counts, amps.__getitem__, None
 
 
-def _difference_scan(config: SystemConfig, word: SymbolicWord, k: int, diffs: np.ndarray,
-                     counts: np.ndarray, scale: int,
+def _stage_product(moduli: Sequence[tuple[StagePair, int]], nums: np.ndarray) -> np.ndarray:
+    """prod_n D_{p_n}(t_n num / mod_n) over (pair, mod_n) in order, for increasing positive nums."""
+    amp, reach = np.ones(len(nums)), int(nums[-1]) if len(nums) else 0
+    for pr, mod in moduli:
+        amp *= reduced_amplitude(pr.p, pr.t, nums, mod, reach)
+    return amp
+
+
+def _difference_scan(diffs: np.ndarray, counts: np.ndarray, scale: int, amplitudes: Callable,
                      walk: Optional[list]) -> tuple[float, Optional[Fraction]]:
     """The unitarity residual over increasing distinct differences, and the least offender.
 
-    diffs/scale occur counts times each.  One MU_HAT_BLOCK at a time, a block
-    adds its share of sqrt(2 sum count |mu_hat_k|^2) (see
-    SpectrumVerification) and is then tested by mask_zero_hit against each
-    (pair, scale*b_1...b_n) of walk; the first block holding a difference no
-    stage hits gives the least offender and ends the testing, not the
-    residual.  walk None tests nothing.
+    diffs/scale occur counts times each, and amplitudes(block) gives
+    |mu_hat_k| at a slice of them.  One MU_HAT_BLOCK at a time, a block adds
+    its share of sqrt(2 sum count |mu_hat_k|^2) (see SpectrumVerification)
+    and is then tested by mask_zero_hit against each (pair, scale*b_1...b_n)
+    of walk; the first block holding a difference no stage hits gives the
+    least offender and ends the testing, not the residual.  walk None tests
+    nothing.
     """
-    xs = float_quotients(diffs, scale)
     total, offending = 0.0, None
     for i in range(0, len(diffs), MU_HAT_BLOCK):
-        amp, _ = mu_hat_amplitude(config, word, xs[i:i + MU_HAT_BLOCK], k)
-        total += float(np.sum(counts[i:i + MU_HAT_BLOCK] * (amp * amp)))
+        block = slice(i, i + MU_HAT_BLOCK)
+        amp = amplitudes(block)
+        total += float(np.sum(counts[block] * (amp * amp)))
         if walk is not None and offending is None:
-            block = diffs[i:i + MU_HAT_BLOCK]
-            missed = np.ones(len(block), dtype=bool)
+            nums = diffs[block]
+            missed = np.ones(len(nums), dtype=bool)
             for pr, den in walk:
-                missed &= ~mask_zero_hit(pr.p, pr.t, block, den)
+                missed &= ~mask_zero_hit(pr.p, pr.t, nums, den)
             if missed.any():
-                offending = Fraction(int(block[missed.argmax()]), scale)
+                offending = Fraction(int(nums[missed.argmax()]), scale)
     return math.sqrt(2 * total), offending
 
 
-def _pairwise_differences(candidate: SpectrumCandidate, config: SystemConfig,
-                          word: SymbolicWord, k: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """Distinct positive differences, pair counts and the stage walk to test, for any candidate.
+def _pairwise_differences(candidate: SpectrumCandidate, config: SystemConfig, word: SymbolicWord,
+                          k: int) -> tuple[np.ndarray, np.ndarray, Callable, list]:
+    """Distinct positive differences, pair counts, amplitudes and stage walk of any candidate.
 
     With the points as integers over L = candidate.den, the walk is
     (pair, L*b_1...b_n) per stage, less the stages past the bound on every
@@ -248,7 +303,9 @@ def _pairwise_differences(candidate: SpectrumCandidate, config: SystemConfig,
     times the largest p|t|, which also fixes the integer width (int_width)
     for mask_zero_hit.  The N(N-1)/2 positive differences of the sorted
     points are written row by row into one array of that width, sorted in
-    place and merged into runs.
+    place and merged into runs.  The amplitudes at a slice of them are
+    _stage_product over every stage with mod_n = L|b_1...b_n|: the tower
+    path's integers, quotients and product order, so the same bits.
     """
     nums, scale = candidate.nums, candidate.den
     stages = [(pr, scale * base) for pr, base in stage_walk(config, word, k)]
@@ -262,7 +319,10 @@ def _pairwise_differences(candidate: SpectrumCandidate, config: SystemConfig,
         np.subtract(arr[i + 1:], arr[i], out=table[pos:pos + n - 1 - i])
         pos += n - 1 - i
     table.sort()
-    return (*runs(table), [(pr, den) for pr, den in stages if abs(den) <= bound])
+    diffs, counts, _ = runs(table)
+    moduli = [(pr, abs(den)) for pr, den in stages]
+    return (diffs, counts, lambda block: _stage_product(moduli, diffs[block]),
+            [(pr, den) for pr, den in stages if abs(den) <= bound])
 
 
 def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidate,
@@ -282,17 +342,19 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
     every difference (_pairwise_differences), whose stage walk the scan
     tests for the least positive offender.  Either way one loop
     (_difference_scan) sums the numeric residual over the same distinct
-    differences in the same blocks, so both paths give the same bits.  Past
-    VERIFY_ATOM_BOUND points or atoms, raises AtomCapExceeded before
-    allocating anything.
+    differences in the same blocks.  Its amplitudes come from the tower's
+    digit tree or stage by stage per block, by reduced_amplitude on the same
+    integers, quotients and product order, so both paths give the same
+    bits.  Past VERIFY_ATOM_BOUND points or atoms, raises AtomCapExceeded
+    before allocating anything.
     """
     size = max(len(candidate.nums), len(measure.nums))
     if size > VERIFY_ATOM_BOUND:
         raise AtomCapExceeded(f"{size} atoms exceed the verify atom bound {VERIFY_ATOM_BOUND}")
-    diffs, counts, walk = (_tower_differences(candidate, config, word, k)
-                           or _pairwise_differences(candidate, config, word, k))
+    diffs, counts, amplitudes, walk = (_tower_differences(candidate, config, word, k)
+                                       or _pairwise_differences(candidate, config, word, k))
     complete = len(candidate.nums) == len(measure.nums)
-    resid, offending = _difference_scan(config, word, k, diffs, counts, candidate.den,
+    resid, offending = _difference_scan(diffs, counts, candidate.den, amplitudes,
                                         walk if complete else None)
     reason = ("cardinality" if not complete
               else "orthogonality" if offending is not None else None)

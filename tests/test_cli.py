@@ -921,7 +921,7 @@ def test_verify_at_the_atom_bound_stays_small(quarter_config):
     # pairwise differences held in one array peaked at about 110 MB
     report, peak = peak_rss_kb("from moranspec.cli import main; "
                                f"main(['verify', '--config', {quarter_config!r}, '--depth', '12'])")
-    assert report == ["ok=true", "unitarity_residual=5.8698555113523209e-12"]
+    assert report == ["ok=true", "unitarity_residual=1.3575363055678809e-14"]
     assert peak < 80 * 1024
 
 
@@ -937,7 +937,7 @@ def test_verify_of_a_tower_translated_by_a_third_stays_small():
         "third = SpectrumCandidate(nums=tuple(3 * x + 1 for x in cand.nums), den=3); "
         "ver = verify_spectrum_finite(truncate(cfg, word, 12), third, cfg, word, 12); "
         "print(len(third), ver.ok, repr(ver.unitarity_residual))")
-    assert report == ["4096 True 5.869855511352321e-12"]
+    assert report == ["4096 True 1.3575363055678809e-14"]
     assert peak < 80 * 1024
 
 
@@ -1128,7 +1128,7 @@ def float_range_config(tmp_path, b, t):
                                                 "word": {"period": [1]}})
 
 
-@pytest.mark.parametrize("command", ["qcheck", "verify", "sample-ft"])
+@pytest.mark.parametrize("command", ["qcheck", "sample-ft"])
 def test_a_stage_ratio_past_the_float_range_exits_2_before_any_output(tmp_path, capsys, command):
     # t_1/b_1 = (10**400 + 1)/4 has no float value
     out_path = tmp_path / "ft.csv"
@@ -1141,7 +1141,7 @@ def test_a_stage_ratio_past_the_float_range_exits_2_before_any_output(tmp_path, 
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("command", ["qcheck", "verify"])
+@pytest.mark.parametrize("command", ["qcheck"])
 def test_a_point_past_the_float_range_exits_2_before_any_output(tmp_path, capsys, command):
     # the canonical partner of (10**400, 2, 1) is {0, 5 * 10**399}
     code = main([command, "--config", float_range_config(tmp_path, 10**400, 1), "--depth", "1"])
@@ -1150,18 +1150,37 @@ def test_a_point_past_the_float_range_exits_2_before_any_output(tmp_path, capsys
     assert captured.err.startswith("error=a point") and f"bound is {FLOAT_BOUND!r}" in captured.err
 
 
-@pytest.mark.parametrize("argv", [["verify", "--depth", "2"],
-                                  ["qcheck", "--depth", "2", "--grid", "4"]])
-def test_a_stage_argument_past_the_float_range_exits_2_before_any_output(tmp_path, argv):
+def test_a_stage_argument_past_the_float_range_exits_2_before_any_output(tmp_path):
     # t_1/b_1 = 5 * 10**307 is a float, but pi * p * 3 * t_1/b_1 is not: the
-    # stage cosine was nan, so verify printed unitarity_residual=nan and qcheck
-    # max_deviation=0, both with exit 0 and numpy warnings on stderr
-    done = run_cli([argv[0], "--config", float_range_config(tmp_path, 2, 10**308 + 1),
-                    *argv[1:]], timeout=30)
+    # stage cosine was nan, so qcheck printed max_deviation=0 with exit 0 and
+    # numpy warnings on stderr
+    done = run_cli(["qcheck", "--config", float_range_config(tmp_path, 2, 10**308 + 1),
+                    "--depth", "2", "--grid", "4"], timeout=30)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.splitlines() == [
         "error=stage 1: pi p_1 max|x| |t_1/(b_1...b_1)| is past the float range; "
         f"bound is {FLOAT_BOUND!r}"]
+
+
+@pytest.mark.parametrize("b,t,depth,residual", [
+    # t_1/b_1 = (10**400 + 1)/4 has no float value; the tower is {0, 2}
+    (4, HUGE, 1, "8.6595605623549329e-17"),
+    # the canonical partner of (10**400, 2, 1) is {0, 5 * 10**399}, past the float range
+    (10**400, 1, 1, "8.6595605623549329e-17"),
+    # t_1/b_1 = 5 * 10**307 is a float, but pi * p * 3 * t_1/b_1 is not
+    (2, 10**308 + 1, 2, "1.7319121124709868e-16"),
+], ids=["stage-ratio", "point", "stage-argument"])
+def test_verify_past_the_float_range_answers_exactly(tmp_path, b, t, depth, residual):
+    # each stage argument t_n d / (b_1...b_n) is reduced mod 1 in integers, so
+    # these verify runs, once refused with exit 2, prove the tower a spectrum;
+    # every difference d has a stage whose exact argument is 1/2 mod 1, so the
+    # exact residual is 0 and what prints is the rounding of D_2(1/2) = cos(pi/2)
+    # to 6.1e-17, times the other factors and sqrt(2 count)
+    done = run_cli(["verify", "--config", float_range_config(tmp_path, b, t),
+                    "--depth", str(depth)], timeout=30)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.splitlines() == ["ok=true", f"unitarity_residual={residual}"]
+    assert float(residual) < 1e-15
 
 
 def test_sample_ft_refuses_a_stage_argument_past_the_float_range_before_its_file(tmp_path):
@@ -1175,6 +1194,20 @@ def test_sample_ft_refuses_a_stage_argument_past_the_float_range_before_its_file
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error=stage 1: pi p_1 max|x|")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("t", [2**60 + 1, 10**300 + 1], ids=["2**60+1", "10**300+1"])
+@pytest.mark.parametrize("depth", [3, 6])
+def test_verify_residual_of_a_large_stride_measures_the_tower(tmp_path, capsys, t, depth):
+    # (4, 2, t) is admissible for odd t, and its tower is a spectrum.  With
+    # t_n x / B_n formed as a float product no fractional digit survived, and
+    # verify printed ok=true with unitarity_residual 2.03 and 7.80 at depths 3
+    # and 6 for t = 2**60 + 1, 2.79 and 7.76 for t = 10**300 + 1
+    code, out = run(capsys, ["verify", "--config", float_range_config(tmp_path, 4, t),
+                             "--depth", str(depth)])
+    report = dict(line.split("=", 1) for line in out.splitlines())
+    assert code == 0 and report["ok"] == "true"
+    assert float(report["unitarity_residual"]) < 1e-14
 
 
 def test_a_base_past_the_float_range_keeps_its_stage(tmp_path, capsys):

@@ -22,8 +22,9 @@ from moranspec.measure import (INT64_SPAN, RECURRENCE_MAX_P, SUMSET_BIT_BOUND, A
                                DiscreteMeasure, StagePair, SymbolicWord, SystemConfig, WordFacts,
                                dirichlet_amplitude, float_quotients, mask_zero_contains,
                                mask_zero_hit, mask_zero_moduli, mu_hat_amplitude, mu_hat_eval,
-                               mu_hat_many, normalize_signs, scale_digits, stage_walk, sumset,
-                               support_hull, truncate, zero_flags, zero_set_contains)
+                               mu_hat_many, normalize_signs, reduced_amplitude, scale_digits,
+                               stage_walk, sumset, support_hull, truncate, zero_flags,
+                               zero_set_contains)
 from moranspec.spectra import (SpectrumCandidate, build_tower_spectrum, q_function,
                                verify_spectrum_finite)
 
@@ -728,9 +729,55 @@ def test_q_and_the_residual_are_the_squared_modulus_of_mu_hat_many():
         assert np.all(np.abs(q_function(cfg, word, depth, cand, xs) - ref) <= 16 * UNIT * len(cand))
         ver = verify_spectrum_finite(truncate(cfg, word, depth), cand, cfg, word, depth)
         diffs = [b - a for i, a in enumerate(cand.nums) for b in cand.nums[i + 1:]]
-        vals = mu_hat_many(cfg, word, np.array([d / cand.den for d in diffs]), depth)
+        if cand is tower:
+            # the exact residual is 0, and mu_hat_many at the float differences
+            # is rounding only; the residual takes each stage argument reduced
+            # mod 1 exactly, so the reference does too
+            vals = [math.prod(reduced_reference(pr.p, pr.t, [d], cand.den * abs(base))[0]
+                              for pr, base in stage_walk(cfg, word, depth)) for d in diffs]
+        else:
+            vals = mu_hat_many(cfg, word, np.array([d / cand.den for d in diffs]), depth)
         total = float(np.sum(np.abs(vals) ** 2))
         assert abs(ver.unitarity_residual ** 2 - 2 * total) <= 32 * UNIT * (2 * total + 1e-300)
+
+
+def reduced_reference(p, t, nums, mod):
+    """D_p at t*num/mod reduced mod 1 exactly in Fractions, then rounded once to a float."""
+    return dirichlet_amplitude(p, np.array([float(F(t * n, mod) % 1) for n in nums], dtype=float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 2 * RECURRENCE_MAX_P),
+       st.one_of(st.integers(-60, 60), st.integers(-2**200, 2**200)).filter(bool),
+       st.lists(st.one_of(st.integers(-10**6, 10**6), st.integers(-2**61, 2**61)), max_size=8),
+       st.one_of(st.integers(1, 2**20), st.sampled_from((2**53 - 1, 2**53, 2**53 + 1, 2**62)),
+                 st.integers(1, 2**200)))
+@example(3, 2**40 + 1, [2**21, -(2**21) - 1], 3 * 2**40)  # |t num| passes INT64_SPAN
+@example(2, -1, [], 7)
+def test_reduced_amplitude_is_dirichlet_at_the_exactly_reduced_argument(p, t, nums, mod):
+    # int64 and Python-integer arrays alike, on both sides of RECURRENCE_MAX_P
+    # and of 2**53 in mod: the same bits as the Fraction reduction
+    expected = reduced_reference(p, t, nums, mod).tolist()
+    reach = max(map(abs, nums), default=0)
+    assert reduced_amplitude(p, t, np.array(nums, dtype=np.int64), mod, reach).tolist() == expected
+    assert reduced_amplitude(p, t, np.array(nums, dtype=object), mod, reach).tolist() == expected
+
+
+@pytest.mark.parametrize("p", BRANCH_PS)
+def test_reduced_amplitude_is_within_the_stage_bound_past_the_float_point(p):
+    # t num/mod runs to 2**100 and 10**340, where a float point keeps no
+    # fractional digit; the exactly reduced argument v < 1 keeps
+    # dirichlet_amplitude's bound at v, plus pi p u/2 for rounding v itself
+    # (|D_p'| <= pi (p - 1))
+    rng = random.Random(p)
+    nums = [rng.randrange(-2**40, 2**40) for _ in range(60)] + [0, 1, -1]
+    for t, mod in ((2**60 + 1, 4 * 3**5), (-(10**300 + 1), 2**66 * p)):
+        got = reduced_amplitude(p, t, np.array(nums, dtype=np.int64), mod, 2**40).tolist()
+        with mpmath.workprec(200):
+            for n, d in zip(nums, got):
+                v = F(t * n, mod) % 1
+                exact = float(mp_dirichlet(p, mpmath.mpf(v.numerator) / v.denominator))
+                assert abs(abs(d) - abs(exact)) <= stage_bound(p, float(v)) + np.pi * p * UNIT
 
 
 def test_support_hull_examples():

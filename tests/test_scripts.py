@@ -92,12 +92,15 @@ def test_verify_paths_prints_one_row_per_case():
                           capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == 0, done.stderr
     header, *rows = [line.split() for line in done.stdout.splitlines()]
-    assert header == ["case", "points", "path", "ok", "seconds", "peak_rss_mb"]
+    assert header == ["case", "points", "path", "ok", "residual", "seconds", "peak_rss_mb"]
     # the translate by 1/3 takes the tower path; the moved point is no tower
     assert [row[:4] for row in rows] == [["tower", "16", "tower", "true"],
                                          ["third", "16", "tower", "true"],
                                          ["moved", "16", "pairwise", "false"]]
-    assert all(float(row[4]) < 30 and 0 < float(row[5]) < 1024 for row in rows)
+    # a spectrum's residual is rounding, and the translate's takes the same bits;
+    # the moved point's is of order 1
+    assert float(rows[0][4]) < 1e-14 and rows[1][4] == rows[0][4] and float(rows[2][4]) > 0.1
+    assert all(float(row[5]) < 30 and 0 < float(row[6]) < 1024 for row in rows)
 
 
 def test_probe_rates_prints_one_row_per_word_and_window():

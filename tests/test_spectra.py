@@ -1,9 +1,10 @@
 import math
+import operator
 import random
 import time
 import tracemalloc
 from fractions import Fraction as F
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from moranspec import spectra
 from moranspec.hadamard import canonical_dual_digits
 from moranspec.measure import (DEFAULT_ATOM_CAP, INT64_SPAN, MU_HAT_BLOCK, RECURRENCE_MAX_P,
                                AtomCapExceeded, DiscreteMeasure, SymbolicWord, SystemConfig,
-                               float_quotients, int_width, mask_zero_hit, mu_hat_many, stage_walk,
-                               sumset, support_hull, truncate)
+                               float_quotients, int_width, mask_zero_hit, mu_hat_many,
+                               reduced_amplitude, stage_walk, sumset, support_hull, truncate)
 from moranspec.oracle import search_spectra
 from moranspec.spectra import (VERIFY_ATOM_BOUND, Decomposition, SpectrumCandidate,
                                build_tower_spectrum, decompose_spectrum, default_lattice_modulus,
@@ -356,6 +357,43 @@ def test_verify_checks_a_tower_stage_by_stage(monkeypatch):
     assert sum(seen) > 100
 
 
+def test_the_tower_path_takes_each_stage_factor_once_per_digit_prefix(monkeypatch):
+    # stage n < k once per level-n difference sum, prod_{m<=n} (2p_m - 1) of
+    # them, and stage k once per distinct positive difference; a moved point
+    # takes all k stages at each distinct difference
+    evals = []
+
+    def spy(p, t, nums, mod, reach):
+        evals.append(len(nums))
+        return reduced_amplitude(p, t, nums, mod, reach)
+
+    monkeypatch.setattr(spectra, "reduced_amplitude", spy)
+    signed = SystemConfig.of((-4, 2, -1), (-6, 3, 5), (4, 2, -3))
+    for cfg, word, depth in ((signed, SymbolicWord((3,), (2, 1)), 4),
+                             (signed, SymbolicWord((1, 2), (3, 2)), 5),
+                             (SystemConfig.of((2, 2, 1)), ONES, 4)):
+        sizes = list(accumulate((2 * pr.p - 1 for pr, _ in stage_walk(cfg, word, depth)),
+                                operator.mul))
+        cand = build_tower_spectrum(cfg, word, depth)
+        meas = truncate(cfg, word, depth)
+        distinct = len(spectra._tower_differences(cand, cfg, word, depth)[0])
+        evals.clear()
+        assert verify_spectrum_finite(meas, cand, cfg, word, depth).ok
+        assert sum(evals) == sum(sizes[:-1]) + distinct
+        if cfg is signed:  # no difference repeats: the positive half, (prod - 1)/2
+            assert distinct == (sizes[-1] - 1) // 2
+        moved_tower = moved(cand, random.Random(depth), 1)[0]
+        evals.clear()
+        verify_spectrum_finite(meas, moved_tower, cfg, word, depth)
+        assert evals and sum(evals) == depth * len(distinct_differences(moved_tower))
+    # (2, 2, 1)'s differences j_1 + 2 j_2 + ... repeat: 15 distinct of 40 positive
+    assert distinct == 15 < (sizes[-1] - 1) // 2 == 40
+
+
+def distinct_differences(cand):
+    return {b - a for i, a in enumerate(cand.nums) for b in cand.nums[i + 1:]}
+
+
 def test_tower_path_keeps_the_sumset_width_past_the_mask_product_bound():
     # spans about 2**39, below INT64_SPAN, but span * p|t| passes 2**62: the
     # stage tests take Python integers, so the differences stay int64
@@ -368,7 +406,7 @@ def test_tower_path_keeps_the_sumset_width_past_the_mask_product_bound():
         assert span < INT64_SPAN < span * 2 * (2**25 + 1)
         assert spectra._tower_differences(c, cfg, word, 2)[0].dtype == np.int64
         ver = assert_matches_reference(meas, c, cfg, word, 2)
-        assert ver.ok and ver.unitarity_residual.hex() == "0x1.ffe2812edb105p-27"
+        assert ver.ok and ver.unitarity_residual.hex() == "0x1.8f5a0be038ed6p-53"
 
 
 @settings(max_examples=20, deadline=None)
