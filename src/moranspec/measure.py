@@ -588,13 +588,13 @@ def reduced_amplitude(p: int, t: int, nums: np.ndarray, mod: int, reach: int) ->
     |D_{p_n}(t_n x / B_n)| at x = num/L, whatever the sign of B_n.  Only
     its square is meant for use, as the sign may differ.  nums is an integer
     array; an int64 one is taken to Python integers when int_width of
-    |t| reach or mod is.  r/mod is correctly rounded: one float division
+    |t| max(reach, 1) or mod is.  r/mod is correctly rounded: one float division
     while r and mod are int64 values below 2**53, Python's int / int
     otherwise, as float_quotients does.  The argument lies in [0, 1), so
     dirichlet_amplitude's rounding bound holds at |v| < 1, whatever t and
     num are.
     """
-    if nums.dtype != object and int_width(max(abs(t) * reach, mod)) is object:
+    if nums.dtype != object and int_width(max(abs(t) * max(reach, 1), mod)) is object:
         nums = nums.astype(object)
     v = nums * t
     v %= mod

@@ -237,13 +237,12 @@ def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word:
             amps = factors
     # sum -1 - i is minus sum i and the middle one is 0: when the upper half
     # increases from a positive sum it holds every positive sum, distinct and
-    # in order; otherwise the positive sums are sorted and equal ones merged,
-    # each array replaced once read, so the level-k sums are freed first
+    # in order
     mid = len(diffs) // 2 + 1
     upper = diffs[mid:]
     if len(upper) and upper[0] > 0 and np.all(upper[1:] > upper[:-1]):
-        diffs, counts, keep = upper, counts[mid:], np.arange(mid, mid + len(upper))
-    else:
+        diffs, counts, keep = upper, counts[mid:], np.arange(mid, len(diffs))
+    else:  # sort and merge the positive sums, freeing each array once read
         keep = np.flatnonzero(diffs > 0)
         diffs, counts = diffs[keep], counts[keep]
         order = np.argsort(diffs, kind="stable")
@@ -253,7 +252,7 @@ def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word:
     if stages:  # a distinct difference's parent is its first sum's level k - 1 sum
         pr, _, base = stages[-1]
         factors = reduced_amplitude(pr.p, pr.t, diffs, den * abs(base), reach)
-        factors *= amps[keep % len(amps)]
+        factors *= amps.take(keep, mode="wrap")  # index keep % len(amps)
         amps = factors
     return diffs, counts, amps.__getitem__, None
 

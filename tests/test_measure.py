@@ -754,6 +754,7 @@ def reduced_reference(p, t, nums, mod):
                  st.integers(1, 2**200)))
 @example(3, 2**40 + 1, [2**21, -(2**21) - 1], 3 * 2**40)  # |t num| passes INT64_SPAN
 @example(2, -1, [], 7)
+@example(2, 2**63, [], 1)  # t alone past int64
 def test_reduced_amplitude_is_dirichlet_at_the_exactly_reduced_argument(p, t, nums, mod):
     # int64 and Python-integer arrays alike, on both sides of RECURRENCE_MAX_P
     # and of 2**53 in mod: the same bits as the Fraction reduction
