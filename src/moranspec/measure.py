@@ -407,12 +407,14 @@ def sumset(stages: Sequence[tuple[int, int]]) -> np.ndarray:
     """The sorted sums of one j*step, j < count, per (count, step) stage, with multiplicity.
 
     The width is int_width of sumset_span, which refuses, before any value
-    is built, a sumset past SUMSET_BIT_BOUND.
+    is built, a sumset past SUMSET_BIT_BOUND.  Each progression is one
+    arange: its length, (count*step)/step as a correctly rounded int / int,
+    is exactly count at either width.
     """
     dtype = int_width(sumset_span(stages))
     sums = np.zeros(1, dtype=dtype)
     for count, step in stages:
-        sums = np.add.outer(sums, np.arange(count, dtype=dtype) * step).ravel()
+        sums = np.add.outer(sums, np.arange(0, count * step, step, dtype=dtype)).ravel()
     sums.sort()
     return sums
 

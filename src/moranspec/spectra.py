@@ -227,7 +227,8 @@ def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word:
     reach = 0  # the largest |sum| so far
     for n, (pr, step, base) in enumerate(stages, start=1):
         step = abs(step) * den
-        diffs = np.add.outer(np.arange(1 - pr.p, pr.p, dtype=pts.dtype) * step, diffs).ravel()
+        sums = np.arange((1 - pr.p) * step, pr.p * step, step, dtype=pts.dtype)
+        diffs = np.add.outer(sums, diffs).ravel()
         counts = np.multiply.outer(pr.p - np.abs(np.arange(1 - pr.p, pr.p)), counts).ravel()
         reach += (pr.p - 1) * step
         if n < len(stages):  # the new digit leads, so each parent's children are a column
