@@ -240,9 +240,8 @@ def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word:
     # increases from a positive sum it holds every positive sum, distinct and
     # in order
     mid = len(diffs) // 2 + 1
-    upper = diffs[mid:]
-    if len(upper) and upper[0] > 0 and np.all(upper[1:] > upper[:-1]):
-        diffs, counts, keep = upper, counts[mid:], np.arange(mid, len(diffs))
+    if len(diffs) > 1 and diffs[mid] > 0 and np.all(diffs[mid + 1:] > diffs[mid:-1]):
+        diffs, counts, keep = diffs[mid:], counts[mid:], np.arange(mid, len(diffs))
     else:  # sort and merge the positive sums, freeing each array once read
         keep = np.flatnonzero(diffs > 0)
         diffs, counts = diffs[keep], counts[keep]
