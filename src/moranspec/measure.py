@@ -583,18 +583,18 @@ def dirichlet_amplitude(p: int, v: np.ndarray) -> np.ndarray:
 
 
 def reduced_amplitude(p: int, t: int, nums: np.ndarray, mod: int, reach: int) -> np.ndarray:
-    """D_p(r/mod) for r = t*nums mod mod, the residue taken in integers; mod > 0, reach >= max|num|.
+    """D_p(r/mod) for r = t*num mod mod, the residue taken in integers, at each num of nums.
 
     |D_p| is even and has period 1, so |D_p(t num/mod)| = |D_p(r/mod)| at any
-    size of t num: with mod = L|B_n| this is the stage factor
+    size of t num: with mod = L|B_n| > 0 this is the stage factor
     |D_{p_n}(t_n x / B_n)| at x = num/L, whatever the sign of B_n.  Only
     its square is meant for use, as the sign may differ.  nums is an integer
-    array; an int64 one is taken to Python integers when int_width of
-    |t| max(reach, 1) or mod is.  r/mod is correctly rounded: one float division
-    while r and mod are int64 values below 2**53, Python's int / int
-    otherwise, as float_quotients does.  The argument lies in [0, 1), so
-    dirichlet_amplitude's rounding bound holds at |v| < 1, whatever t and
-    num are.
+    array with every |num| <= reach; an int64 one is taken to Python
+    integers when int_width of |t| max(reach, 1) or of mod is.  r/mod is
+    correctly rounded: one float division while r and mod are int64 values
+    below 2**53, Python's int / int otherwise, as float_quotients does.  The
+    argument lies in [0, 1), so dirichlet_amplitude's rounding bound holds
+    at |v| < 1, whatever t and num are.
     """
     if nums.dtype != object and int_width(max(abs(t) * max(reach, 1), mod)) is object:
         nums = nums.astype(object)
