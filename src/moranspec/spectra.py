@@ -238,10 +238,10 @@ def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word:
             amps = factors
     # sum -1 - i is minus sum i and the middle one is 0: when the upper half
     # increases from a positive sum it holds every positive sum, distinct and
-    # in order
+    # in order; either branch lets the level-k arrays go before the last stage
     mid = len(diffs) // 2 + 1
     if len(diffs) > 1 and diffs[mid] > 0 and np.all(diffs[mid + 1:] > diffs[mid:-1]):
-        diffs, counts, keep = diffs[mid:], counts[mid:], np.arange(mid, len(diffs))
+        diffs, counts, keep = diffs[mid:].copy(), counts[mid:].copy(), np.arange(mid, len(diffs))
     else:  # sort and merge the positive sums, freeing each array once read
         keep = np.flatnonzero(diffs > 0)
         diffs, counts = diffs[keep], counts[keep]
