@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
+from itertools import count, tee
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -641,13 +641,34 @@ def mu_hat_amplitude(config: SystemConfig, word: SymbolicWord, xs: np.ndarray,
 
     B_n = b_1...b_n; the transform is exp(pi i H x) A(x), so |mu_hat|**2 is
     A**2.  The stages and their refusals are stage_ratios' over stage_walk
-    to depth, with reach max|x|.
+    to depth, with reach max|x|.  The walk stops once no later stage can
+    change a float, both tests integer comparisons of |B_n|, which at least
+    doubles per stage, so no refusal is skipped.  When every p is at most
+    RECURRENCE_MAX_P, a stage with pi reach max|t| / |B_n| < 2**-28 takes
+    its cosine to 1.0, so the recurrence's D_p to exactly 1.0, as does
+    every later stage: their factors are left out.  From then on, once
+    max (p - 1)|t| / |B_n| is below a quarter ulp of the running H, adding
+    this or any later drift rounds back to H, and the walk ends.
     """
     xs = np.asarray(xs, dtype=float)
     amp, slope = np.ones_like(xs), 0.0
     reach = float(np.max(np.abs(xs), initial=0.0))
-    for pr, ratio, drift in stage_ratios(config, stage_walk(config, word, depth), reach):
-        amp *= dirichlet_amplitude(pr.p, xs * ratio)
+    flat = math.inf  # the factor of each stage with |B_n| > flat is 1.0
+    if math.isfinite(reach) and max(pr.p for pr in config.pairs) <= RECURRENCE_MAX_P:
+        # pi reach max|t| / |B_n| < 2**-28 where |B_n| > 22 reach max|t| 2**28 / 7,
+        # as pi < 22/7; reach = num/den, and an integer |B_n| passes the floor
+        num, den = reach.as_integer_ratio()
+        flat = (22 * num * max(abs(pr.t) for pr in config.pairs) << 28) // (7 * den)
+    drift_top = max((pr.p - 1) * abs(pr.t) for pr in config.pairs)
+    walk, bases = tee(stage_walk(config, word, depth))
+    for (pr, ratio, drift), (_, base) in zip(stage_ratios(config, walk, reach), bases):
+        if abs(base) <= flat:
+            amp *= dirichlet_amplitude(pr.p, xs * ratio)
+        elif slope:
+            # drift_top / |B_n| below a quarter ulp of H = f 2**e, 1/2 <= |f| < 1: 2**(e - 55)
+            e = math.frexp(slope)[1] - 55
+            if drift_top << max(0, -e) < abs(base) << max(0, e):
+                break
         slope += drift
     return amp, slope
 
@@ -656,6 +677,8 @@ def mu_hat_many(config: SystemConfig, word: SymbolicWord, xs: np.ndarray,
                 depth: int) -> np.ndarray:
     """Vectorized finite product prod_{k<=depth} m_k(x / (b_1...b_k)) as exp(pi i H x) A(x).
 
+    A and H are mu_hat_amplitude's, whose walk stops where no later stage
+    changes a float, so every depth past that stop gives the same bits.
     x = 0 gives exactly 1+0j; the rounding bound is mu_hat_eval's.
     """
     amp, slope = mu_hat_amplitude(config, word, xs, depth)

@@ -24,7 +24,8 @@ from moranspec.cli import (ALPHABET_BOUND, CSV_ROW, ORACLE_SET_BOUND, QCHECK_WOR
 from moranspec.hadamard import is_admissible
 from moranspec.oracle import ORACLE_DIGIT_BOUND
 from moranspec.measure import (DEFAULT_ATOM_CAP, FLOAT_BOUND, MU_HAT_BLOCK, SUMSET_BIT_BOUND,
-                               SymbolicWord, SystemConfig, mu_hat_eval, mu_hat_many, truncate)
+                               SymbolicWord, SystemConfig, dirichlet_amplitude, mu_hat_eval,
+                               mu_hat_many, stage_walk, truncate)
 from moranspec.spectra import (VERIFY_ATOM_BOUND, build_tower_spectrum, q_function,
                                tower_stages)
 from test_classifier import (PROBE_LETTERS, SIGNED_LETTERS, coprime_alphabets,
@@ -1068,11 +1069,22 @@ def reference_row(x, re, im, mod):
 
 
 def reference_csv(config, word, depth, grid, window):
+    """sample-ft's CSV with every stage to depth taken and each row one f-string.
+
+    The product is mu_hat_many's, exp(pi i H x) A(x), with no stop: each
+    stage's dirichlet_amplitude factor and drift are taken, past the float
+    range of b_1...b_n too, where t/b_1...b_n rounds to 0.0 and the factor
+    is D_p(0) = 1.  |mu_hat| is Python's abs(complex).
+    """
     rows = window * grid + 1
     xs = np.arange(rows) / grid
     text = ["x,re,im,abs\n"]
     for block in np.array_split(xs, max(1, math.ceil(rows / MU_HAT_BLOCK))):
-        vals = mu_hat_many(config, word, block, depth)
+        amp, slope = np.ones_like(block), 0.0
+        for pr, base in stage_walk(config, word, depth):
+            amp *= dirichlet_amplitude(pr.p, block * (pr.t / base))
+            slope += (pr.p - 1) * pr.t / base
+        vals = amp * np.exp((1j * np.pi * slope) * block)
         text += [reference_row(x, v.real, v.imag, abs(v))
                  for x, v in zip(block.tolist(), vals.tolist())]
     return "".join(text)
@@ -1104,6 +1116,39 @@ def test_sample_ft_csv_matches_the_per_row_writer_byte_for_byte(stages, period, 
         got = out_path.read_text()
     assert got == reference_csv(SystemConfig.of(*stages), SymbolicWord((), tuple(letters)),
                                 depth, grid, window)
+
+
+@pytest.mark.parametrize("p,factors,stages", [(2, 14, 29), (33, 540, 541)])
+def test_sample_ft_takes_no_stage_that_cannot_change_a_float(tmp_path, monkeypatch, capsys,
+                                                             p, factors, stages):
+    # depth 600, grid 16, window 1 on (4, p, 1)^oo, so max|x| = 1.  At p = 2 the
+    # walk took 537 factors, to 4**538 > 2**1075 where stage_ratios stops.  Now
+    # pi |t_n/B_n| < 2**-28 from stage 15 on (4**15 > pi 2**28): the cosine and
+    # so D_2 are 1.0 there, and 14 factors remain; the drift 4**-n is below a
+    # quarter ulp of H = 1/3 from stage 29 on (4**29 > 2**56), where the walk
+    # ends.  p = 33 is past RECURRENCE_MAX_P, so every factor to
+    # 4**541 > 32 * 2**1075 is taken
+    amplitude, walk, evals, walked = measure.dirichlet_amplitude, measure.stage_walk, [], []
+
+    def factor(*args):
+        evals.append(args[0])
+        return amplitude(*args)
+
+    def counted_walk(*args):
+        for stage in walk(*args):
+            walked.append(stage)
+            yield stage
+
+    monkeypatch.setattr(measure, "dirichlet_amplitude", factor)
+    monkeypatch.setattr(measure, "stage_walk", counted_walk)
+    cfg = write_config(tmp_path, "c.json", {"pairs": [{"b": 4, "p": p, "t": 1}],
+                                            "word": {"period": [1]}})
+    code, out = run(capsys, ["sample-ft", "--config", cfg, "--depth", "600", "--grid", "16",
+                             "--window", "1", "--out", str(tmp_path / "ft.csv")])
+    assert code == 0 and "rows=17" in out
+    assert evals == [p] * factors and len(walked) == stages
+    assert (tmp_path / "ft.csv").read_text() == reference_csv(
+        SystemConfig.of((4, p, 1)), SymbolicWord.constant(1), 600, 16, 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1193,6 +1238,23 @@ def test_sample_ft_refuses_a_stage_argument_past_the_float_range_before_its_file
                    timeout=30)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error=stage 1: pi p_1 max|x|")
+    assert not out_path.exists()
+
+
+def test_sample_ft_refuses_a_huge_stride_deep_in_the_word_before_its_file(tmp_path, capsys):
+    # the letter (4, 2, 10**400 + 1) first appears at stage 11, long after the
+    # factors of (4, 2, 1) are 1.0 in floats: the walk may stop only past
+    # |B_n| bounds formed from the alphabet's largest stride, so stage 11 is
+    # still reached and refused
+    cfg = write_config(tmp_path, "deep.json", {
+        "pairs": [{"b": 4, "p": 2, "t": 1}, {"b": 4, "p": 2, "t": str(HUGE)}],
+        "word": {"preperiod": [1] * 10, "period": [2]}})
+    out_path = tmp_path / "ft.csv"
+    code = main(["sample-ft", "--config", cfg, "--depth", "20", "--grid", "16", "--window", "1",
+                 "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error=stage 11: t_11/(b_1...b_11) is past the float range")
     assert not out_path.exists()
 
 

@@ -132,3 +132,17 @@ def test_decide_rates_prints_one_row_per_alphabet_and_mode():
     assert [row[:5] for row in rows] == [[name, mode, *counts[name]]
                                          for name in counts for mode in ("fresh", "reused")]
     assert all(0 < float(row[5]) < 30 for row in rows)
+
+
+def test_sample_ft_rates_prints_one_row_per_shape():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "sample_ft_rates.py"),
+                           "--repeat", "2", "--cap", "5000"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    header, *rows = [line.split() for line in done.stdout.splitlines()]
+    assert header == ["shape", "depth", "grid", "window", "rows", "ms", "us_per_row"]
+    assert [row[:5] for row in rows] == [["mixed", "20", "256", "4", "1025"],
+                                         ["overflow", "600", "16", "1", "17"],
+                                         ["cap", "20", "4999", "1", "5000"]]
+    assert all(0 < float(row[5]) < 30000 for row in rows)
