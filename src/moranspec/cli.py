@@ -273,7 +273,7 @@ def cmd_qcheck(config, word, rewrite, args) -> int:
             f"qcheck needs {work} stage evaluations (grid x points x depth, "
             f"depth at least 1); bound is {QCHECK_WORK_BOUND}")
     worst = 0.0
-    for qs in spectra.tower_q(config, stages, range(args.grid), args.grid):
+    for qs in spectra.tower_q(stages, range(args.grid), args.grid):
         worst = max(worst, float(np.max(np.abs(qs - 1.0))))
     emit("depth", args.depth)
     emit("grid", args.grid)

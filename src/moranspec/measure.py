@@ -582,6 +582,37 @@ def dirichlet_amplitude(p: int, v: np.ndarray) -> np.ndarray:
     return np.negative(out, out=out, where=(p % 2 == 0) & (np.rint(0.5 * k) != 0.5 * k))
 
 
+def reduced_quotients(t, nums: np.ndarray, mod, reach: int) -> np.ndarray:
+    """r/mod for r = t*num mod mod, the residue taken in integers, at each num of nums.
+
+    t and mod > 0 are integers, for one quotient per num, or equal-length
+    lists of them, for a row per (t, mod) pair.  nums is an integer array
+    with every |num| <= reach.  Each t is first reduced mod its mod, which
+    leaves r unchanged, so the residues are int64 while int_width of every
+    (t mod mod) max(reach, 1) and mod is; past that they are Python
+    integers (an int64 nums is taken to them).  r/mod lies in [0, 1) and is
+    correctly rounded: one float division while the residues are int64 and
+    every mod is below 2**53, Python's int / int otherwise, as
+    float_quotients does, so the bits do not depend on the width.
+    """
+    rows = isinstance(t, list)
+    if rows:
+        t = [a % m for a, m in zip(t, mod)]
+        top, mod_top = max(t, default=0), max(mod, default=0)
+    else:
+        t %= mod
+        top, mod_top = t, mod
+    if nums.dtype != object and int_width(max(top * max(reach, 1), mod_top)) is object:
+        nums = nums.astype(object)
+    if rows:  # a column of each against the row nums
+        t, mod = (np.array(v, dtype=nums.dtype).reshape(-1, 1) for v in (t, mod))
+    r = nums * t
+    r %= mod
+    if r.dtype == object or mod_top >= 2**53:  # Python's int / int
+        return (r.astype(object, copy=False) / np.asarray(mod).astype(object)).astype(float)
+    return r / mod
+
+
 def reduced_amplitude(p: int, t: int, nums: np.ndarray, mod: int, reach: int) -> np.ndarray:
     """D_p(r/mod) for r = t*num mod mod, the residue taken in integers, at each num of nums.
 
@@ -589,22 +620,11 @@ def reduced_amplitude(p: int, t: int, nums: np.ndarray, mod: int, reach: int) ->
     size of t num: with mod = L|B_n| > 0 this is the stage factor
     |D_{p_n}(t_n x / B_n)| at x = num/L, whatever the sign of B_n.  Only
     its square is meant for use, as the sign may differ.  nums is an integer
-    array with every |num| <= reach; an int64 one is taken to Python
-    integers when int_width of |t| max(reach, 1) or of mod is.  r/mod is
-    correctly rounded: one float division while r and mod are int64 values
-    below 2**53, Python's int / int otherwise, as float_quotients does.  The
+    array with every |num| <= reach, and r/mod is reduced_quotients'.  The
     argument lies in [0, 1), so dirichlet_amplitude's rounding bound holds
     at |v| < 1, whatever t and num are.
     """
-    if nums.dtype != object and int_width(max(abs(t) * max(reach, 1), mod)) is object:
-        nums = nums.astype(object)
-    v = nums * t
-    v %= mod
-    if v.dtype == object or mod >= 2**53:
-        v = np.array([r / mod for r in v.tolist()], dtype=float)
-    else:
-        v = v / mod
-    return dirichlet_amplitude(p, v)
+    return dirichlet_amplitude(p, reduced_quotients(t, nums, mod, reach))
 
 
 def stage_ratios(config: SystemConfig, walk: Iterable[tuple[StagePair, int]],

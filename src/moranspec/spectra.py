@@ -46,8 +46,8 @@ from .hadamard import dual_step, is_admissible
 from .measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, RECURRENCE_MAX_P, AtomCapExceeded,
                       DiscreteMeasure, StagePair, SymbolicWord, SystemConfig, canonical_ratios,
                       chebyshev_amplitude, dirichlet_amplitude, float_quotients, int_width,
-                      mask_zero_hit, mu_hat_amplitude, reduced_amplitude, runs, stage_ratios,
-                      stage_walk, sumset, sumset_span)
+                      mask_zero_hit, mu_hat_amplitude, reduced_amplitude, reduced_quotients,
+                      runs, stage_walk, sumset, sumset_span)
 
 
 @dataclass(frozen=True)
@@ -375,101 +375,92 @@ def q_function(config: SystemConfig, word: SymbolicWord, depth: int,
     return float(q) if np.ndim(q) == 0 else q
 
 
-def _prefix_tables(steps: Sequence[tuple[int, int]], ratios: Sequence[float],
-                   width: type) -> list[tuple[int, float, np.ndarray, Optional[np.ndarray]]]:
-    """Each (p, step) stage's tables over its digit prefixes lambda, given its ratio r.
+# grid x tower points per tower_q block: numpy's cost per call is paid once
+# a block, and larger blocks leave the cache.  On (2,2,1)^oo, 2**12, 2**16
+# and 2**18 entries a block took 12.1, 6.4 and 6.1 ms at depth 12, grid 64,
+# and 3.6, 2.8 and 4.4 ms at depth 1, grid 10**5 (two-core Xeon)
+TOWER_Q_BLOCK = 2**16
 
-    (p, pi r, cos(pi r lambda), sin(pi r lambda)) up to RECURRENCE_MAX_P,
-    (p, r, lambda, None) past it.  The prefixes are exact integers of width,
-    cast once to floats; the new digit leads, so each prefix's p children
-    are p equal slices.
+
+def _prefix_tables(stages: Sequence[tuple[StagePair, int, int]],
+                   width: type) -> list[tuple[int, np.ndarray, Optional[np.ndarray]]]:
+    """Each stage's tables over its digit prefixes lambda, from a = (|t_n| lambda mod |B_n|)/|B_n|.
+
+    (p, cos(pi a), sin(pi a)) up to RECURRENCE_MAX_P, (p, a, None) past it.
+    The prefixes are exact integers of width and a is reduced_quotients'
+    row; the new digit leads, so each prefix's p children are p equal slices.
     """
-    tables, offsets = [], np.zeros(1, dtype=width)
-    for (p, step), ratio in zip(steps, ratios):
-        offsets = np.add.outer(np.arange(p, dtype=width) * step, offsets).ravel()
-        lams = offsets.astype(float)
-        if p > RECURRENCE_MAX_P:
-            tables.append((p, ratio, lams, None))
+    tables, offsets, reach = [], np.zeros(1, dtype=width), 0
+    for pr, step, base in stages:
+        offsets = np.add.outer(np.arange(pr.p, dtype=width) * step, offsets).ravel()
+        reach += (pr.p - 1) * abs(step)
+        (quots,) = reduced_quotients([abs(pr.t)], offsets, [abs(base)], reach)
+        if pr.p > RECURRENCE_MAX_P:
+            tables.append((pr.p, quots, None))
         else:
-            lams *= math.pi * ratio
-            tables.append((p, math.pi * ratio, np.cos(lams), np.sin(lams)))
+            quots *= math.pi
+            tables.append((pr.p, np.cos(quots), np.sin(quots)))
     return tables
 
 
-def tower_q(config: SystemConfig, stages: Sequence[tuple[StagePair, int, int]],
-            nums, den: int = 1) -> Iterator[np.ndarray]:
+def tower_q(stages: Sequence[tuple[StagePair, int, int]], nums,
+            den: int = 1) -> Iterator[np.ndarray]:
     """Q of the tower over its digit tree at each x = nums[i]/den, one block at a time.
 
-    stages is tower_stages' list and nums is sorted: integers (an array or a
-    range) over den, or floats over 1, rounded as float_quotients does.  The
-    blocks hold consecutive x's, in order, at most MU_HAT_BLOCK grid x tower
-    points each (one x once the tower has more), and each x's Q does not
-    depend on the split.  It reads no word: stage_ratios walks the list's
-    (pair, B_n).
+    stages is tower_stages' list, read without a word, and nums are sorted
+    integers, an array or a range, over den > 0.  The blocks hold
+    consecutive x's, in order, at most TOWER_Q_BLOCK grid x tower points
+    each (one x once the tower has more), and each x's Q does not depend on
+    the split.
 
     Stage n's squared factor D_{p_n}(t_n (x + lambda) / B_n)**2 depends only
     on lambda's first n digits: a later digit step B_{j-1} s_j, j > n, times
     t_n / B_n is an integer, which leaves D_p**2 unchanged.  So each prefix
     lambda = sum_{j<=n} d_j step_j, d_j < p_j, is built once per call as an
-    exact integer of sumset's width (int_width), cast once to a float, and
-    Q(x) is the sum of x's leaves, taken back up the tree (the p_n children
-    of each prefix into it, deepest stage first, in digit order): sum_n
-    prod_{j<=n} p_j factors per x, not depth prod p_j.  A stage with
-    p_n <= RECURRENCE_MAX_P needs only c = cos(pi r (x + lambda)),
-    r = t_n / B_n, which angle addition splits into
-    cos(pi r lambda) cos(pi r x) - sin(pi r lambda) sin(pi r x): the
-    prefixes' cosines and sines are taken once per call, x's once per block,
-    and a block costs two outer products and a subtraction, then
-    chebyshev_amplitude.  A larger p_n takes the sine quotient at the summed
-    argument, since sin(pi v) from angle addition loses its relative
-    accuracy near the integers.
+    exact integer of sumset's width (int_width), and Q(x) is the sum of x's
+    leaves, taken back up the tree (the p_n children of each prefix into
+    it, deepest stage first, in digit order): sum_n prod_{j<=n} p_j factors
+    per x, not depth prod p_j.  D_p**2 is even with period 1, so the factor
+    is taken at a + g, a = (|t_n| lambda mod |B_n|)/|B_n| once per prefix per
+    call and g = (|t_n| num mod den |B_n|)/(den |B_n|) once per x per block,
+    every stage's g in one reduced_quotients table: both residues are
+    integers and both quotients lie in [0, 1), however large t_n, B_n and x
+    are.  A stage with p_n <= RECURRENCE_MAX_P needs only c = cos(pi (a + g)),
+    which angle addition splits into cos(pi a) cos(pi g) - sin(pi a) sin(pi g):
+    a block costs two outer products and a subtraction, then
+    chebyshev_amplitude.  A larger p_n takes the sine quotient at the float
+    sum a + g, since sin(pi v) from angle addition loses its relative
+    accuracy near the integers.  Refuses only as sumset_span does.
 
-    Refuses as building the points and q_function over them would, in that
-    order, before any table: the sumset bit bound (sumset_span), a tower
-    point past the float range (float_quotients of the least and the
-    largest point) and stage_ratios' refusals with reach max|x + lambda|,
-    the larger of |first x + min lambda| and |last x + max lambda|.
-
-    Rounding: with u = 2**-53 and, at stage n,
-    c_n = |t_n / B_n| (|x| + sum_{j<=n} (p_j - 1)|step_j|) >= (p_n - 1)/p_n,
-    which bounds every argument |v| = |r (x + lambda)|, and e_n
-    dirichlet_amplitude's bound at |v| = c_n,
-    |Q(x) - 1| <= sum_n p_n (2 e_n + pi p_n (n + 4) c_n u + 3 u) to first
-    order in u.  The bound allots each factor an error e_n plus pi p_n / 2
-    (|D_p'| at most) times an argument error (n + 4) c_n u, and each
-    prefix's p_n children p_n times that, plus 3 u each for the square, the
-    weight and the sum.  A sine-quotient factor is within e_n of D_p at
-    (x + fl(lambda)) fl(r), which is within 4 c_n u of v.  A recurrence
-    factor's two angles, fl(lambda) and x times fl(pi fl(r)), are within
-    5 pi c_n u of pi v together; the angle addition is within
-    (2 + 2 sqrt 2) u of the cosine of their sum, (1 + 2 sqrt 2) u more than
-    one cos call, which moves U_{p-1}(c)/p by at most (p**2 - 1)/3 times
-    that: at most 1.3 (p**2 - 1) u past e_n plus the 5 c_n u argument
-    error.  That fits: as D_p**2 sums to 1 over a prefix's children, the
-    children's 2 D_p delta sum to at most 2 sqrt(p_n) max delta
-    (Cauchy-Schwarz), not p_n times it, and with e_n >= p_n**2 u and
-    c_n >= (p_n - 1)/p_n the factor sqrt(p_n) covers the excess for every
-    p_n >= 2.
+    Rounding: with u = 2**-53 and e_n dirichlet_amplitude's bound at |v| = 2,
+    |Q(x) - 1| <= sum_n (2 sqrt(p_n) d_n + 3 p_n u) to first order in u, where
+    d_n = e_n + 1.3 (p_n**2 - 1) u + 2 pi p_n u up to RECURRENCE_MAX_P and
+    d_n = e_n + pi p_n u past it bounds each factor's error.  Neither grows
+    with |t_n| or x.  Each correctly rounded quotient is within u/2 of its
+    value, so each angle, pi a or pi g, is within 2 pi u of its value, and
+    the sum a + g within 2u: an argument error of 4u or 2u, times pi p_n / 2
+    (|D_p'| at most).  Angle addition is within (2 + 2 sqrt 2) u of the
+    cosine of the angles' sum, (1 + 2 sqrt 2) u more than one cos call,
+    which moves U_{p-1}(c)/p by at most (p**2 - 1)/3 times that.  As D_p**2
+    sums to 1 over a prefix's children, their errors 2 D_p d_n sum to at
+    most 2 sqrt(p_n) d_n (Cauchy-Schwarz), and each child adds 3 u for the
+    square, the weight and the sum.
     """
     steps = [(pr.p, step) for pr, step, _ in stages]
-    width = int_width(sumset_span(steps))
-    low, high = float_quotients([sum((p - 1) * step for p, step in steps if step < 0),
-                                 sum((p - 1) * step for p, step in steps if step > 0)], 1)
-    first, last = float_quotients([nums[0], nums[-1]], den) if len(nums) else (0.0, 0.0)
-    reach = max(abs(first + low), abs(last + high))
-    # a stage past stage_ratios' stop has a point past the float range, refused above
-    walk = [(pr, base) for pr, _, base in stages]
-    ratios = [ratio for _, ratio, _ in stage_ratios(config, walk, float(reach))]
-    tables = _prefix_tables(steps, ratios, width)
-    scales = np.array([scale for _, scale, _, _ in tables])
-    rows = max(1, MU_HAT_BLOCK // math.prod(p for p, _ in steps))
+    tables = _prefix_tables(stages, int_width(sumset_span(steps)))
+    ts, mods = [abs(pr.t) for pr, _, _ in stages], [den * abs(base) for _, _, base in stages]
+    reach = max(abs(int(nums[0])), abs(int(nums[-1]))) if len(nums) else 0
+    rows = max(1, TOWER_Q_BLOCK // math.prod(p for p, _ in steps))
     for i in range(0, len(nums), rows):
-        xs = float_quotients(nums[i:i + rows], den)
-        angles = np.multiply.outer(scales, xs)  # every stage's x angle, unused past the branch
-        weight = np.ones(len(xs))
-        for (p, scale, lo, hi), cos_x, sin_x in zip(tables, np.cos(angles), np.sin(angles)):
+        block = nums[i:i + rows]
+        if isinstance(block, range):  # np.asarray would step through it in Python
+            block = np.arange(block.start, block.stop, block.step)
+        quots = reduced_quotients(ts, block, mods, reach)
+        angles = quots * math.pi  # every stage's angle, unused past the branch
+        weight = np.ones(len(block))
+        for (p, lo, hi), quot, cos_x, sin_x in zip(tables, quots, np.cos(angles), np.sin(angles)):
             if hi is None:
-                amp = dirichlet_amplitude(p, np.add.outer(lo, xs) * scale)
+                amp = dirichlet_amplitude(p, np.add.outer(lo, quot))
             else:
                 amp = np.multiply.outer(lo, cos_x)
                 amp -= np.multiply.outer(hi, sin_x)

@@ -26,8 +26,7 @@ from moranspec.oracle import ORACLE_DIGIT_BOUND
 from moranspec.measure import (DEFAULT_ATOM_CAP, FLOAT_BOUND, MU_HAT_BLOCK, SUMSET_BIT_BOUND,
                                SymbolicWord, SystemConfig, dirichlet_amplitude, mu_hat_eval,
                                mu_hat_many, stage_walk, truncate)
-from moranspec.spectra import (VERIFY_ATOM_BOUND, build_tower_spectrum, q_function,
-                               tower_stages)
+from moranspec.spectra import VERIFY_ATOM_BOUND, build_tower_spectrum, tower_stages
 from test_classifier import (PROBE_LETTERS, SIGNED_LETTERS, coprime_alphabets,
                              listed_violations, per_translate_probe, reference_zero_set_status)
 from test_measure import SIGNED_B, SIGNED_T, reference_truncate, words_over
@@ -228,8 +227,7 @@ def test_qcheck_max_deviation_does_not_depend_on_the_block(tmp_path, monkeypatch
             yield qs
 
     monkeypatch.setattr(spectra, "tower_q", spy)
-    for module in (measure, spectra):
-        monkeypatch.setattr(module, "MU_HAT_BLOCK", block)
+    monkeypatch.setattr(spectra, "TOWER_Q_BLOCK", block)
     code_after, after = run(capsys, argv)
     assert (code, code_after) == (0, 0) and "max_deviation=" in before
     assert after == before
@@ -1173,38 +1171,55 @@ def float_range_config(tmp_path, b, t):
                                                 "word": {"period": [1]}})
 
 
-@pytest.mark.parametrize("command", ["qcheck", "sample-ft"])
+@pytest.mark.parametrize("command", ["sample-ft"])
 def test_a_stage_ratio_past_the_float_range_exits_2_before_any_output(tmp_path, capsys, command):
     # t_1/b_1 = (10**400 + 1)/4 has no float value
     out_path = tmp_path / "ft.csv"
-    extra = ["--out", str(out_path)] if command == "sample-ft" else []
     code = main([command, "--config", float_range_config(tmp_path, 4, HUGE), "--depth", "1",
-                 *extra])
+                 "--out", str(out_path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error=stage 1:") and f"bound is {FLOAT_BOUND!r}" in captured.err
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("command", ["qcheck"])
-def test_a_point_past_the_float_range_exits_2_before_any_output(tmp_path, capsys, command):
-    # the canonical partner of (10**400, 2, 1) is {0, 5 * 10**399}
-    code = main([command, "--config", float_range_config(tmp_path, 10**400, 1), "--depth", "1"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error=a point") and f"bound is {FLOAT_BOUND!r}" in captured.err
-
-
-def test_a_stage_argument_past_the_float_range_exits_2_before_any_output(tmp_path):
+@pytest.mark.parametrize("b,t,depth,grid,deviation", [
+    # t_1/b_1 = (10**400 + 1)/4 has no float value; the tower is {0, 2}
+    (4, HUGE, 1, 256, "2.2204460492503131e-16"),
+    # the canonical partner of (10**400, 2, 1) is {0, 5 * 10**399}, past the float range
+    (10**400, 1, 1, 256, "0"),
     # t_1/b_1 = 5 * 10**307 is a float, but pi * p * 3 * t_1/b_1 is not: the
-    # stage cosine was nan, so qcheck printed max_deviation=0 with exit 0 and
-    # numpy warnings on stderr
-    done = run_cli(["qcheck", "--config", float_range_config(tmp_path, 2, 10**308 + 1),
-                    "--depth", "2", "--grid", "4"], timeout=30)
-    assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr.splitlines() == [
-        "error=stage 1: pi p_1 max|x| |t_1/(b_1...b_1)| is past the float range; "
-        f"bound is {FLOAT_BOUND!r}"]
+    # stage cosine was nan, so qcheck once printed max_deviation=0 with exit 0
+    (2, 10**308 + 1, 2, 4, "2.2204460492503131e-16"),
+], ids=["stage-ratio", "point", "stage-argument"])
+def test_qcheck_past_the_float_range_answers_exactly(tmp_path, b, t, depth, grid, deviation):
+    # each stage argument t_n (x + lambda) / (b_1...b_n) is reduced mod 1 in
+    # integers, its prefix part and its grid part apart, so these qcheck runs,
+    # once refused with exit 2, print Q within its bound of 1
+    cfg = float_range_config(tmp_path, b, t)
+    done = run_cli(["qcheck", "--config", cfg, "--depth", str(depth), "--grid", str(grid)],
+                   timeout=30)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.splitlines() == [f"depth={depth}", f"grid={grid}",
+                                        f"max_deviation={deviation}"]
+    stages = tower_stages(SystemConfig.of((b, 2, t)), SymbolicWord.constant(1), depth,
+                          DEFAULT_ATOM_CAP)
+    assert float(deviation) <= tower_q_bound(stages)
+
+
+@pytest.mark.parametrize("t,depth,grid", [(2**60 + 1, 6, 64), (10**300 + 1, 3, 57)],
+                         ids=["2**60+1", "10**300+1"])
+def test_qcheck_of_a_large_stride_measures_the_tower(tmp_path, capsys, t, depth, grid):
+    # (4, 2, t) is admissible for odd t, and its tower is a spectrum.  With
+    # t_n (x + lambda) / B_n formed as a float product no fractional digit
+    # survived, and qcheck printed max_deviation=1.5404897201484755 and
+    # 1.4871323138430852 with exit 0
+    code, out = run(capsys, ["qcheck", "--config", float_range_config(tmp_path, 4, t),
+                             "--depth", str(depth), "--grid", str(grid)])
+    report = dict(line.split("=", 1) for line in out.splitlines())
+    stages = tower_stages(SystemConfig.of((4, 2, t)), SymbolicWord.constant(1), depth,
+                          DEFAULT_ATOM_CAP)
+    assert code == 0 and float(report["max_deviation"]) <= tower_q_bound(stages)
 
 
 @pytest.mark.parametrize("b,t,depth,residual", [
@@ -1292,10 +1307,12 @@ def test_a_base_past_the_float_range_keeps_its_stage(tmp_path, capsys):
 
 
 def per_point_qcheck_error(cfg, word, depth, grid):
-    """The error text of qcheck's per-point path, or None when it completes.
+    """The error text of qcheck's per-point path before any float, or None when it gets there.
 
-    The path checks the stage list, then the work bound, builds the tower's
-    points and sums q_function over them, MU_HAT_BLOCK grid x points at a time.
+    The path checks the stage list, then the work bound, and builds the
+    tower's points.  Its float refusals (a stage ratio, a point or a stage
+    argument past the float range) are not qcheck's, which reduces every
+    stage argument in integers and answers there.
     """
     try:
         stages = tower_stages(cfg, word, depth, DEFAULT_ATOM_CAP)
@@ -1303,10 +1320,7 @@ def per_point_qcheck_error(cfg, word, depth, grid):
         if work > QCHECK_WORK_BOUND:
             return (f"qcheck needs {work} stage evaluations (grid x points x depth, "
                     f"depth at least 1); bound is {QCHECK_WORK_BOUND}")
-        cand = build_tower_spectrum(cfg, word, depth)
-        rows = max(1, MU_HAT_BLOCK // len(cand))
-        for i in range(0, grid, rows):
-            q_function(cfg, word, depth, cand, np.arange(i, min(i + rows, grid)) / grid)
+        build_tower_spectrum(cfg, word, depth)
     except ValueError as exc:
         return str(exc)
     return None
@@ -1332,7 +1346,7 @@ def letters_and_words(letter):
        st.integers(0, 8), st.integers(1, 64))
 @example(([WIDE_LETTER], ONE), 8, 64)  # the work bound
 @example(([WIDE_LETTER], ONE), 8, 1)  # the sumset bit bound
-@example(([(4, 2, HUGE)], ONE), 1, 4)  # a stage ratio past the float range
+@example(([(4, 2, HUGE)], ONE), 1, 4)  # a stage ratio past the float range: Q, not a refusal
 def test_qcheck_refuses_as_the_per_point_path_or_prints_q_within_its_bound(system, depth, grid):
     letters, word = system
     cfg = SystemConfig.of(*letters)
@@ -1346,4 +1360,4 @@ def test_qcheck_refuses_as_the_per_point_path_or_prints_q_within_its_bound(syste
     assert lines[:2] == [f"depth={depth}", f"grid={grid}"] and len(lines) == 3
     key, value = lines[2].split("=")
     stages = tower_stages(cfg, word, depth, DEFAULT_ATOM_CAP)
-    assert key == "max_deviation" and float(value) <= tower_q_bound(stages, 1.0)
+    assert key == "max_deviation" and float(value) <= tower_q_bound(stages)

@@ -22,7 +22,8 @@ from moranspec.measure import (INT64_SPAN, RECURRENCE_MAX_P, SUMSET_BIT_BOUND, A
                                DiscreteMeasure, StagePair, SymbolicWord, SystemConfig, WordFacts,
                                dirichlet_amplitude, float_quotients, mask_zero_contains,
                                mask_zero_hit, mask_zero_moduli, mu_hat_amplitude, mu_hat_eval,
-                               mu_hat_many, normalize_signs, reduced_amplitude, scale_digits,
+                               mu_hat_many, normalize_signs, reduced_amplitude,
+                               reduced_quotients, scale_digits,
                                stage_walk, sumset, support_hull, truncate, zero_flags,
                                zero_set_contains)
 from moranspec.spectra import (SpectrumCandidate, build_tower_spectrum, q_function,
@@ -766,6 +767,25 @@ def test_reduced_amplitude_is_dirichlet_at_the_exactly_reduced_argument(p, t, nu
     reach = max(map(abs, nums), default=0)
     assert reduced_amplitude(p, t, np.array(nums, dtype=np.int64), mod, reach).tolist() == expected
     assert reduced_amplitude(p, t, np.array(nums, dtype=object), mod, reach).tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.integers(-60, 60), st.integers(-2**200, 2**200)),
+                          st.one_of(st.integers(1, 2**20), st.sampled_from((2**53, 2**62)),
+                                    st.integers(1, 2**200))), max_size=4),
+       st.lists(st.one_of(st.integers(-10**6, 10**6), st.integers(-2**61, 2**61)), max_size=8))
+@example([(2**64 + 1, 3 * 2**10), (5, 7)], [2**40, -3])  # t past int64, its residue not
+def test_reduced_quotients_rows_are_the_correctly_rounded_quotients(pairs, nums):
+    # a table of (t, mod) rows, whatever their widths, holds each pair's own
+    # quotients, the Fraction reduction rounded once, bit for bit
+    reach = max(map(abs, nums), default=0)
+    expected = [[float(F(t * n, mod) % 1) for n in nums] for t, mod in pairs]
+    for width in (np.int64, object):
+        table = reduced_quotients([t for t, _ in pairs], np.array(nums, dtype=width),
+                                  [mod for _, mod in pairs], reach)
+        assert table.shape == (len(pairs), len(nums)) and table.tolist() == expected
+        for (t, mod), row in zip(pairs, expected):
+            assert reduced_quotients(t, np.array(nums, dtype=width), mod, reach).tolist() == row
 
 
 @pytest.mark.parametrize("p", BRANCH_PS)

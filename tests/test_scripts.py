@@ -75,13 +75,15 @@ def test_readme_library_example_runs(capsys):
 def test_qcheck_rates_times_one_small_tower():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "qcheck_rates.py"),
-                           "--tower", "3:2", "--repeat", "2", "--work", "200000"],
+                           "--tower", "3:2", "--tower", f"{2**64},2,{2**64 + 1}:1",
+                           "--repeat", "2", "--work", "200000"],
                           capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == 0, done.stderr
     header, *rows = [line.split() for line in done.stdout.splitlines()]
-    assert header == ["p", "depth", "grid", "work", "seconds", "rate_M_per_s"]
-    # the largest grid within the work: 200,000 // (3**2 * 2)
-    assert [row[:4] for row in rows] == [["3", "2", "11111", "199998"]] * 2
+    assert header == ["letter", "depth", "grid", "work", "seconds", "rate_M_per_s"]
+    # the largest grid within the work: 200,000 // (3**2 * 2) and 200,000 // 2
+    assert [row[:4] for row in rows] == [["3,3,1", "2", "11111", "199998"]] * 2 + [
+        [f"{2**64},2,{2**64 + 1}", "1", "100000", "200000"]] * 2
     assert all(float(row[4]) < 30 for row in rows)
 
 

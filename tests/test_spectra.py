@@ -612,13 +612,13 @@ def test_q_function_on_an_array_matches_the_scalar_calls_bitwise():
             assert many.tolist() == single, (word, depth)
 
 
-def tower_q_bound(stages, x):
-    """tower_q's stated rounding bound on |Q(x) - 1|."""
-    total, span = 0.0, F(abs(x))
-    for n, (pr, step, base) in enumerate(stages, start=1):
-        span += (pr.p - 1) * abs(step)
-        c = float(abs(F(pr.t, base)) * span)
-        total += pr.p * (2 * stage_bound(pr.p, c) + math.pi * pr.p * (n + 4) * c * UNIT + 3 * UNIT)
+def tower_q_bound(stages):
+    """tower_q's stated rounding bound on |Q(x) - 1|, the same at every x."""
+    total = 0.0
+    for pr, _, _ in stages:
+        factor = stage_bound(pr.p, 2) + (1.3 * (pr.p**2 - 1) * UNIT + 2 * math.pi * pr.p * UNIT
+                                         if pr.p <= RECURRENCE_MAX_P else math.pi * pr.p * UNIT)
+        total += 2 * math.sqrt(pr.p) * factor + 3 * pr.p * UNIT
     return total
 
 
@@ -639,6 +639,13 @@ def q_function_bound(cfg, word, depth, cand, x):
     return total + len(cand) * UNIT
 
 
+def grid_nums(data):
+    """Sorted distinct integer numerators below 4 * den in magnitude, over a drawn den."""
+    den = data.draw(st.integers(1, 1000))
+    nums = data.draw(st.lists(st.integers(-4 * den, 4 * den), min_size=1, max_size=8))
+    return np.unique(nums), den
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_tower_q_is_one_within_its_stated_bound(data):
@@ -651,16 +658,16 @@ def test_tower_q_is_one_within_its_stated_bound(data):
     word = data.draw(words_over(cfg.m))
     depth = data.draw(st.integers(0, 6))  # at most 3**6 points
     stages = tower_stages(cfg, word, depth, DEFAULT_ATOM_CAP)
-    xs = np.sort(data.draw(st.lists(st.floats(-4, 4), min_size=1, max_size=8)))
-    qs = tower_q_over(cfg, stages, xs)
-    assert qs.shape == xs.shape
-    for x, q in zip(xs.tolist(), qs.tolist()):
-        assert abs(q - 1) <= tower_q_bound(stages, x), (x, q)
+    nums, den = grid_nums(data)
+    qs = tower_q_over(stages, nums, den)
+    assert qs.shape == nums.shape
+    assert np.all(np.abs(qs - 1) <= tower_q_bound(stages)), (nums, den, qs)
     cand = build_tower_spectrum(cfg, word, depth)
     if len(cand) <= 512 and cand.nums[-1] - cand.nums[0] < 2**12:
+        xs = nums / den
         for x, q, ref in zip(xs.tolist(), qs.tolist(),
                              q_function(cfg, word, depth, cand, xs).tolist()):
-            assert abs(q - ref) <= (tower_q_bound(stages, x)
+            assert abs(q - ref) <= (tower_q_bound(stages)
                                     + q_function_bound(cfg, word, depth, cand, x)), (x, q, ref)
 
 
@@ -668,9 +675,9 @@ def test_tower_q_is_one_within_its_stated_bound(data):
 BRANCH_PS = (2, 3, 5, 8, 16, 31, 32, 33, 37)
 
 
-def tower_q_over(cfg, stages, nums, den=1):
+def tower_q_over(stages, nums, den=1):
     """tower_q's blocks joined into one array."""
-    return np.concatenate([np.empty(0), *tower_q(cfg, stages, nums, den)])
+    return np.concatenate([np.empty(0), *tower_q(stages, nums, den)])
 
 
 def branch_tower(data, points):
@@ -678,14 +685,16 @@ def branch_tower(data, points):
 
     The alphabet's first letter has p <= RECURRENCE_MAX_P, its second p past
     it; the word starts with both, in a drawn order, and the depth is the
-    deepest of at most six whose tower has at most points points.
+    deepest of at most six whose tower has at most points points.  Bases
+    and strides are small or past 2**60, so a stage's residues may be int64
+    or Python integers.
     """
     low = [p for p in BRANCH_PS if p <= RECURRENCE_MAX_P]
     high = [p for p in BRANCH_PS if p > RECURRENCE_MAX_P]
-    pairs = [data.draw(admissible_letters(st.integers(1, 3), st.integers(1, 7), ps))
-             for ps in (low, high)]
-    pairs += data.draw(st.lists(admissible_letters(st.integers(1, 3), st.integers(1, 7),
-                                                   BRANCH_PS), max_size=2))
+    multiplier = st.one_of(st.integers(1, 3), st.integers(2**60, 2**70))
+    stride = st.one_of(st.integers(1, 7), st.integers(2**60, 2**200))
+    pairs = [data.draw(admissible_letters(multiplier, stride, ps)) for ps in (low, high)]
+    pairs += data.draw(st.lists(admissible_letters(multiplier, stride, BRANCH_PS), max_size=2))
     cfg = SystemConfig.of(*pairs)
     rest = data.draw(words_over(cfg.m))
     word = SymbolicWord(tuple(data.draw(st.permutations((1, 2)))) + rest.preperiod, rest.period)
@@ -700,11 +709,11 @@ def branch_tower(data, points):
 def test_tower_q_is_within_its_stated_bound_on_both_sides_of_the_branch(data):
     # a recurrence stage takes angle addition and a larger p the sine
     # quotient at the summed argument; either way the stated bound holds
-    cfg, stages = branch_tower(data, 2**14)
+    _, stages = branch_tower(data, 2**14)
     assert {pr.p <= RECURRENCE_MAX_P for pr, _, _ in stages} == {True, False}
-    xs = np.sort(data.draw(st.lists(st.floats(-4, 4), min_size=1, max_size=8)))
-    for x, q in zip(xs.tolist(), tower_q_over(cfg, stages, xs).tolist()):
-        assert abs(q - 1) <= tower_q_bound(stages, x), (x, q)
+    nums, den = grid_nums(data)
+    qs = tower_q_over(stages, nums, den)
+    assert np.all(np.abs(qs - 1) <= tower_q_bound(stages)), (nums, den, qs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -712,19 +721,19 @@ def test_tower_q_is_within_its_stated_bound_on_both_sides_of_the_branch(data):
 def test_tower_q_does_not_depend_on_the_block_split(data):
     # every x's Q is the same bits over the whole grid and over any split
     # of it, blocks of one x included (numpy sums a single column pairwise)
-    cfg, stages = branch_tower(data, 2**12)
+    _, stages = branch_tower(data, 2**12)
     nums = np.unique(data.draw(st.lists(st.integers(-10**4, 10**4), min_size=1, max_size=200)))
     den = data.draw(st.integers(1, 1000))
     cuts = sorted(data.draw(st.lists(st.integers(1, len(nums)), max_size=6)))
-    whole = tower_q_over(cfg, stages, nums, den)
-    pieces = [tower_q_over(cfg, stages, nums[a:b], den)
+    whole = tower_q_over(stages, nums, den)
+    pieces = [tower_q_over(stages, nums[a:b], den)
               for a, b in zip([0, *cuts], [*cuts, len(nums)])]
     assert np.concatenate(pieces).tobytes() == whole.tobytes()
 
 
 def test_tower_q_at_depth_zero_is_exactly_one():
     # the point mass has one leaf of weight 1
-    assert tower_q_over(QUARTER, [], range(8), 8).tolist() == [1.0] * 8
+    assert tower_q_over([], range(8), 8).tolist() == [1.0] * 8
 
 
 def test_tower_q_does_not_depend_on_the_integer_width(monkeypatch):
@@ -747,11 +756,11 @@ def test_tower_q_does_not_depend_on_the_integer_width(monkeypatch):
         return widths[-1]
 
     monkeypatch.setattr(spectra, "int_width", spy)
-    narrow = [tower_q_over(cfg, stages, nums, 5).tolist() for stages in towers]
+    narrow = [tower_q_over(stages, nums, 5).tolist() for stages in towers]
     assert set(widths) == {np.int64, object}
     monkeypatch.setattr("moranspec.measure.INT64_SPAN", 1)
     widths.clear()
-    assert [tower_q_over(cfg, stages, nums, 5).tolist() for stages in towers] == narrow
+    assert [tower_q_over(stages, nums, 5).tolist() for stages in towers] == narrow
     assert set(widths) == {object}
 
 
