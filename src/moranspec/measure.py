@@ -631,8 +631,8 @@ def stage_ratios(config: SystemConfig, walk: Iterable[tuple[StagePair, int]],
                  reach: float) -> Iterator[tuple[StagePair, float, float]]:
     """Yield (pair, t_n/B_n, (p_n - 1) t_n/B_n) per (pair, B_n) of walk, for arguments |x| <= reach.
 
-    walk is stage_walk's (pair, B_n), B_n = b_1...b_n, or a list of them,
-    with pairs of config's alphabet.  Each quotient is one correctly rounded int / int
+    walk is stage_walk's (pair, B_n), B_n = b_1...b_n, with pairs of
+    config's alphabet.  Each quotient is one correctly rounded int / int
     division, and one past FLOAT_BOUND raises ValueError, as does a stage
     whose pi p_n reach |t_n / B_n| passes it, where a stage argument's sine
     or cosine would leave the float range and give nan.  Past

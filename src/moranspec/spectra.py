@@ -15,9 +15,9 @@ q_function sums it point by point over any candidate.  tower_q sums it
 over the canonical tower's digit tree, from tower_stages' list and no word:
 stage n's factor depends only on a point's first n digits, since every
 later digit moves its argument by an integer, so each factor is evaluated
-once per digit prefix, at an argument of order p|t| rather than of the
-tower's span; up to RECURRENCE_MAX_P digits its cosine comes by angle
-addition from the prefix's cosine and sine, taken once, and x's.
+once per digit prefix, at the prefix's and x's parts of its argument, each
+reduced mod 1 in integers; up to RECURRENCE_MAX_P digits its cosine comes
+by angle addition from the prefix's cosine and sine, taken once, and x's.
 
 verify_spectrum_finite's numeric residual takes the same digit tree on a
 tower: stage n's factor at a difference depends only on its first n digits,
@@ -384,17 +384,17 @@ TOWER_Q_BLOCK = 2**16
 
 def _prefix_tables(stages: Sequence[tuple[StagePair, int, int]],
                    width: type) -> list[tuple[int, np.ndarray, Optional[np.ndarray]]]:
-    """Each stage's tables over its digit prefixes lambda, from a = (|t_n| lambda mod |B_n|)/|B_n|.
+    """Each stage's tables over its digit prefixes lambda, at a = (|t_n| lambda mod |B_n|)/|B_n|.
 
     (p, cos(pi a), sin(pi a)) up to RECURRENCE_MAX_P, (p, a, None) past it.
-    The prefixes are exact integers of width and a is reduced_quotients'
-    row; the new digit leads, so each prefix's p children are p equal slices.
+    The prefixes are exact integers of width and a is reduced_quotients';
+    the new digit leads, so each prefix's p children are p equal slices.
     """
     tables, offsets, reach = [], np.zeros(1, dtype=width), 0
     for pr, step, base in stages:
         offsets = np.add.outer(np.arange(pr.p, dtype=width) * step, offsets).ravel()
         reach += (pr.p - 1) * abs(step)
-        (quots,) = reduced_quotients([abs(pr.t)], offsets, [abs(base)], reach)
+        quots = reduced_quotients(abs(pr.t), offsets, abs(base), reach)
         if pr.p > RECURRENCE_MAX_P:
             tables.append((pr.p, quots, None))
         else:
