@@ -376,10 +376,12 @@ def q_function(config: SystemConfig, word: SymbolicWord, depth: int,
 
 
 # grid x tower points per tower_q block: numpy's cost per call is paid once
-# a block, and larger blocks leave the cache.  On (2,2,1)^oo, 2**12, 2**16
-# and 2**18 entries a block took 12.1, 6.4 and 6.1 ms at depth 12, grid 64,
-# and 3.6, 2.8 and 4.4 ms at depth 1, grid 10**5 (two-core Xeon)
-TOWER_Q_BLOCK = 2**16
+# a block, and larger blocks leave the cache.  Over the 13 towers of
+# scripts/qcheck_rates.py at 5*10**7 counted evaluations each, blocks of
+# 2**12, 2**14 and 2**16 entries took 17.5, 12.1 and 14.2 s in all; 2**16
+# was faster only at depth 12 and at depth 1 with p <= 32, and 2**14
+# was up to 1.6 times faster past RECURRENCE_MAX_P (two-core Xeon)
+TOWER_Q_BLOCK = 2**14
 
 
 def _prefix_tables(stages: Sequence[tuple[StagePair, int, int]],
