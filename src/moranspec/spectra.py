@@ -460,7 +460,8 @@ def tower_q(stages: Sequence[tuple[StagePair, int, int]], nums,
         quots = reduced_quotients(ts, block, mods, reach)
         angles = quots * math.pi  # every stage's angle, unused past the branch
         weight = np.ones(len(block))
-        for (p, lo, hi), quot, cos_x, sin_x in zip(tables, quots, np.cos(angles), np.sin(angles)):
+        for n, ((p, lo, hi), quot, cos_x, sin_x) in enumerate(
+                zip(tables, quots, np.cos(angles), np.sin(angles))):
             if hi is None:
                 amp = dirichlet_amplitude(p, np.add.outer(lo, quot))
             else:
@@ -468,8 +469,9 @@ def tower_q(stages: Sequence[tuple[StagePair, int, int]], nums,
                 amp -= np.multiply.outer(hi, sin_x)
                 amp = chebyshev_amplitude(p, amp)
             amp *= amp
-            children = amp.reshape(p, -1)
-            children *= weight.reshape(-1)
+            if n:  # the root's weight is 1
+                children = amp.reshape(p, -1)
+                children *= weight.reshape(-1)
             weight = amp
         for p, *_ in reversed(tables):
             weight = weight.reshape(p, -1)
