@@ -587,21 +587,22 @@ def reduced_quotients(t, nums: np.ndarray, mod, reach: int) -> np.ndarray:
 
     t and mod > 0 are integers, for one quotient per num, or equal-length
     lists of them, for a row per (t, mod) pair.  nums is an integer array
-    with every |num| <= reach.  Each t is first reduced mod its mod, which
-    leaves r unchanged, so the residues are int64 while int_width of every
-    (t mod mod) max(reach, 1) and mod is; past that they are Python
-    integers (an int64 nums is taken to them).  r/mod lies in [0, 1) and is
-    correctly rounded: one float division while the residues are int64 and
-    every mod is below 2**53, Python's int / int otherwise, as
+    with every |num| <= reach.  Each t is first taken to its residue of
+    least magnitude mod its mod, t', which leaves r unchanged, so the
+    residues stay int64 while every |t'| max(reach, 1) and every mod has
+    int_width int64, however large t is; past that they are Python
+    integers (an int64 nums is taken to them).  r/mod lies in [0, 1) and
+    is correctly rounded: one float division while the residues are int64
+    and every mod is below 2**53, Python's int / int otherwise, as
     float_quotients does, so the bits do not depend on the width.
     """
     rows = isinstance(t, list)
     if rows:
-        t = [a % m for a, m in zip(t, mod)]
-        top, mod_top = max(t, default=0), max(mod, default=0)
+        t = [(a + m // 2) % m - m // 2 for a, m in zip(t, mod)]
+        top, mod_top = max(map(abs, t), default=0), max(mod, default=0)
     else:
-        t %= mod
-        top, mod_top = t, mod
+        t = (t + mod // 2) % mod - mod // 2
+        top, mod_top = abs(t), mod
     if nums.dtype != object and int_width(max(top * max(reach, 1), mod_top)) is object:
         nums = nums.astype(object)
     if rows:  # a column of each against the row nums
