@@ -5,8 +5,17 @@ A code line holds at least one token that is not a comment and is not part
 of a docstring (the leading string of a module, class or function); blank
 lines do not count.  One row per module of src/moranspec, then the total.
 
+With --unreached, one row per definition (a module-level function or class,
+or a method) that nothing in cli.py reaches, with its code lines, then their
+total.  Reach is a name walk over the AST: every definition in cli.py and
+every module's top-level statements (run on import) are reached, and a
+reached definition reaches every definition, in any module, whose name it
+mentions as a name or an attribute, so the walk over-counts what is reached.
+A class's dunder methods are reached with it.  A definition's lines leave out
+the methods it holds, which have rows of their own.
+
 Usage:
-    python3 scripts/code_lines.py
+    python3 scripts/code_lines.py [--unreached]
 """
 
 import argparse
@@ -31,17 +40,88 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def code_lines(source: str) -> int:
-    """The number of lines of source that hold code."""
+def code_line_set(source: str) -> set[int]:
+    """The line numbers of source that hold code."""
     lines: set[int] = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in LAYOUT:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstring_lines(ast.parse(source)))
+    return lines - docstring_lines(ast.parse(source))
+
+
+def code_lines(source: str) -> int:
+    """The number of lines of source that hold code."""
+    return len(code_line_set(source))
+
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def span(node: ast.AST) -> set[int]:
+    """The lines of a definition, its decorators included."""
+    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    return set(range(first, node.end_lineno + 1))
+
+
+def mentioned(nodes) -> set[str]:
+    """Every name and attribute name under nodes."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for node in nodes for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def definitions(module: str, source: str):
+    """(module.qualname, the name that reaches it, its own nodes, its code lines) per definition.
+
+    A class's own nodes are all but its methods, and a dunder method is
+    reached by its class's name.
+    """
+    tree, lines = ast.parse(source), code_line_set(source)
+    for node in tree.body:
+        if not isinstance(node, DEFS):
+            continue
+        methods = [m for m in node.body if isinstance(m, DEFS)] if isinstance(
+            node, ast.ClassDef) else []
+        own = ([node] if not methods
+               else [*node.decorator_list, *node.bases, *(n for n in node.body if n not in methods)])
+        yield (f"{module}.{node.name}", node.name, own,
+               len(lines & span(node).difference(*map(span, methods))))
+        for m in methods:
+            dunder = m.name.startswith("__") and m.name.endswith("__")
+            yield (f"{module}.{node.name}.{m.name}", node.name if dunder else m.name, [m],
+                   len(lines & span(m)))
+
+
+def unreached() -> list[tuple[str, int]]:
+    """(module.qualname, code lines) of each definition that cli.py does not reach."""
+    defs, names = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        names |= mentioned(n for n in ast.parse(source).body if not isinstance(n, DEFS))
+        defs += definitions(path.stem, source)
+    reached = {key for key, *_ in defs if key.startswith("cli.")}
+    names |= mentioned(n for key, _, own, _ in defs if key in reached for n in own)
+    grew = True
+    while grew:
+        grew = False
+        for key, name, own, _ in defs:
+            if key not in reached and name in names:
+                reached.add(key)
+                names |= mentioned(own)
+                grew = True
+    return [(key, count) for key, _, _, count in defs if key not in reached]
 
 
 def main() -> None:
-    argparse.ArgumentParser(description=__doc__).parse_args()
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--unreached", action="store_true",
+                        help="list the definitions that cli.py does not reach")
+    if parser.parse_args().unreached:
+        rows = unreached()
+        for key, count in rows:
+            print(f"{key} {count}")
+        print(f"total {sum(count for _, count in rows)}")
+        return
     total = 0
     for path in sorted(SRC.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))

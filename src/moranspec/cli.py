@@ -59,6 +59,16 @@ WINDOW_BOUND = 10**6
 # non-coprime pairs has about 1.5 * m**2 hypothesis violations to report
 ALPHABET_BOUND = 512
 
+# most bytes a config file may hold, counted before any decoding.  The
+# slowest config at the bound is 512 copies of one pair with 244-digit even p
+# and t: validate prints its 392,960 violations in about 2.2 s and 250 MB.
+# The README's bullet on the bound has the rates
+CONFIG_BYTE_BOUND = 2**18
+
+# one decoder for every config: integers stay decimal text, so _as_int reads
+# each one under its field
+_JSON = json.JSONDecoder(parse_int=str)
+
 
 class ConfigError(ValueError):
     """Malformed config file or request; reported with the offending field."""
@@ -120,13 +130,26 @@ def _parse_word_obj(obj, field: str) -> SymbolicWord:
 
 
 def load_config(path: str):
-    """Returns (config, word or None, rewrite block or None)."""
+    """Returns (config, word or None, rewrite block or None).
+
+    The file is read once as bytes, at most CONFIG_BYTE_BOUND + 1 of them,
+    and decoded as UTF-8 as text mode would: an invalid byte raises the
+    decoder's error, and CRLF and lone CR end lines, as the JSON error's
+    line number counts them.  A UTF-8 BOM is refused, as json.loads does.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            # integers stay decimal text, so _as_int reads each one under its field
-            data = json.load(fh, parse_int=str)
+        with open(path, "rb") as fh:
+            raw = fh.read(CONFIG_BYTE_BOUND + 1)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
+    if len(raw) > CONFIG_BYTE_BOUND:
+        raise ConfigError(f"config file is past the byte bound; bound is {CONFIG_BYTE_BOUND} bytes")
+    text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    if text.startswith("\ufeff"):  # json.loads refuses it; JSONDecoder.decode would not
+        raise ConfigError("config is not valid JSON (line 1): "
+                          "Unexpected UTF-8 BOM (decode using utf-8-sig)")
+    try:
+        data = _JSON.decode(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}")
     if not isinstance(data, dict):
@@ -434,7 +457,8 @@ _OPTIONS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and, by command name, the subparser it hands each command to."""
     parser = argparse.ArgumentParser(
         prog="moranspec",
         description="Exact spectrality decisions for stage-alphabet infinite convolutions")
@@ -445,11 +469,31 @@ def build_parser() -> argparse.ArgumentParser:
         for option, default in options.items():
             kind, text = _OPTIONS[option]
             sp.add_argument(f"--{option}", type=kind, default=default, help=text)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), through the command's own parser when it can.
+
+    The full parser hands a command's arguments to that command's parser;
+    calling it directly skips the full parser's pass.  Anything it leaves
+    over, and any argv that does not start with a command, goes to the full
+    parser, so usage, help and errors are its own.
+    """
+    own = _parsers()[1].get(argv[0]) if argv else None
+    if own is not None:
+        args, rest = own.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     handler, options = _COMMANDS[args.command]
     try:
         if getattr(args, "grid", 1) < 1:

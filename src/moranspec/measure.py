@@ -179,12 +179,14 @@ class SymbolicWord:
             if per == per[:s] * (len(per) // s):
                 per = per[:s]
                 break
-        pre_l, per_l = list(pre), list(per)
-        while pre_l and pre_l[-1] == per_l[-1]:
-            pre_l.pop()
-            per_l = [per_l[-1]] + per_l[:-1]
-        object.__setattr__(self, "preperiod", tuple(pre_l))
-        object.__setattr__(self, "period", tuple(per_l))
+        # the last k preperiod letters absorb, each rotating the period right
+        # by one, while pre[-1 - i] == per[-1 - i % len(per)]; one rotation by k
+        k = 0
+        while k < len(pre) and pre[-1 - k] == per[-1 - k % len(per)]:
+            k += 1
+        r = k % len(per)
+        object.__setattr__(self, "preperiod", pre[:len(pre) - k])
+        object.__setattr__(self, "period", per[len(per) - r:] + per[:len(per) - r])
 
     @classmethod
     def constant(cls, letter: int) -> "SymbolicWord":

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -17,10 +18,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from moranspec import measure, spectra
-from moranspec.cli import (ALPHABET_BOUND, CSV_ROW, ORACLE_SET_BOUND, QCHECK_WORK_BOUND,
-                           WINDOW_BOUND, build_parser, fmt_float, fmt_multiples, fmt_rational,
-                           main, parse_word_text)
+from moranspec import cli, measure, spectra
+from moranspec.cli import (ALPHABET_BOUND, CONFIG_BYTE_BOUND, CSV_ROW, ORACLE_SET_BOUND,
+                           QCHECK_WORK_BOUND, WINDOW_BOUND, build_parser, fmt_float,
+                           fmt_multiples, fmt_rational, main, parse_word_text)
 from moranspec.hadamard import is_admissible
 from moranspec.oracle import ORACLE_DIGIT_BOUND
 from moranspec.measure import (DEFAULT_ATOM_CAP, FLOAT_BOUND, MU_HAT_BLOCK, SUMSET_BIT_BOUND,
@@ -151,6 +152,45 @@ def test_malformed_config_is_a_validation_failure(tmp_path, capsys):
         "pairs": [{"b": 4, "p": 2, "t": 1}]})
     assert main(["classify", "--config", wordless]) == 2
     capsys.readouterr()
+
+
+QUARTER = b'{"pairs": [{"b": 4, "p": 2, "t": 1}], "word": {"period": [1]}}'
+CRLF_BROKEN = b'{\r\n  "pairs": [{"b": 4, "p": 2, "t": 1}],\r\n  x: 1\r\n}\r\n'
+LINE_3 = "error=config is not valid JSON (line 3): Expecting property name enclosed in double quotes\n"
+
+
+@pytest.mark.parametrize("data,code,err", [
+    (CRLF_BROKEN, 2, LINE_3),
+    # lone CRs end lines too, as text mode reads them
+    (CRLF_BROKEN.replace(b"\r\n", b"\r"), 2, LINE_3),
+    (b"\xef\xbb\xbf" + QUARTER, 2,
+     "error=config is not valid JSON (line 1): Unexpected UTF-8 BOM (decode using utf-8-sig)\n"),
+    (QUARTER[:44] + b"\xff" + QUARTER[44:], 2,
+     "error='utf-8' codec can't decode byte 0xff in position 44: invalid start byte\n"),
+    (QUARTER.decode().encode("utf-16"), 2,
+     "error='utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),
+    (QUARTER.replace(b", ", b",\r\n"), 0, ""),
+])
+def test_config_bytes_read_as_text_mode_reads_them(tmp_path, capsys, data, code, err):
+    # the errors a text-mode read and json.load gave, byte for byte
+    path = tmp_path / "c.json"
+    path.write_bytes(data)
+    assert main(["classify", "--config", str(path)]) == code
+    assert capsys.readouterr() == ("kind=Spectral\n" if code == 0 else "", err)
+
+
+def test_a_config_past_the_byte_bound_exits_2_quickly(tmp_path):
+    # nothing bounded the file: validate on a 30 MB word took about 10 s and
+    # 440 MB; the bound is read before any decoding, so even invalid UTF-8 names it
+    refusal = f"error=config file is past the byte bound; bound is {CONFIG_BYTE_BOUND} bytes\n"
+    path = tmp_path / "c.json"
+    for data in (QUARTER.ljust(CONFIG_BYTE_BOUND + 1), b"\xff" * (CONFIG_BYTE_BOUND + 1)):
+        path.write_bytes(data)
+        done = run_cli(["validate", "--config", str(path)], timeout=10)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", refusal)
+    path.write_bytes(QUARTER.ljust(CONFIG_BYTE_BOUND))
+    done = run_cli(["validate", "--config", str(path)], timeout=10)
+    assert (done.returncode, done.stdout) == (0, "ok=true\n")
 
 
 def test_spectrum_and_verify(quarter_config, capsys):
@@ -469,6 +509,48 @@ def test_flags_a_command_does_not_read_are_rejected(quarter_config, argv, capsys
         main([*argv, "--config", quarter_config])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"],
+    ["--config", "c", "classify"], ["bogus"],
+    ["classify", "--config", "c", "extra", "--x"], ["classify", "--config", "c", "--", "y"],
+    ["classify", "--conf", "c"], ["qcheck", "--config=c", "--dep", "2", "--grid", "4"],
+    ["qcheck", "--config", "c", "--depth", "x"],
+    ["classify"], ["classify", "-h"],
+    ["validate", "--config", "c", "--word", ";1"],
+])
+def test_main_parses_argv_as_the_full_parser_does(argv, monkeypatch, capsys):
+    # the command's own parser takes a well-formed call; help, usage and
+    # every error must still be the full parser's, byte for byte
+    def outcome(call):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
+
+    parsed, parser_output = outcome(lambda: build_parser().parse_args(argv))
+    handed = []
+    for name, (_, options) in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, name, (lambda *call: handed.append(call[3]) or 0, options))
+    monkeypatch.setattr(cli, "load_config", lambda path: (None, SymbolicWord.constant(1), None))
+    code, main_output = outcome(lambda: main(argv))
+    assert main_output == parser_output
+    if isinstance(parsed, argparse.Namespace):
+        assert (code, handed) == (0, [parsed])
+    else:
+        assert (code, handed) == (parsed, [])
+
+
+def test_a_well_formed_call_never_runs_the_full_parser(quarter_config, monkeypatch, capsys):
+    def full_parse(*args, **kwargs):
+        raise AssertionError("the full parser ran")
+
+    monkeypatch.setattr(build_parser(), "parse_known_args", full_parse)
+    assert main(["classify", "--config", quarter_config]) == 0
+    assert main(["qcheck", "--config", quarter_config, "--depth", "2", "--grid", "4"]) == 0
+    assert capsys.readouterr().out.startswith("kind=Spectral\ndepth=2\ngrid=4\nmax_deviation=")
 
 
 @pytest.mark.parametrize("command", ["classify", "spectrum", "verify", "qcheck", "zeros",

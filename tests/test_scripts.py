@@ -65,6 +65,18 @@ def test_code_lines_lists_every_module_and_sums_them():
     assert closing == ["total", str(sum(int(count) for _, count in rows))]
 
 
+def test_code_lines_unreached_lists_what_no_command_reaches():
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "code_lines.py"), "--unreached"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    *rows, closing = [line.split() for line in done.stdout.splitlines()]
+    names = [name for name, _ in rows]
+    # only tests call the paper-lemma helper; oracle-search counts the partner sets
+    assert "spectra.extract_tail_spectrum" in names
+    assert "oracle.iter_compatible_partners" not in names
+    assert closing == ["total", str(sum(int(count) for _, count in rows))]
+
+
 def test_readme_library_example_runs(capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S)
