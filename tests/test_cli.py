@@ -530,10 +530,14 @@ def test_main_parses_argv_as_the_full_parser_does(argv, monkeypatch, capsys):
             result = exc.code
         return result, capsys.readouterr()
 
+    def record(config, word, rewrite, args):
+        handed.append(args)
+        return 0
+
     parsed, parser_output = outcome(lambda: build_parser().parse_args(argv))
     handed = []
     for name, (_, options) in cli._COMMANDS.items():
-        monkeypatch.setitem(cli._COMMANDS, name, (lambda *call: handed.append(call[3]) or 0, options))
+        monkeypatch.setitem(cli._COMMANDS, name, (record, options))
     monkeypatch.setattr(cli, "load_config", lambda path: (None, SymbolicWord.constant(1), None))
     code, main_output = outcome(lambda: main(argv))
     assert main_output == parser_output
