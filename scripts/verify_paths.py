@@ -5,10 +5,12 @@ For the letter (b, p, t) repeated, (b, p, t)^oo, to a depth k, the cases are
 the depth-k tower of canonical partners, the same tower translated by 1/3,
 and the tower with its largest point moved up by 1.  Each case runs in a
 fresh interpreter, so its peak RSS is its own: the row gives the case, the
-point count, the path verify took (tower or pairwise), the verdict, its
-unitarity residual, the seconds of the one verify_spectrum_finite call and
-the process's peak RSS in MB from its start (VmHWM), which also counts the
-import, the truncation and the candidate.
+point count, the tower's digit-tree leaf count sum_n prod_{m<=n} (2p - 1)
+(what spectra.VERIFY_LEAF_BOUND bounds on the tower path), the path verify took (tower or pairwise),
+the verdict (refused when verify exits past its bound, with residual -),
+its unitarity residual, the seconds of the one verify_spectrum_finite call
+and the process's peak RSS in MB from its start (VmHWM), which also counts
+the import, the truncation and the candidate.
 
 Usage:
     python3 scripts/verify_paths.py --letter B,P,T --depth K [--repeat N]
@@ -21,11 +23,13 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from pathlib import Path
 
 import moranspec
 from moranspec import spectra
-from moranspec.measure import SymbolicWord, SystemConfig, truncate
+from moranspec.measure import AtomCapExceeded, SymbolicWord, SystemConfig, stage_walk, truncate
 
 CASES = ("tower", "third", "moved")
 
@@ -48,14 +52,21 @@ def run_case(case: str, pair: tuple[int, int, int], depth: int) -> None:
     config, word = SystemConfig.of(pair), SymbolicWord.constant(1)
     meas = truncate(config, word, depth)
     cand = candidate(case, spectra.build_tower_spectrum(config, word, depth))
+    leaves = sum(accumulate((2 * pr.p - 1 for pr, _ in stage_walk(config, word, depth)), mul))
     started = time.perf_counter()
-    ver = spectra.verify_spectrum_finite(meas, cand, config, word, depth)
+    try:
+        ver = spectra.verify_spectrum_finite(meas, cand, config, word, depth)
+        verdict = f"{str(ver.ok).lower()} {ver.unitarity_residual:.3e}"
+    except AtomCapExceeded:
+        verdict = "refused -"
     seconds = time.perf_counter() - started
     peak_kb = int(re.search(r"VmHWM:\s*(\d+) kB", Path("/proc/self/status").read_text())[1])
     # asked only after the peak is read, so it adds nothing to it
-    path = "pairwise" if spectra._tower_differences(cand, config, word, depth) is None else "tower"
-    print(f"{case} {len(cand)} {path} {str(ver.ok).lower()} {ver.unitarity_residual:.3e} "
-          f"{seconds:.3f} {peak_kb / 1024:.1f}")
+    try:
+        path = "pairwise" if spectra._tower_residual(cand, config, word, depth) is None else "tower"
+    except AtomCapExceeded:  # only the tower path counts leaves
+        path = "tower"
+    print(f"{case} {len(cand)} {leaves} {path} {verdict} {seconds:.3f} {peak_kb / 1024:.1f}")
 
 
 def main() -> None:
@@ -71,7 +82,7 @@ def main() -> None:
         run_case(args.case, args.letter, args.depth)
         return
     env = {**os.environ, "PYTHONPATH": str(Path(moranspec.__file__).resolve().parent.parent)}
-    print("case points path ok residual seconds peak_rss_mb", flush=True)
+    print("case points leaves path ok residual seconds peak_rss_mb", flush=True)
     for case in CASES:
         for _ in range(args.repeat):
             done = subprocess.run([sys.executable, __file__, "--letter",

@@ -421,14 +421,12 @@ def sumset(stages: Sequence[tuple[int, int]]) -> np.ndarray:
     return sums
 
 
-def runs(values: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct values of a sorted array, each run's length (or weights' sum) and start."""
+def runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted array and each run's length."""
     edges = np.ones(len(values) + 1, dtype=bool)
     np.not_equal(values[1:], values[:-1], out=edges[1:-1])
     bounds = np.flatnonzero(edges)
-    starts = bounds[:-1]
-    counts = bounds[1:] - starts if weights is None else np.add.reduceat(weights, starts)
-    return values[starts], counts, starts
+    return values[bounds[:-1]], np.diff(bounds)
 
 
 def truncate(config: SystemConfig, word: SymbolicWord, k: int,
@@ -449,7 +447,7 @@ def truncate(config: SystemConfig, word: SymbolicWord, k: int,
         walk.append((pr, final))
     # x/final as a numerator over a positive denominator: negate both when final < 0
     sign = -1 if final < 0 else 1
-    nums, counts, _ = runs(sumset([(pr.p, sign * pr.t * (final // base)) for pr, base in walk]))
+    nums, counts = runs(sumset([(pr.p, sign * pr.t * (final // base)) for pr, base in walk]))
     return DiscreteMeasure(nums.tolist(), sign * final, counts.tolist(), paths)
 
 

@@ -19,13 +19,15 @@ once per digit prefix, at the prefix's and x's parts of its argument, each
 reduced mod 1 in integers; up to RECURRENCE_MAX_P digits its cosine comes
 by angle addition from the prefix's cosine and sine, taken once, and x's.
 
-verify_spectrum_finite's numeric residual takes the same digit tree on a
-tower: stage n's factor at a difference depends only on its first n digits,
-and its argument t_n d / (L B_n) is reduced mod 1 in integers before any
-float is formed (measure.reduced_amplitude), so each factor is taken once
-per digit prefix and exactly where a float point would keep no fractional
-digit; any other candidate takes the same kernel at each distinct
-difference, with the same bits.
+verify_spectrum_finite's numeric residual is a sum over a digit tree on a
+tower too, the tree of digit differences: stage n's factor at a difference
+depends only on its first n digits, and its argument t_n d / (L B_n) is
+reduced mod 1 in integers before any float is formed
+(measure.reduced_amplitude), so each factor is taken once per digit prefix
+and exactly where a float point would keep no fractional digit, and the
+leaves are summed with their pair counts, half of them by symmetry, with no
+list of differences; any other candidate takes the same kernel at each
+distinct difference, which agrees to rounding.
 
 The residue decomposition splits Lambda/b_1 into classes n/q + Z and
 reassembles tail spectra from one partner-slot choice per residue block.
@@ -37,7 +39,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -140,10 +142,11 @@ class SpectrumVerification:
 
     offending is the least positive difference that hits no stage zero set.
     unitarity_residual is computed from config, word and k over the
-    candidate's distinct differences d: sqrt(2 sum_d count(d) |mu_hat_k(d)|^2),
-    where mu_hat_k is the depth-k transform of config/word.  For the depth-k
-    truncation in exact arithmetic it equals the Frobenius norm of M*M - I
-    for M = [sqrt(w_i) exp(2 pi i lambda_j x_i)] (see weighted_matrix_residual).
+    candidate's ordered pairs of distinct points:
+    sqrt(sum_{i != j} |mu_hat_k(lambda_i - lambda_j)|^2), where mu_hat_k is
+    the depth-k transform of config/word.  For the depth-k truncation in
+    exact arithmetic it equals the Frobenius norm of M*M - I for
+    M = [sqrt(w_i) exp(2 pi i lambda_j x_i)] (see weighted_matrix_residual).
     Each factor |D_{p_n}(t_n d / B_n)| is taken at its argument reduced mod 1
     in integers (measure.reduced_amplitude), so the rounding of every factor
     is that of D_p at a point of [0, 1), however large t_n and d are.
@@ -155,14 +158,24 @@ class SpectrumVerification:
     unitarity_residual: float
 
 
-# Past this many points or atoms verification refuses before allocating.  A
-# tower is checked stage by stage from prod (2p - 1) difference sums (531,441
-# at N = 4096), and its residual takes each stage factor once per digit
-# prefix over them, but any other candidate goes through all N(N-1)/2
-# differences in one sorted array (8.4 million integers at N = 4096), and the
-# residual of either is summed over every distinct difference; a larger bound
-# needs its own memory measurement of both.
+# Past this many points or atoms the pairwise path refuses before allocating:
+# it goes through all N(N-1)/2 differences in one sorted array (8.4 million
+# integers at N = 4096) and sums the residual over every distinct one; a
+# larger bound needs its own memory measurement.  A tower translate takes no
+# difference array and is bounded by its digit tree instead
+# (VERIFY_LEAF_BOUND).
 VERIFY_ATOM_BOUND = 4096
+
+# digit-tree leaves sum_n prod_{m<=n} (2p_m - 1) a tower translate's residual
+# may take, each one reduced_amplitude value; the rates measured at the bound
+# are in the README's resource-bound bullet on verify, from
+# scripts/verify_paths.py
+VERIFY_LEAF_BOUND = 10**8
+
+# leaves per call of the tower residual: a tower with at most this many takes
+# one pass over its whole tree, and a larger one walks its top stages depth
+# first over a table of its lower stages' leaves, so memory stays flat
+TOWER_LEAF_TABLE = 2**16
 
 
 def weighted_matrix_residual(measure: DiscreteMeasure, points: Sequence[Fraction]) -> float:
@@ -175,9 +188,25 @@ def weighted_matrix_residual(measure: DiscreteMeasure, points: Sequence[Fraction
     return float(np.linalg.norm(r))
 
 
-def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word: SymbolicWord,
-                       k: int) -> Optional[tuple[np.ndarray, np.ndarray, Callable, None]]:
-    """Distinct positive differences, pair counts and amplitudes of a depth-k tower translate.
+def tower_leaves(ps: Iterable[int], k: int) -> int:
+    """sum_n prod_{m<=n} (2p_m - 1) over the digit counts p_1, ..., p_k of a depth-k tower.
+
+    Raises AtomCapExceeded as soon as the count passes VERIFY_LEAF_BOUND,
+    before any later count is read, so a stage walk of any depth stops there.
+    """
+    leaves, level = 0, 1
+    for p in ps:
+        level *= 2 * p - 1
+        leaves += level
+        if leaves > VERIFY_LEAF_BOUND:
+            raise AtomCapExceeded(f"the depth-{k} tower's residual needs {leaves}+ digit-tree "
+                                  f"leaves; leaf bound is {VERIFY_LEAF_BOUND}")
+    return leaves
+
+
+def _tower_residual(candidate: SpectrumCandidate, config: SystemConfig, word: SymbolicWord,
+                    k: int) -> Optional[float]:
+    """The unitarity residual of a translate of the depth-k tower, from its digit tree.
 
     None unless the candidate is a translate of the depth-k tower (the sumset
     of tower_stages' progressions) by any rational, that is, its numerators
@@ -187,24 +216,31 @@ def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word:
     integers each, exact at any width).  Then every difference of the
     candidate is orthogonal: one whose digits first differ at stage n is
     step*j plus a multiple of b_1...b_n, which leaves stage n's zero test
-    unchanged, so no walk is left to test (the fourth entry is None).  The
-    ordered differences are the sums over the stages of den*step*j, each
-    counted prod (p - |j|) times for |j| < p, so sorting and merging those
-    sums gives the distinct differences over den with their pair counts, as
-    the difference table does, without the N(N-1)/2 table; no sum passes
-    the span, so the sumset's width holds them.  The sums come in mirrored
-    pairs about the middle one, 0, so when the upper half increases from a
-    positive sum (stages whose sums do not overlap) it is already that
-    sorted, merged list.
+    unchanged, so no difference is left to test.  Past VERIFY_LEAF_BOUND
+    (tower_leaves) it raises AtomCapExceeded before any leaf is built.
 
-    The residual's amplitudes come from the same digit tree.  A later term
-    den*step_m*j, m > n, times t_n is a multiple of den*B_n, so stage n's
-    reduced_amplitude at a difference is its value at the difference's
-    level-n sum, bit for bit.  Each stage n < k is evaluated once on the
-    prod_{m<=n} (2p_m - 1) level-n sums and multiplies its parent's product,
-    and stage k once per distinct positive difference, at most
-    (prod (2p - 1) - 1)/2 of them, instead of k per difference.  The third
-    entry gives the products at a slice of the distinct differences.
+    The ordered differences are the sums s(j) over the stages of
+    den*|step|*j_n, |j_n| < p_n, each counted prod (p_n - |j_n|) times (the
+    multiset of j*step is symmetric, so |step| serves), and s(j) = 0 only at
+    j = 0, as tower points are distinct.  So the residual squared is
+    sum_{j != 0} prod (p_n - |j_n|) |mu_hat_k(s(j))|^2, with no sort and no
+    merge of equal sums: equal sums share their amplitude and their counts
+    add.  With each new digit leading, leaf M - 1 - i of the
+    M = prod (2p_n - 1) digit vectors is -j for leaf i, of the same weight
+    and, |mu_hat_k| being even, the same amplitude, and the middle leaf is
+    j = 0; so _leaf_sum sums the leaves past M/2 and the residual is the
+    square root of twice that.  No sum passes the span, so the sumset's
+    width holds them.
+
+    Rounding: the tower is orthogonal, so every leaf j != 0 has an exact
+    factor 0, at stage m, the first with j_m != 0.  With u = 2**-53 and
+    e_n dirichlet_amplitude's bound at |v| < 1, each computed factor is
+    within d_n = e_n + pi p_n u / 4 of its value (a correctly rounded
+    quotient in [0, 1) is within u/2, times |D_p'| <= pi p / 2), and the
+    exact factors of the stages past m, weighted, sum to p_n over each
+    prefix's children (the partner is a spectrum of the stage mask).  So the
+    residual is at most sqrt(N sum_n (p_n - 1) d_n**2), N = prod p_n, to
+    first order in u, however large t_n, the translate and N are.
     """
     nums, den = candidate.nums, candidate.den
     if not nums:
@@ -221,40 +257,102 @@ def _tower_differences(candidate: SpectrumCandidate, config: SystemConfig, word:
     pts = sumset([(pr.p, step * den) for pr, step, _ in stages])
     if (pts - pts[0]).tolist() != [v - nums[0] for v in nums]:
         return None
-    # the multiset of j*step is symmetric, so |step| serves; each new stage is
-    # the outer index, so stages whose sums do not overlap leave it sorted
-    diffs, counts, amps = np.zeros(1, dtype=pts.dtype), np.ones(1, dtype=np.int64), np.ones(1)
-    reach = 0  # the largest |sum| so far
-    for n, (pr, step, base) in enumerate(stages, start=1):
-        step = abs(step) * den
-        sums = np.arange((1 - pr.p) * step, pr.p * step, step, dtype=pts.dtype)
-        diffs = np.add.outer(sums, diffs).ravel()
-        counts = np.multiply.outer(pr.p - np.abs(np.arange(1 - pr.p, pr.p)), counts).ravel()
-        reach += (pr.p - 1) * step
-        if n < len(stages):  # the new digit leads, so each parent's children are a column
-            factors = reduced_amplitude(pr.p, pr.t, diffs, den * abs(base), reach)
-            children = factors.reshape(2 * pr.p - 1, -1)
-            children *= amps
-            amps = factors
-    # sum -1 - i is minus sum i and the middle one is 0: when the upper half
-    # increases from a positive sum it holds every positive sum, distinct and
-    # in order; either branch lets the level-k arrays go before the last stage
-    mid = len(diffs) // 2 + 1
-    if len(diffs) > 1 and diffs[mid] > 0 and np.all(diffs[mid + 1:] > diffs[mid:-1]):
-        diffs, counts, keep = diffs[mid:].copy(), counts[mid:].copy(), np.arange(mid, len(diffs))
-    else:  # sort and merge the positive sums, freeing each array once read
-        keep = np.flatnonzero(diffs > 0)
-        diffs, counts = diffs[keep], counts[keep]
-        order = np.argsort(diffs, kind="stable")
-        keep, diffs, counts = keep[order], diffs[order], counts[order]
-        diffs, counts, starts = runs(diffs, counts)
-        keep = keep[starts]
-    if stages:  # a distinct difference's parent is its first sum's level k - 1 sum
-        pr, _, base = stages[-1]
-        factors = reduced_amplitude(pr.p, pr.t, diffs, den * abs(base), reach)
-        factors *= amps.take(keep, mode="wrap")  # index keep % len(amps)
-        amps = factors
-    return diffs, counts, amps.__getitem__, None
+    tower_leaves((pr.p for pr, _, _ in stages), k)
+    levels = [(pr.p, pr.t, abs(step) * den, den * abs(base)) for pr, step, base in stages]
+    return math.sqrt(2 * _leaf_sum(levels, nums[-1] - nums[0])) if levels else 0.0
+
+
+def _digit_pairs(p: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digit differences j = lo..hi - 1 of a p-digit stage and, as a column, p - |j| at each.
+
+    Up to RECURRENCE_MAX_P digits the whole rows j = 1 - p..p - 1 are built
+    once and kept (_digit_rows), as numpy's cost per call outweighs theirs.
+    """
+    if p <= RECURRENCE_MAX_P:
+        digits, pairs = _digit_rows(p)
+        return digits[lo + p - 1:hi + p - 1], pairs[lo + p - 1:hi + p - 1]
+    digits = np.arange(lo, hi)
+    return digits, (p - np.abs(digits)).astype(float).reshape(-1, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_rows(p: int) -> tuple[np.ndarray, np.ndarray]:
+    digits = np.arange(1 - p, p)
+    pairs = (p - np.abs(digits)).astype(float).reshape(-1, 1)
+    digits.flags.writeable = pairs.flags.writeable = False
+    return digits, pairs
+
+
+def _leaf_sum(levels: Sequence[tuple[int, int, int, int]], span: int) -> float:
+    """sum over the digit tree's leaves past M/2 of prod_n (p_n - |j_n|) D_{p_n}(t_n s_n / mod_n)**2.
+
+    levels holds (p_n, t_n, step_n, mod_n) per stage, with s_n = sum_{m<=n}
+    step_m j_m the level-n prefix sum, built exactly at the width of span
+    (int_width), which bounds every |s_n|.  A later term
+    step_m j_m, m > n, times t_n is a multiple of mod_n, so stage n's
+    reduced_amplitude at a leaf is its value at the leaf's level-n prefix,
+    bit for bit, and is taken once per prefix: prod_{m<=n} (2p_m - 1) values
+    for n < k, then (M - 1)/2 for the leaves, each multiplying its parent's
+    weighted product.  A table holds TOWER_LEAF_TABLE int64 values' worth
+    of bits: that many sums on int64, fewer of span's bit length past it.
+    The lower stages' prefixes, while a table holds them, form one table,
+    the new digit leading; a tower whose leaves fit one table is one pass
+    over it.  _leaf_walk takes the rest depth first.
+    """
+    width = int_width(span)
+    table = TOWER_LEAF_TABLE if width is np.int64 else max(
+        1, TOWER_LEAF_TABLE * 64 // span.bit_length())
+    inner, size = 0, 1
+    while inner < len(levels) - 1 and size * (2 * levels[inner][0] - 1) <= table:
+        size *= 2 * levels[inner][0] - 1
+        inner += 1
+    sums, prods, reach = np.zeros(1, dtype=width), np.ones(1), 0
+    for p, t, step, mod in levels[:inner]:
+        digits, pairs = _digit_pairs(p, 1 - p, p)
+        sums = np.add.outer(np.multiply(digits, step, dtype=width), sums).ravel()
+        reach += (p - 1) * step
+        factors = reduced_amplitude(p, t, sums, mod, reach)
+        factors *= factors
+        rows = factors.reshape(2 * p - 1, -1)
+        rows *= pairs
+        rows *= prods
+        prods = factors
+    return _leaf_walk(levels[inner:], sums, prods, reach, 0, table)
+
+
+def _leaf_walk(levels: Sequence[tuple[int, int, int, int]], sums: np.ndarray, prods: np.ndarray,
+               reach: int, sign: int, table: int) -> float:
+    """_leaf_sum's share below one table of prefix sums and their weighted products.
+
+    sign is that of the highest nonzero digit above the table, 0 if none.
+    The leaves past M/2 are those whose highest nonzero digit is positive:
+    at the last stage a digit 0 keeps every leaf below a positive sign and
+    the table's upper half (indices past len(sums)/2) below sign 0.  Each
+    call evaluates the children of as many digits as fit one table of
+    table sums (one digit at least), in digit order.
+    """
+    (p, t, step, mod), rest = levels[0], levels[1:]
+    reach += (p - 1) * step
+    lo = 1 - p if rest else 0 if sign >= 0 else 1
+    skip = 0 if rest or sign else len(sums) // 2 + 1
+    per = max(1, table // len(sums))
+    total = 0.0
+    for first in range(lo, p, per):
+        digits, pairs = _digit_pairs(p, first, min(first + per, p))
+        children = np.add.outer(np.multiply(digits, step, dtype=sums.dtype), sums)
+        factors = reduced_amplitude(p, t, children.ravel()[skip:], mod, reach)
+        factors *= factors
+        if rest:
+            rows = factors.reshape(len(children), -1)
+            rows *= pairs
+            rows *= prods
+            for j, row, weights in zip(digits.tolist(), children, rows):
+                total += _leaf_walk(rest, row, weights, reach, (j > 0) - (j < 0) or sign, table)
+        else:
+            factors *= np.multiply.outer(pairs.ravel(), prods).ravel()[skip:]
+            total += float(factors.sum())
+        skip = 0
+    return total
 
 
 def _stage_product(moduli: Sequence[tuple[StagePair, int]], nums: np.ndarray) -> np.ndarray:
@@ -265,12 +363,13 @@ def _stage_product(moduli: Sequence[tuple[StagePair, int]], nums: np.ndarray) ->
     return amp
 
 
-def _difference_scan(diffs: np.ndarray, counts: np.ndarray, scale: int, amplitudes: Callable,
+def _difference_scan(diffs: np.ndarray, counts: np.ndarray, scale: int,
+                     moduli: Sequence[tuple[StagePair, int]],
                      walk: Optional[list]) -> tuple[float, Optional[Fraction]]:
     """The unitarity residual over increasing distinct differences, and the least offender.
 
-    diffs/scale occur counts times each, and amplitudes(block) gives
-    |mu_hat_k| at a slice of them.  One MU_HAT_BLOCK at a time, a block adds
+    diffs/scale occur counts times each, and |mu_hat_k| at a block of them is
+    _stage_product over moduli.  One MU_HAT_BLOCK at a time, a block adds
     its share of sqrt(2 sum count |mu_hat_k|^2) (see SpectrumVerification)
     and is then tested by mask_zero_hit against each (pair, scale*b_1...b_n)
     of walk; the first block holding a difference no stage hits gives the
@@ -279,11 +378,10 @@ def _difference_scan(diffs: np.ndarray, counts: np.ndarray, scale: int, amplitud
     """
     total, offending = 0.0, None
     for i in range(0, len(diffs), MU_HAT_BLOCK):
-        block = slice(i, i + MU_HAT_BLOCK)
-        amp = amplitudes(block)
-        total += float(np.sum(counts[block] * (amp * amp)))
+        nums = diffs[i:i + MU_HAT_BLOCK]
+        amp = _stage_product(moduli, nums)
+        total += float(np.sum(counts[i:i + MU_HAT_BLOCK] * (amp * amp)))
         if walk is not None and offending is None:
-            nums = diffs[block]
             missed = np.ones(len(nums), dtype=bool)
             for pr, den in walk:
                 missed &= ~mask_zero_hit(pr.p, pr.t, nums, den)
@@ -293,8 +391,8 @@ def _difference_scan(diffs: np.ndarray, counts: np.ndarray, scale: int, amplitud
 
 
 def _pairwise_differences(candidate: SpectrumCandidate, config: SystemConfig, word: SymbolicWord,
-                          k: int) -> tuple[np.ndarray, np.ndarray, Callable, list]:
-    """Distinct positive differences, pair counts, amplitudes and stage walk of any candidate.
+                          k: int) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """Distinct positive differences, pair counts, stage moduli and stage walk of any candidate.
 
     With the points as integers over L = candidate.den, the walk is
     (pair, L*b_1...b_n) per stage, less the stages past the bound on every
@@ -302,9 +400,8 @@ def _pairwise_differences(candidate: SpectrumCandidate, config: SystemConfig, wo
     times the largest p|t|, which also fixes the integer width (int_width)
     for mask_zero_hit.  The N(N-1)/2 positive differences of the sorted
     points are written row by row into one array of that width, sorted in
-    place and merged into runs.  The amplitudes at a slice of them are
-    _stage_product over every stage with mod_n = L|b_1...b_n|: the tower
-    path's integers, quotients and product order, so the same bits.
+    place and merged into runs.  The moduli are (pair, L|b_1...b_n|) for
+    every stage, whose _stage_product gives the amplitudes.
     """
     nums, scale = candidate.nums, candidate.den
     stages = [(pr, scale * base) for pr, base in stage_walk(config, word, k)]
@@ -318,9 +415,8 @@ def _pairwise_differences(candidate: SpectrumCandidate, config: SystemConfig, wo
         np.subtract(arr[i + 1:], arr[i], out=table[pos:pos + n - 1 - i])
         pos += n - 1 - i
     table.sort()
-    diffs, counts, _ = runs(table)
-    moduli = [(pr, abs(den)) for pr, den in stages]
-    return (diffs, counts, lambda block: _stage_product(moduli, diffs[block]),
+    diffs, counts = runs(table)
+    return (diffs, counts, [(pr, abs(den)) for pr, den in stages],
             [(pr, den) for pr, den in stages if abs(den) <= bound])
 
 
@@ -334,27 +430,27 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
     the candidate's denominator L, lands in stage n's when mask_zero_hit
     holds for D over L*b_1...b_n.  Completeness: the candidate size must
     equal the atom count.  A translate of the depth-k tower, over any
-    denominator, is checked stage by stage (_tower_differences): p - 1
-    differences per stage prove orthogonality, and the distinct differences
-    with their pair counts come from the stages, not from the points.  Every
-    other candidate, and a tower with an incompatible stage, goes through
-    every difference (_pairwise_differences), whose stage walk the scan
-    tests for the least positive offender.  Either way one loop
-    (_difference_scan) sums the numeric residual over the same distinct
-    differences in the same blocks.  Its amplitudes come from the tower's
-    digit tree or stage by stage per block, by reduced_amplitude on the same
-    integers, quotients and product order, so both paths give the same
-    bits.  Past VERIFY_ATOM_BOUND points or atoms, raises AtomCapExceeded
-    before allocating anything.
+    denominator, is checked stage by stage (_tower_residual): p - 1
+    differences per stage prove orthogonality, and the residual is a sum
+    over the tower's digit tree, with no list of differences; past
+    VERIFY_LEAF_BOUND leaves it raises AtomCapExceeded before building one.
+    Every other candidate, and a tower with an incompatible stage, goes
+    through every difference (_pairwise_differences): past VERIFY_ATOM_BOUND
+    points or atoms it raises AtomCapExceeded before allocating anything,
+    and otherwise one loop (_difference_scan) sums the residual over the
+    distinct differences and tests the stage walk for the least positive
+    offender.  Both paths take every factor by reduced_amplitude, so they
+    agree to rounding.
     """
-    size = max(len(candidate.nums), len(measure.nums))
-    if size > VERIFY_ATOM_BOUND:
-        raise AtomCapExceeded(f"{size} atoms exceed the verify atom bound {VERIFY_ATOM_BOUND}")
-    diffs, counts, amplitudes, walk = (_tower_differences(candidate, config, word, k)
-                                       or _pairwise_differences(candidate, config, word, k))
     complete = len(candidate.nums) == len(measure.nums)
-    resid, offending = _difference_scan(diffs, counts, candidate.den, amplitudes,
-                                        walk if complete else None)
+    resid, offending = _tower_residual(candidate, config, word, k), None
+    if resid is None:
+        size = max(len(candidate.nums), len(measure.nums))
+        if size > VERIFY_ATOM_BOUND:
+            raise AtomCapExceeded(f"{size} atoms exceed the verify atom bound {VERIFY_ATOM_BOUND}")
+        diffs, counts, moduli, walk = _pairwise_differences(candidate, config, word, k)
+        resid, offending = _difference_scan(diffs, counts, candidate.den, moduli,
+                                            walk if complete else None)
     reason = ("cardinality" if not complete
               else "orthogonality" if offending is not None else None)
     return SpectrumVerification(reason is None, reason, offending, resid)

@@ -27,12 +27,12 @@ from moranspec.oracle import ORACLE_DIGIT_BOUND
 from moranspec.measure import (DEFAULT_ATOM_CAP, FLOAT_BOUND, MU_HAT_BLOCK, SUMSET_BIT_BOUND,
                                SymbolicWord, SystemConfig, dirichlet_amplitude, mu_hat_eval,
                                mu_hat_many, stage_walk, truncate)
-from moranspec.spectra import VERIFY_ATOM_BOUND, build_tower_spectrum, tower_stages
+from moranspec.spectra import VERIFY_LEAF_BOUND, build_tower_spectrum, tower_stages
 from test_classifier import (PROBE_LETTERS, SIGNED_LETTERS, coprime_alphabets,
                              listed_violations, per_translate_probe, reference_zero_set_status)
 from test_measure import SIGNED_B, SIGNED_T, reference_truncate, words_over
 from test_spectra import (admissible_letters, reference_verdict, shifted_partner_tower,
-                          tower_q_bound, tower_size)
+                          tower_q_bound, tower_residual_bound, tower_size)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -203,12 +203,41 @@ def test_spectrum_and_verify(quarter_config, capsys):
 
 def test_verify_past_the_atom_bound_exits_2_quickly(quarter_config, capsys):
     # 2**19 atoms are under the default 10**6 atom cap, but their residual
-    # would be a 2**19 x 2**19 complex matrix (4 TiB)
+    # would be a 2**19 x 2**19 complex matrix (4 TiB), and the tower path's
+    # digit tree has sum_{n<=19} 3**n leaves, 1.7 * 10**9
     started = time.perf_counter()
     code = main(["verify", "--config", quarter_config, "--depth", "19"])
     assert time.perf_counter() - started < 2.0
     assert code == 2
-    assert f"cap is {VERIFY_ATOM_BOUND}" in capsys.readouterr().err
+    assert f"leaf bound is {VERIFY_LEAF_BOUND}" in capsys.readouterr().err
+
+
+def test_verify_one_leaf_past_the_leaf_bound_exits_2_before_truncating(tmp_path, capsys,
+                                                                       monkeypatch):
+    # one stage of p digits has 2p - 1 leaves: one past the bound is refused
+    # from the stage list alone, one under it goes on to the truncation, whose
+    # p atoms pass the atom cap
+    truncated = []
+
+    def spy(*args, **kwargs):
+        truncated.append(args)
+        return truncate(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "truncate", spy)
+    for leaves, err in (
+            (VERIFY_LEAF_BOUND + 1, f"error=the depth-1 tower's residual needs "
+             f"{VERIFY_LEAF_BOUND + 1}+ digit-tree leaves; leaf bound is {VERIFY_LEAF_BOUND}\n"),
+            (VERIFY_LEAF_BOUND - 1, f"error=truncation to depth 1 needs {VERIFY_LEAF_BOUND // 2}+ "
+             f"atoms; cap is {DEFAULT_ATOM_CAP}\n")):
+        p = (leaves + 1) // 2
+        cfg = write_config(tmp_path, "wide.json", {"pairs": [{"b": 2 * p, "p": p, "t": 1}],
+                                                   "word": {"period": [1]}})
+        truncated.clear()
+        started = time.perf_counter()
+        code = main(["verify", "--config", cfg, "--depth", "1"])
+        assert time.perf_counter() - started < 2.0
+        assert code == 2 and capsys.readouterr().err == err
+        assert len(truncated) == (leaves < VERIFY_LEAF_BOUND)
 
 
 def test_qcheck(quarter_config, capsys):
@@ -1008,6 +1037,19 @@ def test_verify_at_the_atom_bound_stays_small(quarter_config):
                                f"main(['verify', '--config', {quarter_config!r}, '--depth', '12'])")
     assert report == ["ok=true", "unitarity_residual=1.3575363055678809e-14"]
     assert peak < 80 * 1024
+
+
+def test_verify_at_depth_14_takes_the_tower_path_and_stays_small(quarter_config):
+    # 16,384 points, four times the pairwise bound that refused them; the
+    # digit tree's 7.2 million leaves are walked over one fixed table, and
+    # the whole run peaks at about 41 MB
+    report, peak = peak_rss_kb("from moranspec.cli import main; "
+                               f"main(['verify', '--config', {quarter_config!r}, '--depth', '14'])")
+    assert report[0] == "ok=true" and report[1].startswith("unitarity_residual=")
+    residual = float(report[1].split("=")[1])
+    assert 0 < residual <= tower_residual_bound(SystemConfig.of((4, 2, 1)),
+                                                SymbolicWord.constant(1), 14)
+    assert peak < 64 * 1024
 
 
 def test_verify_of_a_tower_translated_by_a_third_stays_small():

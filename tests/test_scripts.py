@@ -106,15 +106,37 @@ def test_verify_paths_prints_one_row_per_case():
                           capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == 0, done.stderr
     header, *rows = [line.split() for line in done.stdout.splitlines()]
-    assert header == ["case", "points", "path", "ok", "residual", "seconds", "peak_rss_mb"]
-    # the translate by 1/3 takes the tower path; the moved point is no tower
-    assert [row[:4] for row in rows] == [["tower", "16", "tower", "true"],
-                                         ["third", "16", "tower", "true"],
-                                         ["moved", "16", "pairwise", "false"]]
+    assert header == ["case", "points", "leaves", "path", "ok", "residual", "seconds",
+                      "peak_rss_mb"]
+    # the translate by 1/3 takes the tower path; the moved point is no tower;
+    # each row counts the tower's 3 + 9 + 27 + 81 digit-tree leaves
+    assert [row[:5] for row in rows] == [["tower", "16", "120", "tower", "true"],
+                                         ["third", "16", "120", "tower", "true"],
+                                         ["moved", "16", "120", "pairwise", "false"]]
     # a spectrum's residual is rounding, and the translate's takes the same bits;
     # the moved point's is of order 1
-    assert float(rows[0][4]) < 1e-14 and rows[1][4] == rows[0][4] and float(rows[2][4]) > 0.1
-    assert all(float(row[5]) < 30 and 0 < float(row[6]) < 1024 for row in rows)
+    assert float(rows[0][5]) < 1e-14 and rows[1][5] == rows[0][5] and float(rows[2][5]) > 0.1
+    assert all(float(row[6]) < 30 and 0 < float(row[7]) < 1024 for row in rows)
+
+
+def test_verify_paths_marks_the_refused_cases():
+    # depth 13 of (4, 2, 1): 8,192 points, under the leaf bound on the tower
+    # path and past the atom bound on the pairwise one; depth 17 passes both
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    rows = {}
+    for depth in (13, 17):
+        done = subprocess.run([sys.executable, str(ROOT / "scripts" / "verify_paths.py"),
+                               "--letter", "4,2,1", "--depth", str(depth)],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        rows[depth] = [line.split()[:6] for line in done.stdout.splitlines()[1:]]
+    leaves = [str(sum(3**n for n in range(1, depth + 1))) for depth in (13, 17)]
+    assert [row[:5] for row in rows[13]] == [["tower", "8192", leaves[0], "tower", "true"],
+                                             ["third", "8192", leaves[0], "tower", "true"],
+                                             ["moved", "8192", leaves[0], "pairwise", "refused"]]
+    assert rows[17] == [["tower", "131072", leaves[1], "tower", "refused", "-"],
+                        ["third", "131072", leaves[1], "tower", "refused", "-"],
+                        ["moved", "131072", leaves[1], "pairwise", "refused", "-"]]
 
 
 def test_probe_rates_prints_one_row_per_word_and_window():

@@ -16,9 +16,11 @@ from moranspec.hadamard import canonical_dual_digits
 from moranspec.measure import (DEFAULT_ATOM_CAP, INT64_SPAN, MU_HAT_BLOCK, RECURRENCE_MAX_P,
                                AtomCapExceeded, DiscreteMeasure, SymbolicWord, SystemConfig,
                                float_quotients, int_width, mask_zero_hit, mu_hat_many,
-                               reduced_amplitude, stage_walk, sumset, support_hull, truncate)
+                               reduced_amplitude, reduced_quotients, stage_walk, sumset,
+                               support_hull, truncate)
 from moranspec.oracle import search_spectra
-from moranspec.spectra import (VERIFY_ATOM_BOUND, Decomposition, SpectrumCandidate,
+from moranspec.spectra import (VERIFY_ATOM_BOUND, VERIFY_LEAF_BOUND, Decomposition,
+                               SpectrumCandidate,
                                build_tower_spectrum, decompose_spectrum, default_lattice_modulus,
                                extract_tail_spectrum, q_function,
                                structure_witnesses, tower_q, tower_stages,
@@ -284,12 +286,31 @@ def test_the_tower_is_the_reference_sumset_at_either_width(data):
     assert widths == [np.dtype(object if wide else np.int64)]
 
 
+def smooth_amplitude(p, t, nums, mod, reach):
+    """A stand-in for reduced_amplitude: even, of period 1 and in [1/2, 1], so no leaf is 0."""
+    return (3 + np.cos(2 * np.pi * reduced_quotients(t, nums, mod, reach))) / 4
+
+
+def tower_residual_bound(cfg, word, depth):
+    """The tower path's stated rounding bound, sqrt(N sum_n (p_n - 1) d_n**2), d_n its factor bound."""
+    ps = [pr.p for pr, _ in stage_walk(cfg, word, depth)]
+    errs = [stage_bound(p, 1.0) + np.pi * p * UNIT / 4 for p in ps]
+    # first order in u: 2**-20 of it covers the rest
+    return math.sqrt(math.prod(ps) * sum((p - 1) * e * e for p, e in zip(ps, errs))) * (1 + 2**-20)
+
+
+def takes_the_tower_path(cand, cfg, word, depth):
+    return spectra._tower_residual(cand, cfg, word, depth) is not None
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_the_tower_path_and_the_pairwise_path_agree(data):
     # towers and their translates, integer or rational, take the tower path;
     # a tower over another denominator, moved towers and non-canonical towers
-    # fall back to every pair
+    # fall back to every pair.  Both paths give the same verdict, and with
+    # smooth_amplitude for every factor they sum the same positive terms: the
+    # tree's pair counts and halving against the merged distinct differences.
     pairs = data.draw(st.lists(admissible_letters(st.integers(1, 3), st.integers(1, 7)),
                                min_size=1, max_size=3))
     cfg = SystemConfig.of(*pairs)
@@ -307,15 +328,30 @@ def test_the_tower_path_and_the_pairwise_path_agree(data):
     if depth:
         cases.append(shifted_partner_tower(cfg, word, depth, rng.randint(1, depth),
                                            rng.randrange(6), rng.choice((-1, 1, 2))))
+    # each leaf's k factors and weights, and each distinct difference's, are
+    # within 8k u of the same value (smooth_amplitude at q and at the mirrored
+    # 1 - q within 4u of each other, each over 1/2), and a sum of M positive
+    # terms is within M u: the two square roots are within (M + 16k) u
+    leaves = math.prod(2 * pr.p - 1 for pr, _ in stage_walk(cfg, word, depth))
+    rel = (leaves + 16 * depth) * UNIT
     for c in cases:
         ver = assert_matches_reference(meas, c, cfg, word, depth)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectra, "_tower_differences", lambda *args: None)
+            mp.setattr(spectra, "_tower_residual", lambda *args: None)
             pairwise = verify_spectrum_finite(meas, c, cfg, word, depth)
         assert (ver.ok, ver.reason, ver.offending) == (pairwise.ok, pairwise.reason,
                                                       pairwise.offending)
-        assert ver.unitarity_residual.hex() == pairwise.unitarity_residual.hex()
+        if takes_the_tower_path(c, cfg, word, depth):
+            assert ver.unitarity_residual <= tower_residual_bound(cfg, word, depth)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "reduced_amplitude", smooth_amplitude)
+            tree = verify_spectrum_finite(meas, c, cfg, word, depth).unitarity_residual
+            mp.setattr(spectra, "_tower_residual", lambda *args: None)
+            merged = verify_spectrum_finite(meas, c, cfg, word, depth).unitarity_residual
+        assert abs(tree - merged) <= rel * merged
+        assert (merged > 0) == (len(c) > 1)
     assert verify_spectrum_finite(meas, cand, cfg, word, depth).ok
+    assert all(takes_the_tower_path(c, cfg, word, depth) for c in cases[:2])
 
 
 def test_verify_checks_a_tower_stage_by_stage(monkeypatch):
@@ -359,7 +395,8 @@ def test_verify_checks_a_tower_stage_by_stage(monkeypatch):
 
 def test_the_tower_path_takes_each_stage_factor_once_per_digit_prefix(monkeypatch):
     # stage n < k once per level-n difference sum, prod_{m<=n} (2p_m - 1) of
-    # them, and stage k once per distinct positive difference; a moved point
+    # them, and stage k once per leaf past the middle of the M = prod (2p - 1)
+    # digit vectors, (M - 1)/2 of them, however the sums repeat; a moved point
     # takes all k stages at each distinct difference
     evals = []
 
@@ -376,36 +413,84 @@ def test_the_tower_path_takes_each_stage_factor_once_per_digit_prefix(monkeypatc
                                 operator.mul))
         cand = build_tower_spectrum(cfg, word, depth)
         meas = truncate(cfg, word, depth)
-        distinct = len(spectra._tower_differences(cand, cfg, word, depth)[0])
         evals.clear()
         assert verify_spectrum_finite(meas, cand, cfg, word, depth).ok
-        assert sum(evals) == sum(sizes[:-1]) + distinct
-        if cfg is signed:  # no difference repeats: the positive half, (prod - 1)/2
-            assert distinct == (sizes[-1] - 1) // 2
+        assert sum(evals) == sum(sizes[:-1]) + (sizes[-1] - 1) // 2
         moved_tower = moved(cand, random.Random(depth), 1)[0]
         evals.clear()
         verify_spectrum_finite(meas, moved_tower, cfg, word, depth)
         assert evals and sum(evals) == depth * len(distinct_differences(moved_tower))
-    # (2, 2, 1)'s differences j_1 + 2 j_2 + ... repeat: 15 distinct of 40 positive
-    assert distinct == 15 < (sizes[-1] - 1) // 2 == 40
+    # (2, 2, 1)'s differences j_1 + 2 j_2 + ... repeat: 15 distinct of the 40
+    # positive sums, and the tree takes all 40
+    assert len(distinct_differences(cand)) == 15 < (sizes[-1] - 1) // 2 == 40
+
+
+@pytest.mark.parametrize("table", [1, 2, 7, 40])
+def test_the_tower_residual_does_not_depend_on_the_leaf_table(monkeypatch, table):
+    # a tower with more leaves than TOWER_LEAF_TABLE walks its top stages
+    # depth first over a table of its lower stages: the same factors, once
+    # per digit prefix, and the same residual to summation order
+    evals = []
+
+    def spy(p, t, nums, mod, reach):
+        evals.append(len(nums))
+        return reduced_amplitude(p, t, nums, mod, reach)
+
+    monkeypatch.setattr(spectra, "reduced_amplitude", spy)
+    signed = SystemConfig.of((-4, 2, -1), (-6, 3, 5), (4, 2, -3))
+    cases = [(QUARTER, ONES, 7), (signed, SymbolicWord((1, 2), (3, 2)), 5),
+             (SystemConfig.of((2, 2, 1)), ONES, 6), (SystemConfig.of((66, 33, 1)), ONES, 2)]
+    for cfg, word, depth in cases:
+        sizes = list(accumulate((2 * pr.p - 1 for pr, _ in stage_walk(cfg, word, depth)),
+                                operator.mul))
+        cand = build_tower_spectrum(cfg, word, depth)
+        third = SpectrumCandidate.finite(x + F(1, 3) for x in cand.points)
+        meas = truncate(cfg, word, depth)
+        for c in (cand, third):
+            whole = verify_spectrum_finite(meas, c, cfg, word, depth)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spectra, "TOWER_LEAF_TABLE", table)
+                evals.clear()
+                walked = verify_spectrum_finite(meas, c, cfg, word, depth)
+            assert walked.ok and whole.ok
+            assert sum(evals) == sum(sizes[:-1]) + (sizes[-1] - 1) // 2
+            assert max(evals) <= max(table, 2 * cfg.pair(word.letter(1)).p - 1) < sizes[-1]
+            assert math.isclose(walked.unitarity_residual, whole.unitarity_residual,
+                                rel_tol=sizes[-1] * UNIT)
+            assert whole.unitarity_residual <= tower_residual_bound(cfg, word, depth)
+        # with smooth_amplitude no leaf is 0, so a lost or doubled one would show
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "reduced_amplitude", smooth_amplitude)
+            whole = verify_spectrum_finite(meas, cand, cfg, word, depth).unitarity_residual
+            mp.setattr(spectra, "TOWER_LEAF_TABLE", table)
+            walked = verify_spectrum_finite(meas, cand, cfg, word, depth).unitarity_residual
+        assert math.isclose(walked, whole, rel_tol=sizes[-1] * UNIT)
 
 
 def distinct_differences(cand):
     return {b - a for i, a in enumerate(cand.nums) for b in cand.nums[i + 1:]}
 
 
-def test_tower_path_keeps_the_sumset_width_past_the_mask_product_bound():
+def test_tower_path_keeps_the_sumset_width_past_the_mask_product_bound(monkeypatch):
     # spans about 2**39, below INT64_SPAN, but span * p|t| passes 2**62: the
-    # stage tests take Python integers, so the differences stay int64
+    # stage tests take Python integers, so the digit tree's sums stay int64
     cfg, word = SystemConfig.of((2**20, 2, 2**25 + 1)), ONES
     cand = build_tower_spectrum(cfg, word, 2)
     third = SpectrumCandidate.finite(x + F(1, 3) for x in cand.points)
     meas = truncate(cfg, word, 2)
+    widths = []
+
+    def spy(p, t, nums, mod, reach):
+        widths.append(nums.dtype)
+        return reduced_amplitude(p, t, nums, mod, reach)
+
+    monkeypatch.setattr(spectra, "reduced_amplitude", spy)
     for c in (cand, third):
         span = c.nums[-1] - c.nums[0]
         assert span < INT64_SPAN < span * 2 * (2**25 + 1)
-        assert spectra._tower_differences(c, cfg, word, 2)[0].dtype == np.int64
+        widths.clear()
         ver = assert_matches_reference(meas, c, cfg, word, 2)
+        assert widths == [np.dtype(np.int64)] * 2
         assert ver.ok and ver.unitarity_residual.hex() == "0x1.8f5a0be038ed6p-53"
 
 
@@ -581,6 +666,33 @@ def test_verify_refuses_past_the_atom_bound():
     cand = SpectrumCandidate.finite(range(VERIFY_ATOM_BOUND + 1))
     with pytest.raises(AtomCapExceeded, match=f"verify atom bound {VERIFY_ATOM_BOUND}"):
         verify_spectrum_finite(DiscreteMeasure.point_mass(), cand, QUARTER, ONES, 0)
+
+
+def test_verify_takes_the_tower_path_past_the_atom_bound():
+    # depth 14 of (4, 2, 1): 16,384 points, which the atom bound refused on
+    # either path; the tower and its translate by 1/3 take the tower path,
+    # while a moved point, at the end or inside, still gets the pairwise refusal
+    cand = build_tower_spectrum(QUARTER, ONES, 14)
+    meas = truncate(QUARTER, ONES, 14)
+    third = SpectrumCandidate(nums=tuple(3 * x + 1 for x in cand.nums), den=3)
+    for c in (cand, third):
+        assert len(c) == 16384 > VERIFY_ATOM_BOUND and takes_the_tower_path(c, QUARTER, ONES, 14)
+        ver = verify_spectrum_finite(meas, c, QUARTER, ONES, 14)
+        assert ver.ok and 0 < ver.unitarity_residual <= tower_residual_bound(QUARTER, ONES, 14)
+    for c in (SpectrumCandidate(nums=cand.nums[:-1] + (cand.nums[-1] + 1,)),
+              moved(cand, random.Random(14), 1)[0]):
+        with pytest.raises(AtomCapExceeded, match=f"verify atom bound {VERIFY_ATOM_BOUND}"):
+            verify_spectrum_finite(meas, c, QUARTER, ONES, 14)
+
+
+def test_verify_refuses_a_tower_past_the_leaf_bound():
+    # depth 17 of (4, 2, 1): 131,072 points and sum_{n<=17} 3**n leaves, 1.9 * 10**8
+    cand = build_tower_spectrum(QUARTER, ONES, 17)
+    leaves = sum(3**n for n in range(1, 18))
+    assert leaves > VERIFY_LEAF_BOUND >= leaves - 3**17
+    with pytest.raises(AtomCapExceeded, match=f"needs {leaves}\\+ digit-tree leaves; "
+                                              f"leaf bound is {VERIFY_LEAF_BOUND}"):
+        verify_spectrum_finite(truncate(QUARTER, ONES, 17), cand, QUARTER, ONES, 17)
 
 
 def test_q_function_examples():
