@@ -255,7 +255,9 @@ def _tower_residual(candidate: SpectrumCandidate, config: SystemConfig, word: Sy
                for pr, step, base in stages for j in range(1, pr.p)):
         return None
     pts = sumset([(pr.p, step * den) for pr, step, _ in stages])
-    if (pts - pts[0]).tolist() != [v - nums[0] for v in nums]:
+    shift = nums[0] - int(pts[0])  # the numerators less shift, at a width that holds them
+    width = int_width(max(-nums[0], nums[-1]) + abs(shift))
+    if not np.array_equal(pts, np.array(nums, dtype=width) - shift):
         return None
     tower_leaves((pr.p for pr, _, _ in stages), k)
     levels = [(pr.p, pr.t, abs(step) * den, den * abs(base)) for pr, step, base in stages]
@@ -277,6 +279,7 @@ def _digit_pairs(p: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=None)
 def _digit_rows(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """_digit_pairs' whole rows for p <= RECURRENCE_MAX_P, read-only as they are kept."""
     digits = np.arange(1 - p, p)
     pairs = (p - np.abs(digits)).astype(float).reshape(-1, 1)
     digits.flags.writeable = pairs.flags.writeable = False
@@ -355,31 +358,26 @@ def _leaf_walk(levels: Sequence[tuple[int, int, int, int]], sums: np.ndarray, pr
     return total
 
 
-def _stage_product(moduli: Sequence[tuple[StagePair, int]], nums: np.ndarray) -> np.ndarray:
-    """prod_n D_{p_n}(t_n num / mod_n) over (pair, mod_n) in order, for increasing positive nums."""
-    amp, reach = np.ones(len(nums)), int(nums[-1]) if len(nums) else 0
-    for pr, mod in moduli:
-        amp *= reduced_amplitude(pr.p, pr.t, nums, mod, reach)
-    return amp
-
-
 def _difference_scan(diffs: np.ndarray, counts: np.ndarray, scale: int,
                      moduli: Sequence[tuple[StagePair, int]],
                      walk: Optional[list]) -> tuple[float, Optional[Fraction]]:
     """The unitarity residual over increasing distinct differences, and the least offender.
 
     diffs/scale occur counts times each, and |mu_hat_k| at a block of them is
-    _stage_product over moduli.  One MU_HAT_BLOCK at a time, a block adds
-    its share of sqrt(2 sum count |mu_hat_k|^2) (see SpectrumVerification)
-    and is then tested by mask_zero_hit against each (pair, scale*b_1...b_n)
-    of walk; the first block holding a difference no stage hits gives the
+    the product of reduced_amplitude over each (pair, mod_n) of moduli, in
+    order.  One MU_HAT_BLOCK at a time, a block adds its share of
+    sqrt(2 sum count |mu_hat_k|^2) (see SpectrumVerification) and is then
+    tested by mask_zero_hit against each (pair, scale*b_1...b_n) of walk;
+    the first block holding a difference no stage hits gives the
     least offender and ends the testing, not the residual.  walk None tests
     nothing.
     """
     total, offending = 0.0, None
     for i in range(0, len(diffs), MU_HAT_BLOCK):
         nums = diffs[i:i + MU_HAT_BLOCK]
-        amp = _stage_product(moduli, nums)
+        amp = np.ones(len(nums))
+        for pr, mod in moduli:
+            amp *= reduced_amplitude(pr.p, pr.t, nums, mod, int(nums[-1]))
         total += float(np.sum(counts[i:i + MU_HAT_BLOCK] * (amp * amp)))
         if walk is not None and offending is None:
             missed = np.ones(len(nums), dtype=bool)
@@ -401,7 +399,7 @@ def _pairwise_differences(candidate: SpectrumCandidate, config: SystemConfig, wo
     for mask_zero_hit.  The N(N-1)/2 positive differences of the sorted
     points are written row by row into one array of that width, sorted in
     place and merged into runs.  The moduli are (pair, L|b_1...b_n|) for
-    every stage, whose _stage_product gives the amplitudes.
+    every stage, at which _difference_scan takes the amplitudes.
     """
     nums, scale = candidate.nums, candidate.den
     stages = [(pr, scale * base) for pr, base in stage_walk(config, word, k)]
