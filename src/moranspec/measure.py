@@ -426,7 +426,7 @@ def runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     edges = np.ones(len(values) + 1, dtype=bool)
     np.not_equal(values[1:], values[:-1], out=edges[1:-1])
     bounds = np.flatnonzero(edges)
-    return values[bounds[:-1]], np.diff(bounds)
+    return values[bounds[:-1]], bounds[1:] - bounds[:-1]
 
 
 def truncate(config: SystemConfig, word: SymbolicWord, k: int,
