@@ -5,26 +5,27 @@ For the letter (b, p, t) repeated, (b, p, t)^oo, to a depth k, the cases are
 the depth-k tower of canonical partners, the same tower translated by 1/3,
 and the tower with its largest point moved up by 1.  Each case runs in a
 fresh interpreter, so its peak RSS is its own: the row gives the case, the
-point count, the tower's digit-tree leaf count sum_n prod_{m<=n} (2p - 1)
-(what spectra.VERIFY_LEAF_BOUND bounds on the tower path), the path verify took (tower or pairwise),
-the verdict (refused when verify exits past its bound, with residual -),
-its unitarity residual, the seconds of the one verify_spectrum_finite call
-and the process's peak RSS in MB from its start (VmHWM), which also counts
-the import, the truncation and the candidate.
+point count, the tower's weighted digit-tree leaf count (spectra.tower_leaves,
+sum_n prod_{m<=n} (2p - 1) while its sums fit int64, what
+spectra.VERIFY_LEAF_BOUND bounds on the tower path), the path verify takes
+(tower for a translate of the tower, else pairwise), the verdict (refused
+when verify exits past its bound, with residual -), its unitarity residual,
+the seconds of the one verify_spectrum_finite call and the process's peak
+RSS in MB from its start (VmHWM), which also counts the import, the
+truncation and the candidate.
 
 Usage:
     python3 scripts/verify_paths.py --letter B,P,T --depth K [--repeat N]
 """
 
 import argparse
+import math
 import os
 import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
 from pathlib import Path
 
 import moranspec
@@ -52,7 +53,7 @@ def run_case(case: str, pair: tuple[int, int, int], depth: int) -> None:
     config, word = SystemConfig.of(pair), SymbolicWord.constant(1)
     meas = truncate(config, word, depth)
     cand = candidate(case, spectra.build_tower_spectrum(config, word, depth))
-    leaves = sum(accumulate((2 * pr.p - 1 for pr, _ in stage_walk(config, word, depth)), mul))
+    leaves = spectra.tower_leaves(stage_walk(config, word, depth), depth, bound=math.inf)
     started = time.perf_counter()
     try:
         ver = spectra.verify_spectrum_finite(meas, cand, config, word, depth)
@@ -62,10 +63,7 @@ def run_case(case: str, pair: tuple[int, int, int], depth: int) -> None:
     seconds = time.perf_counter() - started
     peak_kb = int(re.search(r"VmHWM:\s*(\d+) kB", Path("/proc/self/status").read_text())[1])
     # asked only after the peak is read, so it adds nothing to it
-    try:
-        path = "pairwise" if spectra._tower_residual(cand, config, word, depth) is None else "tower"
-    except AtomCapExceeded:  # only the tower path counts leaves
-        path = "tower"
+    path = "pairwise" if spectra.tower_translate(cand, config, word, depth) is None else "tower"
     print(f"{case} {len(cand)} {leaves} {path} {verdict} {seconds:.3f} {peak_kb / 1024:.1f}")
 
 

@@ -45,11 +45,11 @@ import numpy as np
 
 from .exactmath import over_common_denominator
 from .hadamard import dual_step, is_admissible
-from .measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, RECURRENCE_MAX_P, AtomCapExceeded,
-                      DiscreteMeasure, StagePair, SymbolicWord, SystemConfig, canonical_ratios,
-                      chebyshev_amplitude, dirichlet_amplitude, float_quotients, int_width,
-                      mask_zero_hit, mu_hat_amplitude, reduced_amplitude, reduced_quotients,
-                      runs, stage_walk, sumset, sumset_span)
+from .measure import (DEFAULT_ATOM_CAP, INT64_SPAN, MU_HAT_BLOCK, RECURRENCE_MAX_P,
+                      AtomCapExceeded, DiscreteMeasure, StagePair, SymbolicWord, SystemConfig,
+                      canonical_ratios, chebyshev_amplitude, dirichlet_amplitude, float_quotients,
+                      int_width, mask_zero_hit, mu_hat_amplitude, reduced_amplitude,
+                      reduced_quotients, runs, stage_walk, sumset, sumset_span)
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,13 @@ def tower_stages(config: SystemConfig, word: SymbolicWord, k: int,
         points *= pr.p
         if points > cap:
             raise AtomCapExceeded(f"tower to depth {k} needs {points}+ points; cap is {cap}")
-        stages.append((pr, base // pr.b * dual_step(pr.b, pr.p, pr.t), base))
+        stages.append((pr, _partner_step(pr, base), base))
     return stages
+
+
+def _partner_step(pr: StagePair, base: int) -> int:
+    """b_1...b_{n-1} times the canonical partner step of the stage pr, base = b_1...b_n."""
+    return base // pr.b * dual_step(pr.b, pr.p, pr.t)
 
 
 def build_tower_spectrum(config: SystemConfig, word: SymbolicWord, k: int) -> SpectrumCandidate:
@@ -166,11 +171,18 @@ class SpectrumVerification:
 # (VERIFY_LEAF_BOUND).
 VERIFY_ATOM_BOUND = 4096
 
-# digit-tree leaves sum_n prod_{m<=n} (2p_m - 1) a tower translate's residual
-# may take, each one reduced_amplitude value; the rates measured at the bound
-# are in the README's resource-bound bullet on verify, from
-# scripts/verify_paths.py
-VERIFY_LEAF_BOUND = 10**8
+# weighted digit-tree leaves (tower_leaves) a tower translate's residual may
+# take.  An int64 leaf took 11-16 ns with p <= 32 at the last stage and up to
+# 25 ns past it, so the slowest tower at the bound takes about 2 s; the rates
+# are in the README's paragraph on the leaf bound, from
+# scripts/verify_paths.py (two-core Xeon)
+VERIFY_LEAF_BOUND = 8 * 10**7
+
+# a leaf whose stage factor takes Python integers weighs WIDE_LEAF_WEIGHT
+# int64 leaves and one more per WIDE_LEAF_BITS bits: measured at 166 ns a
+# leaf at 64 to 152 bits, 222 ns at 536, 572 ns at 2,072 and 2,006 ns at 8,216
+WIDE_LEAF_WEIGHT = 15
+WIDE_LEAF_BITS = 48
 
 # leaves per call of the tower residual: a tower with at most this many takes
 # one pass over its whole tree, and a larger one walks its top stages depth
@@ -188,36 +200,82 @@ def weighted_matrix_residual(measure: DiscreteMeasure, points: Sequence[Fraction
     return float(np.linalg.norm(r))
 
 
-def tower_leaves(ps: Iterable[int], k: int) -> int:
-    """sum_n prod_{m<=n} (2p_m - 1) over the digit counts p_1, ..., p_k of a depth-k tower.
+def tower_leaves(walk: Iterable[tuple[StagePair, int]], k: int, scale: int = 1,
+                 bound: float = VERIFY_LEAF_BOUND) -> int:
+    """The weighted leaf count of the residual of a depth-k tower over 1/scale, from its stage walk.
 
-    Raises AtomCapExceeded as soon as the count passes VERIFY_LEAF_BOUND,
-    before any later count is read, so a stage walk of any depth stops there.
+    walk is stage_walk's (pair, b_1...b_n) per stage.  The tower over
+    1/scale has sums of span scale * sum_n (p_n - 1)|step_n| (the steps of
+    tower_stages) and prod_{m<=n} (2p_m - 1) leaves at level n, each taking
+    stage n's reduced_amplitude at mod_n = scale |b_1...b_n| (_leaf_sum).
+    A leaf weighs 1 where that is int64 work, as reduced_quotients takes
+    it: the span under INT64_SPAN, and t' reach_n and mod_n too, reach_n
+    the span to level n and t' t_n's residue of least magnitude mod mod_n,
+    with mod_n under 2**53; past that it weighs WIDE_LEAF_WEIGHT and one
+    more per WIDE_LEAF_BITS bits of span t' or mod_n, the larger.  Raises
+    AtomCapExceeded as soon as the stages read so far weigh more than
+    bound, since later stages only add, so a walk of any depth stops there.
+    No stage needs to be admissible.
     """
-    leaves, level = 0, 1
-    for p in ps:
-        level *= 2 * p - 1
-        leaves += level
-        if leaves > VERIFY_LEAF_BOUND:
-            raise AtomCapExceeded(f"the depth-{k} tower's residual needs {leaves}+ digit-tree "
-                                  f"leaves; leaf bound is {VERIFY_LEAF_BOUND}")
-    return leaves
+    levels, level, span, work = [], 1, 0, 0
+    for pr, base in walk:
+        level *= 2 * pr.p - 1
+        span += (pr.p - 1) * abs(_partner_step(pr, base)) * scale
+        mod = scale * abs(base)
+        levels.append((level, abs((pr.t + mod // 2) % mod - mod // 2), mod, span))
+        work = 0
+        for leaves, t, mod, reach in levels:
+            narrow = span < INT64_SPAN and t * max(reach, 1) < INT64_SPAN and mod < 2**53
+            work += leaves * (1 if narrow else WIDE_LEAF_WEIGHT
+                              + max(span * t, mod).bit_length() // WIDE_LEAF_BITS)
+        if work > bound:
+            raise AtomCapExceeded(f"the depth-{k} tower's residual needs {work}+ weighted "
+                                  f"digit-tree leaves; leaf bound is {bound}")
+    return work
+
+
+def tower_translate(candidate: SpectrumCandidate, config: SystemConfig, word: SymbolicWord,
+                    k: int) -> Optional[list[tuple[StagePair, int, int]]]:
+    """tower_stages' list when the candidate is a translate of the depth-k tower, else None.
+
+    A translate by any rational: the candidate's numerators over den are the
+    sumset of the progressions den*step*{0, ..., p-1} plus one integer, and
+    mask_zero_hit finds every stage's differences step*j, j = 1..p-1, over
+    b_1...b_n in the stage's zero set (one call on Python integers each,
+    exact at any width).  Then every difference of the candidate is
+    orthogonal: one whose digits first differ at stage n is step*j plus a
+    multiple of b_1...b_n, which leaves stage n's zero test unchanged, so no
+    difference is left to test.  The span is checked before any point is
+    built.
+    """
+    nums, den = candidate.nums, candidate.den
+    if not nums:
+        return None
+    try:
+        stages = tower_stages(config, word, k, len(nums))
+    except ValueError:  # a stage with no partner, or more tower points than the candidate's
+        return None
+    if sum((pr.p - 1) * abs(step) * den for pr, step, _ in stages) != nums[-1] - nums[0]:
+        return None
+    if not all(mask_zero_hit(pr.p, pr.t, step * j, base)
+               for pr, step, base in stages for j in range(1, pr.p)):
+        return None
+    pts = sumset([(pr.p, step * den) for pr, step, _ in stages])
+    shift = nums[0] - int(pts[0])  # the numerators less shift, at a width that holds them
+    width = int_width(max(-nums[0], nums[-1]) + abs(shift))
+    if not np.array_equal(pts, np.array(nums, dtype=width) - shift):
+        return None
+    return stages
 
 
 def _tower_residual(candidate: SpectrumCandidate, config: SystemConfig, word: SymbolicWord,
                     k: int) -> Optional[float]:
     """The unitarity residual of a translate of the depth-k tower, from its digit tree.
 
-    None unless the candidate is a translate of the depth-k tower (the sumset
-    of tower_stages' progressions) by any rational, that is, its numerators
-    over den are the sumset of the progressions den*step*{0, ..., p-1} plus
-    one integer, and mask_zero_hit finds every stage's differences step*j,
-    j = 1..p-1, over b_1...b_n in the stage's zero set (one call on Python
-    integers each, exact at any width).  Then every difference of the
-    candidate is orthogonal: one whose digits first differ at stage n is
-    step*j plus a multiple of b_1...b_n, which leaves stage n's zero test
-    unchanged, so no difference is left to test.  Past VERIFY_LEAF_BOUND
-    (tower_leaves) it raises AtomCapExceeded before any leaf is built.
+    None unless tower_translate finds the candidate a translate of the
+    tower, whose every difference is then orthogonal.  Past VERIFY_LEAF_BOUND
+    weighted leaves (tower_leaves) it raises AtomCapExceeded before any leaf
+    is built.
 
     The ordered differences are the sums s(j) over the stages of
     den*|step|*j_n, |j_n| < p_n, each counted prod (p_n - |j_n|) times (the
@@ -242,48 +300,14 @@ def _tower_residual(candidate: SpectrumCandidate, config: SystemConfig, word: Sy
     residual is at most sqrt(N sum_n (p_n - 1) d_n**2), N = prod p_n, to
     first order in u, however large t_n, the translate and N are.
     """
-    nums, den = candidate.nums, candidate.den
-    if not nums:
+    stages = tower_translate(candidate, config, word, k)
+    if stages is None:
         return None
-    try:
-        stages = tower_stages(config, word, k, len(nums))
-    except ValueError:  # a stage with no partner, or more tower points than the candidate's
-        return None
-    if sum((pr.p - 1) * abs(step) * den for pr, step, _ in stages) != nums[-1] - nums[0]:
-        return None  # a translate has the tower's span; checked before any point is built
-    if not all(mask_zero_hit(pr.p, pr.t, step * j, base)
-               for pr, step, base in stages for j in range(1, pr.p)):
-        return None
-    pts = sumset([(pr.p, step * den) for pr, step, _ in stages])
-    shift = nums[0] - int(pts[0])  # the numerators less shift, at a width that holds them
-    width = int_width(max(-nums[0], nums[-1]) + abs(shift))
-    if not np.array_equal(pts, np.array(nums, dtype=width) - shift):
-        return None
-    tower_leaves((pr.p for pr, _, _ in stages), k)
+    den = candidate.den
+    tower_leaves(((pr, base) for pr, _, base in stages), k, den)
     levels = [(pr.p, pr.t, abs(step) * den, den * abs(base)) for pr, step, base in stages]
-    return math.sqrt(2 * _leaf_sum(levels, nums[-1] - nums[0])) if levels else 0.0
-
-
-def _digit_pairs(p: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The digit differences j = lo..hi - 1 of a p-digit stage and, as a column, p - |j| at each.
-
-    Up to RECURRENCE_MAX_P digits the whole rows j = 1 - p..p - 1 are built
-    once and kept (_digit_rows), as numpy's cost per call outweighs theirs.
-    """
-    if p <= RECURRENCE_MAX_P:
-        digits, pairs = _digit_rows(p)
-        return digits[lo + p - 1:hi + p - 1], pairs[lo + p - 1:hi + p - 1]
-    digits = np.arange(lo, hi)
-    return digits, (p - np.abs(digits)).astype(float).reshape(-1, 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _digit_rows(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """_digit_pairs' whole rows for p <= RECURRENCE_MAX_P, read-only as they are kept."""
-    digits = np.arange(1 - p, p)
-    pairs = (p - np.abs(digits)).astype(float).reshape(-1, 1)
-    digits.flags.writeable = pairs.flags.writeable = False
-    return digits, pairs
+    span = candidate.nums[-1] - candidate.nums[0]
+    return math.sqrt(2 * _leaf_sum(levels, span)) if levels else 0.0
 
 
 def _leaf_sum(levels: Sequence[tuple[int, int, int, int]], span: int) -> float:
@@ -311,7 +335,8 @@ def _leaf_sum(levels: Sequence[tuple[int, int, int, int]], span: int) -> float:
         inner += 1
     sums, prods, reach = np.zeros(1, dtype=width), np.ones(1), 0
     for p, t, step, mod in levels[:inner]:
-        digits, pairs = _digit_pairs(p, 1 - p, p)
+        digits = np.arange(1 - p, p)
+        pairs = (p - np.abs(digits)).astype(float).reshape(-1, 1)
         sums = np.add.outer(np.multiply(digits, step, dtype=width), sums).ravel()
         reach += (p - 1) * step
         factors = reduced_amplitude(p, t, sums, mod, reach)
@@ -341,7 +366,8 @@ def _leaf_walk(levels: Sequence[tuple[int, int, int, int]], sums: np.ndarray, pr
     per = max(1, table // len(sums))
     total = 0.0
     for first in range(lo, p, per):
-        digits, pairs = _digit_pairs(p, first, min(first + per, p))
+        digits = np.arange(first, min(first + per, p))
+        pairs = (p - np.abs(digits)).astype(float).reshape(-1, 1)
         children = np.add.outer(np.multiply(digits, step, dtype=sums.dtype), sums)
         factors = reduced_amplitude(p, t, children.ravel()[skip:], mod, reach)
         factors *= factors
@@ -431,7 +457,8 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
     denominator, is checked stage by stage (_tower_residual): p - 1
     differences per stage prove orthogonality, and the residual is a sum
     over the tower's digit tree, with no list of differences; past
-    VERIFY_LEAF_BOUND leaves it raises AtomCapExceeded before building one.
+    VERIFY_LEAF_BOUND weighted leaves (tower_leaves) it raises
+    AtomCapExceeded before building one.
     Every other candidate, and a tower with an incompatible stage, goes
     through every difference (_pairwise_differences): past VERIFY_ATOM_BOUND
     points or atoms it raises AtomCapExceeded before allocating anything,

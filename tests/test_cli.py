@@ -226,7 +226,8 @@ def test_verify_one_leaf_past_the_leaf_bound_exits_2_before_truncating(tmp_path,
     monkeypatch.setattr(measure, "truncate", spy)
     for leaves, err in (
             (VERIFY_LEAF_BOUND + 1, f"error=the depth-1 tower's residual needs "
-             f"{VERIFY_LEAF_BOUND + 1}+ digit-tree leaves; leaf bound is {VERIFY_LEAF_BOUND}\n"),
+             f"{VERIFY_LEAF_BOUND + 1}+ weighted digit-tree leaves; "
+             f"leaf bound is {VERIFY_LEAF_BOUND}\n"),
             (VERIFY_LEAF_BOUND - 1, f"error=truncation to depth 1 needs {VERIFY_LEAF_BOUND // 2}+ "
              f"atoms; cap is {DEFAULT_ATOM_CAP}\n")):
         p = (leaves + 1) // 2
