@@ -53,7 +53,8 @@ def run_case(case: str, pair: tuple[int, int, int], depth: int) -> None:
     config, word = SystemConfig.of(pair), SymbolicWord.constant(1)
     meas = truncate(config, word, depth)
     cand = candidate(case, spectra.build_tower_spectrum(config, word, depth))
-    leaves = spectra.tower_leaves(stage_walk(config, word, depth), depth, bound=math.inf)
+    leaves = spectra.tower_leaves(spectra.tree_levels(stage_walk(config, word, depth)), depth,
+                                  bound=math.inf)
     started = time.perf_counter()
     try:
         ver = spectra.verify_spectrum_finite(meas, cand, config, word, depth)

@@ -279,7 +279,8 @@ def cmd_spectrum(config, word, rewrite, args) -> int:
 def cmd_verify(config, word, rewrite, args) -> int:
     # the tower takes verify's tower path, bounded by its digit tree's weighted
     # leaves and refused from the stage list alone, before its atoms and points
-    spectra.tower_leaves(measure.stage_walk(config, word, args.depth), args.depth)
+    spectra.tower_leaves(spectra.tree_levels(measure.stage_walk(config, word, args.depth)),
+                         args.depth)
     meas = measure.truncate(config, word, args.depth, cap=args.cap)
     cand = spectra.build_tower_spectrum(config, word, args.depth)
     ver = spectra.verify_spectrum_finite(meas, cand, config, word, args.depth)

@@ -45,11 +45,11 @@ import numpy as np
 
 from .exactmath import over_common_denominator
 from .hadamard import dual_step, is_admissible
-from .measure import (DEFAULT_ATOM_CAP, INT64_SPAN, MU_HAT_BLOCK, RECURRENCE_MAX_P,
-                      AtomCapExceeded, DiscreteMeasure, StagePair, SymbolicWord, SystemConfig,
-                      canonical_ratios, chebyshev_amplitude, dirichlet_amplitude, float_quotients,
-                      int_width, mask_zero_hit, mu_hat_amplitude, reduced_amplitude,
-                      reduced_quotients, runs, stage_walk, sumset, sumset_span)
+from .measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, RECURRENCE_MAX_P, AtomCapExceeded,
+                      DiscreteMeasure, StagePair, SymbolicWord, SystemConfig, canonical_ratios,
+                      chebyshev_amplitude, dirichlet_amplitude, float_quotients, int_width,
+                      mask_zero_hit, mu_hat_amplitude, reduced_amplitude, reduced_quotients,
+                      runs, stage_walk, sumset, sumset_span)
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ VERIFY_ATOM_BOUND = 4096
 # scripts/verify_paths.py (two-core Xeon)
 VERIFY_LEAF_BOUND = 8 * 10**7
 
-# a leaf whose stage factor takes Python integers weighs WIDE_LEAF_WEIGHT
+# a leaf whose stage factor may take Python integers weighs WIDE_LEAF_WEIGHT
 # int64 leaves and one more per WIDE_LEAF_BITS bits: measured at 166 ns a
 # leaf at 64 to 152 bits, 222 ns at 536, 572 ns at 2,072 and 2,006 ns at 8,216
 WIDE_LEAF_WEIGHT = 15
@@ -200,37 +200,48 @@ def weighted_matrix_residual(measure: DiscreteMeasure, points: Sequence[Fraction
     return float(np.linalg.norm(r))
 
 
-def tower_leaves(walk: Iterable[tuple[StagePair, int]], k: int, scale: int = 1,
-                 bound: float = VERIFY_LEAF_BOUND) -> int:
-    """The weighted leaf count of the residual of a depth-k tower over 1/scale, from its stage walk.
+def tree_levels(walk: Iterable[tuple[StagePair, int]],
+                scale: int = 1) -> Iterator[tuple[int, int, int, int]]:
+    """(p_n, t_n, scale |step_n|, scale |b_1...b_n|) per (pair, b_1...b_n) of a stage walk.
 
-    walk is stage_walk's (pair, b_1...b_n) per stage.  The tower over
-    1/scale has sums of span scale * sum_n (p_n - 1)|step_n| (the steps of
-    tower_stages) and prod_{m<=n} (2p_m - 1) leaves at level n, each taking
-    stage n's reduced_amplitude at mod_n = scale |b_1...b_n| (_leaf_sum).
-    A leaf weighs 1 where that is int64 work, as reduced_quotients takes
-    it: the span under INT64_SPAN, and t' reach_n and mod_n too, reach_n
-    the span to level n and t' t_n's residue of least magnitude mod mod_n,
-    with mod_n under 2**53; past that it weighs WIDE_LEAF_WEIGHT and one
-    more per WIDE_LEAF_BITS bits of span t' or mod_n, the larger.  Raises
-    AtomCapExceeded as soon as the stages read so far weigh more than
-    bound, since later stages only add, so a walk of any depth stops there.
-    No stage needs to be admissible.
+    The steps are tower_stages', so these are the levels _leaf_sum takes for
+    the tower over 1/scale; no stage needs to be admissible.
     """
-    levels, level, span, work = [], 1, 0, 0
     for pr, base in walk:
-        level *= 2 * pr.p - 1
-        span += (pr.p - 1) * abs(_partner_step(pr, base)) * scale
-        mod = scale * abs(base)
-        levels.append((level, abs((pr.t + mod // 2) % mod - mod // 2), mod, span))
-        work = 0
-        for leaves, t, mod, reach in levels:
-            narrow = span < INT64_SPAN and t * max(reach, 1) < INT64_SPAN and mod < 2**53
-            work += leaves * (1 if narrow else WIDE_LEAF_WEIGHT
-                              + max(span * t, mod).bit_length() // WIDE_LEAF_BITS)
-        if work > bound:
-            raise AtomCapExceeded(f"the depth-{k} tower's residual needs {work}+ weighted "
-                                  f"digit-tree leaves; leaf bound is {bound}")
+        yield pr.p, pr.t, abs(_partner_step(pr, base)) * scale, abs(base) * scale
+
+
+def tower_leaves(levels: Iterable[tuple[int, int, int, int]], k: int,
+                 bound: float = VERIFY_LEAF_BOUND) -> int:
+    """The weighted leaf count of a depth-k tower's residual, from its digit tree's levels.
+
+    levels are (p_n, t_n, step_n, mod_n), tree_levels' or _leaf_sum's: the
+    tree has sums of span sum_n (p_n - 1) step_n and prod_{m<=n} (2p_m - 1)
+    leaves at level n, each taking stage n's reduced_amplitude at mod_n.
+    While span t' and mod_n are under 2**53, t' t_n's residue of least
+    magnitude mod mod_n, the sums and residues are int64 and each quotient
+    one float division, and a leaf weighs 1; past that it may take Python
+    integers, and weighs WIDE_LEAF_WEIGHT and one more per WIDE_LEAF_BITS
+    bits of the larger.  Raises AtomCapExceeded past bound, and stops
+    reading levels once the leaves alone pass it, so a walk of any depth
+    stops there.
+    """
+    read, level, leaves, span = [], 1, 0, 0
+    for p, t, step, mod in levels:
+        level *= 2 * p - 1
+        leaves += level
+        span += (p - 1) * step
+        read.append((level, abs((t + mod // 2) % mod - mod // 2), mod))
+        if leaves > bound:  # every leaf weighs 1 at least
+            break
+    work = 0
+    for level, t, mod in read:
+        top = max(span * t, mod)
+        work += level if top < 2**53 else level * (WIDE_LEAF_WEIGHT
+                                                   + top.bit_length() // WIDE_LEAF_BITS)
+    if work > bound:
+        raise AtomCapExceeded(f"the depth-{k} tower's residual needs {work}+ weighted "
+                              f"digit-tree leaves; leaf bound is {bound}")
     return work
 
 
@@ -304,8 +315,8 @@ def _tower_residual(candidate: SpectrumCandidate, config: SystemConfig, word: Sy
     if stages is None:
         return None
     den = candidate.den
-    tower_leaves(((pr, base) for pr, _, base in stages), k, den)
     levels = [(pr.p, pr.t, abs(step) * den, den * abs(base)) for pr, step, base in stages]
+    tower_leaves(levels, k)
     span = candidate.nums[-1] - candidate.nums[0]
     return math.sqrt(2 * _leaf_sum(levels, span)) if levels else 0.0
 

@@ -698,7 +698,7 @@ def test_verify_refuses_a_tower_past_the_leaf_bound():
 def weighed_leaves(cand, b, depth, den=1):
     """tower_leaves' count for (b, 2, 1)^oo: 3**n leaves at level n, mod_n den b**n and t' 1."""
     span = cand.nums[-1] - cand.nums[0]
-    return sum(3**n if span < INT64_SPAN and den * b**n < 2**53
+    return sum(3**n if max(span, den * b**n) < 2**53
                else 3**n * (15 + max(span, den * b**n).bit_length() // 48)
                for n in range(1, depth + 1))
 
@@ -707,17 +707,18 @@ def test_the_leaf_bound_weighs_leaves_past_int64_by_their_width(monkeypatch):
     # (2**60, 2, 1) at depth 14: 7.2 * 10**6 leaves, well under the bound, but
     # their sums pass int64, so each weighs 15 + bits // 48 int64 leaves and
     # the tower is refused before any leaf is built; at depth 13 it fits.
-    # (16, 2, 1) has int64 sums to depth 15, but its level-14 modulus 2**56
-    # takes Python's int / int: depth 14 fits, and depth 15 does not
+    # (16, 2, 1) at depth 14 keeps int64 sums, but its span passes 2**53 and
+    # its level-14 modulus 2**56 takes Python's int / int
     called = []
     monkeypatch.setattr(spectra, "_leaf_sum", lambda *args: called.append(args) or 0.0)
-    for b, depth, fits in ((2**60, 13, True), (2**60, 14, False), (16, 14, True),
-                           (16, 15, False)):
+    for b, depth, fits in ((2**60, 13, True), (2**60, 14, False), (16, 13, True),
+                           (16, 14, False)):
         cfg = SystemConfig.of((b, 2, 1))
         cand = build_tower_spectrum(cfg, ONES, depth)
         work = weighed_leaves(cand, b, depth)
         assert sum(3**n for n in range(1, depth + 1)) < VERIFY_LEAF_BOUND
-        assert spectra.tower_leaves(stage_walk(cfg, ONES, depth), depth, bound=math.inf) == work
+        walk = spectra.tree_levels(stage_walk(cfg, ONES, depth))
+        assert spectra.tower_leaves(walk, depth, bound=math.inf) == work
         assert (work <= VERIFY_LEAF_BOUND) == fits
         called.clear()
         if fits:
@@ -732,9 +733,9 @@ def test_the_leaf_bound_weighs_leaves_past_int64_by_their_width(monkeypatch):
     # int64 tower over 2**64 + 1 weighs its leaves by the span times that
     cand, den = build_tower_spectrum(QUARTER, ONES, 10), 2**64 + 1
     shifted = SpectrumCandidate(nums=tuple(den * x + 1 for x in cand.nums), den=den)
-    assert spectra.tower_leaves(stage_walk(QUARTER, ONES, 10), 10) == sum(
+    assert spectra.tower_leaves(spectra.tree_levels(stage_walk(QUARTER, ONES, 10)), 10) == sum(
         3**n for n in range(1, 11))
-    assert (spectra.tower_leaves(stage_walk(QUARTER, ONES, 10), 10, den)
+    assert (spectra.tower_leaves(spectra.tree_levels(stage_walk(QUARTER, ONES, 10), den), 10)
             == weighed_leaves(shifted, 4, 10, den))
 
 
