@@ -274,7 +274,7 @@ def tower_translate(candidate: SpectrumCandidate, config: SystemConfig, word: Sy
     pts = sumset([(pr.p, step * den) for pr, step, _ in stages])
     shift = nums[0] - int(pts[0])  # the numerators less shift, at a width that holds them
     width = int_width(max(-nums[0], nums[-1]) + abs(shift))
-    if not np.array_equal(pts, np.array(nums, dtype=width) - shift):
+    if not np.array_equal(pts, np.fromiter(nums, dtype=width, count=len(nums)) - shift):
         return None
     return stages
 
