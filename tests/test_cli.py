@@ -32,7 +32,7 @@ from test_classifier import (PROBE_LETTERS, SIGNED_LETTERS, coprime_alphabets,
                              listed_violations, per_translate_probe, reference_zero_set_status)
 from test_measure import SIGNED_B, SIGNED_T, reference_truncate, words_over
 from test_spectra import (admissible_letters, reference_verdict, shifted_partner_tower,
-                          tower_q_bound, tower_residual_bound, tower_size)
+                          tower_q_bound, tower_residual_bound, tower_size, weighed_leaves)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -239,6 +239,18 @@ def test_verify_one_leaf_past_the_leaf_bound_exits_2_before_truncating(tmp_path,
         assert time.perf_counter() - started < 2.0
         assert code == 2 and capsys.readouterr().err == err
         assert len(truncated) == (leaves < VERIFY_LEAF_BOUND)
+    # (2**60, 2, 1) at depth 14 has 7.2 * 10**6 leaves, but of sums past
+    # int64, each weighing 15 + bits // 48: refused before the truncation too
+    cand = build_tower_spectrum(measure.SystemConfig.of((2**60, 2, 1)),
+                                measure.SymbolicWord.constant(1), 14)
+    work = weighed_leaves(cand, 2**60, 14)
+    cfg = write_config(tmp_path, "wide.json", {"pairs": [{"b": str(2**60), "p": 2, "t": 1}],
+                                               "word": {"period": [1]}})
+    truncated.clear()
+    assert main(["verify", "--config", cfg, "--depth", "14"]) == 2 and not truncated
+    assert capsys.readouterr().err == (f"error=the depth-14 tower's residual needs {work}+ "
+                                       f"weighted digit-tree leaves; leaf bound is "
+                                       f"{VERIFY_LEAF_BOUND}\n")
 
 
 def test_qcheck(quarter_config, capsys):
