@@ -16,6 +16,8 @@ truncation and the candidate.
 
 Usage:
     python3 scripts/verify_paths.py --letter B,P,T --depth K [--repeat N]
+
+Each of B, P and T is an integer or a power such as 10^350.
 """
 
 import argparse
@@ -36,7 +38,9 @@ CASES = ("tower", "third", "moved")
 
 
 def letter(text: str) -> tuple[int, int, int]:
-    b, p, t = map(int, text.split(","))
+    """B,P,T, each an integer or a power such as 10^350."""
+    b, p, t = (int(base) ** int(power or 1)
+               for base, _, power in (part.partition("^") for part in text.split(",")))
     return b, p, t
 
 

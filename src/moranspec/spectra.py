@@ -26,8 +26,9 @@ reduced mod 1 in integers before any float is formed
 (measure.reduced_amplitude), so each factor is taken once per digit prefix
 and exactly where a float point would keep no fractional digit, and the
 leaves are summed with their pair counts, half of them by symmetry, with no
-list of differences; any other candidate takes the same kernel at each
-distinct difference, which agrees to rounding.
+list of differences, by one recursive walker (_leaf_sum) a table of prefix
+sums at a time; any other candidate takes the same kernel at each distinct
+difference, in one function (_pairwise_residual), which agrees to rounding.
 
 The residue decomposition splits Lambda/b_1 into classes n/q + Z and
 reassembles tail spectra from one partner-slot choice per residue block.
@@ -163,12 +164,12 @@ class SpectrumVerification:
     unitarity_residual: float
 
 
-# Past this many points or atoms the pairwise path refuses before allocating:
-# it goes through all N(N-1)/2 differences in one sorted array (8.4 million
-# integers at N = 4096) and sums the residual over every distinct one; a
-# larger bound needs its own memory measurement.  A tower translate takes no
-# difference array and is bounded by its digit tree instead
-# (VERIFY_LEAF_BOUND).
+# Past VERIFY_ATOM_BOUND (VERIFY_ATOM_BOUND - 1) / 2 weighted differences
+# (_leaf_weight) the pairwise path refuses before allocating: it goes through
+# all N(N-1)/2 differences in one sorted array (8.4 million integers at N =
+# 4096) and sums the residual over every distinct one; a larger bound needs
+# its own memory measurement.  A tower translate takes no difference array
+# and is bounded by its digit tree instead (VERIFY_LEAF_BOUND).
 VERIFY_ATOM_BOUND = 4096
 
 # weighted digit-tree leaves (tower_leaves) a tower translate's residual may
@@ -184,9 +185,10 @@ VERIFY_LEAF_BOUND = 8 * 10**7
 WIDE_LEAF_WEIGHT = 15
 WIDE_LEAF_BITS = 48
 
-# leaves per call of the tower residual: a tower with at most this many takes
-# one pass over its whole tree, and a larger one walks its top stages depth
-# first over a table of its lower stages' leaves, so memory stays flat
+# prefix sums per array of the tower residual: while a level's children fit
+# this many, the walk takes them as one table, so a tower with at most this
+# many leaves is one pass over its whole tree; past it the walk goes depth
+# first, one table at a time, so memory stays flat
 TOWER_LEAF_TABLE = 2**16
 
 
@@ -211,20 +213,27 @@ def tree_levels(walk: Iterable[tuple[StagePair, int]],
         yield pr.p, pr.t, abs(_partner_step(pr, base)) * scale, abs(base) * scale
 
 
+def _leaf_weight(top: int) -> int:
+    """int64 leaves' worth of one leaf or difference whose integers reach top.
+
+    1 below 2**53, where its sums and residues are int64 and each quotient
+    one float division; past that they may take Python integers, and it
+    weighs WIDE_LEAF_WEIGHT and one more per WIDE_LEAF_BITS bits of top.
+    """
+    return 1 if top < 2**53 else WIDE_LEAF_WEIGHT + top.bit_length() // WIDE_LEAF_BITS
+
+
 def tower_leaves(levels: Iterable[tuple[int, int, int, int]], k: int,
                  bound: float = VERIFY_LEAF_BOUND) -> int:
     """The weighted leaf count of a depth-k tower's residual, from its digit tree's levels.
 
     levels are (p_n, t_n, step_n, mod_n), tree_levels' or _leaf_sum's: the
     tree has sums of span sum_n (p_n - 1) step_n and prod_{m<=n} (2p_m - 1)
-    leaves at level n, each taking stage n's reduced_amplitude at mod_n.
-    While span t' and mod_n are under 2**53, t' t_n's residue of least
-    magnitude mod mod_n, the sums and residues are int64 and each quotient
-    one float division, and a leaf weighs 1; past that it may take Python
-    integers, and weighs WIDE_LEAF_WEIGHT and one more per WIDE_LEAF_BITS
-    bits of the larger.  Raises AtomCapExceeded past bound, and stops
-    reading levels once the leaves alone pass it, so a walk of any depth
-    stops there.
+    leaves at level n, each taking stage n's reduced_amplitude at mod_n and
+    weighing _leaf_weight of the larger of mod_n and span t', t' t_n's
+    residue of least magnitude mod mod_n.  Raises AtomCapExceeded past
+    bound, and stops reading levels once the leaves alone pass it, so a walk
+    of any depth stops there.
     """
     read, level, leaves, span = [], 1, 0, 0
     for p, t, step, mod in levels:
@@ -234,11 +243,7 @@ def tower_leaves(levels: Iterable[tuple[int, int, int, int]], k: int,
         read.append((level, abs((t + mod // 2) % mod - mod // 2), mod))
         if leaves > bound:  # every leaf weighs 1 at least
             break
-    work = 0
-    for level, t, mod in read:
-        top = max(span * t, mod)
-        work += level if top < 2**53 else level * (WIDE_LEAF_WEIGHT
-                                                   + top.bit_length() // WIDE_LEAF_BITS)
+    work = sum(level * _leaf_weight(max(span * t, mod)) for level, t, mod in read)
     if work > bound:
         raise AtomCapExceeded(f"the depth-{k} tower's residual needs {work}+ weighted "
                               f"digit-tree leaves; leaf bound is {bound}")
@@ -246,8 +251,8 @@ def tower_leaves(levels: Iterable[tuple[int, int, int, int]], k: int,
 
 
 def tower_translate(candidate: SpectrumCandidate, config: SystemConfig, word: SymbolicWord,
-                    k: int) -> Optional[list[tuple[StagePair, int, int]]]:
-    """tower_stages' list when the candidate is a translate of the depth-k tower, else None.
+                    k: int) -> Optional[list[tuple[int, int, int, int]]]:
+    """tree_levels' list over 1/den when the candidate is a translate of the depth-k tower.
 
     A translate by any rational: the candidate's numerators over den are the
     sumset of the progressions den*step*{0, ..., p-1} plus one integer, and
@@ -257,7 +262,7 @@ def tower_translate(candidate: SpectrumCandidate, config: SystemConfig, word: Sy
     orthogonal: one whose digits first differ at stage n is step*j plus a
     multiple of b_1...b_n, which leaves stage n's zero test unchanged, so no
     difference is left to test.  The span is checked before any point is
-    built.
+    built.  None when the candidate is no such translate.
     """
     nums, den = candidate.nums, candidate.den
     if not nums:
@@ -276,7 +281,7 @@ def tower_translate(candidate: SpectrumCandidate, config: SystemConfig, word: Sy
     width = int_width(max(-nums[0], nums[-1]) + abs(shift))
     if not np.array_equal(pts, np.fromiter(nums, dtype=width, count=len(nums)) - shift):
         return None
-    return stages
+    return list(tree_levels(((pr, base) for pr, _, base in stages), den))
 
 
 def _tower_residual(candidate: SpectrumCandidate, config: SystemConfig, word: SymbolicWord,
@@ -299,7 +304,9 @@ def _tower_residual(candidate: SpectrumCandidate, config: SystemConfig, word: Sy
     and, |mu_hat_k| being even, the same amplitude, and the middle leaf is
     j = 0; so _leaf_sum sums the leaves past M/2 and the residual is the
     square root of twice that.  No sum passes the span, so the sumset's
-    width holds them.
+    width holds them.  A table of _leaf_sum's holds TOWER_LEAF_TABLE int64
+    values' worth of bits: that many sums on int64, fewer of the span's bit
+    length past it.
 
     Rounding: the tower is orthogonal, so every leaf j != 0 has an exact
     factor 0, at stage m, the first with j_m != 0.  With u = 2**-53 and
@@ -311,64 +318,43 @@ def _tower_residual(candidate: SpectrumCandidate, config: SystemConfig, word: Sy
     residual is at most sqrt(N sum_n (p_n - 1) d_n**2), N = prod p_n, to
     first order in u, however large t_n, the translate and N are.
     """
-    stages = tower_translate(candidate, config, word, k)
-    if stages is None:
+    levels = tower_translate(candidate, config, word, k)
+    if levels is None:
         return None
-    den = candidate.den
-    levels = [(pr.p, pr.t, abs(step) * den, den * abs(base)) for pr, step, base in stages]
     tower_leaves(levels, k)
+    if not levels:
+        return 0.0
     span = candidate.nums[-1] - candidate.nums[0]
-    return math.sqrt(2 * _leaf_sum(levels, span)) if levels else 0.0
-
-
-def _leaf_sum(levels: Sequence[tuple[int, int, int, int]], span: int) -> float:
-    """sum over the digit tree's leaves past M/2 of prod_n (p_n - |j_n|) D_{p_n}(t_n s_n / mod_n)**2.
-
-    levels holds (p_n, t_n, step_n, mod_n) per stage, with s_n = sum_{m<=n}
-    step_m j_m the level-n prefix sum, built exactly at the width of span
-    (int_width), which bounds every |s_n|.  A later term
-    step_m j_m, m > n, times t_n is a multiple of mod_n, so stage n's
-    reduced_amplitude at a leaf is its value at the leaf's level-n prefix,
-    bit for bit, and is taken once per prefix: prod_{m<=n} (2p_m - 1) values
-    for n < k, then (M - 1)/2 for the leaves, each multiplying its parent's
-    weighted product.  A table holds TOWER_LEAF_TABLE int64 values' worth
-    of bits: that many sums on int64, fewer of span's bit length past it.
-    The lower stages' prefixes, while a table holds them, form one table,
-    the new digit leading; a tower whose leaves fit one table is one pass
-    over it.  _leaf_walk takes the rest depth first.
-    """
     width = int_width(span)
     table = TOWER_LEAF_TABLE if width is np.int64 else max(
         1, TOWER_LEAF_TABLE * 64 // span.bit_length())
-    inner, size = 0, 1
-    while inner < len(levels) - 1 and size * (2 * levels[inner][0] - 1) <= table:
-        size *= 2 * levels[inner][0] - 1
-        inner += 1
-    sums, prods, reach = np.zeros(1, dtype=width), np.ones(1), 0
-    for p, t, step, mod in levels[:inner]:
-        digits = np.arange(1 - p, p)
-        pairs = (p - np.abs(digits)).astype(float).reshape(-1, 1)
-        sums = np.add.outer(np.multiply(digits, step, dtype=width), sums).ravel()
-        reach += (p - 1) * step
-        factors = reduced_amplitude(p, t, sums, mod, reach)
-        factors *= factors
-        rows = factors.reshape(2 * p - 1, -1)
-        rows *= pairs
-        rows *= prods
-        prods = factors
-    return _leaf_walk(levels[inner:], sums, prods, reach, 0, table)
+    return math.sqrt(2 * _leaf_sum(levels, np.zeros(1, dtype=width), np.ones(1), 0, 0, table))
 
 
-def _leaf_walk(levels: Sequence[tuple[int, int, int, int]], sums: np.ndarray, prods: np.ndarray,
-               reach: int, sign: int, table: int) -> float:
-    """_leaf_sum's share below one table of prefix sums and their weighted products.
+def _leaf_sum(levels: Sequence[tuple[int, int, int, int]], sums: np.ndarray, prods: np.ndarray,
+              reach: int, sign: int, table: int) -> float:
+    """sum over the digit tree's leaves past M/2 of prod_n (p_n - |j_n|) D_{p_n}(t_n s_n / mod_n)**2.
+
+    levels holds (p_n, t_n, step_n, mod_n) per stage below sums, a table of
+    prefix sums s = sum_m step_m j_m over the stages above, prods their
+    weighted products and reach their span.  The sums are exact integers at
+    the width of the tower's span (int_width), which bounds every |s_n|.  A
+    later term step_m j_m, m > n, times t_n is a multiple of mod_n, so stage
+    n's reduced_amplitude at a leaf is its value at the leaf's level-n
+    prefix, bit for bit, and is taken once per prefix: prod_{m<=n} (2p_m - 1)
+    values for n < k, then (M - 1)/2 for the leaves, each multiplying its
+    parent's weighted product.
 
     sign is that of the highest nonzero digit above the table, 0 if none.
     The leaves past M/2 are those whose highest nonzero digit is positive:
     at the last stage a digit 0 keeps every leaf below a positive sign and
     the table's upper half (indices past len(sums)/2) below sign 0.  Each
     call evaluates the children of as many digits as fit one table of
-    table sums (one digit at least), in digit order.
+    table sums (one digit at least), in digit order.  Below sign 0, when all
+    2p - 1 digits fit, the children, the new digit leading, are themselves
+    such a table, symmetric about its middle, and the walk goes on from it
+    once; so a tower whose leaves fit one table is one pass over it, and a
+    larger one walks its top stages depth first, one table at a time.
     """
     (p, t, step, mod), rest = levels[0], levels[1:]
     reach += (p - 1) * step
@@ -379,15 +365,17 @@ def _leaf_walk(levels: Sequence[tuple[int, int, int, int]], sums: np.ndarray, pr
     for first in range(lo, p, per):
         digits = np.arange(first, min(first + per, p))
         pairs = (p - np.abs(digits)).astype(float).reshape(-1, 1)
-        children = np.add.outer(np.multiply(digits, step, dtype=sums.dtype), sums)
-        factors = reduced_amplitude(p, t, children.ravel()[skip:], mod, reach)
+        children = np.add.outer(np.multiply(digits, step, dtype=sums.dtype), sums).ravel()
+        factors = reduced_amplitude(p, t, children[skip:], mod, reach)
         factors *= factors
         if rest:
-            rows = factors.reshape(len(children), -1)
+            rows = factors.reshape(len(digits), -1)
             rows *= pairs
             rows *= prods
-            for j, row, weights in zip(digits.tolist(), children, rows):
-                total += _leaf_walk(rest, row, weights, reach, (j > 0) - (j < 0) or sign, table)
+            if not sign and len(digits) == 2 * p - 1:  # the whole level is one table
+                return _leaf_sum(rest, children, factors, reach, 0, table)
+            for j, row, weights in zip(digits.tolist(), children.reshape(rows.shape), rows):
+                total += _leaf_sum(rest, row, weights, reach, (j > 0) - (j < 0) or sign, table)
         else:
             factors *= np.multiply.outer(pairs.ravel(), prods).ravel()[skip:]
             total += float(factors.sum())
@@ -395,64 +383,61 @@ def _leaf_walk(levels: Sequence[tuple[int, int, int, int]], sums: np.ndarray, pr
     return total
 
 
-def _difference_scan(diffs: np.ndarray, counts: np.ndarray, scale: int,
-                     moduli: Sequence[tuple[StagePair, int]],
-                     walk: Optional[list]) -> tuple[float, Optional[Fraction]]:
-    """The unitarity residual over increasing distinct differences, and the least offender.
+def _pairwise_residual(candidate: SpectrumCandidate, config: SystemConfig, word: SymbolicWord,
+                       k: int, atoms: int) -> tuple[float, Optional[Fraction]]:
+    """Any candidate's unitarity residual over its distinct differences, and the least offender.
 
-    diffs/scale occur counts times each, and |mu_hat_k| at a block of them is
-    the product of reduced_amplitude over each (pair, mod_n) of moduli, in
-    order.  One MU_HAT_BLOCK at a time, a block adds its share of
-    sqrt(2 sum count |mu_hat_k|^2) (see SpectrumVerification) and is then
-    tested by mask_zero_hit against each (pair, scale*b_1...b_n) of walk;
-    the first block holding a difference no stage hits gives the
-    least offender and ends the testing, not the residual.  walk None tests
-    nothing.
-    """
-    total, offending = 0.0, None
-    for i in range(0, len(diffs), MU_HAT_BLOCK):
-        nums = diffs[i:i + MU_HAT_BLOCK]
-        amp = np.ones(len(nums))
-        for pr, mod in moduli:
-            amp *= reduced_amplitude(pr.p, pr.t, nums, mod, int(nums[-1]))
-        total += float(np.sum(counts[i:i + MU_HAT_BLOCK] * (amp * amp)))
-        if walk is not None and offending is None:
-            missed = np.ones(len(nums), dtype=bool)
-            for pr, den in walk:
-                missed &= ~mask_zero_hit(pr.p, pr.t, nums, den)
-            if missed.any():
-                offending = Fraction(int(nums[missed.argmax()]), scale)
-    return math.sqrt(2 * total), offending
+    With the points as integers over L = candidate.den, every |D p t|, D a
+    difference and (p, t) a walked pair, is at most the span of the points
+    times the largest p|t|, which fixes the integer width (int_width).  The
+    max(N, atoms)(max(N, atoms) - 1)/2 differences, each weighing
+    _leaf_weight of the larger of that bound and the largest L|b_1...b_n|,
+    are refused with AtomCapExceeded past VERIFY_ATOM_BOUND
+    (VERIFY_ATOM_BOUND - 1)/2 before anything is allocated.  The N(N-1)/2
+    positive differences of the sorted points are written row by row into
+    one array of that width, sorted in place and merged into runs.
 
-
-def _pairwise_differences(candidate: SpectrumCandidate, config: SystemConfig, word: SymbolicWord,
-                          k: int) -> tuple[np.ndarray, np.ndarray, list, list]:
-    """Distinct positive differences, pair counts, stage moduli and stage walk of any candidate.
-
-    With the points as integers over L = candidate.den, the walk is
-    (pair, L*b_1...b_n) per stage, less the stages past the bound on every
-    |D*p*t|, D a difference and (p, t) a walked pair: the span of the points
-    times the largest p|t|, which also fixes the integer width (int_width)
-    for mask_zero_hit.  The N(N-1)/2 positive differences of the sorted
-    points are written row by row into one array of that width, sorted in
-    place and merged into runs.  The moduli are (pair, L|b_1...b_n|) for
-    every stage, at which _difference_scan takes the amplitudes.
+    One MU_HAT_BLOCK of distinct differences at a time, in increasing order,
+    a block adds its share of sqrt(2 sum count |mu_hat_k|^2) (see
+    SpectrumVerification), |mu_hat_k| the product of reduced_amplitude at
+    each stage's L|b_1...b_n|.  When the candidate has atoms points the
+    block is then tested by mask_zero_hit against each (pair,
+    L*b_1...b_n) within the bound, as a larger one hits no difference; the
+    first block holding a difference no stage hits gives the least offender
+    and ends the testing, not the residual.
     """
     nums, scale = candidate.nums, candidate.den
     stages = [(pr, scale * base) for pr, base in stage_walk(config, word, k)]
     reach = max((pr.p * abs(pr.t) for pr, _ in stages), default=1)
     bound = (nums[-1] - nums[0] if nums else 0) * reach
+    size = max(len(nums), atoms)
+    work = size * (size - 1) // 2 * _leaf_weight(max([bound] + [abs(den) for _, den in stages]))
+    if work > VERIFY_ATOM_BOUND * (VERIFY_ATOM_BOUND - 1) // 2:
+        raise AtomCapExceeded(f"{size} atoms need {work} weighted differences, past the verify "
+                              f"atom bound {VERIFY_ATOM_BOUND}")
     arr = np.array([v - nums[0] for v in nums], dtype=int_width(bound))
     n = len(arr)
-    size, pos = n * (n - 1) // 2, 0
-    table = np.empty(size, dtype=arr.dtype)
+    table, pos = np.empty(n * (n - 1) // 2, dtype=arr.dtype), 0
     for i in range(n - 1):
         np.subtract(arr[i + 1:], arr[i], out=table[pos:pos + n - 1 - i])
         pos += n - 1 - i
     table.sort()
     diffs, counts = runs(table)
-    return (diffs, counts, [(pr, abs(den)) for pr, den in stages],
-            [(pr, den) for pr, den in stages if abs(den) <= bound])
+    walk = [(pr, den) for pr, den in stages if abs(den) <= bound]
+    total, offending, complete = 0.0, None, len(nums) == atoms
+    for i in range(0, len(diffs), MU_HAT_BLOCK):
+        block = diffs[i:i + MU_HAT_BLOCK]
+        amp = np.ones(len(block))
+        for pr, den in stages:
+            amp *= reduced_amplitude(pr.p, pr.t, block, abs(den), int(block[-1]))
+        total += float(np.sum(counts[i:i + MU_HAT_BLOCK] * (amp * amp)))
+        if complete and offending is None:
+            missed = np.ones(len(block), dtype=bool)
+            for pr, den in walk:
+                missed &= ~mask_zero_hit(pr.p, pr.t, block, den)
+            if missed.any():
+                offending = Fraction(int(block[missed.argmax()]), scale)
+    return math.sqrt(2 * total), offending
 
 
 def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidate,
@@ -467,13 +452,14 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
     equal the atom count.  A translate of the depth-k tower, over any
     denominator, is checked stage by stage (_tower_residual): p - 1
     differences per stage prove orthogonality, and the residual is a sum
-    over the tower's digit tree, with no list of differences; past
-    VERIFY_LEAF_BOUND weighted leaves (tower_leaves) it raises
+    over the tower's digit tree (_leaf_sum), with no list of differences;
+    past VERIFY_LEAF_BOUND weighted leaves (tower_leaves) it raises
     AtomCapExceeded before building one.
     Every other candidate, and a tower with an incompatible stage, goes
-    through every difference (_pairwise_differences): past VERIFY_ATOM_BOUND
-    points or atoms it raises AtomCapExceeded before allocating anything,
-    and otherwise one loop (_difference_scan) sums the residual over the
+    through every difference in one function (_pairwise_residual): past
+    VERIFY_ATOM_BOUND (VERIFY_ATOM_BOUND - 1)/2 differences of max(points,
+    atoms), weighted by their width, it raises AtomCapExceeded before
+    allocating anything, and otherwise it sums the residual over the
     distinct differences and tests the stage walk for the least positive
     offender.  Both paths take every factor by reduced_amplitude, so they
     agree to rounding.
@@ -481,12 +467,7 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
     complete = len(candidate.nums) == len(measure.nums)
     resid, offending = _tower_residual(candidate, config, word, k), None
     if resid is None:
-        size = max(len(candidate.nums), len(measure.nums))
-        if size > VERIFY_ATOM_BOUND:
-            raise AtomCapExceeded(f"{size} atoms exceed the verify atom bound {VERIFY_ATOM_BOUND}")
-        diffs, counts, moduli, walk = _pairwise_differences(candidate, config, word, k)
-        resid, offending = _difference_scan(diffs, counts, candidate.den, moduli,
-                                            walk if complete else None)
+        resid, offending = _pairwise_residual(candidate, config, word, k, len(measure.nums))
     reason = ("cardinality" if not complete
               else "orthogonality" if offending is not None else None)
     return SpectrumVerification(reason is None, reason, offending, resid)

@@ -121,8 +121,17 @@ def test_verify_paths_prints_one_row_per_case():
 
 def test_verify_paths_marks_the_refused_cases():
     # depth 13 of (4, 2, 1): 8,192 points, under the leaf bound on the tower
-    # path and past the atom bound on the pairwise one; depth 17 passes both
+    # path and past the atom bound on the pairwise one; depth 17 passes both.
+    # Depth 9 of (10**350, 2, 1): 512 points, whose differences pass the atom
+    # bound by their width alone; its 29,523 leaves weigh 233 each
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "verify_paths.py"),
+                           "--letter", "10^350,2,1", "--depth", "9"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert [line.split()[:5] for line in done.stdout.splitlines()[1:]] == [
+        ["tower", "512", "6878859", "tower", "true"], ["third", "512", "6878859", "tower", "true"],
+        ["moved", "512", "6878859", "pairwise", "refused"]]
     rows = {}
     for depth in (13, 17):
         done = subprocess.run([sys.executable, str(ROOT / "scripts" / "verify_paths.py"),

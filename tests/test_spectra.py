@@ -428,7 +428,7 @@ def test_the_tower_path_takes_each_stage_factor_once_per_digit_prefix(monkeypatc
 @pytest.mark.parametrize("table", [1, 2, 7, 40])
 def test_the_tower_residual_does_not_depend_on_the_leaf_table(monkeypatch, table):
     # a tower with more leaves than TOWER_LEAF_TABLE walks its top stages
-    # depth first over a table of its lower stages: the same factors, once
+    # depth first, one table of prefix sums at a time: the same factors, once
     # per digit prefix, and the same residual to summation order
     evals = []
 
@@ -438,8 +438,11 @@ def test_the_tower_residual_does_not_depend_on_the_leaf_table(monkeypatch, table
 
     monkeypatch.setattr(spectra, "reduced_amplitude", spy)
     signed = SystemConfig.of((-4, 2, -1), (-6, 3, 5), (4, 2, -3))
+    # under a table of 40, word 1 1 2 1^oo fills it at the p = 33 level (9 * 65 > 40),
+    # and the digit-0 row below it takes its 27 children, above the last stage, whole
     cases = [(QUARTER, ONES, 7), (signed, SymbolicWord((1, 2), (3, 2)), 5),
-             (SystemConfig.of((2, 2, 1)), ONES, 6), (SystemConfig.of((66, 33, 1)), ONES, 2)]
+             (SystemConfig.of((2, 2, 1)), ONES, 6), (SystemConfig.of((66, 33, 1)), ONES, 2),
+             (SystemConfig.of((4, 2, 1), (66, 33, 1)), SymbolicWord((1, 1, 2), (1,)), 5)]
     for cfg, word, depth in cases:
         sizes = list(accumulate((2 * pr.p - 1 for pr, _ in stage_walk(cfg, word, depth)),
                                 operator.mul))
@@ -666,6 +669,23 @@ def test_verify_refuses_past_the_atom_bound():
     cand = SpectrumCandidate.finite(range(VERIFY_ATOM_BOUND + 1))
     with pytest.raises(AtomCapExceeded, match=f"verify atom bound {VERIFY_ATOM_BOUND}"):
         verify_spectrum_finite(DiscreteMeasure.point_mass(), cand, QUARTER, ONES, 0)
+
+
+def test_verify_weighs_wide_differences_against_the_atom_bound():
+    # depth 9 of (10**350, 2, 1) with its top point moved: 512 points whose
+    # span times p|t| is about 10**3150, 10,465 bits, so each of their
+    # 130,816 differences weighs 15 + 10,465 // 48 int64 ones, 30,480,128 in
+    # all, and the pairwise path refuses before building one; depth 8's 256
+    # points weigh 6,789,120 and run
+    cfg = SystemConfig.of((10**350, 2, 1))
+    cand = build_tower_spectrum(cfg, ONES, 9)
+    moved_tower = SpectrumCandidate(nums=cand.nums[:-1] + (cand.nums[-1] + 1,))
+    meas = truncate(cfg, ONES, 9)
+    started = time.perf_counter()
+    with pytest.raises(AtomCapExceeded, match=f"512 atoms need 30480128 weighted differences, "
+                                              f"past the verify atom bound {VERIFY_ATOM_BOUND}"):
+        verify_spectrum_finite(meas, moved_tower, cfg, ONES, 9)
+    assert time.perf_counter() - started < 1
 
 
 def test_verify_takes_the_tower_path_past_the_atom_bound():
