@@ -5,14 +5,12 @@ For the letter (b, p, t) repeated, (b, p, t)^oo, to a depth k, the cases are
 the depth-k tower of canonical partners, the same tower translated by 1/3,
 and the tower with its largest point moved up by 1.  Each case runs in a
 fresh interpreter, so its peak RSS is its own: the row gives the case, the
-point count, the tower's weighted digit-tree leaf count (spectra.tower_leaves,
-sum_n prod_{m<=n} (2p - 1) while its sums fit int64, what
-spectra.VERIFY_LEAF_BOUND bounds on the tower path), the path verify takes
-(tower for a translate of the tower, else pairwise), the verdict (refused
-when verify exits past its bound, with residual -), its unitarity residual,
-the seconds of the one verify_spectrum_finite call and the process's peak
-RSS in MB from its start (VmHWM), which also counts the import, the
-truncation and the candidate.
+point count, the path verify takes (tower for a translate of the tower,
+else pairwise), the verdict (refused when verify exits past its bound, with
+residual -), its unitarity residual (exactly 0 wherever orthogonality is
+proven), the seconds of the one verify_spectrum_finite call and the
+process's peak RSS in MB from its start (VmHWM), which also counts the
+import, the truncation and the candidate.
 
 Usage:
     python3 scripts/verify_paths.py --letter B,P,T --depth K [--repeat N]
@@ -21,7 +19,6 @@ Each of B, P and T is an integer or a power such as 10^350.
 """
 
 import argparse
-import math
 import os
 import re
 import subprocess
@@ -32,7 +29,7 @@ from pathlib import Path
 
 import moranspec
 from moranspec import spectra
-from moranspec.measure import AtomCapExceeded, SymbolicWord, SystemConfig, stage_walk, truncate
+from moranspec.measure import AtomCapExceeded, SymbolicWord, SystemConfig, truncate
 
 CASES = ("tower", "third", "moved")
 
@@ -57,8 +54,6 @@ def run_case(case: str, pair: tuple[int, int, int], depth: int) -> None:
     config, word = SystemConfig.of(pair), SymbolicWord.constant(1)
     meas = truncate(config, word, depth)
     cand = candidate(case, spectra.build_tower_spectrum(config, word, depth))
-    leaves = spectra.tower_leaves(spectra.tree_levels(stage_walk(config, word, depth)), depth,
-                                  bound=math.inf)
     started = time.perf_counter()
     try:
         ver = spectra.verify_spectrum_finite(meas, cand, config, word, depth)
@@ -68,8 +63,8 @@ def run_case(case: str, pair: tuple[int, int, int], depth: int) -> None:
     seconds = time.perf_counter() - started
     peak_kb = int(re.search(r"VmHWM:\s*(\d+) kB", Path("/proc/self/status").read_text())[1])
     # asked only after the peak is read, so it adds nothing to it
-    path = "pairwise" if spectra.tower_translate(cand, config, word, depth) is None else "tower"
-    print(f"{case} {len(cand)} {leaves} {path} {verdict} {seconds:.3f} {peak_kb / 1024:.1f}")
+    path = "tower" if spectra.tower_translate(cand, config, word, depth) else "pairwise"
+    print(f"{case} {len(cand)} {path} {verdict} {seconds:.4g} {peak_kb / 1024:.1f}")
 
 
 def main() -> None:
@@ -85,7 +80,7 @@ def main() -> None:
         run_case(args.case, args.letter, args.depth)
         return
     env = {**os.environ, "PYTHONPATH": str(Path(moranspec.__file__).resolve().parent.parent)}
-    print("case points leaves path ok residual seconds peak_rss_mb", flush=True)
+    print("case points path ok residual seconds peak_rss_mb", flush=True)
     for case in CASES:
         for _ in range(args.repeat):
             done = subprocess.run([sys.executable, __file__, "--letter",

@@ -19,16 +19,13 @@ once per digit prefix, at the prefix's and x's parts of its argument, each
 reduced mod 1 in integers; up to RECURRENCE_MAX_P digits its cosine comes
 by angle addition from the prefix's cosine and sine, taken once, and x's.
 
-verify_spectrum_finite's numeric residual is a sum over a digit tree on a
-tower too, the tree of digit differences: stage n's factor at a difference
-depends only on its first n digits, and its argument t_n d / (L B_n) is
-reduced mod 1 in integers before any float is formed
-(measure.reduced_amplitude), so each factor is taken once per digit prefix
-and exactly where a float point would keep no fractional digit, and the
-leaves are summed with their pair counts, half of them by symmetry, with no
-list of differences, by one recursive walker (_leaf_sum) a table of prefix
-sums at a time; any other candidate takes the same kernel at each distinct
-difference, in one function (_pairwise_residual), which agrees to rounding.
+verify_spectrum_finite proves orthogonality in integers, a translate of
+the depth-k tower by p - 1 partner differences per stage (tower_translate)
+and any other candidate by its distinct differences (_pairwise_residual).
+Wherever orthogonality is proven the unitarity residual is exactly 0.0 and
+no float is summed; elsewhere it is summed over the distinct differences,
+each stage factor at its argument reduced mod 1 in integers
+(measure.reduced_amplitude).
 
 The residue decomposition splits Lambda/b_1 into classes n/q + Z and
 reassembles tail spectra from one partner-slot choice per residue block.
@@ -40,7 +37,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -144,18 +141,19 @@ def build_tower_spectrum(config: SystemConfig, word: SymbolicWord, k: int) -> Sp
 
 @dataclass(frozen=True)
 class SpectrumVerification:
-    """Exact verdict plus a numeric unitarity residual.
+    """Exact verdict plus a unitarity residual.
 
     offending is the least positive difference that hits no stage zero set.
-    unitarity_residual is computed from config, word and k over the
-    candidate's ordered pairs of distinct points:
-    sqrt(sum_{i != j} |mu_hat_k(lambda_i - lambda_j)|^2), where mu_hat_k is
-    the depth-k transform of config/word.  For the depth-k truncation in
-    exact arithmetic it equals the Frobenius norm of M*M - I for
+    unitarity_residual is sqrt(sum_{i != j} |mu_hat_k(lambda_i - lambda_j)|^2)
+    over the candidate's ordered pairs of distinct points, mu_hat_k the
+    depth-k transform of config/word.  For the depth-k truncation in exact
+    arithmetic it equals the Frobenius norm of M*M - I for
     M = [sqrt(w_i) exp(2 pi i lambda_j x_i)] (see weighted_matrix_residual).
-    Each factor |D_{p_n}(t_n d / B_n)| is taken at its argument reduced mod 1
-    in integers (measure.reduced_amplitude), so the rounding of every factor
-    is that of D_p at a point of [0, 1), however large t_n and d are.
+    It is exactly 0.0 wherever every difference is proven orthogonal in
+    integers, since every term is then 0; otherwise it is a float sum, each
+    factor |D_{p_n}(t_n d / B_n)| taken at its argument reduced mod 1 in
+    integers (measure.reduced_amplitude), so the rounding of every factor is
+    that of D_p at a point of [0, 1), however large t_n and d are.
     """
 
     ok: bool
@@ -165,31 +163,20 @@ class SpectrumVerification:
 
 
 # Past VERIFY_ATOM_BOUND (VERIFY_ATOM_BOUND - 1) / 2 weighted differences
-# (_leaf_weight) the pairwise path refuses before allocating: it goes through
-# all N(N-1)/2 differences in one sorted array (8.4 million integers at N =
-# 4096) and sums the residual over every distinct one; a larger bound needs
-# its own memory measurement.  A tower translate takes no difference array
-# and is bounded by its digit tree instead (VERIFY_LEAF_BOUND).
+# (_difference_weight) of its points the pairwise path refuses before
+# allocating: it goes through all N(N-1)/2 differences in one sorted array
+# (8.4 million integers at N = 4096) and, unless they prove orthogonal, sums
+# the residual over every distinct one; a larger bound needs its own memory
+# measurement.  A tower translate takes no difference array and is bounded
+# only by the atom cap and measure.SUMSET_BIT_BOUND.
 VERIFY_ATOM_BOUND = 4096
 
-# weighted digit-tree leaves (tower_leaves) a tower translate's residual may
-# take.  An int64 leaf took 11-16 ns with p <= 32 at the last stage and up to
-# 25 ns past it, so the slowest tower at the bound takes about 2 s; the rates
-# are in the README's paragraph on the leaf bound, from
-# scripts/verify_paths.py (two-core Xeon)
-VERIFY_LEAF_BOUND = 8 * 10**7
-
-# a leaf whose stage factor may take Python integers weighs WIDE_LEAF_WEIGHT
-# int64 leaves and one more per WIDE_LEAF_BITS bits: measured at 166 ns a
-# leaf at 64 to 152 bits, 222 ns at 536, 572 ns at 2,072 and 2,006 ns at 8,216
-WIDE_LEAF_WEIGHT = 15
-WIDE_LEAF_BITS = 48
-
-# prefix sums per array of the tower residual: while a level's children fit
-# this many, the walk takes them as one table, so a tower with at most this
-# many leaves is one pass over its whole tree; past it the walk goes depth
-# first, one table at a time, so memory stays flat
-TOWER_LEAF_TABLE = 2**16
+# a difference whose residues may take Python integers weighs
+# WIDE_DIFFERENCE_WEIGHT int64 ones and one more per WIDE_DIFFERENCE_BITS
+# bits: reduced_amplitude took 11-25 ns a factor on int64, 166 ns at 64 to
+# 152 bits, 222 ns at 536, 572 ns at 2,072 and 2,006 ns at 8,216
+WIDE_DIFFERENCE_WEIGHT = 15
+WIDE_DIFFERENCE_BITS = 48
 
 
 def weighted_matrix_residual(measure: DiscreteMeasure, points: Sequence[Fraction]) -> float:
@@ -202,57 +189,19 @@ def weighted_matrix_residual(measure: DiscreteMeasure, points: Sequence[Fraction
     return float(np.linalg.norm(r))
 
 
-def tree_levels(walk: Iterable[tuple[StagePair, int]],
-                scale: int = 1) -> Iterator[tuple[int, int, int, int]]:
-    """(p_n, t_n, scale |step_n|, scale |b_1...b_n|) per (pair, b_1...b_n) of a stage walk.
+def _difference_weight(top: int) -> int:
+    """int64 differences' worth of one difference whose integers reach top.
 
-    The steps are tower_stages', so these are the levels _leaf_sum takes for
-    the tower over 1/scale; no stage needs to be admissible.
+    1 below 2**53, where its residues are int64 and each quotient one float
+    division; past that they may take Python integers, and it weighs
+    WIDE_DIFFERENCE_WEIGHT and one more per WIDE_DIFFERENCE_BITS bits of top.
     """
-    for pr, base in walk:
-        yield pr.p, pr.t, abs(_partner_step(pr, base)) * scale, abs(base) * scale
-
-
-def _leaf_weight(top: int) -> int:
-    """int64 leaves' worth of one leaf or difference whose integers reach top.
-
-    1 below 2**53, where its sums and residues are int64 and each quotient
-    one float division; past that they may take Python integers, and it
-    weighs WIDE_LEAF_WEIGHT and one more per WIDE_LEAF_BITS bits of top.
-    """
-    return 1 if top < 2**53 else WIDE_LEAF_WEIGHT + top.bit_length() // WIDE_LEAF_BITS
-
-
-def tower_leaves(levels: Iterable[tuple[int, int, int, int]], k: int,
-                 bound: float = VERIFY_LEAF_BOUND) -> int:
-    """The weighted leaf count of a depth-k tower's residual, from its digit tree's levels.
-
-    levels are (p_n, t_n, step_n, mod_n), tree_levels' or _leaf_sum's: the
-    tree has sums of span sum_n (p_n - 1) step_n and prod_{m<=n} (2p_m - 1)
-    leaves at level n, each taking stage n's reduced_amplitude at mod_n and
-    weighing _leaf_weight of the larger of mod_n and span t', t' t_n's
-    residue of least magnitude mod mod_n.  Raises AtomCapExceeded past
-    bound, and stops reading levels once the leaves alone pass it, so a walk
-    of any depth stops there.
-    """
-    read, level, leaves, span = [], 1, 0, 0
-    for p, t, step, mod in levels:
-        level *= 2 * p - 1
-        leaves += level
-        span += (p - 1) * step
-        read.append((level, abs((t + mod // 2) % mod - mod // 2), mod))
-        if leaves > bound:  # every leaf weighs 1 at least
-            break
-    work = sum(level * _leaf_weight(max(span * t, mod)) for level, t, mod in read)
-    if work > bound:
-        raise AtomCapExceeded(f"the depth-{k} tower's residual needs {work}+ weighted "
-                              f"digit-tree leaves; leaf bound is {bound}")
-    return work
+    return 1 if top < 2**53 else WIDE_DIFFERENCE_WEIGHT + top.bit_length() // WIDE_DIFFERENCE_BITS
 
 
 def tower_translate(candidate: SpectrumCandidate, config: SystemConfig, word: SymbolicWord,
-                    k: int) -> Optional[list[tuple[int, int, int, int]]]:
-    """tree_levels' list over 1/den when the candidate is a translate of the depth-k tower.
+                    k: int) -> bool:
+    """Whether the candidate is a translate of the depth-k tower, which proves it orthogonal.
 
     A translate by any rational: the candidate's numerators over den are the
     sumset of the progressions den*step*{0, ..., p-1} plus one integer, and
@@ -262,181 +211,85 @@ def tower_translate(candidate: SpectrumCandidate, config: SystemConfig, word: Sy
     orthogonal: one whose digits first differ at stage n is step*j plus a
     multiple of b_1...b_n, which leaves stage n's zero test unchanged, so no
     difference is left to test.  The span is checked before any point is
-    built.  None when the candidate is no such translate.
+    built.
     """
     nums, den = candidate.nums, candidate.den
     if not nums:
-        return None
+        return False
     try:
         stages = tower_stages(config, word, k, len(nums))
     except ValueError:  # a stage with no partner, or more tower points than the candidate's
-        return None
+        return False
     if sum((pr.p - 1) * abs(step) * den for pr, step, _ in stages) != nums[-1] - nums[0]:
-        return None
+        return False
     if not all(mask_zero_hit(pr.p, pr.t, step * j, base)
                for pr, step, base in stages for j in range(1, pr.p)):
-        return None
+        return False
     pts = sumset([(pr.p, step * den) for pr, step, _ in stages])
     shift = nums[0] - int(pts[0])  # the numerators less shift, at a width that holds them
     width = int_width(max(-nums[0], nums[-1]) + abs(shift))
-    if not np.array_equal(pts, np.fromiter(nums, dtype=width, count=len(nums)) - shift):
-        return None
-    return list(tree_levels(((pr, base) for pr, _, base in stages), den))
-
-
-def _tower_residual(candidate: SpectrumCandidate, config: SystemConfig, word: SymbolicWord,
-                    k: int) -> Optional[float]:
-    """The unitarity residual of a translate of the depth-k tower, from its digit tree.
-
-    None unless tower_translate finds the candidate a translate of the
-    tower, whose every difference is then orthogonal.  Past VERIFY_LEAF_BOUND
-    weighted leaves (tower_leaves) it raises AtomCapExceeded before any leaf
-    is built.
-
-    The ordered differences are the sums s(j) over the stages of
-    den*|step|*j_n, |j_n| < p_n, each counted prod (p_n - |j_n|) times (the
-    multiset of j*step is symmetric, so |step| serves), and s(j) = 0 only at
-    j = 0, as tower points are distinct.  So the residual squared is
-    sum_{j != 0} prod (p_n - |j_n|) |mu_hat_k(s(j))|^2, with no sort and no
-    merge of equal sums: equal sums share their amplitude and their counts
-    add.  With each new digit leading, leaf M - 1 - i of the
-    M = prod (2p_n - 1) digit vectors is -j for leaf i, of the same weight
-    and, |mu_hat_k| being even, the same amplitude, and the middle leaf is
-    j = 0; so _leaf_sum sums the leaves past M/2 and the residual is the
-    square root of twice that.  No sum passes the span, so the sumset's
-    width holds them.  A table of _leaf_sum's holds TOWER_LEAF_TABLE int64
-    values' worth of bits: that many sums on int64, fewer of the span's bit
-    length past it.
-
-    Rounding: the tower is orthogonal, so every leaf j != 0 has an exact
-    factor 0, at stage m, the first with j_m != 0.  With u = 2**-53 and
-    e_n dirichlet_amplitude's bound at |v| < 1, each computed factor is
-    within d_n = e_n + pi p_n u / 4 of its value (a correctly rounded
-    quotient in [0, 1) is within u/2, times |D_p'| <= pi p / 2), and the
-    exact factors of the stages past m, weighted, sum to p_n over each
-    prefix's children (the partner is a spectrum of the stage mask).  So the
-    residual is at most sqrt(N sum_n (p_n - 1) d_n**2), N = prod p_n, to
-    first order in u, however large t_n, the translate and N are.
-    """
-    levels = tower_translate(candidate, config, word, k)
-    if levels is None:
-        return None
-    tower_leaves(levels, k)
-    if not levels:
-        return 0.0
-    span = candidate.nums[-1] - candidate.nums[0]
-    width = int_width(span)
-    table = TOWER_LEAF_TABLE if width is np.int64 else max(
-        1, TOWER_LEAF_TABLE * 64 // span.bit_length())
-    return math.sqrt(2 * _leaf_sum(levels, np.zeros(1, dtype=width), np.ones(1), 0, 0, table))
-
-
-def _leaf_sum(levels: Sequence[tuple[int, int, int, int]], sums: np.ndarray, prods: np.ndarray,
-              reach: int, sign: int, table: int) -> float:
-    """sum over the digit tree's leaves past M/2 of prod_n (p_n - |j_n|) D_{p_n}(t_n s_n / mod_n)**2.
-
-    levels holds (p_n, t_n, step_n, mod_n) per stage below sums, a table of
-    prefix sums s = sum_m step_m j_m over the stages above, prods their
-    weighted products and reach their span.  The sums are exact integers at
-    the width of the tower's span (int_width), which bounds every |s_n|.  A
-    later term step_m j_m, m > n, times t_n is a multiple of mod_n, so stage
-    n's reduced_amplitude at a leaf is its value at the leaf's level-n
-    prefix, bit for bit, and is taken once per prefix: prod_{m<=n} (2p_m - 1)
-    values for n < k, then (M - 1)/2 for the leaves, each multiplying its
-    parent's weighted product.
-
-    sign is that of the highest nonzero digit above the table, 0 if none.
-    The leaves past M/2 are those whose highest nonzero digit is positive:
-    at the last stage a digit 0 keeps every leaf below a positive sign and
-    the table's upper half (indices past len(sums)/2) below sign 0.  Each
-    call evaluates the children of as many digits as fit one table of
-    table sums (one digit at least), in digit order.  Below sign 0, when all
-    2p - 1 digits fit, the children, the new digit leading, are themselves
-    such a table, symmetric about its middle, and the walk goes on from it
-    once; so a tower whose leaves fit one table is one pass over it, and a
-    larger one walks its top stages depth first, one table at a time.
-    """
-    (p, t, step, mod), rest = levels[0], levels[1:]
-    reach += (p - 1) * step
-    lo = 1 - p if rest else 0 if sign >= 0 else 1
-    skip = 0 if rest or sign else len(sums) // 2 + 1
-    per = max(1, table // len(sums))
-    total = 0.0
-    for first in range(lo, p, per):
-        digits = np.arange(first, min(first + per, p))
-        pairs = (p - np.abs(digits)).astype(float).reshape(-1, 1)
-        children = np.add.outer(np.multiply(digits, step, dtype=sums.dtype), sums).ravel()
-        factors = reduced_amplitude(p, t, children[skip:], mod, reach)
-        factors *= factors
-        if rest:
-            rows = factors.reshape(len(digits), -1)
-            rows *= pairs
-            rows *= prods
-            if not sign and len(digits) == 2 * p - 1:  # the whole level is one table
-                return _leaf_sum(rest, children, factors, reach, 0, table)
-            for j, row, weights in zip(digits.tolist(), children.reshape(rows.shape), rows):
-                total += _leaf_sum(rest, row, weights, reach, (j > 0) - (j < 0) or sign, table)
-        else:
-            factors *= np.multiply.outer(pairs.ravel(), prods).ravel()[skip:]
-            total += float(factors.sum())
-        skip = 0
-    return total
+    return np.array_equal(pts, np.fromiter(nums, dtype=width, count=len(nums)) - shift)
 
 
 def _pairwise_residual(candidate: SpectrumCandidate, config: SystemConfig, word: SymbolicWord,
-                       k: int, atoms: int) -> tuple[float, Optional[Fraction]]:
+                       k: int, complete: bool) -> tuple[float, Optional[Fraction]]:
     """Any candidate's unitarity residual over its distinct differences, and the least offender.
 
     With the points as integers over L = candidate.den, every |D p t|, D a
     difference and (p, t) a walked pair, is at most the span of the points
     times the largest p|t|, which fixes the integer width (int_width).  The
-    max(N, atoms)(max(N, atoms) - 1)/2 differences, each weighing
-    _leaf_weight of the larger of that bound and the largest L|b_1...b_n|,
-    are refused with AtomCapExceeded past VERIFY_ATOM_BOUND
-    (VERIFY_ATOM_BOUND - 1)/2 before anything is allocated.  The N(N-1)/2
-    positive differences of the sorted points are written row by row into
-    one array of that width, sorted in place and merged into runs.
+    N(N-1)/2 differences of the N points, each weighing _difference_weight
+    of the larger of that bound and the largest L|b_1...b_n|, are refused
+    with AtomCapExceeded past VERIFY_ATOM_BOUND (VERIFY_ATOM_BOUND - 1)/2
+    before anything is allocated.  They are written row by row into one
+    array of that width, sorted in place and merged into runs.
 
-    One MU_HAT_BLOCK of distinct differences at a time, in increasing order,
-    a block adds its share of sqrt(2 sum count |mu_hat_k|^2) (see
-    SpectrumVerification), |mu_hat_k| the product of reduced_amplitude at
-    each stage's L|b_1...b_n|.  When the candidate has atoms points the
-    block is then tested by mask_zero_hit against each (pair,
+    A complete candidate's distinct differences are tested one MU_HAT_BLOCK
+    at a time, in increasing order, by mask_zero_hit against each (pair,
     L*b_1...b_n) within the bound, as a larger one hits no difference; the
     first block holding a difference no stage hits gives the least offender
-    and ends the testing, not the residual.
+    and ends the testing.  With none, every difference is proven orthogonal
+    and the residual is exactly 0.0.  Otherwise it is summed block by block
+    over every distinct difference, sqrt(2 sum count |mu_hat_k|^2) (see
+    SpectrumVerification), |mu_hat_k| the product of reduced_amplitude at
+    each stage's L|b_1...b_n|.
     """
     nums, scale = candidate.nums, candidate.den
     stages = [(pr, scale * base) for pr, base in stage_walk(config, word, k)]
     reach = max((pr.p * abs(pr.t) for pr, _ in stages), default=1)
     bound = (nums[-1] - nums[0] if nums else 0) * reach
-    size = max(len(nums), atoms)
-    work = size * (size - 1) // 2 * _leaf_weight(max([bound] + [abs(den) for _, den in stages]))
+    n = len(nums)
+    work = n * (n - 1) // 2 * _difference_weight(max([bound] + [abs(den) for _, den in stages]))
     if work > VERIFY_ATOM_BOUND * (VERIFY_ATOM_BOUND - 1) // 2:
-        raise AtomCapExceeded(f"{size} atoms need {work} weighted differences, past the verify "
+        raise AtomCapExceeded(f"{n} points need {work} weighted differences, past the verify "
                               f"atom bound {VERIFY_ATOM_BOUND}")
     arr = np.array([v - nums[0] for v in nums], dtype=int_width(bound))
-    n = len(arr)
     table, pos = np.empty(n * (n - 1) // 2, dtype=arr.dtype), 0
     for i in range(n - 1):
         np.subtract(arr[i + 1:], arr[i], out=table[pos:pos + n - 1 - i])
         pos += n - 1 - i
     table.sort()
     diffs, counts = runs(table)
-    walk = [(pr, den) for pr, den in stages if abs(den) <= bound]
-    total, offending, complete = 0.0, None, len(nums) == atoms
+    offending = None
+    if complete:
+        walk = [(pr, den) for pr, den in stages if abs(den) <= bound]
+        for i in range(0, len(diffs), MU_HAT_BLOCK):
+            block = diffs[i:i + MU_HAT_BLOCK]
+            missed = np.ones(len(block), dtype=bool)
+            for pr, den in walk:
+                missed &= ~mask_zero_hit(pr.p, pr.t, block, den)
+            if missed.any():
+                offending = Fraction(int(block[missed.argmax()]), scale)
+                break
+        else:
+            return 0.0, None
+    total = 0.0
     for i in range(0, len(diffs), MU_HAT_BLOCK):
         block = diffs[i:i + MU_HAT_BLOCK]
         amp = np.ones(len(block))
         for pr, den in stages:
             amp *= reduced_amplitude(pr.p, pr.t, block, abs(den), int(block[-1]))
         total += float(np.sum(counts[i:i + MU_HAT_BLOCK] * (amp * amp)))
-        if complete and offending is None:
-            missed = np.ones(len(block), dtype=bool)
-            for pr, den in walk:
-                missed &= ~mask_zero_hit(pr.p, pr.t, block, den)
-            if missed.any():
-                offending = Fraction(int(block[missed.argmax()]), scale)
     return math.sqrt(2 * total), offending
 
 
@@ -450,24 +303,25 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
     the candidate's denominator L, lands in stage n's when mask_zero_hit
     holds for D over L*b_1...b_n.  Completeness: the candidate size must
     equal the atom count.  A translate of the depth-k tower, over any
-    denominator, is checked stage by stage (_tower_residual): p - 1
-    differences per stage prove orthogonality, and the residual is a sum
-    over the tower's digit tree (_leaf_sum), with no list of differences;
-    past VERIFY_LEAF_BOUND weighted leaves (tower_leaves) it raises
-    AtomCapExceeded before building one.
-    Every other candidate, and a tower with an incompatible stage, goes
-    through every difference in one function (_pairwise_residual): past
-    VERIFY_ATOM_BOUND (VERIFY_ATOM_BOUND - 1)/2 differences of max(points,
-    atoms), weighted by their width, it raises AtomCapExceeded before
-    allocating anything, and otherwise it sums the residual over the
-    distinct differences and tests the stage walk for the least positive
-    offender.  Both paths take every factor by reduced_amplitude, so they
-    agree to rounding.
+    denominator, is proven orthogonal stage by stage (tower_translate), by
+    p - 1 differences per stage and with no list of differences.  Every
+    other candidate, and a tower with an incompatible stage, goes through
+    every difference in one function (_pairwise_residual): past
+    VERIFY_ATOM_BOUND (VERIFY_ATOM_BOUND - 1)/2 differences of its points,
+    weighted by their width, it raises AtomCapExceeded before allocating
+    anything, and otherwise, when complete, it tests the stage walk for the
+    least positive offender.
+
+    Wherever orthogonality is proven, a tower translate or a complete
+    candidate with no offender, every term of the unitarity residual is 0
+    and it is exactly 0.0; everywhere else it is the float sum over the
+    distinct differences.
     """
     complete = len(candidate.nums) == len(measure.nums)
-    resid, offending = _tower_residual(candidate, config, word, k), None
-    if resid is None:
-        resid, offending = _pairwise_residual(candidate, config, word, k, len(measure.nums))
+    if tower_translate(candidate, config, word, k):
+        resid, offending = 0.0, None
+    else:
+        resid, offending = _pairwise_residual(candidate, config, word, k, complete)
     reason = ("cardinality" if not complete
               else "orthogonality" if offending is not None else None)
     return SpectrumVerification(reason is None, reason, offending, resid)

@@ -27,12 +27,12 @@ from moranspec.oracle import ORACLE_DIGIT_BOUND
 from moranspec.measure import (DEFAULT_ATOM_CAP, FLOAT_BOUND, MU_HAT_BLOCK, SUMSET_BIT_BOUND,
                                SymbolicWord, SystemConfig, dirichlet_amplitude, mu_hat_eval,
                                mu_hat_many, stage_walk, truncate)
-from moranspec.spectra import VERIFY_LEAF_BOUND, build_tower_spectrum, tower_stages
+from moranspec.spectra import build_tower_spectrum, tower_stages
 from test_classifier import (PROBE_LETTERS, SIGNED_LETTERS, coprime_alphabets,
                              listed_violations, per_translate_probe, reference_zero_set_status)
 from test_measure import SIGNED_B, SIGNED_T, reference_truncate, words_over
 from test_spectra import (admissible_letters, reference_verdict, shifted_partner_tower,
-                          tower_q_bound, tower_residual_bound, tower_size, weighed_leaves)
+                          tower_q_bound, tower_size)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -202,55 +202,14 @@ def test_spectrum_and_verify(quarter_config, capsys):
 
 
 def test_verify_past_the_atom_bound_exits_2_quickly(quarter_config, capsys):
-    # 2**19 atoms are under the default 10**6 atom cap, but their residual
-    # would be a 2**19 x 2**19 complex matrix (4 TiB), and the tower path's
-    # digit tree has sum_{n<=19} 3**n leaves, 1.7 * 10**9
+    # 2**20 atoms pass the default 10**6 atom cap, refused before the truncation
+    # holds any of them; under the cap (depth 19) a tower verifies
     started = time.perf_counter()
-    code = main(["verify", "--config", quarter_config, "--depth", "19"])
+    code = main(["verify", "--config", quarter_config, "--depth", "20"])
     assert time.perf_counter() - started < 2.0
     assert code == 2
-    assert f"leaf bound is {VERIFY_LEAF_BOUND}" in capsys.readouterr().err
-
-
-def test_verify_one_leaf_past_the_leaf_bound_exits_2_before_truncating(tmp_path, capsys,
-                                                                       monkeypatch):
-    # one stage of p digits has 2p - 1 leaves: one past the bound is refused
-    # from the stage list alone, one under it goes on to the truncation, whose
-    # p atoms pass the atom cap
-    truncated = []
-
-    def spy(*args, **kwargs):
-        truncated.append(args)
-        return truncate(*args, **kwargs)
-
-    monkeypatch.setattr(measure, "truncate", spy)
-    for leaves, err in (
-            (VERIFY_LEAF_BOUND + 1, f"error=the depth-1 tower's residual needs "
-             f"{VERIFY_LEAF_BOUND + 1}+ weighted digit-tree leaves; "
-             f"leaf bound is {VERIFY_LEAF_BOUND}\n"),
-            (VERIFY_LEAF_BOUND - 1, f"error=truncation to depth 1 needs {VERIFY_LEAF_BOUND // 2}+ "
-             f"atoms; cap is {DEFAULT_ATOM_CAP}\n")):
-        p = (leaves + 1) // 2
-        cfg = write_config(tmp_path, "wide.json", {"pairs": [{"b": 2 * p, "p": p, "t": 1}],
-                                                   "word": {"period": [1]}})
-        truncated.clear()
-        started = time.perf_counter()
-        code = main(["verify", "--config", cfg, "--depth", "1"])
-        assert time.perf_counter() - started < 2.0
-        assert code == 2 and capsys.readouterr().err == err
-        assert len(truncated) == (leaves < VERIFY_LEAF_BOUND)
-    # (2**60, 2, 1) at depth 14 has 7.2 * 10**6 leaves, but of sums past
-    # int64, each weighing 15 + bits // 48: refused before the truncation too
-    cand = build_tower_spectrum(measure.SystemConfig.of((2**60, 2, 1)),
-                                measure.SymbolicWord.constant(1), 14)
-    work = weighed_leaves(cand, 2**60, 14)
-    cfg = write_config(tmp_path, "wide.json", {"pairs": [{"b": str(2**60), "p": 2, "t": 1}],
-                                               "word": {"period": [1]}})
-    truncated.clear()
-    assert main(["verify", "--config", cfg, "--depth", "14"]) == 2 and not truncated
-    assert capsys.readouterr().err == (f"error=the depth-14 tower's residual needs {work}+ "
-                                       f"weighted digit-tree leaves; leaf bound is "
-                                       f"{VERIFY_LEAF_BOUND}\n")
+    assert capsys.readouterr().err == (f"error=truncation to depth 20 needs 1048576+ atoms; "
+                                       f"cap is {DEFAULT_ATOM_CAP}\n")
 
 
 def test_qcheck(quarter_config, capsys):
@@ -690,8 +649,8 @@ def test_verify_prints_the_reference_verdict(data):
     expected = [f"ok={str(ok).lower()}"] + [f"reason={reason}"] * (reason is not None)
     if offending is not None:
         expected.append(f"offending={fmt_rational(offending)}")
-    assert code == 0 and lines[:-1] == expected
-    assert lines[-1].startswith("unitarity_residual=")
+    # the tower is proven orthogonal in integers: its residual is exactly 0
+    assert code == 0 and lines == expected + ["unitarity_residual=0"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1048,20 +1007,17 @@ def test_verify_at_the_atom_bound_stays_small(quarter_config):
     # pairwise differences held in one array peaked at about 110 MB
     report, peak = peak_rss_kb("from moranspec.cli import main; "
                                f"main(['verify', '--config', {quarter_config!r}, '--depth', '12'])")
-    assert report == ["ok=true", "unitarity_residual=1.3575363055678809e-14"]
+    assert report == ["ok=true", "unitarity_residual=0"]
     assert peak < 80 * 1024
 
 
 def test_verify_at_depth_14_takes_the_tower_path_and_stays_small(quarter_config):
     # 16,384 points, four times the pairwise bound that refused them; the
-    # digit tree's 7.2 million leaves are walked over one fixed table, and
-    # the whole run peaks at about 41 MB
+    # tower path proves them orthogonal, so the residual is exactly 0, and the
+    # whole run peaks at about 37 MB
     report, peak = peak_rss_kb("from moranspec.cli import main; "
                                f"main(['verify', '--config', {quarter_config!r}, '--depth', '14'])")
-    assert report[0] == "ok=true" and report[1].startswith("unitarity_residual=")
-    residual = float(report[1].split("=")[1])
-    assert 0 < residual <= tower_residual_bound(SystemConfig.of((4, 2, 1)),
-                                                SymbolicWord.constant(1), 14)
+    assert report == ["ok=true", "unitarity_residual=0"]
     assert peak < 64 * 1024
 
 
@@ -1077,7 +1033,7 @@ def test_verify_of_a_tower_translated_by_a_third_stays_small():
         "third = SpectrumCandidate(nums=tuple(3 * x + 1 for x in cand.nums), den=3); "
         "ver = verify_spectrum_finite(truncate(cfg, word, 12), third, cfg, word, 12); "
         "print(len(third), ver.ok, repr(ver.unitarity_residual))")
-    assert report == ["4096 True 1.3575363055678809e-14"]
+    assert report == ["4096 True 0.0"]
     assert peak < 80 * 1024
 
 
@@ -1088,6 +1044,17 @@ def test_spectrum_at_depth_19_stays_small(quarter_config):
                                f"main(['spectrum', '--config', {quarter_config!r}, '--depth', '19'])")
     assert report[:2] == ["depth=19", "count=524288"]
     assert report[2].startswith("points=0/1 2/1 8/1 10/1 ")
+    assert peak < 130 * 1024
+
+
+def test_verify_at_depth_19_stays_small(quarter_config):
+    # 524,288 points: the digit-tree residual refused them past its leaf
+    # bound (1.7 * 10**9 leaves) with exit 2; proven orthogonal, the tower
+    # prints the exact 0, with the truncation and the tower at about 98 MB
+    report, peak = peak_rss_kb("from moranspec.cli import main; "
+                               f"assert main(['verify', '--config', {quarter_config!r}, "
+                               "'--depth', '19']) == 0")
+    assert report == ["ok=true", "unitarity_residual=0"]
     assert peak < 130 * 1024
 
 
@@ -1363,25 +1330,23 @@ def test_qcheck_of_a_large_stride_measures_the_tower(tmp_path, capsys, t, depth,
     assert code == 0 and float(report["max_deviation"]) <= tower_q_bound(stages)
 
 
-@pytest.mark.parametrize("b,t,depth,residual", [
+@pytest.mark.parametrize("b,t,depth", [
     # t_1/b_1 = (10**400 + 1)/4 has no float value; the tower is {0, 2}
-    (4, HUGE, 1, "8.6595605623549329e-17"),
+    (4, HUGE, 1),
     # the canonical partner of (10**400, 2, 1) is {0, 5 * 10**399}, past the float range
-    (10**400, 1, 1, "8.6595605623549329e-17"),
+    (10**400, 1, 1),
     # t_1/b_1 = 5 * 10**307 is a float, but pi * p * 3 * t_1/b_1 is not
-    (2, 10**308 + 1, 2, "1.7319121124709868e-16"),
+    (2, 10**308 + 1, 2),
 ], ids=["stage-ratio", "point", "stage-argument"])
-def test_verify_past_the_float_range_answers_exactly(tmp_path, b, t, depth, residual):
-    # each stage argument t_n d / (b_1...b_n) is reduced mod 1 in integers, so
-    # these verify runs, once refused with exit 2, prove the tower a spectrum;
-    # every difference d has a stage whose exact argument is 1/2 mod 1, so the
-    # exact residual is 0 and what prints is the rounding of D_2(1/2) = cos(pi/2)
-    # to 6.1e-17, times the other factors and sqrt(2 count)
+def test_verify_past_the_float_range_answers_exactly(tmp_path, b, t, depth):
+    # each stage test of t_n d / (b_1...b_n) is exact in integers, so these
+    # verify runs, once refused with exit 2, prove the tower a spectrum, and
+    # its residual is exactly 0, where it printed the rounding of
+    # D_2(1/2) = cos(pi/2) to 6.1e-17, 8.7e-17 and 1.7e-16
     done = run_cli(["verify", "--config", float_range_config(tmp_path, b, t),
                     "--depth", str(depth)], timeout=30)
     assert done.returncode == 0 and done.stderr == ""
-    assert done.stdout.splitlines() == ["ok=true", f"unitarity_residual={residual}"]
-    assert float(residual) < 1e-15
+    assert done.stdout.splitlines() == ["ok=true", "unitarity_residual=0"]
 
 
 def test_sample_ft_refuses_a_stage_argument_past_the_float_range_before_its_file(tmp_path):
@@ -1420,22 +1385,21 @@ def test_verify_residual_of_a_large_stride_measures_the_tower(tmp_path, capsys, 
     # (4, 2, t) is admissible for odd t, and its tower is a spectrum.  With
     # t_n x / B_n formed as a float product no fractional digit survived, and
     # verify printed ok=true with unitarity_residual 2.03 and 7.80 at depths 3
-    # and 6 for t = 2**60 + 1, 2.79 and 7.76 for t = 10**300 + 1
+    # and 6 for t = 2**60 + 1, 2.79 and 7.76 for t = 10**300 + 1; proven
+    # orthogonal in integers, its residual is exactly 0
     code, out = run(capsys, ["verify", "--config", float_range_config(tmp_path, 4, t),
                              "--depth", str(depth)])
     report = dict(line.split("=", 1) for line in out.splitlines())
-    assert code == 0 and report["ok"] == "true"
-    assert float(report["unitarity_residual"]) < 1e-14
+    assert code == 0 and report == {"ok": "true", "unitarity_residual": "0"}
 
 
 def test_a_base_past_the_float_range_keeps_its_stage(tmp_path, capsys):
     # b = 6 (10**400 + 1) and t = 10**400 + 1: t/b = 1/6, the tower is {0, 3}, and
-    # the stage mask at 3 is cos(pi/2), so Q is 1 and the residual is a rounding
+    # the stage mask at 3 is cos(pi/2), so the residual is exactly 0 and Q is 1
     cfg = float_range_config(tmp_path, 6 * HUGE, HUGE)
     code, out = run(capsys, ["verify", "--config", cfg, "--depth", "1"])
     report = dict(line.split("=", 1) for line in out.splitlines())
-    assert code == 0 and report["ok"] == "true"
-    assert float(report["unitarity_residual"]) < 1e-15
+    assert code == 0 and report == {"ok": "true", "unitarity_residual": "0"}
     code, out = run(capsys, ["qcheck", "--config", cfg, "--depth", "1"])
     assert code == 0 and float(dict(line.split("=", 1) for line in out.splitlines())
                                ["max_deviation"]) < 1e-15

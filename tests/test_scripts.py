@@ -106,46 +106,42 @@ def test_verify_paths_prints_one_row_per_case():
                           capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == 0, done.stderr
     header, *rows = [line.split() for line in done.stdout.splitlines()]
-    assert header == ["case", "points", "leaves", "path", "ok", "residual", "seconds",
-                      "peak_rss_mb"]
-    # the translate by 1/3 takes the tower path; the moved point is no tower;
-    # each row counts the tower's 3 + 9 + 27 + 81 digit-tree leaves
-    assert [row[:5] for row in rows] == [["tower", "16", "120", "tower", "true"],
-                                         ["third", "16", "120", "tower", "true"],
-                                         ["moved", "16", "120", "pairwise", "false"]]
-    # a spectrum's residual is rounding, and the translate's takes the same bits;
-    # the moved point's is of order 1
-    assert float(rows[0][5]) < 1e-14 and rows[1][5] == rows[0][5] and float(rows[2][5]) > 0.1
-    assert all(float(row[6]) < 30 and 0 < float(row[7]) < 1024 for row in rows)
+    assert header == ["case", "points", "path", "ok", "residual", "seconds", "peak_rss_mb"]
+    # the translate by 1/3 takes the tower path; the moved point is no tower
+    assert [row[:4] for row in rows] == [["tower", "16", "tower", "true"],
+                                         ["third", "16", "tower", "true"],
+                                         ["moved", "16", "pairwise", "false"]]
+    # a spectrum's residual is exactly 0; the moved point's is of order 1
+    assert rows[0][4] == rows[1][4] == "0.000e+00" and float(rows[2][4]) > 0.1
+    assert all(float(row[5]) < 30 and 0 < float(row[6]) < 1024 for row in rows)
 
 
 def test_verify_paths_marks_the_refused_cases():
-    # depth 13 of (4, 2, 1): 8,192 points, under the leaf bound on the tower
-    # path and past the atom bound on the pairwise one; depth 17 passes both.
-    # Depth 9 of (10**350, 2, 1): 512 points, whose differences pass the atom
-    # bound by their width alone; its 29,523 leaves weigh 233 each
+    # depth 13 of (4, 2, 1): 8,192 points, past the atom bound on the
+    # pairwise path; the tower path has no bound of its own, so depth 17's
+    # tower and translate verify.  Depth 9 of (10**350, 2, 1): 512 points,
+    # whose differences pass the atom bound by their width alone
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "verify_paths.py"),
                            "--letter", "10^350,2,1", "--depth", "9"],
                           capture_output=True, text=True, timeout=60, env=env)
     assert done.returncode == 0, done.stderr
-    assert [line.split()[:5] for line in done.stdout.splitlines()[1:]] == [
-        ["tower", "512", "6878859", "tower", "true"], ["third", "512", "6878859", "tower", "true"],
-        ["moved", "512", "6878859", "pairwise", "refused"]]
+    assert [line.split()[:4] for line in done.stdout.splitlines()[1:]] == [
+        ["tower", "512", "tower", "true"], ["third", "512", "tower", "true"],
+        ["moved", "512", "pairwise", "refused"]]
     rows = {}
     for depth in (13, 17):
         done = subprocess.run([sys.executable, str(ROOT / "scripts" / "verify_paths.py"),
                                "--letter", "4,2,1", "--depth", str(depth)],
                               capture_output=True, text=True, timeout=60, env=env)
         assert done.returncode == 0, done.stderr
-        rows[depth] = [line.split()[:6] for line in done.stdout.splitlines()[1:]]
-    leaves = [str(sum(3**n for n in range(1, depth + 1))) for depth in (13, 17)]
-    assert [row[:5] for row in rows[13]] == [["tower", "8192", leaves[0], "tower", "true"],
-                                             ["third", "8192", leaves[0], "tower", "true"],
-                                             ["moved", "8192", leaves[0], "pairwise", "refused"]]
-    assert rows[17] == [["tower", "131072", leaves[1], "tower", "refused", "-"],
-                        ["third", "131072", leaves[1], "tower", "refused", "-"],
-                        ["moved", "131072", leaves[1], "pairwise", "refused", "-"]]
+        rows[depth] = [line.split()[:5] for line in done.stdout.splitlines()[1:]]
+    assert [row[:4] for row in rows[13]] == [["tower", "8192", "tower", "true"],
+                                             ["third", "8192", "tower", "true"],
+                                             ["moved", "8192", "pairwise", "refused"]]
+    assert rows[17] == [["tower", "131072", "tower", "true", "0.000e+00"],
+                        ["third", "131072", "tower", "true", "0.000e+00"],
+                        ["moved", "131072", "pairwise", "refused", "-"]]
 
 
 def test_probe_rates_prints_one_row_per_word_and_window():

@@ -1,10 +1,9 @@
 import math
-import operator
 import random
 import time
 import tracemalloc
 from fractions import Fraction as F
-from itertools import accumulate, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from moranspec.measure import (DEFAULT_ATOM_CAP, INT64_SPAN, MU_HAT_BLOCK, RECUR
                                reduced_amplitude, reduced_quotients, stage_walk, sumset,
                                support_hull, truncate)
 from moranspec.oracle import search_spectra
-from moranspec.spectra import (VERIFY_ATOM_BOUND, VERIFY_LEAF_BOUND, Decomposition,
+from moranspec.spectra import (VERIFY_ATOM_BOUND, Decomposition,
                                SpectrumCandidate,
                                build_tower_spectrum, decompose_spectrum, default_lattice_modulus,
                                extract_tail_spectrum, q_function,
@@ -150,11 +149,12 @@ def assert_matches_reference(measure, cand, cfg, word, k):
 
 
 def assert_residual_matches_the_dense_one(ver, measure, cand, tower):
-    # verify's residual comes from mu_hat over the distinct differences;
-    # weighted_matrix_residual builds the N x N matrix from the atoms
+    # weighted_matrix_residual builds the N x N matrix from the atoms: on a
+    # spectrum it rounds near the exact 0 that verify reports, and elsewhere
+    # verify's sum of mu_hat over the distinct differences matches it
     dense = weighted_matrix_residual(measure, cand.points)
     if tower:
-        assert ver.unitarity_residual < 1e-9 and dense < 1e-9
+        assert ver.unitarity_residual == 0.0 and dense < 1e-9
     else:
         assert abs(ver.unitarity_residual - dense) <= 1e-9 * dense
 
@@ -286,21 +286,8 @@ def test_the_tower_is_the_reference_sumset_at_either_width(data):
     assert widths == [np.dtype(object if wide else np.int64)]
 
 
-def smooth_amplitude(p, t, nums, mod, reach):
-    """A stand-in for reduced_amplitude: even, of period 1 and in [1/2, 1], so no leaf is 0."""
-    return (3 + np.cos(2 * np.pi * reduced_quotients(t, nums, mod, reach))) / 4
-
-
-def tower_residual_bound(cfg, word, depth):
-    """The tower path's stated rounding bound, sqrt(N sum_n (p_n - 1) d_n**2), d_n its factor bound."""
-    ps = [pr.p for pr, _ in stage_walk(cfg, word, depth)]
-    errs = [stage_bound(p, 1.0) + np.pi * p * UNIT / 4 for p in ps]
-    # first order in u: 2**-20 of it covers the rest
-    return math.sqrt(math.prod(ps) * sum((p - 1) * e * e for p, e in zip(ps, errs))) * (1 + 2**-20)
-
-
 def takes_the_tower_path(cand, cfg, word, depth):
-    return spectra.tower_translate(cand, cfg, word, depth) is not None
+    return spectra.tower_translate(cand, cfg, word, depth)
 
 
 @settings(max_examples=25, deadline=None)
@@ -308,9 +295,8 @@ def takes_the_tower_path(cand, cfg, word, depth):
 def test_the_tower_path_and_the_pairwise_path_agree(data):
     # towers and their translates, integer or rational, take the tower path;
     # a tower over another denominator, moved towers and non-canonical towers
-    # fall back to every pair.  Both paths give the same verdict, and with
-    # smooth_amplitude for every factor they sum the same positive terms: the
-    # tree's pair counts and halving against the merged distinct differences.
+    # fall back to every pair.  Both paths give the same verdict, and where
+    # either proves the candidate orthogonal its residual is exactly 0.0.
     pairs = data.draw(st.lists(admissible_letters(st.integers(1, 3), st.integers(1, 7)),
                                min_size=1, max_size=3))
     cfg = SystemConfig.of(*pairs)
@@ -328,28 +314,19 @@ def test_the_tower_path_and_the_pairwise_path_agree(data):
     if depth:
         cases.append(shifted_partner_tower(cfg, word, depth, rng.randint(1, depth),
                                            rng.randrange(6), rng.choice((-1, 1, 2))))
-    # each leaf's k factors and weights, and each distinct difference's, are
-    # within 8k u of the same value (smooth_amplitude at q and at the mirrored
-    # 1 - q within 4u of each other, each over 1/2), and a sum of M positive
-    # terms is within M u: the two square roots are within (M + 16k) u
-    leaves = math.prod(2 * pr.p - 1 for pr, _ in stage_walk(cfg, word, depth))
-    rel = (leaves + 16 * depth) * UNIT
     for c in cases:
         ver = assert_matches_reference(meas, c, cfg, word, depth)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectra, "_tower_residual", lambda *args: None)
+            mp.setattr(spectra, "tower_translate", lambda *args: False)
             pairwise = verify_spectrum_finite(meas, c, cfg, word, depth)
         assert (ver.ok, ver.reason, ver.offending) == (pairwise.ok, pairwise.reason,
                                                       pairwise.offending)
-        if takes_the_tower_path(c, cfg, word, depth):
-            assert ver.unitarity_residual <= tower_residual_bound(cfg, word, depth)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectra, "reduced_amplitude", smooth_amplitude)
-            tree = verify_spectrum_finite(meas, c, cfg, word, depth).unitarity_residual
-            mp.setattr(spectra, "_tower_residual", lambda *args: None)
-            merged = verify_spectrum_finite(meas, c, cfg, word, depth).unitarity_residual
-        assert abs(tree - merged) <= rel * merged
-        assert (merged > 0) == (len(c) > 1)
+        if ver.ok:
+            assert ver.unitarity_residual == pairwise.unitarity_residual == 0.0
+        elif takes_the_tower_path(c, cfg, word, depth):
+            assert ver.unitarity_residual == 0.0
+        else:
+            assert ver == pairwise
     assert verify_spectrum_finite(meas, cand, cfg, word, depth).ok
     assert all(takes_the_tower_path(c, cfg, word, depth) for c in cases[:2])
 
@@ -393,10 +370,10 @@ def test_verify_checks_a_tower_stage_by_stage(monkeypatch):
     assert sum(seen) > 100
 
 
-def test_the_tower_path_takes_each_stage_factor_once_per_digit_prefix(monkeypatch):
-    # stage n < k once per level-n difference sum, prod_{m<=n} (2p_m - 1) of
-    # them, and stage k once per leaf past the middle of the M = prod (2p - 1)
-    # digit vectors, (M - 1)/2 of them, however the sums repeat; a moved point
+def test_a_proven_orthogonal_candidate_takes_no_stage_factor(monkeypatch):
+    # a tower, and a spectrum that is no tower translate (one partner digit
+    # moved by a multiple of b), are proven orthogonal in integers, so their
+    # residual is exactly 0.0 and no stage factor is taken; a moved point
     # takes all k stages at each distinct difference
     evals = []
 
@@ -406,68 +383,23 @@ def test_the_tower_path_takes_each_stage_factor_once_per_digit_prefix(monkeypatc
 
     monkeypatch.setattr(spectra, "reduced_amplitude", spy)
     signed = SystemConfig.of((-4, 2, -1), (-6, 3, 5), (4, 2, -3))
+    # stage 2 is (-6, 3, 5) in both signed words, whose middle digit moved by
+    # 6 leaves no progression; (2, 2, 1)'s stage-2 digits {0, 1} become {0, 3}
     for cfg, word, depth in ((signed, SymbolicWord((3,), (2, 1)), 4),
                              (signed, SymbolicWord((1, 2), (3, 2)), 5),
                              (SystemConfig.of((2, 2, 1)), ONES, 4)):
-        sizes = list(accumulate((2 * pr.p - 1 for pr, _ in stage_walk(cfg, word, depth)),
-                                operator.mul))
         cand = build_tower_spectrum(cfg, word, depth)
         meas = truncate(cfg, word, depth)
-        evals.clear()
-        assert verify_spectrum_finite(meas, cand, cfg, word, depth).ok
-        assert sum(evals) == sum(sizes[:-1]) + (sizes[-1] - 1) // 2
+        partner = shifted_partner_tower(cfg, word, depth, 2, 1, by=1)
+        assert not takes_the_tower_path(partner, cfg, word, depth)
+        for c in (cand, partner):
+            evals.clear()
+            ver = verify_spectrum_finite(meas, c, cfg, word, depth)
+            assert ver.ok and ver.unitarity_residual == 0.0 and not evals
         moved_tower = moved(cand, random.Random(depth), 1)[0]
         evals.clear()
         verify_spectrum_finite(meas, moved_tower, cfg, word, depth)
         assert evals and sum(evals) == depth * len(distinct_differences(moved_tower))
-    # (2, 2, 1)'s differences j_1 + 2 j_2 + ... repeat: 15 distinct of the 40
-    # positive sums, and the tree takes all 40
-    assert len(distinct_differences(cand)) == 15 < (sizes[-1] - 1) // 2 == 40
-
-
-@pytest.mark.parametrize("table", [1, 2, 7, 40])
-def test_the_tower_residual_does_not_depend_on_the_leaf_table(monkeypatch, table):
-    # a tower with more leaves than TOWER_LEAF_TABLE walks its top stages
-    # depth first, one table of prefix sums at a time: the same factors, once
-    # per digit prefix, and the same residual to summation order
-    evals = []
-
-    def spy(p, t, nums, mod, reach):
-        evals.append(len(nums))
-        return reduced_amplitude(p, t, nums, mod, reach)
-
-    monkeypatch.setattr(spectra, "reduced_amplitude", spy)
-    signed = SystemConfig.of((-4, 2, -1), (-6, 3, 5), (4, 2, -3))
-    # under a table of 40, word 1 1 2 1^oo fills it at the p = 33 level (9 * 65 > 40),
-    # and the digit-0 row below it takes its 27 children, above the last stage, whole
-    cases = [(QUARTER, ONES, 7), (signed, SymbolicWord((1, 2), (3, 2)), 5),
-             (SystemConfig.of((2, 2, 1)), ONES, 6), (SystemConfig.of((66, 33, 1)), ONES, 2),
-             (SystemConfig.of((4, 2, 1), (66, 33, 1)), SymbolicWord((1, 1, 2), (1,)), 5)]
-    for cfg, word, depth in cases:
-        sizes = list(accumulate((2 * pr.p - 1 for pr, _ in stage_walk(cfg, word, depth)),
-                                operator.mul))
-        cand = build_tower_spectrum(cfg, word, depth)
-        third = SpectrumCandidate.finite(x + F(1, 3) for x in cand.points)
-        meas = truncate(cfg, word, depth)
-        for c in (cand, third):
-            whole = verify_spectrum_finite(meas, c, cfg, word, depth)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(spectra, "TOWER_LEAF_TABLE", table)
-                evals.clear()
-                walked = verify_spectrum_finite(meas, c, cfg, word, depth)
-            assert walked.ok and whole.ok
-            assert sum(evals) == sum(sizes[:-1]) + (sizes[-1] - 1) // 2
-            assert max(evals) <= max(table, 2 * cfg.pair(word.letter(1)).p - 1) < sizes[-1]
-            assert math.isclose(walked.unitarity_residual, whole.unitarity_residual,
-                                rel_tol=sizes[-1] * UNIT)
-            assert whole.unitarity_residual <= tower_residual_bound(cfg, word, depth)
-        # with smooth_amplitude no leaf is 0, so a lost or doubled one would show
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectra, "reduced_amplitude", smooth_amplitude)
-            whole = verify_spectrum_finite(meas, cand, cfg, word, depth).unitarity_residual
-            mp.setattr(spectra, "TOWER_LEAF_TABLE", table)
-            walked = verify_spectrum_finite(meas, cand, cfg, word, depth).unitarity_residual
-        assert math.isclose(walked, whole, rel_tol=sizes[-1] * UNIT)
 
 
 def distinct_differences(cand):
@@ -476,25 +408,26 @@ def distinct_differences(cand):
 
 def test_tower_path_keeps_the_sumset_width_past_the_mask_product_bound(monkeypatch):
     # spans about 2**39, below INT64_SPAN, but span * p|t| passes 2**62: the
-    # stage tests take Python integers, so the digit tree's sums stay int64
+    # stage tests take Python integers, so the tower's sumset stays int64
     cfg, word = SystemConfig.of((2**20, 2, 2**25 + 1)), ONES
     cand = build_tower_spectrum(cfg, word, 2)
     third = SpectrumCandidate.finite(x + F(1, 3) for x in cand.points)
     meas = truncate(cfg, word, 2)
     widths = []
 
-    def spy(p, t, nums, mod, reach):
-        widths.append(nums.dtype)
-        return reduced_amplitude(p, t, nums, mod, reach)
+    def spy(stages):
+        sums = sumset(stages)
+        widths.append(sums.dtype)
+        return sums
 
-    monkeypatch.setattr(spectra, "reduced_amplitude", spy)
+    monkeypatch.setattr(spectra, "sumset", spy)
     for c in (cand, third):
         span = c.nums[-1] - c.nums[0]
         assert span < INT64_SPAN < span * 2 * (2**25 + 1)
         widths.clear()
         ver = assert_matches_reference(meas, c, cfg, word, 2)
-        assert widths == [np.dtype(np.int64)] * 2
-        assert ver.ok and ver.unitarity_residual.hex() == "0x1.8f5a0be038ed6p-53"
+        assert widths == [np.dtype(np.int64)]
+        assert ver.ok and ver.unitarity_residual == 0.0
 
 
 @settings(max_examples=20, deadline=None)
@@ -682,7 +615,7 @@ def test_verify_weighs_wide_differences_against_the_atom_bound():
     moved_tower = SpectrumCandidate(nums=cand.nums[:-1] + (cand.nums[-1] + 1,))
     meas = truncate(cfg, ONES, 9)
     started = time.perf_counter()
-    with pytest.raises(AtomCapExceeded, match=f"512 atoms need 30480128 weighted differences, "
+    with pytest.raises(AtomCapExceeded, match=f"512 points need 30480128 weighted differences, "
                                               f"past the verify atom bound {VERIFY_ATOM_BOUND}"):
         verify_spectrum_finite(meas, moved_tower, cfg, ONES, 9)
     assert time.perf_counter() - started < 1
@@ -698,65 +631,22 @@ def test_verify_takes_the_tower_path_past_the_atom_bound():
     for c in (cand, third):
         assert len(c) == 16384 > VERIFY_ATOM_BOUND and takes_the_tower_path(c, QUARTER, ONES, 14)
         ver = verify_spectrum_finite(meas, c, QUARTER, ONES, 14)
-        assert ver.ok and 0 < ver.unitarity_residual <= tower_residual_bound(QUARTER, ONES, 14)
+        assert ver.ok and ver.unitarity_residual == 0.0
     for c in (SpectrumCandidate(nums=cand.nums[:-1] + (cand.nums[-1] + 1,)),
               moved(cand, random.Random(14), 1)[0]):
         with pytest.raises(AtomCapExceeded, match=f"verify atom bound {VERIFY_ATOM_BOUND}"):
             verify_spectrum_finite(meas, c, QUARTER, ONES, 14)
 
 
-def test_verify_refuses_a_tower_past_the_leaf_bound():
-    # depth 17 of (4, 2, 1): 131,072 points and sum_{n<=17} 3**n leaves, 1.9 * 10**8
-    cand = build_tower_spectrum(QUARTER, ONES, 17)
-    leaves = sum(3**n for n in range(1, 18))
-    assert leaves > VERIFY_LEAF_BOUND >= leaves - 3**17
-    with pytest.raises(AtomCapExceeded, match=f"needs {leaves}\\+ weighted digit-tree leaves; "
-                                              f"leaf bound is {VERIFY_LEAF_BOUND}"):
-        verify_spectrum_finite(truncate(QUARTER, ONES, 17), cand, QUARTER, ONES, 17)
-
-
-def weighed_leaves(cand, b, depth, den=1):
-    """tower_leaves' count for (b, 2, 1)^oo: 3**n leaves at level n, mod_n den b**n and t' 1."""
-    span = cand.nums[-1] - cand.nums[0]
-    return sum(3**n if max(span, den * b**n) < 2**53
-               else 3**n * (15 + max(span, den * b**n).bit_length() // 48)
-               for n in range(1, depth + 1))
-
-
-def test_the_leaf_bound_weighs_leaves_past_int64_by_their_width(monkeypatch):
-    # (2**60, 2, 1) at depth 14: 7.2 * 10**6 leaves, well under the bound, but
-    # their sums pass int64, so each weighs 15 + bits // 48 int64 leaves and
-    # the tower is refused before any leaf is built; at depth 13 it fits.
-    # (16, 2, 1) at depth 14 keeps int64 sums, but its span passes 2**53 and
-    # its level-14 modulus 2**56 takes Python's int / int
-    called = []
-    monkeypatch.setattr(spectra, "_leaf_sum", lambda *args: called.append(args) or 0.0)
-    for b, depth, fits in ((2**60, 13, True), (2**60, 14, False), (16, 13, True),
-                           (16, 14, False)):
-        cfg = SystemConfig.of((b, 2, 1))
-        cand = build_tower_spectrum(cfg, ONES, depth)
-        work = weighed_leaves(cand, b, depth)
-        assert sum(3**n for n in range(1, depth + 1)) < VERIFY_LEAF_BOUND
-        walk = spectra.tree_levels(stage_walk(cfg, ONES, depth))
-        assert spectra.tower_leaves(walk, depth, bound=math.inf) == work
-        assert (work <= VERIFY_LEAF_BOUND) == fits
-        called.clear()
-        if fits:
-            verify_spectrum_finite(truncate(cfg, ONES, depth), cand, cfg, ONES, depth)
-            assert len(called) == 1
-        else:
-            with pytest.raises(AtomCapExceeded, match=f"needs {work}\\+ weighted digit-tree "
-                                                      f"leaves; leaf bound is {VERIFY_LEAF_BOUND}"):
-                verify_spectrum_finite(truncate(cfg, ONES, depth), cand, cfg, ONES, depth)
-            assert not called
-    # a translate's sums are those of the tower over its denominator: an
-    # int64 tower over 2**64 + 1 weighs its leaves by the span times that
-    cand, den = build_tower_spectrum(QUARTER, ONES, 10), 2**64 + 1
-    shifted = SpectrumCandidate(nums=tuple(den * x + 1 for x in cand.nums), den=den)
-    assert spectra.tower_leaves(spectra.tree_levels(stage_walk(QUARTER, ONES, 10)), 10) == sum(
-        3**n for n in range(1, 11))
-    assert (spectra.tower_leaves(spectra.tree_levels(stage_walk(QUARTER, ONES, 10), den), 10)
-            == weighed_leaves(shifted, 4, 10, den))
+def test_the_pairwise_bound_counts_points_not_atoms():
+    # 10 points against the 8,192 atoms of (4, 2, 1)^oo at depth 13: the
+    # pairwise path builds their 45 differences, where weighing the atoms'
+    # 33.5 million refused the candidate
+    meas = truncate(QUARTER, ONES, 13)
+    assert len(meas.nums) == 8192
+    ver = verify_spectrum_finite(meas, SpectrumCandidate.finite(range(10)), QUARTER, ONES, 13)
+    assert (ver.ok, ver.reason, ver.offending) == (False, "cardinality", None)
+    assert ver.unitarity_residual > 0
 
 
 def test_q_function_examples():
