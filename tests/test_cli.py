@@ -1014,7 +1014,7 @@ def test_verify_at_the_atom_bound_stays_small(quarter_config):
 def test_verify_at_depth_14_takes_the_tower_path_and_stays_small(quarter_config):
     # 16,384 points, four times the pairwise bound that refused them; the
     # tower path proves them orthogonal, so the residual is exactly 0, and the
-    # whole run peaks at about 37 MB
+    # whole run peaks at about 33 MB
     report, peak = peak_rss_kb("from moranspec.cli import main; "
                                f"main(['verify', '--config', {quarter_config!r}, '--depth', '14'])")
     assert report == ["ok=true", "unitarity_residual=0"]
@@ -1341,8 +1341,8 @@ def test_qcheck_of_a_large_stride_measures_the_tower(tmp_path, capsys, t, depth,
 def test_verify_past_the_float_range_answers_exactly(tmp_path, b, t, depth):
     # each stage test of t_n d / (b_1...b_n) is exact in integers, so these
     # verify runs, once refused with exit 2, prove the tower a spectrum, and
-    # its residual is exactly 0, where it printed the rounding of
-    # D_2(1/2) = cos(pi/2) to 6.1e-17, 8.7e-17 and 1.7e-16
+    # its residual is exactly 0, where the float sum printed roundings of
+    # D_2(1/2) = cos(pi/2): 8.7e-17, 8.7e-17 and 1.7e-16
     done = run_cli(["verify", "--config", float_range_config(tmp_path, b, t),
                     "--depth", str(depth)], timeout=30)
     assert done.returncode == 0 and done.stderr == ""

@@ -15,8 +15,7 @@ from moranspec.hadamard import canonical_dual_digits
 from moranspec.measure import (DEFAULT_ATOM_CAP, INT64_SPAN, MU_HAT_BLOCK, RECURRENCE_MAX_P,
                                AtomCapExceeded, DiscreteMeasure, SymbolicWord, SystemConfig,
                                float_quotients, int_width, mask_zero_hit, mu_hat_many,
-                               reduced_amplitude, reduced_quotients, stage_walk, sumset,
-                               support_hull, truncate)
+                               reduced_amplitude, stage_walk, sumset, support_hull, truncate)
 from moranspec.oracle import search_spectra
 from moranspec.spectra import (VERIFY_ATOM_BOUND, Decomposition,
                                SpectrumCandidate,
