@@ -9,9 +9,13 @@ With --unreached, one row per definition (a module-level function or class,
 or a method) that nothing in cli.py reaches, with its code lines, then their
 total.  Reach is a name walk over the AST: every definition in cli.py and
 every module's top-level statements (run on import) are reached, and a
-reached definition reaches every definition, in any module, whose name it
-mentions as a name or an attribute, so the walk over-counts what is reached.
-A class's dunder methods are reached with it.  A definition's lines leave out
+reached definition reaches what it mentions.  A bare name reaches the
+module-level definitions of that name in any module; an attribute x.name
+reaches every method of that name, and the module-level definition name of
+module x when x names a moranspec module.  A local or parameter is never an
+attribute, so it reaches no method.  The walk still over-counts what is
+reached: it does not resolve which object an attribute is read from.  A
+class's dunder methods are reached with it.  A definition's lines leave out
 the methods it holds, which have rows of their own.
 
 Usage:
@@ -63,17 +67,29 @@ def span(node: ast.AST) -> set[int]:
     return set(range(first, node.end_lineno + 1))
 
 
-def mentioned(nodes) -> set[str]:
-    """Every name and attribute name under nodes."""
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for node in nodes for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+def mentioned(nodes, modules: set[str]) -> set[str]:
+    """The reach keys of every name and attribute under nodes.
+
+    A bare name is the key name, an attribute .name, and an attribute of a
+    module of modules also module.name.
+    """
+    keys: set[str] = set()
+    for n in (n for node in nodes for n in ast.walk(node)):
+        if isinstance(n, ast.Name):
+            keys.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            keys.add(f".{n.attr}")
+            if isinstance(n.value, ast.Name) and n.value.id in modules:
+                keys.add(f"{n.value.id}.{n.attr}")
+    return keys
 
 
 def definitions(module: str, source: str):
-    """(module.qualname, the name that reaches it, its own nodes, its code lines) per definition.
+    """(module.qualname, the keys that reach it, its own nodes, its code lines) per definition.
 
-    A class's own nodes are all but its methods, and a dunder method is
-    reached by its class's name.
+    A module-level definition is reached by its bare name or module.name, a
+    method by .name, and a dunder method by its class's keys.  A class's own
+    nodes are all but its methods.
     """
     tree, lines = ast.parse(source), code_line_set(source)
     for node in tree.body:
@@ -83,30 +99,33 @@ def definitions(module: str, source: str):
             node, ast.ClassDef) else []
         own = ([node] if not methods
                else [*node.decorator_list, *node.bases, *(n for n in node.body if n not in methods)])
-        yield (f"{module}.{node.name}", node.name, own,
+        keys = {node.name, f"{module}.{node.name}"}
+        yield (f"{module}.{node.name}", keys, own,
                len(lines & span(node).difference(*map(span, methods))))
         for m in methods:
             dunder = m.name.startswith("__") and m.name.endswith("__")
-            yield (f"{module}.{node.name}.{m.name}", node.name if dunder else m.name, [m],
+            yield (f"{module}.{node.name}.{m.name}", keys if dunder else {f".{m.name}"}, [m],
                    len(lines & span(m)))
 
 
 def unreached() -> list[tuple[str, int]]:
     """(module.qualname, code lines) of each definition that cli.py does not reach."""
+    paths = sorted(SRC.glob("*.py"))
+    modules = {path.stem for path in paths}
     defs, names = [], set()
-    for path in sorted(SRC.glob("*.py")):
+    for path in paths:
         source = path.read_text(encoding="utf-8")
-        names |= mentioned(n for n in ast.parse(source).body if not isinstance(n, DEFS))
+        names |= mentioned((n for n in ast.parse(source).body if not isinstance(n, DEFS)), modules)
         defs += definitions(path.stem, source)
     reached = {key for key, *_ in defs if key.startswith("cli.")}
-    names |= mentioned(n for key, _, own, _ in defs if key in reached for n in own)
+    names |= mentioned((n for key, _, own, _ in defs if key in reached for n in own), modules)
     grew = True
     while grew:
         grew = False
-        for key, name, own, _ in defs:
-            if key not in reached and name in names:
+        for key, keys, own, _ in defs:
+            if key not in reached and keys & names:
                 reached.add(key)
-                names |= mentioned(own)
+                names |= mentioned(own, modules)
                 grew = True
     return [(key, count) for key, _, _, count in defs if key not in reached]
 

@@ -265,30 +265,3 @@ def integral_zero_set_probe(config: SystemConfig, word: SymbolicWord,
     # entry window is xi itself; min keeps the first of equal |k|, so k before -k
     hits = [i - window for i in (flags.find(0, window + 1), flags.rfind(0, 0, window)) if i >= 0]
     return ZeroSetProbe(xi, window, min(hits, key=abs, default=None))
-
-
-def alternating_family_decide(p1: int, p2: int, odd_b: Sequence[int],
-                              even_t: Sequence[int]) -> SpectralVerdict:
-    """Decide the alternating family: unit-stride p1 digits at odd stages,
-    stride-t p2 digits at even stages with base p2*t there.
-
-    odd_b lists the bases at odd positions from the third stage on, even_t
-    the strides at even positions from the second stage on, both periodic;
-    position-wise pairs (b_{2k+1}, t_{2k}) align index k.  Spectral iff
-    p1 | b_{2k+1} * t_{2k} for every k across one full period alignment.
-    """
-    if p1 < 2 or p2 < 2:
-        raise ValueError("p1 and p2 must be >= 2")
-    if not odd_b or not even_t:
-        raise ValueError("periodic base and stride lists must be nonempty")
-    if any(b < 2 for b in odd_b) or any(t < 1 for t in even_t):
-        raise ValueError("need bases >= 2 and strides >= 1")
-    span = len(odd_b) * len(even_t) // gcd(len(odd_b), len(even_t))
-    for k in range(span):
-        b = odd_b[k % len(odd_b)]
-        t = even_t[k % len(even_t)]
-        if (b * t) % p1 != 0:
-            return SpectralVerdict(
-                NOT_SPECTRAL, CLAUSE_DIVISIBILITY,
-                (("pair_index", k + 1), ("b_odd", b), ("t_even", t), ("p1", p1)))
-    return SpectralVerdict(SPECTRAL)

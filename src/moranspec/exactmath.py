@@ -107,10 +107,6 @@ class RootSum:
         reduced = tuple(sorted(e % self.order for e in self.exponents))
         object.__setattr__(self, "exponents", reduced)
 
-    def shifted(self, c: int) -> "RootSum":
-        """Add c to every exponent; multiplies the value by zeta^c."""
-        return RootSum(self.order, tuple(e + c for e in self.exponents))
-
 
 def root_sum_is_zero(s: RootSum) -> bool:
     """Exact test of sum_a zeta_n^a == 0.

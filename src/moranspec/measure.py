@@ -21,8 +21,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, tee
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import count
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -628,41 +628,18 @@ def reduced_amplitude(p: int, t: int, nums: np.ndarray, mod: int, reach: int) ->
     return dirichlet_amplitude(p, reduced_quotients(t, nums, mod, reach))
 
 
-def stage_ratios(config: SystemConfig, walk: Iterable[tuple[StagePair, int]],
-                 reach: float) -> Iterator[tuple[StagePair, float, float]]:
-    """Yield (pair, t_n/B_n, (p_n - 1) t_n/B_n) per (pair, B_n) of walk, for arguments |x| <= reach.
-
-    walk is stage_walk's (pair, B_n), B_n = b_1...b_n, with pairs of
-    config's alphabet.  Each quotient is one correctly rounded int / int
-    division, and one past FLOAT_BOUND raises ValueError, as does a stage
-    whose pi p_n reach |t_n / B_n| passes it, where a stage argument's sine
-    or cosine would leave the float range and give nan.  Past
-    |B_n| = 2**1075 max (p - 1)|t| every quotient rounds to 0, a factor
-    D_p(0) = 1: the walk stops.
-    """
-    pi_x = math.pi * reach
-    underflow = max((pr.p - 1) * abs(pr.t) for pr in config.pairs) << 1075
-    for n, (pr, base) in enumerate(walk, start=1):
-        if abs(base) > underflow:
-            return
-        try:
-            ratio, drift = pr.t / base, (pr.p - 1) * pr.t / base
-        except OverflowError:
-            raise ValueError(f"stage {n}: t_{n}/(b_1...b_{n}) is past the float range; "
-                             f"bound is {FLOAT_BOUND!r}") from None
-        if pi_x * abs(ratio) * pr.p > FLOAT_BOUND:
-            raise ValueError(f"stage {n}: pi p_{n} max|x| |t_{n}/(b_1...b_{n})| is past the "
-                             f"float range; bound is {FLOAT_BOUND!r}")
-        yield pr, ratio, drift
-
-
 def mu_hat_amplitude(config: SystemConfig, word: SymbolicWord, xs: np.ndarray,
                      depth: int) -> tuple[np.ndarray, float]:
     """Real A(x) = prod_{n<=depth} D_{p_n}(t_n x / B_n) and H = sum_n (p_n - 1) t_n / B_n.
 
     B_n = b_1...b_n; the transform is exp(pi i H x) A(x), so |mu_hat|**2 is
-    A**2.  The stages and their refusals are stage_ratios' over stage_walk
-    to depth, with reach max|x|.  The walk stops once no later stage can
+    A**2.  The stages are stage_walk's to depth, and reach is max|x|.  Each
+    quotient t_n/B_n or (p_n - 1) t_n/B_n is one correctly rounded int / int
+    division, and one past FLOAT_BOUND raises ValueError, as does a stage
+    whose pi p_n reach |t_n / B_n| passes it, where a stage argument's sine
+    or cosine would leave the float range and give nan.  Past
+    |B_n| = 2**1075 max (p - 1)|t| every quotient rounds to 0, a factor
+    D_p(0) = 1: the walk stops there.  It also stops once no later stage can
     change a float, both tests integer comparisons of |B_n|, which at least
     doubles per stage, so no refusal is skipped.  When every p is at most
     RECURRENCE_MAX_P, a stage with pi reach max|t| / |B_n| < 2**-28 takes
@@ -674,6 +651,7 @@ def mu_hat_amplitude(config: SystemConfig, word: SymbolicWord, xs: np.ndarray,
     xs = np.asarray(xs, dtype=float)
     amp, slope = np.ones_like(xs), 0.0
     reach = float(np.max(np.abs(xs), initial=0.0))
+    pi_x = math.pi * reach
     flat = math.inf  # the factor of each stage with |B_n| > flat is 1.0
     if math.isfinite(reach) and max(pr.p for pr in config.pairs) <= RECURRENCE_MAX_P:
         # pi reach max|t| / |B_n| < 2**-28 where |B_n| > 22 reach max|t| 2**28 / 7,
@@ -681,8 +659,18 @@ def mu_hat_amplitude(config: SystemConfig, word: SymbolicWord, xs: np.ndarray,
         num, den = reach.as_integer_ratio()
         flat = (22 * num * max(abs(pr.t) for pr in config.pairs) << 28) // (7 * den)
     drift_top = max((pr.p - 1) * abs(pr.t) for pr in config.pairs)
-    walk, bases = tee(stage_walk(config, word, depth))
-    for (pr, ratio, drift), (_, base) in zip(stage_ratios(config, walk, reach), bases):
+    underflow = drift_top << 1075
+    for n, (pr, base) in enumerate(stage_walk(config, word, depth), start=1):
+        if abs(base) > underflow:
+            break
+        try:
+            ratio, drift = pr.t / base, (pr.p - 1) * pr.t / base
+        except OverflowError:
+            raise ValueError(f"stage {n}: t_{n}/(b_1...b_{n}) is past the float range; "
+                             f"bound is {FLOAT_BOUND!r}") from None
+        if pi_x * abs(ratio) * pr.p > FLOAT_BOUND:
+            raise ValueError(f"stage {n}: pi p_{n} max|x| |t_{n}/(b_1...b_{n})| is past the "
+                             f"float range; bound is {FLOAT_BOUND!r}")
         if abs(base) <= flat:
             amp *= dirichlet_amplitude(pr.p, xs * ratio)
         elif slope:
@@ -729,58 +717,25 @@ def mu_hat_eval(config: SystemConfig, word: SymbolicWord, x: float,
     return val, err
 
 
-def _require_positive_signs(config: SystemConfig, word: SymbolicWord) -> None:
-    for letter in sorted(word.letters()):
-        pr = config.pair(letter)
-        if pr.b < 0 or pr.t < 0:
-            raise ValueError(
-                f"letter {letter} has negative b or t; apply normalize_signs first")
-
-
-def _eventually_periodic_sum(walk: list[tuple[StagePair, int]], terms: list[Fraction],
-                             r: int, block: int) -> Fraction:
-    """Closed-form sum of an eventually periodic series.
-
-    terms[n-1] is the n-th term for n <= r + block.  After the r head terms
-    the block repeats forever, each repeat scaled by 1/q with
-    q = (b_1...b_{r+block}) / (b_1...b_r), so it contributes its sum times
-    q / (q - 1).
-    """
-    q = walk[r + block - 1][1] // (walk[r - 1][1] if r else 1)
-    return sum(terms[:r], Fraction(0)) + sum(terms[r:r + block], Fraction(0)) * Fraction(q, q - 1)
-
-
 def support_hull(config: SystemConfig, word: SymbolicWord) -> tuple[Fraction, Fraction]:
     """Exact convex hull [0, sum_k (p_k - 1) t_k / (b_1...b_k)] of the support.
 
-    Requires positive bases and strides for the letters used; the eventually
-    periodic tail is summed in closed form as a geometric series.
+    Requires positive bases and strides for the letters used.  The eventually
+    periodic tail is summed in closed form: after the r head terms the s
+    period terms repeat forever, each repeat scaled by 1/q with
+    q = (b_1...b_{r+s}) / (b_1...b_r), so they contribute their sum times
+    q / (q - 1).
     """
-    _require_positive_signs(config, word)
+    for letter in sorted(word.letters()):
+        pr = config.pair(letter)
+        if pr.b < 0 or pr.t < 0:
+            raise ValueError(f"letter {letter} has negative b or t")
     r, s = len(word.preperiod), len(word.period)
     walk = list(stage_walk(config, word, r + s))
     terms = [Fraction((pr.p - 1) * pr.t, base) for pr, base in walk]
-    return Fraction(0), _eventually_periodic_sum(walk, terms, r, s)
-
-
-def normalize_signs(config: SystemConfig, word: SymbolicWord) -> tuple[SystemConfig, Fraction]:
-    """Sign-normalized alphabet (|b|, p, |t|) and the exact modulus-preserving shift.
-
-    The shift is gamma = sum_k gamma_k with
-    gamma_k = -(b_1...b_k)^{-1} (p_k - 1) t_k when (b_1...b_k) t_k < 0, else 0;
-    the normalized system's transform equals exp(2*pi*i*gamma*x) times the
-    original, so Fourier moduli agree pointwise.  The tail is summed in
-    closed form over one sign-period (two word periods when the period base
-    product is negative).
-    """
-    normalized = SystemConfig(tuple(StagePair(abs(pr.b), pr.p, abs(pr.t))
-                                    for pr in config.pairs))
-    r, s = len(word.preperiod), len(word.period)
-    walk = list(stage_walk(config, word, r + 2 * s))
-    period_product = walk[r + s - 1][1] // (walk[r - 1][1] if r else 1)
-    terms = [Fraction(-(pr.p - 1) * pr.t, base) if base * pr.t < 0 else Fraction(0)
-             for pr, base in walk]
-    return normalized, _eventually_periodic_sum(walk, terms, r, s if period_product > 0 else 2 * s)
+    q = walk[-1][1] // (walk[r - 1][1] if r else 1)
+    head, period = sum(terms[:r], Fraction(0)), sum(terms[r:], Fraction(0))
+    return Fraction(0), head + period * Fraction(q, q - 1)
 
 
 def scale_digits(config: SystemConfig, q: RationalLike) -> SystemConfig:

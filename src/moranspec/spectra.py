@@ -73,18 +73,6 @@ class SpectrumCandidate:
         nums, den = over_common_denominator(points)
         return cls(nums=tuple(sorted(nums)), den=den)
 
-    @classmethod
-    def lattice(cls, digits, period, window: int) -> "SpectrumCandidate":
-        """The window digits + period*{-window..window} of digits + period*Z.
-
-        Digits are reduced mod period; two that agree mod period raise ValueError.
-        """
-        period = Fraction(period)
-        if period <= 0 or window < 0:
-            raise ValueError("a lattice needs a positive period and a window >= 0")
-        return cls.finite(Fraction(d) % period + period * w for d in digits
-                          for w in range(-window, window + 1))
-
     @functools.cached_property
     def points(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.nums)
@@ -116,13 +104,8 @@ def tower_stages(config: SystemConfig, word: SymbolicWord, k: int,
         points *= pr.p
         if points > cap:
             raise AtomCapExceeded(f"tower to depth {k} needs {points}+ points; cap is {cap}")
-        stages.append((pr, _partner_step(pr, base), base))
+        stages.append((pr, base // pr.b * dual_step(pr.b, pr.p, pr.t), base))
     return stages
-
-
-def _partner_step(pr: StagePair, base: int) -> int:
-    """b_1...b_{n-1} times the canonical partner step of the stage pr, base = b_1...b_n."""
-    return base // pr.b * dual_step(pr.b, pr.p, pr.t)
 
 
 def build_tower_spectrum(config: SystemConfig, word: SymbolicWord, k: int) -> SpectrumCandidate:
@@ -499,22 +482,3 @@ def extract_tail_spectrum(dec: Decomposition, choices: Sequence[int],
             for z in dec.classes.get(n, frozenset()):
                 pts.add(Fraction(n, dec.q) + z)
     return SpectrumCandidate.finite(sorted(pts))
-
-
-def structure_witnesses(candidate: SpectrumCandidate, b1: int, p1: int,
-                        t1: int) -> dict[int, Optional[Fraction]]:
-    """Search a finite spectrum for elements b1*(j + p1*l)/(p1*t1) + b1*Z per j.
-
-    Infinite spectra are guaranteed to contain one for every j in [1, p1);
-    at truncated level this only reports presence or absence, with a witness
-    element when present.
-    """
-    found: dict[int, Optional[Fraction]] = {j: None for j in range(1, p1)}
-    for lam in candidate.points:
-        y = Fraction(lam) * p1 * t1 / b1
-        if y.denominator != 1:
-            continue
-        j = y.numerator % p1
-        if j != 0 and found.get(j) is None:
-            found[j] = lam
-    return found

@@ -46,10 +46,6 @@ class IntervalUnion:
                 merged.append((a, b))
         object.__setattr__(self, "intervals", tuple(merged))
 
-    def translate(self, shift: RationalLike) -> "IntervalUnion":
-        s = Fraction(shift)
-        return IntervalUnion(tuple((a + s, b + s) for a, b in self.intervals))
-
 
 def two_stage_support(p1: int, t1: int, t2: int, b1: int) -> IntervalUnion:
     """Support of the two-stage system: union of p1 blocks of width t2/b1.

@@ -13,7 +13,7 @@ from moranspec import classifier
 from moranspec.classifier import (CLAUSE_DIVISIBILITY, CLAUSE_TAIL_EXCEPTION,
                                   CLAUSE_HYPOTHESIS, NOT_SPECTRAL, OUT_OF_SCOPE,
                                   SPECTRAL, SpectralVerdict, ZeroSetStatus,
-                                  alternating_family_decide, decide_spectrality,
+                                  decide_spectrality,
                                   integral_zero_set_probe,
                                   integral_zero_set_status,
                                   necessity_violations, two_stage_decide,
@@ -296,12 +296,21 @@ def test_probe_witnesses_on_the_unit_interval():
 
 
 def test_alternating_family_examples():
-    assert alternating_family_decide(2, 3, [4], [1]).kind == SPECTRAL
-    neg = alternating_family_decide(3, 2, [4], [1])
-    assert neg.kind == NOT_SPECTRAL
-    assert alternating_family_decide(2, 3, [2], [2]).kind == SPECTRAL
-    mixed = alternating_family_decide(2, 3, [4, 3], [1])
-    assert mixed.kind == NOT_SPECTRAL and dict(mixed.detail)["b_odd"] == 3
+    # the alternating family: (b, p1, 1) at odd stages, (p2 t, p2, t) at even
+    # ones; pair j is (b_{2j+1}, t_{2j}).  At k = 2j necessity_violations'
+    # p_{k+1} | b_{k+1} t_k reads p1 | b_{2j+1} t_{2j}, and at odd k it holds
+    def violations(p1, p2, odd_b, even_t, pairs):
+        stages = [StagePair(odd_b[0], p1, 1)]
+        for j in range(pairs):
+            t = even_t[j % len(even_t)]
+            stages += [StagePair(p2 * t, p2, t), StagePair(odd_b[j % len(odd_b)], p1, 1)]
+        return necessity_violations(stages, 2 * pairs)
+
+    assert violations(2, 3, [4], [1], 4) == []
+    assert [v.index for v in violations(3, 2, [4], [1], 4)] == [2, 4, 6, 8]
+    assert violations(2, 3, [2], [2], 4) == []
+    mixed = violations(2, 3, [4, 3], [1], 4)
+    assert [(v.index, v.b_next, v.t_here) for v in mixed] == [(4, 3, 1), (8, 3, 1)]
 
 
 def test_alternating_family_rewrite_cross_check():

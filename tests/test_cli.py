@@ -1228,7 +1228,7 @@ def test_sample_ft_csv_matches_the_per_row_writer_byte_for_byte(stages, period, 
 def test_sample_ft_takes_no_stage_that_cannot_change_a_float(tmp_path, monkeypatch, capsys,
                                                              p, factors, stages):
     # depth 600, grid 16, window 1 on (4, p, 1)^oo, so max|x| = 1.  At p = 2 the
-    # walk took 537 factors, to 4**538 > 2**1075 where stage_ratios stops.  Now
+    # walk took 537 factors, to 4**538 > 2**1075 where the underflow stop ends it.  Now
     # pi |t_n/B_n| < 2**-28 from stage 15 on (4**15 > pi 2**28): the cosine and
     # so D_2 are 1.0 there, and 14 factors remain; the drift 4**-n is below a
     # quarter ulp of H = 1/3 from stage 29 on (4**29 > 2**56), where the walk

@@ -23,7 +23,7 @@ from moranspec.measure import (INT64_SPAN, RECURRENCE_MAX_P, SUMSET_BIT_BOUND, A
                                DiscreteMeasure, StagePair, SymbolicWord, SystemConfig, WordFacts,
                                dirichlet_amplitude, float_quotients, mask_zero_contains,
                                mask_zero_hit, mask_zero_moduli, mu_hat_amplitude, mu_hat_eval,
-                               mu_hat_many, normalize_signs, reduced_amplitude,
+                               mu_hat_many, reduced_amplitude,
                                reduced_quotients, scale_digits,
                                stage_walk, sumset, support_hull, truncate, zero_flags,
                                zero_set_contains)
@@ -838,55 +838,6 @@ def test_support_hull_rejects_negative_signs():
         support_hull(SystemConfig.of((-4, 2, 1)), ONES)
 
 
-def test_normalize_signs_examples():
-    cfg, gamma = normalize_signs(QUARTER, ONES)
-    assert gamma == 0 and cfg == QUARTER
-    cfg2, gamma2 = normalize_signs(SystemConfig.of((-4, 2, 1)), ONES)
-    assert gamma2 == F(4, 15)       # sum over odd k of 4^(-k)
-    assert cfg2 == QUARTER
-
-
-def test_normalize_signs_negative_stride_and_mixed_period():
-    # odd-length period with negative period base product exercises the
-    # doubled sign-period tail
-    cfg = SystemConfig.of((-2, 2, 3), (3, 2, -1))
-    word = SymbolicWord((), (1, 2, 1))
-    _, gamma = normalize_signs(cfg, word)
-    # independent oracle: partial sums of gamma_k converge to gamma
-    partial = F(0)
-    base = 1
-    for n in range(1, 60):
-        pr = cfg.pair(word.letter(n))
-        base *= pr.b
-        if base * pr.t < 0:
-            partial += F(-(pr.p - 1) * pr.t, base)
-    assert abs(float(gamma - partial)) < 1e-15
-
-
-def test_normalize_signs_closed_form_matches_partial_sums_randomized():
-    # the closed form sums one sign-period with a geometric tail; cross-check
-    # against 80-stage partial sums on random signed alphabets and words
-    rng = random.Random(314159)
-    for _ in range(120):
-        m = rng.randint(1, 3)
-        pairs = tuple(StagePair(rng.choice([2, 3, 4, 5, 12]) * rng.choice([1, -1]),
-                                rng.choice([2, 3, 4]),
-                                rng.choice([1, 2, 5]) * rng.choice([1, -1]))
-                      for _ in range(m))
-        cfg = SystemConfig(pairs)
-        word = SymbolicWord(tuple(rng.randint(1, m) for _ in range(rng.randint(0, 3))),
-                            tuple(rng.randint(1, m) for _ in range(rng.randint(1, 3))))
-        _, gamma = normalize_signs(cfg, word)
-        partial = F(0)
-        base = 1
-        for n in range(1, 81):
-            pr = cfg.pair(word.letter(n))
-            base *= pr.b
-            if base * pr.t < 0:
-                partial += F(-(pr.p - 1) * pr.t, base)
-        assert abs(float(gamma - partial)) < 1e-18, (pairs, str(word))
-
-
 def test_support_hull_closed_form_matches_partial_sums_randomized():
     rng = random.Random(271828)
     for _ in range(120):
@@ -911,7 +862,7 @@ def test_normalized_truncations_have_equal_fourier_moduli():
     rng = random.Random(99)
     cfg = SystemConfig.of((-4, 2, 1), (2, 3, -5))
     word = SymbolicWord((2,), (1, 2))
-    norm, _ = normalize_signs(cfg, word)
+    norm = SystemConfig(tuple(StagePair(abs(pr.b), pr.p, abs(pr.t)) for pr in cfg.pairs))
     for depth in (1, 4, 8, 12):
         a = truncate(cfg, word, depth)
         b = truncate(norm, word, depth)

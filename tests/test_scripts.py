@@ -1,4 +1,4 @@
-import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -75,6 +75,91 @@ def test_code_lines_unreached_lists_what_no_command_reaches():
     assert "spectra.extract_tail_spectrum" in names
     assert "oracle.iter_compatible_partners" not in names
     assert closing == ["total", str(sum(int(count) for _, count in rows))]
+
+
+def load_code_lines():
+    spec = importlib.util.spec_from_file_location("code_lines", ROOT / "scripts" / "code_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_code_lines_reaches_methods_only_through_attributes(tmp_path, monkeypatch):
+    # a local named like a method is no caller of it, and neither is an
+    # attribute of an object that is not a module for a module-level name
+    (tmp_path / "cli.py").write_text(
+        "from . import measure\n\n\n"
+        "def main(obj):\n"
+        "    weights = obj.scale\n"
+        "    return measure.total(weights) + obj.points()\n")
+    (tmp_path / "measure.py").write_text(
+        "class Measure:\n"
+        "    def weights(self):\n        return 1\n\n"
+        "    def points(self):\n        return 2\n\n\n"
+        "def total(x):\n    return x\n\n\n"
+        "def scale(x):\n    return 2 * x\n")
+    code_lines = load_code_lines()
+    monkeypatch.setattr(code_lines, "SRC", tmp_path)
+    assert [key for key, _ in code_lines.unreached()] == [
+        "measure.Measure", "measure.Measure.weights", "measure.scale"]
+
+
+# Each definition that `code_lines.py --unreached` lists, with what keeps it
+# (ROADMAP item 12): a benchmark hook (a name perfbench/ reads), the oracle, an
+# acceptance criterion, a README example, an open ROADMAP item, or the listed
+# definition that calls it.  A definition with none of these is deleted.
+UNREACHED_REASONS = {
+    "classifier.ZeroSetProbe.conclusive": "benchmark hook: perfbench/workloads.py",
+    "exactmath.cyclotomic_polynomial": "benchmark hook: perfbench/worker.py's cache counters",
+    "exactmath.over_common_denominator": "reached through spectra.SpectrumCandidate.finite",
+    "hadamard.canonical_dual_digits": "benchmark hook: perfbench/tracer.py",
+    "hadamard.is_compatible_pair": "ROADMAP item 1: the period triple's Hadamard check",
+    "measure.StagePair.digits": "benchmark hook: perfbench/workloads.py",
+    "measure.SystemConfig.of": "README example",
+    "measure.SymbolicWord.constant": "README example",
+    "measure.SymbolicWord.shift": "acceptance criterion 7: the tail word",
+    "measure.float_quotients": "reached through measure.DiscreteMeasure.fourier_many",
+    "measure.DiscreteMeasure.from_dict": "README example: a rational constructor",
+    "measure.DiscreteMeasure.point_mass": "README example: a rational constructor",
+    "measure.DiscreteMeasure.points": "reached through spectra.weighted_matrix_residual",
+    "measure.DiscreteMeasure.weights": "reached through spectra.weighted_matrix_residual",
+    "measure.DiscreteMeasure.atoms": "benchmark hook: perfbench/tracer.py",
+    "measure.DiscreteMeasure.fourier_many": "oracle: oracle.search_spectra",
+    "measure.mask_zero_contains": "benchmark hook: perfbench/workloads.py",
+    "measure.zero_set_contains": "benchmark hook: perfbench/tracer.py",
+    "measure.mu_hat_eval": "ROADMAP item 4: its tail bound",
+    "measure.support_hull": "ROADMAP item 6",
+    "measure.scale_digits": "ROADMAP item 16",
+    "oracle._cliques": "oracle",
+    "oracle.search_compatible_partners": "oracle",
+    "oracle._truncation_zero": "oracle",
+    "oracle.search_spectra": "oracle",
+    "oracle.RigidityReport": "oracle",
+    "oracle.weighted_mean_rigidity": "oracle",
+    "spectra.SpectrumCandidate.finite": "benchmark hook: perfbench/workloads.py",
+    "spectra.SpectrumCandidate.points": "acceptance criterion 7",
+    "spectra.default_lattice_modulus": "acceptance criterion 7",
+    "spectra.weighted_matrix_residual": "benchmark hook: perfbench/tracer.py",
+    "spectra.q_function": "benchmark hook: perfbench/tracer.py",
+    "spectra.Decomposition": "acceptance criterion 7",
+    "spectra.decompose_spectrum": "acceptance criterion 7",
+    "spectra.extract_tail_spectrum": "acceptance criterion 7",
+    "tiling.IntervalUnion": "acceptance criterion 1: a tile's support",
+    "tiling.IntervalUnion.__post_init__": "acceptance criterion 1: a tile's support",
+    "tiling.two_stage_support": "benchmark hook: perfbench/tracer.py",
+    "tiling.tiles_by_periodic_set": "benchmark hook: perfbench/tracer.py",
+    "tiling.TileDecision.support": "acceptance criterion 1",
+    "tiling.TileDecision.digits": "acceptance criterion 1",
+}
+
+
+def test_every_unreached_definition_has_a_reason():
+    rows = {key for key, _ in load_code_lines().unreached()}
+    assert sorted(rows - UNREACHED_REASONS.keys()) == []   # no reason: delete it
+    assert sorted(UNREACHED_REASONS.keys() - rows) == []   # names no unreached definition
+    form = re.compile(r"(benchmark hook|oracle|acceptance criterion \d+|README example"
+                      r"|ROADMAP item \d+|reached through [\w.]+)(: .+)?")
+    assert [reason for reason in UNREACHED_REASONS.values() if not form.fullmatch(reason)] == []
 
 
 def test_readme_library_example_runs(capsys):

@@ -21,7 +21,7 @@ from moranspec.spectra import (VERIFY_ATOM_BOUND, Decomposition,
                                SpectrumCandidate,
                                build_tower_spectrum, decompose_spectrum, default_lattice_modulus,
                                extract_tail_spectrum, q_function,
-                               structure_witnesses, tower_q, tower_stages,
+                               tower_q, tower_stages,
                                verify_spectrum_finite, weighted_matrix_residual)
 from test_measure import FIFTY_DIGITS, UNIT, load_pairs, stage_bound, words_over
 
@@ -71,13 +71,6 @@ def test_towers_handle_negative_bases_and_strides():
 def test_spectrum_candidate_forms():
     with pytest.raises(ValueError):
         SpectrumCandidate(nums=(1, 1))
-    window = SpectrumCandidate.lattice((0, F(5, 2)), 2, 1)
-    assert window.points == (F(-2), F(-3, 2), F(0), F(1, 2), F(2), F(5, 2))
-    assert SpectrumCandidate.lattice((0, F(5, 2)), 2, 0).points == (F(0), F(1, 2))
-    with pytest.raises(ValueError):
-        SpectrumCandidate.lattice((0, 2), 2, 1)   # collide mod the period
-    with pytest.raises(ValueError):
-        SpectrumCandidate.lattice((0,), 0, 1)
     assert len(SpectrumCandidate.finite(())) == 0
 
 
@@ -890,13 +883,6 @@ def test_extracted_tail_spectra_verify_against_the_tail_truncation():
         assert ver.ok and ver.unitarity_residual < 1e-9
 
 
-def test_structure_witnesses_present_in_towers():
-    cand = build_tower_spectrum(SystemConfig.of((6, 3, 1)), ONES, 2)
-    found = structure_witnesses(cand, 6, 3, 1)
-    assert set(found) == {1, 2}
-    assert all(w is not None for w in found.values())
-
-
 def test_default_lattice_modulus():
     assert default_lattice_modulus(QUARTER) == 2
     assert default_lattice_modulus(SystemConfig.of((12, 2, 1), (12, 3, 4))) == 12
@@ -912,7 +898,7 @@ def test_structured_candidate_q_approaches_one():
     x = 0.37
     values = []
     for window in (25, 100, 200):
-        q = q_function(cfg, word, depth, SpectrumCandidate.lattice((0, 1), 2, window), x)
+        q = q_function(cfg, word, depth, SpectrumCandidate(tuple(range(-2 * window, 2 * window + 2))), x)
         # Lebesgue tail factor gives |mu_hat(y)| <= 6/(pi |y|); summing the
         # missed lattice points bounds the deficit by 2*(6/pi)^2/(2W - 2)
         tail = 2 * (6 / math.pi) ** 2 / (2 * window - 2)

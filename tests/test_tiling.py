@@ -88,7 +88,8 @@ def test_tile_decide_past_the_fragment_cap_raises_before_any_sweep(monkeypatch):
 @given(st.fractions(min_value=-5, max_value=5),
        st.integers(min_value=0, max_value=3))
 def test_tiling_invariant_under_translation_and_digit_rotation(shift, rot):
-    k = two_stage_support(2, 2, 1, 4).translate(shift)
+    k = IntervalUnion(tuple((a + shift, b + shift)
+                            for a, b in two_stage_support(2, 2, 1, 4).intervals))
     digits = [F(0), F(1, 4)]
     rotated = [(d + rot * F(1, 4)) % 1 for d in digits]
     assert tiles_by_periodic_set(k, rotated, 1).ok
@@ -161,7 +162,8 @@ def test_sweep_matches_the_fragment_count_on_random_unions(ends, digits, period)
 def test_sweep_matches_the_fragment_count_near_tilings(p1, t, t2, b1, shift, skew, drop):
     # the two-stage tiling, moved, with its period or digit count perturbed
     c = F(t2, b1)
-    tile = two_stage_support(p1, t * t2, t2, b1).translate(shift)
+    tile = IntervalUnion(tuple((a + shift, b + shift)
+                               for a, b in two_stage_support(p1, t * t2, t2, b1).intervals))
     digits = [c * i + shift for i in range(t)][:max(t - drop, 0)]
     period = c * t * p1 + F(skew, b1 * 2)
     got = outcome(tiles_by_periodic_set, tile, digits, period)
