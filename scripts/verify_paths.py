@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Time verify_spectrum_finite on a tower, its translate by 1/3 and a moved tower.
+"""Time verify_spectrum_finite on a tower, its translate by 1/3, a moved tower and random points.
 
 For the letter (b, p, t) repeated, (b, p, t)^oo, to a depth k, the cases are
 the depth-k tower of canonical partners, the same tower translated by 1/3,
-and the tower with its largest point moved up by 1.  Each case runs in a
+the tower with its largest point moved up by 1, and as many integers below
+10**12 as the tower has points, 0 and the rest drawn without repeats from
+a fixed seed, whose differences are nearly all distinct.  Each case runs in a
 fresh interpreter, so its peak RSS is its own: the row gives the case, the
 point count, the path verify takes (tower for a translate of the tower,
 else pairwise), the verdict (refused when verify exits past its bound, with
@@ -20,6 +22,7 @@ Each of B, P and T is an integer or a power such as 10^350.
 
 import argparse
 import os
+import random
 import re
 import subprocess
 import sys
@@ -31,7 +34,7 @@ import moranspec
 from moranspec import spectra
 from moranspec.measure import AtomCapExceeded, SymbolicWord, SystemConfig, truncate
 
-CASES = ("tower", "third", "moved")
+CASES = ("tower", "third", "moved", "random")
 
 
 def letter(text: str) -> tuple[int, int, int]:
@@ -46,6 +49,9 @@ def candidate(case: str, tower: spectra.SpectrumCandidate) -> spectra.SpectrumCa
         return spectra.SpectrumCandidate.finite(x + Fraction(1, 3) for x in tower.points)
     if case == "moved":
         return spectra.SpectrumCandidate(nums=tower.nums[:-1] + (tower.nums[-1] + 1,))
+    if case == "random":
+        return spectra.SpectrumCandidate.finite(
+            [0] + random.Random(0).sample(range(1, 10**12), len(tower) - 1))
     return tower
 
 

@@ -152,7 +152,10 @@ def digit_sum_vanishes(n: int, digits: Sequence[int], ell: int) -> bool:
 
 
 def over_common_denominator(values) -> tuple[list[int], int]:
-    """The rationals as integer numerators over their least common denominator."""
-    fracs = [Fraction(v) for v in values]
+    """The rationals as integer numerators over their least common denominator.
+
+    A Fraction is taken as it is, already reduced; any other value is parsed by Fraction.
+    """
+    fracs = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
     den = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (den // f.denominator) for f in fracs], den

@@ -54,10 +54,13 @@ def canonical_dual_digits(b: int, p: int, t: int) -> tuple[int, ...]:
 def is_compatible_pair(b: int, digits: Sequence[int], freqs: Sequence[int]) -> bool:
     """Exact test that (b^{-1} D, L) is a compatible pair.
 
-    For every l1 != l2 in L the sum over d in D of exp(2*pi*i*d*(l1-l2)/b)
-    must vanish; each sum is reduced (order |b|/gcd, reduced exponents) and
-    decided exactly as a vanishing root sum.  Arbitrary integer digit sets are
-    accepted, not only arithmetic progressions.
+    For every l1 != l2 in L the sum over d in D of zeta^(d*l), zeta =
+    exp(2*pi*i/|b|) and l = l1 - l2, must vanish.  zeta^l is a Galois
+    conjugate of zeta^g, g = gcd(|b|, l), as l/g is a unit mod |b|/g, so
+    the sum vanishes iff it does at g: one root sum per class g, decided
+    exactly (digit_sum_vanishes), at most d(|b|) of them however large L
+    is.  Arbitrary integer digit sets are accepted, not only arithmetic
+    progressions.
     """
     if abs(b) < 2:
         raise ValueError("need |b| >= 2")
@@ -66,5 +69,5 @@ def is_compatible_pair(b: int, digits: Sequence[int], freqs: Sequence[int]) -> b
     if len(set(digits)) != len(digits) or len(set(freqs)) != len(freqs):
         return False
     fr = sorted(freqs)
-    return all(digit_sum_vanishes(abs(b), digits, fr[j] - fr[i])
-               for i in range(len(fr)) for j in range(i + 1, len(fr)))
+    classes = {gcd(abs(b), fr[j] - fr[i]) for i in range(len(fr)) for j in range(i + 1, len(fr))}
+    return all(digit_sum_vanishes(abs(b), digits, g) for g in classes)

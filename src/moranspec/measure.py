@@ -451,14 +451,16 @@ def truncate(config: SystemConfig, word: SymbolicWord, k: int,
     return DiscreteMeasure(nums.tolist(), sign * final, counts.tolist(), paths)
 
 
-def mask_zero_hit(p: int, t: int, num: int | np.ndarray, den: int) -> bool | np.ndarray:
+def mask_zero_hit(p: int | np.ndarray, t: int | np.ndarray, num: int | np.ndarray,
+                  den: int | np.ndarray) -> bool | np.ndarray:
     """Exact membership of num/den in the mask zero set (Z \\ pZ)/(p*t).
 
     Holds iff den divides num*p*t with a quotient not divisible by p; pure
     integer arithmetic, so a scan can pass x/(b_1...b_n) as x's numerator
     over x's denominator times the base product.  num is a Python int
     (a bool comes back) or an integer array (a boolean array comes back);
-    an int64 array must keep |num*p*t| and |den| below 2**62.
+    p, t and den may be integer columns, one row per stage, broadcast
+    against it.  An int64 array must keep |num*p*t| and |den| below 2**62.
     """
     x = num * p * t
     return (x % den == 0) & (x // den % p != 0)
@@ -614,18 +616,33 @@ def reduced_quotients(t, nums: np.ndarray, mod, reach: int) -> np.ndarray:
     return r / mod
 
 
-def reduced_amplitude(p: int, t: int, nums: np.ndarray, mod: int, reach: int) -> np.ndarray:
-    """D_p(r/mod) for r = t*num mod mod, the residue taken in integers, at each num of nums.
+def reduced_amplitude(ps: list[int], ts: list[int], nums: np.ndarray, mods: list[int],
+                      reach: int) -> np.ndarray:
+    """prod_n D_{p_n}(r_n/mod_n), r_n = t_n*num mod mod_n in integers, at each num of nums.
 
     |D_p| is even and has period 1, so |D_p(t num/mod)| = |D_p(r/mod)| at any
-    size of t num: with mod = L|B_n| > 0 this is the stage factor
+    size of t num: with mod_n = L|B_n| > 0 each factor is the stage factor
     |D_{p_n}(t_n x / B_n)| at x = num/L, whatever the sign of B_n.  Only
-    its square is meant for use, as the sign may differ.  nums is an integer
-    array with every |num| <= reach, and r/mod is reduced_quotients'.  The
-    argument lies in [0, 1), so dirichlet_amplitude's rounding bound holds
-    at |v| < 1, whatever t and num are.
+    the square is meant for use, as the sign may differ.  The lists hold one
+    (p, t, mod) per stage, nums is an integer array with every
+    |num| <= reach, and each r/mod is reduced_quotients'.  Every argument
+    lies in [0, 1), so dirichlet_amplitude's rounding bound holds at
+    |v| < 1, whatever t and num are.  The factors are multiplied in stage
+    order, from 1.  The stages whose quotients are float divisions of int64
+    residues (mod below 2**53 and min(|t|, mod/2), which bounds the reduced
+    |t|, times reach below INT64_SPAN) share one reduced_quotients row
+    table; every other stage takes its own call, so one stage's Python
+    integers do not carry the whole table.  Each quotient is correctly
+    rounded either way, so the split moves no bit.
     """
-    return dirichlet_amplitude(p, reduced_quotients(t, nums, mod, reach))
+    narrow = [nums.dtype != object and mod < 2**53
+              and min(abs(t), mod // 2) * max(reach, 1) < INT64_SPAN for t, mod in zip(ts, mods)]
+    rows = iter(reduced_quotients([t for t, n in zip(ts, narrow) if n], nums,
+                                  [mod for mod, n in zip(mods, narrow) if n], reach))
+    amp = np.ones(len(nums))
+    for p, t, mod, n in zip(ps, ts, mods, narrow):
+        amp *= dirichlet_amplitude(p, next(rows) if n else reduced_quotients(t, nums, mod, reach))
+    return amp
 
 
 def mu_hat_amplitude(config: SystemConfig, word: SymbolicWord, xs: np.ndarray,

@@ -21,11 +21,12 @@ by angle addition from the prefix's cosine and sine, taken once, and x's.
 
 verify_spectrum_finite proves orthogonality in integers, a translate of
 the depth-k tower by p - 1 partner differences per stage (tower_translate)
-and any other candidate by its distinct differences (_pairwise_residual).
-Wherever orthogonality is proven the unitarity residual is exactly 0.0 and
-no float is summed; elsewhere it is summed over the distinct differences,
-each stage factor at its argument reduced mod 1 in integers
-(measure.reduced_amplitude).
+and any other candidate by its distinct differences (_pairwise_residual),
+each block of them against every stage in one call.  Wherever
+orthogonality is proven the unitarity residual is exactly 0.0 and no float
+is summed; elsewhere it is summed over the distinct differences, each
+stage factor at its argument reduced mod 1 in integers
+(measure.reduced_amplitude, a block's stages in one call).
 
 The residue decomposition splits Lambda/b_1 into classes n/q + Z and
 reassembles tail spectra from one partner-slot choice per residue block.
@@ -56,8 +57,7 @@ class SpectrumCandidate:
 
     Stored in canonical form: den > 0 and strictly increasing integer
     numerators, reduced by their gcd with den; ``finite`` takes rationals,
-    ``lattice`` a symmetric window of digits + period*Z, and ``points`` is
-    the Fraction view, built on first use.
+    and ``points`` is the Fraction view, built on first use.
     """
 
     nums: tuple[int, ...]
@@ -75,6 +75,8 @@ class SpectrumCandidate:
 
     @functools.cached_property
     def points(self) -> tuple[Fraction, ...]:
+        if self.den == 1:  # integers, with no gcd to take
+            return tuple(map(Fraction, self.nums))
         return tuple(Fraction(x, self.den) for x in self.nums)
 
     def __len__(self) -> int:
@@ -224,18 +226,23 @@ def _pairwise_residual(candidate: SpectrumCandidate, config: SystemConfig, word:
     N(N-1)/2 differences of the N points, each weighing _difference_weight
     of the larger of that bound and the largest L|b_1...b_n|, are refused
     with AtomCapExceeded past VERIFY_ATOM_BOUND (VERIFY_ATOM_BOUND - 1)/2
-    before anything is allocated.  They are written row by row into one
-    array of that width, sorted in place and merged into runs.
+    before anything is allocated.  They are written into one array of that
+    width, sorted in place and merged into runs: each block of
+    isqrt(MU_HAT_BLOCK) rows takes one broadcast subtraction against every
+    later point, straight into the array, and one for its own pairs j > i,
+    the only temporary, so the numpy calls number about N/64, not N.
 
-    A complete candidate's distinct differences are tested one MU_HAT_BLOCK
-    at a time, in increasing order, by mask_zero_hit against each (pair,
-    L*b_1...b_n) within the bound, as a larger one hits no difference; the
-    first block holding a difference no stage hits gives the least offender
-    and ends the testing.  With none, every difference is proven orthogonal
-    and the residual is exactly 0.0.  Otherwise it is summed block by block
-    over every distinct difference, sqrt(2 sum count |mu_hat_k|^2) (see
-    SpectrumVerification), |mu_hat_k| the product of reduced_amplitude at
-    each stage's L|b_1...b_n|.
+    A complete candidate's distinct differences are tested in increasing
+    order, a block at a time, by one mask_zero_hit call against the column
+    of every (pair, L*b_1...b_n) within the bound, as a larger one hits no
+    difference; a block holds MU_HAT_BLOCK entries, differences times
+    stages.  The first block holding a difference no stage hits gives the
+    least offender and ends the testing.  With none, every difference is
+    proven orthogonal and the residual is exactly 0.0.  Otherwise it is
+    summed over every distinct difference, one MU_HAT_BLOCK of them at a
+    time, sqrt(2 sum count |mu_hat_k|^2) (see SpectrumVerification),
+    |mu_hat_k| one reduced_amplitude call over every stage at its
+    L|b_1...b_n|.
     """
     nums, scale = candidate.nums, candidate.den
     stages = [(pr, scale * base) for pr, base in stage_walk(config, word, k)]
@@ -248,30 +255,39 @@ def _pairwise_residual(candidate: SpectrumCandidate, config: SystemConfig, word:
                               f"atom bound {VERIFY_ATOM_BOUND}")
     arr = np.array([v - nums[0] for v in nums], dtype=int_width(bound))
     table, pos = np.empty(n * (n - 1) // 2, dtype=arr.dtype), 0
-    for i in range(n - 1):
-        np.subtract(arr[i + 1:], arr[i], out=table[pos:pos + n - 1 - i])
-        pos += n - 1 - i
+    rows = math.isqrt(MU_HAT_BLOCK)  # a block's own pairs, rows**2 of them, are the one temporary
+    upper = np.arange(rows)[:, None] < np.arange(rows)  # j > i within a block
+    for i in range(0, n, rows):
+        head, tail = arr[i:i + rows], arr[i + rows:]
+        size = len(head) * len(tail)
+        np.subtract(tail, head[:, None], out=table[pos:pos + size].reshape(len(head), len(tail)))
+        pos += size
+        if len(head) > 1:
+            within = (head - head[:, None])[upper[:len(head), :len(head)]]
+            table[pos:pos + len(within)] = within
+            pos += len(within)
     table.sort()
     diffs, counts = runs(table)
     offending = None
     if complete:
         walk = [(pr, den) for pr, den in stages if abs(den) <= bound]
-        for i in range(0, len(diffs), MU_HAT_BLOCK):
-            block = diffs[i:i + MU_HAT_BLOCK]
-            missed = np.ones(len(block), dtype=bool)
-            for pr, den in walk:
-                missed &= ~mask_zero_hit(pr.p, pr.t, block, den)
+        ps, ts, dens = np.array([(pr.p, pr.t, den) for pr, den in walk],
+                                dtype=table.dtype).reshape(-1, 3).T[:, :, None]
+        step = max(1, MU_HAT_BLOCK // max(len(walk), 1))  # block x walk <= MU_HAT_BLOCK
+        for i in range(0, len(diffs), step):
+            block = diffs[i:i + step]
+            missed = ~mask_zero_hit(ps, ts, block, dens).any(axis=0)
             if missed.any():
                 offending = Fraction(int(block[missed.argmax()]), scale)
                 break
         else:
             return 0.0, None
     total = 0.0
+    ps, ts, mods = ([pr.p for pr, _ in stages], [pr.t for pr, _ in stages],
+                    [abs(den) for _, den in stages])
     for i in range(0, len(diffs), MU_HAT_BLOCK):
         block = diffs[i:i + MU_HAT_BLOCK]
-        amp = np.ones(len(block))
-        for pr, den in stages:
-            amp *= reduced_amplitude(pr.p, pr.t, block, abs(den), int(block[-1]))
+        amp = reduced_amplitude(ps, ts, block, mods, int(block[-1]))
         total += float(np.sum(counts[i:i + MU_HAT_BLOCK] * (amp * amp)))
     return math.sqrt(2 * total), offending
 

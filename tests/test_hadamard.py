@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moranspec.exactmath import RootSum, root_sum_is_zero
+from moranspec.exactmath import RootSum, divisors, root_sum_is_zero
 from moranspec.hadamard import (canonical_dual_digits, dual_step, is_admissible,
                                 is_compatible_pair)
 from moranspec.measure import DiscreteMeasure
@@ -123,6 +123,39 @@ def test_exact_numeric_and_parseval_verdicts_agree_at_desk_scale():
                     pars = all(abs(parseval_sum(b, digits, cand, x) - 1) < 1e-9
                                for x in xs)
                     assert exact == numeric == pars, (b, p, t, cand)
+
+
+def every_pair_vanishes(b, digits, freqs):
+    """Compatibility by its definition: one root sum per pair l1 != l2 of L."""
+    return all(root_sum_is_zero(RootSum(abs(b), tuple(d * (l2 - l1) for d in digits)))
+               for i, l1 in enumerate(freqs) for l2 in freqs[i + 1:])
+
+
+@st.composite
+def moved_partners(draw):
+    """(b, D, L), #D = #L = p | |b|: D a progression j*t or arbitrary, L the canonical
+    partner of (b, p, t) with each element moved by a multiple of |b| or by -2..2."""
+    b = draw(st.integers(2, 72)) * draw(st.sampled_from((1, -1)))
+    p = draw(st.sampled_from([d for d in divisors(abs(b)) if d > 1]))
+    t = draw(st.sampled_from([t for t in range(1, 8) if is_admissible(b, p, t)]))
+    digits = draw(st.one_of(st.just(tuple(j * t for j in range(p))),
+                            st.lists(st.integers(-50, 50), min_size=p, max_size=p,
+                                     unique=True).map(tuple)))
+    moves = draw(st.lists(st.one_of(st.integers(-3, 3).map(lambda k: k * abs(b)),
+                                    st.integers(-2, 2)), min_size=p, max_size=p))
+    return b, digits, tuple(l + k for l, k in zip(canonical_dual_digits(b, p, t), moves))
+
+
+@settings(max_examples=300, deadline=None)
+@given(moved_partners())
+@example((12, (0, 1, 2), (0, 4, 8)))     # the canonical partner of (12, 3, 1)
+@example((-12, (0, 1, 2), (0, 4, 20)))    # its 8 moved by |b|: still compatible
+def test_one_root_sum_per_class_is_every_pair(triple):
+    # Galois-conjugate differences l and gcd(|b|, l) vanish together, so one
+    # root sum per class decides what every pair does
+    b, digits, freqs = triple
+    expected = len(set(freqs)) == len(freqs) and every_pair_vanishes(b, digits, sorted(freqs))
+    assert is_compatible_pair(b, digits, freqs) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -762,21 +762,28 @@ def reduced_reference(p, t, nums, mod):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(2, 2 * RECURRENCE_MAX_P),
-       st.one_of(st.integers(-60, 60), st.integers(-2**200, 2**200)).filter(bool),
-       st.lists(st.one_of(st.integers(-10**6, 10**6), st.integers(-2**61, 2**61)), max_size=8),
-       st.one_of(st.integers(1, 2**20), st.sampled_from((2**53 - 1, 2**53, 2**53 + 1, 2**62)),
-                 st.integers(1, 2**200)))
-@example(3, 2**40 + 1, [2**21, -(2**21) - 1], 3 * 2**40)  # |t num| passes INT64_SPAN
-@example(2, -1, [], 7)
-@example(2, 2**63, [], 1)  # t alone past int64
-def test_reduced_amplitude_is_dirichlet_at_the_exactly_reduced_argument(p, t, nums, mod):
+@given(st.lists(st.tuples(st.integers(2, 2 * RECURRENCE_MAX_P),
+                          st.one_of(st.integers(-60, 60), st.integers(-2**200, 2**200)).filter(bool),
+                          st.one_of(st.integers(1, 2**20),
+                                    st.sampled_from((2**53 - 1, 2**53, 2**53 + 1, 2**62)),
+                                    st.integers(1, 2**200))), max_size=4),
+       st.lists(st.one_of(st.integers(-10**6, 10**6), st.integers(-2**61, 2**61)), max_size=8))
+@example([(3, 2**40 + 1, 3 * 2**40)], [2**21, -(2**21) - 1])  # |t num| passes INT64_SPAN
+@example([(2, -1, 7)], [])
+@example([(2, 2**63, 1)], [])  # t alone past int64
+@example([(2, 1, 5), (3, 2**40 + 1, 2**60), (40, -3, 2**52)], [7, -(2**41)])  # mixed widths
+def test_reduced_amplitude_is_dirichlet_at_the_exactly_reduced_argument(stages, nums):
     # int64 and Python-integer arrays alike, on both sides of RECURRENCE_MAX_P
-    # and of 2**53 in mod: the same bits as the Fraction reduction
-    expected = reduced_reference(p, t, nums, mod).tolist()
+    # and of 2**53 in mod, stages of either width in one call: the same bits
+    # as the Fraction reductions' factors multiplied in stage order
+    expected = np.ones(len(nums))
+    for p, t, mod in stages:
+        expected *= reduced_reference(p, t, nums, mod)
     reach = max(map(abs, nums), default=0)
-    assert reduced_amplitude(p, t, np.array(nums, dtype=np.int64), mod, reach).tolist() == expected
-    assert reduced_amplitude(p, t, np.array(nums, dtype=object), mod, reach).tolist() == expected
+    ps, ts, mods = ([stage[i] for stage in stages] for i in range(3))
+    for width in (np.int64, object):
+        got = reduced_amplitude(ps, ts, np.array(nums, dtype=width), mods, reach)
+        assert got.tolist() == expected.tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -807,7 +814,7 @@ def test_reduced_amplitude_is_within_the_stage_bound_past_the_float_point(p):
     rng = random.Random(p)
     nums = [rng.randrange(-2**40, 2**40) for _ in range(60)] + [0, 1, -1]
     for t, mod in ((2**60 + 1, 4 * 3**5), (-(10**300 + 1), 2**66 * p)):
-        got = reduced_amplitude(p, t, np.array(nums, dtype=np.int64), mod, 2**40).tolist()
+        got = reduced_amplitude([p], [t], np.array(nums, dtype=np.int64), [mod], 2**40).tolist()
         with mpmath.workprec(200):
             for n, d in zip(nums, got):
                 v = F(t * n, mod) % 1

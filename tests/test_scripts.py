@@ -192,12 +192,15 @@ def test_verify_paths_prints_one_row_per_case():
     assert done.returncode == 0, done.stderr
     header, *rows = [line.split() for line in done.stdout.splitlines()]
     assert header == ["case", "points", "path", "ok", "residual", "seconds", "peak_rss_mb"]
-    # the translate by 1/3 takes the tower path; the moved point is no tower
+    # the translate by 1/3 takes the tower path; the moved point and the
+    # random points are no tower
     assert [row[:4] for row in rows] == [["tower", "16", "tower", "true"],
                                          ["third", "16", "tower", "true"],
-                                         ["moved", "16", "pairwise", "false"]]
-    # a spectrum's residual is exactly 0; the moved point's is of order 1
-    assert rows[0][4] == rows[1][4] == "0.000e+00" and float(rows[2][4]) > 0.1
+                                         ["moved", "16", "pairwise", "false"],
+                                         ["random", "16", "pairwise", "false"]]
+    # a spectrum's residual is exactly 0; the others' are of order 1
+    assert rows[0][4] == rows[1][4] == "0.000e+00" and min(float(rows[2][4]),
+                                                           float(rows[3][4])) > 0.1
     assert all(float(row[5]) < 30 and 0 < float(row[6]) < 1024 for row in rows)
 
 
@@ -205,7 +208,8 @@ def test_verify_paths_marks_the_refused_cases():
     # depth 13 of (4, 2, 1): 8,192 points, past the atom bound on the
     # pairwise path; the tower path has no bound of its own, so depth 17's
     # tower and translate verify.  Depth 9 of (10**350, 2, 1): 512 points,
-    # whose differences pass the atom bound by their width alone
+    # whose differences pass the atom bound by their width alone; the random
+    # points' differences are narrow, but weigh as the widest stage modulus
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "verify_paths.py"),
                            "--letter", "10^350,2,1", "--depth", "9"],
@@ -213,7 +217,7 @@ def test_verify_paths_marks_the_refused_cases():
     assert done.returncode == 0, done.stderr
     assert [line.split()[:4] for line in done.stdout.splitlines()[1:]] == [
         ["tower", "512", "tower", "true"], ["third", "512", "tower", "true"],
-        ["moved", "512", "pairwise", "refused"]]
+        ["moved", "512", "pairwise", "refused"], ["random", "512", "pairwise", "refused"]]
     rows = {}
     for depth in (13, 17):
         done = subprocess.run([sys.executable, str(ROOT / "scripts" / "verify_paths.py"),
@@ -223,10 +227,12 @@ def test_verify_paths_marks_the_refused_cases():
         rows[depth] = [line.split()[:5] for line in done.stdout.splitlines()[1:]]
     assert [row[:4] for row in rows[13]] == [["tower", "8192", "tower", "true"],
                                              ["third", "8192", "tower", "true"],
-                                             ["moved", "8192", "pairwise", "refused"]]
+                                             ["moved", "8192", "pairwise", "refused"],
+                                             ["random", "8192", "pairwise", "refused"]]
     assert rows[17] == [["tower", "131072", "tower", "true", "0.000e+00"],
                         ["third", "131072", "tower", "true", "0.000e+00"],
-                        ["moved", "131072", "pairwise", "refused", "-"]]
+                        ["moved", "131072", "pairwise", "refused", "-"],
+                        ["random", "131072", "pairwise", "refused", "-"]]
 
 
 def test_probe_rates_prints_one_row_per_word_and_window():

@@ -14,8 +14,9 @@ from moranspec import spectra
 from moranspec.hadamard import canonical_dual_digits
 from moranspec.measure import (DEFAULT_ATOM_CAP, INT64_SPAN, MU_HAT_BLOCK, RECURRENCE_MAX_P,
                                AtomCapExceeded, DiscreteMeasure, SymbolicWord, SystemConfig,
-                               float_quotients, int_width, mask_zero_hit, mu_hat_many,
-                               reduced_amplitude, stage_walk, sumset, support_hull, truncate)
+                               dirichlet_amplitude, float_quotients, int_width, mask_zero_hit,
+                               mu_hat_many, reduced_amplitude, reduced_quotients, runs, stage_walk,
+                               sumset, support_hull, truncate)
 from moranspec.oracle import search_spectra
 from moranspec.spectra import (VERIFY_ATOM_BOUND, Decomposition,
                                SpectrumCandidate,
@@ -362,16 +363,105 @@ def test_verify_checks_a_tower_stage_by_stage(monkeypatch):
     assert sum(seen) > 100
 
 
+def row_by_row_pairwise(candidate, config, word, k, complete):
+    """The pairwise path stated one row and one stage at a time: (residual, least offender).
+
+    The difference table is written one np.subtract per row; each block of
+    distinct differences takes one mask_zero_hit call per walked stage, and
+    its residual one reduced_quotients and dirichlet_amplitude call per
+    stage, multiplied in stage order.
+    """
+    nums, scale = candidate.nums, candidate.den
+    stages = [(pr, scale * base) for pr, base in stage_walk(config, word, k)]
+    reach = max((pr.p * abs(pr.t) for pr, _ in stages), default=1)
+    bound = (nums[-1] - nums[0] if nums else 0) * reach
+    arr = np.array([v - nums[0] for v in nums], dtype=int_width(bound))
+    table = np.concatenate([np.empty(0, dtype=arr.dtype)]
+                           + [arr[i + 1:] - arr[i] for i in range(len(nums) - 1)])
+    table.sort()
+    diffs, counts = runs(table)
+    block_size, offending = spectra.MU_HAT_BLOCK, None
+    if complete:
+        walk = [(pr, den) for pr, den in stages if abs(den) <= bound]
+        for i in range(0, len(diffs), block_size):
+            block = diffs[i:i + block_size]
+            missed = np.ones(len(block), dtype=bool)
+            for pr, den in walk:
+                missed &= ~mask_zero_hit(pr.p, pr.t, block, den)
+            if missed.any():
+                offending = F(int(block[missed.argmax()]), scale)
+                break
+        else:
+            return 0.0, None
+    total = 0.0
+    for i in range(0, len(diffs), block_size):
+        block = diffs[i:i + block_size]
+        amp = np.ones(len(block))
+        for pr, den in stages:
+            amp *= dirichlet_amplitude(pr.p, reduced_quotients(pr.t, block, abs(den),
+                                                               int(block[-1])))
+        total += float(np.sum(counts[i:i + block_size] * (amp * amp)))
+    return math.sqrt(2 * total), offending
+
+
+def row_by_row_cases():
+    """(measure, candidate, config, word, depth) off the tower path, of every kind and width."""
+    rng = random.Random(3838)
+    three = SystemConfig.of((4, 2, 1), (6, 3, 1), (2, 2, 3))
+    signed = SystemConfig.of((-4, 2, -1), (-6, 3, 5), (4, 2, -3))
+    cases = []
+    for cfg, prefix in product((three, signed), ((1, 2, 3), (3, 1, 2), (2, 2, 1), (1, 1, 1))):
+        word = SymbolicWord(prefix[:-1], (prefix[-1],))
+        for depth in (3, 4):
+            cand, meas = build_tower_spectrum(cfg, word, depth), truncate(cfg, word, depth)
+            third = SpectrumCandidate.finite(x + F(1, 3) for x in cand.points)
+            cands = moved(cand, rng, 2) + moved(third, rng, 1) + [
+                shifted_partner_tower(cfg, word, depth, 2, 1, by=1),  # a spectrum, no translate
+                SpectrumCandidate(nums=tuple(x + 1 for x in cand.nums), den=3),  # scaled by 1/3
+                SpectrumCandidate(nums=cand.nums[1:]),  # incomplete: a point short
+                SpectrumCandidate(nums=cand.nums + (cand.nums[-1] + 1,))]  # and one over
+            cases += [(meas, c, cfg, word, depth) for c in cands]
+    # Python-integer differences: (10**350, 2, 1) at depth 4 with its top point moved
+    wide = SystemConfig.of((10**350, 2, 1))
+    cand = build_tower_spectrum(wide, ONES, 4)
+    cases.append((truncate(wide, ONES, 4), SpectrumCandidate(nums=cand.nums[:-1] + (
+        cand.nums[-1] + 1,)), wide, ONES, 4))
+    # int64 differences against stages of either width: |B_3| = 2**60 takes Python's
+    # int / int, and (4, 2, 1)^oo at depth 40 Python integers past 2**62
+    mixed = SystemConfig.of((2**20, 2, 1))
+    cand = build_tower_spectrum(mixed, ONES, 3)
+    cases += [(truncate(mixed, ONES, 3), c, mixed, ONES, 3) for c in moved(cand, rng, 2)]
+    cases.append((DiscreteMeasure.point_mass(), SpectrumCandidate.finite(range(10)),
+                  QUARTER, ONES, 40))
+    return cases
+
+
+@pytest.mark.parametrize("block", [MU_HAT_BLOCK, 100, 3])
+def test_verify_gives_the_row_by_row_bits(monkeypatch, block):
+    # the block-at-a-time pairwise path reports the least offender and the
+    # residual's bits of the row-by-row, stage-by-stage loop, at any block size
+    monkeypatch.setattr(spectra, "MU_HAT_BLOCK", block)
+    outcomes = set()
+    for meas, cand, cfg, word, depth in row_by_row_cases():
+        assert not takes_the_tower_path(cand, cfg, word, depth)
+        ver = verify_spectrum_finite(meas, cand, cfg, word, depth)
+        resid, offending = row_by_row_pairwise(cand, cfg, word, depth,
+                                               len(cand) == len(meas.nums))
+        assert (ver.offending, ver.unitarity_residual.hex()) == (offending, resid.hex()), cand
+        outcomes.add((ver.reason, resid == 0.0))
+    assert outcomes == {("orthogonality", False), ("cardinality", False), (None, True)}
+
+
 def test_a_proven_orthogonal_candidate_takes_no_stage_factor(monkeypatch):
     # a tower, and a spectrum that is no tower translate (one partner digit
     # moved by a multiple of b), are proven orthogonal in integers, so their
     # residual is exactly 0.0 and no stage factor is taken; a moved point
-    # takes all k stages at each distinct difference
+    # takes all k stages at each distinct difference, a block's stages in one call
     evals = []
 
-    def spy(p, t, nums, mod, reach):
-        evals.append(len(nums))
-        return reduced_amplitude(p, t, nums, mod, reach)
+    def spy(ps, ts, nums, mods, reach):
+        evals.append(len(ps) * len(nums))
+        return reduced_amplitude(ps, ts, nums, mods, reach)
 
     monkeypatch.setattr(spectra, "reduced_amplitude", spy)
     signed = SystemConfig.of((-4, 2, -1), (-6, 3, 5), (4, 2, -3))
