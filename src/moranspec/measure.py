@@ -628,20 +628,13 @@ def reduced_amplitude(ps: list[int], ts: list[int], nums: np.ndarray, mods: list
     |num| <= reach, and each r/mod is reduced_quotients'.  Every argument
     lies in [0, 1), so dirichlet_amplitude's rounding bound holds at
     |v| < 1, whatever t and num are.  The factors are multiplied in stage
-    order, from 1.  The stages whose quotients are float divisions of int64
-    residues (mod below 2**53 and min(|t|, mod/2), which bounds the reduced
-    |t|, times reach below INT64_SPAN) share one reduced_quotients row
-    table; every other stage takes its own call, so one stage's Python
-    integers do not carry the whole table.  Each quotient is correctly
-    rounded either way, so the split moves no bit.
+    order, from 1, each from its own reduced_quotients call: one row table
+    of every stage was no faster, held more memory, and one wide stage
+    would carry the whole table to Python integers.
     """
-    narrow = [nums.dtype != object and mod < 2**53
-              and min(abs(t), mod // 2) * max(reach, 1) < INT64_SPAN for t, mod in zip(ts, mods)]
-    rows = iter(reduced_quotients([t for t, n in zip(ts, narrow) if n], nums,
-                                  [mod for mod, n in zip(mods, narrow) if n], reach))
     amp = np.ones(len(nums))
-    for p, t, mod, n in zip(ps, ts, mods, narrow):
-        amp *= dirichlet_amplitude(p, next(rows) if n else reduced_quotients(t, nums, mod, reach))
+    for p, t, mod in zip(ps, ts, mods):
+        amp *= dirichlet_amplitude(p, reduced_quotients(t, nums, mod, reach))
     return amp
 
 
