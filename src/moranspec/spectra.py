@@ -262,10 +262,9 @@ def _pairwise_residual(candidate: SpectrumCandidate, config: SystemConfig, word:
         size = len(head) * len(tail)
         np.subtract(tail, head[:, None], out=table[pos:pos + size].reshape(len(head), len(tail)))
         pos += size
-        if len(head) > 1:
-            within = (head - head[:, None])[upper[:len(head), :len(head)]]
-            table[pos:pos + len(within)] = within
-            pos += len(within)
+        within = (head - head[:, None])[upper[:len(head), :len(head)]]
+        table[pos:pos + len(within)] = within
+        pos += len(within)
     table.sort()
     diffs, counts = runs(table)
     offending = None
