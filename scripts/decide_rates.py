@@ -19,6 +19,13 @@ pass), and reused, one SystemConfig for every pass.  Each row gives the
 alphabet, the mode, the counts of Spectral, divisibility and Pi_l verdicts,
 the best seconds of one pass over all words, and the microseconds per word.
 
+A last row, root_sums partner, times digit_sum_vanishes over the inputs the
+benchmark's decide partner searches draw from: |b| = m in 2..16, the digits
+{0, t, ..., (p-1)t} for p in 2..min(5, m) and t in 1..5, 7, 11, 13, and one
+residue r per class gcd(m, t*r), the first one, as
+oracle.search_compatible_partners takes them.  Its count columns are the
+vanishing sums, the others, and 0; its last column is microseconds per sum.
+
 Usage:
     python3 scripts/decide_rates.py [--repeat N]
 """
@@ -27,8 +34,10 @@ import argparse
 import time
 from collections import Counter
 from itertools import product
+from math import gcd
 
 from moranspec.classifier import decide_spectrality
+from moranspec.exactmath import digit_sum_vanishes
 from moranspec.measure import StagePair, SymbolicWord, SystemConfig
 
 ALPHABETS = (("spectral", ((4, 2, 1), (6, 3, 7), (10, 5, 11))),
@@ -43,6 +52,31 @@ def canonical_words() -> list[SymbolicWord]:
              for r in range(3) for pre in product(letters, repeat=r)
              for s in range(1, 4) for per in product(letters, repeat=s)}
     return sorted(words, key=str)
+
+
+def partner_sums() -> list[tuple[int, tuple[int, ...], int]]:
+    """(m, digits, r) for every class of every partner search the decide workload can make."""
+    out = []
+    for m in range(2, 17):
+        for p in range(2, min(5, m) + 1):
+            for t in (1, 2, 3, 4, 5, 7, 11, 13):
+                digits = tuple(j * t for j in range(p))
+                classes = set()
+                for r in range(m):
+                    if (g := gcd(m, t * r)) not in classes:
+                        classes.add(g)
+                        out.append((m, digits, r))
+    return out
+
+
+def time_sums(sums, repeat: int) -> tuple[int, float]:
+    """The number of vanishing sums and the best seconds of repeat passes over them."""
+    best = float("inf")
+    for _ in range(repeat):
+        started = time.perf_counter()
+        vanish = [digit_sum_vanishes(m, digits, r) for m, digits, r in sums]
+        best = min(best, time.perf_counter() - started)
+    return sum(vanish), best
 
 
 def time_pass(triples, words: list[SymbolicWord], fresh: bool,
@@ -73,6 +107,10 @@ def main() -> None:
             counts, seconds = time_pass(triples, words, mode == "fresh", args.repeat)
             print(f"{name} {mode} {counts['Spectral']} {counts['divisibility']} "
                   f"{counts['Pi_l']} {seconds:.6f} {seconds / len(words) * 1e6:.3f}", flush=True)
+    sums = partner_sums()
+    vanishing, seconds = time_sums(sums, args.repeat)
+    print(f"root_sums partner {vanishing} {len(sums) - vanishing} 0 "
+          f"{seconds:.6f} {seconds / len(sums) * 1e6:.3f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -68,8 +68,10 @@ def decide_spectrality(config: SystemConfig, word: SymbolicWord) -> SpectralVerd
     |b_j| = p_j, |t_j| != 1, entered from a different letter).  The verdict
     is invariant under sign flips of any b or t and under replacing the base
     at position 1.  Each test reads the alphabet's side from ``config.facts``
-    and the word's side from ``word.facts``, each computed once per object,
-    so a Spectral word costs one disjointness test.
+    and the word's side from ``word.facts``, each computed once per object
+    with letter sets as int bitmasks, so a Spectral word costs one ``&`` of
+    its letters at positions >= 2 with the p ∤ b letters.  ``word.top`` is
+    checked against the alphabet first, so no mask is wider than it.
 
     A failing verdict is fixed by the alphabet and a small key: the clause
     for the hypothesis, (letter, first position >= 2) for divisibility and
@@ -79,15 +81,15 @@ def decide_spectrality(config: SystemConfig, word: SymbolicWord) -> SpectralVerd
     letters that memo holds at most m*L divisibility verdicts (positions
     2 .. L + 1), one Pi_l verdict per key seen, or one OutOfScope verdict.
     """
-    facts, word_facts = config.facts, word.facts
+    facts = config.facts
     if facts.violations:
         key = CLAUSE_HYPOTHESIS
-    elif word_facts.top > len(config.pairs):  # SymbolicWord letters are >= 1
+    elif word.top > len(config.pairs):  # SymbolicWord letters are >= 1
         raise ValueError("word letters outside the alphabet")
-    elif not facts.nondividing.isdisjoint(word_facts.later):
-        letter = min(facts.nondividing.intersection(word_facts.later))
+    elif failing := facts.nondividing & (word_facts := word.facts).later:
+        letter = (failing & -failing).bit_length() - 1  # the least failing letter
         key = (letter, word_facts.first_position[letter])
-    elif (entry := word_facts.tail_entry) is not None and entry[1] in facts.pi_tails:
+    elif (entry := word_facts.tail_entry) is not None and facts.pi_tails >> entry[1] & 1:
         key = entry
     else:
         return _SPECTRAL
@@ -197,26 +199,26 @@ def integral_zero_set_status(config: SystemConfig, word: SymbolicWord) -> ZeroSe
     (the shifted integer lattice 1/t_j + Z consists of transform zeros).
     Anything else is unknown.
     """
-    facts, word_facts = config.facts, word.facts
+    facts = config.facts
     if facts.violations:
         raise ValueError("config violates the coprime-alphabet hypothesis")
-    letters = word_facts.letters
-    pairs = {l: config.pair(l) for l in letters}
-    # gcd(p, t) = 1 under the hypothesis, so p | b/gcd(b, t) (admissible) iff p | b
-    divisible = facts.nondividing.isdisjoint(letters)
-    if divisible:
-        g = 0
-        for l in word_facts.tail:
-            g = gcd(g, abs(pairs[l].t))
-        if g == 1:
-            return ZeroSetStatus("empty", "tail stride gcd is 1 over admissible letters")
-    if len(letters) == 1:
+    if word.top > config.m:  # the least letter past the alphabet names the error
+        config.pair(min(l for l in word.letters() if l > config.m))
+    word_facts = word.facts
+    letters, tail = word_facts.letters, word_facts.tail
+    # gcd(p, t) = 1 under the hypothesis, so p | b/gcd(b, t) (admissible) iff p | b;
+    # every tail letter occurs at a position >= 2
+    divisible = not facts.nondividing & letters
+    if divisible and gcd(*(abs(config.pairs[l - 1].t)
+                           for l in word_facts.first_position if tail >> l & 1)) == 1:
+        return ZeroSetStatus("empty", "tail stride gcd is 1 over admissible letters")
+    if letters.bit_count() == 1:
         # a constant word j^inf; the gcd criterion above returned when
         # |t_j| = 1, so here p_j | b_j means p_j != |b_j| unless j is a Pi_l
         # tail letter
-        (j,) = letters
-        if j in facts.pi_tails:
-            pj = pairs[j]
+        j = word_facts.head
+        if facts.pi_tails >> j & 1:
+            pj = config.pairs[j - 1]
             return ZeroSetStatus("nonempty",
                                  f"constant word, |b|=p={pj.p}, stride {pj.t}: "
                                  f"1/{abs(pj.t)} + Z consists of zeros")
@@ -224,9 +226,9 @@ def integral_zero_set_status(config: SystemConfig, word: SymbolicWord) -> ZeroSe
             return ZeroSetStatus("empty", "constant word with p | b and p != |b|")
     if divisible:
         head = word_facts.head
-        if abs(pairs[head].t) == 1:
+        if abs(config.pairs[head - 1].t) == 1:
             return ZeroSetStatus("empty", "unit-stride head with p | b throughout")
-        if head not in word_facts.later:
+        if not word_facts.later >> head & 1:
             return ZeroSetStatus("empty", "nonunit-stride head never recurs, p | b throughout")
     return ZeroSetStatus("unknown", "no criterion applies")
 

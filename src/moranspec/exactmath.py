@@ -18,7 +18,6 @@ values (gcd-reduced, positive denominator, canonical zero 0/1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -88,38 +87,23 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(c)
 
 
-@dataclass(frozen=True)
-class RootSum:
-    """A nonempty multiset of n-th roots of unity, stored as exponents mod n.
+def root_sum_is_zero(n: int, exponents: Sequence[int]) -> bool:
+    """Exact test of sum_a zeta_n^a == 0 over a nonempty multiset of exponents.
 
-    The value depends only on the residues, so exponents are reduced at
-    construction and kept sorted (multiplicity preserved).
-    """
-
-    order: int
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if len(self.exponents) == 0:
-            raise ValueError("exponent multiset must be nonempty")
-        reduced = tuple(sorted(e % self.order for e in self.exponents))
-        object.__setattr__(self, "exponents", reduced)
-
-
-def root_sum_is_zero(s: RootSum) -> bool:
-    """Exact test of sum_a zeta_n^a == 0.
-
-    With P(x) = sum_a x^a, the sum vanishes iff
+    The value depends only on the residues mod n, so each exponent is
+    counted at e mod n.  With P(x) = sum_a x^a, the sum vanishes iff
     P(x) * prod_{prime r | n} (1 - x^(n/r)) == 0 mod x^n - 1: the product
     carries every Phi_d with d | n, d < n, and never Phi_n.  P is kept as a
     map from exponent to coefficient, and each factor subtracts a copy
     rotated by n/r, so the work is #terms * 2^omega(n) integer steps.
     """
-    n = s.order
+    if n < 1:
+        raise ValueError(f"order must be >= 1, got {n}")
+    if len(exponents) == 0:
+        raise ValueError("exponent multiset must be nonempty")
     coeffs: dict[int, int] = {}
-    for e in s.exponents:
+    for e in exponents:
+        e %= n
         coeffs[e] = coeffs.get(e, 0) + 1
     for r in prime_factors(n):
         step = n // r
@@ -148,7 +132,7 @@ def digit_sum_vanishes(n: int, digits: Sequence[int], ell: int) -> bool:
     g = gcd(n, *exps)
     if g == n:
         return False
-    return root_sum_is_zero(RootSum(n // g, tuple(e // g for e in exps)))
+    return root_sum_is_zero(n // g, [e // g for e in exps])
 
 
 def over_common_denominator(values) -> tuple[list[int], int]:

@@ -132,8 +132,8 @@ class SystemConfig:
         letters = list(enumerate(self.pairs, start=1))
         return AlphabetFacts(
             tuple(violations),
-            frozenset(l for l, pr in letters if abs(pr.b) % pr.p),
-            frozenset(l for l, pr in letters if abs(pr.b) == pr.p and abs(pr.t) != 1))
+            sum(1 << l for l, pr in letters if abs(pr.b) % pr.p),
+            sum(1 << l for l, pr in letters if abs(pr.b) == pr.p and abs(pr.t) != 1))
 
 
 @dataclass(frozen=True)
@@ -143,15 +143,16 @@ class AlphabetFacts:
     violations: every failure of the coprime-alphabet hypothesis, as report
     strings (empty for a coprime alphabet); nondividing: the letters with
     p not dividing b; pi_tails: the letters with |b| = p and |t| != 1, whose
-    constant tail entered from another letter is the Pi_l exception;
+    constant tail entered from another letter is the Pi_l exception.  Both
+    letter sets are int bitmasks, bit l standing for letter l.
     verdicts: the classifier's NotSpectral and OutOfScope verdicts over this
     alphabet, each built on first use and then shared (see
     ``classifier.decide_spectrality``), left out of equality, hash and repr.
     """
 
     violations: tuple[str, ...]
-    nondividing: frozenset[int]
-    pi_tails: frozenset[int]
+    nondividing: int
+    pi_tails: int
     verdicts: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
 
@@ -162,19 +163,22 @@ class SymbolicWord:
     Canonical form: the period is primitive (not a power of a shorter word)
     and the preperiod cannot be shortened by absorbing its last letter into
     a rotation of the period.  Two words describing the same infinite
-    sequence therefore compare equal.
+    sequence therefore compare equal.  top, the largest letter, is kept
+    beside them and left out of equality, hash and repr.
     """
 
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
+    top: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pre = tuple(int(x) for x in self.preperiod)
         per = tuple(int(x) for x in self.period)
         if len(per) == 0:
             raise ValueError("period must be nonempty")
-        if any(x < 1 for x in pre + per):
+        if min(pre + per) < 1:
             raise ValueError("letters are 1-based positive integers")
+        object.__setattr__(self, "top", max(pre + per))
         for s in divisors(len(per)):
             if per == per[:s] * (len(per) // s):
                 per = per[:s]
@@ -223,19 +227,17 @@ class SymbolicWord:
         The letters at positions 2, 3, ... are the preperiod after its first
         letter, then the period; with an empty preperiod they are the period
         rotated by one.  Each such letter keeps its first position there.
-        The tail and the letters at positions >= 2 are subsets of the letter
-        set, so either one with as many letters is that set and shares its
-        object: a constant word keeps one set, not three.
+        Every letter but the head occurs at a position >= 2.  The letter
+        masks take top + 1 bits, so the decisions check top against their
+        alphabet before they read facts.
         """
         pre, per = self.preperiod, self.period
         first_position: dict[int, int] = {}
         for n, letter in enumerate(pre[1:] + per if pre else per[1:] + per[:1], start=2):
             first_position.setdefault(letter, n)
-        letters = self.letters()
-        tail, later = (letters if len(part) == len(letters) else part
-                       for part in (frozenset(per), frozenset(first_position)))
-        return WordFacts(max(letters), self.letter(1), letters, tail, later,
-                         first_position,
+        head = self.letter(1)
+        tail, later = (sum(1 << letter for letter in set(part)) for part in (per, first_position))
+        return WordFacts(head, later | 1 << head, tail, later, first_position,
                          (len(pre), per[0], pre[-1]) if pre and len(per) == 1 else None)
 
     def __str__(self) -> str:
@@ -246,22 +248,21 @@ class SymbolicWord:
 class WordFacts:
     """What the classification asks of a word, with no alphabet data.
 
-    top: the largest letter; head: the letter at position 1; letters: every
-    letter; tail: the letters occurring infinitely often (the period's);
-    later: the letters at positions >= 2, as a set, so a disjointness test
-    with another set probes each letter once; first_position: each of them
-    with its first position >= 2; tail_entry: (l, j, last_other) for a word
+    head: the letter at position 1; letters: every letter; tail: the
+    letters occurring infinitely often (the period's); later: the letters
+    at positions >= 2; first_position: each of them with its first
+    position >= 2; tail_entry: (l, j, last_other) for a word
     i_1...i_l j^infinity with l >= 1 (last_other = i_l != j by the
     canonical form), else None.  A word uses one letter exactly when it is
     constant, since a canonical preperiod never ends with the period's last
-    letter.
+    letter.  The three letter sets are int bitmasks, bit l standing for
+    letter l, so testing one against an alphabet's letters is one ``&``.
     """
 
-    top: int
     head: int
-    letters: frozenset[int]
-    tail: frozenset[int]
-    later: frozenset[int]
+    letters: int
+    tail: int
+    later: int
     first_position: dict[int, int] = field(hash=False)
     tail_entry: Optional[tuple[int, int, int]]
 

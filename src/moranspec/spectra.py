@@ -196,7 +196,8 @@ def tower_translate(candidate: SpectrumCandidate, config: SystemConfig, word: Sy
     orthogonal: one whose digits first differ at stage n is step*j plus a
     multiple of b_1...b_n, which leaves stage n's zero test unchanged, so no
     difference is left to test.  The span is checked before any point is
-    built.
+    built, and so is the sum: a tower translate is symmetric about its
+    centre, so its N numerators sum to N times the mean of the two ends.
     """
     nums, den = candidate.nums, candidate.den
     if not nums:
@@ -206,6 +207,8 @@ def tower_translate(candidate: SpectrumCandidate, config: SystemConfig, word: Sy
     except ValueError:  # a stage with no partner, or more tower points than the candidate's
         return False
     if sum((pr.p - 1) * abs(step) * den for pr, step, _ in stages) != nums[-1] - nums[0]:
+        return False
+    if 2 * sum(nums) != len(nums) * (nums[0] + nums[-1]):  # not symmetric about its centre
         return False
     if not all(mask_zero_hit(pr.p, pr.t, step * j, base)
                for pr, step, base in stages for j in range(1, pr.p)):

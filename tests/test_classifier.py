@@ -18,6 +18,7 @@ from moranspec.classifier import (CLAUSE_DIVISIBILITY, CLAUSE_TAIL_EXCEPTION,
                                   integral_zero_set_status,
                                   necessity_violations, two_stage_decide,
                                   validate_config)
+from moranspec.cli import ALPHABET_BOUND
 from moranspec.hadamard import is_admissible
 from moranspec.measure import (StagePair, SymbolicWord, SystemConfig, scale_digits, truncate,
                                zero_flags)
@@ -85,6 +86,19 @@ def test_word_letters_past_the_alphabet_are_rejected():
         decide_spectrality(MIXED, SymbolicWord((3,), (1,)))
     with pytest.raises(ValueError, match="outside the alphabet"):
         decide_spectrality(MIXED, SymbolicWord((), (1, 2, 3)))
+
+
+def test_a_letter_far_past_the_alphabet_builds_no_mask():
+    # a letter mask holds one bit per letter up to the largest, so the
+    # decisions check word.top against the alphabet before they read the
+    # word's facts: 1 << 10**18 could not be allocated
+    for word in (SymbolicWord((1,), (10**18,)), SymbolicWord((10**18, 1), (2,))):
+        assert word.top == 10**18
+        with pytest.raises(ValueError, match="^word letters outside the alphabet$"):
+            decide_spectrality(MIXED, word)
+        with pytest.raises(ValueError, match="^letter 1000000000000000000 outside alphabet 1..2$"):
+            integral_zero_set_status(MIXED, word)
+        assert "facts" not in vars(word)
 
 
 def test_decide_examples():
@@ -443,6 +457,26 @@ def test_decide_matches_the_per_word_reference(letters, other_letters, data):
                 assert outcome(integral_zero_set_status, config, w) == status, (w, config)
 
 
+def test_masks_wider_than_64_bits_match_the_per_word_reference():
+    # an alphabet at the CLI's bound, ALPHABET_BOUND = 512 letters: words on
+    # letters 1 and 512 (and one past it) take letter masks of 513 bits, and
+    # letter 512 divides, fails p | b, or is a Pi_l tail letter in turn
+    words = sorted({SymbolicWord(pre, per) for pre in ((), (1,), (512,), (1, 512))
+                    for per in ((1,), (512,), (1, 512), (512, 1))}, key=str)
+    words.append(SymbolicWord((1,), (513,)))
+    for last in ((6, 3, 7), (5, 2, 7), (3, 3, 7)):
+        letters = [(4, 2, 1)] * (ALPHABET_BOUND - 1) + [last]
+        cfg = SystemConfig.of(*letters)
+        assert cfg.m == ALPHABET_BOUND and validate_config(cfg) == []
+        assert (cfg.facts.nondividing | cfg.facts.pi_tails).bit_length() in (0, 513)
+        for word in words:
+            fresh = SystemConfig.of(*letters)
+            assert outcome(decide_spectrality, cfg, word) == outcome(reference_decide, fresh, word)
+            assert (outcome(integral_zero_set_status, cfg, word)
+                    == outcome(reference_zero_set_status, fresh, word)), (last, word)
+        assert any(w.facts.later.bit_length() == 513 for w in words)
+
+
 def test_cached_facts_leave_equality_hash_and_repr_alone():
     used, fresh = SystemConfig.of((4, 2, 1), (2, 2, 3)), SystemConfig.of((4, 2, 1), (2, 2, 3))
     before = repr(used), hash(used)
@@ -452,7 +486,7 @@ def test_cached_facts_leave_equality_hash_and_repr_alone():
     assert "facts" in vars(used) and "facts" not in vars(fresh)
     assert (repr(used), hash(used)) == before == (repr(fresh), hash(fresh))
     assert used == fresh and len({used, fresh}) == 1
-    assert validate_config(used) == [] and used.facts.pi_tails == frozenset({2})
+    assert validate_config(used) == [] and used.facts.pi_tails == 1 << 2
     assert len(used.facts.verdicts) == 2 and fresh.facts.verdicts == {}
     assert (repr(used.facts), hash(used.facts)) == (repr(fresh.facts), hash(fresh.facts))
     assert used.facts == fresh.facts and len({used.facts, fresh.facts}) == 1

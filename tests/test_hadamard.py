@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moranspec.exactmath import RootSum, divisors, root_sum_is_zero
+from moranspec.exactmath import divisors, root_sum_is_zero
 from moranspec.hadamard import (canonical_dual_digits, dual_step, is_admissible,
                                 is_compatible_pair)
 from moranspec.measure import DiscreteMeasure
@@ -65,7 +65,7 @@ def test_the_canonical_partner_is_the_multiples_of_dual_step():
 
 def test_canonical_partner_for_two_two_three_is_an_exact_zero():
     # m_D(1/2) = (1 + exp(3 pi i))/2 = 0 exactly
-    assert root_sum_is_zero(RootSum(2, (0, 3)))
+    assert root_sum_is_zero(2, (0, 3))
     assert canonical_dual_digits(2, 2, 3) == (0, 1)
 
 
@@ -127,7 +127,7 @@ def test_exact_numeric_and_parseval_verdicts_agree_at_desk_scale():
 
 def every_pair_vanishes(b, digits, freqs):
     """Compatibility by its definition: one root sum per pair l1 != l2 of L."""
-    return all(root_sum_is_zero(RootSum(abs(b), tuple(d * (l2 - l1) for d in digits)))
+    return all(root_sum_is_zero(abs(b), [d * (l2 - l1) for d in digits])
                for i, l1 in enumerate(freqs) for l2 in freqs[i + 1:])
 
 

@@ -85,8 +85,8 @@ def test_word_shift_and_letter_queries():
     w = SymbolicWord((1,), (2, 3))
     assert w.shift(1) == SymbolicWord((), (2, 3))
     assert w.shift(2) == SymbolicWord((), (3, 2))
-    assert w.facts == WordFacts(3, 1, frozenset({1, 2, 3}), frozenset({2, 3}),
-                                frozenset({2, 3}), {2: 2, 3: 3}, None)
+    # letter sets are bitmasks, bit l for letter l
+    assert w.top == 3 and w.facts == WordFacts(1, 0b1110, 0b1100, 0b1100, {2: 2, 3: 3}, None)
     assert SymbolicWord((1, 3), (2,)).facts.first_position == {3: 2, 2: 3}
     assert SymbolicWord((1, 3), (2,)).facts.tail_entry == (2, 2, 3)
     # with an empty preperiod, positions 2, 3, ... read the period rotated by one
@@ -105,16 +105,22 @@ def word_positions(word):
     return r, s, [word.letter(n) for n in range(1, r + 2 * s + 1)]
 
 
+def letter_mask(letters):
+    """The bitmask of a collection of letters, bit l for letter l."""
+    return sum(1 << l for l in set(letters))
+
+
 def facts_letter_by_letter(word):
-    """WordFacts read off word.letter(n) for n <= r + 2s, position by position."""
+    """The word's top letter and WordFacts, read off word.letter(n) for n <= r + 2s,
+    position by position."""
     r, s, seq = word_positions(word)
     first_position = {}
     for n in range(2, r + 2 * s + 1):
         first_position.setdefault(seq[n - 1], n)
     eventually_constant = len(set(seq[r:])) == 1
-    return WordFacts(max(seq), seq[0], frozenset(seq), frozenset(seq[r:]),
-                     frozenset(first_position), first_position,
-                     (r, seq[r], seq[r - 1]) if r and eventually_constant else None)
+    return max(seq), WordFacts(seq[0], letter_mask(seq), letter_mask(seq[r:]),
+                               letter_mask(first_position), first_position,
+                               (r, seq[r], seq[r - 1]) if r and eventually_constant else None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -127,7 +133,7 @@ def facts_letter_by_letter(word):
 def test_word_facts_match_the_letters(pre, per, shift):
     # shifting past the preperiod rotates the period
     word = SymbolicWord(tuple(pre), tuple(per)).shift(shift)
-    assert word.facts == facts_letter_by_letter(word)
+    assert (word.top, word.facts) == facts_letter_by_letter(word)
 
 
 def test_truncate_depth_one_and_zero():

@@ -261,9 +261,12 @@ def test_decide_rates_prints_one_row_per_alphabet_and_mode():
     # 297 canonical words each; the counts follow from the alphabets' letters
     counts = {"spectral": ["297", "0", "0"], "divisibility": ["3", "294", "0"],
               "pi_l": ["55", "237", "5"]}
+    # then one row of root sums: the (m, digits, class) inputs of decide's partner
+    # searches, 1,283 of them, 186 vanishing
     assert [row[:5] for row in rows] == [[name, mode, *counts[name]]
-                                         for name in counts for mode in ("fresh", "reused")]
-    assert all(0 < float(row[5]) < 30 for row in rows)
+                                         for name in counts for mode in ("fresh", "reused")] + [
+        ["root_sums", "partner", "186", "1097", "0"]]
+    assert len(rows) == 7 and all(0 < float(row[5]) < 30 for row in rows)
 
 
 def test_sample_ft_rates_prints_one_row_per_shape():

@@ -363,6 +363,32 @@ def test_verify_checks_a_tower_stage_by_stage(monkeypatch):
     assert sum(seen) > 100
 
 
+def test_a_moved_point_inside_the_span_is_rejected_before_any_point_is_built(monkeypatch):
+    # a tower translate is symmetric about its centre, so moving one point
+    # strictly inside the span changes the sum the span fixes: tower_translate
+    # refuses it with no sumset call, and the tower itself still builds one
+    calls = []
+
+    def spy(stages):
+        calls.append(len(stages))
+        return sumset(stages)
+
+    monkeypatch.setattr(spectra, "sumset", spy)
+    three = SystemConfig.of((4, 2, 1), (6, 3, 1), (2, 2, 3))
+    for cfg, word, depth in ((QUARTER, ONES, 6), (three, SymbolicWord((1, 2), (3, 2)), 5)):
+        cand = build_tower_spectrum(cfg, word, depth)
+        nums = list(cand.nums)
+        i = len(nums) // 2
+        nums[i] = next(x for x in range(nums[i] + 1, nums[-1]) if x not in cand.nums)
+        inside = SpectrumCandidate(nums=tuple(sorted(nums)), den=cand.den)
+        assert inside.nums[0] == cand.nums[0] and inside.nums[-1] == cand.nums[-1]
+        calls.clear()
+        assert not spectra.tower_translate(inside, cfg, word, depth)
+        assert calls == []
+        assert spectra.tower_translate(cand, cfg, word, depth) and len(calls) == 1
+        assert verify_spectrum_finite(truncate(cfg, word, depth), cand, cfg, word, depth).ok
+
+
 def row_by_row_pairwise(candidate, config, word, k, complete):
     """The pairwise path stated one row and one stage at a time: (residual, least offender).
 
