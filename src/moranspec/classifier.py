@@ -84,7 +84,7 @@ def decide_spectrality(config: SystemConfig, word: SymbolicWord) -> SpectralVerd
     facts = config.facts
     if facts.violations:
         key = CLAUSE_HYPOTHESIS
-    elif word.top > len(config.pairs):  # SymbolicWord letters are >= 1
+    elif word.top > facts.m:  # SymbolicWord letters are >= 1
         raise ValueError("word letters outside the alphabet")
     elif failing := facts.nondividing & (word_facts := word.facts).later:
         letter = (failing & -failing).bit_length() - 1  # the least failing letter
@@ -202,7 +202,7 @@ def integral_zero_set_status(config: SystemConfig, word: SymbolicWord) -> ZeroSe
     facts = config.facts
     if facts.violations:
         raise ValueError("config violates the coprime-alphabet hypothesis")
-    if word.top > config.m:  # the least letter past the alphabet names the error
+    if word.top > facts.m:  # the least letter past the alphabet names the error
         config.pair(min(l for l in word.letters() if l > config.m))
     word_facts = word.facts
     letters, tail = word_facts.letters, word_facts.tail

@@ -131,7 +131,7 @@ class SystemConfig:
                         violations.append(f"gcd(t_{i}={pi.t}, t_{j}={pj.t}) != 1")
         letters = list(enumerate(self.pairs, start=1))
         return AlphabetFacts(
-            tuple(violations),
+            len(letters), tuple(violations),
             sum(1 << l for l, pr in letters if abs(pr.b) % pr.p),
             sum(1 << l for l, pr in letters if abs(pr.b) == pr.p and abs(pr.t) != 1))
 
@@ -140,9 +140,10 @@ class SystemConfig:
 class AlphabetFacts:
     """What the classification asks of an alphabet, per letter.
 
-    violations: every failure of the coprime-alphabet hypothesis, as report
-    strings (empty for a coprime alphabet); nondividing: the letters with
-    p not dividing b; pi_tails: the letters with |b| = p and |t| != 1, whose
+    m: the number of letters, which no word letter may pass; violations:
+    every failure of the coprime-alphabet hypothesis, as report strings
+    (empty for a coprime alphabet); nondividing: the letters with p not
+    dividing b; pi_tails: the letters with |b| = p and |t| != 1, whose
     constant tail entered from another letter is the Pi_l exception.  Both
     letter sets are int bitmasks, bit l standing for letter l.
     verdicts: the classifier's NotSpectral and OutOfScope verdicts over this
@@ -150,6 +151,7 @@ class AlphabetFacts:
     ``classifier.decide_spectrality``), left out of equality, hash and repr.
     """
 
+    m: int
     violations: tuple[str, ...]
     nondividing: int
     pi_tails: int
