@@ -203,7 +203,7 @@ def integral_zero_set_status(config: SystemConfig, word: SymbolicWord) -> ZeroSe
     if facts.violations:
         raise ValueError("config violates the coprime-alphabet hypothesis")
     if word.top > facts.m:  # the least letter past the alphabet names the error
-        config.pair(min(l for l in word.letters() if l > config.m))
+        config.pair(min(l for l in word.letters() if l > facts.m))
     word_facts = word.facts
     letters, tail = word_facts.letters, word_facts.tail
     # gcd(p, t) = 1 under the hypothesis, so p | b/gcd(b, t) (admissible) iff p | b;
