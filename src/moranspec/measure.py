@@ -208,16 +208,14 @@ class SymbolicWord:
         return self.period[(n - r - 1) % len(self.period)]
 
     def shift(self, n: int = 1) -> "SymbolicWord":
-        """Drop the first n letters."""
+        """Drop the first n letters: the preperiod's, then the period rotated once."""
         if n < 0:
             raise ValueError("shift must be >= 0")
-        pre, per = list(self.preperiod), list(self.period)
-        for _ in range(n):
-            if pre:
-                pre.pop(0)
-            else:
-                per = per[1:] + per[:1]
-        return SymbolicWord(tuple(pre), tuple(per))
+        pre, per = self.preperiod, self.period
+        if n <= len(pre):
+            return SymbolicWord(pre[n:], per)
+        r = (n - len(pre)) % len(per)
+        return SymbolicWord((), per[r:] + per[:r])
 
     def letters(self) -> frozenset[int]:
         return frozenset(self.preperiod) | frozenset(self.period)
@@ -288,18 +286,15 @@ def canonical_ratios(nums, den, what: str) -> tuple[tuple[int, ...], int]:
 def float_quotients(nums, den: int) -> np.ndarray:
     """Each nums[i]/den correctly rounded to a float, for sorted integers nums and den > 0.
 
-    nums is a sorted sequence (a range too) or integer array.  One float
-    division while every operand is below 2**53, where floats hold it
-    exactly; otherwise Python's int / int, which rounds any quotient a float
-    can hold.  A quotient past FLOAT_BOUND raises ValueError naming the bound.
+    nums is a sorted sequence of Python integers.  One float division while
+    every operand is below 2**53, where floats hold it exactly; otherwise
+    Python's int / int, which rounds any quotient a float can hold.  A
+    quotient past FLOAT_BOUND raises ValueError naming the bound.
     """
     if len(nums) == 0 or max(-nums[0], nums[-1], den) < 2**53:
-        if isinstance(nums, range):  # np.asarray would step through it in Python
-            nums = np.arange(nums.start, nums.stop, nums.step)
         return np.asarray(nums, dtype=float) / den
-    exact = nums.tolist() if isinstance(nums, np.ndarray) else nums
     try:
-        return np.array([n / den for n in exact], dtype=float)
+        return np.array([n / den for n in nums], dtype=float)
     except OverflowError:
         raise ValueError(f"a point is past the float range; bound is {FLOAT_BOUND!r}") from None
 
@@ -454,29 +449,16 @@ def truncate(config: SystemConfig, word: SymbolicWord, k: int,
     return DiscreteMeasure(nums.tolist(), sign * final, counts.tolist(), paths)
 
 
-def mask_zero_hit(p: int | np.ndarray, t: int | np.ndarray, num: int | np.ndarray,
-                  den: int | np.ndarray) -> bool | np.ndarray:
-    """Exact membership of num/den in the mask zero set (Z \\ pZ)/(p*t).
-
-    Holds iff den divides num*p*t with a quotient not divisible by p; pure
-    integer arithmetic, so a scan can pass x/(b_1...b_n) as x's numerator
-    over x's denominator times the base product.  num is a Python int
-    (a bool comes back) or an integer array (a boolean array comes back);
-    p, t and den may be integer columns, one row per stage, broadcast
-    against it.  An int64 array must keep |num*p*t| and |den| below 2**62.
-    """
-    x = num * p * t
-    return (x % den == 0) & (x // den % p != 0)
-
-
 def mask_zero_moduli(p: int, t: int, den: int) -> tuple[int, int]:
     """The moduli (Q, P) with num/den in (Z \\ pZ)/(p*t) iff Q | num and P does not divide num.
 
-    num/den hits iff den divides num*p*t with a quotient not divisible by p
-    (mask_zero_hit).  With g = gcd(p*t, |den|), |den|/g and p*t/g are
-    coprime, so den divides num*p*t iff Q = |den|/g divides num.  The
-    quotient is then +-(num/Q)*(p*t/g), divisible by p iff p/gcd(p*t/g, p)
-    divides num/Q, that is iff P = Q*p/gcd(p*t/g, p) divides num.  Q | P,
+    The one exact kernel for a stage-mask zero: num/den = m/(p*t) hits iff
+    m = num*p*t/den is an integer not divisible by p.  With
+    g = gcd(p*t, |den|), |den|/g and p*t/g are coprime, so m is an integer
+    iff Q = |den|/g divides num.  m is then +-(num/Q)*(p*t/g), divisible by
+    p iff p/gcd(p*t/g, p) divides num/Q, that is iff P = Q*p/gcd(p*t/g, p)
+    divides num.  Pure integer arithmetic, so a scan can pass x/(b_1...b_n)
+    as x's numerator over x's denominator times the base product.  Q | P,
     and P = Q means the stage never hits.  den must be nonzero.
     """
     g = math.gcd(p * t, den)
@@ -487,7 +469,8 @@ def mask_zero_moduli(p: int, t: int, den: int) -> tuple[int, int]:
 def mask_zero_contains(p: int, t: int, x: RationalLike) -> bool:
     """Exact membership of x in the mask zero set (Z \\ pZ)/(p*t)."""
     x = Fraction(x)
-    return mask_zero_hit(p, t, x.numerator, x.denominator)
+    q, big = mask_zero_moduli(p, t, x.denominator)
+    return x.numerator % q == 0 and x.numerator % big != 0
 
 
 def progression_class(start: int, step: int, m: int) -> Optional[tuple[int, int]]:

@@ -19,10 +19,12 @@ once per digit prefix, at the prefix's and x's parts of its argument, each
 reduced mod 1 in integers; up to RECURRENCE_MAX_P digits its cosine comes
 by angle addition from the prefix's cosine and sine, taken once, and x's.
 
-verify_spectrum_finite proves orthogonality in integers, a translate of
-the depth-k tower by p - 1 partner differences per stage (tower_translate)
-and any other candidate by its distinct differences (_pairwise_residual),
-each block of them against every stage in one call.  Wherever
+verify_spectrum_finite proves orthogonality in integers, by the moduli
+(Q, P) of measure.mask_zero_moduli: a difference D hits stage n's mask
+zero set when Q | D and P does not divide D.  A translate of the depth-k
+tower takes one such test per stage (tower_translate), any other candidate
+one per block of its distinct differences against the column of every
+stage that can hit (_pairwise_residual).  Wherever
 orthogonality is proven the unitarity residual is exactly 0.0 and no float
 is summed; elsewhere it is summed over the distinct differences, each
 stage factor at its argument reduced mod 1 in integers
@@ -47,7 +49,7 @@ from .hadamard import dual_step, is_admissible
 from .measure import (DEFAULT_ATOM_CAP, MU_HAT_BLOCK, RECURRENCE_MAX_P, AtomCapExceeded,
                       DiscreteMeasure, StagePair, SymbolicWord, SystemConfig, canonical_ratios,
                       chebyshev_amplitude, dirichlet_amplitude, float_quotients, int_width,
-                      mask_zero_hit, mu_hat_amplitude, reduced_amplitude, reduced_quotients,
+                      mask_zero_moduli, mu_hat_amplitude, reduced_amplitude, reduced_quotients,
                       runs, stage_walk, sumset, sumset_span)
 
 
@@ -190,12 +192,14 @@ def tower_translate(candidate: SpectrumCandidate, config: SystemConfig, word: Sy
 
     A translate by any rational: the candidate's numerators over den are the
     sumset of the progressions den*step*{0, ..., p-1} plus one integer, and
-    mask_zero_hit finds every stage's differences step*j, j = 1..p-1, over
-    b_1...b_n in the stage's zero set (one call on Python integers each,
-    exact at any width).  Then every difference of the candidate is
-    orthogonal: one whose digits first differ at stage n is step*j plus a
-    multiple of b_1...b_n, which leaves stage n's zero test unchanged, so no
-    difference is left to test.  The span is checked before any point is
+    every stage's differences step*j, 0 < j < p, over b_1...b_n hit the
+    stage's zero set.  With (Q, P) the stage's mask_zero_moduli, that is one
+    test on Python integers, exact at any width: j = 1 needs Q | step, and
+    P divides step*j iff P/gcd(P, step) divides j, so no j < p is such a
+    multiple iff P/gcd(P, step) >= p.  Then every difference of the
+    candidate is orthogonal: one whose digits first differ at stage n is
+    step*j plus a multiple of b_1...b_n, which leaves stage n's zero test
+    unchanged, so no difference is left to test.  The span is checked before any point is
     built, and so is the sum: a tower translate is symmetric about its
     centre, so its N numerators sum to N times the mean of the two ends.
     """
@@ -210,9 +214,10 @@ def tower_translate(candidate: SpectrumCandidate, config: SystemConfig, word: Sy
         return False
     if 2 * sum(nums) != len(nums) * (nums[0] + nums[-1]):  # not symmetric about its centre
         return False
-    if not all(mask_zero_hit(pr.p, pr.t, step * j, base)
-               for pr, step, base in stages for j in range(1, pr.p)):
-        return False
+    for pr, step, base in stages:
+        q, big = mask_zero_moduli(pr.p, pr.t, base)
+        if step % q or big // math.gcd(big, step) < pr.p:
+            return False
     pts = sumset([(pr.p, step * den) for pr, step, _ in stages])
     shift = nums[0] - int(pts[0])  # the numerators less shift, at a width that holds them
     width = int_width(max(-nums[0], nums[-1]) + abs(shift))
@@ -236,11 +241,13 @@ def _pairwise_residual(candidate: SpectrumCandidate, config: SystemConfig, word:
     the only temporary, so the numpy calls number about N/64, not N.
 
     A complete candidate's distinct differences are tested in increasing
-    order, a block at a time, by one mask_zero_hit call against the column
-    of every (pair, L*b_1...b_n) within the bound, as a larger one hits no
-    difference; a block holds MU_HAT_BLOCK entries, differences times
-    stages.  The first block holding a difference no stage hits gives the
-    least offender and ends the testing.  With none, every difference is
+    order, a block at a time, against one column pair of every stage's
+    mask_zero_moduli (Q, P) at L*b_1...b_n: D hits when Q | D and P does not
+    divide D.  Only the stages with Q <= span and P != Q are kept, as no
+    other stage hits a difference; Q and P <= Q*p fit the bound's width.  A
+    block holds MU_HAT_BLOCK entries, differences times stages.  The first
+    block holding a difference no stage hits gives the least offender and
+    ends the testing.  With none, every difference is
     proven orthogonal and the residual is exactly 0.0.  Otherwise it is
     summed over every distinct difference, one MU_HAT_BLOCK of them at a
     time, sqrt(2 sum count |mu_hat_k|^2) (see SpectrumVerification),
@@ -250,7 +257,8 @@ def _pairwise_residual(candidate: SpectrumCandidate, config: SystemConfig, word:
     nums, scale = candidate.nums, candidate.den
     stages = [(pr, scale * base) for pr, base in stage_walk(config, word, k)]
     reach = max((pr.p * abs(pr.t) for pr, _ in stages), default=1)
-    bound = (nums[-1] - nums[0] if nums else 0) * reach
+    span = nums[-1] - nums[0] if nums else 0
+    bound = span * reach
     n = len(nums)
     work = n * (n - 1) // 2 * _difference_weight(max([bound] + [abs(den) for _, den in stages]))
     if work > VERIFY_ATOM_BOUND * (VERIFY_ATOM_BOUND - 1) // 2:
@@ -272,13 +280,13 @@ def _pairwise_residual(candidate: SpectrumCandidate, config: SystemConfig, word:
     diffs, counts = runs(table)
     offending = None
     if complete:
-        walk = [(pr, den) for pr, den in stages if abs(den) <= bound]
-        ps, ts, dens = np.array([(pr.p, pr.t, den) for pr, den in walk],
-                                dtype=table.dtype).reshape(-1, 3).T[:, :, None]
-        step = max(1, MU_HAT_BLOCK // max(len(walk), 1))  # block x walk <= MU_HAT_BLOCK
+        moduli = [(q, big) for q, big in (mask_zero_moduli(pr.p, pr.t, den) for pr, den in stages)
+                  if q <= span and big != q]
+        qs, bigs = np.array(moduli, dtype=table.dtype).reshape(-1, 2).T[:, :, None]
+        step = max(1, MU_HAT_BLOCK // max(len(moduli), 1))  # block x moduli <= MU_HAT_BLOCK
         for i in range(0, len(diffs), step):
             block = diffs[i:i + step]
-            missed = ~mask_zero_hit(ps, ts, block, dens).any(axis=0)
+            missed = ~((block % qs == 0) & (block % bigs != 0)).any(axis=0)
             if missed.any():
                 offending = Fraction(int(block[missed.argmax()]), scale)
                 break
@@ -301,13 +309,14 @@ def verify_spectrum_finite(measure: DiscreteMeasure, candidate: SpectrumCandidat
 
     Orthogonality: every nonzero difference must land in some stage zero set
     (a factor of the truncated transform vanishes); D/L, D an integer over
-    the candidate's denominator L, lands in stage n's when mask_zero_hit
-    holds for D over L*b_1...b_n.  Completeness: the candidate size must
-    equal the atom count.  A translate of the depth-k tower, over any
-    denominator, is proven orthogonal stage by stage (tower_translate), by
-    p - 1 differences per stage and with no list of differences.  Every
-    other candidate, and a tower with an incompatible stage, goes through
-    every difference in one function (_pairwise_residual): past
+    the candidate's denominator L, lands in stage n's when Q | D and P does
+    not divide D, (Q, P) the mask_zero_moduli of L*b_1...b_n.  Completeness:
+    the candidate size must equal the atom count.  A translate of the
+    depth-k tower, over any denominator, is proven orthogonal stage by
+    stage (tower_translate), by one test per stage and with no list of
+    differences.  Every other candidate, and a tower with an incompatible
+    stage, goes through every difference in one function
+    (_pairwise_residual): past
     VERIFY_ATOM_BOUND (VERIFY_ATOM_BOUND - 1)/2 differences of its points,
     weighted by their width, it raises AtomCapExceeded before allocating
     anything, and otherwise, when complete, it tests the stage walk for the

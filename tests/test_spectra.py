@@ -7,16 +7,17 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from moranspec import spectra
 from moranspec.hadamard import canonical_dual_digits
 from moranspec.measure import (DEFAULT_ATOM_CAP, INT64_SPAN, MU_HAT_BLOCK, RECURRENCE_MAX_P,
                                AtomCapExceeded, DiscreteMeasure, SymbolicWord, SystemConfig,
-                               dirichlet_amplitude, float_quotients, int_width, mask_zero_hit,
-                               mu_hat_many, reduced_amplitude, reduced_quotients, runs, stage_walk,
-                               sumset, support_hull, truncate)
+                               dirichlet_amplitude, float_quotients, int_width,
+                               mask_zero_contains, mask_zero_moduli, mu_hat_many,
+                               reduced_amplitude, reduced_quotients, runs, stage_walk, sumset,
+                               support_hull, truncate)
 from moranspec.oracle import search_spectra
 from moranspec.spectra import (VERIFY_ATOM_BOUND, Decomposition,
                                SpectrumCandidate,
@@ -325,20 +326,23 @@ def test_the_tower_path_and_the_pairwise_path_agree(data):
 
 
 def test_verify_checks_a_tower_stage_by_stage(monkeypatch):
-    # on a tower, mask_zero_hit sees only each stage's p - 1 partner
-    # differences, one Python integer a call; falling back to every distinct
-    # difference would pass it thousands of them in arrays (about 265,000 for
-    # the depth-12 tower of (4, 2, 1))
-    scalars, seen = [], []
+    # on a tower, mask_zero_moduli is asked once per stage, on Python
+    # integers, and no difference table is built; falling back to every
+    # distinct difference would sort thousands of them (about 265,000 for the
+    # depth-12 tower of (4, 2, 1))
+    moduli, seen = [], []
 
-    def spy(p, t, num, den):
-        if isinstance(num, np.ndarray):
-            seen.append(len(num))
-        else:
-            scalars.append(num)
-        return mask_zero_hit(p, t, num, den)
+    def spy(p, t, den):
+        assert not any(isinstance(x, np.ndarray) for x in (p, t, den))
+        moduli.append(den)
+        return mask_zero_moduli(p, t, den)
 
-    monkeypatch.setattr(spectra, "mask_zero_hit", spy)
+    def table_spy(values):
+        seen.append(len(values))
+        return runs(values)
+
+    monkeypatch.setattr(spectra, "mask_zero_moduli", spy)
+    monkeypatch.setattr(spectra, "runs", table_spy)
     three = SystemConfig.of((4, 2, 1), (6, 3, 1), (2, 2, 3))
     signed = SystemConfig.of((-4, 2, -1), (-6, 3, 5), (4, 2, -3))
     cases = [(QUARTER, ONES, 12), (three, SymbolicWord((1, 2), (3, 2)), 5),
@@ -350,10 +354,10 @@ def test_verify_checks_a_tower_stage_by_stage(monkeypatch):
         # the tower translated by 1/3: its numerators over 3 are 3 lambda + 1
         third = SpectrumCandidate(nums=tuple(3 * x + 1 for x in cand.nums), den=3)
         for c in (cand, far, third):
-            scalars.clear()
+            moduli.clear()
             seen.clear()
             assert verify_spectrum_finite(meas, c, cfg, word, depth).ok
-            assert 0 < len(scalars) <= sum(pr.p - 1 for pr, _ in stage_walk(cfg, word, depth))
+            assert moduli == [base for _, base in stage_walk(cfg, word, depth)]
             assert not seen
     # a moved point leaves the tower path: every distinct difference is tested
     seen.clear()
@@ -361,6 +365,27 @@ def test_verify_checks_a_tower_stage_by_stage(monkeypatch):
     moved_tower = moved(build_tower_spectrum(cfg, word, depth), random.Random(5), 1)[0]
     verify_spectrum_finite(truncate(cfg, word, depth), moved_tower, cfg, word, depth)
     assert sum(seen) > 100
+
+
+# nonzero integers of both signs, small and far past 2**63
+SIGNED_WIDE = (st.integers(-10**4, 10**4) | st.integers(-2**200, 2**200)).filter(bool)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(2, 40), SIGNED_WIDE, SIGNED_WIDE, SIGNED_WIDE, st.booleans())
+@example(4, 1, 4, 1, False)  # every digit hits: Q = 1, P = 4
+@example(4, 1, 4, 2, False)  # j = 2 misses: P / gcd(P, 2) = 2 < p
+@example(2, 1, 4, 1, False)  # j = 1 misses: Q = 2 does not divide 1
+@example(3, -5, -30, 1, True)  # Q = 2, P = 6, both signs negative: every digit hits
+def test_the_per_stage_tower_test_is_the_per_digit_definition(p, t, base, j, of_q):
+    # tower_translate proves a stage's differences step*d, 0 < d < p, over
+    # B_n in its zero set by one test on its moduli (Q, P): Q | step and
+    # P / gcd(P, step) >= p; half the steps are multiples of Q, which pass
+    # unless P / gcd(P, step) < p
+    q, big = mask_zero_moduli(p, t, base)
+    step = j * q if of_q else j
+    per_digit = all(mask_zero_contains(p, t, F(step * d, base)) for d in range(1, p))
+    assert (step % q == 0 and big // math.gcd(big, step) >= p) == per_digit
 
 
 def test_a_moved_point_inside_the_span_is_rejected_before_any_point_is_built(monkeypatch):
@@ -389,13 +414,24 @@ def test_a_moved_point_inside_the_span_is_rejected_before_any_point_is_built(mon
         assert verify_spectrum_finite(truncate(cfg, word, depth), cand, cfg, word, depth).ok
 
 
+def hits_a_stage(d, stages):
+    """Whether the integer d hits some stage's zero set (Z \\ pZ)/(p*t) at d/den.
+
+    The zero set's definition in Fractions: d/den = m/(p*t), m an integer
+    not divisible by p.
+    """
+    return any((m := F(d * pr.p * pr.t, den)).denominator == 1 and m.numerator % pr.p != 0
+               for pr, den in stages)
+
+
 def row_by_row_pairwise(candidate, config, word, k, complete):
     """The pairwise path stated one row and one stage at a time: (residual, least offender).
 
-    The difference table is written one np.subtract per row; each block of
-    distinct differences takes one mask_zero_hit call per walked stage, and
-    its residual one reduced_quotients and dirichlet_amplitude call per
-    stage, multiplied in stage order.
+    The difference table is written one np.subtract per row; the distinct
+    differences are tested in increasing order against every stage by the
+    zero set's definition (hits_a_stage), and each block's residual takes
+    one reduced_quotients and dirichlet_amplitude call per stage, multiplied
+    in stage order.
     """
     nums, scale = candidate.nums, candidate.den
     stages = [(pr, scale * base) for pr, base in stage_walk(config, word, k)]
@@ -408,16 +444,9 @@ def row_by_row_pairwise(candidate, config, word, k, complete):
     diffs, counts = runs(table)
     block_size, offending = spectra.MU_HAT_BLOCK, None
     if complete:
-        walk = [(pr, den) for pr, den in stages if abs(den) <= bound]
-        for i in range(0, len(diffs), block_size):
-            block = diffs[i:i + block_size]
-            missed = np.ones(len(block), dtype=bool)
-            for pr, den in walk:
-                missed &= ~mask_zero_hit(pr.p, pr.t, block, den)
-            if missed.any():
-                offending = F(int(block[missed.argmax()]), scale)
-                break
-        else:
+        offending = next((F(int(d), scale) for d in diffs if not hits_a_stage(int(d), stages)),
+                         None)
+        if offending is None:
             return 0.0, None
     total = 0.0
     for i in range(0, len(diffs), block_size):
@@ -577,8 +606,8 @@ def test_depth_5000_is_refused_before_anything_is_built(pairs, data):
 
 
 def test_verify_verdicts_do_not_depend_on_the_integer_width(monkeypatch):
-    # mask_zero_hit takes int64 blocks below INT64_SPAN and object blocks past
-    # it; forcing object blocks must give the same verdicts and residuals
+    # the difference table is int64 below INT64_SPAN and object past it;
+    # forcing object tables must give the same verdicts and residuals
     rng = random.Random(404)
     cases = []
     signed = SystemConfig.of((-4, 2, -1), (-6, 3, 5), (4, 2, -3))
@@ -604,15 +633,14 @@ def test_verify_verdicts_do_not_depend_on_the_integer_width(monkeypatch):
     cases.append((truncate(QUARTER, ONES, 3), late, QUARTER, ONES, 3))
     widths = set()
 
-    def spy(p, t, num, den):
-        if isinstance(num, np.ndarray):  # the tower path's stage tests take Python integers
-            widths.add(num.dtype)
-        return mask_zero_hit(p, t, num, den)
+    def spy(table):  # the tower path builds no table
+        widths.add(table.dtype)
+        return runs(table)
 
     def verdicts():
         return [verify_spectrum_finite(*case) for case in cases]
 
-    monkeypatch.setattr(spectra, "mask_zero_hit", spy)
+    monkeypatch.setattr(spectra, "runs", spy)
     narrow = verdicts()
     assert widths == {np.dtype(np.int64)}
     assert {v.ok for v in narrow} == {True, False}
@@ -635,10 +663,7 @@ def test_float_quotients_round_like_fractions():
                       ((-(2**60) - 1, 5, 2**70 + 3), 7),
                       ((1, 2, 3), 3 * 2**60),
                       ((), 5)):
-        expected = [float(F(n, den)) for n in nums]
-        assert float_quotients(nums, den).tolist() == expected
-        arr = np.array(nums, dtype=np.int64 if all(abs(n) < 2**62 for n in nums) else object)
-        assert float_quotients(arr, den).tolist() == expected
+        assert float_quotients(nums, den).tolist() == [float(F(n, den)) for n in nums]
 
 
 def test_verify_past_the_int64_span():
@@ -661,11 +686,11 @@ def test_verify_at_the_width_boundary(monkeypatch):
     m = truncate(QUARTER, ONES, 1)
     widths = set()
 
-    def spy(p, t, num, den):
-        widths.add(num.dtype)
-        return mask_zero_hit(p, t, num, den)
+    def spy(table):
+        widths.add(table.dtype)
+        return runs(table)
 
-    monkeypatch.setattr(spectra, "mask_zero_hit", spy)
+    monkeypatch.setattr(spectra, "runs", spy)
     verdicts = []
     for top in (2**61 + 2, 2**61 + 1):
         assert top < INT64_SPAN <= 2 * top
@@ -673,8 +698,9 @@ def test_verify_at_the_width_boundary(monkeypatch):
         verdicts.append((ver.ok, ver.offending))
     assert verdicts == [(True, None), (False, 2**61 + 1)]
     assert widths == {np.dtype(object)}
-    # every |D*p*t| is at most 3 * 2 here, so the 4 * 2**66 stage can hit no
-    # difference: it is skipped and the small span stays on int64
+    # the 4 * 2**66 stage has Q = 2**67, past the span 3, so it can hit no
+    # difference: it is skipped, and the table, whose width the span sets,
+    # stays on int64
     huge, word = SystemConfig.of((4, 2, 1), (2**66, 2, 1)), SymbolicWord((1,), (2,))
     widths.clear()
     ver = assert_matches_reference(truncate(huge, word, 2), SpectrumCandidate.finite((0, 1, 2, 3)),
